@@ -135,19 +135,6 @@ def _dense_from_exact(dim: int, sparse: ExactStructure) -> np.ndarray:
     return dense
 
 
-def exact_from_dense_integral(structure: np.ndarray,
-                              max_denominator: int = 64) -> ExactStructure:
-    """Sparse exact copy of a tensor whose entries are exact in float64."""
-    sparse: ExactStructure = {}
-    nz = np.argwhere(structure != 0.0)
-    for i, j, k in nz:
-        value = Fraction(float(structure[i, j, k])).limit_denominator(max_denominator)
-        if float(value) != float(structure[i, j, k]):
-            raise ValidationError("tensor entry is not exactly rational")
-        sparse.setdefault((int(i), int(j)), {})[int(k)] = value
-    return sparse
-
-
 @dataclass(frozen=True)
 class LieAlgebra:
     """Immutable Lie algebra with structure tensor and inner product."""

@@ -169,14 +169,6 @@ def solvable(a: np.ndarray, b: np.ndarray) -> tuple[bool, int, int]:
     return rank_aug == rank_a, rank_a, rank_aug
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b
-
-
-def rank(a: np.ndarray) -> int:
-    return bareiss_rank(a)
-
-
 def format_value(x: Fraction) -> str | int:
     x = frac(x)
     if x.denominator == 1:

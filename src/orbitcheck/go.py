@@ -24,12 +24,12 @@ import numpy as np
 
 from . import exact
 from .core import LieAlgebra, OrbitcheckError, ValidationError
-from .linalg import DEFAULT_TOL, consistency_gap, min_norm_solve, nullspace, \
-    rng_for, svd_rank
+from .linalg import DEFAULT_TOL, consistency_gap, min_norm_solve, rng_for, \
+    svd_rank
 from .filters import CentralizerSplit, centralizer, normalizer_split
 from .linalg import gram_orthonormalize, subspace_intersection
 from .spaces import (ExactUnavailableError, ReductiveSpace, exact_m_basis,
-                     exact_module_bases)
+                     exact_module_bases, intertwiners)
 
 MARGIN_FACTOR = 1e3
 
@@ -167,15 +167,10 @@ def _equivariant_isometry(space: ReductiveSpace, i: int, j: int) -> np.ndarray:
     d = bi.shape[1]
     if bj.shape[1] != d:
         raise ValidationError("isotypic modules with unequal dimensions")
-    if ai.shape[0] == 0:
-        t = np.eye(d)
-    else:
-        rows = [np.kron(aj[a], np.eye(d)) - np.kron(np.eye(d), ai[a].T)
-                for a in range(ai.shape[0])]
-        kernel = nullspace(np.vstack(rows))
-        if kernel.shape[1] == 0:
-            raise ValidationError("modules are not equivalent")
-        t = kernel[:, 0].reshape(d, d)
+    maps = intertwiners(ai, aj)
+    if not len(maps):
+        raise ValidationError("modules are not equivalent")
+    t = maps[0]
     gram = t.T @ t
     scale = float(gram[0, 0])
     if float(np.abs(gram - scale * np.eye(d)).max()) > 1e-8 * max(scale, 1.0):

@@ -136,32 +136,3 @@ def consistency_gap(a: np.ndarray, b: np.ndarray,
     if rank_aug > rank_a:
         margin = float(s_aug[rank_a:rank_aug].min())
     return rank_a, rank_aug, margin
-
-
-def sym_basis(n: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of symmetric n x n matrices.
-
-    Returned as an (n*(n+1)/2, n, n) stack; diagonal units first.
-    """
-    mats = []
-    for i in range(n):
-        m = np.zeros((n, n))
-        m[i, i] = 1.0
-        mats.append(m)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = inv_sqrt2
-            m[j, i] = inv_sqrt2
-            mats.append(m)
-    return np.array(mats) if mats else np.zeros((0, n, n))
-
-
-def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    norm = np.linalg.norm(v)
-    while norm < 1e-12:
-        v = rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
-    return v / norm

@@ -1,14 +1,17 @@
 """Reductive decompositions, isotropy module splitting, and structure labels.
 
 A reductive space is g = h + m with m the orthocomplement of a
-subalgebra h against the chosen ad-invariant inner product. The
-isotropy decomposition splits m into irreducible ad(h)-modules with the
-commutant trick: solve the equivariance constraint on symmetric
-operators once, split along the eigenspaces of a random element of that
-kernel, then certify irreducibility of each summand by a commutant
-rank computation. The structure classifier labels the pair (g, h) by
-one of seven coarse cases from the center dimension, the minimal ideals
-of g, and how the simple ideals of h project onto them.
+subalgebra h against the chosen ad-invariant inner product. Every
+equivariance question goes through one routine, ``intertwiners``, which
+returns a basis of the maps between two ad(h)-actions that commute with
+every generator. The isotropy decomposition takes the symmetric part of
+the commutant of ad(h) on m (the invariant metrics), splits m along the
+eigenspaces of a random element of it, certifies each summand
+irreducible by a 1-dimensional symmetric commutant, and groups
+summands joined by a nonzero intertwiner. The structure classifier
+labels the pair (g, h) by one of seven coarse cases from the center
+dimension, the minimal ideals of g, and how the simple ideals of h
+project onto them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import exact
 from .core import (LieAlgebra, OrbitcheckError, Subspace, ValidationError,
                    EffectivenessError, center_basis)
 from .linalg import (column_space, gram_orthonormalize, nullspace, rng_for,
-                     subspace_intersection, svd_rank, sym_basis)
+                     subspace_intersection, svd_rank)
 from .zoo import Embedding, EmbeddingChain, as_embedding
 
 
@@ -182,57 +185,68 @@ def _cluster(values: np.ndarray, rel_gap: float = 1e-6) -> list[np.ndarray]:
     return [np.array(gp) for gp in groups]
 
 
-def _sym_commutant_dim(action: np.ndarray, tol_rel: float = 1e-8) -> int:
-    """Dimension of symmetric operators commuting with every action matrix."""
-    dh, dm, _ = action.shape
-    basis = sym_basis(dm)
-    if dh == 0:
-        return basis.shape[0]
-    lhs = np.einsum("aij,sjk->asik", action, basis)
-    rhs = np.einsum("sij,ajk->asik", basis, action)
-    mat = np.moveaxis(lhs - rhs, 1, -1).reshape(dh * dm * dm, basis.shape[0])
-    return int(basis.shape[0] - svd_rank(mat))
+def intertwiners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the maps T with dst[a] T = T src[a] for every a.
+
+    ``src`` and ``dst`` are (k, d_src, d_src) and (k, d_dst, d_dst) stacks
+    of generator actions; the result is a (count, d_dst, d_src) stack,
+    orthonormal in the Frobenius inner product. A map that intertwines
+    every generator intertwines any combination of them, so the kernel
+    of the equivariance system for one fixed generic combination holds
+    every intertwiner; all generators are then imposed on that small
+    kernel only.
+    """
+    k, ds, dd = len(src), src.shape[1], dst.shape[1]
+    if k == 0:
+        return np.eye(dd * ds).reshape(dd * ds, dd, ds)
+    weights = rng_for("intertwiners", k).standard_normal(k)
+    a = np.einsum("a,aij->ij", weights, src)
+    b = np.einsum("a,aij->ij", weights, dst)
+    system = np.kron(b, np.eye(ds)) - np.kron(np.eye(dd), a.T)
+    kernel = nullspace(system).T.reshape(-1, dd, ds)
+    residual = dst[:, None] @ kernel[None] - kernel[None] @ src[:, None]
+    rows = np.moveaxis(residual, 1, -1).reshape(k * dd * ds, len(kernel))
+    coeffs = nullspace(rows)
+    return np.einsum("sc,sij->cij", coeffs, kernel)
 
 
-def _equivariant_sym_kernel(action: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ad-invariant symmetric operators, as sym coords."""
-    dh, dm, _ = action.shape
-    basis = sym_basis(dm)
-    ns = basis.shape[0]
-    if dh == 0:
-        return np.eye(ns)
-    lhs = np.einsum("aij,sjk->asik", action, basis)
-    rhs = np.einsum("sij,ajk->asik", basis, action)
-    mat = np.moveaxis(lhs - rhs, 1, -1).reshape(dh * dm * dm, ns)
-    return nullspace(mat)
+def _symmetric_part(maps: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the symmetric matrices in a transpose-closed span."""
+    d = maps.shape[1]
+    sym = (maps + maps.transpose(0, 2, 1)) / 2
+    span = column_space(sym.reshape(len(maps), d * d).T)
+    return span.T.reshape(-1, d, d)
 
 
 def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
                        tol: float = 1e-8) -> ReductiveSpace:
     """Split m into irreducible ad(h)-modules; returns an updated space.
 
-    A random invariant symmetric operator is drawn from the equivariance
-    kernel; m splits along its eigenvalue clusters (relative gap 1e-6).
-    Each summand is certified irreducible by a 1-dimensional symmetric
-    commutant; isomorphic summands are grouped by nonzero equivariant
-    cross maps. Degenerate draws retry with derived seeds, then fail.
+    The invariant symmetric operators are the symmetric part of
+    ``intertwiners(action, action)``; it is the whole symmetric part
+    because the action matrices are skew, so the commutant is closed
+    under transposition. A random symmetric matrix is projected onto
+    them, and m splits along the eigenvalue clusters of the projection
+    (relative gap 1e-6). Each summand is certified irreducible by a
+    1-dimensional symmetric commutant; isomorphic summands are grouped
+    by nonzero intertwiners. Modules are ordered by dimension, then by
+    the norm of proj_m [m_i, m_i], then by eigenvalue, so the module
+    with h + m_i a subalgebra comes first whatever the seed. Degenerate
+    draws retry with derived seeds, then fail.
     """
     action = space.iso_action
     dm = space.m.dim
     if dm == 0:
         return replace(space, modules=(), isotypic_groups=(),
                        metric_space_dim=0, decomposition_seed=seed)
-    kernel = _equivariant_sym_kernel(action)
-    metric_dim = kernel.shape[1]
-    basis = sym_basis(dm)
+    metrics = _symmetric_part(intertwiners(action, action))
     last_error = None
     for attempt in range(3):
         rng = rng_for("decompose", space.name, seed, attempt)
         raw = rng.standard_normal((dm, dm))
         raw = (raw + raw.T) / 2
-        raw_coords = np.einsum("sij,ij->s", basis, raw)
-        coeffs = kernel.T @ raw_coords
-        op = np.einsum("s,sij->ij", kernel @ coeffs, basis)
+        op = np.einsum("s,sij->ij", np.einsum("sij,ij->s", metrics, raw),
+                       metrics)
         eigvals, eigvecs = np.linalg.eigh(op)
         clusters = _cluster(eigvals)
         ok = True
@@ -244,14 +258,16 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
                 ok = False
                 break
             sub_action = np.einsum("pi,apq,qj->aij", block, action, block)
-            if _sym_commutant_dim(sub_action) != 1:
+            if len(_symmetric_part(intertwiners(sub_action, sub_action))) != 1:
                 ok = False
                 break
             mods.append((float(np.mean(eigvals[cl])), block, sub_action))
         if not ok:
             last_error = f"attempt {attempt}: degenerate eigenvalue split"
             continue
-        mods.sort(key=lambda t: (t[1].shape[1], t[0]))
+        mods.sort(key=lambda t: (t[1].shape[1],
+                                 round(_self_bracket_norm(space, t[1]), 6),
+                                 t[0]))
         groups = _isotypic_groups([sa for _, _, sa in mods])
         modules = tuple(
             Subspace(ambient=space.g, basis=space.m.basis @ block,
@@ -259,10 +275,23 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
             for i, (_, block, _) in enumerate(mods))
         return replace(space, modules=modules,
                        isotypic_groups=tuple(groups),
-                       metric_space_dim=metric_dim,
+                       metric_space_dim=len(metrics),
                        decomposition_seed=seed)
     raise DecompositionError(
         f"isotropy decomposition failed after 3 attempts ({last_error})")
+
+
+def _self_bracket_norm(space: ReductiveSpace, block: np.ndarray) -> float:
+    """Norm of proj_m [m_i, m_i] for the module with m coordinates ``block``.
+
+    It does not depend on the module's basis, and it is 0 exactly when
+    h + m_i is a subalgebra, so that module sorts first among equal
+    dimensions.
+    """
+    cols = space.m.basis @ block
+    raw = pair_bracket_tensor(space.g, cols, cols)
+    gm = space.g.inner_product @ space.m.basis
+    return float(np.linalg.norm(np.einsum("abk,kc->abc", raw, gm)))
 
 
 def _invariance_residual(action: np.ndarray, block: np.ndarray) -> float:
@@ -287,19 +316,9 @@ def _isotypic_groups(sub_actions: list[np.ndarray]) -> list[tuple[int, ...]]:
     for i in range(r):
         for j in range(i + 1, r):
             ai, aj = sub_actions[i], sub_actions[j]
-            di, dj = ai.shape[1], aj.shape[1]
-            if di != dj:
+            if ai.shape[1] != aj.shape[1]:
                 continue
-            if ai.shape[0] == 0:
-                hom_dim = di * dj
-            else:
-                mat = np.kron(np.eye(dj), np.eye(di))
-                rows = []
-                for a in range(ai.shape[0]):
-                    rows.append(np.kron(aj[a], np.eye(di)) -
-                                np.kron(np.eye(dj), ai[a].T))
-                hom_dim = nullspace(np.vstack(rows)).shape[1]
-            if hom_dim > 0:
+            if len(intertwiners(ai, aj)):
                 pi, pj = find(i), find(j)
                 if pi != pj:
                     parent[pj] = pi

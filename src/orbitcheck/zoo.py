@@ -188,16 +188,6 @@ _EXTRACTORS = {"so": _extract_so, "su": _extract_su, "u": _extract_u,
                "sp": _extract_sp}
 
 
-def extract_coords(family: str, n: int, matrices: np.ndarray) -> np.ndarray:
-    """Coordinates of a batch of algebra matrices in the family basis."""
-    batch = np.asarray(matrices, dtype=np.complex128)
-    single = batch.ndim == 2
-    if single:
-        batch = batch[None]
-    coords = _EXTRACTORS[family](batch, n)
-    return coords[0] if single else coords
-
-
 def _structure_from_matrices(mats: list[np.ndarray], family: str, n: int,
                              atol: float = 0.0) -> np.ndarray:
     d = len(mats)
@@ -404,7 +394,7 @@ def _g2_data() -> tuple[LieAlgebra, np.ndarray]:
         for t in range(s + 1, 14):
             w = so7.bracket_exact(kernel[:, s], kernel[:, t])
             coords = w[free]
-            recon = exact.matmul(kernel, coords.reshape(-1, 1))[:, 0]
+            recon = (kernel @ coords.reshape(-1, 1))[:, 0]
             if not all(recon[r] == w[r] for r in range(21)):
                 raise ValidationError("derivation bracket left the kernel")
             fwd = {k: v for k, v in enumerate(coords) if v != 0}
@@ -493,7 +483,7 @@ class Embedding:
         matrix = self.matrix @ inner.matrix
         mex = None
         if self.matrix_exact is not None and inner.matrix_exact is not None:
-            mex = exact.matmul(self.matrix_exact, inner.matrix_exact)
+            mex = self.matrix_exact @ inner.matrix_exact
         name = f"{self.name} o {inner.name}" if self.name and inner.name else ""
         return Embedding(source=inner.source, target=self.target, matrix=matrix,
                          name=name, matrix_exact=mex, atol=max(self.atol, inner.atol))

@@ -97,24 +97,6 @@ def test_subspace_intersection():
     assert np.abs(inter - b @ (b.T @ inter)).max() < 1e-12
 
 
-def test_sym_basis_spans_symmetric_matrices():
-    basis = linalg.sym_basis(3)
-    assert basis.shape[0] == 6
-    for mat in basis:
-        np.testing.assert_allclose(mat, mat.T)
-    flat = basis.reshape(6, -1)
-    assert linalg.svd_rank(flat.T) == 6
-
-
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2 ** 31))
-@settings(max_examples=25, deadline=None)
-def test_random_unit_has_unit_norm(dim, seed):
-    rng = np.random.default_rng(seed)
-    v = linalg.random_unit(rng, dim)
-    assert v.shape == (dim,)
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=2 ** 31))
 @settings(max_examples=25, deadline=None)
 def test_nullspace_dimension_theorem(n, seed):

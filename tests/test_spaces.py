@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbitcheck import core, spaces, zoo
+from orbitcheck import catalog, core, filters, linalg, spaces, zoo
 
 
 EXPECTED_MODULE_DIMS = {
@@ -167,3 +168,110 @@ def test_space_as_dict_round_trip(so9_spin7):
     assert data["dim_m"] == 15
     assert data["module_dims"] == [7, 8]
     assert data["metric_space_dim"] == 2
+
+
+def _module_action(space, index):
+    block = space.module_coords_in_m(index)
+    return np.einsum("pi,apq,qj->aij", block, space.iso_action, block)
+
+
+def _assert_intertwiner_basis(maps, src, dst):
+    residual = dst[:, None] @ maps[None] - maps[None] @ src[:, None]
+    assert np.abs(residual).max(initial=0.0) < 1e-10
+    flat = maps.reshape(len(maps), -1)
+    np.testing.assert_allclose(flat @ flat.T, np.eye(len(maps)), atol=1e-10)
+
+
+def _symmetric_dim(maps):
+    return linalg.svd_rank(
+        (maps + maps.transpose(0, 2, 1)).reshape(len(maps), -1))
+
+
+def test_intertwiners_of_the_isotropy_action(so5_u2, so8_g2):
+    for space in (so5_u2, so8_g2):
+        action = space.iso_action
+        maps = spaces.intertwiners(action, action)
+        _assert_intertwiner_basis(maps, action, action)
+        assert _symmetric_dim(maps) == space.metric_space_dim
+
+
+def test_equivalent_real_modules_have_one_intertwiner(so8_g2):
+    src, dst = _module_action(so8_g2, 0), _module_action(so8_g2, 1)
+    maps = spaces.intertwiners(src, dst)
+    assert maps.shape == (1, 7, 7)
+    _assert_intertwiner_basis(maps, src, dst)
+
+
+def test_complex_type_module_has_one_symmetric_intertwiner():
+    space = catalog.catalog_instantiate("go-3-k3", seed=0)
+    for index in range(2):
+        action = _module_action(space, index)
+        maps = spaces.intertwiners(action, action)
+        assert len(maps) == 2
+        _assert_intertwiner_basis(maps, action, action)
+        assert _symmetric_dim(maps) == 1
+
+
+def test_inequivalent_modules_have_no_intertwiner():
+    space = catalog.catalog_instantiate("go-2", seed=0)
+    maps = spaces.intertwiners(_module_action(space, 0),
+                               _module_action(space, 1))
+    assert maps.shape == (0, 14, 7)
+
+
+def test_intertwiners_without_generators_span_every_map():
+    maps = spaces.intertwiners(np.zeros((0, 2, 2)), np.zeros((0, 3, 3)))
+    assert maps.shape == (6, 3, 2)
+    np.testing.assert_array_equal(maps.reshape(6, 6), np.eye(6))
+
+
+def _so3_summands():
+    vector = np.array([m.real for m in zoo.matrix_basis("so", 3)])
+    eye = np.eye(3)
+    tensor = np.array([np.kron(x, eye) + np.kron(eye, x) for x in vector])
+    return [np.zeros((3, 1, 1)), vector, tensor]
+
+
+def _random_direct_sum(counts, rng):
+    blocks = [block for block, count in zip(_so3_summands(), counts)
+              for _ in range(count)]
+    dim = sum(b.shape[1] for b in blocks)
+    rep = np.zeros((3, dim, dim))
+    start = 0
+    for block in blocks:
+        d = block.shape[1]
+        rep[:, start:start + d, start:start + d] = block
+        start += d
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q.T @ rep @ q
+
+
+_COUNTS = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                    st.integers(0, 1)).filter(any)
+
+
+@given(_COUNTS, _COUNTS, st.integers(0, 2 ** 31))
+@settings(max_examples=20, deadline=None)
+def test_intertwiners_match_the_kronecker_nullspace(src_counts, dst_counts,
+                                                    seed):
+    rng = np.random.default_rng(seed)
+    src = _random_direct_sum(src_counts, rng)
+    dst = _random_direct_sum(dst_counts, rng)
+    ds, dd = src.shape[1], dst.shape[1]
+    rows = [np.kron(dst[a], np.eye(ds)) - np.kron(np.eye(dd), src[a].T)
+            for a in range(3)]
+    reference = linalg.nullspace(np.vstack(rows))
+    maps = spaces.intertwiners(src, dst)
+    _assert_intertwiner_basis(maps, src, dst)
+    flat = maps.reshape(len(maps), -1).T
+    assert flat.shape[1] == reference.shape[1]
+    np.testing.assert_allclose(reference @ (reference.T @ flat), flat,
+                               atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_module_order_does_not_depend_on_the_seed(seed):
+    # so(7)/u(3): both modules are 6-dimensional; h + m1 must be the
+    # subalgebra u(3) + m1 = so(6), so [m1, m2] lies in m2
+    space = catalog.catalog_instantiate("go-3-k3", seed=seed)
+    assert filters.bracket_location(space) == "in_m2"
