@@ -12,7 +12,7 @@ algebras.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -200,10 +200,6 @@ class LieAlgebra:
         """Max violation of <[x,y],z> + <y,[x,z]> = 0 over basis triples."""
         t = np.einsum("ijm,mk->ijk", self.structure, self.inner_product)
         return float(np.abs(t + np.transpose(t, (0, 2, 1))).max()) if t.size else 0.0
-
-    def with_inner_product(self, gram: np.ndarray,
-                           gram_exact: np.ndarray | None = None) -> "LieAlgebra":
-        return replace(self, inner_product=gram, inner_product_exact=gram_exact)
 
     def to_json_dict(self) -> dict:
         entries = []
@@ -423,9 +419,6 @@ class Subspace:
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         return coords_in(v, self.basis, self.ambient.inner_product)
-
-    def from_coords(self, c: np.ndarray) -> np.ndarray:
-        return self.basis @ c
 
     def distance(self, v: np.ndarray) -> float:
         return float(np.linalg.norm(v - self.project(v)))

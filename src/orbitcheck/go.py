@@ -23,13 +23,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .core import LieAlgebra, OrbitcheckError, ValidationError
+from .core import OrbitcheckError, ValidationError
 from .linalg import DEFAULT_TOL, consistency_gap, min_norm_solve, rng_for, \
     svd_rank
 from .filters import CentralizerSplit, centralizer, normalizer_split
 from .linalg import gram_orthonormalize, subspace_intersection
-from .spaces import (ExactUnavailableError, ReductiveSpace, exact_m_basis,
-                     exact_module_bases, intertwiners)
+from .spaces import (ExactUnavailableError, ReductiveSpace, exact_module_bases,
+                     intertwiners)
 
 MARGIN_FACTOR = 1e3
 
@@ -199,15 +199,20 @@ class GoWitness:
         return self.z is not None
 
     def as_dict(self) -> dict:
+        # JSON has no NaN or Infinity: an exact counterexample's are None
         return {
             "solvable": self.solvable,
-            "residual": self.residual,
+            "residual": _finite_or_none(self.residual),
             "rank_gap": self.rank_gap,
-            "margin": self.margin,
+            "margin": _finite_or_none(self.margin),
             "kind": self.kind,
             "x": [float(v) for v in self.x],
             "z": None if self.z is None else [float(v) for v in self.z],
         }
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if np.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -359,7 +364,7 @@ def _go_check_exact(space: ReductiveSpace, a: MetricOperator,
     bases = exact_module_bases(space)
     if len(bases) != 2:
         raise ExactUnavailableError("exact mode expects two modules")
-    m_x = exact_m_basis(space)
+    m_x = space.exact_m_basis
     gram = space.g.inner_product_exact
     h_cols = space.embedding.matrix_exact
     rows_proj = m_x.T @ gram

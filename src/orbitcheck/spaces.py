@@ -75,6 +75,17 @@ class ReductiveSpace:
         """ad(h) on m in orthonormal coordinates, shape (dim h, dim m, dim m)."""
         return self._action_tensor(self.h.basis)
 
+    @cached_property
+    def exact_m_basis(self) -> np.ndarray:
+        """Rational basis (columns, g coords) of m in rref free-column
+        form; not orthonormal."""
+        _require_exact(self)
+        basis = exact.null_space(
+            self.embedding.matrix_exact.T @ self.g.inner_product_exact)
+        if basis.shape[1] != self.m.dim:
+            raise ExactUnavailableError("exact m dimension disagrees with float")
+        return basis
+
     def _action_tensor(self, generators: np.ndarray) -> np.ndarray:
         raw = pair_bracket_tensor(self.g, generators, self.m.basis)
         gm = self.g.inner_product @ self.m.basis
@@ -484,10 +495,6 @@ class StructureReport:
     v: tuple[int, ...]
     counting_value: int
 
-    @property
-    def deficient_count(self) -> int:
-        return sum(self.deficient)
-
     def as_dict(self) -> dict:
         return {
             "case": self.case_label,
@@ -620,193 +627,85 @@ def _require_exact(space: ReductiveSpace) -> None:
     emb = space.embedding
     if emb is None or emb.matrix_exact is None:
         raise ExactUnavailableError("h embedding lacks exact coordinates")
-    if emb.source.structure_exact is None:
-        raise ExactUnavailableError("h source algebra lacks exact structure")
-
-
-def exact_m_basis(space: ReductiveSpace) -> np.ndarray:
-    """Rational basis (columns, g coords) of m; not orthonormal."""
-    _require_exact(space)
-    g = space.g
-    h_cols = space.embedding.matrix_exact
-    if h_cols.shape[1] == 0:
-        return exact.fidentity(g.dim)
-    rows = h_cols.T @ g.inner_product_exact
-    basis = exact.null_space(rows)
-    if basis.shape[1] != space.m.dim:
-        raise ExactUnavailableError("exact m dimension disagrees with float")
-    return basis
-
-
-def _exact_center(structure_exact, dim: int, indices: list[int]) -> np.ndarray:
-    """Exact center of the subalgebra spanned by coordinate ``indices``."""
-    pos = {idx: t for t, idx in enumerate(indices)}
-    k = len(indices)
-    rows = exact.fzeros((k * k, k))
-    for (i, j), row in structure_exact.items():
-        if i not in pos or j not in pos:
-            continue
-        for target, v in row.items():
-            if target not in pos:
-                raise ExactUnavailableError("bracket leaves coordinate block")
-            rows[pos[j] * k + pos[target], pos[i]] += v
-    return exact.null_space(rows)
-
-
-def exact_source_ideals(source: LieAlgebra) -> list[np.ndarray]:
-    """Exact bases (source coords) of the derived part, block by block.
-
-    Coordinate indices are grouped by bracket connectivity; inside each
-    block the exact orthocomplement of the block's center is returned.
-    Works when distinct simple ideals do not share coordinate axes,
-    which holds for all direct-sum built sources.
-    """
-    n = source.dim
-    se = source.structure_exact
-    if se is None:
-        raise ExactUnavailableError("source lacks exact structure")
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j), row in se.items():
-        if any(v != 0 for v in row.values()):
-            pi, pj = find(i), find(j)
-            if pi != pj:
-                parent[pj] = pi
-    blocks: dict[int, list[int]] = {}
-    for i in range(n):
-        blocks.setdefault(find(i), []).append(i)
-    out = []
-    for _, idxs in sorted(blocks.items()):
-        center = _exact_center(se, n, idxs)
-        k = len(idxs)
-        if center.shape[1] == k:
-            continue
-        if center.shape[1] == 0:
-            local = exact.fidentity(k)
-        else:
-            pos = {idx: t for t, idx in enumerate(idxs)}
-            images = []
-            for (i, j), row in se.items():
-                if i in pos and j in pos:
-                    col = exact.fzeros(k)
-                    hit = False
-                    for target, v in row.items():
-                        col[pos[target]] = v
-                        hit = hit or v != 0
-                    if hit:
-                        images.append(col)
-            stacked = np.stack(images, axis=1)
-            _, pivots = exact.rref(stacked)
-            local = stacked[:, pivots]
-            if local.shape[1] != k - center.shape[1]:
-                raise ExactUnavailableError(
-                    "derived span does not complement the center")
-        basis = exact.fzeros((n, local.shape[1]))
-        for a, ia in enumerate(idxs):
-            basis[ia, :] = local[a, :]
-        out.append(basis)
-    return out
-
-
-def _exact_multi_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` (matrix rhs) exactly; a must be invertible."""
-    n = a.shape[0]
-    k = b.shape[1]
-    aug = exact.fzeros((n, n + k))
-    aug[:, :n] = a
-    aug[:, n:] = b
-    r, pivots = exact.rref(aug)
-    if pivots != list(range(n)):
-        raise ExactUnavailableError("exact system is singular")
-    return r[:, n:]
 
 
 def exact_module_bases(space: ReductiveSpace) -> tuple[np.ndarray, ...]:
-    """Rational bases of the isotropy modules, aligned with the float ones.
+    """Rational bases of the isotropy modules, verified against the float ones.
 
-    Modules are cut out as joint eigenspaces of the per-block Casimir
-    operators of h acting on m; eigenvalues are recognized as small
-    rationals and certified by exact kernel dimensions. Raises
-    ExactUnavailableError when the Casimirs cannot separate the modules
-    (isotypic pairs) or any exact ingredient is missing.
+    Every module but the largest is read off its float projector: the
+    gm-orthogonal projector P onto the module, in the rational m basis
+    ``exact_m_basis`` (gm is that basis's exact Gram matrix), is rounded
+    entry by entry to fractions with denominators up to 2^20, and the
+    module is the exact kernel of I - P in rref free-column form, which
+    depends only on the subspace. The guess is then checked exactly: its
+    dimension is the float module's, the bracket of every h generator
+    with every basis vector stays inside it, and the guessed modules are
+    pairwise gm-orthogonal. The largest module is their exact
+    gm-orthocomplement in m, invariant because the inner product is.
+    Every exact module must also match its float module to 1e-8.
+
+    Raises ExactUnavailableError when an exact ingredient is missing,
+    when the modules form isotypic pairs (an equivalent pair has no
+    canonical split to recover), or when any check fails, so a bad
+    rounding withdraws the exact lane but never certifies a wrong split.
     """
     _require_exact(space)
     if not space.modules:
         raise ExactUnavailableError("decompose the isotropy modules first")
-    g = space.g
-    gram = g.inner_product_exact
-    m_x = exact_m_basis(space)
-    dm = m_x.shape[1]
-    gm = m_x.T @ gram @ m_x
-    source = space.embedding.source
-    ideals = exact_source_ideals(source)
-    casimirs = []
-    for ideal in ideals:
-        gens = space.embedding.matrix_exact @ ideal
-        k = gens.shape[1]
-        kmat = gens.T @ gram @ gens
-        kinv = _exact_multi_solve(kmat, exact.fidentity(k))
-        first = np.empty((k, dm), dtype=object)
-        for b in range(k):
-            for j in range(dm):
-                first[b, j] = g.bracket_exact(gens[:, b], m_x[:, j])
-        images = exact.fzeros((g.dim, dm))
-        for a in range(k):
-            for b in range(k):
-                if kinv[a, b] == 0:
-                    continue
-                for j in range(dm):
-                    images[:, j] += kinv[a, b] * g.bracket_exact(
-                        gens[:, a], first[b, j])
-        cas = _exact_multi_solve(gm, m_x.T @ gram @ images)
-        casimirs.append(cas)
-    if source.structure_exact is not None and source.dim:
-        h_center = _exact_center(source.structure_exact, source.dim,
-                                 list(range(source.dim)))
-        for t in range(h_center.shape[1]):
-            zc = space.embedding.matrix_exact @ h_center[:, t]
-            images = exact.fzeros((g.dim, dm))
-            for j in range(dm):
-                images[:, j] = g.bracket_exact(
-                    zc, g.bracket_exact(zc, m_x[:, j]))
-            casimirs.append(_exact_multi_solve(gm, m_x.T @ gram @ images))
-    if not casimirs:
-        raise ExactUnavailableError("h provides no invariant averages")
+    if any(len(group) > 1 for group in space.isotypic_groups):
+        raise ExactUnavailableError("isotypic modules have no canonical split")
     gram_f = space.g.inner_product
-    m_f = exact.to_float(m_x)
+    m_x = space.exact_m_basis
+    gm = m_x.T @ space.g.inner_product_exact @ m_x
     gm_f = exact.to_float(gm)
+    to_coords = np.linalg.solve(gm_f, exact.to_float(m_x).T @ gram_f)
+    largest = int(np.argmax(space.module_dims))
+    coords: list[np.ndarray | None] = [None] * len(space.modules)
+    for idx, mod in enumerate(space.modules):
+        if idx == largest:
+            continue
+        c = to_coords @ mod.basis
+        proj = exact.fmatrix([[Fraction(v).limit_denominator(1 << 20)
+                               for v in row] for row in c @ c.T @ gm_f])
+        kernel = exact.null_space(exact.fidentity(len(proj)) - proj)
+        if kernel.shape[1] != mod.dim:
+            raise ExactUnavailableError(f"rounded {mod.name} has dimension "
+                                        f"{kernel.shape[1]}, not {mod.dim}")
+        _require_invariant(space, m_x @ kernel, mod.name)
+        coords[idx] = kernel
+    guessed = [c for c in coords if c is not None]
+    for i, a in enumerate(guessed):
+        for b in guessed[i + 1:]:
+            if np.any(a.T @ gm @ b != 0):
+                raise ExactUnavailableError("rounded modules are not orthogonal")
+    coords[largest] = exact.null_space(
+        np.vstack([c.T @ gm for c in guessed]) if guessed
+        else exact.fzeros((0, len(gm))))
     bases = []
-    for idx in range(len(space.modules)):
-        block = space.modules[idx].basis
-        coords = np.linalg.solve(gm_f, m_f.T @ gram_f @ block)
-        stacked = []
-        for cas in casimirs:
-            cas_f = exact.to_float(cas)
-            probe = cas_f @ coords[:, 0]
-            pivot = int(np.argmax(np.abs(coords[:, 0])))
-            q = Fraction(float(probe[pivot] / coords[pivot, 0]))
-            q = q.limit_denominator(1000)
-            shifted = cas.copy()
-            for t in range(dm):
-                shifted[t, t] = shifted[t, t] - q
-            stacked.append(shifted)
-        kernel = exact.null_space(np.vstack(stacked))
-        if kernel.shape[1] != block.shape[1]:
-            raise ExactUnavailableError(
-                f"joint Casimir eigenspace has dimension {kernel.shape[1]}, "
-                f"module has {block.shape[1]}")
+    for mod, kernel in zip(space.modules, coords):
         basis = m_x @ kernel
         basis_f = exact.to_float(basis)
-        proj = block @ (block.T @ gram_f @ basis_f)
-        if float(np.abs(basis_f - proj).max()) > 1e-8 * max(
-                1.0, float(np.abs(basis_f).max())):
+        proj = mod.basis @ (mod.basis.T @ gram_f @ basis_f)
+        if kernel.shape[1] != mod.dim or float(np.abs(basis_f - proj).max()) \
+                > 1e-8 * max(1.0, float(np.abs(basis_f).max())):
             raise ExactUnavailableError(
-                "exact eigenspace does not match the float module")
+                f"exact {mod.name} does not match the float module")
         bases.append(basis)
     return tuple(bases)
+
+
+def _require_invariant(space: ReductiveSpace, basis: np.ndarray,
+                       name: str) -> None:
+    """Raise unless [h, span(basis)] lies in span(basis), testing each
+    bracket's nonzero coordinates against the rows vanishing on the span."""
+    g = space.g
+    h_cols = space.embedding.matrix_exact
+    annihilator = exact.null_space(basis.T).T
+    for a in range(h_cols.shape[1]):
+        for j in range(basis.shape[1]):
+            image = g.bracket_exact(h_cols[:, a], basis[:, j])
+            support = [t for t in range(g.dim) if image[t] != 0]
+            for row in annihilator:
+                if sum(row[t] * image[t] for t in support) != 0:
+                    raise ExactUnavailableError(
+                        f"rounded {name} is not ad(h)-invariant")

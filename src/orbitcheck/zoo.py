@@ -22,6 +22,7 @@ carries exact rational structure constants.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -864,26 +865,18 @@ _EMBEDDING_BUILDERS = {
     "so2_plus_g2_in_so9": embed_so2_plus_g2_in_so9,
 }
 
+
+def _signature_text(builder) -> str:
+    """Builder parameters as shown by ``zoo list``: name or name=default."""
+    return ", ".join(
+        p.name if p.default is p.empty else f"{p.name}={p.default}"
+        for p in inspect.signature(builder).parameters.values())
+
+
 EMBEDDING_KEYS = {
-    "so_in_so": "k, n, offset=0",
-    "su_in_su": "k, n, offset=0",
-    "su_in_u": "n",
-    "u_in_so_even": "k",
-    "u_in_so_odd": "k (chain)",
-    "su_in_so_even": "k (chain)",
-    "su_x_su_in_su": "m, n",
-    "sp_in_su_even": "n",
-    "sp_u1_in_su_odd": "n",
-    "sp_u1_in_sp": "n",
-    "so_x_so_tensor": "p, q",
-    "diagonal": "family, n, copies",
-    "g2_in_so7": "",
-    "g2_in_so7_in_so8": "(chain)",
-    "spin7_in_so8": "",
-    "spin7_in_so8_in_so9": "(chain)",
-    "irreducible_su2_in_su": "two_j",
-    "principal_su2_in_sp3": "",
-    "so2_plus_g2_in_so9": "",
+    **{key: _signature_text(b) for key, b in _EMBEDDING_BUILDERS.items()},
+    **{key: f"{_signature_text(b)} (chain)".lstrip()
+       for key, b in _CHAIN_BUILDERS.items()},
 }
 
 

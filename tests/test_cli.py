@@ -67,6 +67,22 @@ def test_check_go_exact_mode(runner):
     assert data["max_residual"] == 0.0
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_exact_not_go_json_is_standard(runner):
+    # an exact counterexample has no finite residual or margin; both
+    # must come out as null, not as NaN / Infinity
+    result = invoke(runner, ["check-go", "t1-V.1-m3n3", "--samples", "3",
+                             "--exact", "--json"])
+    assert result.exit_code == 0
+    data = json.loads(result.output, parse_constant=_reject_constant)
+    assert data["status"] == "NOT_GO"
+    assert data["counterexample"]["residual"] is None
+    assert data["counterexample"]["margin"] is None
+
+
 def test_filter_expectations(runner):
     ok = invoke(runner, ["filter", "go-3-k2", "--expect", "pass"])
     assert ok.exit_code == 0

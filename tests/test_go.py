@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from orbitcheck import core, go
+from orbitcheck import catalog, core, go
 from orbitcheck.linalg import rng_for
+from orbitcheck.spaces import ExactUnavailableError
 
 
 def module_vector(space, index, rng):
@@ -159,6 +160,27 @@ def test_exact_mode_certificates(so5_u2, so9_tensor):
     bad = go.go_check(so9_tensor, (1, 2), n_samples=3, exact_mode=True)
     assert bad.status == "NOT_GO"
     assert bad.counterexample.margin == np.inf
+
+
+@pytest.mark.parametrize("entry_id", ["go-1", "struct-1", "t1-V.10",
+                                      "t1-V.6-n2", "struct-4", "struct-5"])
+def test_exact_lane_is_unavailable(entry_id):
+    # isotypic pairs (go-1, struct-1) and embeddings without rational
+    # entries (the rest) have no exact lane
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    with pytest.raises(ExactUnavailableError):
+        go.go_check(space, (1, 2), n_samples=1, exact_mode=True)
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("entry_id", ["go-3-k2", "go-3-k3", "go-6-m2n1",
+                                      "go-8-n1", "struct-2", "struct-3",
+                                      "struct-6", "struct-7"])
+def test_exact_lane_agrees_with_the_float_lane(entry_id, pair):
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    verdict = go.go_check(space, pair, n_samples=3, exact_mode=True)
+    assert verdict.exact
+    assert verdict.status == go.go_check(space, pair).status
 
 
 def test_exact_mode_requires_rational_parameters(so5_u2):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +141,38 @@ def test_exact_module_bases_match_float_dims(so5_u2):
         recon = mod.basis @ np.linalg.solve(
             mod.basis.T @ gram @ mod.basis, proj)
         np.testing.assert_allclose(recon, cols, atol=1e-8)
+
+
+def _with_modules(space, blocks):
+    """The space with its modules replaced by orthonormal m-coordinate blocks."""
+    modules = tuple(core.Subspace(ambient=space.g, basis=space.m.basis @ b,
+                                  name=f"m{i + 1}")
+                    for i, b in enumerate(blocks))
+    return replace(space, modules=modules)
+
+
+def test_exact_module_bases_refuse_a_tilted_module(so5_u2):
+    # rotate one basis vector of m1 slightly toward m2, keeping both
+    # bases orthonormal: the float split is no longer invariant
+    b1 = so5_u2.module_coords_in_m(0).copy()
+    b2 = so5_u2.module_coords_in_m(1).copy()
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    b1[:, 0], b2[:, 0] = c * b1[:, 0] + s * b2[:, 0], c * b2[:, 0] - s * b1[:, 0]
+    with pytest.raises(spaces.ExactUnavailableError):
+        spaces.exact_module_bases(_with_modules(so5_u2, [b1, b2]))
+
+
+def test_exact_module_bases_refuse_a_rational_split_that_is_not_invariant(
+        so5_u2):
+    # span{u1, u2}, with u_i a rational vector of module i, has a rational
+    # projector that rounds exactly, so only the invariance check refuses it
+    bases = spaces.exact_module_bases(so5_u2)
+    cols = np.stack([core.exact.to_float(b[:, 0]) for b in bases], axis=1)
+    coords = so5_u2.m.basis.T @ so5_u2.g.inner_product @ cols
+    full = np.linalg.qr(coords, mode="complete")[0]
+    with pytest.raises(spaces.ExactUnavailableError, match="invariant"):
+        spaces.exact_module_bases(
+            _with_modules(so5_u2, [full[:, :2], full[:, 2:]]))
 
 
 def test_iso_action_is_antisymmetric_in_orthonormal_coords(so5_u2):

@@ -111,6 +111,13 @@ def test_registry_keys_all_have_smoke_params():
     assert set(SMALL_PARAMS) == set(zoo.EMBEDDING_KEYS)
 
 
+def test_registry_keys_show_builder_signatures():
+    assert zoo.EMBEDDING_KEYS["so_in_so"] == "k, n, offset=0"
+    assert zoo.EMBEDDING_KEYS["u_in_so_odd"] == "k (chain)"
+    assert zoo.EMBEDDING_KEYS["g2_in_so7_in_so8"] == "(chain)"
+    assert zoo.EMBEDDING_KEYS["g2_in_so7"] == ""
+
+
 @pytest.mark.parametrize("key", sorted(SMALL_PARAMS))
 def test_named_embeddings_are_homomorphisms(key):
     emb = zoo.as_embedding(zoo.named_embedding(key, **SMALL_PARAMS[key]))
