@@ -1,13 +1,17 @@
 """Exact rational linear algebra on matrices of fractions.
 
 Matrices are numpy object arrays holding fractions.Fraction entries.
-Rank computations clear denominators row by row and run fraction-free
+Products run on integer arrays over a common denominator: ``matmul``
+scales each operand by the lcm of its denominators, multiplies the
+integer arrays, and divides once per output entry. Rank computations
+clear denominators row by row the same way and run fraction-free
 (Bareiss) elimination so that every intermediate value stays integral;
 row reduction for solving and kernels uses plain Fraction arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -52,23 +56,35 @@ def to_float(a: np.ndarray) -> np.ndarray:
     return np.array(a, dtype=np.float64)
 
 
-def _integer_rows(a: np.ndarray) -> list[list[int]]:
-    rows = []
-    for i in range(a.shape[0]):
-        denoms = [frac(x).denominator for x in a[i]]
-        lcm = 1
-        for d in denoms:
-            g = np.gcd(lcm, d)
-            lcm = lcm // g * d
-        rows.append([int(frac(x) * lcm) for x in a[i]])
-    return rows
+def _cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integer object array n and common denominator d with a == n / d."""
+    fracs = [frac(x) for x in a.flat]
+    d = math.lcm(*(x.denominator for x in fracs))
+    ints = [x.numerator * (d // x.denominator) for x in fracs]
+    return np.array(ints, dtype=object).reshape(a.shape), d
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product ``a @ b`` of rational arrays (``b`` may be 1-D).
+
+    Both operands are scaled to Python integers by the lcm of their
+    denominators, so the product is one integer ``@``, where a zero
+    factor costs almost nothing; each output entry is then divided by
+    the product of the two denominators.
+    """
+    ia, da = _cleared(a)
+    ib, db = _cleared(b)
+    num = ia @ ib
+    d = da * db
+    return np.array([Fraction(n, d) for n in num.flat],
+                    dtype=object).reshape(num.shape)
 
 
 def bareiss_rank(a: np.ndarray) -> int:
     """Rank via fraction-free Gaussian elimination on cleared denominators."""
     if a.size == 0:
         return 0
-    m = _integer_rows(a)
+    m = [list(_cleared(row)[0]) for row in a]
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
     prev = 1

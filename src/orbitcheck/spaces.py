@@ -80,8 +80,8 @@ class ReductiveSpace:
         """Rational basis (columns, g coords) of m in rref free-column
         form; not orthonormal."""
         _require_exact(self)
-        basis = exact.null_space(
-            self.embedding.matrix_exact.T @ self.g.inner_product_exact)
+        basis = exact.null_space(exact.matmul(
+            self.embedding.matrix_exact.T, self.g.inner_product_exact))
         if basis.shape[1] != self.m.dim:
             raise ExactUnavailableError("exact m dimension disagrees with float")
         return basis
@@ -656,7 +656,7 @@ def exact_module_bases(space: ReductiveSpace) -> tuple[np.ndarray, ...]:
         raise ExactUnavailableError("isotypic modules have no canonical split")
     gram_f = space.g.inner_product
     m_x = space.exact_m_basis
-    gm = m_x.T @ space.g.inner_product_exact @ m_x
+    gm = exact.matmul(exact.matmul(m_x.T, space.g.inner_product_exact), m_x)
     gm_f = exact.to_float(gm)
     to_coords = np.linalg.solve(gm_f, exact.to_float(m_x).T @ gram_f)
     largest = int(np.argmax(space.module_dims))
@@ -671,19 +671,19 @@ def exact_module_bases(space: ReductiveSpace) -> tuple[np.ndarray, ...]:
         if kernel.shape[1] != mod.dim:
             raise ExactUnavailableError(f"rounded {mod.name} has dimension "
                                         f"{kernel.shape[1]}, not {mod.dim}")
-        _require_invariant(space, m_x @ kernel, mod.name)
+        _require_invariant(space, exact.matmul(m_x, kernel), mod.name)
         coords[idx] = kernel
     guessed = [c for c in coords if c is not None]
     for i, a in enumerate(guessed):
         for b in guessed[i + 1:]:
-            if np.any(a.T @ gm @ b != 0):
+            if np.any(exact.matmul(exact.matmul(a.T, gm), b) != 0):
                 raise ExactUnavailableError("rounded modules are not orthogonal")
     coords[largest] = exact.null_space(
-        np.vstack([c.T @ gm for c in guessed]) if guessed
+        np.vstack([exact.matmul(c.T, gm) for c in guessed]) if guessed
         else exact.fzeros((0, len(gm))))
     bases = []
     for mod, kernel in zip(space.modules, coords):
-        basis = m_x @ kernel
+        basis = exact.matmul(m_x, kernel)
         basis_f = exact.to_float(basis)
         proj = mod.basis @ (mod.basis.T @ gram_f @ basis_f)
         if kernel.shape[1] != mod.dim or float(np.abs(basis_f - proj).max()) \

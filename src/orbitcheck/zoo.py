@@ -395,7 +395,7 @@ def _g2_data() -> tuple[LieAlgebra, np.ndarray]:
         for t in range(s + 1, 14):
             w = so7.bracket_exact(kernel[:, s], kernel[:, t])
             coords = w[free]
-            recon = (kernel @ coords.reshape(-1, 1))[:, 0]
+            recon = exact.matmul(kernel, coords)
             if not all(recon[r] == w[r] for r in range(21)):
                 raise ValidationError("derivation bracket left the kernel")
             fwd = {k: v for k, v in enumerate(coords) if v != 0}
@@ -484,7 +484,7 @@ class Embedding:
         matrix = self.matrix @ inner.matrix
         mex = None
         if self.matrix_exact is not None and inner.matrix_exact is not None:
-            mex = self.matrix_exact @ inner.matrix_exact
+            mex = exact.matmul(self.matrix_exact, inner.matrix_exact)
         name = f"{self.name} o {inner.name}" if self.name and inner.name else ""
         return Embedding(source=inner.source, target=self.target, matrix=matrix,
                          name=name, matrix_exact=mex, atol=max(self.atol, inner.atol))

@@ -83,3 +83,57 @@ def test_solve_residual_is_exactly_zero(rows, coeffs):
     assert x is not None
     residual = (a @ x.reshape(-1, 1)).ravel() - b
     assert all(v == 0 for v in residual)
+
+
+# near-10^6 primes: products of two exceed 2^31, and the lcm of a few
+# such products exceeds 2^63
+BIG_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.builds(lambda n, p, q: Fraction(n, p * q),
+              st.integers(min_value=-9, max_value=9),
+              st.sampled_from(BIG_PRIMES), st.sampled_from(BIG_PRIMES)))
+
+
+def _object_array(values, shape):
+    return np.array(values, dtype=object).reshape(shape)
+
+
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=4), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_matmul_equals_the_fraction_product(n_rows, inner, n_cols, vector, data):
+    a = _object_array(data.draw(st.lists(rationals, min_size=n_rows * inner,
+                                         max_size=n_rows * inner)),
+                      (n_rows, inner))
+    b_shape = (inner,) if vector else (inner, n_cols)
+    size = int(np.prod(b_shape))
+    b = _object_array(data.draw(st.lists(rationals, min_size=size,
+                                         max_size=size)), b_shape)
+    got = exact.matmul(a, b)
+    want = a @ b
+    assert got.shape == want.shape == (n_rows,) + b_shape[1:]
+    assert all(isinstance(v, Fraction) for v in got.flat)
+    assert all(g == w for g, w in zip(got.flat, want.flat))
+
+
+def test_matmul_clears_denominators_beyond_int64():
+    p = BIG_PRIMES
+    a = exact.fmatrix([[Fraction(1, p[0] * p[1]), Fraction(1, p[2] * p[3]),
+                        Fraction(1, p[4] * p[5])]])
+    b = exact.fmatrix([[p[0] * p[1]], [p[2] * p[3]], [p[4] * p[5]]])
+    assert exact.matmul(a, b)[0, 0] == 3
+    assert exact.matmul(b, a)[1, 2] == Fraction(p[2] * p[3], p[4] * p[5])
+
+
+def test_bareiss_rank_survives_denominators_past_int64():
+    # the running lcm of a row once wrapped around in int64, so these
+    # rank-1 rows came out with rank 2
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        dens = [int(rng.choice(BIG_PRIMES)) * int(rng.choice(BIG_PRIMES))
+                for _ in range(3)]
+        row = [Fraction(int(rng.integers(1, 9)), d) for d in dens]
+        a = exact.fmatrix([row, [2 * v for v in row]])
+        assert exact.bareiss_rank(a) == 1

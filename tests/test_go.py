@@ -202,3 +202,25 @@ def test_verdict_as_dict_shape(su3_su2):
     assert data["go_consistent"] is True
     assert data["metric"] == {"kind": "two_param", "lambda": 1.0, "mu": 2.0}
     assert data["counterexample"] is None
+
+
+@pytest.mark.parametrize("entry_id", ["go-4-r2", "go-5"])
+def test_float_status_is_invariant_under_homothety(entry_id):
+    # GO is invariant under scaling the metric; the commutator check
+    # once compared an absolute residual and refused (1e8, 2e8)
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    want = go.go_check(space, (1.0, 2.0), n_samples=20).status
+    for exponent in range(-8, 9, 2):
+        scale = 10.0 ** exponent
+        verdict = go.go_check(space, (scale, 2 * scale), n_samples=20)
+        assert verdict.status == want, scale
+
+
+def test_commutator_check_is_relative_to_the_metric_scale(so5_u2):
+    rng = np.random.default_rng(0)
+    raw = rng.normal(size=(6, 6))
+    raw = raw @ raw.T + 6 * np.eye(6)
+    for scale in (1e-8, 1.0, 1e8):
+        with pytest.raises(core.ValidationError):
+            go.MetricOperator(space=so5_u2, matrix=scale * raw, kind="raw",
+                              params=())

@@ -212,7 +212,7 @@ def _module_action(space, index):
 def _assert_intertwiner_basis(maps, src, dst):
     residual = dst[:, None] @ maps[None] - maps[None] @ src[:, None]
     assert np.abs(residual).max(initial=0.0) < 1e-10
-    flat = maps.reshape(len(maps), -1)
+    flat = maps.reshape(len(maps), maps.shape[1] * maps.shape[2])
     np.testing.assert_allclose(flat @ flat.T, np.eye(len(maps)), atol=1e-10)
 
 
@@ -297,7 +297,7 @@ def test_intertwiners_match_the_kronecker_nullspace(src_counts, dst_counts,
     reference = linalg.nullspace(np.vstack(rows))
     maps = spaces.intertwiners(src, dst)
     _assert_intertwiner_basis(maps, src, dst)
-    flat = maps.reshape(len(maps), -1).T
+    flat = maps.reshape(len(maps), dd * ds).T
     assert flat.shape[1] == reference.shape[1]
     np.testing.assert_allclose(reference @ (reference.T @ flat), flat,
                                atol=1e-9)

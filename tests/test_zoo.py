@@ -193,3 +193,12 @@ def test_killing_form_negative_definite_on_semisimple_algebras(family, n):
     alg = zoo.classical(family, n)
     eigs = np.linalg.eigvalsh(alg.killing_form)
     assert eigs.max() < 0
+
+
+def test_composite_exact_matrix_is_the_fraction_product():
+    chain = zoo.named_embedding("u_in_so_odd", k=3)
+    inner, outer = chain.steps
+    composite = zoo.as_embedding(chain).matrix_exact
+    naive = outer.matrix_exact @ inner.matrix_exact
+    assert composite.shape == naive.shape
+    assert all(a == b for a, b in zip(composite.flat, naive.flat))
