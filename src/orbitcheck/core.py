@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from . import exact
-from .linalg import (DEFAULT_TOL, column_space, coords_in, gram_orthonormalize,
-                     nullspace, project_onto, svd_rank)
+from .linalg import (DEFAULT_TOL, column_space, gram_orthonormalize, nullspace,
+                     project_onto, svd_rank)
 
 ExactStructure = dict[tuple[int, int], dict[int, Fraction]]
 
@@ -161,15 +161,12 @@ class LieAlgebra:
         return self.structure.shape[0]
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("ijk,i,j->k", self.structure, x, y)
-
-    def bracket_matrix(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Brackets [x, y] for every column y of ``ys``."""
-        return np.einsum("ijk,i,jc->kc", self.structure, x, ys)
+        return self.ad(x) @ y
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad(x) acting on coordinate vectors."""
-        return np.einsum("ijk,i->kj", self.structure, x)
+        n = self.dim
+        return (x @ self.structure.reshape(n, n * n)).reshape(n, n).T
 
     def bracket_exact(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.structure_exact is None:
@@ -185,7 +182,7 @@ class LieAlgebra:
 
     @cached_property
     def killing_form(self) -> np.ndarray:
-        return np.einsum("imn,jnm->ij", self.structure, self.structure)
+        return _killing(self.structure)
 
     @cached_property
     def killing_form_exact(self) -> np.ndarray:
@@ -198,7 +195,7 @@ class LieAlgebra:
 
     def inner_ad_invariance(self) -> float:
         """Max violation of <[x,y],z> + <y,[x,z]> = 0 over basis triples."""
-        t = np.einsum("ijm,mk->ijk", self.structure, self.inner_product)
+        t = self.structure @ self.inner_product
         return float(np.abs(t + np.transpose(t, (0, 2, 1))).max()) if t.size else 0.0
 
     def to_json_dict(self) -> dict:
@@ -297,7 +294,7 @@ def default_inner_product(structure: np.ndarray,
     n = structure.shape[0]
     if n == 0:
         return np.zeros((0, 0)), exact.fzeros((0, 0))
-    b = np.einsum("imn,jnm->ij", structure, structure)
+    b = _killing(structure)
     scale = float(np.abs(b).max())
     if scale == 0.0:
         return np.eye(n), exact.fidentity(n)
@@ -322,6 +319,13 @@ def default_inner_product(structure: np.ndarray,
     proj_center = center @ inv[: center.shape[1], :]
     gram = -b + proj_center.T @ proj_center
     return gram, None
+
+
+def _killing(structure: np.ndarray) -> np.ndarray:
+    """B_ij = sum_{m,n} c_imn c_jnm = tr(ad e_i ad e_j), as one matmul."""
+    n = structure.shape[0]
+    return structure.reshape(n, n * n) @ \
+        structure.transpose(0, 2, 1).reshape(n, n * n).T
 
 
 def _killing_exact(dim: int, sparse: ExactStructure) -> np.ndarray:
@@ -417,20 +421,30 @@ class Subspace:
     def project(self, v: np.ndarray) -> np.ndarray:
         return project_onto(v, self.basis, self.ambient.inner_product)
 
-    def coords(self, v: np.ndarray) -> np.ndarray:
-        return coords_in(v, self.basis, self.ambient.inner_product)
-
     def distance(self, v: np.ndarray) -> float:
         return float(np.linalg.norm(v - self.project(v)))
 
-    def contains(self, v: np.ndarray, tol: float = 1e-8) -> bool:
-        return self.distance(v) <= tol * max(1.0, float(np.linalg.norm(v)))
+    def max_distance(self, columns: np.ndarray) -> float:
+        """Largest distance of the columns of ``columns`` from the subspace."""
+        residual = columns - self.project(columns)
+        return float(np.linalg.norm(residual, axis=0).max(initial=0.0))
 
     def closure_residual(self) -> float:
         """Max distance of basis brackets from the subspace (0 for subalgebras)."""
-        worst = 0.0
-        for i in range(self.dim):
-            brackets = self.ambient.bracket_matrix(self.basis[:, i], self.basis)
-            for j in range(self.dim):
-                worst = max(worst, self.distance(brackets[:, j]))
-        return worst
+        raw = pair_bracket_tensor(self.ambient, self.basis, self.basis)
+        return self.max_distance(
+            raw.reshape(self.dim ** 2, self.ambient.dim).T)
+
+
+def pair_bracket_tensor(g: LieAlgebra, left: np.ndarray,
+                        right: np.ndarray) -> np.ndarray:
+    """Brackets of basis columns: out[a, b] = [left_a, right_b] in g coords.
+
+    One matmul contracts the first slot of the structure tensor with
+    every left column, and one batched matmul the second slot with every
+    right column, so both run on BLAS.
+    """
+    n = g.dim
+    flat = g.structure.reshape(n, n * n)
+    half = (left.T @ flat).reshape(left.shape[1], n, n)
+    return right.T @ half

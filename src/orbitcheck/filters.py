@@ -15,7 +15,8 @@ import numpy as np
 
 from .core import LieAlgebra, OrbitcheckError, center_basis
 from .linalg import gram_orthonormalize, nullspace, rng_for, svd_rank
-from .spaces import ReductiveSpace, minimal_ideals, pair_bracket_tensor
+from .spaces import (ReductiveSpace, bracket_coords, minimal_ideals,
+                     pair_bracket_tensor)
 
 
 class FilterError(OrbitcheckError):
@@ -31,9 +32,7 @@ def centralizer(g: LieAlgebra, basis: np.ndarray, u: np.ndarray,
     """
     if basis.shape[1] == 0:
         return basis.copy()
-    brackets = np.stack([g.bracket(basis[:, a], u)
-                         for a in range(basis.shape[1])], axis=1)
-    kernel = nullspace(brackets, rtol)
+    kernel = nullspace(g.ad(u) @ basis, rtol)
     if kernel.shape[1] == 0:
         return np.zeros((g.dim, 0))
     return gram_orthonormalize(basis @ kernel, g.inner_product)
@@ -66,15 +65,12 @@ def normalizer_split(space: ReductiveSpace, u: np.ndarray,
     c = centralizer(g, h_basis, u)
     dc = c.shape[1]
     dh = h_basis.shape[1]
-    if dc == dh:
-        n = h_basis.copy()
-    elif dc == 0:
+    if dc in (0, dh):
         n = h_basis.copy()
     else:
         comp = gram_orthonormalize(
             h_basis @ nullspace(c.T @ gram @ h_basis), gram)
-        raw = pair_bracket_tensor(g, h_basis, c)
-        coords = np.einsum("abk,kc->abc", raw, gram @ comp)
+        coords = bracket_coords(g, pair_bracket_tensor(g, h_basis, c), comp)
         rows = coords.reshape(dh, -1).T
         kernel = nullspace(rows)
         n = gram_orthonormalize(h_basis @ kernel, gram) \
@@ -104,12 +100,11 @@ def bracket_location(space: ReductiveSpace, tol: float = 1e-8) -> str:
     if len(space.modules) != 2:
         raise FilterError("bracket location needs exactly two modules")
     g = space.g
-    gram = g.inner_product
     b1 = space.modules[0].basis
     b2 = space.modules[1].basis
     raw = pair_bracket_tensor(g, b1, b2)
-    in1 = float(np.abs(np.einsum("abk,kc->abc", raw, gram @ b1)).max())
-    in2 = float(np.abs(np.einsum("abk,kc->abc", raw, gram @ b2)).max())
+    in1 = float(np.abs(bracket_coords(g, raw, b1)).max())
+    in2 = float(np.abs(bracket_coords(g, raw, b2)).max())
     if in1 > tol and in2 > tol:
         return "mixed"
     if in2 > tol:
@@ -136,7 +131,7 @@ def principal_isotropy_dim(action: np.ndarray, seed: int = 0,
         rng = rng_for("principal", seed, i)
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        columns = np.einsum("apq,q->pa", action, v)
+        columns = (action @ v).T
         best = min(best, k - svd_rank(columns))
         if best == 0:
             break
@@ -146,7 +141,7 @@ def principal_isotropy_dim(action: np.ndarray, seed: int = 0,
 def _module_action(space: ReductiveSpace, index: int) -> np.ndarray:
     """ad(h) restricted to module ``index`` in module coordinates."""
     block = space.module_coords_in_m(index)
-    return np.einsum("pi,apq,qj->aij", block, space.iso_action, block)
+    return block.T @ space.iso_action @ block
 
 
 def _subalgebra_action_on_module(space: ReductiveSpace, from_index: int,
@@ -155,9 +150,8 @@ def _subalgebra_action_on_module(space: ReductiveSpace, from_index: int,
     h_part = _module_action(space, to_index)
     bf = space.module_coords_in_m(from_index)
     bt = space.module_coords_in_m(to_index)
-    cross = np.einsum("abc,ai,bj,ck->ijk", space.m_bracket_m, bf, bt, bt)
-    cross = cross.transpose(0, 2, 1)
-    return np.concatenate([h_part, cross], axis=0)
+    cross = bt.T @ np.tensordot(bf, space.m_bracket_m, (0, 0)) @ bt
+    return np.concatenate([h_part, cross.transpose(0, 2, 1)], axis=0)
 
 
 @dataclass(frozen=True)

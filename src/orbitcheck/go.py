@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from . import exact
 from .core import OrbitcheckError, ValidationError
 from .linalg import DEFAULT_TOL, consistency_gap, min_norm_solve, rng_for, \
     svd_rank
-from .filters import CentralizerSplit, centralizer, normalizer_split
+from .filters import (CentralizerSplit, _module_action, centralizer,
+                      normalizer_split)
 from .linalg import gram_orthonormalize, subspace_intersection
 from .spaces import (ExactUnavailableError, ReductiveSpace, exact_module_bases,
                      intertwiners)
@@ -63,8 +65,7 @@ class MetricOperator:
             raise ValidationError("metric operator is not positive definite")
         action = self.space.iso_action
         if action.shape[0]:
-            comm = np.einsum("aij,jk->aik", action, mat) - \
-                np.einsum("ij,ajk->aik", mat, action)
+            comm = action @ mat - mat @ action
             worst = float(np.abs(comm).max())
             if worst > 1e-8 * max(1.0, float(np.abs(mat).max())):
                 raise ValidationError(
@@ -122,6 +123,11 @@ class MetricOperator:
                    params=tuple(tuple(map(tuple, np.atleast_2d(c)))
                                 for c in coefficients))
 
+    @cached_property
+    def spectral_norm(self) -> float:
+        """Largest eigenvalue; the operator is symmetric positive definite."""
+        return float(np.linalg.eigvalsh(self.matrix)[-1])
+
     @property
     def is_scalar(self) -> bool:
         dm = self.matrix.shape[0]
@@ -159,13 +165,9 @@ class MetricOperator:
 def _equivariant_isometry(space: ReductiveSpace, i: int, j: int) -> np.ndarray:
     """Isometry from module i coordinates to module j coordinates
     commuting with the isotropy action; sign fixed deterministically."""
-    bi = space.module_coords_in_m(i)
-    bj = space.module_coords_in_m(j)
-    action = space.iso_action
-    ai = np.einsum("pi,apq,qj->aij", bi, action, bi)
-    aj = np.einsum("pi,apq,qj->aij", bj, action, bj)
-    d = bi.shape[1]
-    if bj.shape[1] != d:
+    ai, aj = _module_action(space, i), _module_action(space, j)
+    d = ai.shape[1]
+    if aj.shape[1] != d:
         raise ValidationError("isotypic modules with unequal dimensions")
     maps = intertwiners(ai, aj)
     if not len(maps):
@@ -265,18 +267,25 @@ def go_witness_general(space: ReductiveSpace, metric, x: np.ndarray,
     least squares. An inconsistent system is certified by the rank gap
     of the augmented matrix; a gap whose margin falls below 1000 * tol
     raises ToleranceError instead of returning an uncertain verdict.
+
+    Both sides are linear in A, so the system is solved for A divided by
+    its spectral norm: GO is invariant under homothety, and the
+    tolerances then meet data of unit scale whatever the metric's. Z is
+    the same for both; the residual is reported for A as given, the
+    margin for the normalised system it was compared in.
     """
     a = _as_metric(space, metric)
     x = np.asarray(x, dtype=np.float64)
-    ax = a.apply(x)
-    # column a is proj_m [h_a, AX]; the einsum contraction yields its
-    # negative transpose, hence the sign
-    lhs = -np.einsum("apq,q->pa", space.iso_action, ax)
-    rhs = -np.einsum("abc,a,b->c", space.m_bracket_m, x, ax)
+    dm = space.m.dim
+    scale = a.spectral_norm
+    ax = a.apply(x) / scale
+    # column a is proj_m [h_a, AX]; iso_action holds the transpose of
+    # each ad(h_a) on m, which is its negative, hence the sign
+    lhs = -(space.iso_action @ ax).T
+    rhs = -ax @ (x @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(dm, dm)
     z, residual = min_norm_solve(lhs, rhs)
-    scale = max(1.0, float(np.linalg.norm(rhs)))
-    if residual <= tol * scale:
-        return GoWitness(x=x, z=z, residual=residual, rank_gap=0,
+    if residual <= tol * max(1.0, float(np.linalg.norm(rhs))):
+        return GoWitness(x=x, z=z, residual=scale * residual, rank_gap=0,
                          margin=0.0, kind=kind)
     rank_a, rank_aug, margin = consistency_gap(lhs, rhs)
     if rank_aug <= rank_a:
@@ -287,7 +296,7 @@ def go_witness_general(space: ReductiveSpace, metric, x: np.ndarray,
         raise ToleranceError(
             f"rank gap margin {margin:.2e} is below the robust band "
             f"({MARGIN_FACTOR * tol:.2e})")
-    return GoWitness(x=x, z=None, residual=residual,
+    return GoWitness(x=x, z=None, residual=scale * residual,
                      rank_gap=rank_aug - rank_a, margin=margin, kind=kind)
 
 
@@ -324,12 +333,13 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     if exact_mode:
         return _go_check_exact(space, a, n_samples, seed, tol)
     if a.is_scalar:
+        dm = space.m.dim
+        brackets = space.m_bracket_m.reshape(dm, dm * dm)
         witnesses = []
         for i in range(n_samples):
             rng = rng_for("go", space.name, seed, i)
             x, kind = _sample_direction(space, rng, i % 2 == 1)
-            ax = a.apply(x)
-            rhs = -np.einsum("abc,a,b->c", space.m_bracket_m, x, ax)
+            rhs = -a.apply(x) @ (x @ brackets).reshape(dm, dm)
             witnesses.append(GoWitness(
                 x=x, z=np.zeros(space.h.dim),
                 residual=float(np.linalg.norm(rhs)), rank_gap=0, margin=0.0,
@@ -465,13 +475,8 @@ def geodesic_graph(space: ReductiveSpace, lam, mu, x: np.ndarray,
     cx = lam_f / (lam_f - mu_f)
     cy = mu_f / (lam_f - mu_f)
     proj = space.m.basis.T @ gram
-    if k == 0:
-        lhs = np.zeros((space.m.dim, 0))
-    else:
-        cols = [proj @ (cx * g.bracket(basis[:, t], xg) +
-                        cy * g.bracket(basis[:, t], yg))
-                for t in range(k)]
-        lhs = np.stack(cols, axis=1)
+    # column t is proj_m [basis_t, W] = -proj_m ad(W) basis_t, W = cx X + cy Y
+    lhs = -proj @ g.ad(cx * xg + cy * yg) @ basis
     rhs = proj @ g.bracket(xg, yg)
     if k and svd_rank(lhs) < k:
         raise GoError("geodesic graph system has a nontrivial kernel; "
@@ -481,8 +486,7 @@ def geodesic_graph(space: ReductiveSpace, lam, mu, x: np.ndarray,
     if residual > tol * scale:
         raise GoError(f"no geodesic graph witness within tolerance "
                       f"(residual {residual:.2e})")
-    z = basis @ z_coeff if k else np.zeros(g.dim)
-    return GeodesicGraph(z=z, split=split, residual=residual)
+    return GeodesicGraph(z=basis @ z_coeff, split=split, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -522,23 +526,18 @@ def zxzy_decompose(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
     by = _gram_intersection(split.c_tilde, cent_y, gram)
     kx, ky = bx.shape[1], by.shape[1]
     proj = space.m.basis.T @ gram
-    cols = []
-    for t in range(kx):
-        cols.append(proj @ g.bracket(bx[:, t], yg))
-    for t in range(ky):
-        cols.append(proj @ g.bracket(by[:, t], xg))
-    lhs = np.stack(cols, axis=1) if cols else np.zeros((space.m.dim, 0))
+    # columns proj_m [bx_t, Y], then proj_m [by_t, X]
+    lhs = -proj @ np.hstack([g.ad(yg) @ bx, g.ad(xg) @ by])
     rhs = proj @ g.bracket(xg, yg)
-    if cols and svd_rank(lhs) < kx + ky:
+    if kx + ky and svd_rank(lhs) < kx + ky:
         raise GoError("bracket split system has a nontrivial kernel")
     coeff, residual = min_norm_solve(lhs, rhs)
     scale = max(1.0, float(np.linalg.norm(rhs)))
     if residual > tol * scale:
         raise GoError(f"bracket does not split against the centralizers "
                       f"(residual {residual:.2e})")
-    z_x = bx @ coeff[:kx] if kx else np.zeros(g.dim)
-    z_y = by @ coeff[kx:] if ky else np.zeros(g.dim)
-    return ZxZyDecomposition(z_x=z_x, z_y=z_y, split=split, residual=residual)
+    return ZxZyDecomposition(z_x=bx @ coeff[:kx], z_y=by @ coeff[kx:],
+                             split=split, residual=residual)
 
 
 def _gram_intersection(a: np.ndarray, b: np.ndarray,

@@ -88,10 +88,6 @@ def project_onto(v: np.ndarray, ortho_basis: np.ndarray, gram: np.ndarray) -> np
     return ortho_basis @ (ortho_basis.T @ (gram @ v))
 
 
-def coords_in(v: np.ndarray, ortho_basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    return ortho_basis.T @ (gram @ v)
-
-
 def subspace_intersection(a: np.ndarray, b: np.ndarray,
                           rtol: float | None = None) -> np.ndarray:
     """Basis (columns, coordinate-orthonormal) of span(a) ∩ span(b)."""

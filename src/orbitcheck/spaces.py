@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import exact
 from .core import (LieAlgebra, OrbitcheckError, Subspace, ValidationError,
-                   EffectivenessError, center_basis)
+                   EffectivenessError, center_basis, pair_bracket_tensor)
 from .linalg import (column_space, gram_orthonormalize, nullspace, rng_for,
                      subspace_intersection, svd_rank)
 from .zoo import Embedding, EmbeddingChain, as_embedding
@@ -73,7 +73,8 @@ class ReductiveSpace:
     @cached_property
     def iso_action(self) -> np.ndarray:
         """ad(h) on m in orthonormal coordinates, shape (dim h, dim m, dim m)."""
-        return self._action_tensor(self.h.basis)
+        raw = pair_bracket_tensor(self.g, self.h.basis, self.m.basis)
+        return bracket_coords(self.g, raw, self.m.basis)
 
     @cached_property
     def exact_m_basis(self) -> np.ndarray:
@@ -86,22 +87,19 @@ class ReductiveSpace:
             raise ExactUnavailableError("exact m dimension disagrees with float")
         return basis
 
-    def _action_tensor(self, generators: np.ndarray) -> np.ndarray:
-        raw = pair_bracket_tensor(self.g, generators, self.m.basis)
-        gm = self.g.inner_product @ self.m.basis
-        return np.einsum("abk,kc->acb", raw, gm).transpose(0, 2, 1)
+    @cached_property
+    def _m_brackets(self) -> np.ndarray:
+        return pair_bracket_tensor(self.g, self.m.basis, self.m.basis)
 
     @cached_property
     def m_bracket_h(self) -> np.ndarray:
         """h-coordinates of [m_i, m_j], shape (dim m, dim m, dim h)."""
-        raw = pair_bracket_tensor(self.g, self.m.basis, self.m.basis)
-        return np.einsum("abk,kc->abc", raw, self.g.inner_product @ self.h.basis)
+        return bracket_coords(self.g, self._m_brackets, self.h.basis)
 
     @cached_property
     def m_bracket_m(self) -> np.ndarray:
         """m-coordinates of [m_i, m_j], shape (dim m, dim m, dim m)."""
-        raw = pair_bracket_tensor(self.g, self.m.basis, self.m.basis)
-        return np.einsum("abk,kc->abc", raw, self.g.inner_product @ self.m.basis)
+        return bracket_coords(self.g, self._m_brackets, self.m.basis)
 
     def module_coords_in_m(self, index: int) -> np.ndarray:
         """Module basis expressed in m coordinates."""
@@ -120,11 +118,13 @@ class ReductiveSpace:
         }
 
 
-def pair_bracket_tensor(g: LieAlgebra, left: np.ndarray,
-                        right: np.ndarray) -> np.ndarray:
-    """Brackets of basis columns: out[a, b] = [left_a, right_b] in g coords."""
-    half = np.einsum("ijk,ia->ajk", g.structure, left)
-    return np.einsum("ajk,jb->abk", half, right)
+def bracket_coords(g: LieAlgebra, raw: np.ndarray,
+                   basis: np.ndarray) -> np.ndarray:
+    """Coordinates of a (p, q, dim g) bracket tensor along the g-orthonormal
+    columns of ``basis``, shape (p, q, basis columns)."""
+    p, q, n = raw.shape
+    flat = raw.reshape(p * q, n) @ (g.inner_product @ basis)
+    return flat.reshape(p, q, basis.shape[1])
 
 
 def reductive_space(g: LieAlgebra | None,
@@ -165,16 +165,12 @@ def reductive_space(g: LieAlgebra | None,
                  name="m")
     if h.dim + m.dim != g.dim:
         raise ValidationError("h and m do not span g")
-    worst = 0.0
-    for a in range(h.dim):
-        brackets = g.bracket_matrix(h.basis[:, a], m.basis)
-        for j in range(m.dim):
-            worst = max(worst, m.distance(brackets[:, j]))
+    raw = pair_bracket_tensor(g, h.basis, m.basis)
+    worst = m.max_distance(raw.reshape(h.dim * m.dim, g.dim).T)
     if worst > tol:
         raise ValidationError(f"[h, m] leaves m (residual {worst:.2e})")
     if h.dim:
-        rows = pair_bracket_tensor(g, h.basis, m.basis).reshape(h.dim, -1).T
-        kernel = nullspace(rows)
+        kernel = nullspace(raw.reshape(h.dim, -1).T)
         if kernel.shape[1]:
             raise EffectivenessError(
                 f"h contains a {kernel.shape[1]}-dimensional ideal of g "
@@ -268,7 +264,7 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
             if inv_res > tol:
                 ok = False
                 break
-            sub_action = np.einsum("pi,apq,qj->aij", block, action, block)
+            sub_action = block.T @ action @ block
             if len(_symmetric_part(intertwiners(sub_action, sub_action))) != 1:
                 ok = False
                 break
@@ -301,16 +297,14 @@ def _self_bracket_norm(space: ReductiveSpace, block: np.ndarray) -> float:
     """
     cols = space.m.basis @ block
     raw = pair_bracket_tensor(space.g, cols, cols)
-    gm = space.g.inner_product @ space.m.basis
-    return float(np.linalg.norm(np.einsum("abk,kc->abc", raw, gm)))
+    return float(np.linalg.norm(bracket_coords(space.g, raw, space.m.basis)))
 
 
 def _invariance_residual(action: np.ndarray, block: np.ndarray) -> float:
     if action.shape[0] == 0:
         return 0.0
-    image = np.einsum("apq,qj->apj", action, block)
-    inside = np.einsum("pi,apj->aij", block, image)
-    recon = np.einsum("pi,aij->apj", block, inside)
+    image = action @ block
+    recon = block @ (block.T @ image)
     return float(np.abs(image - recon).max())
 
 
@@ -386,11 +380,8 @@ def _ideal_split_once(alg: LieAlgebra, s_basis: np.ndarray,
                       rng: np.random.Generator) -> list[np.ndarray]:
     gram = alg.inner_product
     ds = s_basis.shape[1]
-    x = s_basis @ rng.standard_normal(ds)
-    sq = np.empty((ds, ds))
-    for j in range(ds):
-        v = alg.bracket(x, alg.bracket(x, s_basis[:, j]))
-        sq[:, j] = s_basis.T @ gram @ v
+    ad_x = alg.ad(s_basis @ rng.standard_normal(ds))
+    sq = s_basis.T @ gram @ ad_x @ ad_x @ s_basis
     sq = (sq + sq.T) / 2
     eigvals, eigvecs = np.linalg.eigh(sq)
     scale = max(float(np.abs(eigvals).max()), 1.0)
@@ -514,8 +505,7 @@ def _subalgebra_algebra(g: LieAlgebra, basis: np.ndarray,
                         name: str) -> LieAlgebra:
     """Abstract algebra carried by an orthonormal subalgebra basis."""
     d = basis.shape[1]
-    raw = pair_bracket_tensor(g, basis, basis)
-    structure = np.einsum("abk,kc->abc", raw, g.inner_product @ basis)
+    structure = bracket_coords(g, pair_bracket_tensor(g, basis, basis), basis)
     return LieAlgebra(structure=structure, inner_product=np.eye(d), name=name)
 
 

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import exact
 from .core import (LieAlgebra, ValidationError, default_inner_product,
-                   direct_sum, make_algebra, trivial_algebra, validate_algebra)
+                   direct_sum, make_algebra, pair_bracket_tensor,
+                   trivial_algebra, validate_algebra)
 from .linalg import svd_rank
 
 RANK_MIN = {"so": 2, "su": 2, "u": 1, "sp": 1, "torus": 1}
@@ -193,11 +194,12 @@ def _structure_from_matrices(mats: list[np.ndarray], family: str, n: int,
                              atol: float = 0.0) -> np.ndarray:
     d = len(mats)
     stack = np.stack(mats)
+    flat = stack.reshape(d, -1)
     structure = np.zeros((d, d, d))
     for i in range(d):
         comm = stack[i] @ stack - stack @ stack[i]
         coords = _EXTRACTORS[family](comm, n)
-        recon = np.einsum("jc,ckl->jkl", coords, stack)
+        recon = (coords @ flat).reshape(comm.shape)
         if atol == 0.0:
             if not np.array_equal(recon, comm):
                 raise ValidationError(f"{family}({n}): inexact coordinate extraction")
@@ -428,10 +430,11 @@ def algebra_by_name(text: str) -> LieAlgebra:
 # --- embeddings --------------------------------------------------------
 
 def _exactify_matrix(m: np.ndarray) -> np.ndarray:
-    out = np.empty(m.shape, dtype=object)
-    for idx in np.ndindex(*m.shape):
-        out[idx] = exact.frac(float(m[idx]))
-    return out
+    """Fractions equal to the entries of ``m``; each distinct value is
+    converted once."""
+    values, inverse = np.unique(m.ravel(), return_inverse=True)
+    fracs = np.array([exact.frac(float(v)) for v in values], dtype=object)
+    return fracs[inverse].reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -472,10 +475,8 @@ class Embedding:
         if self.source.dim == 0:
             return 0.0
         phi = self.matrix
-        half = np.einsum("ijk,ia->ajk", self.target.structure, phi)
-        lhs = np.einsum("ajk,jb->abk", half, phi)
-        rhs = np.einsum("abc,kc->abk", self.source.structure, phi)
-        return float(np.abs(lhs - rhs).max())
+        lhs = pair_bracket_tensor(self.target, phi, phi)
+        return float(np.abs(lhs - self.source.structure @ phi.T).max())
 
     def compose(self, inner: "Embedding") -> "Embedding":
         """Composite self o inner; inner.target must match self.source."""

@@ -120,3 +120,55 @@ def test_ad_is_a_derivation_on_g2(seed):
     right = (alg.bracket(alg.bracket(x, y), z)
              + alg.bracket(y, alg.bracket(x, z)))
     np.testing.assert_allclose(left, right, atol=1e-10)
+
+
+def _random_algebra(rng, n):
+    """A random structure tensor (no Jacobi identity needed) with a random
+    positive definite inner product."""
+    raw = rng.standard_normal((n, n))
+    return core.LieAlgebra(structure=rng.standard_normal((n, n, n)),
+                           inner_product=raw @ raw.T + n * np.eye(n))
+
+
+def assert_matches(got, want):
+    """Equal shapes, entries equal to 1e-12 of the reference's scale."""
+    want = np.asarray(want)
+    assert np.shape(got) == want.shape
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert float(np.abs(got - want).max(initial=0.0)) <= 1e-12 * scale
+
+
+@given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 2 ** 31))
+@settings(max_examples=40, deadline=None)
+def test_structure_contractions_match_einsum(n, p, q, seed):
+    rng = np.random.default_rng(seed)
+    alg = _random_algebra(rng, n)
+    c = alg.structure
+    left, right = rng.standard_normal((n, p)), rng.standard_normal((n, q))
+    x, y = rng.standard_normal((2, n))
+    assert_matches(core.pair_bracket_tensor(alg, left, right),
+                   np.einsum("ijk,ia,jb->abk", c, left, right))
+    assert_matches(alg.ad(x), np.einsum("ijk,i->kj", c, x))
+    assert_matches(alg.bracket(x, y), np.einsum("ijk,i,j->k", c, x, y))
+    assert_matches(alg.killing_form, np.einsum("imn,jnm->ij", c, c))
+    sub = core.Subspace.from_columns(alg, left)
+    b, gram = sub.basis, alg.inner_product
+    brackets = np.einsum("ijk,ia,jb->kab", c, b, b).reshape(n, sub.dim ** 2)
+    distances = np.linalg.norm(brackets - b @ (b.T @ gram @ brackets), axis=0)
+    assert_matches(sub.closure_residual(), distances.max(initial=0.0))
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_homomorphism_residual_matches_einsum(s, extra, seed):
+    rng = np.random.default_rng(seed)
+    source = _random_algebra(rng, s)
+    target = _random_algebra(rng, s + extra)
+    phi = rng.standard_normal((s + extra, s))
+    emb = zoo.Embedding(source=source, target=target, matrix=phi,
+                        atol=np.inf)
+    lhs = np.einsum("ijk,ia,jb->abk", target.structure, phi, phi)
+    rhs = np.einsum("abc,kc->abk", source.structure, phi)
+    assert_matches(emb.homomorphism_residual(),
+                   np.abs(lhs - rhs).max(initial=0.0))

@@ -204,10 +204,13 @@ def test_verdict_as_dict_shape(su3_su2):
     assert data["counterexample"] is None
 
 
-@pytest.mark.parametrize("entry_id", ["go-4-r2", "go-5"])
+@pytest.mark.parametrize("entry_id", ["go-4-r2", "go-5", "t1-V.1-m3n3",
+                                      "t1-V.10", "t1-V.6-n2"])
 def test_float_status_is_invariant_under_homothety(entry_id):
     # GO is invariant under scaling the metric; the commutator check
-    # once compared an absolute residual and refused (1e8, 2e8)
+    # once compared an absolute residual and refused (1e8, 2e8), and
+    # absolute tolerances once turned the NOT_GO entries at (1e-8, 2e-8)
+    # into GO_CONSISTENT or ToleranceError
     space = catalog.catalog_instantiate(entry_id, seed=0)
     want = go.go_check(space, (1.0, 2.0), n_samples=20).status
     for exponent in range(-8, 9, 2):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcheck import catalog, core, filters, linalg, spaces, zoo
+from test_core import assert_matches
 
 
 EXPECTED_MODULE_DIMS = {
@@ -40,7 +41,7 @@ def test_modules_are_invariant_orthogonal_and_span(so8_g2):
     for i, mod in enumerate(so8_g2.modules):
         total += mod.dim
         for a in range(so8_g2.h.dim):
-            images = g.bracket_matrix(so8_g2.h.basis[:, a], mod.basis)
+            images = g.ad(so8_g2.h.basis[:, a]) @ mod.basis
             for j in range(mod.dim):
                 assert mod.distance(images[:, j]) < 1e-8
         for other in so8_g2.modules[i + 1:]:
@@ -115,7 +116,7 @@ def test_minimal_ideals_are_ideals():
         for i in range(alg.dim):
             e = np.zeros(alg.dim)
             e[i] = 1.0
-            images = alg.bracket_matrix(e, part)
+            images = alg.ad(e) @ part
             for j in range(part.shape[1]):
                 assert sub.distance(images[:, j]) < 1e-8
 
@@ -309,3 +310,37 @@ def test_module_order_does_not_depend_on_the_seed(seed):
     # subalgebra u(3) + m1 = so(6), so [m1, m2] lies in m2
     space = catalog.catalog_instantiate("go-3-k3", seed=seed)
     assert filters.bracket_location(space) == "in_m2"
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_module_contractions_match_einsum(dh, d1, d2, seed):
+    # random structure constants, so every contraction is exercised
+    # without the symmetries of a Lie algebra hiding index mix-ups
+    rng = np.random.default_rng(seed)
+    n = dh + d1 + d2
+    raw = rng.standard_normal((n, n))
+    g = core.LieAlgebra(structure=rng.standard_normal((n, n, n)),
+                        inner_product=raw @ raw.T + n * np.eye(n))
+    frame = linalg.gram_orthonormalize(rng.standard_normal((n, n)),
+                                       g.inner_product)
+    hb, mb = frame[:, :dh], frame[:, dh:]
+    space = spaces.ReductiveSpace(
+        g=g, h=core.Subspace(g, hb), m=core.Subspace(g, mb),
+        modules=(core.Subspace(g, frame[:, dh:dh + d1]),
+                 core.Subspace(g, frame[:, dh + d1:])))
+    c, gram = g.structure, g.inner_product
+    iso = np.einsum("ijk,ia,jb,kc->abc", c, hb, mb, gram @ mb)
+    m_m = np.einsum("ijk,ia,jb,kc->abc", c, mb, mb, gram @ mb)
+    assert_matches(space.iso_action, iso)
+    assert_matches(space.m_bracket_m, m_m)
+    assert_matches(space.m_bracket_h,
+                   np.einsum("ijk,ia,jb,kc->abc", c, mb, mb, gram @ hb))
+    blocks = [space.module_coords_in_m(i) for i in range(2)]
+    for i, (bf, bt) in enumerate([blocks, blocks[::-1]]):
+        action = np.einsum("pi,apq,qj->aij", bt, iso, bt)
+        assert_matches(filters._module_action(space, 1 - i), action)
+        cross = np.einsum("abc,ai,bj,ck->ikj", m_m, bf, bt, bt)
+        assert_matches(filters._subalgebra_action_on_module(space, i, 1 - i),
+                       np.concatenate([action, cross]))
