@@ -188,8 +188,10 @@ def validate(target, seed, tol, as_json):
         "dim_h": space.h.dim,
         "module_dims": list(space.module_dims),
         "validation": report.as_dict(),
-        "ok": True,
+        "ok": report.passed,
     }, as_json)
+    if not report.passed:
+        raise SystemExit(1)
 
 
 @main.command()
@@ -454,11 +456,14 @@ def zoo_list(as_json):
 @_tol_option
 @_json_option
 def zoo_algebra(name, tol, as_json):
-    """Build an algebra by name and report its validation residuals."""
+    """Build an algebra by name and report its validation residuals; exit
+    1 if validation fails."""
     tol = _resolve_tol(tol)
     alg = _wrap(lambda: zoo.algebra_by_name(name))
     report = alg.validate(tol=max(tol, 1e-12))
     _emit({"name": alg.name, "dim": alg.dim, **report.as_dict()}, as_json)
+    if not report.passed:
+        raise SystemExit(1)
 
 
 @zoo_cmd.command("embedding")

@@ -1,17 +1,23 @@
 """Lie algebras presented by structure constants, with a chosen inner product.
 
 The structure tensor convention is [e_i, e_j] = sum_k c[i][j][k] e_k.
-Every algebra carries a float64 tensor; algebras built from rational
-data additionally carry an exact sparse copy used for certified
-arithmetic. The default inner product is the negative Killing form on
-the derived algebra plus the coordinate dot product on the center,
-assembled so that it is ad-invariant and positive definite on compact
-algebras.
+An exact algebra (every classical algebra, g2, rational JSON specs and
+direct sums of exact algebras) holds its constants once, as a
+``StructureConstants``: the sorted integer triples (i, j, k) with a
+nonzero c[i][j][k], their numerators as Python ints and one common
+denominator. Its float tensor is derived from the triples, and every
+exact operation (antisymmetry and Jacobi checks, the Killing form,
+brackets) runs on the triples. Float-only algebras (float JSON specs,
+subalgebras read off numerically) hold the dense float tensor alone.
+The default inner product is the negative Killing form on the derived
+algebra plus the coordinate dot product on the center, assembled so
+that it is ad-invariant and positive definite on compact algebras.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,8 +27,6 @@ import numpy as np
 from . import exact
 from .linalg import (DEFAULT_TOL, column_space, gram_orthonormalize, nullspace,
                      project_onto, svd_rank)
-
-ExactStructure = dict[tuple[int, int], dict[int, Fraction]]
 
 
 class OrbitcheckError(Exception):
@@ -53,6 +57,121 @@ class ValidationReport:
         }
 
 
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (a, b) with left[a] == right[b], for integer keys."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    lo = np.searchsorted(ordered, left, "left")
+    counts = np.searchsorted(ordered, left, "right") - lo
+    a = np.repeat(np.arange(len(left)), counts)
+    shift = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return a, order[shift + np.arange(len(a))]
+
+
+def _accumulate(keys: np.ndarray,
+                values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in increasing order, with the sum of the values at each."""
+    if not len(keys):
+        return keys, values
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[starts], np.add.reduceat(values[order], starts)
+
+
+def _fractions(shape, keys: np.ndarray, sums: np.ndarray,
+               denom: int) -> np.ndarray:
+    """Fraction array of the given shape, sums / denom at the flat keys."""
+    out = exact.fzeros(shape)
+    for key, v in zip(keys.tolist(), sums):
+        out.flat[key] = Fraction(int(v), denom)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class StructureConstants:
+    """Exact structure constants as sorted integer triples.
+
+    Row t of ``index`` is (i, j, k): e_k has coefficient
+    numer[t] / denom in [e_i, e_j]. Rows are distinct and in increasing
+    order, numerators are nonzero Python ints, and ``denom`` is their
+    least common denominator (1 for every classical algebra and g2).
+    Build them with ``structure_constants``.
+    """
+
+    dim: int
+    index: np.ndarray
+    numer: np.ndarray
+    denom: int = 1
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """The dense float tensor; each entry is numer / denom rounded once."""
+        out = np.zeros((self.dim,) * 3)
+        out[tuple(self.index.T)] = [int(v) / self.denom for v in self.numer]
+        return out
+
+    def residuals(self) -> tuple[Fraction, Fraction]:
+        """Largest |c_ijk + c_jik| and largest Jacobi defect, exactly.
+
+        The Jacobi defect J(a, b, c) = [[a, b], c] + [[b, c], a]
+        + [[c, a], b] comes from one join of the rows (a, b, m) with the
+        rows (m, c, p); each product c_abm c_mcp is one term of J at the
+        three cyclic rotations of (a, b, c).
+        """
+        n = self.dim
+        i, j, k = self.index.T
+        _, anti = _accumulate(np.concatenate([(i * n + j) * n + k,
+                                              (j * n + i) * n + k]),
+                              np.concatenate([self.numer, self.numer]))
+        a, b = _join(k, i)
+        x, y, z, p = i[a], j[a], j[b], k[b]
+        _, jac = _accumulate(
+            np.concatenate([((x * n + y) * n + z) * n + p,
+                            ((z * n + x) * n + y) * n + p,
+                            ((y * n + z) * n + x) * n + p]),
+            np.tile(self.numer[a] * self.numer[b], 3))
+        return (Fraction(np.abs(anti).max(initial=0), self.denom),
+                Fraction(np.abs(jac).max(initial=0), self.denom ** 2))
+
+    def killing(self) -> np.ndarray:
+        """B_ij = sum_{m,n} c_imn c_jnm as a Fraction matrix, from one join
+        of the rows (i, m, n) with the rows (j, n, m)."""
+        n = self.dim
+        i, j, k = self.index.T
+        a, b = _join(j * n + k, k * n + j)
+        return _fractions((n, n), *_accumulate(
+            i[a] * n + i[b], self.numer[a] * self.numer[b]), self.denom ** 2)
+
+    def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Exact [x, y] for Fraction coordinate vectors.
+
+        Only rows (i, j, k) with x_i and y_j both nonzero are touched, and
+        the products run on integers over the cleared denominators.
+        """
+        xi, dx = exact.cleared(x)
+        yi, dy = exact.cleared(y)
+        i, j, k = self.index.T
+        rows = np.flatnonzero((xi != 0)[i] & (yi != 0)[j])
+        return _fractions(self.dim, *_accumulate(
+            k[rows], self.numer[rows] * xi[i[rows]] * yi[j[rows]]),
+            self.denom * dx * dy)
+
+
+def structure_constants(dim: int, entries) -> StructureConstants:
+    """Triples from (i, j, k, value) entries with rational values
+    (Fractions, ints, strings or exactly rational floats). Zero values are
+    dropped; of repeated (i, j, k) the last entry wins."""
+    coeffs = {(int(i), int(j), int(k)): exact.frac(v) for i, j, k, v in entries}
+    keys = sorted(key for key, v in coeffs.items() if v != 0)
+    denom = math.lcm(*(coeffs[key].denominator for key in keys))
+    numer = [coeffs[key].numerator * (denom // coeffs[key].denominator)
+             for key in keys]
+    return StructureConstants(
+        dim=dim, index=np.array(keys, dtype=np.int64).reshape(-1, 3),
+        numer=np.array(numer, dtype=object), denom=denom)
+
+
 def _check_tensor_shape(structure: np.ndarray) -> None:
     if structure.ndim != 3:
         raise ValidationError(
@@ -66,7 +185,7 @@ def _check_tensor_shape(structure: np.ndarray) -> None:
 
 
 def jacobi_residual(structure: np.ndarray) -> float:
-    """Max-norm of the Jacobi identity over all basis triples.
+    """Max-norm of the Jacobi identity over all basis triples (float tensor).
 
     Evaluated one i-slice at a time to keep memory at O(n^3).
     """
@@ -85,18 +204,19 @@ def jacobi_residual(structure: np.ndarray) -> float:
 
 
 def validate_algebra(structure, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Antisymmetry and Jacobi check for a structure tensor.
+    """Antisymmetry and Jacobi check.
 
-    Accepts a float tensor or a LieAlgebra; exact-mode algebras are
-    checked with rational arithmetic and must have residual exactly 0.
+    Accepts a float tensor, a ``StructureConstants`` or a LieAlgebra.
+    Exact constants are checked on their triples in integer arithmetic
+    and pass only with both residuals exactly 0; a float tensor is
+    checked densely against ``tol``.
     """
     if isinstance(structure, LieAlgebra):
-        alg = structure
-        if alg.structure_exact is not None:
-            anti, jac = _exact_residuals(alg.dim, alg.structure_exact)
-            return ValidationReport(anti, jac, anti == 0.0 and jac == 0.0,
-                                    mode="exact")
-        structure = alg.structure
+        structure = structure.structure_exact or structure.structure
+    if isinstance(structure, StructureConstants):
+        anti, jac = structure.residuals()
+        return ValidationReport(float(anti), float(jac),
+                                anti == 0 and jac == 0, mode="exact")
     arr = np.asarray(structure, dtype=np.float64)
     _check_tensor_shape(arr)
     anti = float(np.abs(arr + np.transpose(arr, (1, 0, 2))).max()) if arr.size else 0.0
@@ -104,49 +224,28 @@ def validate_algebra(structure, tol: float = DEFAULT_TOL) -> ValidationReport:
     return ValidationReport(anti, jac, anti <= tol and jac <= tol)
 
 
-def _exact_residuals(dim: int, sparse: ExactStructure) -> tuple[float, float]:
-    anti = Fraction(0)
-    for (i, j), row in sparse.items():
-        back = sparse.get((j, i), {})
-        keys = set(row) | set(back)
-        for k in keys:
-            s = row.get(k, Fraction(0)) + back.get(k, Fraction(0))
-            anti = max(anti, abs(s))
-    worst = Fraction(0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                acc: dict[int, Fraction] = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = sparse.get((a, b), {})
-                    for m, v in inner.items():
-                        for l, w in sparse.get((m, c), {}).items():
-                            acc[l] = acc.get(l, Fraction(0)) + v * w
-                for value in acc.values():
-                    worst = max(worst, abs(value))
-    return float(anti), float(worst)
-
-
-def _dense_from_exact(dim: int, sparse: ExactStructure) -> np.ndarray:
-    dense = np.zeros((dim, dim, dim))
-    for (i, j), row in sparse.items():
-        for k, v in row.items():
-            dense[i, j, k] = float(v)
-    return dense
-
-
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Immutable Lie algebra with structure tensor and inner product."""
+    """Immutable Lie algebra with structure tensor and inner product.
 
-    structure: np.ndarray
+    Float algebras give ``structure``. Exact algebras give
+    ``structure_exact`` and ``structure=None``; their ``structure`` is
+    then the tensor derived from the triples.
+    """
+
+    structure: np.ndarray | None
     inner_product: np.ndarray
     name: str = ""
-    structure_exact: ExactStructure | None = None
+    structure_exact: StructureConstants | None = None
     inner_product_exact: np.ndarray | None = None
 
     def __post_init__(self):
-        struct = np.ascontiguousarray(np.asarray(self.structure, dtype=np.float64))
+        if (self.structure is None) == (self.structure_exact is None):
+            raise ValidationError("give either a float structure tensor or "
+                                  "exact structure constants")
+        dense = self.structure if self.structure_exact is None \
+            else self.structure_exact.tensor
+        struct = np.ascontiguousarray(np.asarray(dense, dtype=np.float64))
         _check_tensor_shape(struct)
         gram = np.ascontiguousarray(np.asarray(self.inner_product, dtype=np.float64))
         if gram.shape != (struct.shape[0], struct.shape[0]):
@@ -168,17 +267,13 @@ class LieAlgebra:
         n = self.dim
         return (x @ self.structure.reshape(n, n * n)).reshape(n, n).T
 
-    def bracket_exact(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _exact(self) -> StructureConstants:
         if self.structure_exact is None:
             raise ValidationError(f"{self.name or 'algebra'} has no exact structure")
-        out = exact.fzeros(self.dim)
-        xs = [(i, v) for i, v in enumerate(x) if v != 0]
-        ys = [(j, v) for j, v in enumerate(y) if v != 0]
-        for i, xi in xs:
-            for j, yj in ys:
-                for k, c in self.structure_exact.get((i, j), {}).items():
-                    out[k] += c * xi * yj
-        return out
+        return self.structure_exact
+
+    def bracket_exact(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._exact().bracket(x, y)
 
     @cached_property
     def killing_form(self) -> np.ndarray:
@@ -186,9 +281,7 @@ class LieAlgebra:
 
     @cached_property
     def killing_form_exact(self) -> np.ndarray:
-        if self.structure_exact is None:
-            raise ValidationError(f"{self.name or 'algebra'} has no exact structure")
-        return _killing_exact(self.dim, self.structure_exact)
+        return self._exact().killing()
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         return validate_algebra(self, tol)
@@ -199,15 +292,13 @@ class LieAlgebra:
         return float(np.abs(t + np.transpose(t, (0, 2, 1))).max()) if t.size else 0.0
 
     def to_json_dict(self) -> dict:
-        entries = []
-        if self.structure_exact is not None:
-            for (i, j), row in sorted(self.structure_exact.items()):
-                for k, v in sorted(row.items()):
-                    entries.append([i, j, k, exact.format_value(v)])
+        c = self.structure_exact
+        if c is not None:
+            entries = [[i, j, k, exact.format_value(Fraction(int(v), c.denom))]
+                       for (i, j, k), v in zip(c.index.tolist(), c.numer)]
         else:
-            nz = np.argwhere(self.structure != 0.0)
-            for i, j, k in nz:
-                entries.append([int(i), int(j), int(k), float(self.structure[i, j, k])])
+            entries = [[i, j, k, float(self.structure[i, j, k])]
+                       for i, j, k in np.argwhere(self.structure != 0.0).tolist()]
         data = {"name": self.name, "dim": self.dim, "structure": entries}
         if self.inner_product_exact is not None:
             data["inner_product"] = [[exact.format_value(v) for v in row]
@@ -224,77 +315,84 @@ class LieAlgebra:
 
 
 def algebra_from_json_dict(data: dict) -> LieAlgebra:
+    """Algebra from a JSON spec; rational constants (ints and strings) give
+    an exact algebra, any float a float one. Not validated, so a bad spec
+    can still be built and reported."""
     dim = int(data["dim"])
     entries = data["structure"]
-    all_rational = all(isinstance(e[3], (str, int)) for e in entries)
-    dense = np.zeros((dim, dim, dim))
-    sparse: ExactStructure | None = {} if all_rational else None
-    for i, j, k, value in entries:
-        i, j, k = int(i), int(j), int(k)
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+    for i, j, k, _ in entries:
+        if not all(0 <= int(t) < dim for t in (i, j, k)):
             raise ValidationError(f"structure index ({i},{j},{k}) out of range")
-        if all_rational:
-            v = exact.frac(value)
-            sparse.setdefault((i, j), {})[k] = v
-            dense[i, j, k] = float(v)
-        else:
-            dense[i, j, k] = float(value)
-    gram_exact = None
-    if "inner_product" in data and data["inner_product"] is not None:
+    gram = gram_exact = None
+    if data.get("inner_product") is not None:
         rows = data["inner_product"]
         if all(isinstance(v, (str, int)) for row in rows for v in row):
             gram_exact = exact.fmatrix(rows)
             gram = exact.to_float(gram_exact)
         else:
             gram = np.array(rows, dtype=np.float64)
-    else:
-        gram, gram_exact = default_inner_product(dense, sparse)
-    return LieAlgebra(structure=dense, inner_product=gram,
-                      name=data.get("name", ""), structure_exact=sparse,
-                      inner_product_exact=gram_exact)
+    name = data.get("name", "")
+    if all(isinstance(e[3], (str, int)) for e in entries):
+        constants = structure_constants(dim, entries)
+        return make_algebra(constants, name, gram, gram_exact, validate=False)
+    dense = np.zeros((dim, dim, dim))
+    for i, j, k, value in entries:
+        dense[int(i), int(j), int(k)] = float(value)
+    if gram is None:
+        gram, _ = default_inner_product(dense)
+    return LieAlgebra(structure=dense, inner_product=gram, name=name)
 
 
 def algebra_from_json(text: str) -> LieAlgebra:
     return algebra_from_json_dict(json.loads(text))
 
 
-def make_algebra(structure_exact: ExactStructure, dim: int, name: str,
+def make_algebra(constants: StructureConstants, name: str,
                  inner_product: np.ndarray | None = None,
                  inner_product_exact: np.ndarray | None = None,
                  validate: bool = True, tol: float = DEFAULT_TOL) -> LieAlgebra:
-    """Assemble an algebra from exact sparse structure constants."""
-    dense = _dense_from_exact(dim, structure_exact)
-    if inner_product is None:
-        inner_product, inner_product_exact = default_inner_product(dense, structure_exact)
-    alg = LieAlgebra(structure=dense, inner_product=inner_product, name=name,
-                     structure_exact=structure_exact,
-                     inner_product_exact=inner_product_exact)
+    """Assemble an exact algebra from its structure constants.
+
+    With ``validate`` the constants must pass the exact antisymmetry and
+    Jacobi check and the inner product must be ad-invariant. Without an
+    inner product the default one is built.
+    """
     if validate:
-        report = validate_algebra(dense, tol)
+        report = validate_algebra(constants)
         if not report.passed:
             raise ValidationError(
                 f"{name}: structure constants fail validation "
                 f"(antisymmetry {report.antisymmetry:.2e}, jacobi {report.jacobi:.2e})")
+    if inner_product is None:
+        inner_product, inner_product_exact = default_inner_product(
+            constants.tensor, constants)
+    alg = LieAlgebra(structure=None, inner_product=inner_product, name=name,
+                     structure_exact=constants,
+                     inner_product_exact=inner_product_exact)
+    if validate:
         inv = alg.inner_ad_invariance()
-        if inv > max(tol, 1e-8 * max(1.0, float(np.abs(inner_product).max()))):
+        if inv > max(tol, 1e-8 * max(1.0, float(np.abs(inner_product).max(initial=0.0)))):
             raise ValidationError(f"{name}: inner product is not ad-invariant ({inv:.2e})")
     return alg
 
 
 def default_inner_product(structure: np.ndarray,
-                          structure_exact: ExactStructure | None = None,
+                          constants: StructureConstants | None = None,
                           tol: float = DEFAULT_TOL
                           ) -> tuple[np.ndarray, np.ndarray | None]:
     """Negative Killing form on the derived algebra, dot product on the center.
 
     The two blocks are glued along the direct sum g = center + [g, g],
     which keeps the result ad-invariant. Raises for non-compact input
-    (negative Killing form not positive semidefinite on [g, g]).
+    (negative Killing form not positive semidefinite on [g, g]). Given
+    the exact ``constants`` of ``structure`` and a trivial center, the
+    result is the exact negative Killing form and its float copy.
     """
     n = structure.shape[0]
     if n == 0:
         return np.zeros((0, 0)), exact.fzeros((0, 0))
-    b = _killing(structure)
+    b_exact = None if constants is None else constants.killing()
+    b = _killing(structure) if b_exact is None else exact.to_float(b_exact)
     scale = float(np.abs(b).max())
     if scale == 0.0:
         return np.eye(n), exact.fidentity(n)
@@ -308,12 +406,7 @@ def default_inner_product(structure: np.ndarray,
         raise ValidationError("Killing form is not negative semidefinite; "
                               "provide an inner product explicitly")
     if center.shape[1] == 0:
-        gram = -b
-        gram_exact = None
-        if structure_exact is not None:
-            bx = _killing_exact(n, structure_exact)
-            gram_exact = -bx
-        return gram, gram_exact
+        return -b, None if b_exact is None else -b_exact
     basis = np.hstack([center, derived])
     inv = np.linalg.inv(basis)
     proj_center = center @ inv[: center.shape[1], :]
@@ -328,50 +421,40 @@ def _killing(structure: np.ndarray) -> np.ndarray:
         structure.transpose(0, 2, 1).reshape(n, n * n).T
 
 
-def _killing_exact(dim: int, sparse: ExactStructure) -> np.ndarray:
-    """B_ij = sum_{m,n} c_imn c_jnm, matching the float trace contraction."""
-    by_pair: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for (j, n), row in sparse.items():
-        for m, v in row.items():
-            by_pair.setdefault((n, m), []).append((j, v))
-    b = exact.fzeros((dim, dim))
-    for (i, m), row in sparse.items():
-        for n, v in row.items():
-            for j, w in by_pair.get((n, m), []):
-                b[i, j] += v * w
-    return b
-
-
 def trivial_algebra() -> LieAlgebra:
-    return LieAlgebra(structure=np.zeros((0, 0, 0)), inner_product=np.zeros((0, 0)),
-                      name="0")
+    return make_algebra(structure_constants(0, []), "0")
 
 
 def direct_sum(summands: list[LieAlgebra], name: str | None = None) -> LieAlgebra:
-    """Block-diagonal direct sum; inner products stay block-diagonal."""
+    """Block-diagonal direct sum; inner products stay block-diagonal.
+
+    Exact summands give an exact sum: their triples are offset into
+    place and brought to the lcm of their denominators.
+    """
     dims = [a.dim for a in summands]
     total = sum(dims)
-    structure = np.zeros((total, total, total))
-    gram = np.zeros((total, total))
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    all_exact = all(a.structure_exact is not None for a in summands)
-    sparse: ExactStructure | None = {} if all_exact else None
+    gram = np.zeros((total, total))
     gram_exact = exact.fzeros((total, total)) if all(
         a.inner_product_exact is not None for a in summands) else None
-    for idx, alg in enumerate(summands):
-        o = offsets[idx]
-        d = alg.dim
-        structure[o:o + d, o:o + d, o:o + d] = alg.structure
-        gram[o:o + d, o:o + d] = alg.inner_product
-        if sparse is not None:
-            for (i, j), row in alg.structure_exact.items():
-                sparse[(i + o, j + o)] = {k + o: v for k, v in row.items()}
+    for o, alg in zip(offsets, summands):
+        gram[o:o + alg.dim, o:o + alg.dim] = alg.inner_product
         if gram_exact is not None:
-            gram_exact[o:o + d, o:o + d] = alg.inner_product_exact
+            gram_exact[o:o + alg.dim, o:o + alg.dim] = alg.inner_product_exact
     if name is None:
         name = "+".join(a.name or "?" for a in summands)
+    parts = [a.structure_exact for a in summands]
+    if parts and None not in parts:
+        denom = math.lcm(*(c.denom for c in parts))
+        constants = StructureConstants(
+            total, np.vstack([c.index + o for c, o in zip(parts, offsets)]),
+            np.concatenate([c.numer * (denom // c.denom) for c in parts]), denom)
+        return make_algebra(constants, name, gram, gram_exact, validate=False)
+    structure = np.zeros((total, total, total))
+    for o, alg in zip(offsets, summands):
+        structure[o:o + alg.dim, o:o + alg.dim, o:o + alg.dim] = alg.structure
     return LieAlgebra(structure=structure, inner_product=gram, name=name,
-                      structure_exact=sparse, inner_product_exact=gram_exact)
+                      inner_product_exact=gram_exact)
 
 
 def center_basis(algebra: LieAlgebra) -> np.ndarray:

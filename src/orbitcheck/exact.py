@@ -56,7 +56,7 @@ def to_float(a: np.ndarray) -> np.ndarray:
     return np.array(a, dtype=np.float64)
 
 
-def _cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
+def cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
     """Integer object array n and common denominator d with a == n / d."""
     fracs = [frac(x) for x in a.flat]
     d = math.lcm(*(x.denominator for x in fracs))
@@ -72,8 +72,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     factor costs almost nothing; each output entry is then divided by
     the product of the two denominators.
     """
-    ia, da = _cleared(a)
-    ib, db = _cleared(b)
+    ia, da = cleared(a)
+    ib, db = cleared(b)
     num = ia @ ib
     d = da * db
     return np.array([Fraction(n, d) for n in num.flat],
@@ -84,7 +84,7 @@ def bareiss_rank(a: np.ndarray) -> int:
     """Rank via fraction-free Gaussian elimination on cleared denominators."""
     if a.size == 0:
         return 0
-    m = [list(_cleared(row)[0]) for row in a]
+    m = [list(cleared(row)[0]) for row in a]
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
     prev = 1

@@ -395,9 +395,7 @@ def _go_check_exact(space: ReductiveSpace, a: MetricOperator,
                 margin=0.0, kind="exact"))
             continue
         # column t is proj_m [h_t, A X]: one product for every column
-        brackets = exact.fzeros((g.dim, h_cols.shape[1]))
-        for t in range(h_cols.shape[1]):
-            brackets[:, t] = g.bracket_exact(h_cols[:, t], axg)
+        brackets = np.column_stack([g.bracket_exact(h, axg) for h in h_cols.T])
         z = exact.solve(exact.matmul(rows_proj, brackets), b_vec)
         if z is not None:
             zg = exact.to_float(exact.matmul(h_cols, z))

@@ -686,16 +686,12 @@ def exact_module_bases(space: ReductiveSpace) -> tuple[np.ndarray, ...]:
 
 def _require_invariant(space: ReductiveSpace, basis: np.ndarray,
                        name: str) -> None:
-    """Raise unless [h, span(basis)] lies in span(basis), testing each
-    bracket's nonzero coordinates against the rows vanishing on the span."""
+    """Raise unless [h, span(basis)] lies in span(basis): every bracket of
+    an h generator with a basis vector must vanish on the rows that
+    vanish on the span."""
     g = space.g
-    h_cols = space.embedding.matrix_exact
-    annihilator = exact.null_space(basis.T).T
-    for a in range(h_cols.shape[1]):
-        for j in range(basis.shape[1]):
-            image = g.bracket_exact(h_cols[:, a], basis[:, j])
-            support = [t for t in range(g.dim) if image[t] != 0]
-            for row in annihilator:
-                if sum(row[t] * image[t] for t in support) != 0:
-                    raise ExactUnavailableError(
-                        f"rounded {name} is not ad(h)-invariant")
+    images = np.array([g.bracket_exact(h, b)
+                       for h in space.embedding.matrix_exact.T for b in basis.T],
+                      dtype=object).reshape(-1, g.dim).T
+    if np.any(exact.matmul(exact.null_space(basis.T).T, images) != 0):
+        raise ExactUnavailableError(f"rounded {name} is not ad(h)-invariant")

@@ -30,13 +30,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import exact
-from .core import (LieAlgebra, ValidationError, default_inner_product,
+from .core import (LieAlgebra, ValidationError,
                    direct_sum, make_algebra, pair_bracket_tensor,
-                   trivial_algebra, validate_algebra)
+                   structure_constants, trivial_algebra)
 from .linalg import svd_rank
 
 RANK_MIN = {"so": 2, "su": 2, "u": 1, "sp": 1, "torus": 1}
 RANK_CAPS = {"so": 16, "su": 8, "u": 8, "sp": 7, "torus": 16}
+_DIMENSION = {"so": lambda n: n * (n - 1) // 2, "su": lambda n: n * n - 1,
+             "u": lambda n: n * n, "sp": lambda n: n * (2 * n + 1),
+             "torus": lambda n: n}
 
 
 def _check_family(family: str, n: int) -> None:
@@ -55,37 +58,6 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
     return {p: t for t, p in enumerate(so_pairs(n))}
 
 
-def _so_matrices(n: int) -> list[np.ndarray]:
-    mats = []
-    for a, b in so_pairs(n):
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[a, b] = 1.0
-        m[b, a] = -1.0
-        mats.append(m)
-    return mats
-
-
-def _su_matrices(n: int) -> list[np.ndarray]:
-    mats = []
-    for k in range(n - 1):
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[k, k] = 1j
-        m[k + 1, k + 1] = -1j
-        mats.append(m)
-    mats.extend(_offdiag_matrices(n))
-    return mats
-
-
-def _u_matrices(n: int) -> list[np.ndarray]:
-    mats = []
-    for k in range(n):
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[k, k] = 1j
-        mats.append(m)
-    mats.extend(_offdiag_matrices(n))
-    return mats
-
-
 def _offdiag_matrices(n: int) -> list[np.ndarray]:
     mats = []
     for a, b in so_pairs(n):
@@ -98,6 +70,20 @@ def _offdiag_matrices(n: int) -> list[np.ndarray]:
         m[b, a] = 1j
         mats.append(m)
     return mats
+
+
+def _so_matrices(n: int) -> list[np.ndarray]:
+    return _offdiag_matrices(n)[::2]
+
+
+def _u_matrices(n: int) -> list[np.ndarray]:
+    return ([np.diag(1j * (np.arange(n) == k)) for k in range(n)]
+            + _offdiag_matrices(n))
+
+
+def _su_matrices(n: int) -> list[np.ndarray]:
+    d = _u_matrices(n)
+    return [d[k] - d[k + 1] for k in range(n - 1)] + d[n:]
 
 
 def _sp_from_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,22 +117,9 @@ def _sp_matrices(n: int) -> list[np.ndarray]:
 def matrix_basis(family: str, n: int) -> list[np.ndarray]:
     """Defining-representation basis matrices, complex128 and exact."""
     _check_family(family, n)
-    if family == "so":
-        return _so_matrices(n)
-    if family == "su":
-        return _su_matrices(n)
-    if family == "u":
-        return _u_matrices(n)
-    if family == "sp":
-        return _sp_matrices(n)
-    raise ValueError(f"{family} has no matrix basis")
-
-
-def _extract_so(batch: np.ndarray, n: int) -> np.ndarray:
-    pairs = so_pairs(n)
-    a = [p[0] for p in pairs]
-    b = [p[1] for p in pairs]
-    return np.real(batch[:, a, b])
+    if family not in _MATRIX_BASES:
+        raise ValueError(f"{family} has no matrix basis")
+    return _MATRIX_BASES[family](n)
 
 
 def _offdiag_coords(batch: np.ndarray, n: int) -> np.ndarray:
@@ -158,6 +131,10 @@ def _offdiag_coords(batch: np.ndarray, n: int) -> np.ndarray:
     out[:, 0::2] = np.real(entries)
     out[:, 1::2] = np.imag(entries)
     return out
+
+
+def _extract_so(batch: np.ndarray, n: int) -> np.ndarray:
+    return _offdiag_coords(batch, n)[:, ::2]
 
 
 def _extract_su(batch: np.ndarray, n: int) -> np.ndarray:
@@ -186,35 +163,24 @@ def _extract_sp(batch: np.ndarray, n: int) -> np.ndarray:
     ])
 
 
+_MATRIX_BASES = {"so": _so_matrices, "su": _su_matrices, "u": _u_matrices,
+                 "sp": _sp_matrices}
 _EXTRACTORS = {"so": _extract_so, "su": _extract_su, "u": _extract_u,
                "sp": _extract_sp}
 
 
-def _structure_from_matrices(mats: list[np.ndarray], family: str, n: int,
-                             atol: float = 0.0) -> np.ndarray:
-    d = len(mats)
-    stack = np.stack(mats)
-    flat = stack.reshape(d, -1)
-    structure = np.zeros((d, d, d))
-    for i in range(d):
-        comm = stack[i] @ stack - stack @ stack[i]
-        coords = _EXTRACTORS[family](comm, n)
-        recon = (coords @ flat).reshape(comm.shape)
-        if atol == 0.0:
-            if not np.array_equal(recon, comm):
-                raise ValidationError(f"{family}({n}): inexact coordinate extraction")
-        elif np.abs(recon - comm).max() > atol:
-            raise ValidationError(f"{family}({n}): coordinate extraction residual "
-                                  f"{np.abs(recon - comm).max():.2e}")
-        structure[i] = coords
-    return structure
-
-
-def _sparse_from_integer(structure: np.ndarray):
-    sparse = {}
-    for i, j, k in np.argwhere(structure != 0.0):
-        sparse.setdefault((int(i), int(j)), {})[int(k)] = Fraction(int(structure[i, j, k]))
-    return sparse
+def _coordinates(batch: np.ndarray, family: str, n: int, stack: np.ndarray,
+                 name: str, atol: float = 0.0) -> np.ndarray:
+    """Coordinates (one row per matrix) of a batch of matrices against
+    the basis ``stack`` of the family; raises unless they rebuild the
+    batch to within ``atol``."""
+    coords = _EXTRACTORS[family](batch, n)
+    recon = coords @ stack.reshape(len(stack), -1)
+    err = np.abs(recon - batch.reshape(len(batch), -1)).max(initial=0.0)
+    if err > atol:
+        raise ValidationError(f"{name}: matrices do not lie in {family}({n}) "
+                              f"(residual {err:.2e})")
+    return coords
 
 
 @lru_cache(maxsize=None)
@@ -227,21 +193,14 @@ def classical(family: str, n: int) -> LieAlgebra:
     _check_family(family, n)
     name = f"{family}({n})"
     if family == "torus":
-        return LieAlgebra(structure=np.zeros((n, n, n)), inner_product=np.eye(n),
-                          name=name, structure_exact={},
-                          inner_product_exact=exact.fidentity(n))
-    mats = matrix_basis(family, n)
-    structure = _structure_from_matrices(mats, family, n)
-    if not np.array_equal(structure, np.rint(structure)):
-        raise ValidationError(f"{name}: non-integer structure constants")
-    sparse = _sparse_from_integer(structure)
-    gram, gram_exact = default_inner_product(structure, sparse)
-    alg = LieAlgebra(structure=structure, inner_product=gram, name=name,
-                     structure_exact=sparse, inner_product_exact=gram_exact)
-    report = validate_algebra(structure)
-    if not report.passed:
-        raise ValidationError(f"{name}: structure validation failed")
-    return alg
+        return make_algebra(structure_constants(n, []), name,
+                            np.eye(n), exact.fidentity(n))
+    stack = np.stack(matrix_basis(family, n))
+    entries = []
+    for i, x in enumerate(stack):
+        coords = _coordinates(x @ stack - stack @ x, family, n, stack, name)
+        entries += [(i, j, k, coords[j, k]) for j, k in zip(*np.nonzero(coords))]
+    return make_algebra(structure_constants(len(stack), entries), name)
 
 
 # --- octonions ---------------------------------------------------------
@@ -315,40 +274,31 @@ def octonion_table() -> tuple[np.ndarray, np.ndarray]:
 def _octonion_f() -> np.ndarray:
     """Antisymmetric multiplication coefficients on imaginary units."""
     sgn, idx = octonion_table()
+    a, b = np.nonzero(~np.eye(7, dtype=bool))
+    c = idx[a + 1, b + 1] - 1
+    if (c < 0).any():
+        raise ValidationError("imaginary product fell on the unit")
     f = np.zeros((7, 7, 7), dtype=np.int64)
-    for a in range(7):
-        for b in range(7):
-            if a == b:
-                continue
-            c = idx[a + 1, b + 1] - 1
-            if c < 0:
-                raise ValidationError("imaginary product fell on the unit")
-            f[a, b, c] = sgn[a + 1, b + 1]
+    f[a, b, c] = sgn[a + 1, b + 1]
     return f
 
 
 def left_mult_matrices() -> list[np.ndarray]:
     """8x8 integer matrices of left multiplication by e_1..e_7."""
     sgn, idx = octonion_table()
-    mats = []
-    for t in range(1, 8):
-        m = np.zeros((8, 8), dtype=np.int64)
-        for q in range(8):
-            m[idx[t, q], q] = sgn[t, q]
-        mats.append(m)
-    return mats
+    t, q = np.arange(1, 8)[:, None], np.arange(8)
+    mats = np.zeros((7, 8, 8), dtype=np.int64)
+    mats[t - 1, idx[t, q], q] = sgn[t, q]
+    return list(mats)
 
 
 def right_mult_matrices() -> list[np.ndarray]:
     """8x8 integer matrices of right multiplication by e_1..e_7."""
     sgn, idx = octonion_table()
-    mats = []
-    for t in range(1, 8):
-        m = np.zeros((8, 8), dtype=np.int64)
-        for q in range(8):
-            m[idx[q, t], q] = sgn[q, t]
-        mats.append(m)
-    return mats
+    t, q = np.arange(1, 8)[:, None], np.arange(8)
+    mats = np.zeros((7, 8, 8), dtype=np.int64)
+    mats[t - 1, idx[q, t], q] = sgn[q, t]
+    return list(mats)
 
 
 @lru_cache(maxsize=1)
@@ -357,55 +307,34 @@ def _g2_data() -> tuple[LieAlgebra, np.ndarray]:
 
     A derivation D of the octonions preserves the imaginary part and is
     antisymmetric, so it is a vector in so(7); the derivation property
-    on basis products gives an integer linear system whose kernel is g2.
+    D(e_a e_b) = D(e_a) e_b + e_a D(e_b) on basis products, one row per
+    (a, b, q) and one column per so(7) basis matrix, gives an integer
+    linear system whose kernel is g2.
     """
     f = _octonion_f()
-    col = _pair_index(7)
-    rows = []
-    for a in range(7):
-        for b in range(7):
-            if a == b:
-                continue
-            for q in range(7):
-                row = [Fraction(0)] * 21
-                def add(x, y, coeff):
-                    if x == y or coeff == 0:
-                        return
-                    if x < y:
-                        row[col[(x, y)]] += coeff
-                    else:
-                        row[col[(y, x)]] -= coeff
-                for c in range(7):
-                    add(q, c, int(f[a, b, c]))
-                    add(c, a, -int(f[c, b, q]))
-                    add(c, b, -int(f[a, c, q]))
-                rows.append(row)
-    mat = np.array(rows, dtype=object)
+    basis = np.real(np.stack(_so_matrices(7))).astype(np.int64)
+    defect = (np.einsum("abc,tqc->abqt", f, basis)
+              - np.einsum("tca,cbq->abqt", basis, f)
+              - np.einsum("tcb,acq->abqt", basis, f))
+    mat = exact.fmatrix(defect.reshape(-1, 21))
     _, pivots = exact.rref(mat)
     free = [c for c in range(21) if c not in pivots]
     kernel = exact.null_space(mat)
-    if kernel.shape != (21, 14):
-        raise ValidationError(f"derivation kernel has shape {kernel.shape}, expected (21, 14)")
-    for t, c in enumerate(free):
-        for s in range(14):
-            expected = Fraction(1) if s == t else Fraction(0)
-            if kernel[c, s] != expected:
-                raise ValidationError("derivation kernel is not in free-column form")
+    if kernel.shape != (21, 14) or not np.array_equal(kernel[free],
+                                                      exact.fidentity(14)):
+        raise ValidationError("derivation kernel is not 14-dimensional "
+                              "in free-column form")
     so7 = classical("so", 7)
-    sparse = {}
+    entries = []
     for s in range(14):
         for t in range(s + 1, 14):
             w = so7.bracket_exact(kernel[:, s], kernel[:, t])
             coords = w[free]
-            recon = exact.matmul(kernel, coords)
-            if not all(recon[r] == w[r] for r in range(21)):
+            if not np.array_equal(exact.matmul(kernel, coords), w):
                 raise ValidationError("derivation bracket left the kernel")
-            fwd = {k: v for k, v in enumerate(coords) if v != 0}
-            if fwd:
-                sparse[(s, t)] = fwd
-                sparse[(t, s)] = {k: -v for k, v in fwd.items()}
-    alg = make_algebra(sparse, 14, "g2")
-    return alg, kernel
+            for k in np.flatnonzero(coords != 0).tolist():
+                entries += [(s, t, k, coords[k]), (t, s, k, -coords[k])]
+    return make_algebra(structure_constants(14, entries), "g2"), kernel
 
 
 def g2() -> LieAlgebra:
@@ -533,16 +462,9 @@ def _embedding_from_matrices(source: LieAlgebra, family: str, n: int,
                              exact_entries: bool = True,
                              atol: float = 0.0) -> Embedding:
     target = classical(family, n)
-    stack = np.stack(matrix_basis(family, n))
     batch = np.stack([np.asarray(m, dtype=np.complex128) for m in source_mats])
-    coords = _EXTRACTORS[family](batch, n)
-    recon = np.einsum("sc,ckl->skl", coords, stack)
-    err = np.abs(recon - batch).max() if batch.size else 0.0
-    limit = 0.0 if atol == 0.0 else atol
-    if err > limit:
-        raise ValidationError(f"{name}: matrices do not lie in {family}({n}) "
-                              f"(residual {err:.2e})")
-    matrix = coords.T
+    matrix = _coordinates(batch, family, n, np.stack(matrix_basis(family, n)),
+                          name, atol).T
     mex = _exactify_matrix(matrix) if exact_entries else None
     emb_atol = 1e-8 if atol == 0.0 else max(1e-8, 10 * atol)
     return Embedding(source=source, target=target, matrix=matrix, name=name,
@@ -665,7 +587,16 @@ def embed_so_x_so_tensor(p: int, q: int) -> Embedding:
 
 
 def embed_diagonal(family: str, n: int, copies: int) -> Embedding:
-    """Diagonal copy of an algebra inside its own direct power."""
+    """Diagonal copy of an algebra inside its own direct power.
+
+    At least two copies, and the power may not be larger than the largest
+    algebra inside ``RANK_CAPS`` (so(16), dimension 120).
+    """
+    _check_family(family, n)
+    largest = max(_DIMENSION[f](cap) for f, cap in RANK_CAPS.items())
+    if copies < 2 or copies * _DIMENSION[family](n) > largest:
+        raise ValueError(f"{copies} copies of {family}({n}): need at least 2 "
+                         f"copies and a total dimension of at most {largest}")
     alg = classical(family, n)
     target = direct_sum([alg] * copies)
     matrix = np.tile(np.eye(alg.dim), (copies, 1))
@@ -739,35 +670,21 @@ def embed_spin7_in_so8() -> Embedding:
     """
     so7 = classical("so", 7)
     so8 = classical("so", 8)
-    pairs7 = so_pairs(7)
-    col8 = _pair_index(8)
-    for mats, sign in ((left_mult_matrices(), -1), (left_mult_matrices(), 1),
-                       (right_mult_matrices(), -1), (right_mult_matrices(), 1)):
-        phi = exact.fzeros((28, 21))
-        good = True
-        for t, (a, b) in enumerate(pairs7):
-            prod = mats[a] @ mats[b]
-            if not np.array_equal(prod, -prod.T):
-                good = False
-                break
-            half = Fraction(sign, 2)
-            for p, q in so_pairs(8):
-                phi[col8[(p, q)], t] = half * int(prod[p, q])
-        if not good:
+    a7, b7 = np.array(so_pairs(7)).T
+    p8, q8 = np.array(so_pairs(8)).T
+    units = exact.fidentity(21)
+    brackets = [(i, j, so7.bracket_exact(units[:, i], units[:, j]))
+                for i in range(21) for j in range(i + 1, 21)]
+    left, right = np.stack(left_mult_matrices()), np.stack(right_mult_matrices())
+    for mats, sign in ((left, -1), (left, 1), (right, -1), (right, 1)):
+        prods = mats[a7] @ mats[b7]
+        if not np.array_equal(prods, -prods.transpose(0, 2, 1)):
             continue
-        ok = True
-        for i in range(21):
-            for j in range(i + 1, 21):
-                lhs = so8.bracket_exact(phi[:, i], phi[:, j])
-                rhs = exact.fzeros(28)
-                for k, c in so7.structure_exact.get((i, j), {}).items():
-                    rhs = rhs + c * phi[:, k]
-                if not all(lhs[r] == rhs[r] for r in range(28)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        phi = np.array([[Fraction(sign * int(v), 2) for v in row]
+                        for row in prods[:, p8, q8].T], dtype=object)
+        if all(np.array_equal(so8.bracket_exact(phi[:, i], phi[:, j]),
+                              phi[:, w != 0] @ w[w != 0])
+               for i, j, w in brackets):
             return Embedding(source=so7, target=so8, matrix=exact.to_float(phi),
                              name="spin7<so(8)", matrix_exact=phi)
     raise ValidationError("no sign convention makes the spin map a homomorphism")

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from orbitcheck import catalog
+from orbitcheck import catalog, zoo
 
 
 def _space(entry_id):
@@ -40,3 +42,16 @@ def sp3_principal():
 @pytest.fixture(scope="session")
 def so9_tensor():
     return _space("t1-V.1-m3n3")
+
+
+@pytest.fixture()
+def broken_su3_spec():
+    """su(3) as a JSON spec with its first bracket and that bracket's
+    antisymmetric partner scaled by 3/2: antisymmetric, not a Lie algebra."""
+    data = zoo.classical("su", 3).to_json_dict()
+    i, j, k, _ = data["structure"][0]
+    for entry in data["structure"]:
+        if tuple(entry[:3]) in ((i, j, k), (j, i, k)):
+            value = Fraction(entry[3]) * Fraction(3, 2)
+            entry[3] = f"{value.numerator}/{value.denominator}"
+    return data

@@ -21,6 +21,25 @@ def test_validate_catalog_target(runner):
     assert "so(5)" in result.output
 
 
+def test_validate_exits_1_when_validation_fails(runner, tmp_path,
+                                               broken_su3_spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"algebra": broken_su3_spec, "name": "bad"}))
+    result = invoke(runner, ["validate", str(path), "--json"])
+    assert result.exit_code == 1
+    data = json.loads(result.output)
+    assert data["ok"] is False
+    assert data["validation"] == {"antisymmetry": 0.0, "jacobi": 2.0,
+                                  "mode": "exact", "passed": False}
+
+
+def test_zoo_algebra_at_the_cap_validates_exactly(runner):
+    result = invoke(runner, ["zoo", "algebra", "so(16)", "--json"])
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert (data["dim"], data["mode"], data["passed"]) == (120, "exact", True)
+
+
 def test_decompose_json_output(runner):
     result = invoke(runner, ["decompose", "go-3-k2", "--json"])
     assert result.exit_code == 0

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,3 +174,91 @@ def test_homomorphism_residual_matches_einsum(s, extra, seed):
     rhs = np.einsum("abc,kc->abk", source.structure, phi)
     assert_matches(emb.homomorphism_residual(),
                    np.abs(lhs - rhs).max(initial=0.0))
+
+
+def _random_exact_algebra(rng, n, density, denom):
+    """Exact algebra with random antisymmetric constants v / denom for v in
+    -2..2, about a ``density`` share of them nonzero, and the identity
+    inner product."""
+    upper = rng.integers(-2, 3, (n, n, n)) * (rng.random((n, n, n)) < density)
+    entries = [(i, j, k, Fraction(int(upper[i, j, k] if i < j
+                                      else -upper[j, i, k]), denom))
+               for i in range(n) for j in range(n) for k in range(n) if i != j]
+    return core.make_algebra(core.structure_constants(n, entries), "",
+                             np.eye(n), validate=False)
+
+
+@given(st.integers(0, 6), st.floats(0.0, 1.0), st.sampled_from([1, 2, 4]),
+       st.integers(0, 2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_exact_checks_match_the_dense_float_ones(n, density, denom, seed):
+    # dyadic constants keep every float sum exact, so the two checks agree
+    rng = np.random.default_rng(seed)
+    alg = _random_exact_algebra(rng, n, density, denom)
+    report = alg.validate()
+    dense = core.validate_algebra(alg.structure)
+    assert report.mode == "exact" and dense.mode == "float"
+    assert report.antisymmetry == dense.antisymmetry == 0.0
+    assert report.jacobi == dense.jacobi == core.jacobi_residual(alg.structure)
+    assert report.passed == (dense.jacobi == 0.0)
+    np.testing.assert_array_equal(core.exact.to_float(alg.killing_form_exact),
+                                  alg.killing_form)
+    x, y = (np.array([Fraction(int(p), int(q)) for p, q in
+                      zip(rng.integers(-3, 4, n), rng.integers(1, 4, n))],
+                     dtype=object) for _ in "xy")
+    np.testing.assert_allclose(
+        core.exact.to_float(alg.bracket_exact(x, y)),
+        alg.bracket(core.exact.to_float(x), core.exact.to_float(y)), atol=1e-12)
+
+
+def test_broken_spec_is_reported_exactly(broken_su3_spec):
+    report = core.algebra_from_json_dict(broken_su3_spec).validate()
+    assert report.as_dict() == {"antisymmetry": 0.0, "jacobi": 2.0,
+                                "mode": "exact", "passed": False}
+
+
+def test_unpaired_rational_entry_breaks_antisymmetry():
+    data = zoo.classical("su", 2).to_json_dict()
+    assert not any(e[:3] == [0, 1, 0] for e in data["structure"])
+    data["structure"].append([0, 1, 0, "1/3"])
+    report = core.algebra_from_json_dict(data).validate()
+    assert report.mode == "exact"
+    assert report.antisymmetry == pytest.approx(1 / 3)
+    assert not report.passed
+
+
+def test_structure_constants_share_one_denominator():
+    c = core.structure_constants(
+        2, [(0, 1, 0, "1/2"), (1, 0, 0, 5), (1, 0, 0, "-1/2"), (0, 1, 1, 0),
+            (1, 1, 1, "2/3")])
+    assert c.index.tolist() == [[0, 1, 0], [1, 0, 0], [1, 1, 1]]
+    assert list(c.numer) == [3, -3, 4] and c.denom == 6
+
+
+def test_an_algebra_holds_one_form_of_its_constants():
+    exact_constants = zoo.classical("so", 3).structure_exact
+    with pytest.raises(core.ValidationError):
+        core.LieAlgebra(structure=np.zeros((3, 3, 3)), inner_product=np.eye(3),
+                        structure_exact=exact_constants)
+    with pytest.raises(core.ValidationError):
+        core.LieAlgebra(structure=None, inner_product=np.eye(3))
+
+
+def test_exact_builds_never_run_the_dense_jacobi(monkeypatch):
+    def refuse(structure):
+        raise AssertionError("dense Jacobi on exact constants")
+    monkeypatch.setattr(core, "jacobi_residual", refuse)
+    for family, n in (("so", 7), ("su", 4), ("u", 3), ("sp", 3), ("torus", 2)):
+        assert zoo.classical.__wrapped__(family, n).validate().passed
+    assert zoo._g2_data.__wrapped__()[0].validate().passed
+    assert core.direct_sum([zoo.classical("su", 3), zoo.g2()]).validate().passed
+    assert core.trivial_algebra().validate().passed
+
+
+def test_exact_direct_sum_round_trips_through_json():
+    g = zoo.algebra_by_name("su(3)+torus(1)+so(3)")
+    back = core.algebra_from_json(g.to_json())
+    assert back.to_json() == g.to_json()
+    np.testing.assert_array_equal(back.structure, g.structure)
+    np.testing.assert_array_equal(back.inner_product, g.inner_product)
+    assert back.validate().mode == "exact"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcheck import natred
+from orbitcheck import go, natred, spaces, zoo
 from orbitcheck.core import ValidationError
 
 
@@ -121,6 +121,27 @@ def test_ledger_obata_sum_identity_holds_generically(b, a, c):
     assert sol.kind == "generic"
     assert sol.sum_identity_residual <= 1e-9
     assert natred.ledger_obata_verify(sol.metric, sol.triple, "so3") < 1e-9
+
+
+@pytest.fixture(scope="module", params=[("su", 2), ("su", 3)],
+                ids=["su2", "su3"])
+def triple_product(request):
+    """F^3 over its diagonal, decomposed."""
+    family, n = request.param
+    emb = zoo.embed_diagonal(family, n, 3)
+    return spaces.decompose_isotropy(
+        spaces.reductive_space(None, emb, name=f"{family}({n})^3/diag"))
+
+
+@pytest.mark.parametrize("abc", [(2, 1, 3), (3, -1, 2), (5, 2, 1)])
+def test_triple_product_metrics_are_geodesic_orbit(triple_product, abc):
+    # Ledger-Obata metrics are naturally reductive, hence GO: isotypic,
+    # off-diagonal metric operators that the two-parameter path never builds
+    metric = natred.LedgerObataMetric.from_values(*abc)
+    operator = natred.ledger_obata_metric_operator(triple_product, metric)
+    verdict = go.go_check(triple_product, operator, n_samples=20)
+    assert verdict.status == "GO_CONSISTENT"
+    assert verdict.max_residual <= 1e-10
 
 
 def test_float_inputs_fall_back_to_float_arithmetic():

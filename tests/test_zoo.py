@@ -17,14 +17,22 @@ CLASSICAL_DIMS = {
 def test_classical_dimensions_match_closed_forms():
     for (family, n), dim in CLASSICAL_DIMS.items():
         assert zoo.classical(family, n).dim == dim
+        assert zoo._DIMENSION[family](n) == dim
 
 
 def test_classical_structures_validate_exactly():
-    for family, n in (("so", 6), ("su", 4), ("u", 3), ("sp", 2)):
+    for family, n in (("so", 6), ("su", 4), ("u", 3), ("sp", 2), ("so", 16),
+                      ("su", 8), ("u", 8), ("sp", 7)):
         report = zoo.classical(family, n).validate()
         assert report.mode == "exact"
         assert report.jacobi == 0.0
         assert report.antisymmetry == 0.0
+
+
+def test_classical_and_g2_constants_are_integers():
+    for alg in (zoo.classical("so", 5), zoo.classical("su", 3),
+                zoo.classical("u", 2), zoo.classical("sp", 2), zoo.g2()):
+        assert alg.structure_exact.denom == 1
 
 
 def test_rank_caps_are_enforced():
@@ -35,6 +43,15 @@ def test_rank_caps_are_enforced():
     with pytest.raises(ValueError):
         zoo.classical("sp", 8)
     assert zoo.classical("torus", 1).dim == 1
+    # a diagonal needs two copies and a power no larger than so(16)
+    for family, n, copies in (("so", 16, 2), ("su", 8, 2), ("sp", 7, 2),
+                              ("so", 3, 41), ("so", 3, 1), ("so", 3, 0),
+                              ("so", 17, 2)):
+        with pytest.raises(ValueError):
+            zoo.embed_diagonal(family, n, copies)
+    for family, n, copies in (("so", 3, 3), ("su", 3, 3), ("so", 3, 40),
+                              ("so", 11, 2)):
+        assert zoo.embed_diagonal(family, n, copies).target.dim <= 120
 
 
 def test_octonion_table_properties():
