@@ -230,8 +230,8 @@ def classify(target, seed, tol, as_json):
               help="Metric weight on the first module.")
 @click.option("--mu", type=float, default=2.0, show_default=True,
               help="Metric weight on the second module.")
-@click.option("--samples", type=int, default=100, show_default=True,
-              help="Number of sampled directions.")
+@click.option("--samples", type=click.IntRange(min=1), default=100,
+              show_default=True, help="Number of sampled directions.")
 @click.option("--exact", is_flag=True,
               help="Use exact rational arithmetic where available.")
 @click.option("--expect", type=click.Choice(["go", "not-go", "normal"]),
@@ -386,7 +386,8 @@ def catalog_show(entry_id, as_json):
               help="source=..., go=true|false.")
 @click.option("--id", "ids", multiple=True,
               help="Run only these entry ids (repeatable).")
-@click.option("--samples", type=int, default=100, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=100,
+              show_default=True)
 @_seed_option
 @_tol_option
 @_json_option

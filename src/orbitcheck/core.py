@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -473,8 +473,6 @@ class Subspace:
     ambient: LieAlgebra
     basis: np.ndarray
     name: str = ""
-    raw_basis: np.ndarray | None = field(default=None, compare=False)
-    basis_exact: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=np.float64)
@@ -490,12 +488,10 @@ class Subspace:
 
     @classmethod
     def from_columns(cls, ambient: LieAlgebra, columns: np.ndarray,
-                     name: str = "", basis_exact: np.ndarray | None = None) -> "Subspace":
+                     name: str = "") -> "Subspace":
         ortho = gram_orthonormalize(np.asarray(columns, dtype=np.float64),
                                     ambient.inner_product)
-        return cls(ambient=ambient, basis=ortho, name=name,
-                   raw_basis=np.asarray(columns, dtype=np.float64),
-                   basis_exact=basis_exact)
+        return cls(ambient=ambient, basis=ortho, name=name)
 
     @property
     def dim(self) -> int:

@@ -3,10 +3,12 @@
 Matrices are numpy object arrays holding fractions.Fraction entries.
 Products run on integer arrays over a common denominator: ``matmul``
 scales each operand by the lcm of its denominators, multiplies the
-integer arrays, and divides once per output entry. Rank computations
-clear denominators row by row the same way and run fraction-free
-(Bareiss) elimination so that every intermediate value stays integral;
-row reduction for solving and kernels uses plain Fraction arithmetic.
+integer arrays, and divides once per output entry. One fraction-free
+Gauss-Jordan elimination (Bareiss steps on rows cleared to integers)
+serves every other routine: ``rref`` divides its pivot rows once by the
+last pivot, and ``bareiss_rank``, ``null_space``, ``solve`` and
+``solvable`` read rank, kernel and solution off the same integer rows,
+so no row operation ever touches a Fraction.
 """
 
 from __future__ import annotations
@@ -74,67 +76,62 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     ia, da = cleared(a)
     ib, db = cleared(b)
-    num = ia @ ib
-    d = da * db
+    return _over(ia @ ib, da * db)
+
+
+def _over(num: np.ndarray, d: int) -> np.ndarray:
+    """The Fraction array ``num / d`` of an integer object array."""
     return np.array([Fraction(n, d) for n in num.flat],
                     dtype=object).reshape(num.shape)
 
 
-def bareiss_rank(a: np.ndarray) -> int:
-    """Rank via fraction-free Gaussian elimination on cleared denominators."""
-    if a.size == 0:
-        return 0
-    m = [list(cleared(row)[0]) for row in a]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
+def _eliminate(a: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+    """Fraction-free Gauss-Jordan elimination: (rows, pivots, d).
+
+    Each row is cleared to Python integers; each pivot p then updates
+    every other row by the Bareiss step (p M - outer(col, pivot_row)) // d,
+    with d the previous pivot (1 at the start). Every division is exact
+    because every entry stays a minor of the cleared matrix. On return
+    the first ``len(pivots)`` rows are the pivot rows, every pivot entry
+    equals the last pivot ``d`` and the rows below are zero, so the
+    reduced row echelon form is ``rows / d``.
+    """
+    n_rows, n_cols = a.shape
+    m = np.empty((n_rows, n_cols), dtype=object)
+    for i, row in enumerate(a):
+        m[i] = cleared(row)[0]
+    pivots: list[int] = []
+    d = 1
     for col in range(n_cols):
-        pivot_row = None
-        for r in range(row, n_rows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for r in range(row + 1, n_rows):
-            factor = m[r][col]
-            for c in range(col, n_cols):
-                m[r][c] = (pivot * m[r][c] - factor * m[row][c]) // prev
-        prev = pivot
-        row += 1
-        rank += 1
+        row = len(pivots)
         if row == n_rows:
             break
-    return rank
+        below = np.flatnonzero(m[row:, col])
+        if not below.size:
+            continue
+        m[[row, row + below[0]]] = m[[row + below[0], row]]
+        pivot_row = m[row].copy()
+        m = (pivot_row[col] * m - np.multiply.outer(m[:, col], pivot_row)) // d
+        m[row] = pivot_row
+        d = pivot_row[col]
+        pivots.append(col)
+    return m, pivots, d
+
+
+def _augmented(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.hstack([np.asarray(a, dtype=object),
+                      np.asarray(b, dtype=object).reshape(-1, 1)])
+
+
+def bareiss_rank(a: np.ndarray) -> int:
+    """Rank, the number of pivots of the fraction-free elimination."""
+    return len(_eliminate(a)[1])
 
 
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over the rationals, with pivot columns."""
-    m = np.array([[frac(x) for x in row] for row in a], dtype=object) if a.size else a.copy()
-    n_rows, n_cols = a.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(row, n_rows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[[row, pivot_row]] = m[[pivot_row, row]]
-        m[row] = m[row] / m[row][col]
-        for r in range(n_rows):
-            if r != row and m[r][col] != 0:
-                m[r] = m[r] - m[r][col] * m[row]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    return m, pivots
+    m, pivots, d = _eliminate(a)
+    return _over(m, d), pivots
 
 
 def null_space(a: np.ndarray) -> np.ndarray:
@@ -144,44 +141,31 @@ def null_space(a: np.ndarray) -> np.ndarray:
     every other free column, which makes coordinate extraction against
     this basis a direct read-off.
     """
+    m, pivots, d = _eliminate(a)
     n_cols = a.shape[1]
-    if a.size == 0:
-        return fidentity(n_cols)
-    r, pivots = rref(a)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = fzeros((n_cols, len(free)))
-    for k, fc in enumerate(free):
-        basis[fc, k] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = -r[i][fc]
+    basis[free, range(len(free))] = Fraction(1)
+    basis[pivots] = _over(-m[:len(pivots), free], d)
     return basis
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """One exact solution of ``a x = b``, or None when inconsistent."""
-    n_rows, n_cols = a.shape
-    aug = fzeros((n_rows, n_cols + 1))
-    aug[:, :n_cols] = a
-    for i in range(n_rows):
-        aug[i, n_cols] = frac(b[i])
-    r, pivots = rref(aug)
+    n_cols = a.shape[1]
+    m, pivots, d = _eliminate(_augmented(a, b))
     if n_cols in pivots:
         return None
     x = fzeros(n_cols)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][n_cols]
+    x[pivots] = _over(m[:len(pivots), n_cols], d)
     return x
 
 
 def solvable(a: np.ndarray, b: np.ndarray) -> tuple[bool, int, int]:
     """Exact consistency certificate: (solvable, rank_a, rank_augmented)."""
-    n_rows, n_cols = a.shape
-    aug = fzeros((n_rows, n_cols + 1))
-    aug[:, :n_cols] = a
-    for i in range(n_rows):
-        aug[i, n_cols] = frac(b[i])
-    rank_a = bareiss_rank(a)
-    rank_aug = bareiss_rank(aug)
+    pivots = _eliminate(_augmented(a, b))[1]
+    rank_aug = len(pivots)
+    rank_a = rank_aug - (a.shape[1] in pivots)
     return rank_aug == rank_a, rank_a, rank_aug
 
 

@@ -327,6 +327,8 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     counterexample short-circuits to NOT_GO. A scalar metric is the
     normal-metric case: trivially consistent with zero witnesses.
     """
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
     a = _as_metric(space, metric)
     if not space.modules:
         raise ValidationError("decompose the isotropy modules first")

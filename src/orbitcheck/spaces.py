@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -52,7 +53,6 @@ class ReductiveSpace:
     m: Subspace
     name: str = ""
     embedding: Embedding | None = field(default=None, compare=False)
-    h_algebra: LieAlgebra | None = field(default=None, compare=False)
     modules: tuple[Subspace, ...] = ()
     isotypic_groups: tuple[tuple[int, ...], ...] = ()
     metric_space_dim: int | None = None
@@ -138,7 +138,6 @@ def reductive_space(g: LieAlgebra | None,
     nonzero ideal of g (almost-effective action).
     """
     emb = None
-    h_alg = None
     if isinstance(h_embedding, (Embedding, EmbeddingChain)):
         emb = as_embedding(h_embedding)
         if g is None:
@@ -146,7 +145,6 @@ def reductive_space(g: LieAlgebra | None,
         elif g.dim != emb.target.dim:
             raise ValidationError("embedding target does not match g")
         cols = emb.matrix
-        h_alg = emb.source
     else:
         if g is None:
             raise ValidationError("g is required with a raw basis matrix")
@@ -175,8 +173,7 @@ def reductive_space(g: LieAlgebra | None,
             raise EffectivenessError(
                 f"h contains a {kernel.shape[1]}-dimensional ideal of g "
                 "acting trivially on m")
-    return ReductiveSpace(g=g, h=h, m=m, name=name, embedding=emb,
-                          h_algebra=h_alg)
+    return ReductiveSpace(g=g, h=h, m=m, name=name, embedding=emb)
 
 
 def _cluster(values: np.ndarray, rel_gap: float = 1e-6) -> list[np.ndarray]:
@@ -309,8 +306,20 @@ def _invariance_residual(action: np.ndarray, block: np.ndarray) -> float:
 
 
 def _isotypic_groups(sub_actions: list[np.ndarray]) -> list[tuple[int, ...]]:
-    r = len(sub_actions)
-    parent = list(range(r))
+    def linked(a, b):
+        return a.shape[1] == b.shape[1] and len(intertwiners(a, b)) > 0
+    return [tuple(gp) for gp in _connected_groups(sub_actions, linked)]
+
+
+def _connected_groups(items: list, linked) -> list[list[int]]:
+    """Indices of ``items`` grouped into the connected components of the
+    graph with an edge i < j wherever ``linked(items[i], items[j])``.
+
+    Union-find over the pairs in order, the root of j's component
+    joining i's; each group is ascending, and groups come in the order
+    of their roots.
+    """
+    parent = list(range(len(items)))
 
     def find(x):
         while parent[x] != x:
@@ -318,19 +327,15 @@ def _isotypic_groups(sub_actions: list[np.ndarray]) -> list[tuple[int, ...]]:
             x = parent[x]
         return x
 
-    for i in range(r):
-        for j in range(i + 1, r):
-            ai, aj = sub_actions[i], sub_actions[j]
-            if ai.shape[1] != aj.shape[1]:
-                continue
-            if len(intertwiners(ai, aj)):
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pj] = pi
+    for i, j in combinations(range(len(items)), 2):
+        if linked(items[i], items[j]):
+            pi, pj = find(i), find(j)
+            if pi != pj:
+                parent[pj] = pi
     groups: dict[int, list[int]] = {}
-    for i in range(r):
+    for i in range(len(items)):
         groups.setdefault(find(i), []).append(i)
-    return [tuple(v) for _, v in sorted(groups.items())]
+    return [v for _, v in sorted(groups.items())]
 
 
 # --- minimal ideals and the structure classifier -----------------------
@@ -409,27 +414,10 @@ def _ideal_split_once(alg: LieAlgebra, s_basis: np.ndarray,
 
 def _merge_connected(alg: LieAlgebra, blocks: list[np.ndarray],
                      tol: float = 1e-8) -> list[np.ndarray]:
-    r = len(blocks)
-    parent = list(range(r))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(r):
-        for j in range(i + 1, r):
-            raw = pair_bracket_tensor(alg, blocks[i], blocks[j])
-            if float(np.abs(raw).max()) > tol:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pj] = pi
-    groups: dict[int, list[int]] = {}
-    for i in range(r):
-        groups.setdefault(find(i), []).append(i)
+    def linked(a, b):
+        return float(np.abs(pair_bracket_tensor(alg, a, b)).max()) > tol
     return [np.hstack([blocks[i] for i in idxs])
-            for _, idxs in sorted(groups.items())]
+            for idxs in _connected_groups(blocks, linked)]
 
 
 def _kernel_part(alg: LieAlgebra, block: np.ndarray, kernel: np.ndarray,

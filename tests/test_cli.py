@@ -77,6 +77,18 @@ def test_check_go_not_go_with_certificate(runner):
     assert data["counterexample"]["rank_gap"] >= 1
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_is_a_usage_error(runner, samples):
+    # t1-V.10 is NOT_GO; zero samples once made it pass --expect go
+    checked = runner.invoke(main, ["check-go", "t1-V.10", "--samples",
+                                   samples, "--expect", "go"])
+    assert checked.exit_code == 2
+    assert "--samples" in checked.output
+    ran = runner.invoke(main, ["catalog", "run", "--id", "go-6-m2n1",
+                               "--samples", samples])
+    assert ran.exit_code == 2
+
+
 def test_check_go_exact_mode(runner):
     result = invoke(runner, ["check-go", "go-3-k2", "--samples", "5",
                              "--exact", "--json"])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitcheck import exact
 
@@ -137,3 +137,110 @@ def test_bareiss_rank_survives_denominators_past_int64():
         row = [Fraction(int(rng.integers(1, 9)), d) for d in dens]
         a = exact.fmatrix([row, [2 * v for v in row]])
         assert exact.bareiss_rank(a) == 1
+
+
+def _oracle_rref(a):
+    """Gauss-Jordan in plain Fraction arithmetic, row by row."""
+    m = [[Fraction(v) for v in row] for row in a]
+    n_rows, n_cols = a.shape
+    pivots = []
+    for col in range(n_cols):
+        row = len(pivots)
+        pick = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
+        if pick is None:
+            continue
+        m[row], m[pick] = m[pick], m[row]
+        m[row] = [v / m[row][col] for v in m[row]]
+        for r in range(n_rows):
+            if r != row and m[r][col] != 0:
+                m[r] = [v - m[r][col] * p for v, p in zip(m[r], m[row])]
+        pivots.append(col)
+    return m, pivots
+
+
+@st.composite
+def rational_systems(draw):
+    """(a, b): a rational matrix of any shape up to 5 x 5, often rank
+    deficient (a product through a thinner inner dimension), and a
+    right-hand side that is consistent by construction about half the
+    time."""
+    n_rows = draw(st.integers(min_value=0, max_value=5))
+    n_cols = draw(st.integers(min_value=0, max_value=5))
+
+    def matrix(shape):
+        size = shape[0] * shape[1]
+        return _object_array(draw(st.lists(rationals, min_size=size,
+                                           max_size=size)), shape)
+    if draw(st.booleans()):
+        inner = draw(st.integers(min_value=0, max_value=min(n_rows, n_cols)))
+        a = matrix((n_rows, inner)) @ matrix((inner, n_cols))
+        a = _object_array([Fraction(v) for v in a.flat], (n_rows, n_cols))
+    else:
+        a = matrix((n_rows, n_cols))
+    if draw(st.booleans()):
+        b = (a @ matrix((n_cols, 1))).reshape(n_rows)
+        b = _object_array([Fraction(v) for v in b.flat], (n_rows,))
+    else:
+        b = matrix((n_rows, 1)).reshape(n_rows)
+    return a, b
+
+
+def _big_prime_system():
+    # rank 2, with every row's denominator lcm past 2^63
+    p = BIG_PRIMES
+    r0 = [Fraction(1, p[0] * p[1]), Fraction(2, p[2] * p[3]),
+          Fraction(3, p[4] * p[5]), Fraction(-1, p[0] * p[5])]
+    r1 = [Fraction(5, p[1] * p[2]), Fraction(-7, p[3] * p[4]),
+          Fraction(1, p[0] * p[3]), Fraction(4, p[2] * p[5])]
+    rows = [r0, r1, [x + 3 * y for x, y in zip(r0, r1)]]
+    b = [Fraction(1, p[0] * p[2]), Fraction(1, p[1] * p[3]),
+         Fraction(1, p[4] * p[5])]
+    return exact.fmatrix(rows), exact.fmatrix([b]).ravel()
+
+
+@given(rational_systems())
+@example(_big_prime_system())
+@settings(max_examples=150, deadline=None)
+def test_one_elimination_matches_the_fraction_oracle(system):
+    a, b = system
+    n_rows, n_cols = a.shape
+    want, want_pivots = _oracle_rref(a)
+    got, pivots = exact.rref(a)
+    assert list(pivots) == want_pivots
+    assert got.shape == (n_rows, n_cols)
+    assert all(isinstance(v, Fraction) for v in got.flat)
+    assert [list(row) for row in got] == want
+    rank = len(want_pivots)
+    assert exact.bareiss_rank(a) == rank
+
+    kernel = exact.null_space(a)
+    free = [c for c in range(n_cols) if c not in want_pivots]
+    assert kernel.shape == (n_cols, n_cols - rank)
+    assert all(v == 0 for v in (a @ kernel).flat)
+    assert np.array_equal(kernel[free], exact.fidentity(len(free)))
+
+    aug = np.hstack([a, b.reshape(-1, 1)])
+    rank_aug = len(_oracle_rref(aug)[1])
+    x = exact.solve(a, b)
+    if rank_aug > rank:
+        assert x is None
+    else:
+        assert x is not None and x.shape == (n_cols,)
+        assert all(v == 0 for v in (a @ x.reshape(-1, 1)).ravel() - b)
+    assert exact.solvable(a, b) == (x is not None, rank, rank_aug)
+
+
+def test_one_elimination_on_zero_size_shapes():
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        a = exact.fzeros(shape)
+        r, pivots = exact.rref(a)
+        assert r.shape == shape and pivots == []
+        assert exact.bareiss_rank(a) == 0
+        assert np.array_equal(exact.null_space(a), exact.fidentity(shape[1]))
+        b = exact.fzeros(shape[0])
+        assert list(exact.solve(a, b)) == [0] * shape[1]
+        assert exact.solvable(a, b) == (True, 0, 0)
+    # a nonzero right-hand side with no unknowns is inconsistent
+    a, b = exact.fzeros((2, 0)), exact.fmatrix([[0, 1]]).ravel()
+    assert exact.solve(a, b) is None
+    assert exact.solvable(a, b) == (False, 0, 1)

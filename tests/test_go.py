@@ -101,6 +101,16 @@ def test_metric_operator_validation(so5_u2, so8_g2):
         go.MetricOperator.block(so8_g2, [np.eye(2), np.eye(1)])
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+@pytest.mark.parametrize("exact_mode", [False, True])
+def test_go_check_refuses_fewer_than_one_sample(so5_u2, n_samples,
+                                                exact_mode):
+    # zero samples used to return a vacuous GO_CONSISTENT
+    with pytest.raises(core.ValidationError, match="n_samples"):
+        go.go_check(so5_u2, (1, 2), n_samples=n_samples,
+                    exact_mode=exact_mode)
+
+
 def test_geodesic_graph_witness_and_uniqueness(so5_u2):
     rng = rng_for("test-graph", so5_u2.name, 0, 0)
     x = module_vector(so5_u2, 0, rng)
