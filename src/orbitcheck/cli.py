@@ -401,24 +401,24 @@ def catalog_run_cmd(filters, ids, samples, seed, tol, as_json):
     unknown = sorted(set(ids) - known)
     if unknown:
         raise click.UsageError(f"unknown catalog ids: {', '.join(unknown)}")
+    ids = tuple(ids) or None
+    if kw.get("go") is not None:
+        # choose the entries by expected verdict before running any
+        want = kw["go"]
+        pool = ids or [e.id for e in catalog_mod.catalog_list(
+            constructible=True)]
+        ids = tuple(i for i in pool
+                    if catalog_mod.get_entry(i).expected.get("go") == want)
 
     def run():
         return catalog_mod.catalog_run(
-            source=kw.get("source"), ids=tuple(ids) or None,
-            n_samples=samples, seed=seed, tol=tol)
+            source=kw.get("source"), ids=ids, n_samples=samples, seed=seed,
+            tol=tol)
 
     report = _wrap(run)
-    if kw.get("go") is not None:
-        results = [r for r in report.results
-                   if catalog_mod.get_entry(r.entry_id).expected.get("go")
-                   == kw["go"]]
-    else:
-        results = list(report.results)
+    results = report.results
     if as_json:
-        data = report.as_dict()
-        data["results"] = [r.as_dict() for r in results]
-        data["passed"] = all(r.passed for r in results)
-        _emit(data, True)
+        _emit(report.as_dict(), True)
     else:
         for r in results:
             status = "ok" if r.passed else "FAIL"

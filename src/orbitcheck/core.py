@@ -377,8 +377,7 @@ def make_algebra(constants: StructureConstants, name: str,
 
 
 def default_inner_product(structure: np.ndarray,
-                          constants: StructureConstants | None = None,
-                          tol: float = DEFAULT_TOL
+                          constants: StructureConstants | None = None
                           ) -> tuple[np.ndarray, np.ndarray | None]:
     """Negative Killing form on the derived algebra, dot product on the center.
 
@@ -396,8 +395,7 @@ def default_inner_product(structure: np.ndarray,
     scale = float(np.abs(b).max())
     if scale == 0.0:
         return np.eye(n), exact.fidentity(n)
-    admap = np.transpose(structure, (0, 2, 1)).reshape(n, n * n).T
-    center = nullspace(admap)
+    center = _center(structure)
     derived = column_space(structure.reshape(n * n, n).T)
     if center.shape[1] + derived.shape[1] != n:
         raise ValidationError("center and derived algebra do not span (non-reductive?)")
@@ -459,11 +457,12 @@ def direct_sum(summands: list[LieAlgebra], name: str | None = None) -> LieAlgebr
 
 def center_basis(algebra: LieAlgebra) -> np.ndarray:
     """Orthonormal basis of the center (kernel of the adjoint map)."""
-    n = algebra.dim
-    if n == 0:
-        return np.zeros((0, 0))
-    admap = np.transpose(algebra.structure, (0, 2, 1)).reshape(n, n * n).T
-    return nullspace(admap)
+    return _center(algebra.structure)
+
+
+def _center(structure: np.ndarray) -> np.ndarray:
+    n = structure.shape[0]
+    return nullspace(np.transpose(structure, (0, 2, 1)).reshape(n, n * n).T)
 
 
 @dataclass(frozen=True)

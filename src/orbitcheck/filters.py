@@ -23,18 +23,14 @@ class FilterError(OrbitcheckError):
     pass
 
 
-def centralizer(g: LieAlgebra, basis: np.ndarray, u: np.ndarray,
-                rtol: float | None = None) -> np.ndarray:
+def centralizer(g: LieAlgebra, basis: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
     """Basis of {z in span(basis): [z, u] = 0}, orthonormal w.r.t. g's gram.
 
     ``basis`` columns must be orthonormal w.r.t. g's inner product; the
     result is expressed in ambient g coordinates.
     """
-    if basis.shape[1] == 0:
-        return basis.copy()
-    kernel = nullspace(g.ad(u) @ basis, rtol)
-    if kernel.shape[1] == 0:
-        return np.zeros((g.dim, 0))
+    kernel = nullspace(g.ad(u) @ basis)
     return gram_orthonormalize(basis @ kernel, g.inner_product)
 
 
@@ -72,9 +68,7 @@ def normalizer_split(space: ReductiveSpace, u: np.ndarray,
             h_basis @ nullspace(c.T @ gram @ h_basis), gram)
         coords = bracket_coords(g, pair_bracket_tensor(g, h_basis, c), comp)
         rows = coords.reshape(dh, -1).T
-        kernel = nullspace(rows)
-        n = gram_orthonormalize(h_basis @ kernel, gram) \
-            if kernel.shape[1] else np.zeros((g.dim, 0))
+        n = gram_orthonormalize(h_basis @ nullspace(rows), gram)
     if n.shape[1] > dc and dc > 0:
         c_tilde = gram_orthonormalize(n @ nullspace(c.T @ gram @ n), gram)
     elif dc == 0:

@@ -17,7 +17,8 @@ metric-ratio coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -25,11 +26,10 @@ import numpy as np
 
 from . import exact
 from .core import OrbitcheckError, ValidationError
-from .linalg import DEFAULT_TOL, consistency_gap, min_norm_solve, rng_for, \
-    svd_rank
 from .filters import (CentralizerSplit, _module_action, centralizer,
                       normalizer_split)
-from .linalg import gram_orthonormalize, subspace_intersection
+from .linalg import (DEFAULT_TOL, consistency_gap, gram_orthonormalize,
+                     min_norm_solve, rank_of, rng_for, subspace_intersection)
 from .spaces import (ExactUnavailableError, ReductiveSpace, exact_module_bases,
                      intertwiners)
 
@@ -283,11 +283,12 @@ def go_witness_general(space: ReductiveSpace, metric, x: np.ndarray,
     # each ad(h_a) on m, which is its negative, hence the sign
     lhs = -(space.iso_action @ ax).T
     rhs = -ax @ (x @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(dm, dm)
-    z, residual = min_norm_solve(lhs, rhs)
+    z, residual, s = min_norm_solve(lhs, rhs)
     if residual <= tol * max(1.0, float(np.linalg.norm(rhs))):
         return GoWitness(x=x, z=z, residual=scale * residual, rank_gap=0,
                          margin=0.0, kind=kind)
-    rank_a, rank_aug, margin = consistency_gap(lhs, rhs)
+    rank_a = rank_of(s, lhs.shape)
+    rank_aug, margin = consistency_gap(lhs, rhs, rank_a)
     if rank_aug <= rank_a:
         raise ToleranceError(
             f"residual {residual:.2e} exceeds tolerance but ranks agree "
@@ -300,20 +301,18 @@ def go_witness_general(space: ReductiveSpace, metric, x: np.ndarray,
                      rank_gap=rank_aug - rank_a, margin=margin, kind=kind)
 
 
-def _sample_direction(space: ReductiveSpace, rng: np.random.Generator,
+def _sample_direction(blocks: list[np.ndarray], rng: np.random.Generator,
                       structured: bool) -> tuple[np.ndarray, str]:
-    dm = space.m.dim
-    if structured and len(space.modules) == 2:
-        b1 = space.module_coords_in_m(0)
-        b2 = space.module_coords_in_m(1)
+    if structured and len(blocks) == 2:
+        b1, b2 = blocks
         x1 = b1 @ rng.standard_normal(b1.shape[1])
         x2 = b2 @ rng.standard_normal(b2.shape[1])
         n1 = np.linalg.norm(x1)
         n2 = np.linalg.norm(x2)
         if n1 < 1e-12 or n2 < 1e-12:
-            return _sample_direction(space, rng, False)
+            return _sample_direction(blocks, rng, False)
         return (x1 / n1 + x2 / n2) / np.sqrt(2.0), "structured"
-    v = rng.standard_normal(dm)
+    v = rng.standard_normal(blocks[0].shape[0])
     return v / np.linalg.norm(v), "generic"
 
 
@@ -322,10 +321,14 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
              exact_mode: bool = False) -> GoVerdict:
     """Sample tangent directions and aggregate pointwise certificates.
 
-    Directions alternate between generic unit vectors and normalized
-    two-module mixtures (X1 + X2) / sqrt(2). The first certified
-    counterexample short-circuits to NOT_GO. A scalar metric is the
-    normal-metric case: trivially consistent with zero witnesses.
+    Every lane runs one loop: sample i is drawn from its own generator,
+    the lane's witness function certifies it, and the first certified
+    counterexample ends the run as NOT_GO. The float lane alternates
+    generic unit vectors and normalized two-module mixtures
+    (X1 + X2) / sqrt(2); a scalar metric is the normal-metric case,
+    trivially consistent with zero witnesses. The exact lane draws
+    integer combinations of the rational module bases and solves in
+    rational arithmetic.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
@@ -333,45 +336,45 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     if not space.modules:
         raise ValidationError("decompose the isotropy modules first")
     if exact_mode:
-        return _go_check_exact(space, a, n_samples, seed, tol)
-    if a.is_scalar:
-        dm = space.m.dim
-        brackets = space.m_bracket_m.reshape(dm, dm * dm)
-        witnesses = []
-        for i in range(n_samples):
-            rng = rng_for("go", space.name, seed, i)
-            x, kind = _sample_direction(space, rng, i % 2 == 1)
-            rhs = -a.apply(x) @ (x @ brackets).reshape(dm, dm)
-            witnesses.append(GoWitness(
-                x=x, z=np.zeros(space.h.dim),
-                residual=float(np.linalg.norm(rhs)), rank_gap=0, margin=0.0,
-                kind=kind))
-        max_res = max((w.residual for w in witnesses), default=0.0)
-        return GoVerdict(status="NORMAL_TRIVIAL", witnesses=tuple(witnesses),
-                         counterexample=None, max_residual=max_res,
-                         n_samples=n_samples, seed=seed, metric=a.as_dict(),
-                         space_name=space.name)
+        label, (witness, status) = "go-exact", _exact_lane(space, a)
+    else:
+        label, (witness, status) = "go", _float_lane(space, a, tol)
     witnesses = []
     max_res = 0.0
     for i in range(n_samples):
-        rng = rng_for("go", space.name, seed, i)
-        x, kind = _sample_direction(space, rng, i % 2 == 1)
-        w = go_witness_general(space, a, x, tol=tol, kind=kind)
+        w = witness(rng_for(label, space.name, seed, i), i % 2 == 1)
         witnesses.append(w)
         if not w.solvable:
-            return GoVerdict(status="NOT_GO", witnesses=tuple(witnesses),
-                             counterexample=w, max_residual=max_res,
-                             n_samples=i + 1, seed=seed, metric=a.as_dict(),
-                             space_name=space.name)
+            status = "NOT_GO"
+            break
         max_res = max(max_res, w.residual)
-    return GoVerdict(status="GO_CONSISTENT", witnesses=tuple(witnesses),
-                     counterexample=None, max_residual=max_res,
-                     n_samples=n_samples, seed=seed, metric=a.as_dict(),
-                     space_name=space.name)
+    return GoVerdict(status=status, witnesses=tuple(witnesses),
+                     counterexample=None if w.solvable else w,
+                     max_residual=max_res, n_samples=len(witnesses),
+                     seed=seed, metric=a.as_dict(), space_name=space.name,
+                     exact=bool(exact_mode))
 
 
-def _go_check_exact(space: ReductiveSpace, a: MetricOperator,
-                    n_samples: int, seed: int, tol: float) -> GoVerdict:
+def _float_lane(space: ReductiveSpace, a: MetricOperator, tol: float):
+    """Witness function and consistent status of the float lane."""
+    blocks = [space.module_coords_in_m(i) for i in range(len(space.modules))]
+    scalar = a.is_scalar
+    dm = space.m.dim
+    brackets = space.m_bracket_m.reshape(dm, dm * dm)
+
+    def witness(rng, structured):
+        x, kind = _sample_direction(blocks, rng, structured)
+        if not scalar:
+            return go_witness_general(space, a, x, tol, kind)
+        rhs = -a.apply(x) @ (x @ brackets).reshape(dm, dm)
+        return GoWitness(x=x, z=np.zeros(space.h.dim),
+                         residual=float(np.linalg.norm(rhs)), rank_gap=0,
+                         margin=0.0, kind=kind)
+    return witness, "NORMAL_TRIVIAL" if scalar else "GO_CONSISTENT"
+
+
+def _exact_lane(space: ReductiveSpace, a: MetricOperator):
+    """Witness function and consistent status of the exact lane."""
     lam, mu = a.exact_params()
     bases = exact_module_bases(space)
     if len(bases) != 2:
@@ -379,44 +382,31 @@ def _go_check_exact(space: ReductiveSpace, a: MetricOperator,
     g = space.g
     h_cols = space.embedding.matrix_exact
     rows_proj = exact.matmul(space.exact_m_basis.T, g.inner_product_exact)
-    is_trivial = lam == mu
-    witnesses = []
-    for i in range(n_samples):
-        rng = rng_for("go-exact", space.name, seed, i)
-        c1 = _nonzero_int_vector(rng, bases[0].shape[1])
-        c2 = _nonzero_int_vector(rng, bases[1].shape[1])
-        x1 = exact.matmul(bases[0], c1)
-        x2 = exact.matmul(bases[1], c2)
+    to_m = space.m.basis.T @ g.inner_product
+    to_h = space.h.basis.T @ g.inner_product
+
+    def witness(rng, structured):
+        x1 = exact.matmul(bases[0], _nonzero_int_vector(rng, bases[0].shape[1]))
+        x2 = exact.matmul(bases[1], _nonzero_int_vector(rng, bases[1].shape[1]))
         xg = x1 + x2
-        axg = lam * x1 + mu * x2
-        b_vec = -exact.matmul(rows_proj, g.bracket_exact(xg, axg))
-        x_m = space.m.basis.T @ g.inner_product @ exact.to_float(xg)
-        if is_trivial:
-            witnesses.append(GoWitness(
-                x=x_m, z=np.zeros(space.h.dim), residual=0.0, rank_gap=0,
-                margin=0.0, kind="exact"))
-            continue
-        # column t is proj_m [h_t, A X]: one product for every column
-        brackets = np.column_stack([g.bracket_exact(h, axg) for h in h_cols.T])
-        z = exact.solve(exact.matmul(rows_proj, brackets), b_vec)
-        if z is not None:
-            zg = exact.to_float(exact.matmul(h_cols, z))
-            z_h = space.h.basis.T @ g.inner_product @ zg
-            witnesses.append(GoWitness(x=x_m, z=z_h, residual=0.0,
-                                       rank_gap=0, margin=0.0, kind="exact"))
-        else:
-            # an inconsistent system gains exactly one rank from b
-            w = GoWitness(x=x_m, z=None, residual=float("nan"),
-                          rank_gap=1, margin=float("inf"), kind="exact")
-            return GoVerdict(status="NOT_GO", witnesses=tuple(witnesses + [w]),
-                             counterexample=w, max_residual=0.0,
-                             n_samples=i + 1, seed=seed, metric=a.as_dict(),
-                             space_name=space.name, exact=True)
-    status = "NORMAL_TRIVIAL" if is_trivial else "GO_CONSISTENT"
-    return GoVerdict(status=status, witnesses=tuple(witnesses),
-                     counterexample=None, max_residual=0.0,
-                     n_samples=n_samples, seed=seed, metric=a.as_dict(),
-                     space_name=space.name, exact=True)
+        x_m = to_m @ exact.to_float(xg)
+        z = np.zeros(space.h.dim)
+        if lam != mu:
+            axg = lam * x1 + mu * x2
+            b_vec = -exact.matmul(rows_proj, g.bracket_exact(xg, axg))
+            # column t is proj_m [h_t, A X]: one product for every column
+            brackets = np.column_stack([g.bracket_exact(h, axg)
+                                        for h in h_cols.T])
+            z = exact.solve(exact.matmul(rows_proj, brackets), b_vec)
+            if z is None:
+                # an inconsistent system gains exactly one rank from b
+                return GoWitness(x=x_m, z=None, residual=float("nan"),
+                                 rank_gap=1, margin=float("inf"),
+                                 kind="exact")
+            z = to_h @ exact.to_float(exact.matmul(h_cols, z))
+        return GoWitness(x=x_m, z=z, residual=0.0, rank_gap=0, margin=0.0,
+                         kind="exact")
+    return witness, "GO_CONSISTENT" if lam != mu else "NORMAL_TRIVIAL"
 
 
 def _nonzero_int_vector(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -437,16 +427,43 @@ class GeodesicGraph:
     residual: float
 
 
-def _validate_module_vector(space: ReductiveSpace, x: np.ndarray,
-                            index: int, tol: float) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (space.m.dim,):
-        raise ValidationError("vectors are m coordinates")
-    block = space.module_coords_in_m(index)
-    proj = block @ (block.T @ x)
-    if float(np.linalg.norm(x - proj)) > tol * max(1.0, np.linalg.norm(x)):
-        raise ValidationError(f"vector does not lie in module {index + 1}")
-    return x
+def _pinned_solve(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
+                  tol: float, system, errors: tuple[str, str]):
+    """Unique min-norm Z in pinned subspaces of the normalizer of X + Y
+    with proj_m [Z, .] = proj_m [X, Y]; returns the split, one Z per basis
+    and the residual.
+
+    ``system(xg, yg, split, proj)`` gives the pinned bases (g coords) and
+    the coefficient matrix. It is decided at unit scale: X and Y are
+    divided by the power of two nearest their larger norm, which is
+    exact; Z and the split's u scale back by it, the residual by its
+    square.
+    """
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    for i, v in enumerate((x, y)):
+        if v.shape != (space.m.dim,):
+            raise ValidationError("vectors are m coordinates")
+        block = space.module_coords_in_m(i)
+        if float(np.linalg.norm(v - block @ (block.T @ v))) > \
+                tol * np.linalg.norm(v):
+            raise ValidationError(f"vector does not lie in module {i + 1}")
+    norm = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
+    scale = 2.0 ** round(math.log2(norm)) if norm else 1.0
+    g = space.g
+    xg = space.m.basis @ (x / scale)
+    yg = space.m.basis @ (y / scale)
+    split = normalizer_split(space, xg + yg)
+    proj = space.m.basis.T @ g.inner_product
+    bases, lhs = system(xg, yg, split, proj)
+    rhs = proj @ g.bracket(xg, yg)
+    coeff, residual, s = min_norm_solve(lhs, rhs)
+    if lhs.shape[1] and rank_of(s, lhs.shape) < lhs.shape[1]:
+        raise GoError(errors[0])
+    if residual > tol * max(1.0, float(np.linalg.norm(rhs))):
+        raise GoError(errors[1].format(scale * scale * residual))
+    cuts = np.cumsum([b.shape[1] for b in bases])[:-1]
+    zs = [scale * (b @ c) for b, c in zip(bases, np.split(coeff, cuts))]
+    return replace(split, u=scale * split.u), zs, scale * scale * residual
 
 
 def geodesic_graph(space: ReductiveSpace, lam, mu, x: np.ndarray,
@@ -463,30 +480,19 @@ def geodesic_graph(space: ReductiveSpace, lam, mu, x: np.ndarray,
     lam_f, mu_f = float(lam), float(mu)
     if abs(lam_f - mu_f) < 1e-12 * max(abs(lam_f), abs(mu_f)):
         raise ValidationError("geodesic graph needs distinct metric weights")
-    x = _validate_module_vector(space, x, 0, tol)
-    y = _validate_module_vector(space, y, 1, tol)
-    g = space.g
-    xg = space.m.basis @ x
-    yg = space.m.basis @ y
-    split = normalizer_split(space, xg + yg)
-    basis = split.c_tilde
-    k = basis.shape[1]
-    gram = g.inner_product
     cx = lam_f / (lam_f - mu_f)
     cy = mu_f / (lam_f - mu_f)
-    proj = space.m.basis.T @ gram
-    # column t is proj_m [basis_t, W] = -proj_m ad(W) basis_t, W = cx X + cy Y
-    lhs = -proj @ g.ad(cx * xg + cy * yg) @ basis
-    rhs = proj @ g.bracket(xg, yg)
-    if k and svd_rank(lhs) < k:
-        raise GoError("geodesic graph system has a nontrivial kernel; "
-                      "the witness is not unique")
-    z_coeff, residual = min_norm_solve(lhs, rhs)
-    scale = max(1.0, float(np.linalg.norm(rhs)))
-    if residual > tol * scale:
-        raise GoError(f"no geodesic graph witness within tolerance "
-                      f"(residual {residual:.2e})")
-    return GeodesicGraph(z=basis @ z_coeff, split=split, residual=residual)
+
+    def system(xg, yg, split, proj):
+        # column t is proj_m [c~_t, W] = -proj_m ad(W) c~_t, W = cx X + cy Y
+        basis = split.c_tilde
+        return [basis], -proj @ space.g.ad(cx * xg + cy * yg) @ basis
+    split, (z,), residual = _pinned_solve(
+        space, x, y, tol, system,
+        ("geodesic graph system has a nontrivial kernel; the witness is "
+         "not unique",
+         "no geodesic graph witness within tolerance (residual {:.2e})"))
+    return GeodesicGraph(z=z, split=split, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -513,36 +519,19 @@ def zxzy_decompose(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
     The pair is unique (full column rank demanded) and rebuilds the
     geodesic graph witness via the metric-ratio coefficients.
     """
-    x = _validate_module_vector(space, x, 0, tol)
-    y = _validate_module_vector(space, y, 1, tol)
     g = space.g
-    gram = g.inner_product
-    xg = space.m.basis @ x
-    yg = space.m.basis @ y
-    split = normalizer_split(space, xg + yg)
-    cent_x = centralizer(g, space.h.basis, xg)
-    cent_y = centralizer(g, space.h.basis, yg)
-    bx = _gram_intersection(split.c_tilde, cent_x, gram)
-    by = _gram_intersection(split.c_tilde, cent_y, gram)
-    kx, ky = bx.shape[1], by.shape[1]
-    proj = space.m.basis.T @ gram
-    # columns proj_m [bx_t, Y], then proj_m [by_t, X]
-    lhs = -proj @ np.hstack([g.ad(yg) @ bx, g.ad(xg) @ by])
-    rhs = proj @ g.bracket(xg, yg)
-    if kx + ky and svd_rank(lhs) < kx + ky:
-        raise GoError("bracket split system has a nontrivial kernel")
-    coeff, residual = min_norm_solve(lhs, rhs)
-    scale = max(1.0, float(np.linalg.norm(rhs)))
-    if residual > tol * scale:
-        raise GoError(f"bracket does not split against the centralizers "
-                      f"(residual {residual:.2e})")
-    return ZxZyDecomposition(z_x=bx @ coeff[:kx], z_y=by @ coeff[kx:],
-                             split=split, residual=residual)
 
+    def system(xg, yg, split, proj):
+        bx, by = (gram_orthonormalize(subspace_intersection(
+            split.c_tilde, centralizer(g, space.h.basis, u)), g.inner_product)
+            for u in (xg, yg))
+        # columns proj_m [bx_t, Y], then proj_m [by_t, X]
+        return [bx, by], -proj @ np.hstack([g.ad(yg) @ bx, g.ad(xg) @ by])
+    split, (z_x, z_y), residual = _pinned_solve(
+        space, x, y, tol, system,
+        ("bracket split system has a nontrivial kernel",
+         "bracket does not split against the centralizers "
+         "(residual {:.2e})"))
+    return ZxZyDecomposition(z_x=z_x, z_y=z_y, split=split,
+                             residual=residual)
 
-def _gram_intersection(a: np.ndarray, b: np.ndarray,
-                       gram: np.ndarray) -> np.ndarray:
-    inter = subspace_intersection(a, b)
-    if inter.shape[1] == 0:
-        return inter
-    return gram_orthonormalize(inter, gram)

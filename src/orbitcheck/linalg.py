@@ -2,9 +2,10 @@
 
 Subspace arithmetic is phrased against an explicit inner product (Gram)
 matrix so that the same routines serve both the coordinate dot product
-and the negative Killing form. Rank decisions use singular values with
-a relative threshold of max(shape) * eps * sigma_max unless overridden,
-floored at an absolute 1e-12 so numerically-zero matrices have rank 0.
+and the negative Killing form. Every rank decision cuts singular values at
+``rank_threshold``, max(shape) * eps * sigma_max, floored at an absolute
+1e-12 so numerically-zero matrices have rank 0. Empty matrices need no
+special case: numpy's SVD and least squares return empty factors.
 Inputs are assumed to carry O(1) scale (orthonormal bases, integer
 structure constants); rescale before calling if that does not hold.
 """
@@ -29,52 +30,43 @@ def rng_for(*parts) -> np.random.Generator:
 RANK_FLOOR = 1e-12
 
 
-def rank_threshold(singular_values: np.ndarray, shape: tuple[int, int],
-                   rtol: float | None = None) -> float:
+def rank_threshold(singular_values: np.ndarray,
+                   shape: tuple[int, int]) -> float:
+    """Singular values at or below this count as zero."""
     if singular_values.size == 0:
         return 0.0
-    if rtol is None:
-        rtol = max(shape) * _EPS
-    return max(rtol * float(singular_values[0]), RANK_FLOOR)
+    return max(max(shape) * _EPS * float(singular_values[0]), RANK_FLOOR)
 
 
-def svd_rank(a: np.ndarray, rtol: float | None = None) -> int:
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > rank_threshold(s, a.shape, rtol)))
+def rank_of(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
+    """Numerical rank of a matrix of ``shape`` from its singular values."""
+    return int(np.sum(singular_values > rank_threshold(singular_values,
+                                                       shape)))
 
 
-def nullspace(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def svd_rank(a: np.ndarray) -> int:
+    return rank_of(np.linalg.svd(a, compute_uv=False), a.shape)
+
+
+def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``a``."""
-    if a.shape[0] == 0 or a.size == 0:
-        return np.eye(a.shape[1])
     wide = a.shape[0] < a.shape[1]
     _, s, vt = np.linalg.svd(a, full_matrices=wide)
-    thr = rank_threshold(s, a.shape, rtol)
-    rank = int(np.sum(s > thr))
-    return vt[rank:].T.copy()
+    return vt[rank_of(s, a.shape):].T.copy()
 
 
-def column_space(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def column_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of ``a``."""
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    thr = rank_threshold(s, a.shape, rtol)
-    rank = int(np.sum(s > thr))
-    return u[:, :rank].copy()
+    return u[:, :rank_of(s, a.shape)].copy()
 
 
-def gram_orthonormalize(basis: np.ndarray, gram: np.ndarray,
-                        rtol: float | None = None) -> np.ndarray:
+def gram_orthonormalize(basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Trim ``basis`` columns to an independent set, orthonormal w.r.t. ``gram``.
 
     ``gram`` must be symmetric positive definite on the ambient space.
     """
-    if basis.shape[1] == 0:
-        return basis.copy()
-    independent = column_space(basis, rtol)
+    independent = column_space(basis)
     c = independent.T @ gram @ independent
     c = 0.5 * (c + c.T)
     chol = np.linalg.cholesky(c)
@@ -83,52 +75,35 @@ def gram_orthonormalize(basis: np.ndarray, gram: np.ndarray,
 
 def project_onto(v: np.ndarray, ortho_basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Orthogonal projection of ``v`` onto the span of gram-orthonormal columns."""
-    if ortho_basis.shape[1] == 0:
-        return np.zeros_like(v)
     return ortho_basis @ (ortho_basis.T @ (gram @ v))
 
 
-def subspace_intersection(a: np.ndarray, b: np.ndarray,
-                          rtol: float | None = None) -> np.ndarray:
+def subspace_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Basis (columns, coordinate-orthonormal) of span(a) ∩ span(b)."""
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    stacked = np.hstack([a, -b])
-    ns = nullspace(stacked, rtol)
-    if ns.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    vectors = a @ ns[: a.shape[1]]
-    return column_space(vectors, rtol)
+    ns = nullspace(np.hstack([a, -b]))
+    return column_space(a @ ns[: a.shape[1]])
 
 
-def min_norm_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimum-norm least squares solution and residual norm of ``a x = b``."""
-    if a.shape[1] == 0:
-        return np.zeros(0), float(np.linalg.norm(b))
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.linalg.norm(a @ x - b))
-    return x, residual
+def min_norm_solve(a: np.ndarray,
+                   b: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Minimum-norm least squares solution of ``a x = b``, its residual
+    norm, and the singular values of ``a`` that the solve computed."""
+    x, _, _, s = np.linalg.lstsq(a, b, rcond=None)
+    return x, float(np.linalg.norm(a @ x - b)), s
 
 
 def consistency_gap(a: np.ndarray, b: np.ndarray,
-                    rtol: float | None = None) -> tuple[int, int, float]:
+                    rank_a: int) -> tuple[int, float]:
     """Rank data certifying whether ``a x = b`` is solvable.
 
-    Returns (rank_a, rank_aug, margin) where margin is the smallest
-    singular value of the augmented matrix that exceeds the coefficient
-    rank, i.e. the size of the inconsistency. margin is 0.0 when the
-    ranks agree.
+    Given the rank of ``a``, returns (rank_aug, margin): the rank of the
+    augmented matrix and its smallest singular value beyond rank_a, the
+    size of the inconsistency. margin is 0.0 when the ranks agree.
     """
     aug = np.hstack([a, b.reshape(-1, 1)])
-    s_aug = np.linalg.svd(aug, compute_uv=False) if aug.size else np.zeros(0)
-    if a.size:
-        s_a = np.linalg.svd(a, compute_uv=False)
-        rank_a = int(np.sum(s_a > rank_threshold(s_a, a.shape, rtol)))
-    else:
-        rank_a = 0
-    thr = rank_threshold(s_aug, aug.shape, rtol)
-    rank_aug = int(np.sum(s_aug > thr))
+    s_aug = np.linalg.svd(aug, compute_uv=False)
+    rank_aug = rank_of(s_aug, aug.shape)
     margin = 0.0
     if rank_aug > rank_a:
         margin = float(s_aug[rank_a:rank_aug].min())
-    return rank_a, rank_aug, margin
+    return rank_aug, margin

@@ -36,6 +36,12 @@ class DecompositionError(OrbitcheckError):
     pass
 
 
+# Largest Kronecker system intertwiners builds. A decomposition peaks near
+# seven times its system (su(8)/su(2): 99 MiB, 840 MB RSS), so this keeps
+# one near 1 GB; larger modules fail before allocating.
+MAX_SYSTEM_BYTES = 128 * 2 ** 20
+
+
 class ClassificationError(OrbitcheckError):
     pass
 
@@ -176,13 +182,13 @@ def reductive_space(g: LieAlgebra | None,
     return ReductiveSpace(g=g, h=h, m=m, name=name, embedding=emb)
 
 
-def _cluster(values: np.ndarray, rel_gap: float = 1e-6) -> list[np.ndarray]:
+def _cluster(values: np.ndarray) -> list[np.ndarray]:
     """Indices of values grouped by gaps relative to the overall scale."""
     order = np.argsort(values)
     scale = max(float(np.abs(values).max()), 1.0) if values.size else 1.0
     groups: list[list[int]] = []
     for idx in order:
-        if groups and values[idx] - values[groups[-1][-1]] <= rel_gap * scale:
+        if groups and values[idx] - values[groups[-1][-1]] <= 1e-6 * scale:
             groups[-1].append(int(idx))
         else:
             groups.append([int(idx)])
@@ -203,6 +209,11 @@ def intertwiners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     k, ds, dd = len(src), src.shape[1], dst.shape[1]
     if k == 0:
         return np.eye(dd * ds).reshape(dd * ds, dd, ds)
+    if (dd * ds) ** 2 * 8 > MAX_SYSTEM_BYTES:
+        raise DecompositionError(
+            f"intertwiner system of {(dd * ds) ** 2 * 8 / 2 ** 20:.0f} MiB "
+            f"({dd * ds} unknowns) exceeds the {MAX_SYSTEM_BYTES >> 20} MiB "
+            "bound")
     weights = rng_for("intertwiners", k).standard_normal(k)
     a = np.einsum("a,aij->ij", weights, src)
     b = np.einsum("a,aij->ij", weights, dst)
@@ -412,10 +423,10 @@ def _ideal_split_once(alg: LieAlgebra, s_basis: np.ndarray,
     return completed
 
 
-def _merge_connected(alg: LieAlgebra, blocks: list[np.ndarray],
-                     tol: float = 1e-8) -> list[np.ndarray]:
+def _merge_connected(alg: LieAlgebra,
+                     blocks: list[np.ndarray]) -> list[np.ndarray]:
     def linked(a, b):
-        return float(np.abs(pair_bracket_tensor(alg, a, b)).max()) > tol
+        return float(np.abs(pair_bracket_tensor(alg, a, b)).max()) > 1e-8
     return [np.hstack([blocks[i] for i in idxs])
             for idxs in _connected_groups(blocks, linked)]
 

@@ -316,10 +316,9 @@ def _g2_data() -> tuple[LieAlgebra, np.ndarray]:
     defect = (np.einsum("abc,tqc->abqt", f, basis)
               - np.einsum("tca,cbq->abqt", basis, f)
               - np.einsum("tcb,acq->abqt", basis, f))
-    mat = exact.fmatrix(defect.reshape(-1, 21))
-    _, pivots = exact.rref(mat)
-    free = [c for c in range(21) if c not in pivots]
-    kernel = exact.null_space(mat)
+    kernel = exact.null_space(exact.fmatrix(defect.reshape(-1, 21)))
+    # in free-column form every later row of a kernel column is zero
+    free = [int(np.flatnonzero(col)[-1]) for col in kernel.T]
     if kernel.shape != (21, 14) or not np.array_equal(kernel[free],
                                                       exact.fidentity(14)):
         raise ValidationError("derivation kernel is not 14-dimensional "

@@ -188,6 +188,25 @@ def test_catalog_run_exit_codes(runner):
     assert unknown.exit_code == 2
 
 
+def test_catalog_run_go_filter_selects_before_running(runner, monkeypatch):
+    from orbitcheck import catalog
+    instantiated = []
+    real = catalog.catalog_instantiate
+
+    def spy(entry, *args, **kwargs):
+        instantiated.append(entry.id)
+        return real(entry, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "catalog_instantiate", spy)
+    result = invoke(runner, ["catalog", "run", "--filter", "go=false",
+                             "--samples", "10", "--json"])
+    want = sorted(e.id for e in catalog.catalog_list(constructible=True,
+                                                     expected_go=False))
+    assert len(want) == 3
+    assert [r["id"] for r in json.loads(result.output)["results"]] == want
+    assert sorted(instantiated) == want
+
+
 def test_zoo_commands(runner):
     listed = invoke(runner, ["zoo", "list"])
     assert listed.exit_code == 0

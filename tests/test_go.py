@@ -237,3 +237,69 @@ def test_commutator_check_is_relative_to_the_metric_scale(so5_u2):
         with pytest.raises(core.ValidationError):
             go.MetricOperator(space=so5_u2, matrix=scale * raw, kind="raw",
                               params=())
+
+
+def test_exact_lane_at_equal_weights_is_normal_trivial(so5_u2):
+    verdict = go.go_check(so5_u2, (2, 2), n_samples=4, exact_mode=True)
+    assert verdict.status == "NORMAL_TRIVIAL"
+    assert verdict.exact
+    assert all(w.kind == "exact" and not w.z.any() for w in verdict.witnesses)
+
+
+@pytest.mark.parametrize("space_name, pair, exact_mode, status", [
+    ("so5_u2", (1, 2), False, "GO_CONSISTENT"),
+    ("so5_u2", (2, 2), False, "NORMAL_TRIVIAL"),
+    ("so5_u2", (1, 2), True, "GO_CONSISTENT"),
+    ("so9_tensor", (1, 2), False, "NOT_GO"),
+    ("so9_tensor", (1, 2), True, "NOT_GO"),
+])
+def test_every_lane_reports_its_samples_alike(request, space_name, pair,
+                                              exact_mode, status):
+    # the float, scalar and exact lanes share one sampling loop
+    space = request.getfixturevalue(space_name)
+    verdict = go.go_check(space, pair, n_samples=6, exact_mode=exact_mode)
+    assert verdict.status == status
+    assert verdict.n_samples == len(verdict.witnesses)
+    solvable = [w for w in verdict.witnesses if w.solvable]
+    if status == "NOT_GO":
+        assert verdict.counterexample is verdict.witnesses[-1]
+        assert len(solvable) == len(verdict.witnesses) - 1
+    else:
+        assert verdict.counterexample is None
+        assert verdict.n_samples == 6
+    assert verdict.max_residual == max((w.residual for w in solvable),
+                                       default=0.0)
+
+
+@pytest.mark.parametrize("entry_id", ["t1-V.10", "t1-V.1-m3n3", "t1-V.6-n2"])
+def test_pinned_solves_refuse_non_go_entries_at_every_scale(entry_id):
+    # the pinned solves once compared an absolute residual, so scaling X
+    # and Y down by 1e-4 turned a refusal into a "witness"
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    rng = rng_for("test-pinned", entry_id, 0)
+    x = module_vector(space, 0, rng)
+    y = module_vector(space, 1, rng)
+    for exponent in range(-6, 5):
+        scale = 10.0 ** exponent
+        with pytest.raises(go.GoError):
+            go.geodesic_graph(space, 1.0, 2.0, scale * x, scale * y)
+        with pytest.raises(go.GoError):
+            go.zxzy_decompose(space, scale * x, scale * y)
+
+
+def test_pinned_solves_scale_with_the_input(so5_u2):
+    # z(sX, sY) = s z(X, Y), to 1e-10 relative to the size of z
+    rng = rng_for("test-pinned", so5_u2.name, 0)
+    x = module_vector(so5_u2, 0, rng)
+    y = module_vector(so5_u2, 1, rng)
+
+    def witnesses(s):
+        dec = go.zxzy_decompose(so5_u2, s * x, s * y)
+        graph = go.geodesic_graph(so5_u2, 1.0, 2.0, s * x, s * y)
+        return np.concatenate([graph.z, dec.z_x, dec.z_y])
+
+    unit = witnesses(1.0)
+    assert np.abs(unit).max() > 0.1
+    for scale in (1e-6, 3e-4, 0.7, 5.0, 1e4):
+        got = witnesses(scale) / scale
+        assert np.abs(got - unit).max() <= 1e-10 * np.abs(unit).max(), scale

@@ -57,15 +57,23 @@ def test_column_space_spans_input():
 def test_min_norm_solve_picks_least_norm_solution():
     a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     b = np.array([2.0, 3.0])
-    x, residual = linalg.min_norm_solve(a, b)
+    x, residual, s = linalg.min_norm_solve(a, b)
     np.testing.assert_allclose(x, [2.0, 3.0, 0.0], atol=1e-13)
     assert residual == pytest.approx(0.0, abs=1e-13)
+    np.testing.assert_allclose(s, [1.0, 1.0])
+
+
+def _gap(a, b):
+    # the rank of a comes from the singular values of the one solve
+    _, _, s = linalg.min_norm_solve(a, b)
+    rank_a = linalg.rank_of(s, a.shape)
+    return (rank_a, *linalg.consistency_gap(a, b, rank_a))
 
 
 def test_consistency_gap_flags_unsolvable_system():
     a = np.zeros((3, 2))
     a[0, 0] = 1.0
-    rank_a, rank_aug, margin = linalg.consistency_gap(a, np.array([0, 1.0, 0]))
+    rank_a, rank_aug, margin = _gap(a, np.array([0, 1.0, 0]))
     assert rank_aug == rank_a + 1
     assert margin == pytest.approx(1.0)
 
@@ -74,7 +82,7 @@ def test_consistency_gap_solvable_has_no_gap():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(6, 4))
     b = a @ rng.normal(size=4)
-    rank_a, rank_aug, _ = linalg.consistency_gap(a, b)
+    rank_a, rank_aug, _ = _gap(a, b)
     assert rank_a == rank_aug == 4
 
 

@@ -344,3 +344,27 @@ def test_module_contractions_match_einsum(dh, d1, d2, seed):
         cross = np.einsum("abc,ai,bj,ck->ikj", m_m, bf, bt, bt)
         assert_matches(filters._subalgebra_action_on_module(space, i, 1 - i),
                        np.concatenate([action, cross]))
+
+
+def test_intertwiners_refuse_an_oversized_system_before_allocating():
+    import tracemalloc
+    # 65 * 64 = 4160 unknowns: a 132 MiB system, just over the bound
+    src = np.zeros((1, 64, 64))
+    dst = np.zeros((1, 65, 65))
+    assert (65 * 64) ** 2 * 8 > spaces.MAX_SYSTEM_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(spaces.DecompositionError, match="MiB"):
+            spaces.intertwiners(src, dst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_so16_over_so8_fails_fast():
+    # dim m 92: a 547 MiB Kronecker system, once a MemoryError in np.kron
+    space = spaces.reductive_space(
+        None, zoo.named_embedding("so_in_so", k=8, n=16))
+    with pytest.raises(spaces.DecompositionError, match="exceeds"):
+        spaces.decompose_isotropy(space)
