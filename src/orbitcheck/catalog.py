@@ -186,8 +186,8 @@ def _resolve(entry: CatalogEntry | str) -> CatalogEntry:
     return get_entry(entry)
 
 
-def catalog_instantiate(entry: CatalogEntry | str, seed: int = 0,
-                        tol: float = 1e-8) -> ReductiveSpace:
+def catalog_instantiate(entry: CatalogEntry | str,
+                        seed: int = 0) -> ReductiveSpace:
     """Build and decompose the space for a constructible entry.
 
     Module dimensions are checked against the expected profile before
@@ -206,8 +206,8 @@ def catalog_instantiate(entry: CatalogEntry | str, seed: int = 0,
         g, emb = _BUILTIN_CHAINS[chain["builder"]]()
     else:
         raise CatalogError(f"{entry.id}: unsupported chain kind {kind!r}")
-    space = reductive_space(g, emb, name=entry.name, tol=tol)
-    space = decompose_isotropy(space, seed=seed, tol=tol)
+    space = reductive_space(g, emb, name=entry.name)
+    space = decompose_isotropy(space, seed=seed)
     want = entry.expected.get("module_dims")
     if want is not None and list(space.module_dims) != list(want):
         raise CatalogError(

@@ -48,40 +48,28 @@ class CentralizerSplit:
         return (self.c.shape[1], self.n.shape[1], self.c_tilde.shape[1])
 
 
-def normalizer_split(space: ReductiveSpace, u: np.ndarray,
-                     tol: float = 1e-8) -> CentralizerSplit:
+def normalizer_split(space: ReductiveSpace, u: np.ndarray) -> CentralizerSplit:
     """Split h along the centralizer of u and its normalizer.
 
     Verifies the structural identity [C~, C] = 0: the complement of the
     centralizer inside its own normalizer commutes with the centralizer.
+    Empty centralizers, complements and h go through the same steps.
     """
     g = space.g
     h_basis = space.h.basis
     gram = g.inner_product
     c = centralizer(g, h_basis, u)
-    dc = c.shape[1]
-    dh = h_basis.shape[1]
-    if dc in (0, dh):
-        n = h_basis.copy()
-    else:
-        comp = gram_orthonormalize(
-            h_basis @ nullspace(c.T @ gram @ h_basis), gram)
-        coords = bracket_coords(g, pair_bracket_tensor(g, h_basis, c), comp)
-        rows = coords.reshape(dh, -1).T
-        n = gram_orthonormalize(h_basis @ nullspace(rows), gram)
-    if n.shape[1] > dc and dc > 0:
-        c_tilde = gram_orthonormalize(n @ nullspace(c.T @ gram @ n), gram)
-    elif dc == 0:
-        c_tilde = n.copy()
-    else:
-        c_tilde = np.zeros((g.dim, 0))
-    if c_tilde.shape[1] and dc:
-        cross = pair_bracket_tensor(g, c_tilde, c)
-        worst = float(np.abs(cross).max())
-        if worst > tol:
-            raise FilterError(
-                f"normalizer complement does not commute with the "
-                f"centralizer (residual {worst:.2e})")
+    comp = gram_orthonormalize(h_basis @ nullspace(c.T @ gram @ h_basis), gram)
+    # z normalizes C when no [z, c_b] has a component along comp
+    coords = bracket_coords(g, pair_bracket_tensor(g, h_basis, c), comp)
+    rows = coords.reshape(h_basis.shape[1], c.shape[1] * comp.shape[1]).T
+    n = gram_orthonormalize(h_basis @ nullspace(rows), gram)
+    c_tilde = gram_orthonormalize(n @ nullspace(c.T @ gram @ n), gram)
+    worst = float(np.abs(pair_bracket_tensor(g, c_tilde, c)).max(initial=0.0))
+    if worst > 1e-8:
+        raise FilterError(
+            f"normalizer complement does not commute with the "
+            f"centralizer (residual {worst:.2e})")
     return CentralizerSplit(u=u, c=c, n=n, c_tilde=c_tilde)
 
 
@@ -108,11 +96,10 @@ def bracket_location(space: ReductiveSpace, tol: float = 1e-8) -> str:
     return "zero"
 
 
-def principal_isotropy_dim(action: np.ndarray, seed: int = 0,
-                           n_seeds: int = 20) -> int:
+def principal_isotropy_dim(action: np.ndarray, seed: int = 0) -> int:
     """Generic stabilizer dimension of an action (k generators on R^d).
 
-    Samples unit vectors and minimizes the kernel dimension of the
+    Samples 20 unit vectors and minimizes the kernel dimension of the
     stabilizer system; the minimum over draws is the principal value.
     """
     k, d, _ = action.shape
@@ -121,7 +108,7 @@ def principal_isotropy_dim(action: np.ndarray, seed: int = 0,
     if d == 0:
         return k
     best = k
-    for i in range(n_seeds):
+    for i in range(20):
         rng = rng_for("principal", seed, i)
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
@@ -185,7 +172,7 @@ class FilterReport:
 
 
 def necessary_filter(space: ReductiveSpace, seed: int = 0,
-                     n_seeds: int = 20, tol: float = 1e-8) -> FilterReport:
+                     tol: float = 1e-8) -> FilterReport:
     """Necessary conditions for the GO property on a two-module space.
 
     With a mixed bracket both modules must have positive-dimensional
@@ -197,10 +184,8 @@ def necessary_filter(space: ReductiveSpace, seed: int = 0,
     if len(space.modules) != 2:
         raise FilterError("necessary filter needs exactly two modules")
     location = bracket_location(space, tol)
-    d1 = space.modules[0].dim
-    d2 = space.modules[1].dim
-    chi1 = principal_isotropy_dim(_module_action(space, 0), seed, n_seeds)
-    chi2 = principal_isotropy_dim(_module_action(space, 1), seed, n_seeds)
+    chi1 = principal_isotropy_dim(_module_action(space, 0), seed)
+    chi2 = principal_isotropy_dim(_module_action(space, 1), seed)
     dims = {"module_1_stabilizer": chi1, "module_2_stabilizer": chi2}
     rules = []
     if location == "mixed":
@@ -212,7 +197,7 @@ def necessary_filter(space: ReductiveSpace, seed: int = 0,
         rules.append(FilterRule(
             f"module_{absorbed + 1}_stabilizer_positive", 1, small_chi))
         eta = principal_isotropy_dim(
-            _subalgebra_action_on_module(space, absorbed, big), seed, n_seeds)
+            _subalgebra_action_on_module(space, absorbed, big), seed)
         dims["extended_action_stabilizer"] = eta
         rules.append(FilterRule(
             "extended_action_stabilizer_bound",

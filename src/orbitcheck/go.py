@@ -393,11 +393,12 @@ def _exact_lane(space: ReductiveSpace, a: MetricOperator):
         z = np.zeros(space.h.dim)
         if lam != mu:
             axg = lam * x1 + mu * x2
-            b_vec = -exact.matmul(rows_proj, g.bracket_exact(xg, axg))
-            # column t is proj_m [h_t, A X]: one product for every column
-            brackets = np.column_stack([g.bracket_exact(h, axg)
-                                        for h in h_cols.T])
-            z = exact.solve(exact.matmul(rows_proj, brackets), b_vec)
+            # column t is proj_m [h_t, A X] and the last proj_m [X, A X]:
+            # one product for the system and its rhs
+            cols = exact.matmul(rows_proj, np.column_stack(
+                [g.bracket_exact(h, axg) for h in h_cols.T]
+                + [g.bracket_exact(xg, axg)]))
+            z = exact.solve(cols[:, :-1], -cols[:, -1])
             if z is None:
                 # an inconsistent system gains exactly one rank from b
                 return GoWitness(x=x_m, z=None, residual=float("nan"),

@@ -4,14 +4,15 @@ A reductive space is g = h + m with m the orthocomplement of a
 subalgebra h against the chosen ad-invariant inner product. Every
 equivariance question goes through one routine, ``intertwiners``, which
 returns a basis of the maps between two ad(h)-actions that commute with
-every generator. The isotropy decomposition takes the symmetric part of
-the commutant of ad(h) on m (the invariant metrics), splits m along the
-eigenspaces of a random element of it, certifies each summand
-irreducible by a 1-dimensional symmetric commutant, and groups
-summands joined by a nonzero intertwiner. The structure classifier
-labels the pair (g, h) by one of seven coarse cases from the center
-dimension, the minimal ideals of g, and how the simple ideals of h
-project onto them.
+every generator. The isotropy decomposition solves for the commutant of
+ad(h) on m once and reads every count off that basis as an integer sum
+of squared norms: the invariant metrics are its symmetric part, m
+splits along the eigenspaces of a random symmetric element of it, a
+summand is irreducible when it carries one symmetric invariant map, and
+summands joined by an invariant map are grouped as isotypic. The
+structure classifier labels the pair (g, h) by one of seven coarse cases
+from the center dimension, the minimal ideals of g, and how the simple
+ideals of h project onto them.
 """
 
 from __future__ import annotations
@@ -225,75 +226,77 @@ def intertwiners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.einsum("sc,sij->cij", coeffs, kernel)
 
 
-def _symmetric_part(maps: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the symmetric matrices in a transpose-closed span."""
-    d = maps.shape[1]
-    sym = (maps + maps.transpose(0, 2, 1)) / 2
-    span = column_space(sym.reshape(len(maps), d * d).T)
-    return span.T.reshape(-1, d, d)
+def _commutant_count(maps: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                     symmetric: bool = False) -> int:
+    """Dimension of the (symmetric) invariant maps from span(src) to
+    span(dst), for an orthonormal commutant basis ``maps`` and orthonormal
+    invariant ``src``, ``dst``: the trace of a projection of the
+    commutant, an integer up to rounding, checked rather than cut."""
+    blocks = dst.T @ maps @ src
+    if symmetric:
+        blocks = (blocks + blocks.transpose(0, 2, 1)) / 2
+    value = float(np.sum(blocks * blocks))
+    if abs(value - round(value)) > 0.25:
+        raise DecompositionError(
+            f"commutant count {value:.3f} is not near an integer")
+    return round(value)
 
 
 def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
                        tol: float = 1e-8) -> ReductiveSpace:
     """Split m into irreducible ad(h)-modules; returns an updated space.
 
-    The invariant symmetric operators are the symmetric part of
-    ``intertwiners(action, action)``; it is the whole symmetric part
-    because the action matrices are skew, so the commutant is closed
-    under transposition. A random symmetric matrix is projected onto
-    them, and m splits along the eigenvalue clusters of the projection
-    (relative gap 1e-6). Each summand is certified irreducible by a
-    1-dimensional symmetric commutant; isomorphic summands are grouped
-    by nonzero intertwiners. Modules are ordered by dimension, then by
-    the norm of proj_m [m_i, m_i], then by eigenvalue, so the module
-    with h + m_i a subalgebra comes first whatever the seed. Degenerate
-    draws retry with derived seeds, then fail.
+    One Kronecker solve, ``intertwiners(action, action)``, gives an
+    orthonormal basis {T_k} of the commutant, and every count is read off
+    it: the maps from module i to module j number sum_k |B_j^T T_k B_i|^2,
+    and the symmetric ones (the action is skew, so the commutant is
+    closed under transposition) sum_k |sym(B_j^T T_k B_i)|^2. With B = I
+    the latter is the dimension of the invariant metrics. m splits along
+    the eigenvalue clusters (relative gap 1e-6) of the projection of a
+    random symmetric matrix onto the commutant; each cluster must be
+    invariant to ``tol`` and carry one symmetric map, and summands joined
+    by a map are isotypic. Modules are ordered by dimension, then by the
+    norm of proj_m [m_i, m_i], then by eigenvalue, so the module with
+    h + m_i a subalgebra comes first whatever the seed. Degenerate draws
+    retry with derived seeds, then fail.
     """
     action = space.iso_action
     dm = space.m.dim
     if dm == 0:
         return replace(space, modules=(), isotypic_groups=(),
                        metric_space_dim=0, decomposition_seed=seed)
-    metrics = _symmetric_part(intertwiners(action, action))
-    last_error = None
+    maps = intertwiners(action, action)
+    eye = np.eye(dm)
+    metric_dim = _commutant_count(maps, eye, eye, symmetric=True)
     for attempt in range(3):
         rng = rng_for("decompose", space.name, seed, attempt)
         raw = rng.standard_normal((dm, dm))
         raw = (raw + raw.T) / 2
-        op = np.einsum("s,sij->ij", np.einsum("sij,ij->s", metrics, raw),
-                       metrics)
+        op = np.einsum("s,sij->ij", np.einsum("sij,ij->s", maps, raw), maps)
         eigvals, eigvecs = np.linalg.eigh(op)
-        clusters = _cluster(eigvals)
-        ok = True
         mods = []
-        for cl in clusters:
+        for cl in _cluster(eigvals):
             block = eigvecs[:, cl]
-            inv_res = _invariance_residual(action, block)
-            if inv_res > tol:
-                ok = False
+            if _invariance_residual(action, block) > tol or \
+                    _commutant_count(maps, block, block, symmetric=True) != 1:
                 break
-            sub_action = block.T @ action @ block
-            if len(_symmetric_part(intertwiners(sub_action, sub_action))) != 1:
-                ok = False
-                break
-            mods.append((float(np.mean(eigvals[cl])), block, sub_action))
-        if not ok:
-            last_error = f"attempt {attempt}: degenerate eigenvalue split"
-            continue
-        mods.sort(key=lambda t: (t[1].shape[1],
-                                 round(_self_bracket_norm(space, t[1]), 6),
-                                 t[0]))
-        groups = _isotypic_groups([sa for _, _, sa in mods])
-        modules = tuple(
-            Subspace(ambient=space.g, basis=space.m.basis @ block,
-                     name=f"m{i + 1}")
-            for i, (_, block, _) in enumerate(mods))
-        return replace(space, modules=modules,
-                       isotypic_groups=tuple(groups),
-                       metric_space_dim=len(metrics),
-                       decomposition_seed=seed)
-    raise DecompositionError(
-        f"isotropy decomposition failed after 3 attempts ({last_error})")
+            mods.append((block.shape[1],
+                         round(_self_bracket_norm(space, block), 6),
+                         float(np.mean(eigvals[cl])), block))
+        else:
+            blocks = [t[-1] for t in sorted(mods, key=lambda t: t[:3])]
+            groups = _connected_groups(
+                blocks, lambda a, b: _commutant_count(maps, a, b) > 0)
+            modules = tuple(
+                Subspace(ambient=space.g, basis=space.m.basis @ block,
+                         name=f"m{i + 1}")
+                for i, block in enumerate(blocks))
+            return replace(space, modules=modules,
+                           isotypic_groups=tuple(map(tuple, groups)),
+                           metric_space_dim=metric_dim,
+                           decomposition_seed=seed)
+    raise DecompositionError("isotropy decomposition failed after 3 attempts "
+                             "(degenerate eigenvalue split)")
 
 
 def _self_bracket_norm(space: ReductiveSpace, block: np.ndarray) -> float:
@@ -314,12 +317,6 @@ def _invariance_residual(action: np.ndarray, block: np.ndarray) -> float:
     image = action @ block
     recon = block @ (block.T @ image)
     return float(np.abs(image - recon).max())
-
-
-def _isotypic_groups(sub_actions: list[np.ndarray]) -> list[tuple[int, ...]]:
-    def linked(a, b):
-        return a.shape[1] == b.shape[1] and len(intertwiners(a, b)) > 0
-    return [tuple(gp) for gp in _connected_groups(sub_actions, linked)]
 
 
 def _connected_groups(items: list, linked) -> list[list[int]]:
@@ -351,8 +348,7 @@ def _connected_groups(items: list, linked) -> list[list[int]]:
 
 # --- minimal ideals and the structure classifier -----------------------
 
-def minimal_ideals(alg: LieAlgebra, seed: int = 0,
-                   tol: float = 1e-8) -> list[np.ndarray]:
+def minimal_ideals(alg: LieAlgebra, seed: int = 0) -> list[np.ndarray]:
     """Orthonormal bases of the minimal ideals of the derived algebra.
 
     Splits along eigenspaces of (ad X)^2 for random X, merges blocks
@@ -379,7 +375,7 @@ def minimal_ideals(alg: LieAlgebra, seed: int = 0,
             parts1 = _ideal_split_once(alg, s_basis, rng)
             parts2 = _ideal_split_once(alg, s_basis, rng)
             parts = _common_refinement(alg, parts1, parts2)
-            _verify_ideals(alg, parts, s_basis, tol)
+            _verify_ideals(alg, parts, s_basis)
             parts.sort(key=lambda b: (b.shape[1], _first_coord_key(b)))
             return parts
         except DecompositionError:
@@ -456,14 +452,14 @@ def _common_refinement(alg: LieAlgebra, parts1: list[np.ndarray],
 
 
 def _verify_ideals(alg: LieAlgebra, parts: list[np.ndarray],
-                   s_basis: np.ndarray, tol: float) -> None:
+                   s_basis: np.ndarray) -> None:
     gram = alg.inner_product
     for basis in parts:
         raw = pair_bracket_tensor(alg, np.eye(alg.dim), basis)
         flat = raw.reshape(-1, alg.dim)
         recon = (flat @ gram @ basis) @ np.linalg.solve(
             basis.T @ gram @ basis, basis.T)
-        if float(np.abs(flat - recon).max()) > tol * 10:
+        if float(np.abs(flat - recon).max()) > 1e-7:
             raise DecompositionError("candidate block is not an ideal")
     total = sum(b.shape[1] for b in parts)
     if total != s_basis.shape[1]:
@@ -509,8 +505,7 @@ def _subalgebra_algebra(g: LieAlgebra, basis: np.ndarray,
 
 
 def classify_structure(g: LieAlgebra | ReductiveSpace,
-                       h_embedding=None, seed: int = 0,
-                       tol: float = 1e-8) -> StructureReport:
+                       h_embedding=None, seed: int = 0) -> StructureReport:
     """Label (g, h) by the seven-case coarse structure decision tree.
 
     The tree keys on the center dimension of g, then on how the simple
@@ -525,7 +520,7 @@ def classify_structure(g: LieAlgebra | ReductiveSpace,
     if isinstance(g, ReductiveSpace):
         space = g
     else:
-        space = reductive_space(g, h_embedding, tol=tol)
+        space = reductive_space(g, h_embedding)
     g = space.g
     h_basis = space.h.basis
     gram = g.inner_product
@@ -535,7 +530,7 @@ def classify_structure(g: LieAlgebra | ReductiveSpace,
         raise ClassificationError("g is not compact (Killing form sign)")
     center = center_basis(g)
     cg = center.shape[1]
-    ideals = minimal_ideals(g, seed=seed, tol=tol)
+    ideals = minimal_ideals(g, seed=seed)
     ideal_dims = tuple(b.shape[1] for b in ideals)
     proj_dims = tuple(int(svd_rank(b.T @ gram @ h_basis)) if space.h.dim else 0
                       for b in ideals)
@@ -544,7 +539,7 @@ def classify_structure(g: LieAlgebra | ReductiveSpace,
         h_alg = _subalgebra_algebra(g, h_basis, "h")
         h_center = center_basis(h_alg)
         l_dim = h_center.shape[1]
-        h_ideals = minimal_ideals(h_alg, seed=seed, tol=tol)
+        h_ideals = minimal_ideals(h_alg, seed=seed)
     else:
         l_dim = 0
         h_ideals = []
@@ -587,7 +582,7 @@ def classify_structure(g: LieAlgebra | ReductiveSpace,
     if cg == 1:
         center_overlap = float(np.abs(center.T @ gram @ h_basis).max()) \
             if space.h.dim else 0.0
-        return report(6 if center_overlap <= tol else 4)
+        return report(6 if center_overlap <= 1e-8 else 4)
     if not v or v[0] == 1:
         if p == 2:
             return report(2)

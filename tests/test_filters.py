@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orbitcheck import core, filters, spaces, zoo
+from orbitcheck import catalog, core, filters, linalg, spaces, zoo
 from orbitcheck.linalg import rng_for
 
 
@@ -129,3 +129,46 @@ def test_filter_requires_two_modules():
         filters.necessary_filter(space)
     with pytest.raises(filters.FilterError):
         filters.bracket_location(space)
+
+
+def _assert_split(space, split):
+    """C centralizes u, N is the normalizer of C in h, and C~ is the
+    complement of C in N; every basis is orthonormal."""
+    g, h = space.g, space.h.basis
+    gram = g.inner_product
+    for basis in (split.c, split.n, split.c_tilde):
+        np.testing.assert_allclose(basis.T @ gram @ basis,
+                                   np.eye(basis.shape[1]), atol=1e-10)
+    ad_u = g.ad(split.u)
+    assert np.abs(ad_u @ split.c).max(initial=0.0) < 1e-10
+    assert split.c.shape[1] == h.shape[1] - linalg.svd_rank(ad_u @ h)
+    c_sub = core.Subspace(g, split.c) if split.c.shape[1] else None
+    for z in split.n.T:
+        for c in split.c.T:
+            assert c_sub.distance(g.bracket(z, c)) < 1e-10
+    assert split.n.shape[1] == split.c.shape[1] + split.c_tilde.shape[1]
+    assert np.abs(split.c.T @ gram @ split.c_tilde).max(initial=0.0) < 1e-10
+
+
+def test_normalizer_split_at_zero_is_all_centralizer(so5_u2):
+    split = filters.normalizer_split(so5_u2, np.zeros(so5_u2.g.dim))
+    assert split.dims == (4, 4, 0)
+    _assert_split(so5_u2, split)
+
+
+def test_normalizer_split_inside_one_module(so5_u2):
+    rng = rng_for("test-split", so5_u2.name, 2, 0)
+    for index, want in ((0, (3, 4, 1)), (1, (1, 2, 1))):
+        mod = so5_u2.modules[index]
+        split = filters.normalizer_split(so5_u2,
+                                         mod.basis @ rng.normal(size=mod.dim))
+        assert split.dims == want
+        _assert_split(so5_u2, split)
+
+
+def test_normalizer_split_with_trivial_h():
+    space = catalog.catalog_instantiate("struct-5", seed=0)
+    assert space.h.dim == 0
+    split = filters.normalizer_split(space, space.m.basis @ np.ones(2))
+    assert split.dims == (0, 0, 0)
+    _assert_split(space, split)

@@ -368,3 +368,80 @@ def test_so16_over_so8_fails_fast():
         None, zoo.named_embedding("so_in_so", k=8, n=16))
     with pytest.raises(spaces.DecompositionError, match="exceeds"):
         spaces.decompose_isotropy(space)
+
+
+def _noisy(inner, scale):
+    """``intertwiners`` with Gaussian noise of size ``scale`` added to its
+    basis, re-orthonormalised: a commutant known only to rounding."""
+    def wrapped(src, dst):
+        maps = inner(src, dst)
+        flat = maps.reshape(len(maps), -1)
+        rng = np.random.default_rng(flat.shape)
+        q = np.linalg.qr((flat + scale * rng.standard_normal(flat.shape)).T)[0]
+        return q.T.reshape(maps.shape)
+    return wrapped
+
+
+@pytest.mark.parametrize("entry_id", ["go-3-k3", "go-1", "go-2", "struct-1"])
+def test_counts_survive_a_commutant_known_to_rounding(entry_id, monkeypatch):
+    # complex-type modules (go-3-k3), isotypic pairs (go-1, struct-1) and
+    # a plain pair (go-2): every count is an integer read off the basis,
+    # so noise far above eps moves none of them
+    want = catalog.catalog_instantiate(entry_id, seed=0)
+    monkeypatch.setattr(spaces, "intertwiners",
+                        _noisy(spaces.intertwiners, 1e-10))
+    got = catalog.catalog_instantiate(entry_id, seed=0)
+    assert got.module_dims == want.module_dims
+    assert got.metric_space_dim == want.metric_space_dim
+    assert got.isotypic_groups == want.isotypic_groups
+
+
+def test_decomposition_solves_one_commutant(monkeypatch):
+    calls = []
+    inner = spaces.intertwiners
+
+    def spy(src, dst):
+        calls.append(src.shape)
+        return inner(src, dst)
+    monkeypatch.setattr(spaces, "intertwiners", spy)
+    entries = catalog.catalog_list(constructible=True)
+    assert len(entries) == 20
+    for entry in entries:
+        calls.clear()
+        catalog.catalog_instantiate(entry, seed=0)
+        assert len(calls) == 1, entry.id
+
+
+def test_a_count_off_the_integers_is_refused(monkeypatch):
+    # a basis scaled by sqrt(1.25) is no longer orthonormal, and the
+    # 2-dimensional metric space of so(5)/u(2) reads 2.5
+    inner = spaces.intertwiners
+    monkeypatch.setattr(spaces, "intertwiners",
+                        lambda src, dst: np.sqrt(1.25) * inner(src, dst))
+    space = spaces.reductive_space(
+        None, zoo.named_embedding("u_in_so_odd", k=2), name="so(5)/u(2)")
+    with pytest.raises(spaces.DecompositionError, match="2.500"):
+        spaces.decompose_isotropy(space)
+
+
+@pytest.mark.parametrize("fixture_name", sorted(EXPECTED_MODULE_DIMS))
+def test_counts_match_per_module_solves(fixture_name, request):
+    # oracle: a fresh Kronecker solve for every module and every pair
+    space = request.getfixturevalue(fixture_name)
+    action = space.iso_action
+    maps = spaces.intertwiners(action, action)
+    eye = np.eye(space.m.dim)
+    assert spaces._commutant_count(maps, eye, eye, True) == \
+        _symmetric_dim(maps) == space.metric_space_dim
+    blocks = [space.module_coords_in_m(i) for i in range(len(space.modules))]
+    for i, src in enumerate(blocks):
+        own = spaces.intertwiners(_module_action(space, i),
+                                  _module_action(space, i))
+        assert spaces._commutant_count(maps, src, src, True) == \
+            _symmetric_dim(own) == 1
+        for j, dst in enumerate(blocks):
+            oracle = spaces.intertwiners(_module_action(space, i),
+                                         _module_action(space, j))
+            assert spaces._commutant_count(maps, src, dst) == len(oracle)
+            grouped = any(i in gp and j in gp for gp in space.isotypic_groups)
+            assert grouped == (len(oracle) > 0)
