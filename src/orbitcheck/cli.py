@@ -70,9 +70,13 @@ def _render(data, indent: int = 0) -> str:
                 lines.append(f"{pad}{key}: {json.dumps(_plain(value))}")
     elif isinstance(data, list):
         for value in data:
-            if isinstance(value, (dict, list)):
+            if isinstance(value, dict):
                 lines.append(_render(value, indent))
                 lines.append("")
+            elif isinstance(value, list) and value:
+                # an inner list is one item, its entries a level deeper
+                lines.append(f"{pad}-")
+                lines.append(_render(value, indent + 1))
             else:
                 lines.append(f"{pad}- {json.dumps(_plain(value))}")
         while lines and lines[-1] == "":

@@ -29,7 +29,8 @@ from .core import OrbitcheckError, ValidationError
 from .filters import (CentralizerSplit, _module_action, centralizer,
                       normalizer_split)
 from .linalg import (DEFAULT_TOL, consistency_gap, gram_orthonormalize,
-                     min_norm_solve, rank_of, rng_for, subspace_intersection)
+                     min_norm_solve, rank_of, rank_threshold, rng_for,
+                     subspace_intersection)
 from .spaces import (ExactUnavailableError, ReductiveSpace, exact_module_bases,
                      intertwiners)
 
@@ -326,9 +327,10 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     counterexample ends the run as NOT_GO. The float lane alternates
     generic unit vectors and normalized two-module mixtures
     (X1 + X2) / sqrt(2); a scalar metric is the normal-metric case,
-    trivially consistent with zero witnesses. The exact lane draws
-    integer combinations of the rational module bases and solves in
-    rational arithmetic.
+    trivially consistent with zero witnesses, and a two-parameter metric
+    reads its witnesses off the space's metric-free factorisation of the
+    same samples. The exact lane draws integer combinations of the
+    rational module bases and solves in rational arithmetic.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
@@ -336,13 +338,13 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     if not space.modules:
         raise ValidationError("decompose the isotropy modules first")
     if exact_mode:
-        label, (witness, status) = "go-exact", _exact_lane(space, a)
+        witness, status = _exact_lane(space, a, seed)
     else:
-        label, (witness, status) = "go", _float_lane(space, a, tol)
+        witness, status = _float_lane(space, a, seed, tol, n_samples)
     witnesses = []
     max_res = 0.0
     for i in range(n_samples):
-        w = witness(rng_for(label, space.name, seed, i), i % 2 == 1)
+        w = witness(i)
         witnesses.append(w)
         if not w.solvable:
             status = "NOT_GO"
@@ -355,15 +357,20 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
                      exact=bool(exact_mode))
 
 
-def _float_lane(space: ReductiveSpace, a: MetricOperator, tol: float):
+def _float_lane(space: ReductiveSpace, a: MetricOperator, seed: int,
+                tol: float, n_samples: int):
     """Witness function and consistent status of the float lane."""
-    blocks = [space.module_coords_in_m(i) for i in range(len(space.modules))]
     scalar = a.is_scalar
+    if a.kind == "two_param" and not scalar:
+        return _factored_witness(space, a, seed, tol, n_samples), \
+            "GO_CONSISTENT"
+    blocks = [space.module_coords_in_m(i) for i in range(len(space.modules))]
     dm = space.m.dim
     brackets = space.m_bracket_m.reshape(dm, dm * dm)
 
-    def witness(rng, structured):
-        x, kind = _sample_direction(blocks, rng, structured)
+    def witness(i):
+        x, kind = _sample_direction(blocks, rng_for("go", space.name, seed, i),
+                                    i % 2 == 1)
         if not scalar:
             return go_witness_general(space, a, x, tol, kind)
         rhs = -a.apply(x) @ (x @ brackets).reshape(dm, dm)
@@ -373,7 +380,115 @@ def _float_lane(space: ReductiveSpace, a: MetricOperator, tol: float):
     return witness, "NORMAL_TRIVIAL" if scalar else "GO_CONSISTENT"
 
 
-def _exact_lane(space: ReductiveSpace, a: MetricOperator):
+class _Factorisation:
+    """Metric-free part of the float system for the samples of one seed.
+
+    For x = x1 + x2 with x_k in module k and A = lam P1 + mu P2, the
+    unit-scale system of ``go_witness_general`` is D M z = rhs with
+    M = -(iso_action @ x)^T, the matrix of z -> proj_m [z, x], free of
+    the metric; D = A / s, s the spectral norm of A; and
+    rhs = (lam R1 + mu R2) / s with R_j = -x_j @ (x @ m_bracket_m).
+    Since [h, m_k] lies in m_k, D only scales the rows of module k by
+    its weight over s, so on a consistent system the min-norm witness is
+    z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 with Z0 = M+(P1 R1 + P2 R2),
+    Z12 = M+(P1 R2) and Z21 = M+(P2 R1). Per sample this keeps x, its
+    kind, R1 and R2 (``r``, shape (n, dim m, 2)), the three parts
+    (``z``, shape (n, dim h, 3)) and their images under M (``mz``),
+    which give D M z for any weights without keeping M. M+ comes from
+    one batched SVD per chunk, cut at ``rank_threshold``.
+    """
+
+    def __init__(self, space: ReductiveSpace, seed: int):
+        # no reference back to the space, which holds this object: a
+        # cycle would keep both alive until the cyclic collector runs
+        self.seed = seed
+        dm, dh = space.m.dim, space.h.dim
+        self.blocks = [space.module_coords_in_m(i) for i in range(2)]
+        self.projectors = np.stack([b @ b.T for b in self.blocks])
+        self.kinds: list[str] = []
+        self.rows: list[np.ndarray] = []
+        self.r = np.empty((0, dm, 2))
+        self.z = np.empty((0, dh, 3))
+        self.mz = np.empty((0, dm, 3))
+
+    def fill(self, space: ReductiveSpace, i: int, n_samples: int) -> None:
+        """Factorise the next chunk, which holds sample i: chunks double
+        the samples held (1, 1, 2, 4, ...), up to n_samples."""
+        lo = len(self.kinds)
+        hi = max(i + 1, min(2 * lo, n_samples))
+        dm, dh = space.m.dim, space.h.dim
+        drawn = [_sample_direction(self.blocks,
+                                   rng_for("go", space.name, self.seed, j),
+                                   j % 2 == 1) for j in range(lo, hi)]
+        # witnesses hand out rows of x, so nothing may write to them
+        x = np.array([v for v, _ in drawn])
+        x.flags.writeable = False
+        k = len(drawn)
+        m = -(space.iso_action.reshape(dh * dm, dm) @ x.T).reshape(
+            dh, dm, k).transpose(2, 1, 0)
+        brackets = (x @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(
+            k, dm, dm)
+        p1, p2 = self.projectors
+        # rows R1, R2 of each sample, from its module parts x1, x2
+        r = -(x @ self.projectors).transpose(1, 0, 2) @ brackets
+        parts = np.stack([r[:, 0] @ p1 + r[:, 1] @ p2, r[:, 1] @ p1,
+                          r[:, 0] @ p2], axis=2)
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        cut = np.array([[rank_threshold(row, (dm, dh))] for row in s])
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+        z = vt.transpose(0, 2, 1) @ (inv[:, :, None]
+                                     * (u.transpose(0, 2, 1) @ parts))
+        self.kinds += [kind for _, kind in drawn]
+        self.rows += list(x)
+        self.r = np.concatenate([self.r, r.transpose(0, 2, 1)])
+        self.z = np.concatenate([self.z, z])
+        self.mz = np.concatenate([self.mz, m @ z])
+
+
+def _factored_witness(space: ReductiveSpace, a: MetricOperator, seed: int,
+                      tol: float, n_samples: int):
+    """Witness function of a two-parameter metric on the factorisation.
+
+    z and the residual of every held sample come from a few batched
+    axpys per chunk. A sample is accepted only by go_witness_general's
+    own residual test, ||D M z - rhs|| <= tol * max(1, ||rhs||) at unit
+    scale; any other goes to go_witness_general, so every counterexample
+    and every ToleranceError is its.
+    """
+    cache = space.go_factorisations
+    if seed not in cache:
+        # one seed per space, with the samples of its longest call
+        cache.clear()
+        cache[seed] = _Factorisation(space, seed)
+    fac = cache[seed]
+    lam, mu = float(a.params[0]), float(a.params[1])
+    scale = a.spectral_norm
+    weights = a.matrix / scale
+    coeffs = np.array([1.0, mu / lam, lam / mu])
+    accepted: list[bool] = []
+    residuals: list[float] = []
+    zs: list[np.ndarray] = []
+
+    def witness(i):
+        if i >= len(accepted):
+            if i >= len(fac.kinds):
+                fac.fill(space, i, n_samples)
+            part = slice(len(accepted), min(len(fac.kinds), n_samples))
+            rhs = fac.r[part] @ np.array([lam / scale, mu / scale])
+            residual = np.linalg.norm(
+                (fac.mz[part] @ coeffs) @ weights - rhs, axis=1)
+            bound = tol * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
+            accepted.extend((residual <= bound).tolist())
+            residuals.extend((scale * residual).tolist())
+            zs.extend(fac.z[part] @ coeffs)
+        if accepted[i]:
+            return GoWitness(x=fac.rows[i], z=zs[i], residual=residuals[i],
+                             rank_gap=0, margin=0.0, kind=fac.kinds[i])
+        return go_witness_general(space, a, fac.rows[i], tol, fac.kinds[i])
+    return witness
+
+
+def _exact_lane(space: ReductiveSpace, a: MetricOperator, seed: int):
     """Witness function and consistent status of the exact lane."""
     lam, mu = a.exact_params()
     bases = exact_module_bases(space)
@@ -381,11 +496,15 @@ def _exact_lane(space: ReductiveSpace, a: MetricOperator):
         raise ExactUnavailableError("exact mode expects two modules")
     g = space.g
     h_cols = space.embedding.matrix_exact
-    rows_proj = exact.matmul(space.exact_m_basis.T, g.inner_product_exact)
+    # cleared once: each sample's system is rows @ its columns over one
+    # integer scale, which the solution does not depend on
+    rows, _ = exact.cleared(exact.matmul(space.exact_m_basis.T,
+                                         g.inner_product_exact))
     to_m = space.m.basis.T @ g.inner_product
     to_h = space.h.basis.T @ g.inner_product
 
-    def witness(rng, structured):
+    def witness(i):
+        rng = rng_for("go-exact", space.name, seed, i)
         x1 = exact.matmul(bases[0], _nonzero_int_vector(rng, bases[0].shape[1]))
         x2 = exact.matmul(bases[1], _nonzero_int_vector(rng, bases[1].shape[1]))
         xg = x1 + x2
@@ -395,9 +514,9 @@ def _exact_lane(space: ReductiveSpace, a: MetricOperator):
             axg = lam * x1 + mu * x2
             # column t is proj_m [h_t, A X] and the last proj_m [X, A X]:
             # one product for the system and its rhs
-            cols = exact.matmul(rows_proj, np.column_stack(
+            cols = rows @ exact.cleared(np.column_stack(
                 [g.bracket_exact(h, axg) for h in h_cols.T]
-                + [g.bracket_exact(xg, axg)]))
+                + [g.bracket_exact(xg, axg)]))[0]
             z = exact.solve(cols[:, :-1], -cols[:, -1])
             if z is None:
                 # an inconsistent system gains exactly one rank from b

@@ -95,6 +95,12 @@ class ReductiveSpace:
         return basis
 
     @cached_property
+    def go_factorisations(self) -> dict:
+        """Float GO factorisations of this space by seed, filled and
+        bounded to the latest seed by ``go``."""
+        return {}
+
+    @cached_property
     def _m_brackets(self) -> np.ndarray:
         return pair_bracket_tensor(self.g, self.m.basis, self.m.basis)
 

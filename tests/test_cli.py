@@ -48,6 +48,28 @@ def test_decompose_json_output(runner):
     assert data["metric_space_dim"] == 2
 
 
+DECOMPOSE_TEXT = {
+    "go-3-k3": ('name: "so(7)/u(3)"\ndim_g: 21\ndim_h: 9\ndim_m: 12\n'
+                "module_dims:\n  - 6\n  - 6\n"
+                "isotypic_groups:\n  -\n    - 0\n  -\n    - 1\n"
+                "metric_space_dim: 2\n"),
+    "go-1": ('name: "so(8)/g2"\ndim_g: 28\ndim_h: 14\ndim_m: 14\n'
+             "module_dims:\n  - 7\n  - 7\n"
+             "isotypic_groups:\n  -\n    - 0\n    - 1\n"
+             "metric_space_dim: 3\n"),
+}
+
+
+@pytest.mark.parametrize("entry_id, groups", [("go-3-k3", [[0], [1]]),
+                                              ("go-1", [[0, 1]])])
+def test_decompose_text_nests_inner_lists(runner, entry_id, groups):
+    # a list of lists once printed flat: [[0], [1]] as "- 0", "", "- 1"
+    assert invoke(runner, ["decompose", entry_id]).output == \
+        DECOMPOSE_TEXT[entry_id]
+    data = json.loads(invoke(runner, ["decompose", entry_id, "--json"]).output)
+    assert data["isotypic_groups"] == groups
+
+
 def test_json_output_is_byte_deterministic(runner):
     a = invoke(runner, ["check-go", "go-6-m2n1", "--samples", "10", "--json"])
     b = invoke(runner, ["check-go", "go-6-m2n1", "--samples", "10", "--json"])

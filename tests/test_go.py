@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -303,3 +305,106 @@ def test_pinned_solves_scale_with_the_input(so5_u2):
     for scale in (1e-6, 3e-4, 0.7, 5.0, 1e4):
         got = witnesses(scale) / scale
         assert np.abs(got - unit).max() <= 1e-10 * np.abs(unit).max(), scale
+
+
+# --- the factored float lane against per-sample solves ------------------
+
+TWO_SUMMAND = [e.id for e in catalog.catalog_list(constructible=True)
+               if len(e.expected.get("module_dims") or ()) == 2]
+NON_NORMAL_PAIRS = [(1, 2), (2, 1), (0.2, 5), (5, 0.2), (1, 1.001)]
+
+
+def _oracle(space, pair, n_samples, seed, tol=go.DEFAULT_TOL):
+    """go_check's float loop with one go_witness_general per sample."""
+    metric = go.MetricOperator.two_param(space, *pair)
+    blocks = [space.module_coords_in_m(i) for i in range(2)]
+    witnesses = []
+    for i in range(n_samples):
+        x, kind = go._sample_direction(
+            blocks, rng_for("go", space.name, seed, i), i % 2 == 1)
+        witnesses.append(go.go_witness_general(space, metric, x, tol, kind))
+        if not witnesses[-1].solvable:
+            break
+    return witnesses
+
+
+def _assert_same_verdict(verdict, witnesses):
+    assert len(verdict.witnesses) == len(witnesses)
+    if witnesses[-1].solvable:
+        assert verdict.status == "GO_CONSISTENT"
+    else:
+        assert verdict.status == "NOT_GO"
+        assert json.dumps(verdict.counterexample.as_dict()) == \
+            json.dumps(witnesses[-1].as_dict())
+    for got, want in zip(verdict.witnesses, witnesses):
+        np.testing.assert_array_equal(got.x, want.x)
+        assert got.kind == want.kind
+        if want.solvable:
+            size = max(1.0, float(np.linalg.norm(want.z)))
+            assert np.abs(got.z - want.z).max(initial=0.0) <= 1e-10 * size
+            assert abs(got.residual - want.residual) <= \
+                1e-10 * max(1.0, want.residual)
+
+
+@pytest.mark.parametrize("entry_id", TWO_SUMMAND)
+def test_factored_lane_matches_per_sample_solves(entry_id, monkeypatch):
+    # statuses and counterexamples are go_witness_general's exactly; GO
+    # witnesses agree within 1e-10 relative to max(1, |z|)
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    assert space.two_summand
+    solve = go.go_witness_general
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args)
+        return solve(*args)
+    for seed in range(3):
+        for pair in NON_NORMAL_PAIRS:
+            fallbacks.clear()
+            monkeypatch.setattr(go, "go_witness_general", counted)
+            verdict = go.go_check(space, pair, n_samples=40, seed=seed)
+            monkeypatch.undo()
+            # the factorisation certifies every solvable sample itself;
+            # only the counterexample is solved again
+            assert len(fallbacks) == (verdict.status == "NOT_GO")
+            _assert_same_verdict(verdict,
+                                 _oracle(space, pair, 40, seed))
+
+
+@pytest.mark.parametrize("entry_id", ["go-3-k2", "t1-V.10"])
+def test_factorisation_cache_is_bounded_and_invisible(entry_id):
+    # interleaved seeds, sample counts and tolerances on one space give
+    # the verdicts of a fresh space, and the space keeps one seed only,
+    # with no more samples than the longest call since it came in
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    calls = [(0, 3, 1e-9), (0, 40, 1e-9), (1, 10, 1e-6), (0, 20, 1e-12),
+             (1, 60, 1e-9), (1, 5, 1e-9), (2, 1, 1e-9), (0, 40, 1e-9)]
+    longest = {}
+    for seed, n_samples, tol in calls:
+        if seed not in space.go_factorisations:
+            longest = {seed: 0}
+        longest[seed] = max(longest[seed], n_samples)
+        for pair in ((1, 3), (4, 0.5)):
+            got = go.go_check(space, pair, n_samples=n_samples, seed=seed,
+                              tol=tol)
+            fresh = catalog.catalog_instantiate(entry_id, seed=0)
+            _assert_same_verdict(got, _oracle(fresh, pair, n_samples, seed,
+                                              tol))
+            got = got.as_dict()
+            want = go.go_check(fresh, pair, n_samples=n_samples, seed=seed,
+                               tol=tol).as_dict()
+            assert got.pop("max_residual") == pytest.approx(
+                want.pop("max_residual"), rel=1e-10, abs=1e-10)
+            assert got == want
+        assert list(space.go_factorisations) == [seed]
+        assert len(space.go_factorisations[seed].kinds) <= longest[seed]
+
+
+@pytest.mark.parametrize("entry_id", TWO_SUMMAND)
+def test_one_status_across_non_normal_pairs(entry_id):
+    # GO for two-summand spaces is decided by the metric-free bracket
+    # split, so every pair with lam != mu gets the same status
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    pairs = NON_NORMAL_PAIRS + [(7, 1), (1, 7), (3, 2.5), (0.5, 0.45)]
+    statuses = {go.go_check(space, pair, seed=1).status for pair in pairs}
+    assert len(statuses) == 1, statuses
