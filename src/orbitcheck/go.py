@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +74,7 @@ class MetricOperator:
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_eigenvalues", eigs)
 
     @classmethod
     def two_param(cls, space: ReductiveSpace, lam, mu) -> "MetricOperator":
@@ -124,10 +124,10 @@ class MetricOperator:
                    params=tuple(tuple(map(tuple, np.atleast_2d(c)))
                                 for c in coefficients))
 
-    @cached_property
+    @property
     def spectral_norm(self) -> float:
         """Largest eigenvalue; the operator is symmetric positive definite."""
-        return float(np.linalg.eigvalsh(self.matrix)[-1])
+        return float(self._eigenvalues[-1])
 
     @property
     def is_scalar(self) -> bool:

@@ -4,7 +4,8 @@ A reductive space is g = h + m with m the orthocomplement of a
 subalgebra h against the chosen ad-invariant inner product. Every
 equivariance question goes through one routine, ``intertwiners``, which
 returns a basis of the maps between two ad(h)-actions that commute with
-every generator. The isotropy decomposition solves for the commutant of
+every generator, from the matching eigenvalues of one generic element
+of h on each side. The isotropy decomposition computes the commutant of
 ad(h) on m once and reads every count off that basis as an integer sum
 of squared norms: the invariant metrics are its symmetric part, m
 splits along the eigenspaces of a random symmetric element of it, a
@@ -37,10 +38,13 @@ class DecompositionError(OrbitcheckError):
     pass
 
 
-# Largest Kronecker system intertwiners builds. A decomposition peaks near
-# seven times its system (su(8)/su(2): 99 MiB, 840 MB RSS), so this keeps
-# one near 1 GB; larger modules fail before allocating.
+# Largest pruning system intertwiners builds, k * d_dst * d_src * K doubles
+# for K candidate maps. RSS grows by about four times the system (up to
+# seven with a one-dimensional h), so a decomposition stays under 1 GB.
 MAX_SYSTEM_BYTES = 128 * 2 ** 20
+# Relative gap under which intertwiners pairs two eigenvalues: loose, as
+# the generators prune a pair matched by accident.
+EIGENVALUE_MATCH = 1e-6
 
 
 class ClassificationError(OrbitcheckError):
@@ -114,10 +118,17 @@ class ReductiveSpace:
         """m-coordinates of [m_i, m_j], shape (dim m, dim m, dim m)."""
         return bracket_coords(self.g, self._m_brackets, self.m.basis)
 
+    @cached_property
+    def _module_coords(self) -> tuple[np.ndarray, ...]:
+        to_m = self.m.basis.T @ self.g.inner_product
+        coords = tuple(to_m @ mod.basis for mod in self.modules)
+        for c in coords:
+            c.flags.writeable = False
+        return coords
+
     def module_coords_in_m(self, index: int) -> np.ndarray:
-        """Module basis expressed in m coordinates."""
-        mod = self.modules[index]
-        return self.m.basis.T @ self.g.inner_product @ mod.basis
+        """Module basis expressed in m coordinates (cached, read-only)."""
+        return self._module_coords[index]
 
     def as_dict(self) -> dict:
         return {
@@ -206,30 +217,44 @@ def intertwiners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the maps T with dst[a] T = T src[a] for every a.
 
     ``src`` and ``dst`` are (k, d_src, d_src) and (k, d_dst, d_dst) stacks
-    of generator actions; the result is a (count, d_dst, d_src) stack,
-    orthonormal in the Frobenius inner product. A map that intertwines
-    every generator intertwines any combination of them, so the kernel
-    of the equivariance system for one fixed generic combination holds
-    every intertwiner; all generators are then imposed on that small
-    kernel only.
+    of skew generator actions; the result is a (count, d_dst, d_src)
+    stack, orthonormal in the Frobenius inner product. Every intertwiner
+    solves b T = T a for one generic combination a of src and b of dst:
+    with i a = U diag(l) U^H and i b = V diag(n) V^H, T = V E U^H with
+    E_ji = 0 unless n_j = l_i. The spectra are symmetric, with conjugate
+    eigenvectors at -l, so the candidates are sqrt(2) times the real and
+    imaginary parts of V[:, j] U[:, i]^H for matched n_j = l_i > 0, and
+    every map between the real kernels of a and b. Every generator is
+    then imposed on the candidates only.
     """
     k, ds, dd = len(src), src.shape[1], dst.shape[1]
-    if k == 0:
+    if k == 0 or dd * ds == 0:
         return np.eye(dd * ds).reshape(dd * ds, dd, ds)
-    if (dd * ds) ** 2 * 8 > MAX_SYSTEM_BYTES:
-        raise DecompositionError(
-            f"intertwiner system of {(dd * ds) ** 2 * 8 / 2 ** 20:.0f} MiB "
-            f"({dd * ds} unknowns) exceeds the {MAX_SYSTEM_BYTES >> 20} MiB "
-            "bound")
     weights = rng_for("intertwiners", k).standard_normal(k)
-    a = np.einsum("a,aij->ij", weights, src)
-    b = np.einsum("a,aij->ij", weights, dst)
-    system = np.kron(b, np.eye(ds)) - np.kron(np.eye(dd), a.T)
-    kernel = nullspace(system).T.reshape(-1, dd, ds)
-    residual = dst[:, None] @ kernel[None] - kernel[None] @ src[:, None]
-    rows = np.moveaxis(residual, 1, -1).reshape(k * dd * ds, len(kernel))
-    coeffs = nullspace(rows)
-    return np.einsum("sc,sij->cij", coeffs, kernel)
+    lam, u = np.linalg.eigh(1j * np.einsum("a,aij->ij", weights, src))
+    nu, v = np.linalg.eigh(1j * np.einsum("a,aij->ij", weights, dst))
+    cut = EIGENVALUE_MATCH * np.abs(np.append(lam, nu)).max()
+    jj, ii = np.nonzero((np.abs(nu[:, None] - lam) <= cut)
+                        & (nu[:, None] > cut) & (lam > cut))
+    ker_s, ker_d = (column_space(np.hstack([x[:, near].real, x[:, near].imag]))
+                    for x, near in ((u, np.abs(lam) <= cut),
+                                    (v, np.abs(nu) <= cut)))
+    count = 2 * len(jj) + ker_s.shape[1] * ker_d.shape[1]
+    if k * dd * ds * count * 8 > MAX_SYSTEM_BYTES:
+        raise DecompositionError(
+            f"intertwiner system of {k * dd * ds * count / 2 ** 17:.0f} MiB "
+            f"({count} candidate maps) exceeds the "
+            f"{MAX_SYSTEM_BYTES >> 20} MiB bound")
+    pairs = np.sqrt(2) * (v.T[jj, :, None] * u.T[ii, None].conj()).reshape(
+        len(jj), dd * ds)
+    kernel = np.hstack([pairs.real.T, pairs.imag.T, (
+        ker_d[:, None, :, None] * ker_s[:, None]).reshape(dd * ds, -1)])
+    # rows[a, p, q] = (dst[a] T - T src[a])[p, q], built in place
+    rows = (dst @ kernel.reshape(dd, ds * count)).reshape(k, dd, ds, count)
+    for a, x in enumerate(src):
+        rows[a] -= x.T @ kernel.reshape(dd, ds, count)
+    coeffs = nullspace(rows.reshape(k * dd * ds, count))
+    return (coeffs.T @ kernel.T).reshape(-1, dd, ds)
 
 
 def _commutant_count(maps: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -252,8 +277,8 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
                        tol: float = 1e-8) -> ReductiveSpace:
     """Split m into irreducible ad(h)-modules; returns an updated space.
 
-    One Kronecker solve, ``intertwiners(action, action)``, gives an
-    orthonormal basis {T_k} of the commutant, and every count is read off
+    One commutant, ``intertwiners(action, action)``, gives an orthonormal
+    basis {T_k} of the maps commuting with ad(h); every count is read off
     it: the maps from module i to module j number sum_k |B_j^T T_k B_i|^2,
     and the symmetric ones (the action is skew, so the commutant is
     closed under transposition) sum_k |sym(B_j^T T_k B_i)|^2. With B = I

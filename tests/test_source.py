@@ -52,3 +52,38 @@ def test_no_einsum_in_the_package_takes_more_than_two_operands():
                  for path in files
                  for line, count in _wide_einsums(path.read_text())]
     assert not offenders, offenders
+
+
+def _kron_uses(source: str) -> list[tuple[str, int]]:
+    """(enclosing top-level function, line) of every np.kron use."""
+    found = []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, ast.FunctionDef) else ""
+        found += [(name, node.lineno) for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute) and node.attr == "kron"
+                  or isinstance(node, ast.Name) and node.id == "kron"
+                  or isinstance(node, ast.ImportFrom)
+                  and any(alias.name == "kron" for alias in node.names)]
+    return found
+
+
+@pytest.mark.parametrize("source, uses", [
+    ("np.kron(a, b)", [("", 1)]),
+    ("from numpy import kron\ndef f(a, b):\n    return kron(a, b)",
+     [("", 1), ("f", 3)]),
+    ("np.einsum('ij,kl->ikjl', a, b)  # a Kronecker product", []),
+])
+def test_kron_guard_finds_every_form(source, uses):
+    assert _kron_uses(source) == uses
+
+
+def test_no_kronecker_system_in_the_package():
+    # intertwiners matches eigenvalues of one generic element; a dense
+    # Kronecker system grows like (dim m)^4 and lives only in the tests'
+    # reference commutant. The one use left builds so(p) x 1 + 1 x so(q)
+    # on R^p x R^q, matrices of size pq <= 16.
+    allowed = {("zoo.py", "embed_so_x_so_tensor")}
+    offenders = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 for name, line in _kron_uses(path.read_text())
+                 if (path.name, name) not in allowed]
+    assert not offenders, offenders

@@ -211,6 +211,8 @@ def _module_action(space, index):
 
 
 def _assert_intertwiner_basis(maps, src, dst):
+    # every count multiplies the whole stack, which BLAS needs contiguous
+    assert maps.flags.c_contiguous
     residual = dst[:, None] @ maps[None] - maps[None] @ src[:, None]
     assert np.abs(residual).max(initial=0.0) < 1e-10
     flat = maps.reshape(len(maps), maps.shape[1] * maps.shape[2])
@@ -231,27 +233,29 @@ def test_intertwiners_of_the_isotropy_action(so5_u2, so8_g2):
 
 
 def test_equivalent_real_modules_have_one_intertwiner(so8_g2):
-    src, dst = _module_action(so8_g2, 0), _module_action(so8_g2, 1)
-    maps = spaces.intertwiners(src, dst)
+    maps = _assert_matches_kronecker(_module_action(so8_g2, 0),
+                                     _module_action(so8_g2, 1))
     assert maps.shape == (1, 7, 7)
-    _assert_intertwiner_basis(maps, src, dst)
 
 
 def test_complex_type_module_has_one_symmetric_intertwiner():
     space = catalog.catalog_instantiate("go-3-k3", seed=0)
     for index in range(2):
         action = _module_action(space, index)
-        maps = spaces.intertwiners(action, action)
+        maps = _assert_matches_kronecker(action, action)
         assert len(maps) == 2
-        _assert_intertwiner_basis(maps, action, action)
         assert _symmetric_dim(maps) == 1
 
 
 def test_inequivalent_modules_have_no_intertwiner():
     space = catalog.catalog_instantiate("go-2", seed=0)
-    maps = spaces.intertwiners(_module_action(space, 0),
-                               _module_action(space, 1))
+    maps = _assert_matches_kronecker(_module_action(space, 0),
+                                     _module_action(space, 1))
     assert maps.shape == (0, 14, 7)
+    # so(3) on R^3 against the trivial R^2: both have eigenvalue 0, so
+    # the kernels give candidates, and the generators remove them all
+    vector = _so3_summands()[1]
+    assert len(_assert_matches_kronecker(vector, np.zeros((3, 2, 2)))) == 0
 
 
 def test_intertwiners_without_generators_span_every_map():
@@ -285,23 +289,67 @@ _COUNTS = st.tuples(st.integers(0, 2), st.integers(0, 2),
                     st.integers(0, 1)).filter(any)
 
 
+def _kronecker_commutant(src, dst):
+    """Reference commutant, independent of ``spaces.intertwiners``: the
+    kernel of every generator's Kronecker system at once, a
+    (k dim dst dim src) x (dim dst dim src) matrix, so small sizes only.
+    An orthonormal (count, dim dst, dim src) stack."""
+    ds, dd = src.shape[1], dst.shape[1]
+    rows = [np.zeros((0, dd * ds))]  # no generators: every map
+    rows += [np.kron(b, np.eye(ds)) - np.kron(np.eye(dd), a.T)
+             for a, b in zip(src, dst)]
+    kernel = linalg.nullspace(np.vstack(rows))
+    return kernel.T.reshape(kernel.shape[1], dd, ds)
+
+
+def _assert_matches_kronecker(src, dst):
+    """``intertwiners`` is an orthonormal basis of the reference
+    commutant: same count, same projector F^T F on the flattened maps."""
+    maps = spaces.intertwiners(src, dst)
+    _assert_intertwiner_basis(maps, src, dst)
+    reference = _kronecker_commutant(src, dst)
+    assert maps.shape == reference.shape
+    flat, ref = (m.reshape(len(m), m.shape[1] * m.shape[2])
+                 for m in (maps, reference))
+    np.testing.assert_allclose(flat.T @ flat, ref.T @ ref, atol=1e-9)
+    return maps
+
+
 @given(_COUNTS, _COUNTS, st.integers(0, 2 ** 31))
 @settings(max_examples=20, deadline=None)
 def test_intertwiners_match_the_kronecker_nullspace(src_counts, dst_counts,
                                                     seed):
     rng = np.random.default_rng(seed)
-    src = _random_direct_sum(src_counts, rng)
-    dst = _random_direct_sum(dst_counts, rng)
-    ds, dd = src.shape[1], dst.shape[1]
-    rows = [np.kron(dst[a], np.eye(ds)) - np.kron(np.eye(dd), src[a].T)
-            for a in range(3)]
-    reference = linalg.nullspace(np.vstack(rows))
-    maps = spaces.intertwiners(src, dst)
-    _assert_intertwiner_basis(maps, src, dst)
-    flat = maps.reshape(len(maps), dd * ds).T
-    assert flat.shape[1] == reference.shape[1]
-    np.testing.assert_allclose(reference @ (reference.T @ flat), flat,
-                               atol=1e-9)
+    _assert_matches_kronecker(_random_direct_sum(src_counts, rng),
+                              _random_direct_sum(dst_counts, rng))
+
+
+@pytest.mark.parametrize("entry_id", [
+    e.id for e in catalog.catalog_list(constructible=True)
+    if sum(e.expected["module_dims"]) <= 21])
+def test_isotropy_commutant_matches_the_kronecker_reference(entry_id):
+    action = catalog.catalog_instantiate(entry_id, seed=0).iso_action
+    _assert_matches_kronecker(action, action)
+
+
+def test_zero_action_commutant_is_every_map():
+    # every eigenvalue is 0, so every pair matches
+    maps = _assert_matches_kronecker(np.zeros((2, 3, 3)), np.zeros((2, 4, 4)))
+    assert len(maps) == 12
+
+
+def test_one_generator_with_repeated_eigenvalues():
+    # so(2) on R^2 + R^2 + R^2(twice the speed) + R: eigenvalues +-i twice,
+    # +-2i once and 0 once, in a random orthonormal frame
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    gen = np.zeros((7, 7))
+    gen[0:2, 0:2] = gen[2:4, 2:4] = j
+    gen[4:6, 4:6] = 2 * j
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((7, 7)))
+    action = (q.T @ gen @ q)[None]
+    # the commutant of the +-i block is gl(2, C) (8 real dims), then
+    # C for the +-2i block and R for the kernel
+    assert len(_assert_matches_kronecker(action, action)) == 8 + 2 + 1
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -370,6 +418,19 @@ def test_so16_over_so8_fails_fast():
         spaces.decompose_isotropy(space)
 
 
+@pytest.mark.parametrize("key, params, dims, metric_dim", [
+    ("u_in_so_odd", {"k": 6}, (12, 30), 2),
+    ("irreducible_su2_in_su", {"two_j": 7}, (5, 7, 9, 11, 13, 15), 6),
+])
+def test_rows_near_the_rank_caps_decompose(key, params, dims, metric_dim):
+    # so(13)/u(6) and su(8)/su(2), dim m 42 and 60: about 20 s each
+    # through a (dim m)^2-unknown Kronecker solve, well under 1 s here
+    space = spaces.decompose_isotropy(spaces.reductive_space(
+        None, zoo.named_embedding(key, **params)))
+    assert space.module_dims == dims
+    assert space.metric_space_dim == metric_dim
+
+
 def _noisy(inner, scale):
     """``intertwiners`` with Gaussian noise of size ``scale`` added to its
     basis, re-orthonormalised: a commutant known only to rounding."""
@@ -426,7 +487,7 @@ def test_a_count_off_the_integers_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("fixture_name", sorted(EXPECTED_MODULE_DIMS))
 def test_counts_match_per_module_solves(fixture_name, request):
-    # oracle: a fresh Kronecker solve for every module and every pair
+    # oracle: the Kronecker reference for every module and every pair
     space = request.getfixturevalue(fixture_name)
     action = space.iso_action
     maps = spaces.intertwiners(action, action)
@@ -435,13 +496,13 @@ def test_counts_match_per_module_solves(fixture_name, request):
         _symmetric_dim(maps) == space.metric_space_dim
     blocks = [space.module_coords_in_m(i) for i in range(len(space.modules))]
     for i, src in enumerate(blocks):
-        own = spaces.intertwiners(_module_action(space, i),
-                                  _module_action(space, i))
+        own = _kronecker_commutant(_module_action(space, i),
+                                   _module_action(space, i))
         assert spaces._commutant_count(maps, src, src, True) == \
             _symmetric_dim(own) == 1
         for j, dst in enumerate(blocks):
-            oracle = spaces.intertwiners(_module_action(space, i),
-                                         _module_action(space, j))
+            oracle = _kronecker_commutant(_module_action(space, i),
+                                          _module_action(space, j))
             assert spaces._commutant_count(maps, src, dst) == len(oracle)
             grouped = any(i in gp and j in gp for gp in space.isotypic_groups)
             assert grouped == (len(oracle) > 0)
