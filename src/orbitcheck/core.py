@@ -383,26 +383,23 @@ def default_inner_product(structure: np.ndarray,
 
     The two blocks are glued along the direct sum g = center + [g, g],
     which keeps the result ad-invariant. Raises for non-compact input
-    (negative Killing form not positive semidefinite on [g, g]). Given
-    the exact ``constants`` of ``structure`` and a trivial center, the
+    (negative Killing form not positive definite on [g, g]). Given the
+    exact ``constants`` of ``structure`` and a trivial center, the
     result is the exact negative Killing form and its float copy.
     """
     n = structure.shape[0]
-    if n == 0:
-        return np.zeros((0, 0)), exact.fzeros((0, 0))
+    if not structure.any():
+        return np.eye(n), exact.fidentity(n)
     b_exact = None if constants is None else constants.killing()
     b = _killing(structure) if b_exact is None else exact.to_float(b_exact)
-    scale = float(np.abs(b).max())
-    if scale == 0.0:
-        return np.eye(n), exact.fidentity(n)
-    center = _center(structure)
     derived = column_space(structure.reshape(n * n, n).T)
+    eigs = np.linalg.eigvalsh(derived.T @ -b @ derived)
+    if eigs.min() <= 1e-8 * float(np.abs(b).max()):
+        raise ValidationError("Killing form is not negative definite on [g, g]"
+                              " (g is not compact); give an inner product")
+    center = _center(structure)
     if center.shape[1] + derived.shape[1] != n:
         raise ValidationError("center and derived algebra do not span (non-reductive?)")
-    eigs = np.linalg.eigvalsh(-b)
-    if eigs.min() < -1e-8 * scale:
-        raise ValidationError("Killing form is not negative semidefinite; "
-                              "provide an inner product explicitly")
     if center.shape[1] == 0:
         return -b, None if b_exact is None else -b_exact
     basis = np.hstack([center, derived])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LieAlgebra, OrbitcheckError, center_basis
-from .linalg import gram_orthonormalize, nullspace, rng_for, svd_rank
+from .linalg import gram_orthonormalize, nullspace, rank_of, rng_for
 from .spaces import (ReductiveSpace, bracket_coords, minimal_ideals,
                      pair_bracket_tensor)
 
@@ -99,24 +99,16 @@ def bracket_location(space: ReductiveSpace, tol: float = 1e-8) -> str:
 def principal_isotropy_dim(action: np.ndarray, seed: int = 0) -> int:
     """Generic stabilizer dimension of an action (k generators on R^d).
 
-    Samples 20 unit vectors and minimizes the kernel dimension of the
-    stabilizer system; the minimum over draws is the principal value.
+    Draws 20 unit vectors v from one seeded generator and takes the ranks
+    of the 20 (d x k) matrices [X_1 v, ..., X_k v] from one batched SVD;
+    k minus the largest rank is the principal value.
     """
     k, d, _ = action.shape
-    if k == 0:
-        return 0
-    if d == 0:
-        return k
-    best = k
-    for i in range(20):
-        rng = rng_for("principal", seed, i)
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        columns = (action @ v).T
-        best = min(best, k - svd_rank(columns))
-        if best == 0:
-            break
-    return best
+    vs = rng_for("principal", seed).standard_normal((20, d))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    columns = (action @ vs.T).transpose(2, 1, 0)
+    return k - max(rank_of(s, (d, k))
+                   for s in np.linalg.svd(columns, compute_uv=False))
 
 
 def _module_action(space: ReductiveSpace, index: int) -> np.ndarray:

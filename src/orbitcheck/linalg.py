@@ -49,9 +49,14 @@ def svd_rank(a: np.ndarray) -> int:
 
 
 def nullspace(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of ``a``."""
-    wide = a.shape[0] < a.shape[1]
-    _, s, vt = np.linalg.svd(a, full_matrices=wide)
+    """Orthonormal basis (columns) of the kernel of ``a``. A tall ``a`` is
+    first reduced to the R of its QR, which has the same singular values
+    and right singular vectors, so no tall U is formed."""
+    rows, cols = a.shape
+    if rows > cols:
+        _, s, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
+    else:
+        _, s, vt = np.linalg.svd(a, full_matrices=rows < cols)
     return vt[rank_of(s, a.shape):].T.copy()
 
 

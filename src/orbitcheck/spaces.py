@@ -6,11 +6,12 @@ equivariance question goes through one routine, ``intertwiners``, which
 returns a basis of the maps between two ad(h)-actions that commute with
 every generator, from the matching eigenvalues of one generic element
 of h on each side. The isotropy decomposition computes the commutant of
-ad(h) on m once and reads every count off that basis as an integer sum
-of squared norms: the invariant metrics are its symmetric part, m
-splits along the eigenspaces of a random symmetric element of it, a
-summand is irreducible when it carries one symmetric invariant map, and
-summands joined by an invariant map are grouped as isotypic. The
+ad(h) on m once, splits m along the eigenspaces of a random symmetric
+element of it, rotates the basis once into those eigenvectors, and
+reads every count as an integer block sum of squared entries of that
+one stack: the invariant metrics are its symmetric part, a summand is
+irreducible when it carries one symmetric invariant map, and summands
+joined by an invariant map are grouped as isotypic. The
 structure classifier labels the pair (g, h) by one of seven coarse cases
 from the center dimension, the minimal ideals of g, and how the simple
 ideals of h project onto them.
@@ -39,8 +40,9 @@ class DecompositionError(OrbitcheckError):
 
 
 # Largest pruning system intertwiners builds, k * d_dst * d_src * K doubles
-# for K candidate maps. RSS grows by about four times the system (up to
-# seven with a one-dimensional h), so a decomposition stays under 1 GB.
+# for K candidate maps. RSS grows by about three times the system (up to
+# five and a half with a one-dimensional h), so a decomposition stays
+# under 1 GB.
 MAX_SYSTEM_BYTES = 128 * 2 ** 20
 # Relative gap under which intertwiners pairs two eigenvalues: loose, as
 # the generators prune a pair matched by accident.
@@ -257,16 +259,22 @@ def intertwiners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return (coeffs.T @ kernel.T).reshape(-1, dd, ds)
 
 
-def _commutant_count(maps: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                     symmetric: bool = False) -> int:
-    """Dimension of the (symmetric) invariant maps from span(src) to
-    span(dst), for an orthonormal commutant basis ``maps`` and orthonormal
-    invariant ``src``, ``dst``: the trace of a projection of the
-    commutant, an integer up to rounding, checked rather than cut."""
-    blocks = dst.T @ maps @ src
-    if symmetric:
-        blocks = (blocks + blocks.transpose(0, 2, 1)) / 2
-    value = float(np.sum(blocks * blocks))
+def _block_sums(maps: np.ndarray,
+                basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over the commutant basis {T_k}, rotated once into the
+    orthonormal ``basis`` as T~_k = basis^T T_k basis, of the entrywise
+    squares T~_k * T~_k (summed over a block, the maps between two spans)
+    and of sym T~_k * sym T~_k (over a diagonal block, the symmetric ones)."""
+    rotated = basis.T @ maps @ basis
+    squares = np.einsum("kpq,kpq->pq", rotated, rotated)
+    return squares, (squares + np.einsum("kpq,kqp->pq", rotated, rotated)) / 2
+
+
+def _commutant_count(sums: np.ndarray, rows, cols) -> int:
+    """Dimension of the invariant maps a block of ``_block_sums`` counts:
+    the trace of a projection of the commutant, an integer up to
+    rounding, checked rather than cut."""
+    value = float(sums[rows][:, cols].sum())
     if abs(value - round(value)) > 0.25:
         raise DecompositionError(
             f"commutant count {value:.3f} is not near an integer")
@@ -278,50 +286,49 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
     """Split m into irreducible ad(h)-modules; returns an updated space.
 
     One commutant, ``intertwiners(action, action)``, gives an orthonormal
-    basis {T_k} of the maps commuting with ad(h); every count is read off
-    it: the maps from module i to module j number sum_k |B_j^T T_k B_i|^2,
-    and the symmetric ones (the action is skew, so the commutant is
-    closed under transposition) sum_k |sym(B_j^T T_k B_i)|^2. With B = I
-    the latter is the dimension of the invariant metrics. m splits along
-    the eigenvalue clusters (relative gap 1e-6) of the projection of a
-    random symmetric matrix onto the commutant; each cluster must be
-    invariant to ``tol`` and carry one symmetric map, and summands joined
-    by a map are isotypic. Modules are ordered by dimension, then by the
-    norm of proj_m [m_i, m_i], then by eigenvalue, so the module with
-    h + m_i a subalgebra comes first whatever the seed. Degenerate draws
-    retry with derived seeds, then fail.
+    basis {T_k} of the maps commuting with ad(h). m splits along the
+    eigenvalue clusters (relative gap 1e-6) of the projection of a random
+    symmetric matrix onto the commutant, and the basis is rotated once
+    into those eigenvectors E, T~_k = E^T T_k E. Every count is then a
+    block sum of that one stack: the maps from module i to module j
+    number sum_k |T~_k[j, i]|^2, and the symmetric ones (the action is
+    skew, so the commutant is closed under transposition) sum_k
+    |sym T~_k[i, i]|^2; over all of m the latter is the dimension of the
+    invariant metrics. Each cluster must be invariant to ``tol`` and
+    carry one symmetric map, and summands joined by a map are isotypic.
+    Modules are ordered by dimension, then by the norm of proj_m
+    [m_i, m_i], then by eigenvalue, so the module with h + m_i a
+    subalgebra comes first whatever the seed. Degenerate draws retry with
+    derived seeds, then fail.
     """
     action = space.iso_action
     dm = space.m.dim
-    if dm == 0:
-        return replace(space, modules=(), isotypic_groups=(),
-                       metric_space_dim=0, decomposition_seed=seed)
     maps = intertwiners(action, action)
-    eye = np.eye(dm)
-    metric_dim = _commutant_count(maps, eye, eye, symmetric=True)
+    whole = slice(None)
     for attempt in range(3):
         rng = rng_for("decompose", space.name, seed, attempt)
         raw = rng.standard_normal((dm, dm))
         raw = (raw + raw.T) / 2
         op = np.einsum("s,sij->ij", np.einsum("sij,ij->s", maps, raw), maps)
         eigvals, eigvecs = np.linalg.eigh(op)
+        squares, symmetric = _block_sums(maps, eigvecs)
+        metric_dim = _commutant_count(symmetric, whole, whole)
         mods = []
         for cl in _cluster(eigvals):
             block = eigvecs[:, cl]
             if _invariance_residual(action, block) > tol or \
-                    _commutant_count(maps, block, block, symmetric=True) != 1:
+                    _commutant_count(symmetric, cl, cl) != 1:
                 break
-            mods.append((block.shape[1],
-                         round(_self_bracket_norm(space, block), 6),
-                         float(np.mean(eigvals[cl])), block))
+            mods.append((len(cl), round(_self_bracket_norm(space, block), 6),
+                         float(np.mean(eigvals[cl])), cl))
         else:
-            blocks = [t[-1] for t in sorted(mods, key=lambda t: t[:3])]
+            clusters = [t[-1] for t in sorted(mods, key=lambda t: t[:3])]
             groups = _connected_groups(
-                blocks, lambda a, b: _commutant_count(maps, a, b) > 0)
+                clusters, lambda a, b: _commutant_count(squares, b, a) > 0)
             modules = tuple(
-                Subspace(ambient=space.g, basis=space.m.basis @ block,
+                Subspace(ambient=space.g, basis=space.m.basis @ eigvecs[:, cl],
                          name=f"m{i + 1}")
-                for i, block in enumerate(blocks))
+                for i, cl in enumerate(clusters))
             return replace(space, modules=modules,
                            isotypic_groups=tuple(map(tuple, groups)),
                            metric_space_dim=metric_dim,
@@ -535,8 +542,8 @@ def _subalgebra_algebra(g: LieAlgebra, basis: np.ndarray,
     return LieAlgebra(structure=structure, inner_product=np.eye(d), name=name)
 
 
-def classify_structure(g: LieAlgebra | ReductiveSpace,
-                       h_embedding=None, seed: int = 0) -> StructureReport:
+def classify_structure(space: ReductiveSpace,
+                       seed: int = 0) -> StructureReport:
     """Label (g, h) by the seven-case coarse structure decision tree.
 
     The tree keys on the center dimension of g, then on how the simple
@@ -548,10 +555,6 @@ def classify_structure(g: LieAlgebra | ReductiveSpace,
     Center dimension 2 is the flat case (5); center dimension 1 routes
     to (6) or (4) by whether h sits inside the derived algebra.
     """
-    if isinstance(g, ReductiveSpace):
-        space = g
-    else:
-        space = reductive_space(g, h_embedding)
     g = space.g
     h_basis = space.h.basis
     gram = g.inner_product

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -55,3 +56,25 @@ def broken_su3_spec():
             value = Fraction(entry[3]) * Fraction(3, 2)
             entry[3] = f"{value.numerator}/{value.denominator}"
     return data
+
+
+def _levi_civita(i, j, k):
+    return (i - j) * (j - k) * (k - i) // 2
+
+
+@pytest.fixture()
+def euclidean3_spec():
+    """e(3) = so(3) + R^3 with integer constants: [L_i, L_j] = eps L_k and
+    [L_i, T_j] = eps T_k. Not compact: the Killing form vanishes on R^3."""
+    entries = []
+    for i, j, k in permutations(range(3)):
+        e = _levi_civita(i, j, k)
+        entries += [[i, j, k, e], [i, j + 3, k + 3, e], [j + 3, i, k + 3, -e]]
+    return {"name": "e(3)", "dim": 6, "structure": entries}
+
+
+@pytest.fixture()
+def heisenberg_spec():
+    """[e0, e1] = e2: nilpotent, so its Killing form is zero."""
+    return {"name": "heis", "dim": 3,
+            "structure": [[0, 1, 2, 1], [1, 0, 2, -1]]}

@@ -33,6 +33,18 @@ def test_validate_exits_1_when_validation_fails(runner, tmp_path,
                                   "mode": "exact", "passed": False}
 
 
+@pytest.mark.parametrize("spec", ["euclidean3_spec", "heisenberg_spec"])
+def test_validate_refuses_a_non_compact_algebra(runner, tmp_path, spec,
+                                                request):
+    path = tmp_path / "noncompact.json"
+    path.write_text(json.dumps({"algebra": request.getfixturevalue(spec)}))
+    # invoke re-raises anything but the usage error's exit
+    result = invoke(runner, ["validate", str(path)])
+    assert result.exit_code == 1
+    assert "Killing form is not negative definite on [g, g] (g is not " \
+        "compact)" in result.output
+
+
 def test_zoo_algebra_at_the_cap_validates_exactly(runner):
     result = invoke(runner, ["zoo", "algebra", "so(16)", "--json"])
     assert result.exit_code == 0

@@ -217,6 +217,25 @@ def test_broken_spec_is_reported_exactly(broken_su3_spec):
                                 "mode": "exact", "passed": False}
 
 
+@pytest.mark.parametrize("spec", ["euclidean3_spec", "heisenberg_spec"])
+@pytest.mark.parametrize("as_float", [False, True])
+def test_non_compact_specs_are_refused(spec, as_float, request):
+    # e(3) has a singular Killing form and the Heisenberg algebra a zero
+    # one; neither has a default ad-invariant inner product, on the exact
+    # (integer) or the dense (float) path
+    data = request.getfixturevalue(spec)
+    if as_float:
+        data["structure"] = [e[:3] + [float(e[3])] for e in data["structure"]]
+    with pytest.raises(core.ValidationError, match="not compact"):
+        core.algebra_from_json_dict(data)
+
+
+def test_abelian_default_inner_product_is_the_identity():
+    gram, gram_exact = core.default_inner_product(np.zeros((3, 3, 3)))
+    np.testing.assert_array_equal(gram, np.eye(3))
+    assert (gram_exact == core.exact.fidentity(3)).all()
+
+
 def test_unpaired_rational_entry_breaks_antisymmetry():
     data = zoo.classical("su", 2).to_json_dict()
     assert not any(e[:3] == [0, 1, 0] for e in data["structure"])

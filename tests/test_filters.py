@@ -69,6 +69,58 @@ def test_principal_isotropy_dims():
     assert filters.principal_isotropy_dim(np.zeros((5, 4, 4))) == 5
 
 
+def _per_draw_principal_dim(action, seed=0):
+    # reference: one generator and one SVD per draw, minimum over draws
+    k, d, _ = action.shape
+    best = k
+    for i in range(20):
+        v = rng_for("principal", seed, i).standard_normal(d)
+        v /= np.linalg.norm(v) if d else 1.0
+        best = min(best, k - linalg.svd_rank((action @ v).T))
+    return best
+
+
+def _stabilizer_cases():
+    yield "so(3) on R^3", np.stack(zoo.matrix_basis("so", 3)).real, 1
+    yield "so(2) on R^2", np.stack(zoo.matrix_basis("so", 2)).real, 0
+    yield "zero action", np.zeros((5, 4, 4)), 5
+    yield "no generators", np.zeros((0, 4, 4)), 0
+    for entry in catalog.catalog_list(constructible=True):
+        space = catalog.catalog_instantiate(entry, seed=0)
+        if not space.two_summand:
+            continue
+        for i in range(2):
+            yield (f"{entry.id} module {i + 1}",
+                   filters._module_action(space, i), None)
+            yield (f"{entry.id} h + m{2 - i} on m{i + 1}",
+                   filters._subalgebra_action_on_module(space, 1 - i, i), None)
+
+
+def test_principal_isotropy_dim_matches_per_draw_reference():
+    cases = list(_stabilizer_cases())
+    assert len(cases) == 4 + 4 * 20
+    for label, action, known in cases:
+        for seed in (0, 1):
+            got = filters.principal_isotropy_dim(action, seed)
+            assert got == _per_draw_principal_dim(action, seed), label
+            assert known is None or got == known, label
+
+
+def test_principal_isotropy_dim_draws_once(monkeypatch, so9_spin7):
+    calls = {"rng_for": 0, "svd": 0}
+
+    def counted(name, inner):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return spy
+    monkeypatch.setattr(filters, "rng_for", counted("rng_for", rng_for))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    action = filters._subalgebra_action_on_module(so9_spin7, 0, 1)
+    assert filters.principal_isotropy_dim(action) == 21
+    assert calls == {"rng_for": 1, "svd": 1}
+
+
 def test_filter_passes_on_go_catalog_spaces(so5_u2, so8_g2):
     rep = filters.necessary_filter(so5_u2)
     assert rep.passed

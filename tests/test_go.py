@@ -175,10 +175,11 @@ def test_exact_mode_certificates(so5_u2, so9_tensor):
 
 
 @pytest.mark.parametrize("entry_id", ["go-1", "struct-1", "t1-V.10",
-                                      "t1-V.6-n2", "struct-4", "struct-5"])
+                                      "t1-V.6-n2", "struct-5"])
 def test_exact_lane_is_unavailable(entry_id):
-    # isotypic pairs (go-1, struct-1) and embeddings without rational
-    # entries (the rest) have no exact lane
+    # isotypic pairs (go-1, struct-1), embeddings without rational entries
+    # (t1-V.10, t1-V.6-n2) and an h given as a raw float matrix (struct-5)
+    # have no exact lane
     space = catalog.catalog_instantiate(entry_id, seed=0)
     with pytest.raises(ExactUnavailableError):
         go.go_check(space, (1, 2), n_samples=1, exact_mode=True)
@@ -187,7 +188,7 @@ def test_exact_lane_is_unavailable(entry_id):
 @pytest.mark.parametrize("pair", [(1, 2), (2, 1)])
 @pytest.mark.parametrize("entry_id", ["go-3-k2", "go-3-k3", "go-6-m2n1",
                                       "go-8-n1", "struct-2", "struct-3",
-                                      "struct-6", "struct-7"])
+                                      "struct-4", "struct-6", "struct-7"])
 def test_exact_lane_agrees_with_the_float_lane(entry_id, pair):
     space = catalog.catalog_instantiate(entry_id, seed=0)
     verdict = go.go_check(space, pair, n_samples=3, exact_mode=True)

@@ -45,6 +45,33 @@ def test_nullspace_wide_matrix_keeps_all_kernel_directions():
     assert np.abs(a @ k).max() < 1e-14
 
 
+def _full_svd_kernel(a):
+    # reference: the right singular vectors of a full SVD past the rank
+    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    return vt[linalg.rank_of(s, a.shape):].T
+
+
+@pytest.mark.parametrize("shape,rank", [
+    ((40, 11), 11), ((40, 11), 7), ((300, 6), 0), ((9, 9), 9), ((9, 9), 5),
+    ((4, 10), 4), ((4, 10), 2), ((5, 0), 0), ((0, 5), 0), ((0, 0), 0)])
+def test_nullspace_matches_the_full_svd_kernel(shape, rank):
+    # tall matrices go through the R of a QR; the kernel projector and
+    # the rank cut on the matrix's own shape must not change
+    rng = np.random.default_rng(list(shape) + [rank])
+    a = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+    k, ref = linalg.nullspace(a), _full_svd_kernel(a)
+    assert k.shape == (shape[1], shape[1] - rank) == ref.shape
+    np.testing.assert_allclose(k @ k.T, ref @ ref.T, atol=1e-12)
+    np.testing.assert_allclose(k.T @ k, np.eye(k.shape[1]), atol=1e-12)
+
+
+def test_nullspace_cuts_the_rank_on_the_matrix_shape():
+    # a singular value of 1e-10 beside 1e3 is below the cut of a
+    # 4000-row matrix (4000 * eps * 1e3) but above that of its 2 x 2 R
+    q = np.linalg.qr(np.random.default_rng(8).normal(size=(4000, 2)))[0]
+    assert linalg.nullspace(q @ np.diag([1e3, 1e-10])).shape == (2, 1)
+
+
 def test_column_space_spans_input():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(8, 3)) @ rng.normal(size=(3, 6))

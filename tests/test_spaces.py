@@ -487,22 +487,49 @@ def test_a_count_off_the_integers_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("fixture_name", sorted(EXPECTED_MODULE_DIMS))
 def test_counts_match_per_module_solves(fixture_name, request):
-    # oracle: the Kronecker reference for every module and every pair
+    # oracle: the Kronecker reference for every module and every pair,
+    # against block sums of the commutant rotated into the module bases
     space = request.getfixturevalue(fixture_name)
     action = space.iso_action
     maps = spaces.intertwiners(action, action)
-    eye = np.eye(space.m.dim)
-    assert spaces._commutant_count(maps, eye, eye, True) == \
-        _symmetric_dim(maps) == space.metric_space_dim
     blocks = [space.module_coords_in_m(i) for i in range(len(space.modules))]
-    for i, src in enumerate(blocks):
+    squares, symmetric = spaces._block_sums(maps, np.hstack(blocks))
+    assert spaces._commutant_count(symmetric, slice(None), slice(None)) == \
+        _symmetric_dim(maps) == space.metric_space_dim
+    ends = np.cumsum((0,) + space.module_dims)
+    spans = [np.arange(a, b) for a, b in zip(ends, ends[1:])]
+    for i, src in enumerate(spans):
         own = _kronecker_commutant(_module_action(space, i),
                                    _module_action(space, i))
-        assert spaces._commutant_count(maps, src, src, True) == \
+        assert spaces._commutant_count(symmetric, src, src) == \
             _symmetric_dim(own) == 1
-        for j, dst in enumerate(blocks):
+        for j, dst in enumerate(spans):
             oracle = _kronecker_commutant(_module_action(space, i),
                                           _module_action(space, j))
-            assert spaces._commutant_count(maps, src, dst) == len(oracle)
+            assert spaces._commutant_count(squares, dst, src) == len(oracle)
             grouped = any(i in gp and j in gp for gp in space.isotypic_groups)
             assert grouped == (len(oracle) > 0)
+
+
+def test_so10_over_so2_groups_many_modules():
+    # 28 trivial lines, all equivalent, and 8 planes of complex type, all
+    # equivalent: the metrics are symmetric 28 x 28 blocks plus 8 x 8
+    # blocks of complex scalars, 28 * 29 / 2 + 8^2 of them
+    space = spaces.decompose_isotropy(spaces.reductive_space(
+        None, zoo.named_embedding("so_in_so", k=2, n=10), name="so(10)/so(2)"))
+    assert len(space.modules) == 36
+    assert space.module_dims == (1,) * 28 + (2,) * 8
+    assert space.isotypic_groups == (tuple(range(28)), tuple(range(28, 36)))
+    assert space.metric_space_dim == 470
+
+
+def test_empty_m_decomposes_to_nothing():
+    # reductive_space refuses h = g, so the empty isotropy is built by
+    # hand; the general path returns no modules and no metrics
+    g = zoo.classical("su", 2)
+    space = spaces.ReductiveSpace(
+        g=g, h=core.Subspace.from_columns(g, np.eye(3), name="h"),
+        m=core.Subspace(ambient=g, basis=np.zeros((3, 0)), name="m"))
+    out = spaces.decompose_isotropy(space, seed=4)
+    assert (out.modules, out.isotypic_groups) == ((), ())
+    assert (out.metric_space_dim, out.decomposition_seed) == (0, 4)
