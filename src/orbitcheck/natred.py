@@ -265,6 +265,10 @@ def ledger_obata_verify(metric: LedgerObataMetric,
                   float(triple.gamma))
     total = float(triple.total)
     av, bv, cv = float(metric.a), float(metric.b), float(metric.c)
+    g1 = np.zeros((3 * f.dim, 3 * f.dim))
+    g1[:f.dim, :f.dim] = al * gf
+    g1[f.dim:2 * f.dim, f.dim:2 * f.dim] = be * gf
+    g1[2 * f.dim:, 2 * f.dim:] = ga * gf
     worst = 0.0
     for a in (-1, 0, 1):
         for b in (-1, 0, 1):
@@ -275,10 +279,6 @@ def ledger_obata_verify(metric: LedgerObataMetric,
                 x = basis[:, i]
                 xx = float(x @ gf @ x)
                 lift = np.concatenate([(a + t) * x, (b + t) * x, t * x])
-                g1 = np.zeros((3 * f.dim, 3 * f.dim))
-                g1[:f.dim, :f.dim] = al * gf
-                g1[f.dim:2 * f.dim, f.dim:2 * f.dim] = be * gf
-                g1[2 * f.dim:, 2 * f.dim:] = ga * gf
                 got = float(lift @ g1 @ lift)
                 want = (av * a * a + 2 * bv * a * b + cv * b * b) * xx
                 worst = max(worst, abs(got - want))

@@ -11,10 +11,13 @@ element of it, rotates the basis once into those eigenvectors, and
 reads every count as an integer block sum of squared entries of that
 one stack: the invariant metrics are its symmetric part, a summand is
 irreducible when it carries one symmetric invariant map, and summands
-joined by an invariant map are grouped as isotypic. The
-structure classifier labels the pair (g, h) by one of seven coarse cases
-from the center dimension, the minimal ideals of g, and how the simple
-ideals of h project onto them.
+joined by an invariant map are grouped as isotypic. The minimal ideals
+of an algebra go through ``intertwiners`` too: they are the summands of
+the same eigenvalue split, applied to the commutant of the adjoint action
+of two generic elements of the derived algebra on itself. The structure
+classifier labels the pair (g, h) by one of seven coarse cases from the
+center dimension, the minimal ideals of g, and how the simple ideals of
+h project onto them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from . import exact
 from .core import (LieAlgebra, OrbitcheckError, Subspace, ValidationError,
                    EffectivenessError, center_basis, pair_bracket_tensor)
 from .linalg import (column_space, gram_orthonormalize, nullspace, rng_for,
-                     subspace_intersection, svd_rank)
+                     svd_rank)
 from .zoo import Embedding, EmbeddingChain, as_embedding
 
 
@@ -259,6 +262,20 @@ def intertwiners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return (coeffs.T @ kernel.T).reshape(-1, dd, ds)
 
 
+def _commutant_split(maps: np.ndarray, rng: np.random.Generator
+                     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Eigenvalues, eigenvectors and eigenvalue clusters of a random
+    symmetric element of the span of ``maps``, a Frobenius-orthonormal
+    commutant stack: the projection onto that span of a random symmetric
+    matrix. Its eigenspaces are invariant, and generically irreducible."""
+    d = maps.shape[1]
+    raw = rng.standard_normal((d, d))
+    raw = (raw + raw.T) / 2
+    op = np.einsum("s,sij->ij", np.einsum("sij,ij->s", maps, raw), maps)
+    eigvals, eigvecs = np.linalg.eigh(op)
+    return eigvals, eigvecs, _cluster(eigvals)
+
+
 def _block_sums(maps: np.ndarray,
                 basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums over the commutant basis {T_k}, rotated once into the
@@ -302,19 +319,15 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
     derived seeds, then fail.
     """
     action = space.iso_action
-    dm = space.m.dim
     maps = intertwiners(action, action)
     whole = slice(None)
     for attempt in range(3):
-        rng = rng_for("decompose", space.name, seed, attempt)
-        raw = rng.standard_normal((dm, dm))
-        raw = (raw + raw.T) / 2
-        op = np.einsum("s,sij->ij", np.einsum("sij,ij->s", maps, raw), maps)
-        eigvals, eigvecs = np.linalg.eigh(op)
+        eigvals, eigvecs, clusters = _commutant_split(
+            maps, rng_for("decompose", space.name, seed, attempt))
         squares, symmetric = _block_sums(maps, eigvecs)
         metric_dim = _commutant_count(symmetric, whole, whole)
         mods = []
-        for cl in _cluster(eigvals):
+        for cl in clusters:
             block = eigvecs[:, cl]
             if _invariance_residual(action, block) > tol or \
                     _commutant_count(symmetric, cl, cl) != 1:
@@ -387,14 +400,21 @@ def _connected_groups(items: list, linked) -> list[list[int]]:
 # --- minimal ideals and the structure classifier -----------------------
 
 def minimal_ideals(alg: LieAlgebra, seed: int = 0) -> list[np.ndarray]:
-    """Orthonormal bases of the minimal ideals of the derived algebra.
+    """Gram-orthonormal bases of the minimal ideals of the derived algebra.
 
-    Splits along eigenspaces of (ad X)^2 for random X, merges blocks
-    connected by nonzero brackets, completes each block with its part of
-    the kernel, and intersects the partitions of two independent draws.
-    The result is verified to consist of ideals spanning the derived
-    algebra; minimality holds for generic draws and is deterministic
-    under the seed.
+    An ideal of a compact algebra is an ad-invariant subspace, so the
+    minimal ideals of s = [g, g] are its irreducible ad(s)-submodules.
+    Two seeded generic elements of s generate s (Kuranishi 1951), so
+    ``intertwiners`` on their adjoint actions, in s's gram-orthonormal
+    coordinates, gives the commutant of ad(s): one map per simple ideal,
+    as each carries an absolutely irreducible adjoint action that no
+    other ideal shares. s splits along the eigenvalue clusters of a
+    random element of that commutant. A draw is kept only when it gives
+    one cluster per commutant map and the clusters are verified to be
+    ideals spanning s; otherwise it retries with derived seeds, then
+    fails. Ideals are ordered by dimension, then by the rounded entries
+    of their projectors B B^T, larger first; these depend only on the
+    subspace, so the order does not depend on the seed.
     """
     n = alg.dim
     if n == 0:
@@ -409,94 +429,33 @@ def minimal_ideals(alg: LieAlgebra, seed: int = 0) -> list[np.ndarray]:
         s_basis = gram_orthonormalize(nullspace(center.T @ gram), gram)
     for attempt in range(3):
         rng = rng_for("ideals", alg.name, seed, attempt)
+        generic = s_basis @ rng.standard_normal((s_basis.shape[1], 2))
+        gens = bracket_coords(alg, pair_bracket_tensor(alg, generic, s_basis),
+                              s_basis)
+        maps = intertwiners(gens, gens)
+        _, eigvecs, clusters = _commutant_split(maps, rng)
+        parts = [s_basis @ eigvecs[:, cl] for cl in clusters]
+        if len(parts) != len(maps):
+            continue  # two ideals drew eigenvalues within the cluster gap
         try:
-            parts1 = _ideal_split_once(alg, s_basis, rng)
-            parts2 = _ideal_split_once(alg, s_basis, rng)
-            parts = _common_refinement(alg, parts1, parts2)
             _verify_ideals(alg, parts, s_basis)
-            parts.sort(key=lambda b: (b.shape[1], _first_coord_key(b)))
-            return parts
         except DecompositionError:
             continue
+        parts.sort(key=lambda b: (b.shape[1],
+                                  tuple(np.round(-(b @ b.T), 6).ravel())))
+        return parts
     raise DecompositionError(f"minimal ideal split failed for {alg.name}")
-
-
-def _first_coord_key(basis: np.ndarray) -> tuple:
-    weights = np.abs(basis).sum(axis=1)
-    return tuple(np.round(-weights, 9))
-
-
-def _ideal_split_once(alg: LieAlgebra, s_basis: np.ndarray,
-                      rng: np.random.Generator) -> list[np.ndarray]:
-    gram = alg.inner_product
-    ds = s_basis.shape[1]
-    ad_x = alg.ad(s_basis @ rng.standard_normal(ds))
-    sq = s_basis.T @ gram @ ad_x @ ad_x @ s_basis
-    sq = (sq + sq.T) / 2
-    eigvals, eigvecs = np.linalg.eigh(sq)
-    scale = max(float(np.abs(eigvals).max()), 1.0)
-    kernel_idx = np.abs(eigvals) <= 1e-9 * scale
-    clusters = [c for c in _cluster(eigvals) if not kernel_idx[c[0]]]
-    kernel = s_basis @ eigvecs[:, kernel_idx]
-    blocks = [s_basis @ eigvecs[:, c] for c in clusters]
-    if not blocks:
-        raise DecompositionError("no nonzero eigenvalue blocks")
-    merged = _merge_connected(alg, blocks)
-    completed = []
-    used_kernel_dims = 0
-    for block in merged:
-        cart = _kernel_part(alg, block, kernel, gram)
-        used_kernel_dims += cart.shape[1]
-        basis = np.hstack([block, cart]) if cart.shape[1] else block
-        completed.append(gram_orthonormalize(basis, gram))
-    completed = _merge_connected(alg, completed)
-    total = sum(b.shape[1] for b in completed)
-    if used_kernel_dims != kernel.shape[1] or total != ds:
-        raise DecompositionError("kernel completion did not account for the "
-                                 "whole derived algebra")
-    return completed
-
-
-def _merge_connected(alg: LieAlgebra,
-                     blocks: list[np.ndarray]) -> list[np.ndarray]:
-    def linked(a, b):
-        return float(np.abs(pair_bracket_tensor(alg, a, b)).max()) > 1e-8
-    return [np.hstack([blocks[i] for i in idxs])
-            for idxs in _connected_groups(blocks, linked)]
-
-
-def _kernel_part(alg: LieAlgebra, block: np.ndarray, kernel: np.ndarray,
-                 gram: np.ndarray) -> np.ndarray:
-    if kernel.shape[1] == 0:
-        return np.zeros((alg.dim, 0))
-    raw = pair_bracket_tensor(alg, block, block).reshape(-1, alg.dim).T
-    coords = kernel.T @ gram @ raw
-    span = column_space(coords)
-    return kernel @ span
-
-
-def _common_refinement(alg: LieAlgebra, parts1: list[np.ndarray],
-                       parts2: list[np.ndarray]) -> list[np.ndarray]:
-    refined = []
-    for b1 in parts1:
-        for b2 in parts2:
-            inter = subspace_intersection(b1, b2)
-            if inter.shape[1]:
-                refined.append(gram_orthonormalize(inter, alg.inner_product))
-    total = sum(b.shape[1] for b in refined)
-    if total != sum(b.shape[1] for b in parts1):
-        raise DecompositionError("draws produced incompatible partitions")
-    return refined
 
 
 def _verify_ideals(alg: LieAlgebra, parts: list[np.ndarray],
                    s_basis: np.ndarray) -> None:
+    """Raise unless each gram-orthonormal basis in ``parts`` spans an
+    ideal and together they span the derived algebra."""
     gram = alg.inner_product
     for basis in parts:
-        raw = pair_bracket_tensor(alg, np.eye(alg.dim), basis)
-        flat = raw.reshape(-1, alg.dim)
-        recon = (flat @ gram @ basis) @ np.linalg.solve(
-            basis.T @ gram @ basis, basis.T)
+        # [e_a, b] for every coordinate vector e_a and every column b
+        flat = (basis.T @ alg.structure).reshape(-1, alg.dim)
+        recon = flat @ (gram @ basis) @ basis.T
         if float(np.abs(flat - recon).max()) > 1e-7:
             raise DecompositionError("candidate block is not an ideal")
     total = sum(b.shape[1] for b in parts)

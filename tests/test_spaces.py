@@ -97,20 +97,32 @@ def test_non_subalgebra_h_is_rejected(so5_u2):
         spaces.reductive_space(g, cols)
 
 
+SMALL_IDEAL_CASES = {
+    "so(3)+so(3)+so(3)": [3, 3, 3],
+    "su(3)+so(3)": [3, 8],
+    "u(3)": [8],
+    "so(4)": [3, 3],
+    "so(4)+so(3)": [3, 3, 3],
+    "g2": [14],
+    "torus(1)+so(3)": [3],
+    "sp(2)+sp(2)+so(5)": [10, 10, 10],
+}
+
+
 def test_minimal_ideal_dimensions():
-    cases = {
-        "so(3)+so(3)+so(3)": [3, 3, 3],
+    cases = dict(SMALL_IDEAL_CASES, **{
         "so(9)": [36],
-        "su(3)+so(3)": [3, 8],
-        "u(3)": [8],
-    }
+        "so(16)": [120],
+        "sp(7)": [105],
+    })
     for name, dims in cases.items():
         parts = spaces.minimal_ideals(zoo.algebra_by_name(name))
         assert [p.shape[1] for p in parts] == dims
 
 
-def test_minimal_ideals_are_ideals():
-    alg = zoo.algebra_by_name("su(3)+so(3)")
+@pytest.mark.parametrize("name", sorted(SMALL_IDEAL_CASES))
+def test_minimal_ideals_are_ideals(name):
+    alg = zoo.algebra_by_name(name)
     for part in spaces.minimal_ideals(alg):
         sub = spaces.Subspace.from_columns(alg, part, name="ideal")
         for i in range(alg.dim):
@@ -119,6 +131,28 @@ def test_minimal_ideals_are_ideals():
             images = alg.ad(e) @ part
             for j in range(part.shape[1]):
                 assert sub.distance(images[:, j]) < 1e-8
+
+
+def test_minimal_ideal_order_does_not_depend_on_the_seed():
+    # so(4) splits into two so(3) ideals of equal dimension, so only a key
+    # read off each subspace, not off the random basis, fixes their order
+    for name in ("so(4)", "so(4)+so(3)", "so(4)+so(4)"):
+        alg = zoo.algebra_by_name(name)
+        first = [b @ b.T for b in spaces.minimal_ideals(alg, seed=0)]
+        for seed in range(1, 5):
+            again = [b @ b.T for b in spaces.minimal_ideals(alg, seed=seed)]
+            assert len(again) == len(first)
+            for p, q in zip(first, again):
+                np.testing.assert_allclose(q, p, atol=1e-8, err_msg=name)
+
+
+def test_minimal_ideals_refuse_a_split_that_merges_ideals(monkeypatch):
+    # every draw puts both so(3) ideals of so(4) in one cluster: an ideal
+    # spanning s, but fewer clusters than commutant maps
+    monkeypatch.setattr(spaces, "_cluster",
+                        lambda values: [np.arange(values.size)])
+    with pytest.raises(spaces.DecompositionError):
+        spaces.minimal_ideals(zoo.algebra_by_name("so(4)"))
 
 
 def test_classify_structure_on_projective_pair(so5_u2):
