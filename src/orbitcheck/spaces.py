@@ -5,13 +5,14 @@ subalgebra h against the chosen ad-invariant inner product. Every
 equivariance question goes through one routine, ``intertwiners``, which
 returns a basis of the maps between two ad(h)-actions that commute with
 every generator, from the matching eigenvalues of one generic element
-of h on each side. The isotropy decomposition computes the commutant of
-ad(h) on m once, splits m along the eigenspaces of a random symmetric
-element of it, rotates the basis once into those eigenvectors, and
-reads every count as an integer block sum of squared entries of that
-one stack: the invariant metrics are its symmetric part, a summand is
-irreducible when it carries one symmetric invariant map, and summands
-joined by an invariant map are grouped as isotypic. The minimal ideals
+of h on each side (on its kernels, of a second one's square). The
+isotropy decomposition computes the commutant of ad(h) on m once,
+splits m along the eigenspaces of a random symmetric element of it,
+rotates the basis once into those eigenvectors, and reads every count
+as an integer block sum of squared entries of that one stack: the
+invariant metrics are its symmetric part, a summand is irreducible when
+it carries one symmetric invariant map, and summands joined by an
+invariant map are grouped as isotypic. The minimal ideals
 of an algebra go through ``intertwiners`` too: they are the summands of
 the same eigenvalue split, applied to the commutant of the adjoint action
 of two generic elements of the derived algebra on itself. The structure
@@ -228,23 +229,31 @@ def intertwiners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     with i a = U diag(l) U^H and i b = V diag(n) V^H, T = V E U^H with
     E_ji = 0 unless n_j = l_i. The spectra are symmetric, with conjugate
     eigenvectors at -l, so the candidates are sqrt(2) times the real and
-    imaginary parts of V[:, j] U[:, i]^H for matched n_j = l_i > 0, and
-    every map between the real kernels of a and b. Every generator is
-    then imposed on the candidates only.
+    imaginary parts of V[:, j] U[:, i]^H for matched n_j = l_i > 0. On
+    the real kernels P_s, P_d of a and b, T restricts to a C with
+    M_d C = C M_s for M = P^T c^T c P and a second generic combination
+    c, so the last candidates are the maps between matched eigenvectors
+    of M_s and M_d: about one per kernel dimension, where all maps
+    between the kernels are rank^2 for an adjoint action. Every
+    generator is then imposed on the candidates only.
     """
     k, ds, dd = len(src), src.shape[1], dst.shape[1]
     if k == 0 or dd * ds == 0:
         return np.eye(dd * ds).reshape(dd * ds, dd, ds)
-    weights = rng_for("intertwiners", k).standard_normal(k)
+    rng = rng_for("intertwiners", k)
+    weights = rng.standard_normal(k)
     lam, u = np.linalg.eigh(1j * np.einsum("a,aij->ij", weights, src))
     nu, v = np.linalg.eigh(1j * np.einsum("a,aij->ij", weights, dst))
     cut = EIGENVALUE_MATCH * np.abs(np.append(lam, nu)).max()
     jj, ii = np.nonzero((np.abs(nu[:, None] - lam) <= cut)
                         & (nu[:, None] > cut) & (lam > cut))
-    ker_s, ker_d = (column_space(np.hstack([x[:, near].real, x[:, near].imag]))
-                    for x, near in ((u, np.abs(lam) <= cut),
-                                    (v, np.abs(nu) <= cut)))
-    count = 2 * len(jj) + ker_s.shape[1] * ker_d.shape[1]
+    second = rng.standard_normal(k)
+    (mu_s, ker_s, size_s), (mu_d, ker_d, size_d) = (
+        _kernel_frame(x, vecs[:, np.abs(vals) <= cut], second)
+        for x, vals, vecs in ((src, lam, u), (dst, nu, v)))
+    kj, ki = np.nonzero(np.abs(mu_d[:, None] - mu_s)
+                        <= EIGENVALUE_MATCH * max(size_s, size_d))
+    count = 2 * len(jj) + len(kj)
     if k * dd * ds * count * 8 > MAX_SYSTEM_BYTES:
         raise DecompositionError(
             f"intertwiner system of {k * dd * ds * count / 2 ** 17:.0f} MiB "
@@ -253,13 +262,26 @@ def intertwiners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     pairs = np.sqrt(2) * (v.T[jj, :, None] * u.T[ii, None].conj()).reshape(
         len(jj), dd * ds)
     kernel = np.hstack([pairs.real.T, pairs.imag.T, (
-        ker_d[:, None, :, None] * ker_s[:, None]).reshape(dd * ds, -1)])
+        ker_d[:, None, kj] * ker_s[None, :, ki]).reshape(dd * ds, -1)])
     # rows[a, p, q] = (dst[a] T - T src[a])[p, q], built in place
     rows = (dst @ kernel.reshape(dd, ds * count)).reshape(k, dd, ds, count)
     for a, x in enumerate(src):
         rows[a] -= x.T @ kernel.reshape(dd, ds, count)
     coeffs = nullspace(rows.reshape(k * dd * ds, count))
     return (coeffs.T @ kernel.T).reshape(-1, dd, ds)
+
+
+def _kernel_frame(gens: np.ndarray, vecs: np.ndarray, weights: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues and eigenvectors of M = P^T c^T c P, for P a real
+    orthonormal basis of the span of the complex eigenvectors ``vecs``
+    and c the combination ``weights`` of ``gens``, with |c|_F^2: every
+    eigenvalue of M, and its rounding, lies under that bound."""
+    ker = column_space(np.hstack([vecs.real, vecs.imag]))
+    c = np.einsum("a,aij->ij", weights, gens)
+    image = c @ ker
+    mu, w = np.linalg.eigh(image.T @ image)
+    return mu, ker @ w, float(np.sum(c * c))
 
 
 def _commutant_split(maps: np.ndarray, rng: np.random.Generator
@@ -416,17 +438,10 @@ def minimal_ideals(alg: LieAlgebra, seed: int = 0) -> list[np.ndarray]:
     of their projectors B B^T, larger first; these depend only on the
     subspace, so the order does not depend on the seed.
     """
-    n = alg.dim
-    if n == 0:
-        return []
-    center = center_basis(alg)
-    if center.shape[1] == n:
-        return []
     gram = alg.inner_product
-    if center.shape[1] == 0:
-        s_basis = gram_orthonormalize(np.eye(n), gram)
-    else:
-        s_basis = gram_orthonormalize(nullspace(center.T @ gram), gram)
+    s_basis = gram_orthonormalize(nullspace(center_basis(alg).T @ gram), gram)
+    if s_basis.shape[1] == 0:
+        return []
     for attempt in range(3):
         rng = rng_for("ideals", alg.name, seed, attempt)
         generic = s_basis @ rng.standard_normal((s_basis.shape[1], 2))

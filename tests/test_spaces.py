@@ -155,6 +155,29 @@ def test_minimal_ideals_refuse_a_split_that_merges_ideals(monkeypatch):
         spaces.minimal_ideals(zoo.algebra_by_name("so(4)"))
 
 
+@pytest.mark.parametrize("family, n, copies", [("so", 3, 40), ("so", 5, 12)])
+def test_minimal_ideals_split_the_largest_direct_powers(family, n, copies):
+    # direct powers reach dimension 120; with every map between the
+    # rank-dimensional kernels of one generic element as a candidate,
+    # so(3)^40 was a 387 MiB system and refused by MAX_SYSTEM_BYTES
+    import tracemalloc
+    alg = zoo.embed_diagonal(family, n, copies).target
+    tracemalloc.start()
+    try:
+        parts = spaces.minimal_ideals(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = alg.dim // copies
+    assert [p.shape[1] for p in parts] == [dim] * copies
+    # each ideal is one summand: its rows vanish off one block of dim rows
+    blocks = [np.flatnonzero(np.abs(p).max(axis=1) > 1e-8) // dim
+              for p in parts]
+    assert all(len(b) == dim and len(set(b)) == 1 for b in blocks)
+    assert sorted(b[0] for b in blocks) == list(range(copies))
+    assert peak < 256 << 20
+
+
 def test_classify_structure_on_projective_pair(so5_u2):
     report = spaces.classify_structure(so5_u2)
     assert report.case_label == 7
