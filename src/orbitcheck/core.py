@@ -157,6 +157,22 @@ class StructureConstants:
             k[rows], self.numer[rows] * xi[i[rows]] * yi[j[rows]]),
             self.denom * dx * dy)
 
+    def ad_numerators(self, xs: np.ndarray) -> np.ndarray:
+        """Integer ad matrices of the integer columns of ``xs`` (n, k).
+
+        Returns N of shape (k, n, n) with ad(x_t) = N[t] / denom, so
+        N[t] @ y is denom [x_t, y]; Python ints throughout. Only rows
+        (i, j, k) with x_t[i] nonzero are touched.
+        """
+        n = self.dim
+        i, j, k = self.index.T
+        rows, t = np.nonzero(xs[i] != 0)
+        keys, sums = _accumulate((t * n + k[rows]) * n + j[rows],
+                                 self.numer[rows] * xs[i[rows], t])
+        out = np.zeros(xs.shape[1] * n * n, dtype=object)
+        out[keys] = sums
+        return out.reshape(xs.shape[1], n, n)
+
 
 def structure_constants(dim: int, entries) -> StructureConstants:
     """Triples from (i, j, k, value) entries with rational values

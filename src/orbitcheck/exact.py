@@ -54,8 +54,12 @@ def fidentity(n: int) -> np.ndarray:
     return arr
 
 
-def to_float(a: np.ndarray) -> np.ndarray:
-    return np.array(a, dtype=np.float64)
+def to_float(a: np.ndarray, d: int = 1) -> np.ndarray:
+    """Float array of ``a / d``, each entry rounded once (``a`` of
+    Fractions or Python ints)."""
+    if d == 1:
+        return np.array(a, dtype=np.float64)
+    return np.array([v / d for v in a.flat], dtype=np.float64).reshape(a.shape)
 
 
 def cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -88,18 +92,19 @@ def _over(num: np.ndarray, d: int) -> np.ndarray:
 def _eliminate(a: np.ndarray) -> tuple[np.ndarray, list[int], int]:
     """Fraction-free Gauss-Jordan elimination: (rows, pivots, d).
 
-    Each row is cleared to Python integers; each pivot p then updates
-    every other row by the Bareiss step (p M - outer(col, pivot_row)) // d,
-    with d the previous pivot (1 at the start). Every division is exact
-    because every entry stays a minor of the cleared matrix. On return
-    the first ``len(pivots)`` rows are the pivot rows, every pivot entry
-    equals the last pivot ``d`` and the rows below are zero, so the
-    reduced row echelon form is ``rows / d``.
+    Each row is cleared to Python integers (a row of Python ints is
+    taken as it is); each pivot p then updates every other row by the
+    Bareiss step (p M - outer(col, pivot_row)) // d, with d the previous
+    pivot (1 at the start). Every division is exact because every entry
+    stays a minor of the cleared matrix. On return the first
+    ``len(pivots)`` rows are the pivot rows, every pivot entry equals the
+    last pivot ``d`` and the rows below are zero, so the reduced row
+    echelon form is ``rows / d``.
     """
     n_rows, n_cols = a.shape
     m = np.empty((n_rows, n_cols), dtype=object)
     for i, row in enumerate(a):
-        m[i] = cleared(row)[0]
+        m[i] = row if all(type(v) is int for v in row) else cleared(row)[0]
     pivots: list[int] = []
     d = 1
     for col in range(n_cols):

@@ -30,8 +30,7 @@ from .filters import (CentralizerSplit, _module_action, centralizer,
 from .linalg import (DEFAULT_TOL, consistency_gap, gram_orthonormalize,
                      min_norm_solve, rank_of, rank_threshold, rng_for,
                      subspace_intersection)
-from .spaces import (ExactUnavailableError, ReductiveSpace, exact_module_bases,
-                     intertwiners)
+from .spaces import ExactUnavailableError, ReductiveSpace, intertwiners
 
 MARGIN_FACTOR = 1e3
 
@@ -330,7 +329,7 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     trivially consistent with zero witnesses, and a two-parameter metric
     reads its witnesses off the space's metric-free factorisation of the
     same samples. The exact lane draws integer combinations of the
-    rational module bases and solves in rational arithmetic.
+    rational module bases and solves each system on Python integers.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
@@ -491,49 +490,62 @@ def _factored_witness(space: ReductiveSpace, a: MetricOperator, seed: int,
 def _exact_lane(space: ReductiveSpace, a: MetricOperator, seed: int):
     """Witness function and consistent status of the exact lane."""
     lam, mu = a.exact_params()
-    bases = exact_module_bases(space)
-    if len(bases) != 2:
+    lane = space.exact_lane
+    if len(lane.bases) != 2:
         raise ExactUnavailableError("exact mode expects two modules")
-    g = space.g
-    h_cols = space.embedding.matrix_exact
-    # cleared once: each sample's system is rows @ its columns over one
-    # integer scale, which the solution does not depend on
-    rows, _ = exact.cleared(exact.matmul(space.exact_m_basis.T,
-                                         g.inner_product_exact))
-    to_m = space.m.basis.T @ g.inner_product
-    to_h = space.h.basis.T @ g.inner_product
 
     def witness(i):
-        rng = rng_for("go-exact", space.name, seed, i)
-        x1 = exact.matmul(bases[0], _nonzero_int_vector(rng, bases[0].shape[1]))
-        x2 = exact.matmul(bases[1], _nonzero_int_vector(rng, bases[1].shape[1]))
-        xg = x1 + x2
-        x_m = to_m @ exact.to_float(xg)
+        x1, x2 = _exact_draw(space, seed, i)
+        x_m = lane.to_m @ exact.to_float(x1 + x2, lane.denom)
         z = np.zeros(space.h.dim)
         if lam != mu:
-            axg = lam * x1 + mu * x2
-            # column t is proj_m [h_t, A X] and the last proj_m [X, A X]:
-            # one product for the system and its rhs
-            cols = rows @ exact.cleared(np.column_stack(
-                [g.bracket_exact(h, axg) for h in h_cols.T]
-                + [g.bracket_exact(xg, axg)]))[0]
-            z = exact.solve(cols[:, :-1], -cols[:, -1])
+            z = _exact_solution(space, lam, mu, x1, x2)
             if z is None:
                 # an inconsistent system gains exactly one rank from b
                 return GoWitness(x=x_m, z=None, residual=float("nan"),
                                  rank_gap=1, margin=float("inf"),
                                  kind="exact")
-            z = to_h @ exact.to_float(exact.matmul(h_cols, z))
+            zi, dz = exact.cleared(z)
+            z = lane.to_h @ exact.to_float(lane.h_cols @ zi, lane.h_denom * dz)
         return GoWitness(x=x_m, z=z, residual=0.0, rank_gap=0, margin=0.0,
                          kind="exact")
     return witness, "GO_CONSISTENT" if lam != mu else "NORMAL_TRIVIAL"
 
 
+def _exact_draw(space: ReductiveSpace, seed: int, i: int):
+    """Integer g coordinates of sample i's module parts X1, X2, both over
+    ``space.exact_lane.denom``."""
+    rng = rng_for("go-exact", space.name, seed, i)
+    return tuple(b @ _nonzero_int_vector(rng, b.shape[1])
+                 for b in space.exact_lane.bases)
+
+
+def _exact_solution(space: ReductiveSpace, lam: Fraction, mu: Fraction,
+                    x1: np.ndarray, x2: np.ndarray) -> np.ndarray | None:
+    """Exact z (coefficients on the rational h basis) with
+    proj_m [Z + X, A X] = 0, or None when there is none.
+
+    X = X1 + X2 and A X = lam X1 + mu X2 are integer vectors over known
+    denominators, so the system and its right-hand side are one integer
+    product rows @ ad(A X) @ [H | X]. The scale of A X cancels, and the
+    h columns sit over h_denom where X sits over denom, so the integer
+    solution scales back by h_denom / denom.
+    """
+    lane = space.exact_lane
+    ax = (lam.numerator * mu.denominator) * x1 \
+        + (mu.numerator * lam.denominator) * x2
+    ad = space.g.structure_exact.ad_numerators(ax[:, None])[0]
+    cols = lane.rows @ (ad @ np.column_stack([lane.h_cols, x1 + x2]))
+    z = exact.solve(cols[:, :-1], -cols[:, -1])
+    return None if z is None else z * Fraction(lane.h_denom, lane.denom)
+
+
 def _nonzero_int_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Nonzero Python-int vector with entries in [-3, 3]."""
     while True:
         v = rng.integers(-3, 4, size=n)
         if np.any(v):
-            return np.array([Fraction(int(t)) for t in v], dtype=object)
+            return v.astype(object)
 
 
 # --- geodesic graphs on two-module spaces -------------------------------

@@ -111,6 +111,12 @@ class ReductiveSpace:
         return {}
 
     @cached_property
+    def exact_lane(self) -> ExactLane:
+        """The exact GO lane's data, built through ``exact_module_bases``
+        once; an ExactUnavailableError raises again on every access."""
+        return _build_exact_lane(self)
+
+    @cached_property
     def _m_brackets(self) -> np.ndarray:
         return pair_bracket_tensor(self.g, self.m.basis, self.m.basis)
 
@@ -690,10 +696,45 @@ def _require_invariant(space: ReductiveSpace, basis: np.ndarray,
                        name: str) -> None:
     """Raise unless [h, span(basis)] lies in span(basis): every bracket of
     an h generator with a basis vector must vanish on the rows that
-    vanish on the span."""
-    g = space.g
-    images = np.array([g.bracket_exact(h, b)
-                       for h in space.embedding.matrix_exact.T for b in basis.T],
-                      dtype=object).reshape(-1, g.dim).T
-    if np.any(exact.matmul(exact.null_space(basis.T).T, images) != 0):
+    vanish on the span. The brackets are one integer product of the h
+    generators' ad matrices with the cleared basis; clearing
+    denominators does not move a zero."""
+    h_cols = exact.cleared(space.embedding.matrix_exact)[0]
+    images = space.g.structure_exact.ad_numerators(h_cols) \
+        @ exact.cleared(basis)[0]
+    if np.any(exact.cleared(exact.null_space(basis.T).T)[0] @ images != 0):
         raise ExactUnavailableError(f"rounded {name} is not ad(h)-invariant")
+
+
+@dataclass(frozen=True)
+class ExactLane:
+    """The exact GO lane's per-space data, cleared to integers once.
+
+    Module k's rational basis (g coords) is ``bases[k] / denom``, and h's
+    is ``h_cols / h_denom``. ``rows`` are the integer rows of the exact
+    m-basis Gram pairing, so ``rows @ v`` vanishes exactly when v lies in
+    h. ``to_m`` and ``to_h`` take float g coordinates to orthonormal m
+    and h coordinates.
+    """
+
+    bases: tuple[np.ndarray, ...]
+    denom: int
+    rows: np.ndarray
+    h_cols: np.ndarray
+    h_denom: int
+    to_m: np.ndarray
+    to_h: np.ndarray
+
+
+def _build_exact_lane(space: ReductiveSpace) -> ExactLane:
+    bases = exact_module_bases(space)
+    nums, denom = exact.cleared(np.hstack(bases))
+    cuts = np.cumsum([b.shape[1] for b in bases])[:-1]
+    g = space.g
+    rows = exact.cleared(exact.matmul(space.exact_m_basis.T,
+                                      g.inner_product_exact))[0]
+    h_cols, h_denom = exact.cleared(space.embedding.matrix_exact)
+    return ExactLane(bases=tuple(np.split(nums, cuts, axis=1)), denom=denom,
+                     rows=rows, h_cols=h_cols, h_denom=h_denom,
+                     to_m=space.m.basis.T @ g.inner_product,
+                     to_h=space.h.basis.T @ g.inner_product)

@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from orbitcheck import catalog, core, go
+from orbitcheck import catalog, core, exact, go, spaces
 from orbitcheck.linalg import rng_for
 from orbitcheck.spaces import ExactUnavailableError
+from test_spaces import _with_modules
 
 
 def module_vector(space, index, rng):
@@ -409,3 +412,120 @@ def test_one_status_across_non_normal_pairs(entry_id):
     pairs = NON_NORMAL_PAIRS + [(7, 1), (1, 7), (3, 2.5), (0.5, 0.45)]
     statuses = {go.go_check(space, pair, seed=1).status for pair in pairs}
     assert len(statuses) == 1, statuses
+
+
+# --- the exact lane: per-space data and integer samples -----------------
+
+EXACT_CAPABLE = ["go-2", "go-3-k2", "go-3-k3", "go-4-r2", "go-5", "go-6-m2n1",
+                 "go-6-m3n2", "go-7-n2", "go-8-n1", "t1-V.1-m3n3", "struct-2",
+                 "struct-3", "struct-4", "struct-6", "struct-7"]
+EXACT_PAIRS = [(Fraction(5, 2), Fraction(1, 3)), (Fraction(2, 3), Fraction(7, 4)),
+               (Fraction(2), Fraction(2))]
+
+
+@pytest.fixture()
+def basis_calls(monkeypatch):
+    """Spaces passed to spaces.exact_module_bases, through the module global."""
+    seen = []
+    build = spaces.exact_module_bases
+
+    def spy(space):
+        seen.append(space)
+        return build(space)
+    monkeypatch.setattr(spaces, "exact_module_bases", spy)
+    return seen
+
+
+def test_exact_module_bases_run_once_per_space(so5_u2, basis_calls):
+    fresh = replace(so5_u2)
+    for pair in EXACT_PAIRS:
+        for seed in range(3):
+            go.go_check(fresh, pair, n_samples=2, seed=seed, exact_mode=True)
+    assert basis_calls == [fresh]
+
+
+@pytest.mark.parametrize("entry_id", ["go-1", "t1-V.10"])
+def test_a_refused_space_is_refused_on_every_call(entry_id, basis_calls):
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    for _ in range(3):
+        with pytest.raises(ExactUnavailableError):
+            go.go_check(space, (1, 2), n_samples=1, exact_mode=True)
+    assert len(basis_calls) == 3
+    assert "exact_lane" not in vars(space)
+
+
+def test_a_copy_with_new_modules_builds_its_own_exact_data(so5_u2):
+    # the tilted split of test_spaces must still be refused after the
+    # original space's exact lane has run
+    space = replace(so5_u2)
+    assert go.go_check(space, (1, 2), n_samples=2, exact_mode=True).exact
+    assert "exact_lane" in vars(space)
+    b1 = space.module_coords_in_m(0).copy()
+    b2 = space.module_coords_in_m(1).copy()
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    b1[:, 0], b2[:, 0] = c * b1[:, 0] + s * b2[:, 0], c * b2[:, 0] - s * b1[:, 0]
+    tilted = _with_modules(space, [b1, b2])
+    assert "exact_lane" not in vars(tilted)
+    with pytest.raises(ExactUnavailableError):
+        tilted.exact_lane
+
+
+def _fraction_sample(space, bases, rows, lam, mu, seed, i):
+    """Sample i of the exact lane in Fraction arithmetic: X, and z in h
+    coordinates (None when inconsistent) from one bracket_exact per h
+    column and exact.solve on the cleared columns."""
+    g = space.g
+    rng = rng_for("go-exact", space.name, seed, i)
+    parts = []
+    for basis in bases:
+        while True:
+            v = rng.integers(-3, 4, size=basis.shape[1])
+            if np.any(v):
+                break
+        parts.append(exact.matmul(
+            basis, np.array([Fraction(int(t)) for t in v], dtype=object)))
+    xg = parts[0] + parts[1]
+    if lam == mu:
+        return xg, exact.fzeros(space.h.dim)
+    axg = lam * parts[0] + mu * parts[1]
+    cols = rows @ exact.cleared(np.column_stack(
+        [g.bracket_exact(h, axg) for h in space.embedding.matrix_exact.T]
+        + [g.bracket_exact(xg, axg)]))[0]
+    return xg, exact.solve(cols[:, :-1], -cols[:, -1])
+
+
+@pytest.mark.parametrize("entry_id", EXACT_CAPABLE)
+def test_integer_exact_lane_matches_the_fraction_path(entry_id):
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    lane = space.exact_lane
+    bases = spaces.exact_module_bases(space)
+    rows, _ = exact.cleared(exact.matmul(space.exact_m_basis.T,
+                                         space.g.inner_product_exact))
+    to_h = space.h.basis.T @ space.g.inner_product
+    statuses = set()
+    for lam, mu in EXACT_PAIRS:
+        for seed in range(3):
+            verdict = go.go_check(space, (lam, mu), n_samples=3, seed=seed,
+                                  exact_mode=True)
+            for i, got in enumerate(verdict.witnesses):
+                xg, want = _fraction_sample(space, bases, rows, lam, mu,
+                                            seed, i)
+                x1, x2 = go._exact_draw(space, seed, i)
+                assert [Fraction(v, lane.denom) for v in x1 + x2] == list(xg)
+                z = exact.fzeros(space.h.dim) if lam == mu else \
+                    go._exact_solution(space, lam, mu, x1, x2)
+                assert got.rank_gap == (want is None)
+                if want is None:
+                    assert z is None and got.z is None
+                    continue
+                assert list(z) == list(want)
+                np.testing.assert_array_equal(got.z, np.zeros(space.h.dim)
+                    if lam == mu else to_h @ exact.to_float(exact.matmul(
+                        space.embedding.matrix_exact, want)))
+            solvable = verdict.witnesses[-1].solvable
+            assert verdict.status == ("NOT_GO" if not solvable else
+                                      "NORMAL_TRIVIAL" if lam == mu else
+                                      "GO_CONSISTENT")
+            statuses.add(verdict.status)
+    assert "NORMAL_TRIVIAL" in statuses
+    assert ("NOT_GO" in statuses) == (entry_id == "t1-V.1-m3n3")
