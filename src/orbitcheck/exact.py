@@ -4,10 +4,10 @@ Matrices are numpy object arrays holding fractions.Fraction entries.
 Products run on integer arrays over a common denominator: ``matmul``
 scales each operand by the lcm of its denominators, multiplies the
 integer arrays, and divides once per output entry. One fraction-free
-Gauss-Jordan elimination (Bareiss steps on rows cleared to integers)
-serves every other routine: ``rref`` divides its pivot rows once by the
-last pivot, and ``bareiss_rank``, ``null_space``, ``solve`` and
-``solvable`` read rank, kernel and solution off the same integer rows,
+forward elimination (Bareiss steps on rows cleared to integers) serves
+every other routine: ``bareiss_rank`` and ``solvable`` read its pivots,
+and ``rref``, ``null_space`` and ``solve`` back-substitute, in integers
+too, the columns they need (all, the free ones, or the right-hand side),
 so no row operation ever touches a Fraction.
 """
 
@@ -80,26 +80,24 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     ia, da = cleared(a)
     ib, db = cleared(b)
-    return _over(ia @ ib, da * db)
+    return over(ia @ ib, da * db)
 
 
-def _over(num: np.ndarray, d: int) -> np.ndarray:
+def over(num: np.ndarray, d: int) -> np.ndarray:
     """The Fraction array ``num / d`` of an integer object array."""
     return np.array([Fraction(n, d) for n in num.flat],
                     dtype=object).reshape(num.shape)
 
 
 def _eliminate(a: np.ndarray) -> tuple[np.ndarray, list[int], int]:
-    """Fraction-free Gauss-Jordan elimination: (rows, pivots, d).
+    """Fraction-free forward elimination: (rows, pivots, d).
 
     Each row is cleared to Python integers (a row of Python ints is
-    taken as it is); each pivot p then updates every other row by the
-    Bareiss step (p M - outer(col, pivot_row)) // d, with d the previous
-    pivot (1 at the start). Every division is exact because every entry
-    stays a minor of the cleared matrix. On return the first
-    ``len(pivots)`` rows are the pivot rows, every pivot entry equals the
-    last pivot ``d`` and the rows below are zero, so the reduced row
-    echelon form is ``rows / d``.
+    taken as it is); each pivot p then updates the rows below it, from
+    its column on, by the Bareiss step (p m[r][j] - m[r][col] m[row][j])
+    // d, with d the previous pivot (1 at the start). Every division is
+    exact because every entry stays a minor of the cleared matrix. On
+    return the rows are an integer echelon form and d is the last pivot.
     """
     n_rows, n_cols = a.shape
     m = np.empty((n_rows, n_cols), dtype=object)
@@ -115,17 +113,25 @@ def _eliminate(a: np.ndarray) -> tuple[np.ndarray, list[int], int]:
         if not below.size:
             continue
         m[[row, row + below[0]]] = m[[row + below[0], row]]
-        pivot_row = m[row].copy()
-        m = (pivot_row[col] * m - np.multiply.outer(m[:, col], pivot_row)) // d
-        m[row] = pivot_row
-        d = pivot_row[col]
+        p = m[row, col]
+        m[row + 1:, col:] = (p * m[row + 1:, col:] - np.multiply.outer(
+            m[row + 1:, col], m[row, col:])) // d
+        d = p
         pivots.append(col)
     return m, pivots, d
 
 
-def _augmented(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.hstack([np.asarray(a, dtype=object),
-                      np.asarray(b, dtype=object).reshape(-1, 1)])
+def _back_substitute(rows: np.ndarray, pivots: list[int], d: int, cols):
+    """Integers Y, with Y / d the reduced row echelon entries of the
+    columns ``cols`` of ``_eliminate``'s (rows, pivots, d), from the last
+    pivot up: y_k = (d u_k - sum_{i>k} U[k, P_i] y_i) // U[k, P_k]. Each
+    division is exact by Cramer's rule, as d is the leading pivot minor.
+    """
+    y = np.zeros((len(pivots), len(cols)), dtype=object)
+    for k in range(len(pivots) - 1, -1, -1):
+        y[k] = (d * rows[k, cols] - rows[k, pivots[k + 1:]] @ y[k + 1:]) \
+            // rows[k, pivots[k]]
+    return y
 
 
 def bareiss_rank(a: np.ndarray) -> int:
@@ -136,7 +142,8 @@ def bareiss_rank(a: np.ndarray) -> int:
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over the rationals, with pivot columns."""
     m, pivots, d = _eliminate(a)
-    return _over(m, d), pivots
+    m[:len(pivots)] = _back_substitute(m, pivots, d, range(a.shape[1]))
+    return over(m, d), pivots
 
 
 def null_space(a: np.ndarray) -> np.ndarray:
@@ -151,24 +158,24 @@ def null_space(a: np.ndarray) -> np.ndarray:
     free = [c for c in range(n_cols) if c not in pivots]
     basis = fzeros((n_cols, len(free)))
     basis[free, range(len(free))] = Fraction(1)
-    basis[pivots] = _over(-m[:len(pivots), free], d)
+    basis[pivots] = over(-_back_substitute(m, pivots, d, free), d)
     return basis
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """One exact solution of ``a x = b``, or None when inconsistent."""
     n_cols = a.shape[1]
-    m, pivots, d = _eliminate(_augmented(a, b))
+    m, pivots, d = _eliminate(np.column_stack([a, b]))
     if n_cols in pivots:
         return None
     x = fzeros(n_cols)
-    x[pivots] = _over(m[:len(pivots), n_cols], d)
+    x[pivots] = over(_back_substitute(m, pivots, d, [n_cols])[:, 0], d)
     return x
 
 
 def solvable(a: np.ndarray, b: np.ndarray) -> tuple[bool, int, int]:
     """Exact consistency certificate: (solvable, rank_a, rank_augmented)."""
-    pivots = _eliminate(_augmented(a, b))[1]
+    pivots = _eliminate(np.column_stack([a, b]))[1]
     rank_aug = len(pivots)
     rank_a = rank_aug - (a.shape[1] in pivots)
     return rank_aug == rank_a, rank_a, rank_aug

@@ -525,18 +525,21 @@ def _exact_solution(space: ReductiveSpace, lam: Fraction, mu: Fraction,
     """Exact z (coefficients on the rational h basis) with
     proj_m [Z + X, A X] = 0, or None when there is none.
 
-    X = X1 + X2 and A X = lam X1 + mu X2 are integer vectors over known
-    denominators, so the system and its right-hand side are one integer
-    product rows @ ad(A X) @ [H | X]. The scale of A X cancels, and the
-    h columns sit over h_denom where X sits over denom, so the integer
-    solution scales back by h_denom / denom.
+    X = X1 + X2 and A X = c1 X1 + c2 X2 are integer vectors over known
+    denominators (the scale of A X cancels). The system rows @ ad(A X) @ H
+    is -(S . A X), the lane's tensor contracted with A X, and since
+    [A X, X] = (c1 - c2) [X1, X2] the right-hand side is
+    -(c1 - c2) rows @ [X1, X2]. The h columns sit over h_denom where X
+    sits over denom, so the integer solution scales back by h_denom / denom.
     """
     lane = space.exact_lane
-    ax = (lam.numerator * mu.denominator) * x1 \
-        + (mu.numerator * lam.denominator) * x2
-    ad = space.g.structure_exact.ad_numerators(ax[:, None])[0]
-    cols = lane.rows @ (ad @ np.column_stack([lane.h_cols, x1 + x2]))
-    z = exact.solve(cols[:, :-1], -cols[:, -1])
+    c1, c2 = lam.numerator * mu.denominator, mu.numerator * lam.denominator
+    keys, cols, values = lane.system
+    system = np.zeros(len(lane.rows) * space.h.dim, dtype=object)
+    np.add.at(system, keys, values * (-c1 * x1 - c2 * x2)[cols])
+    bracket = space.g.structure_exact.ad_numerators(x1[:, None])[0] @ x2
+    z = exact.solve(system.reshape(len(lane.rows), -1),
+                    (c2 - c1) * (lane.rows @ bracket))
     return None if z is None else z * Fraction(lane.h_denom, lane.denom)
 
 

@@ -653,12 +653,14 @@ def exact_module_bases(space: ReductiveSpace) -> tuple[np.ndarray, ...]:
     if any(len(group) > 1 for group in space.isotypic_groups):
         raise ExactUnavailableError("isotypic modules have no canonical split")
     gram_f = space.g.inner_product
-    m_x = space.exact_m_basis
-    gm = exact.matmul(exact.matmul(m_x.T, space.g.inner_product_exact), m_x)
-    gm_f = exact.to_float(gm)
-    to_coords = np.linalg.solve(gm_f, exact.to_float(m_x).T @ gram_f)
+    # cleared once: exact_m_basis is mx / dx, its Gram matrix gm / (dx^2 dip)
+    mx, dx = exact.cleared(space.exact_m_basis)
+    ip, dip = exact.cleared(space.g.inner_product_exact)
+    gm = mx.T @ ip @ mx
+    gm_f = exact.to_float(gm, dx * dx * dip)
+    to_coords = np.linalg.solve(gm_f, exact.to_float(mx, dx).T @ gram_f)
     largest = int(np.argmax(space.module_dims))
-    coords: list[np.ndarray | None] = [None] * len(space.modules)
+    coords: list[tuple[np.ndarray, int] | None] = [None] * len(space.modules)
     for idx, mod in enumerate(space.modules):
         if idx == largest:
             continue
@@ -669,19 +671,19 @@ def exact_module_bases(space: ReductiveSpace) -> tuple[np.ndarray, ...]:
         if kernel.shape[1] != mod.dim:
             raise ExactUnavailableError(f"rounded {mod.name} has dimension "
                                         f"{kernel.shape[1]}, not {mod.dim}")
-        _require_invariant(space, exact.matmul(m_x, kernel), mod.name)
-        coords[idx] = kernel
-    guessed = [c for c in coords if c is not None]
+        coords[idx] = exact.cleared(kernel)
+        _require_invariant(space, mx @ coords[idx][0], mod.name)
+    guessed = [c[0] for c in coords if c is not None]
     for i, a in enumerate(guessed):
         for b in guessed[i + 1:]:
-            if np.any(exact.matmul(exact.matmul(a.T, gm), b) != 0):
+            if np.any(a.T @ gm @ b != 0):
                 raise ExactUnavailableError("rounded modules are not orthogonal")
-    coords[largest] = exact.null_space(
-        np.vstack([exact.matmul(c.T, gm) for c in guessed]) if guessed
-        else exact.fzeros((0, len(gm))))
+    coords[largest] = exact.cleared(exact.null_space(
+        np.vstack([c.T @ gm for c in guessed]) if guessed
+        else exact.fzeros((0, len(gm)))))
     bases = []
-    for mod, kernel in zip(space.modules, coords):
-        basis = exact.matmul(m_x, kernel)
+    for mod, (kernel, dk) in zip(space.modules, coords):
+        basis = exact.over(mx @ kernel, dx * dk)
         basis_f = exact.to_float(basis)
         proj = mod.basis @ (mod.basis.T @ gram_f @ basis_f)
         if kernel.shape[1] != mod.dim or float(np.abs(basis_f - proj).max()) \
@@ -694,14 +696,13 @@ def exact_module_bases(space: ReductiveSpace) -> tuple[np.ndarray, ...]:
 
 def _require_invariant(space: ReductiveSpace, basis: np.ndarray,
                        name: str) -> None:
-    """Raise unless [h, span(basis)] lies in span(basis): every bracket of
-    an h generator with a basis vector must vanish on the rows that
-    vanish on the span. The brackets are one integer product of the h
-    generators' ad matrices with the cleared basis; clearing
-    denominators does not move a zero."""
+    """Raise unless [h, span(basis)] lies in span(basis), for integer
+    columns ``basis``: every bracket of an h generator with a basis
+    vector must vanish on the rows that vanish on the span. The brackets
+    are one integer product of the h generators' ad matrices with the
+    basis; clearing denominators does not move a zero."""
     h_cols = exact.cleared(space.embedding.matrix_exact)[0]
-    images = space.g.structure_exact.ad_numerators(h_cols) \
-        @ exact.cleared(basis)[0]
+    images = space.g.structure_exact.ad_numerators(h_cols) @ basis
     if np.any(exact.cleared(exact.null_space(basis.T).T)[0] @ images != 0):
         raise ExactUnavailableError(f"rounded {name} is not ad(h)-invariant")
 
@@ -713,13 +714,16 @@ class ExactLane:
     Module k's rational basis (g coords) is ``bases[k] / denom``, and h's
     is ``h_cols / h_denom``. ``rows`` are the integer rows of the exact
     m-basis Gram pairing, so ``rows @ v`` vanishes exactly when v lies in
-    h. ``to_m`` and ``to_h`` take float g coordinates to orthonormal m
-    and h coordinates.
+    h. ``system`` is the integer tensor S[a] = rows @ ad(h_a), h_a column
+    a of ``h_cols``, as its nonzero (keys, cols, values): key p * dim h + a
+    and column j hold S[a][p, j]. ``to_m`` and ``to_h`` take float g
+    coordinates to orthonormal m and h coordinates.
     """
 
     bases: tuple[np.ndarray, ...]
     denom: int
     rows: np.ndarray
+    system: tuple[np.ndarray, np.ndarray, np.ndarray]
     h_cols: np.ndarray
     h_denom: int
     to_m: np.ndarray
@@ -734,7 +738,15 @@ def _build_exact_lane(space: ReductiveSpace) -> ExactLane:
     rows = exact.cleared(exact.matmul(space.exact_m_basis.T,
                                       g.inner_product_exact))[0]
     h_cols, h_denom = exact.cleared(space.embedding.matrix_exact)
+    # rows is 2-5 % nonzero: sum S over the nonzero entries rows[p, k]
+    ad_h = g.structure_exact.ad_numerators(h_cols)
+    tensor = np.zeros((len(rows), h_cols.shape[1], g.dim), dtype=object)
+    for p, k in zip(*np.nonzero(rows)):
+        tensor[p] += rows[p, k] * ad_h[:, k]
+    tensor = tensor.reshape(-1, g.dim)
+    keys, cols = np.nonzero(tensor)
     return ExactLane(bases=tuple(np.split(nums, cuts, axis=1)), denom=denom,
-                     rows=rows, h_cols=h_cols, h_denom=h_denom,
+                     rows=rows, system=(keys, cols, tensor[keys, cols]),
+                     h_cols=h_cols, h_denom=h_denom,
                      to_m=space.m.basis.T @ g.inner_product,
                      to_h=space.h.basis.T @ g.inner_product)

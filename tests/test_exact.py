@@ -244,3 +244,64 @@ def test_one_elimination_on_zero_size_shapes():
     a, b = exact.fzeros((2, 0)), exact.fmatrix([[0, 1]]).ravel()
     assert exact.solve(a, b) is None
     assert exact.solvable(a, b) == (False, 0, 1)
+
+
+@st.composite
+def larger_systems(draw):
+    """(a, b): an integer or rational matrix up to 10 x 12, made rank
+    deficient by a product through a thin inner dimension, with a
+    right-hand side that is consistent by construction or drawn freely
+    (and then almost always inconsistent)."""
+    n_rows = draw(st.integers(min_value=1, max_value=10))
+    n_cols = draw(st.integers(min_value=1, max_value=12))
+    inner = draw(st.integers(min_value=0, max_value=min(n_rows, n_cols)))
+    entries = draw(st.sampled_from([
+        st.integers(min_value=-4, max_value=4),
+        st.fractions(min_value=-6, max_value=6, max_denominator=7)]))
+
+    def matrix(shape):
+        values = draw(st.lists(entries, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))
+        return _object_array([Fraction(v) for v in values], shape)
+    a = matrix((n_rows, inner)) @ matrix((inner, n_cols))
+    a = _object_array([Fraction(v) for v in a.flat], (n_rows, n_cols))
+    if draw(st.booleans()):
+        b = (a @ matrix((n_cols, 1))).reshape(n_rows)
+    else:
+        b = matrix((n_rows, 1)).reshape(n_rows)
+    return a, _object_array([Fraction(v) for v in b.flat], (n_rows,))
+
+
+@given(larger_systems())
+@settings(max_examples=60, deadline=None)
+def test_back_substitution_matches_the_fraction_oracle_on_larger_systems(
+        system):
+    # long back-substitution chains: up to 10 pivots, every RREF entry,
+    # kernel vector and solution entry compared exactly with the oracle
+    a, b = system
+    n_rows, n_cols = a.shape
+    want, want_pivots = _oracle_rref(a)
+    got, pivots = exact.rref(a)
+    assert list(pivots) == want_pivots
+    assert [list(row) for row in got] == want
+    rank = len(want_pivots)
+
+    free = [c for c in range(n_cols) if c not in want_pivots]
+    kernel = exact.null_space(a)
+    assert kernel.shape == (n_cols, len(free))
+    for t, c in enumerate(free):
+        assert [kernel[p, t] for p in want_pivots] == \
+            [-want[k][c] for k in range(rank)]
+        assert [kernel[f, t] for f in free] == [int(f == c) for f in free]
+
+    aug, aug_pivots = _oracle_rref(np.hstack([a, b.reshape(-1, 1)]))
+    x = exact.solve(a, b)
+    consistent = n_cols not in aug_pivots
+    if consistent:
+        want_x = [Fraction(0)] * n_cols
+        for k, p in enumerate(aug_pivots):
+            want_x[p] = aug[k][n_cols]
+        assert x is not None and list(x) == want_x
+    else:
+        assert x is None
+    assert exact.solvable(a, b) == (consistent, rank, len(aug_pivots))

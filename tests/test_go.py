@@ -529,3 +529,33 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
             statuses.add(verdict.status)
     assert "NORMAL_TRIVIAL" in statuses
     assert ("NOT_GO" in statuses) == (entry_id == "t1-V.1-m3n3")
+
+
+@pytest.mark.parametrize("entry_id", EXACT_CAPABLE)
+def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
+                                                             monkeypatch):
+    # the system and right-hand side that _exact_solution hands to
+    # exact.solve, against the dense product rows @ ad(A X) @ [H | X]
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    lane = space.exact_lane
+    solve, seen = exact.solve, []
+    monkeypatch.setattr(exact, "solve",
+                        lambda a, b: seen.append((a, b)) or solve(a, b))
+    rng = np.random.default_rng(7)
+    pairs = EXACT_PAIRS + [(Fraction(3), Fraction(1)),
+                           (Fraction(1, 5), Fraction(9, 2))]
+    for lam, mu in pairs:
+        for _ in range(2):
+            x1, x2 = (b @ rng.integers(-9, 10, size=b.shape[1]).astype(object)
+                      for b in lane.bases)
+            go._exact_solution(space, lam, mu, x1, x2)
+            system, rhs = seen.pop()
+            ax = (lam.numerator * mu.denominator) * x1 \
+                + (mu.numerator * lam.denominator) * x2
+            ad = space.g.structure_exact.ad_numerators(ax[:, None])[0]
+            cols = lane.rows @ (ad @ np.column_stack([lane.h_cols, x1 + x2]))
+            assert system.shape == (len(lane.rows), space.h.dim)
+            assert all(type(v) is int for v in system.flat)
+            assert all(type(v) is int for v in rhs)
+            assert system.tolist() == cols[:, :-1].tolist()
+            assert rhs.tolist() == (-cols[:, -1]).tolist()
