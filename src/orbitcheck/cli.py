@@ -30,22 +30,6 @@ from .go import MetricOperator, ToleranceError, go_check
 from .linalg import DEFAULT_TOL
 from .spaces import classify_structure, decompose_isotropy, reductive_space
 
-_TOL_ENV = "ORBITCHECK_TOL"
-
-
-def _resolve_tol(tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    env = os.environ.get(_TOL_ENV)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise click.UsageError(
-                f"{_TOL_ENV}={env!r} is not a valid tolerance")
-    return DEFAULT_TOL
-
-
 def _plain(obj):
     if isinstance(obj, np.generic):
         return obj.item()
@@ -159,9 +143,11 @@ def _wrap(fn):
 
 _seed_option = click.option("--seed", type=int, default=0, show_default=True,
                             help="Master seed for all sampling.")
-_tol_option = click.option("--tol", type=float, default=None,
-                           help=f"Numerical tolerance (default {DEFAULT_TOL}; "
-                                f"env {_TOL_ENV} overrides).")
+_tol_option = click.option("--tol", type=float, default=DEFAULT_TOL,
+                           show_default=True, envvar="ORBITCHECK_TOL",
+                           show_envvar=True,
+                           help="Numerical tolerance; --tol wins over the "
+                                "environment variable.")
 _json_option = click.option("--json", "as_json", is_flag=True,
                             help="Machine-readable deterministic output.")
 
@@ -182,7 +168,6 @@ def validate(target, seed, tol, as_json):
     TARGET is a catalog id or a JSON spec file. Exit 1 if construction
     fails any invariant.
     """
-    tol = _resolve_tol(tol)
     space = _wrap(lambda: _load_space(target, seed, tol))
     report = space.g.validate(tol=max(tol, 1e-12))
     _emit({
@@ -205,7 +190,6 @@ def validate(target, seed, tol, as_json):
 @_json_option
 def decompose(target, seed, tol, as_json):
     """Decompose the isotropy representation of TARGET."""
-    tol = _resolve_tol(tol)
     space = _wrap(lambda: _load_space(target, seed, tol))
     _emit(space.as_dict(), as_json)
 
@@ -217,7 +201,6 @@ def decompose(target, seed, tol, as_json):
 @_json_option
 def classify(target, seed, tol, as_json):
     """Classify the pair structure of TARGET into one of seven cases."""
-    tol = _resolve_tol(tol)
 
     def run():
         space = _load_space(target, seed, tol)
@@ -245,7 +228,6 @@ def classify(target, seed, tol, as_json):
 @_json_option
 def check_go(target, lam, mu, samples, exact, expect, seed, tol, as_json):
     """Check the geodesic-orbit property of a two-parameter metric."""
-    tol = _resolve_tol(tol)
 
     def run():
         space = _load_space(target, seed, tol)
@@ -272,7 +254,6 @@ def check_go(target, lam, mu, samples, exact, expect, seed, tol, as_json):
 @_json_option
 def filter_cmd(target, expect, seed, tol, as_json):
     """Run the necessary structural filters on TARGET."""
-    tol = _resolve_tol(tol)
 
     def run():
         space = _load_space(target, seed, tol)
@@ -314,7 +295,6 @@ def natred_two_factor(a, b, as_json):
 @_json_option
 def natred_ledger_obata(av, bv, cv, verify, tol, as_json):
     """Invert a triple-product metric (A, B, C) into bi-invariant weights."""
-    tol = _resolve_tol(tol)
     solution = _wrap(lambda: natred.ledger_obata_solve(av, bv, cv))
     data = solution.as_dict()
     failed = False
@@ -397,7 +377,6 @@ def catalog_show(entry_id, as_json):
 @_json_option
 def catalog_run_cmd(filters, ids, samples, seed, tol, as_json):
     """Run the regression pipeline; exit 1 on any mismatch."""
-    tol = _resolve_tol(tol)
     kw = _parse_filters(filters)
     if kw.get("constructible") is False:
         raise click.UsageError("catalog run covers constructible entries")
@@ -463,7 +442,6 @@ def zoo_list(as_json):
 def zoo_algebra(name, tol, as_json):
     """Build an algebra by name and report its validation residuals; exit
     1 if validation fails."""
-    tol = _resolve_tol(tol)
     alg = _wrap(lambda: zoo.algebra_by_name(name))
     report = alg.validate(tol=max(tol, 1e-12))
     _emit({"name": alg.name, "dim": alg.dim, **report.as_dict()}, as_json)

@@ -1,14 +1,16 @@
-"""Exact rational linear algebra on matrices of fractions.
+"""Exact rational linear algebra on integer arrays over one denominator.
 
-Matrices are numpy object arrays holding fractions.Fraction entries.
-Products run on integer arrays over a common denominator: ``matmul``
-scales each operand by the lcm of its denominators, multiplies the
-integer arrays, and divides once per output entry. One fraction-free
+Rational matrices enter as numpy object arrays of fractions.Fraction
+entries (or of Python ints), and ``cleared`` turns one into an integer
+array n over a common denominator d. Products run on such integers too:
+``matmul`` scales each operand by the lcm of its denominators, multiplies
+the integer arrays, and divides once per output entry. One fraction-free
 forward elimination (Bareiss steps on rows cleared to integers) serves
-every other routine: ``bareiss_rank`` and ``solvable`` read its pivots,
-and ``rref``, ``null_space`` and ``solve`` back-substitute, in integers
-too, the columns they need (all, the free ones, or the right-hand side),
-so no row operation ever touches a Fraction.
+the two solvers, ``null_space`` and ``solve``: each back-substitutes, in
+integers too, the columns it needs (the free ones, or the right-hand
+side), and returns its answer as integers over one denominator, reduced
+by ``reduced`` to the least one, so no row operation ever touches a
+Fraction. ``over`` turns such a pair back into Fractions.
 """
 
 from __future__ import annotations
@@ -89,20 +91,33 @@ def over(num: np.ndarray, d: int) -> np.ndarray:
                     dtype=object).reshape(num.shape)
 
 
+def reduced(n: np.ndarray, d: int) -> tuple[np.ndarray, int]:
+    """The integer array ``n / d`` over its least positive denominator:
+    n and d divided by their gcd, signed by d's sign (d nonzero)."""
+    g = math.gcd(d, *n.flat)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
 def _eliminate(a: np.ndarray) -> tuple[np.ndarray, list[int], int]:
     """Fraction-free forward elimination: (rows, pivots, d).
 
-    Each row is cleared to Python integers (a row of Python ints is
-    taken as it is); each pivot p then updates the rows below it, from
-    its column on, by the Bareiss step (p m[r][j] - m[r][col] m[row][j])
-    // d, with d the previous pivot (1 at the start). Every division is
-    exact because every entry stays a minor of the cleared matrix. On
-    return the rows are an integer echelon form and d is the last pivot.
+    A matrix of Python ints is taken as it is; any other has each row
+    cleared to Python integers. Each pivot p then updates the rows below
+    it, from its column on, by the Bareiss step (p m[r][j] - m[r][col]
+    m[row][j]) // d, with d the previous pivot (1 at the start). Every
+    division is exact because every entry stays a minor of the cleared
+    matrix. On return the rows are an integer echelon form and d is the
+    last pivot, which may be negative.
     """
     n_rows, n_cols = a.shape
     m = np.empty((n_rows, n_cols), dtype=object)
-    for i, row in enumerate(a):
-        m[i] = row if all(type(v) is int for v in row) else cleared(row)[0]
+    if set(map(type, a.flat)) <= {int}:
+        m[...] = a
+    else:
+        for i, row in enumerate(a):
+            m[i] = cleared(row)[0]
     pivots: list[int] = []
     d = 1
     for col in range(n_cols):
@@ -134,51 +149,34 @@ def _back_substitute(rows: np.ndarray, pivots: list[int], d: int, cols):
     return y
 
 
-def bareiss_rank(a: np.ndarray) -> int:
-    """Rank, the number of pivots of the fraction-free elimination."""
-    return len(_eliminate(a)[1])
-
-
-def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over the rationals, with pivot columns."""
-    m, pivots, d = _eliminate(a)
-    m[:len(pivots)] = _back_substitute(m, pivots, d, range(a.shape[1]))
-    return over(m, d), pivots
-
-
-def null_space(a: np.ndarray) -> np.ndarray:
-    """Columns spanning the exact kernel, in rref free-column form.
+def null_space(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integer columns N and denominator d, with N / d spanning the exact
+    kernel in rref free-column form, over the least d.
 
     Each kernel vector carries value 1 at its own free column and 0 at
     every other free column, which makes coordinate extraction against
-    this basis a direct read-off.
+    this basis a direct read-off. The rank of ``a`` is its column count
+    less N's.
     """
     m, pivots, d = _eliminate(a)
     n_cols = a.shape[1]
     free = [c for c in range(n_cols) if c not in pivots]
-    basis = fzeros((n_cols, len(free)))
-    basis[free, range(len(free))] = Fraction(1)
-    basis[pivots] = over(-_back_substitute(m, pivots, d, free), d)
-    return basis
+    basis = np.zeros((n_cols, len(free)), dtype=object)
+    basis[free, range(len(free))] = d
+    basis[pivots] = -_back_substitute(m, pivots, d, free)
+    return reduced(basis, d)
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One exact solution of ``a x = b``, or None when inconsistent."""
+def solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """One exact solution y / d of ``a x = b``, as integers y over the
+    least d (free unknowns 0), or None when the system is inconsistent."""
     n_cols = a.shape[1]
     m, pivots, d = _eliminate(np.column_stack([a, b]))
     if n_cols in pivots:
         return None
-    x = fzeros(n_cols)
-    x[pivots] = over(_back_substitute(m, pivots, d, [n_cols])[:, 0], d)
-    return x
-
-
-def solvable(a: np.ndarray, b: np.ndarray) -> tuple[bool, int, int]:
-    """Exact consistency certificate: (solvable, rank_a, rank_augmented)."""
-    pivots = _eliminate(np.column_stack([a, b]))[1]
-    rank_aug = len(pivots)
-    rank_a = rank_aug - (a.shape[1] in pivots)
-    return rank_aug == rank_a, rank_a, rank_aug
+    y = np.zeros(n_cols, dtype=object)
+    y[pivots] = _back_substitute(m, pivots, d, [n_cols])[:, 0]
+    return reduced(y, d)
 
 
 def format_value(x: Fraction) -> str | int:

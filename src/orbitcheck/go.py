@@ -499,14 +499,14 @@ def _exact_lane(space: ReductiveSpace, a: MetricOperator, seed: int):
         x_m = lane.to_m @ exact.to_float(x1 + x2, lane.denom)
         z = np.zeros(space.h.dim)
         if lam != mu:
-            z = _exact_solution(space, lam, mu, x1, x2)
-            if z is None:
+            solution = _exact_solution(space, lam, mu, x1, x2)
+            if solution is None:
                 # an inconsistent system gains exactly one rank from b
                 return GoWitness(x=x_m, z=None, residual=float("nan"),
                                  rank_gap=1, margin=float("inf"),
                                  kind="exact")
-            zi, dz = exact.cleared(z)
-            z = lane.to_h @ exact.to_float(lane.h_cols @ zi, lane.h_denom * dz)
+            y, d = solution
+            z = lane.to_h @ exact.to_float(lane.h_cols @ y, d)
         return GoWitness(x=x_m, z=z, residual=0.0, rank_gap=0, margin=0.0,
                          kind="exact")
     return witness, "GO_CONSISTENT" if lam != mu else "NORMAL_TRIVIAL"
@@ -521,16 +521,18 @@ def _exact_draw(space: ReductiveSpace, seed: int, i: int):
 
 
 def _exact_solution(space: ReductiveSpace, lam: Fraction, mu: Fraction,
-                    x1: np.ndarray, x2: np.ndarray) -> np.ndarray | None:
-    """Exact z (coefficients on the rational h basis) with
-    proj_m [Z + X, A X] = 0, or None when there is none.
+                    x1: np.ndarray, x2: np.ndarray
+                    ) -> tuple[np.ndarray, int] | None:
+    """Exact Z with proj_m [Z + X, A X] = 0, as integers y and a
+    denominator d with Z = h_cols @ y / d in g coordinates, or None when
+    there is none.
 
     X = X1 + X2 and A X = c1 X1 + c2 X2 are integer vectors over known
-    denominators (the scale of A X cancels). The system rows @ ad(A X) @ H
-    is -(S . A X), the lane's tensor contracted with A X, and since
-    [A X, X] = (c1 - c2) [X1, X2] the right-hand side is
-    -(c1 - c2) rows @ [X1, X2]. The h columns sit over h_denom where X
-    sits over denom, so the integer solution scales back by h_denom / denom.
+    denominators (the scale of A X cancels). The system rows @ ad(A X) @ H,
+    H the integer columns ``h_cols``, is -(S . A X), the lane's tensor
+    contracted with A X, and since [A X, X] = (c1 - c2) [X1, X2] the
+    right-hand side is -(c1 - c2) rows @ [X1, X2]. X sits over denom,
+    so the solution's denominator gains that factor.
     """
     lane = space.exact_lane
     c1, c2 = lam.numerator * mu.denominator, mu.numerator * lam.denominator
@@ -538,9 +540,12 @@ def _exact_solution(space: ReductiveSpace, lam: Fraction, mu: Fraction,
     system = np.zeros(len(lane.rows) * space.h.dim, dtype=object)
     np.add.at(system, keys, values * (-c1 * x1 - c2 * x2)[cols])
     bracket = space.g.structure_exact.ad_numerators(x1[:, None])[0] @ x2
-    z = exact.solve(system.reshape(len(lane.rows), -1),
-                    (c2 - c1) * (lane.rows @ bracket))
-    return None if z is None else z * Fraction(lane.h_denom, lane.denom)
+    solution = exact.solve(system.reshape(len(lane.rows), -1),
+                           (c2 - c1) * (lane.rows @ bracket))
+    if solution is None:
+        return None
+    y, d = solution
+    return y, d * lane.denom
 
 
 def _nonzero_int_vector(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -23,6 +23,7 @@ h project onto them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
@@ -94,17 +95,6 @@ class ReductiveSpace:
         return bracket_coords(self.g, raw, self.m.basis)
 
     @cached_property
-    def exact_m_basis(self) -> np.ndarray:
-        """Rational basis (columns, g coords) of m in rref free-column
-        form; not orthonormal."""
-        _require_exact(self)
-        basis = exact.null_space(exact.matmul(
-            self.embedding.matrix_exact.T, self.g.inner_product_exact))
-        if basis.shape[1] != self.m.dim:
-            raise ExactUnavailableError("exact m dimension disagrees with float")
-        return basis
-
-    @cached_property
     def go_factorisations(self) -> dict:
         """Float GO factorisations of this space by seed, filled and
         bounded to the latest seed by ``go``."""
@@ -112,9 +102,9 @@ class ReductiveSpace:
 
     @cached_property
     def exact_lane(self) -> ExactLane:
-        """The exact GO lane's data, built through ``exact_module_bases``
-        once; an ExactUnavailableError raises again on every access."""
-        return _build_exact_lane(self)
+        """The exact GO lane's data, built by ``exact_module_bases`` once;
+        an ExactUnavailableError raises again on every access."""
+        return exact_module_bases(self)
 
     @cached_property
     def _m_brackets(self) -> np.ndarray:
@@ -627,97 +617,18 @@ def _require_exact(space: ReductiveSpace) -> None:
         raise ExactUnavailableError("h embedding lacks exact coordinates")
 
 
-def exact_module_bases(space: ReductiveSpace) -> tuple[np.ndarray, ...]:
-    """Rational bases of the isotropy modules, verified against the float ones.
-
-    Every module but the largest is read off its float projector: the
-    gm-orthogonal projector P onto the module, in the rational m basis
-    ``exact_m_basis`` (gm is that basis's exact Gram matrix), is rounded
-    entry by entry to fractions with denominators up to 2^20, and the
-    module is the exact kernel of I - P in rref free-column form, which
-    depends only on the subspace. The guess is then checked exactly: its
-    dimension is the float module's, the bracket of every h generator
-    with every basis vector stays inside it, and the guessed modules are
-    pairwise gm-orthogonal. The largest module is their exact
-    gm-orthocomplement in m, invariant because the inner product is.
-    Every exact module must also match its float module to 1e-8.
-
-    Raises ExactUnavailableError when an exact ingredient is missing,
-    when the modules form isotypic pairs (an equivalent pair has no
-    canonical split to recover), or when any check fails, so a bad
-    rounding withdraws the exact lane but never certifies a wrong split.
-    """
-    _require_exact(space)
-    if not space.modules:
-        raise ExactUnavailableError("decompose the isotropy modules first")
-    if any(len(group) > 1 for group in space.isotypic_groups):
-        raise ExactUnavailableError("isotypic modules have no canonical split")
-    gram_f = space.g.inner_product
-    # cleared once: exact_m_basis is mx / dx, its Gram matrix gm / (dx^2 dip)
-    mx, dx = exact.cleared(space.exact_m_basis)
-    ip, dip = exact.cleared(space.g.inner_product_exact)
-    gm = mx.T @ ip @ mx
-    gm_f = exact.to_float(gm, dx * dx * dip)
-    to_coords = np.linalg.solve(gm_f, exact.to_float(mx, dx).T @ gram_f)
-    largest = int(np.argmax(space.module_dims))
-    coords: list[tuple[np.ndarray, int] | None] = [None] * len(space.modules)
-    for idx, mod in enumerate(space.modules):
-        if idx == largest:
-            continue
-        c = to_coords @ mod.basis
-        proj = exact.fmatrix([[Fraction(v).limit_denominator(1 << 20)
-                               for v in row] for row in c @ c.T @ gm_f])
-        kernel = exact.null_space(exact.fidentity(len(proj)) - proj)
-        if kernel.shape[1] != mod.dim:
-            raise ExactUnavailableError(f"rounded {mod.name} has dimension "
-                                        f"{kernel.shape[1]}, not {mod.dim}")
-        coords[idx] = exact.cleared(kernel)
-        _require_invariant(space, mx @ coords[idx][0], mod.name)
-    guessed = [c[0] for c in coords if c is not None]
-    for i, a in enumerate(guessed):
-        for b in guessed[i + 1:]:
-            if np.any(a.T @ gm @ b != 0):
-                raise ExactUnavailableError("rounded modules are not orthogonal")
-    coords[largest] = exact.cleared(exact.null_space(
-        np.vstack([c.T @ gm for c in guessed]) if guessed
-        else exact.fzeros((0, len(gm)))))
-    bases = []
-    for mod, (kernel, dk) in zip(space.modules, coords):
-        basis = exact.over(mx @ kernel, dx * dk)
-        basis_f = exact.to_float(basis)
-        proj = mod.basis @ (mod.basis.T @ gram_f @ basis_f)
-        if kernel.shape[1] != mod.dim or float(np.abs(basis_f - proj).max()) \
-                > 1e-8 * max(1.0, float(np.abs(basis_f).max())):
-            raise ExactUnavailableError(
-                f"exact {mod.name} does not match the float module")
-        bases.append(basis)
-    return tuple(bases)
-
-
-def _require_invariant(space: ReductiveSpace, basis: np.ndarray,
-                       name: str) -> None:
-    """Raise unless [h, span(basis)] lies in span(basis), for integer
-    columns ``basis``: every bracket of an h generator with a basis
-    vector must vanish on the rows that vanish on the span. The brackets
-    are one integer product of the h generators' ad matrices with the
-    basis; clearing denominators does not move a zero."""
-    h_cols = exact.cleared(space.embedding.matrix_exact)[0]
-    images = space.g.structure_exact.ad_numerators(h_cols) @ basis
-    if np.any(exact.cleared(exact.null_space(basis.T).T)[0] @ images != 0):
-        raise ExactUnavailableError(f"rounded {name} is not ad(h)-invariant")
-
-
 @dataclass(frozen=True)
 class ExactLane:
-    """The exact GO lane's per-space data, cleared to integers once.
+    """The exact GO lane's per-space data, on integers.
 
     Module k's rational basis (g coords) is ``bases[k] / denom``, and h's
-    is ``h_cols / h_denom``. ``rows`` are the integer rows of the exact
-    m-basis Gram pairing, so ``rows @ v`` vanishes exactly when v lies in
-    h. ``system`` is the integer tensor S[a] = rows @ ad(h_a), h_a column
-    a of ``h_cols``, as its nonzero (keys, cols, values): key p * dim h + a
-    and column j hold S[a][p, j]. ``to_m`` and ``to_h`` take float g
-    coordinates to orthonormal m and h coordinates.
+    is ``h_cols / h_denom``, each over its least denominator. ``rows``
+    are the integer rows of the exact m-basis Gram pairing, so
+    ``rows @ v`` vanishes exactly when v lies in h. ``system`` is the
+    integer tensor S[a] = rows @ ad(h_a), h_a column a of ``h_cols``, as
+    its nonzero (keys, cols, values): key p * dim h + a and column j hold
+    S[a][p, j]. ``to_m`` and ``to_h`` take float g coordinates to
+    orthonormal m and h coordinates.
     """
 
     bases: tuple[np.ndarray, ...]
@@ -730,16 +641,87 @@ class ExactLane:
     to_h: np.ndarray
 
 
-def _build_exact_lane(space: ReductiveSpace) -> ExactLane:
-    bases = exact_module_bases(space)
-    nums, denom = exact.cleared(np.hstack(bases))
-    cuts = np.cumsum([b.shape[1] for b in bases])[:-1]
+def exact_module_bases(space: ReductiveSpace) -> ExactLane:
+    """The exact GO lane: rational bases of the isotropy modules, verified
+    against the float ones, and the integer data every sample reuses.
+
+    m's rational basis mx / dx is the exact kernel of h's Gram pairing,
+    in rref free-column form; gm / (dx^2 dip) is its Gram matrix, with
+    dip the inner product's denominator. Every module but the largest is
+    read off its float projector: the gm-orthogonal projector P onto the
+    module, in that basis, is rounded entry by entry to fractions with
+    denominators up to 2^20, and the module is the exact kernel of I - P
+    in rref free-column form, which depends only on the subspace. The
+    guess is then checked exactly: its dimension is the float module's,
+    the bracket of every h generator with every basis vector stays
+    inside it (one integer product of h's ad matrices with the basis
+    must vanish on the rows that vanish on the span), and the guessed
+    modules are pairwise gm-orthogonal. The largest module is their
+    exact gm-orthocomplement in m, invariant because the inner product
+    is. Every exact module must also match its float module to 1e-8.
+
+    Raises ExactUnavailableError when an exact ingredient is missing,
+    when the modules form isotypic pairs (an equivalent pair has no
+    canonical split to recover), or when any check fails, so a bad
+    rounding withdraws the exact lane but never certifies a wrong split.
+    """
+    _require_exact(space)
+    if not space.modules:
+        raise ExactUnavailableError("decompose the isotropy modules first")
+    if any(len(group) > 1 for group in space.isotypic_groups):
+        raise ExactUnavailableError("isotypic modules have no canonical split")
     g = space.g
-    rows = exact.cleared(exact.matmul(space.exact_m_basis.T,
-                                      g.inner_product_exact))[0]
+    gram_f = g.inner_product
     h_cols, h_denom = exact.cleared(space.embedding.matrix_exact)
-    # rows is 2-5 % nonzero: sum S over the nonzero entries rows[p, k]
+    ip, dip = exact.cleared(g.inner_product_exact)
     ad_h = g.structure_exact.ad_numerators(h_cols)
+    mx, dx = exact.null_space(h_cols.T @ ip)
+    if mx.shape[1] != space.m.dim:
+        raise ExactUnavailableError("exact m dimension disagrees with float")
+    pairing = mx.T @ ip
+    gm = pairing @ mx
+    gm_f = exact.to_float(gm, dx * dx * dip)
+    to_coords = np.linalg.solve(gm_f, exact.to_float(mx, dx).T @ gram_f)
+    largest = int(np.argmax(space.module_dims))
+    coords: list[tuple[np.ndarray, int] | None] = [None] * len(space.modules)
+    for idx, mod in enumerate(space.modules):
+        if idx == largest:
+            continue
+        c = to_coords @ mod.basis
+        proj = exact.fmatrix([[Fraction(v).limit_denominator(1 << 20)
+                               for v in row] for row in c @ c.T @ gm_f])
+        kernel, dk = exact.null_space(exact.fidentity(len(proj)) - proj)
+        if kernel.shape[1] != mod.dim:
+            raise ExactUnavailableError(f"rounded {mod.name} has dimension "
+                                        f"{kernel.shape[1]}, not {mod.dim}")
+        basis = mx @ kernel
+        if np.any(exact.null_space(basis.T)[0].T @ (ad_h @ basis) != 0):
+            raise ExactUnavailableError(
+                f"rounded {mod.name} is not ad(h)-invariant")
+        coords[idx] = kernel, dk
+    guessed = [c[0] for c in coords if c is not None]
+    for i, a in enumerate(guessed):
+        for b in guessed[i + 1:]:
+            if np.any(a.T @ gm @ b != 0):
+                raise ExactUnavailableError("rounded modules are not orthogonal")
+    coords[largest] = exact.null_space(
+        np.vstack([c.T @ gm for c in guessed]) if guessed
+        else exact.fzeros((0, len(gm))))
+    common = math.lcm(*(dk for _, dk in coords))
+    bases = []
+    for mod, (kernel, dk) in zip(space.modules, coords):
+        basis = mx @ kernel
+        basis_f = exact.to_float(basis, dx * dk)
+        proj = mod.basis @ (mod.basis.T @ gram_f @ basis_f)
+        if kernel.shape[1] != mod.dim or float(np.abs(basis_f - proj).max()) \
+                > 1e-8 * max(1.0, float(np.abs(basis_f).max())):
+            raise ExactUnavailableError(
+                f"exact {mod.name} does not match the float module")
+        bases.append(basis * (common // dk))
+    nums, denom = exact.reduced(np.hstack(bases), dx * common)
+    cuts = np.cumsum([b.shape[1] for b in bases])[:-1]
+    rows = exact.reduced(pairing, dx * dip)[0]
+    # rows is 2-5 % nonzero: sum S over the nonzero entries rows[p, k]
     tensor = np.zeros((len(rows), h_cols.shape[1], g.dim), dtype=object)
     for p, k in zip(*np.nonzero(rows)):
         tensor[p] += rows[p, k] * ad_h[:, k]
@@ -748,5 +730,5 @@ def _build_exact_lane(space: ReductiveSpace) -> ExactLane:
     return ExactLane(bases=tuple(np.split(nums, cuts, axis=1)), denom=denom,
                      rows=rows, system=(keys, cols, tensor[keys, cols]),
                      h_cols=h_cols, h_denom=h_denom,
-                     to_m=space.m.basis.T @ g.inner_product,
-                     to_h=space.h.basis.T @ g.inner_product)
+                     to_m=space.m.basis.T @ gram_f,
+                     to_h=space.h.basis.T @ gram_f)

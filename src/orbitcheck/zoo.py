@@ -316,7 +316,7 @@ def _g2_data() -> tuple[LieAlgebra, np.ndarray]:
     defect = (np.einsum("abc,tqc->abqt", f, basis)
               - np.einsum("tca,cbq->abqt", basis, f)
               - np.einsum("tcb,acq->abqt", basis, f))
-    kernel = exact.null_space(exact.fmatrix(defect.reshape(-1, 21)))
+    kernel = exact.over(*exact.null_space(defect.reshape(-1, 21)))
     # in free-column form every later row of a kernel column is zero
     free = [int(np.flatnonzero(col)[-1]) for col in kernel.T]
     if kernel.shape != (21, 14) or not np.array_equal(kernel[free],

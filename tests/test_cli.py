@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from orbitcheck import cli
 from orbitcheck.cli import main
+from orbitcheck.linalg import DEFAULT_TOL
 
 
 @pytest.fixture()
@@ -289,3 +291,19 @@ def test_tolerance_env_override(runner, monkeypatch):
     monkeypatch.setenv("ORBITCHECK_TOL", "1e-7")
     ok = runner.invoke(main, ["check-go", "go-6-m2n1", "--samples", "2"])
     assert ok.exit_code == 0
+
+
+def test_tol_flag_wins_over_the_environment_variable(runner, monkeypatch):
+    seen = []
+    check = cli.go_check
+    monkeypatch.setattr(cli, "go_check", lambda *args, **kwargs:
+                        seen.append(kwargs["tol"]) or check(*args, **kwargs))
+    args = ["check-go", "go-6-m2n1", "--samples", "2"]
+    monkeypatch.setenv("ORBITCHECK_TOL", "1e-7")
+    assert invoke(runner, args).exit_code == 0
+    # the flag is read first, so a malformed variable is never parsed
+    monkeypatch.setenv("ORBITCHECK_TOL", "not-a-number")
+    assert invoke(runner, args + ["--tol", "1e-8"]).exit_code == 0
+    monkeypatch.delenv("ORBITCHECK_TOL")
+    assert invoke(runner, args).exit_code == 0
+    assert seen == [1e-7, 1e-8, DEFAULT_TOL]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,33 +24,48 @@ def test_fmatrix_and_to_float_round_trip():
     np.testing.assert_allclose(back, [[1.0, 0.5], [0.25, 3.0]])
 
 
+def _rank(a):
+    """Rank of ``a`` from the Bareiss elimination: its column count less
+    its kernel's dimension."""
+    return a.shape[1] - exact.null_space(a)[0].shape[1]
+
+
 def test_rref_identifies_pivots():
     a = exact.fmatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    r, pivots = exact.rref(a)
-    assert list(pivots) == [0, 2]
-    assert r[0][1] == Fraction(2)
-    assert exact.bareiss_rank(a) == 2
+    n, d = exact.null_space(a)
+    # pivots 0 and 2: the free column 1 carries the rref entry -r[0][1]
+    assert n.tolist() == [[-2], [1], [0]] and d == 1
+    assert _rank(a) == 2
 
 
 def test_null_space_is_exact_kernel():
     a = exact.fmatrix([[1, 2, 3], [2, 4, 6]])
-    k = exact.null_space(a)
-    assert k.shape[1] == 2
+    k, d = exact.null_space(a)
+    assert k.shape[1] == 2 and d == 1
     prod = a @ k
     assert all(v == 0 for v in prod.ravel())
 
 
+def test_null_space_returns_integers_over_the_least_denominator():
+    a = exact.fmatrix([[2, 3, 0], [0, 6, 4]])
+    n, d = exact.null_space(a)
+    assert all(type(v) is int for v in n.flat)
+    assert d == 3 and n.tolist() == [[3], [-2], [3]]
+    assert exact.over(n, d).tolist() == [[1], [Fraction(-2, 3)], [1]]
+
+
 def test_solve_and_solvable_agree():
+    # solve returns None exactly when b raises the rank
     a = exact.fmatrix([[2, 0], [0, 3], [2, 3]])
     b_good = exact.fmatrix([[4], [9], [13]]).ravel()
-    ok, rank_a, rank_aug = exact.solvable(a, b_good)
-    assert ok and rank_a == rank_aug == 2
-    x = exact.solve(a, b_good)
-    assert list(x) == [Fraction(2), Fraction(3)]
+    assert _rank(a) == _rank(np.column_stack([a, b_good])) == 2
+    y, d = exact.solve(a, b_good)
+    assert y.tolist() == [2, 3] and d == 1
     b_bad = exact.fmatrix([[4], [9], [14]]).ravel()
-    ok, rank_a, rank_aug = exact.solvable(a, b_bad)
-    assert not ok and rank_aug == rank_a + 1
+    assert _rank(np.column_stack([a, b_bad])) == _rank(a) + 1
     assert exact.solve(a, b_bad) is None
+    y, d = exact.solve(a, b_good / 6)
+    assert y.tolist() == [2, 3] and d == 6
 
 
 def test_bareiss_rank_matches_float_rank():
@@ -58,7 +74,7 @@ def test_bareiss_rank_matches_float_rank():
     m[5] = m[0] + m[1]
     m[4] = 2 * m[2]
     a = exact.fmatrix(m.tolist())
-    assert exact.bareiss_rank(a) == np.linalg.matrix_rank(m.astype(float))
+    assert _rank(a) == np.linalg.matrix_rank(m.astype(float))
 
 
 @given(st.lists(st.lists(st.integers(min_value=-5, max_value=5),
@@ -67,7 +83,7 @@ def test_bareiss_rank_matches_float_rank():
 def test_rank_matches_numpy_on_integer_matrices(rows):
     a = exact.fmatrix(rows)
     expected = np.linalg.matrix_rank(np.array(rows, dtype=float))
-    assert exact.bareiss_rank(a) == expected
+    assert _rank(a) == expected
 
 
 @given(st.lists(st.lists(st.integers(min_value=-3, max_value=3),
@@ -79,9 +95,10 @@ def test_solve_residual_is_exactly_zero(rows, coeffs):
     a = exact.fmatrix(rows)
     x_true = exact.fmatrix([coeffs]).ravel()
     b = (a @ x_true.reshape(-1, 1)).ravel()
-    x = exact.solve(a, b)
-    assert x is not None
-    residual = (a @ x.reshape(-1, 1)).ravel() - b
+    solution = exact.solve(a, b)
+    assert solution is not None
+    y, d = solution
+    residual = (a @ y.reshape(-1, 1)).ravel() - d * b
     assert all(v == 0 for v in residual)
 
 
@@ -136,7 +153,30 @@ def test_bareiss_rank_survives_denominators_past_int64():
                 for _ in range(3)]
         row = [Fraction(int(rng.integers(1, 9)), d) for d in dens]
         a = exact.fmatrix([row, [2 * v for v in row]])
-        assert exact.bareiss_rank(a) == 1
+        assert _rank(a) == 1
+
+
+integers = st.one_of(st.just(0), st.integers(min_value=-60, max_value=60),
+                     st.integers(min_value=-2 ** 80, max_value=2 ** 80))
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=-2 ** 70, max_value=2 ** 70).filter(bool),
+       st.data())
+@example(2, 3, -4, None)
+@example(0, 2, -3, None)
+@settings(max_examples=100, deadline=None)
+def test_reduced_is_the_cleared_fraction_array(n_rows, n_cols, d, data):
+    # an example without data is the all-zero array
+    size = n_rows * n_cols
+    values = [0] * size if data is None else data.draw(
+        st.lists(integers, min_size=size, max_size=size))
+    n = _object_array(values, (n_rows, n_cols))
+    got, got_d = exact.reduced(n, d)
+    want, want_d = exact.cleared(exact.over(n, d))
+    assert got_d == want_d > 0
+    assert got.shape == n.shape and got.tolist() == want.tolist()
+    assert all(type(v) is int for v in got.flat)
 
 
 def _oracle_rref(a):
@@ -198,52 +238,62 @@ def _big_prime_system():
     return exact.fmatrix(rows), exact.fmatrix([b]).ravel()
 
 
+def _assert_matches_the_oracle(a, b):
+    """null_space and solve against the Fraction oracle: N / d is the rref
+    free-column kernel, y / d the solution with free unknowns 0, each
+    over the least positive d, and solve is None exactly when b raises
+    the rank."""
+    n_cols = a.shape[1]
+    want, want_pivots = _oracle_rref(a)
+    rank = len(want_pivots)
+    free = [c for c in range(n_cols) if c not in want_pivots]
+    n, d = exact.null_space(a)
+    assert n.shape == (n_cols, len(free)) and _rank(a) == rank
+    assert all(type(v) is int for v in n.flat)
+    assert d > 0 and math.gcd(d, *n.flat) == 1
+    assert all(v == 0 for v in (a @ n).flat)
+    kernel = exact.over(n, d)
+    for t, c in enumerate(free):
+        assert [kernel[p, t] for p in want_pivots] == \
+            [-want[k][c] for k in range(rank)]
+        assert [kernel[f, t] for f in free] == [int(f == c) for f in free]
+
+    aug, aug_pivots = _oracle_rref(np.column_stack([a, b]))
+    solution = exact.solve(a, b)
+    if n_cols in aug_pivots:
+        assert solution is None
+        assert _rank(np.column_stack([a, b])) == rank + 1
+        return
+    y, d = solution
+    assert y.shape == (n_cols,) and all(type(v) is int for v in y)
+    assert d > 0 and math.gcd(d, *y) == 1
+    want_x = [Fraction(0)] * n_cols
+    for k, p in enumerate(aug_pivots):
+        want_x[p] = aug[k][n_cols]
+    assert list(exact.over(y, d)) == want_x
+    assert all(v == 0 for v in (a @ y.reshape(-1, 1)).ravel() - d * b)
+
+
 @given(rational_systems())
 @example(_big_prime_system())
 @settings(max_examples=150, deadline=None)
 def test_one_elimination_matches_the_fraction_oracle(system):
-    a, b = system
-    n_rows, n_cols = a.shape
-    want, want_pivots = _oracle_rref(a)
-    got, pivots = exact.rref(a)
-    assert list(pivots) == want_pivots
-    assert got.shape == (n_rows, n_cols)
-    assert all(isinstance(v, Fraction) for v in got.flat)
-    assert [list(row) for row in got] == want
-    rank = len(want_pivots)
-    assert exact.bareiss_rank(a) == rank
-
-    kernel = exact.null_space(a)
-    free = [c for c in range(n_cols) if c not in want_pivots]
-    assert kernel.shape == (n_cols, n_cols - rank)
-    assert all(v == 0 for v in (a @ kernel).flat)
-    assert np.array_equal(kernel[free], exact.fidentity(len(free)))
-
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    rank_aug = len(_oracle_rref(aug)[1])
-    x = exact.solve(a, b)
-    if rank_aug > rank:
-        assert x is None
-    else:
-        assert x is not None and x.shape == (n_cols,)
-        assert all(v == 0 for v in (a @ x.reshape(-1, 1)).ravel() - b)
-    assert exact.solvable(a, b) == (x is not None, rank, rank_aug)
+    _assert_matches_the_oracle(*system)
 
 
 def test_one_elimination_on_zero_size_shapes():
     for shape in ((0, 0), (0, 3), (3, 0)):
         a = exact.fzeros(shape)
-        r, pivots = exact.rref(a)
-        assert r.shape == shape and pivots == []
-        assert exact.bareiss_rank(a) == 0
-        assert np.array_equal(exact.null_space(a), exact.fidentity(shape[1]))
+        n, d = exact.null_space(a)
+        assert n.tolist() == np.eye(shape[1], dtype=int).tolist() and d == 1
         b = exact.fzeros(shape[0])
-        assert list(exact.solve(a, b)) == [0] * shape[1]
-        assert exact.solvable(a, b) == (True, 0, 0)
+        y, d = exact.solve(a, b)
+        assert y.tolist() == [0] * shape[1] and d == 1
+        _assert_matches_the_oracle(a, b)
     # a nonzero right-hand side with no unknowns is inconsistent
     a, b = exact.fzeros((2, 0)), exact.fmatrix([[0, 1]]).ravel()
     assert exact.solve(a, b) is None
-    assert exact.solvable(a, b) == (False, 0, 1)
+    _assert_matches_the_oracle(a, b)
 
 
 @st.composite
@@ -276,32 +326,6 @@ def larger_systems(draw):
 @settings(max_examples=60, deadline=None)
 def test_back_substitution_matches_the_fraction_oracle_on_larger_systems(
         system):
-    # long back-substitution chains: up to 10 pivots, every RREF entry,
-    # kernel vector and solution entry compared exactly with the oracle
-    a, b = system
-    n_rows, n_cols = a.shape
-    want, want_pivots = _oracle_rref(a)
-    got, pivots = exact.rref(a)
-    assert list(pivots) == want_pivots
-    assert [list(row) for row in got] == want
-    rank = len(want_pivots)
-
-    free = [c for c in range(n_cols) if c not in want_pivots]
-    kernel = exact.null_space(a)
-    assert kernel.shape == (n_cols, len(free))
-    for t, c in enumerate(free):
-        assert [kernel[p, t] for p in want_pivots] == \
-            [-want[k][c] for k in range(rank)]
-        assert [kernel[f, t] for f in free] == [int(f == c) for f in free]
-
-    aug, aug_pivots = _oracle_rref(np.hstack([a, b.reshape(-1, 1)]))
-    x = exact.solve(a, b)
-    consistent = n_cols not in aug_pivots
-    if consistent:
-        want_x = [Fraction(0)] * n_cols
-        for k, p in enumerate(aug_pivots):
-            want_x[p] = aug[k][n_cols]
-        assert x is not None and list(x) == want_x
-    else:
-        assert x is None
-    assert exact.solvable(a, b) == (consistent, rank, len(aug_pivots))
+    # long back-substitution chains: up to 10 pivots, every kernel vector
+    # and solution entry compared exactly with the oracle
+    _assert_matches_the_oracle(*system)

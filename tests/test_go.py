@@ -473,7 +473,8 @@ def test_a_copy_with_new_modules_builds_its_own_exact_data(so5_u2):
 def _fraction_sample(space, bases, rows, lam, mu, seed, i):
     """Sample i of the exact lane in Fraction arithmetic: X, and z in h
     coordinates (None when inconsistent) from one bracket_exact per h
-    column and exact.solve on the cleared columns."""
+    column and exact.solve on the cleared columns, with the rational
+    module bases ``bases`` and the integer rows ``rows``."""
     g = space.g
     rng = rng_for("go-exact", space.name, seed, i)
     parts = []
@@ -491,16 +492,21 @@ def _fraction_sample(space, bases, rows, lam, mu, seed, i):
     cols = rows @ exact.cleared(np.column_stack(
         [g.bracket_exact(h, axg) for h in space.embedding.matrix_exact.T]
         + [g.bracket_exact(xg, axg)]))[0]
-    return xg, exact.solve(cols[:, :-1], -cols[:, -1])
+    solution = exact.solve(cols[:, :-1], -cols[:, -1])
+    return xg, None if solution is None else exact.over(*solution)
 
 
 @pytest.mark.parametrize("entry_id", EXACT_CAPABLE)
 def test_integer_exact_lane_matches_the_fraction_path(entry_id):
     space = catalog.catalog_instantiate(entry_id, seed=0)
     lane = space.exact_lane
-    bases = spaces.exact_module_bases(space)
-    rows, _ = exact.cleared(exact.matmul(space.exact_m_basis.T,
+    bases = [exact.over(b, lane.denom) for b in lane.bases]
+    # m's rational basis is the kernel of h's Gram pairing
+    m_basis = exact.over(*exact.null_space(exact.matmul(
+        space.embedding.matrix_exact.T, space.g.inner_product_exact)))
+    rows, _ = exact.cleared(exact.matmul(m_basis.T,
                                          space.g.inner_product_exact))
+    assert rows.tolist() == lane.rows.tolist()
     to_h = space.h.basis.T @ space.g.inner_product
     statuses = set()
     for lam, mu in EXACT_PAIRS:
@@ -512,13 +518,17 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
                                             seed, i)
                 x1, x2 = go._exact_draw(space, seed, i)
                 assert [Fraction(v, lane.denom) for v in x1 + x2] == list(xg)
-                z = exact.fzeros(space.h.dim) if lam == mu else \
+                solution = None if lam == mu else \
                     go._exact_solution(space, lam, mu, x1, x2)
                 assert got.rank_gap == (want is None)
                 if want is None:
-                    assert z is None and got.z is None
+                    assert solution is None and got.z is None
                     continue
-                assert list(z) == list(want)
+                if lam != mu:
+                    # z is h_cols @ y / d in g coordinates
+                    y, d = solution
+                    assert list(exact.over(lane.h_cols @ y, d)) == list(
+                        exact.matmul(space.embedding.matrix_exact, want))
                 np.testing.assert_array_equal(got.z, np.zeros(space.h.dim)
                     if lam == mu else to_h @ exact.to_float(exact.matmul(
                         space.embedding.matrix_exact, want)))

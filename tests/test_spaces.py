@@ -188,12 +188,12 @@ def test_classify_structure_on_projective_pair(so5_u2):
 
 
 def test_exact_module_bases_match_float_dims(so5_u2):
-    bases = spaces.exact_module_bases(so5_u2)
-    assert tuple(b.shape[1] for b in bases) == (2, 4)
+    lane = spaces.exact_module_bases(so5_u2)
+    assert tuple(b.shape[1] for b in lane.bases) == (2, 4)
     g = so5_u2.g
     gram = core.exact.to_float(g.inner_product_exact)
-    for exact_b, mod in zip(bases, so5_u2.modules):
-        cols = core.exact.to_float(exact_b)
+    for exact_b, mod in zip(lane.bases, so5_u2.modules):
+        cols = core.exact.to_float(exact_b, lane.denom)
         # same subspace as the float module, checked via gram projections
         proj = mod.basis.T @ gram @ cols
         recon = mod.basis @ np.linalg.solve(
@@ -224,8 +224,9 @@ def test_exact_module_bases_refuse_a_rational_split_that_is_not_invariant(
         so5_u2):
     # span{u1, u2}, with u_i a rational vector of module i, has a rational
     # projector that rounds exactly, so only the invariance check refuses it
-    bases = spaces.exact_module_bases(so5_u2)
-    cols = np.stack([core.exact.to_float(b[:, 0]) for b in bases], axis=1)
+    lane = spaces.exact_module_bases(so5_u2)
+    cols = np.stack([core.exact.to_float(b[:, 0], lane.denom)
+                     for b in lane.bases], axis=1)
     coords = so5_u2.m.basis.T @ so5_u2.g.inner_product @ cols
     full = np.linalg.qr(coords, mode="complete")[0]
     with pytest.raises(spaces.ExactUnavailableError, match="invariant"):
