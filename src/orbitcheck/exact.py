@@ -141,12 +141,17 @@ def _back_substitute(rows: np.ndarray, pivots: list[int], d: int, cols):
     columns ``cols`` of ``_eliminate``'s (rows, pivots, d), from the last
     pivot up: y_k = (d u_k - sum_{i>k} U[k, P_i] y_i) // U[k, P_k]. Each
     division is exact by Cramer's rule, as d is the leading pivot minor.
+    The recurrence runs on Python lists: a numpy call per pivot costs
+    more than the few products it does.
     """
-    y = np.zeros((len(pivots), len(cols)), dtype=object)
+    y: list[list[int]] = [[]] * len(pivots)
     for k in range(len(pivots) - 1, -1, -1):
-        y[k] = (d * rows[k, cols] - rows[k, pivots[k + 1:]] @ y[k + 1:]) \
-            // rows[k, pivots[k]]
-    return y
+        row = rows[k].tolist()
+        later = [(row[p], y[i]) for i, p in enumerate(pivots[k + 1:], k + 1)
+                 if row[p]]
+        y[k] = [(d * row[c] - sum(u * yi[j] for u, yi in later))
+                // row[pivots[k]] for j, c in enumerate(cols)]
+    return np.array(y, dtype=object).reshape(len(pivots), len(cols))
 
 
 def null_space(a: np.ndarray) -> tuple[np.ndarray, int]:

@@ -18,6 +18,7 @@ metric-ratio coefficients.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -222,7 +223,7 @@ class GoVerdict:
     """Space-level verdict from sampled pointwise certificates."""
 
     status: str
-    witnesses: tuple[GoWitness, ...]
+    witnesses: Sequence[GoWitness]
     counterexample: GoWitness | None
     max_residual: float
     n_samples: int
@@ -321,48 +322,47 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
              exact_mode: bool = False) -> GoVerdict:
     """Sample tangent directions and aggregate pointwise certificates.
 
-    Every lane runs one loop: sample i is drawn from its own generator,
-    the lane's witness function certifies it, and the first certified
+    Sample i is drawn from its own generator, and the first certified
     counterexample ends the run as NOT_GO. The float lane alternates
     generic unit vectors and normalized two-module mixtures
     (X1 + X2) / sqrt(2); a scalar metric is the normal-metric case,
     trivially consistent with zero witnesses, and a two-parameter metric
-    reads its witnesses off the space's metric-free factorisation of the
-    same samples. The exact lane draws integer combinations of the
-    rational module bases and solves each system on Python integers.
+    reads all its samples off the space's metric-free factorisation at
+    once. The exact lane draws integer combinations of the rational
+    module bases and solves each system on Python integers.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
     a = _as_metric(space, metric)
     if not space.modules:
         raise ValidationError("decompose the isotropy modules first")
-    if exact_mode:
-        witness, status = _exact_lane(space, a, seed)
+    counterexample = None
+    if not exact_mode and a.kind == "two_param" and not a.is_scalar:
+        status = "GO_CONSISTENT"
+        witnesses, max_res, counterexample = _factored_lane(
+            space, a, seed, tol, n_samples)
     else:
-        witness, status = _float_lane(space, a, seed, tol, n_samples)
-    witnesses = []
-    max_res = 0.0
-    for i in range(n_samples):
-        w = witness(i)
-        witnesses.append(w)
-        if not w.solvable:
-            status = "NOT_GO"
-            break
-        max_res = max(max_res, w.residual)
-    return GoVerdict(status=status, witnesses=tuple(witnesses),
-                     counterexample=None if w.solvable else w,
+        witness, status = _exact_lane(space, a, seed) if exact_mode \
+            else _float_lane(space, a, seed, tol)
+        witnesses, max_res = [], 0.0
+        for i in range(n_samples):
+            witnesses.append(witness(i))
+            if not witnesses[-1].solvable:
+                counterexample = witnesses[-1]
+                break
+            max_res = max(max_res, witnesses[-1].residual)
+        witnesses = tuple(witnesses)
+    return GoVerdict(status="NOT_GO" if counterexample is not None else status,
+                     witnesses=witnesses, counterexample=counterexample,
                      max_residual=max_res, n_samples=len(witnesses),
                      seed=seed, metric=a.as_dict(), space_name=space.name,
                      exact=bool(exact_mode))
 
 
 def _float_lane(space: ReductiveSpace, a: MetricOperator, seed: int,
-                tol: float, n_samples: int):
+                tol: float):
     """Witness function and consistent status of the float lane."""
     scalar = a.is_scalar
-    if a.kind == "two_param" and not scalar:
-        return _factored_witness(space, a, seed, tol, n_samples), \
-            "GO_CONSISTENT"
     blocks = [space.module_coords_in_m(i) for i in range(len(space.modules))]
     dm = space.m.dim
     brackets = space.m_bracket_m.reshape(dm, dm * dm)
@@ -444,47 +444,77 @@ class _Factorisation:
         self.mz = np.concatenate([self.mz, m @ z])
 
 
-def _factored_witness(space: ReductiveSpace, a: MetricOperator, seed: int,
-                      tol: float, n_samples: int):
-    """Witness function of a two-parameter metric on the factorisation.
+    def read_off(self, a: MetricOperator, tol: float, part: slice):
+        """Acceptance mask, residuals and z of the samples in ``part``
+        under a two-parameter metric: go_witness_general's residual test,
+        ||D M z - rhs|| <= tol * max(1, ||rhs||) at unit scale."""
+        lam, mu = float(a.params[0]), float(a.params[1])
+        scale = a.spectral_norm
+        coeffs = np.array([1.0, mu / lam, lam / mu])
+        rhs = self.r[part] @ np.array([lam / scale, mu / scale])
+        residual = np.linalg.norm(
+            (self.mz[part] @ coeffs) @ (a.matrix / scale) - rhs, axis=1)
+        bound = tol * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
+        return residual <= bound, scale * residual, self.z[part] @ coeffs
 
-    z and the residual of every held sample come from a few batched
-    axpys per chunk. A sample is accepted only by go_witness_general's
-    own residual test, ||D M z - rhs|| <= tol * max(1, ||rhs||) at unit
-    scale; any other goes to go_witness_general, so every counterexample
-    and every ToleranceError is its.
-    """
+
+def _factored_lane(space: ReductiveSpace, a: MetricOperator, seed: int,
+                   tol: float, n_samples: int):
+    """Witnesses, max residual and counterexample of a two-parameter
+    metric on the factorisation. A sample the read-off rejects goes to
+    go_witness_general, so every counterexample and ToleranceError is
+    its, and a solvable answer continues the run."""
     cache = space.go_factorisations
     if seed not in cache:
         # one seed per space, with the samples of its longest call
         cache.clear()
         cache[seed] = _Factorisation(space, seed)
     fac = cache[seed]
-    lam, mu = float(a.params[0]), float(a.params[1])
-    scale = a.spectral_norm
-    weights = a.matrix / scale
-    coeffs = np.array([1.0, mu / lam, lam / mu])
-    accepted: list[bool] = []
-    residuals: list[float] = []
-    zs: list[np.ndarray] = []
+    reads = []
+    solved: dict[int, GoWitness] = {}
+    counterexample = None
+    n = 0
+    while n < n_samples and counterexample is None:
+        if n >= len(fac.kinds):
+            fac.fill(space, n, n_samples)
+        part = slice(n, min(len(fac.kinds), n_samples))
+        reads.append(fac.read_off(a, tol, part))
+        n = part.stop
+        for i in (part.start + np.flatnonzero(~reads[-1][0])).tolist():
+            w = solved[i] = go_witness_general(space, a, fac.rows[i], tol,
+                                               fac.kinds[i])
+            if not w.solvable:
+                counterexample, n = w, i + 1
+                break
+    ok, residuals, zs = (np.concatenate(arrays)[:n]
+                         for arrays in zip(*reads))
+    max_res = max([float(residuals[ok].max(initial=0.0))]
+                  + [w.residual for w in solved.values() if w.solvable])
+    return (_ReadOff(fac.rows[:n], fac.kinds[:n], zs, residuals, solved),
+            max_res, counterexample)
 
-    def witness(i):
-        if i >= len(accepted):
-            if i >= len(fac.kinds):
-                fac.fill(space, i, n_samples)
-            part = slice(len(accepted), min(len(fac.kinds), n_samples))
-            rhs = fac.r[part] @ np.array([lam / scale, mu / scale])
-            residual = np.linalg.norm(
-                (fac.mz[part] @ coeffs) @ weights - rhs, axis=1)
-            bound = tol * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
-            accepted.extend((residual <= bound).tolist())
-            residuals.extend((scale * residual).tolist())
-            zs.extend(fac.z[part] @ coeffs)
-        if accepted[i]:
-            return GoWitness(x=fac.rows[i], z=zs[i], residual=residuals[i],
-                             rank_gap=0, margin=0.0, kind=fac.kinds[i])
-        return go_witness_general(space, a, fac.rows[i], tol, fac.kinds[i])
-    return witness
+
+class _ReadOff(Sequence):
+    """Read-only witnesses of a factorised verdict: solved-again samples
+    as go_witness_general returned them, any other built on first read."""
+
+    def __init__(self, rows, kinds, zs, residuals, solved):
+        self._rows, self._kinds, self._zs = rows, kinds, zs
+        self._residuals, self._built = residuals, solved
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        j = range(len(self))[i]
+        if j not in self._built:
+            self._built[j] = GoWitness(
+                x=self._rows[j], z=self._zs[j],
+                residual=float(self._residuals[j]), rank_gap=0, margin=0.0,
+                kind=self._kinds[j])
+        return self._built[j]
 
 
 def _exact_lane(space: ReductiveSpace, a: MetricOperator, seed: int):

@@ -688,9 +688,12 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
         if idx == largest:
             continue
         c = to_coords @ mod.basis
-        proj = exact.fmatrix([[Fraction(v).limit_denominator(1 << 20)
-                               for v in row] for row in c @ c.T @ gm_f])
-        kernel, dk = exact.null_space(exact.fidentity(len(proj)) - proj)
+        proj, d = exact.cleared(exact.fmatrix(
+            [[Fraction(v).limit_denominator(1 << 20) for v in row]
+             for row in c @ c.T @ gm_f]))
+        # I - P has the kernel of d I - proj, which stays on integers
+        kernel, dk = exact.null_space(
+            d * np.identity(len(proj), dtype=object) - proj)
         if kernel.shape[1] != mod.dim:
             raise ExactUnavailableError(f"rounded {mod.name} has dimension "
                                         f"{kernel.shape[1]}, not {mod.dim}")

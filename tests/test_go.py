@@ -404,6 +404,75 @@ def test_factorisation_cache_is_bounded_and_invisible(entry_id):
         assert len(space.go_factorisations[seed].kinds) <= longest[seed]
 
 
+def test_a_rejected_sample_is_solved_again_and_the_run_goes_on(monkeypatch):
+    # corrupt one held sample so the batched residual test rejects it:
+    # go_witness_general solves that sample alone, and its solvable
+    # answer is the witness there while the run continues
+    space = catalog.catalog_instantiate("go-3-k2", seed=0)
+    pair = (1, 2)
+    go.go_check(space, pair, n_samples=40, seed=0)
+    space.go_factorisations[0].mz[17] += 1.0
+    solve = go.go_witness_general
+    calls = []
+
+    def counted(*args):
+        calls.append((args, solve(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(go, "go_witness_general", counted)
+    verdict = go.go_check(space, pair, n_samples=40, seed=0)
+    monkeypatch.undo()
+    assert verdict.status == "GO_CONSISTENT"
+    assert verdict.n_samples == len(verdict.witnesses) == 40
+    want = _oracle(space, pair, 40, 0)[17]
+    assert len(calls) == 1
+    (_, _, x, _, kind), got = calls[0]
+    np.testing.assert_array_equal(x, want.x)
+    assert kind == want.kind
+    assert verdict.witnesses[17] is got
+    assert json.dumps(got.as_dict()) == json.dumps(want.as_dict())
+
+
+def test_factored_witnesses_are_built_when_read(monkeypatch):
+    space = catalog.catalog_instantiate("go-3-k2", seed=0)
+    go.go_check(space, (1, 2), n_samples=40, seed=0)
+    built = []
+
+    class Counted(go.GoWitness):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["x"])
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(go, "GoWitness", Counted)
+    verdict = go.go_check(space, (3, 0.5), n_samples=40, seed=0)
+    witnesses = verdict.witnesses
+    assert verdict.status == "GO_CONSISTENT" and not built
+    assert len(witnesses) == 40 and not built
+    # each witness is built once, on first access, whatever the index
+    assert witnesses[-1] is witnesses[39]
+    assert witnesses[-40] is witnesses[0]
+    assert len(built) == 2
+    for bad in (40, -41):
+        with pytest.raises(IndexError):
+            witnesses[bad]
+    part = witnesses[5:11:2]
+    assert isinstance(part, tuple) and len(part) == 3
+    assert all(w is witnesses[i] for w, i in zip(part, range(5, 11, 2)))
+    assert witnesses[38:100] == (witnesses[38], witnesses[39])
+    listed = list(witnesses)
+    assert all(w is witnesses[i] for i, w in enumerate(listed))
+    assert len(built) == 40
+    assert all(isinstance(w, Counted) and w.solvable for w in listed)
+    with pytest.raises(TypeError):
+        witnesses[0] = witnesses[1]
+    # a NOT_GO run ends at its counterexample, go_witness_general's object
+    monkeypatch.undo()
+    verdict = go.go_check(catalog.catalog_instantiate("t1-V.10", seed=0),
+                          (3, 1))
+    assert verdict.status == "NOT_GO"
+    assert verdict.counterexample is verdict.witnesses[-1]
+    assert verdict.counterexample.rank_gap == 1
+    assert all(w.solvable for w in verdict.witnesses[:-1])
+
+
 @pytest.mark.parametrize("entry_id", TWO_SUMMAND)
 def test_one_status_across_non_normal_pairs(entry_id):
     # GO for two-summand spaces is decided by the metric-free bracket
