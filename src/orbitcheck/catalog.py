@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import zoo
-from .core import LieAlgebra, ValidationError, direct_sum
+from .core import LieAlgebra, ValidationError, direct_sum, trivial_algebra
 from .filters import necessary_filter
 from .go import MetricOperator, go_check
 from .linalg import DEFAULT_TOL
@@ -105,7 +105,9 @@ def _struct_4() -> tuple[LieAlgebra, object]:
 
 def _struct_5() -> tuple[LieAlgebra, object]:
     g = classical("torus", 2)
-    return g, np.zeros((2, 0))
+    zero = np.zeros((2, 0))
+    return g, Embedding(source=trivial_algebra(), target=g, matrix=zero,
+                        name="0<torus(2)", matrix_exact=_exactify_matrix(zero))
 
 
 def _struct_6() -> tuple[LieAlgebra, object]:

@@ -10,8 +10,9 @@ catalog regression.
 Exit codes: 0 on success or expected match, 1 on a verdict mismatch or
 violated invariant, 2 on usage errors (including missing or malformed
 input files). Every subcommand has a --json mode; JSON output is
-deterministic for a fixed seed and tolerance (sorted keys, no
-timestamps).
+deterministic for a fixed seed, tolerance and BLAS thread count (sorted
+keys, no timestamps). Float residuals and margins may differ in their
+last digits between thread counts; statuses and exact verdicts do not.
 """
 
 from __future__ import annotations

@@ -144,18 +144,19 @@ class StructureConstants:
             i[a] * n + i[b], self.numer[a] * self.numer[b]), self.denom ** 2)
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Exact [x, y] for Fraction coordinate vectors.
-
-        Only rows (i, j, k) with x_i and y_j both nonzero are touched, and
-        the products run on integers over the cleared denominators.
-        """
+        """Exact [x, y] for Fraction coordinate vectors, from
+        ``bracket_numerators`` on integers over the cleared denominators."""
         xi, dx = exact.cleared(x)
         yi, dy = exact.cleared(y)
+        return _fractions(self.dim, *self.bracket_numerators(xi, yi),
+                          self.denom * dx * dy)
+
+    def bracket_numerators(self, x: np.ndarray, y: np.ndarray):
+        """denom [x, y] for integer vectors, as its nonzero (keys, sums).
+        Only rows (i, j, k) with x_i and y_j both nonzero are touched."""
         i, j, k = self.index.T
-        rows = np.flatnonzero((xi != 0)[i] & (yi != 0)[j])
-        return _fractions(self.dim, *_accumulate(
-            k[rows], self.numer[rows] * xi[i[rows]] * yi[j[rows]]),
-            self.denom * dx * dy)
+        rows = np.flatnonzero((x != 0)[i] & (y != 0)[j])
+        return _accumulate(k[rows], self.numer[rows] * x[i[rows]] * y[j[rows]])
 
     def ad_numerators(self, xs: np.ndarray) -> np.ndarray:
         """Integer ad matrices of the integer columns of ``xs`` (n, k).

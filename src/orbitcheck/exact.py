@@ -8,9 +8,9 @@ the integer arrays, and divides once per output entry. One fraction-free
 forward elimination (Bareiss steps on rows cleared to integers) serves
 the two solvers, ``null_space`` and ``solve``: each back-substitutes, in
 integers too, the columns it needs (the free ones, or the right-hand
-side), and returns its answer as integers over one denominator, reduced
-by ``reduced`` to the least one, so no row operation ever touches a
-Fraction. ``over`` turns such a pair back into Fractions.
+sides, all at once), and returns its answer as integers over one
+denominator, so no row operation ever touches a Fraction. ``reduced``
+brings such a pair to its least denominator, ``over`` back to Fractions.
 """
 
 from __future__ import annotations
@@ -100,16 +100,18 @@ def reduced(n: np.ndarray, d: int) -> tuple[np.ndarray, int]:
     return n // g, d // g
 
 
-def _eliminate(a: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+def _eliminate(a: np.ndarray, width: int
+               ) -> tuple[np.ndarray, list[int], int]:
     """Fraction-free forward elimination: (rows, pivots, d).
 
     A matrix of Python ints is taken as it is; any other has each row
-    cleared to Python integers. Each pivot p then updates the rows below
-    it, from its column on, by the Bareiss step (p m[r][j] - m[r][col]
-    m[row][j]) // d, with d the previous pivot (1 at the start). Every
-    division is exact because every entry stays a minor of the cleared
-    matrix. On return the rows are an integer echelon form and d is the
-    last pivot, which may be negative.
+    cleared to Python integers. Each pivot p, found among the first
+    ``width`` columns, then updates the rows below it, from its column
+    on, by the Bareiss step (p m[r][j] - m[r][col] m[row][j]) // d,
+    with d the previous pivot (1 at the start). Every division is exact
+    because every entry stays a minor of the cleared matrix. On return
+    the rows are an integer echelon form and d is the last pivot, which
+    may be negative.
     """
     n_rows, n_cols = a.shape
     m = np.empty((n_rows, n_cols), dtype=object)
@@ -120,11 +122,11 @@ def _eliminate(a: np.ndarray) -> tuple[np.ndarray, list[int], int]:
             m[i] = cleared(row)[0]
     pivots: list[int] = []
     d = 1
-    for col in range(n_cols):
+    for col in range(width):
         row = len(pivots)
         if row == n_rows:
             break
-        below = np.flatnonzero(m[row:, col])
+        below = m[row:, col].nonzero()[0]
         if not below.size:
             continue
         m[[row, row + below[0]]] = m[[row + below[0], row]]
@@ -163,8 +165,8 @@ def null_space(a: np.ndarray) -> tuple[np.ndarray, int]:
     this basis a direct read-off. The rank of ``a`` is its column count
     less N's.
     """
-    m, pivots, d = _eliminate(a)
     n_cols = a.shape[1]
+    m, pivots, d = _eliminate(a, n_cols)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = np.zeros((n_cols, len(free)), dtype=object)
     basis[free, range(len(free))] = d
@@ -172,16 +174,16 @@ def null_space(a: np.ndarray) -> tuple[np.ndarray, int]:
     return reduced(basis, d)
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """One exact solution y / d of ``a x = b``, as integers y over the
-    least d (free unknowns 0), or None when the system is inconsistent."""
+def solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Rref solutions Y / d of ``a Y = b`` (free unknowns 0, d maybe
+    negative) and ``tail``, b's reduced rows below the rank. Only a's
+    columns pivot: a combination of b's columns is consistent exactly
+    where that of tail's vanishes, and its solution is that of Y's."""
     n_cols = a.shape[1]
-    m, pivots, d = _eliminate(np.column_stack([a, b]))
-    if n_cols in pivots:
-        return None
-    y = np.zeros(n_cols, dtype=object)
-    y[pivots] = _back_substitute(m, pivots, d, [n_cols])[:, 0]
-    return reduced(y, d)
+    m, pivots, d = _eliminate(np.column_stack([a, b]), n_cols)
+    y = np.zeros((n_cols, b.shape[1]), dtype=object)
+    y[pivots] = _back_substitute(m, pivots, d, range(n_cols, m.shape[1]))
+    return y, d, m[len(pivots):, n_cols:]
 
 
 def format_value(x: Fraction) -> str | int:

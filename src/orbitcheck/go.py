@@ -325,25 +325,26 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     Sample i is drawn from its own generator, and the first certified
     counterexample ends the run as NOT_GO. The float lane alternates
     generic unit vectors and normalized two-module mixtures
-    (X1 + X2) / sqrt(2); a scalar metric is the normal-metric case,
-    trivially consistent with zero witnesses, and a two-parameter metric
-    reads all its samples off the space's metric-free factorisation at
-    once. The exact lane draws integer combinations of the rational
-    module bases and solves each system on Python integers.
+    (X1 + X2) / sqrt(2); the exact lane draws integer combinations of
+    the rational module bases. A normal metric (scalar, or lam == mu
+    exactly) is trivially consistent. A two-parameter metric reads its
+    samples off the space's metric-free factorisation for its lane,
+    which serves every (lam, mu) at one seed; only scalar and block
+    float metrics are solved sample by sample.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
     a = _as_metric(space, metric)
     if not space.modules:
         raise ValidationError("decompose the isotropy modules first")
+    normal = len(set(a.exact_params())) == 1 if exact_mode else a.is_scalar
+    status = "NORMAL_TRIVIAL" if normal else "GO_CONSISTENT"
     counterexample = None
-    if not exact_mode and a.kind == "two_param" and not a.is_scalar:
-        status = "GO_CONSISTENT"
+    if exact_mode or a.kind == "two_param" and not normal:
         witnesses, max_res, counterexample = _factored_lane(
-            space, a, seed, tol, n_samples)
+            space, a, seed, tol, n_samples, exact_mode)
     else:
-        witness, status = _exact_lane(space, a, seed) if exact_mode \
-            else _float_lane(space, a, seed, tol)
+        witness = _float_lane(space, a, seed, tol)
         witnesses, max_res = [], 0.0
         for i in range(n_samples):
             witnesses.append(witness(i))
@@ -361,7 +362,7 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
 
 def _float_lane(space: ReductiveSpace, a: MetricOperator, seed: int,
                 tol: float):
-    """Witness function and consistent status of the float lane."""
+    """Witness function of a scalar or block float metric."""
     scalar = a.is_scalar
     blocks = [space.module_coords_in_m(i) for i in range(len(space.modules))]
     dm = space.m.dim
@@ -376,7 +377,7 @@ def _float_lane(space: ReductiveSpace, a: MetricOperator, seed: int,
         return GoWitness(x=x, z=np.zeros(space.h.dim),
                          residual=float(np.linalg.norm(rhs)), rank_gap=0,
                          margin=0.0, kind=kind)
-    return witness, "NORMAL_TRIVIAL" if scalar else "GO_CONSISTENT"
+    return witness
 
 
 class _Factorisation:
@@ -410,15 +411,12 @@ class _Factorisation:
         self.z = np.empty((0, dh, 3))
         self.mz = np.empty((0, dm, 3))
 
-    def fill(self, space: ReductiveSpace, i: int, n_samples: int) -> None:
-        """Factorise the next chunk, which holds sample i: chunks double
-        the samples held (1, 1, 2, 4, ...), up to n_samples."""
-        lo = len(self.kinds)
-        hi = max(i + 1, min(2 * lo, n_samples))
+    def fill(self, space: ReductiveSpace, samples: range) -> None:
+        """Factorise the next chunk of samples."""
         dm, dh = space.m.dim, space.h.dim
         drawn = [_sample_direction(self.blocks,
                                    rng_for("go", space.name, self.seed, j),
-                                   j % 2 == 1) for j in range(lo, hi)]
+                                   j % 2 == 1) for j in samples]
         # witnesses hand out rows of x, so nothing may write to them
         x = np.array([v for v, _ in drawn])
         x.flags.writeable = False
@@ -443,7 +441,6 @@ class _Factorisation:
         self.z = np.concatenate([self.z, z])
         self.mz = np.concatenate([self.mz, m @ z])
 
-
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask, residuals and z of the samples in ``part``
         under a two-parameter metric: go_witness_general's residual test,
@@ -457,32 +454,101 @@ class _Factorisation:
         bound = tol * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
         return residual <= bound, scale * residual, self.z[part] @ coeffs
 
+    def solve_again(self, space: ReductiveSpace, a: MetricOperator, tol, i):
+        return go_witness_general(space, a, self.rows[i], tol, self.kinds[i])
+
+
+class _ExactFactorisation:
+    """Metric-free part of the exact system for the samples of one seed.
+
+    Sample i is X = (x1 + x2) / denom, x_k in module k, and A scales X_k
+    by c_k, c1 : c2 = lam : mu. As rows_k sees only module k and [h, m_k]
+    lies in m_k, rows [Z + X, A X] = 0 is diag(c1, c2) M y = (c2 - c1) b
+    with Z = H y / denom, M = rows ad(x) H and b = rows [x1, x2]. One
+    ``exact.solve`` of M against [b1; 0] and [0; b2], at the sample's
+    first lam != mu read-off, serves every pair: its rref solution is
+    y = (c2 - c1) (c2 Y1 + c1 Y2) / (c1 c2 d), if c2 tail1 + c1 tail2 = 0.
+    """
+
+    def __init__(self, space: ReductiveSpace, seed: int):
+        self.seed, self.lane = seed, space.exact_lane
+        if len(self.lane.bases) != 2:
+            raise ExactUnavailableError("exact mode expects two modules")
+        self.brackets = space.g.structure_exact.bracket_numerators
+        self.kinds, self.rows, self.parts, self.solved = [], [], [], {}
+
+    def fill(self, space: ReductiveSpace, samples: range) -> None:
+        """Draw the next chunk of samples."""
+        for i in samples:
+            rng = rng_for("go-exact", space.name, self.seed, i)
+            x1, x2 = (b @ _nonzero_int_vector(rng, b.shape[1])
+                      for b in self.lane.bases)
+            x = self.lane.to_m @ exact.to_float(x1 + x2, self.lane.denom)
+            x.flags.writeable = False
+            self.kinds.append("exact")
+            self.rows.append(x)
+            self.parts.append((x1, x2))
+
+    def _solve(self, x1: np.ndarray, x2: np.ndarray):
+        lane = self.lane
+        n, keys, cols, values = len(lane.rows), *lane.system
+        m = np.zeros(n * len(lane.to_h), dtype=object)
+        np.add.at(m, keys, values * (-x1 - x2)[cols])
+        keys, sums = self.brackets(x1, x2)
+        rhs = np.zeros((n, 2), dtype=object)
+        cut = lane.bases[0].shape[1]
+        rhs[:cut, 0], rhs[cut:, 1] = np.split(lane.rows[:, keys] @ sums, [cut])
+        y, d, tail = exact.solve(m.reshape(n, -1), rhs)
+        return y.tolist(), d * lane.denom, tail.tolist()
+
+    def read_off(self, a: MetricOperator, tol: float, part: slice):
+        """Acceptance mask, residuals (all 0) and z of the samples in
+        ``part``; at lam == mu every z is 0 and no sample is solved."""
+        lam, mu = a.exact_params()
+        c1, c2 = lam.numerator * mu.denominator, mu.numerator * lam.denominator
+        n = part.stop - part.start
+        ok, zs = np.ones(n, dtype=bool), np.zeros((n, len(self.lane.to_h)))
+        for j, i in enumerate(range(part.start, part.stop) if c1 != c2 else ()):
+            if i not in self.solved:
+                self.solved[i] = self._solve(*self.parts[i])
+            y, d, tail = self.solved[i]
+            ok[j] = all(c2 * t1 + c1 * t2 == 0 for t1, t2 in tail)
+            if ok[j]:
+                y = [(c2 - c1) * (c2 * u + c1 * v) for u, v in y]
+                zs[j] = self.lane.to_h @ exact.to_float(
+                    self.lane.h_cols @ np.array(y, dtype=object), c1 * c2 * d)
+        return ok, np.zeros(n), zs
+
+    def solve_again(self, space: ReductiveSpace, a: MetricOperator, tol, i):
+        # an inconsistent system gains exactly one rank from b
+        return GoWitness(x=self.rows[i], z=None, residual=float("nan"),
+                         rank_gap=1, margin=float("inf"), kind="exact")
+
 
 def _factored_lane(space: ReductiveSpace, a: MetricOperator, seed: int,
-                   tol: float, n_samples: int):
+                   tol: float, n_samples: int, exact_mode: bool):
     """Witnesses, max residual and counterexample of a two-parameter
-    metric on the factorisation. A sample the read-off rejects goes to
-    go_witness_general, so every counterexample and ToleranceError is
-    its, and a solvable answer continues the run."""
-    cache = space.go_factorisations
-    if seed not in cache:
-        # one seed per space, with the samples of its longest call
-        cache.clear()
-        cache[seed] = _Factorisation(space, seed)
-    fac = cache[seed]
+    metric on its lane's factorisation, filled in chunks that double the
+    samples held (1, 1, 2, 4, ...). The lane solves a rejected sample
+    again: go_witness_general a float one, so every float counterexample
+    and ToleranceError is its, and a solvable answer goes on."""
+    lane = _ExactFactorisation if exact_mode else _Factorisation
+    fac = space.go_factorisations.get(lane)
+    if fac is None or fac.seed != seed:
+        # one seed per lane, with the samples of its longest call
+        fac = space.go_factorisations[lane] = lane(space, seed)
     reads = []
     solved: dict[int, GoWitness] = {}
     counterexample = None
     n = 0
     while n < n_samples and counterexample is None:
         if n >= len(fac.kinds):
-            fac.fill(space, n, n_samples)
+            fac.fill(space, range(n, max(n + 1, min(2 * n, n_samples))))
         part = slice(n, min(len(fac.kinds), n_samples))
         reads.append(fac.read_off(a, tol, part))
         n = part.stop
         for i in (part.start + np.flatnonzero(~reads[-1][0])).tolist():
-            w = solved[i] = go_witness_general(space, a, fac.rows[i], tol,
-                                               fac.kinds[i])
+            w = solved[i] = fac.solve_again(space, a, tol, i)
             if not w.solvable:
                 counterexample, n = w, i + 1
                 break
@@ -515,67 +581,6 @@ class _ReadOff(Sequence):
                 residual=float(self._residuals[j]), rank_gap=0, margin=0.0,
                 kind=self._kinds[j])
         return self._built[j]
-
-
-def _exact_lane(space: ReductiveSpace, a: MetricOperator, seed: int):
-    """Witness function and consistent status of the exact lane."""
-    lam, mu = a.exact_params()
-    lane = space.exact_lane
-    if len(lane.bases) != 2:
-        raise ExactUnavailableError("exact mode expects two modules")
-
-    def witness(i):
-        x1, x2 = _exact_draw(space, seed, i)
-        x_m = lane.to_m @ exact.to_float(x1 + x2, lane.denom)
-        z = np.zeros(space.h.dim)
-        if lam != mu:
-            solution = _exact_solution(space, lam, mu, x1, x2)
-            if solution is None:
-                # an inconsistent system gains exactly one rank from b
-                return GoWitness(x=x_m, z=None, residual=float("nan"),
-                                 rank_gap=1, margin=float("inf"),
-                                 kind="exact")
-            y, d = solution
-            z = lane.to_h @ exact.to_float(lane.h_cols @ y, d)
-        return GoWitness(x=x_m, z=z, residual=0.0, rank_gap=0, margin=0.0,
-                         kind="exact")
-    return witness, "GO_CONSISTENT" if lam != mu else "NORMAL_TRIVIAL"
-
-
-def _exact_draw(space: ReductiveSpace, seed: int, i: int):
-    """Integer g coordinates of sample i's module parts X1, X2, both over
-    ``space.exact_lane.denom``."""
-    rng = rng_for("go-exact", space.name, seed, i)
-    return tuple(b @ _nonzero_int_vector(rng, b.shape[1])
-                 for b in space.exact_lane.bases)
-
-
-def _exact_solution(space: ReductiveSpace, lam: Fraction, mu: Fraction,
-                    x1: np.ndarray, x2: np.ndarray
-                    ) -> tuple[np.ndarray, int] | None:
-    """Exact Z with proj_m [Z + X, A X] = 0, as integers y and a
-    denominator d with Z = h_cols @ y / d in g coordinates, or None when
-    there is none.
-
-    X = X1 + X2 and A X = c1 X1 + c2 X2 are integer vectors over known
-    denominators (the scale of A X cancels). The system rows @ ad(A X) @ H,
-    H the integer columns ``h_cols``, is -(S . A X), the lane's tensor
-    contracted with A X, and since [A X, X] = (c1 - c2) [X1, X2] the
-    right-hand side is -(c1 - c2) rows @ [X1, X2]. X sits over denom,
-    so the solution's denominator gains that factor.
-    """
-    lane = space.exact_lane
-    c1, c2 = lam.numerator * mu.denominator, mu.numerator * lam.denominator
-    keys, cols, values = lane.system
-    system = np.zeros(len(lane.rows) * space.h.dim, dtype=object)
-    np.add.at(system, keys, values * (-c1 * x1 - c2 * x2)[cols])
-    bracket = space.g.structure_exact.ad_numerators(x1[:, None])[0] @ x2
-    solution = exact.solve(system.reshape(len(lane.rows), -1),
-                           (c2 - c1) * (lane.rows @ bracket))
-    if solution is None:
-        return None
-    y, d = solution
-    return y, d * lane.denom
 
 
 def _nonzero_int_vector(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -96,8 +96,8 @@ class ReductiveSpace:
 
     @cached_property
     def go_factorisations(self) -> dict:
-        """Float GO factorisations of this space by seed, filled and
-        bounded to the latest seed by ``go``."""
+        """GO factorisations of this space by lane, float or exact, each
+        filled and bounded to its lane's latest seed by ``go``."""
         return {}
 
     @cached_property
@@ -621,14 +621,15 @@ def _require_exact(space: ReductiveSpace) -> None:
 class ExactLane:
     """The exact GO lane's per-space data, on integers.
 
-    Module k's rational basis (g coords) is ``bases[k] / denom``, and h's
-    is ``h_cols / h_denom``, each over its least denominator. ``rows``
-    are the integer rows of the exact m-basis Gram pairing, so
-    ``rows @ v`` vanishes exactly when v lies in h. ``system`` is the
-    integer tensor S[a] = rows @ ad(h_a), h_a column a of ``h_cols``, as
-    its nonzero (keys, cols, values): key p * dim h + a and column j hold
-    S[a][p, j]. ``to_m`` and ``to_h`` take float g coordinates to
-    orthonormal m and h coordinates.
+    Module k's rational basis (g coords) is ``bases[k] / denom``, over
+    its least denominator, and the integer columns ``h_cols`` span h.
+    ``rows`` are module-ordered, rows_k = bases[k]^T G with G the integer
+    Gram, so ``rows @ v`` vanishes exactly when v lies in h and rows_k
+    sees only v's part in module k. ``system`` is the integer tensor
+    S[a] = rows @ ad(h_a), h_a column a of ``h_cols``, as its nonzero
+    (keys, cols, values): key p * dim h + a and column j hold S[a][p, j].
+    ``to_m`` and ``to_h`` take float g coordinates to orthonormal m and
+    h coordinates.
     """
 
     bases: tuple[np.ndarray, ...]
@@ -636,7 +637,6 @@ class ExactLane:
     rows: np.ndarray
     system: tuple[np.ndarray, np.ndarray, np.ndarray]
     h_cols: np.ndarray
-    h_denom: int
     to_m: np.ndarray
     to_h: np.ndarray
 
@@ -672,14 +672,13 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
         raise ExactUnavailableError("isotypic modules have no canonical split")
     g = space.g
     gram_f = g.inner_product
-    h_cols, h_denom = exact.cleared(space.embedding.matrix_exact)
+    h_cols = exact.cleared(space.embedding.matrix_exact)[0]
     ip, dip = exact.cleared(g.inner_product_exact)
     ad_h = g.structure_exact.ad_numerators(h_cols)
     mx, dx = exact.null_space(h_cols.T @ ip)
     if mx.shape[1] != space.m.dim:
         raise ExactUnavailableError("exact m dimension disagrees with float")
-    pairing = mx.T @ ip
-    gm = pairing @ mx
+    gm = mx.T @ ip @ mx
     gm_f = exact.to_float(gm, dx * dx * dip)
     to_coords = np.linalg.solve(gm_f, exact.to_float(mx, dx).T @ gram_f)
     largest = int(np.argmax(space.module_dims))
@@ -723,7 +722,7 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
         bases.append(basis * (common // dk))
     nums, denom = exact.reduced(np.hstack(bases), dx * common)
     cuts = np.cumsum([b.shape[1] for b in bases])[:-1]
-    rows = exact.reduced(pairing, dx * dip)[0]
+    rows = exact.reduced(nums.T @ ip, 1)[0]
     # rows is 2-5 % nonzero: sum S over the nonzero entries rows[p, k]
     tensor = np.zeros((len(rows), h_cols.shape[1], g.dim), dtype=object)
     for p, k in zip(*np.nonzero(rows)):
@@ -732,6 +731,5 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     keys, cols = np.nonzero(tensor)
     return ExactLane(bases=tuple(np.split(nums, cuts, axis=1)), denom=denom,
                      rows=rows, system=(keys, cols, tensor[keys, cols]),
-                     h_cols=h_cols, h_denom=h_denom,
-                     to_m=space.m.basis.T @ gram_f,
+                     h_cols=h_cols, to_m=space.m.basis.T @ gram_f,
                      to_h=space.h.basis.T @ gram_f)

@@ -30,6 +30,13 @@ def _rank(a):
     return a.shape[1] - exact.null_space(a)[0].shape[1]
 
 
+def _solve(a, b):
+    """exact.solve on the one column b: y / d over the least d, or None
+    when b raises the rank."""
+    y, d, tail = exact.solve(a, b.reshape(-1, 1))
+    return None if any(tail.flat) else exact.reduced(y[:, 0], d)
+
+
 def test_rref_identifies_pivots():
     a = exact.fmatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     n, d = exact.null_space(a)
@@ -59,12 +66,12 @@ def test_solve_and_solvable_agree():
     a = exact.fmatrix([[2, 0], [0, 3], [2, 3]])
     b_good = exact.fmatrix([[4], [9], [13]]).ravel()
     assert _rank(a) == _rank(np.column_stack([a, b_good])) == 2
-    y, d = exact.solve(a, b_good)
+    y, d = _solve(a, b_good)
     assert y.tolist() == [2, 3] and d == 1
     b_bad = exact.fmatrix([[4], [9], [14]]).ravel()
     assert _rank(np.column_stack([a, b_bad])) == _rank(a) + 1
-    assert exact.solve(a, b_bad) is None
-    y, d = exact.solve(a, b_good / 6)
+    assert _solve(a, b_bad) is None
+    y, d = _solve(a, b_good / 6)
     assert y.tolist() == [2, 3] and d == 6
 
 
@@ -95,7 +102,7 @@ def test_solve_residual_is_exactly_zero(rows, coeffs):
     a = exact.fmatrix(rows)
     x_true = exact.fmatrix([coeffs]).ravel()
     b = (a @ x_true.reshape(-1, 1)).ravel()
-    solution = exact.solve(a, b)
+    solution = _solve(a, b)
     assert solution is not None
     y, d = solution
     residual = (a @ y.reshape(-1, 1)).ravel() - d * b
@@ -259,7 +266,7 @@ def _assert_matches_the_oracle(a, b):
         assert [kernel[f, t] for f in free] == [int(f == c) for f in free]
 
     aug, aug_pivots = _oracle_rref(np.column_stack([a, b]))
-    solution = exact.solve(a, b)
+    solution = _solve(a, b)
     if n_cols in aug_pivots:
         assert solution is None
         assert _rank(np.column_stack([a, b])) == rank + 1
@@ -287,13 +294,44 @@ def test_one_elimination_on_zero_size_shapes():
         n, d = exact.null_space(a)
         assert n.tolist() == np.eye(shape[1], dtype=int).tolist() and d == 1
         b = exact.fzeros(shape[0])
-        y, d = exact.solve(a, b)
+        y, d = _solve(a, b)
         assert y.tolist() == [0] * shape[1] and d == 1
         _assert_matches_the_oracle(a, b)
     # a nonzero right-hand side with no unknowns is inconsistent
     a, b = exact.fzeros((2, 0)), exact.fmatrix([[0, 1]]).ravel()
-    assert exact.solve(a, b) is None
+    assert _solve(a, b) is None
     _assert_matches_the_oracle(a, b)
+
+
+@given(rational_systems(), st.integers(min_value=-2, max_value=2),
+       st.one_of(st.none(), st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_decides_every_combination_of_its_columns(system, k, coeffs,
+                                                        data):
+    # one elimination against columns b and c = a v + k b: the combination
+    # s b + t c is consistent exactly where s tail_b + t tail_c vanishes,
+    # and then (s Y_b + t Y_c) / d is its rref solution; with no coeffs
+    # drawn, (s, t) = (k, -1) makes the combination a v, consistent even
+    # where b is not
+    a, b = system
+    n_cols = a.shape[1]
+    v = _object_array(data.draw(st.lists(rationals, min_size=n_cols,
+                                         max_size=n_cols)), (n_cols, 1))
+    c = (a @ v).reshape(-1) + k * b
+    s, t = coeffs or (k, -1)
+    y, d, tail = exact.solve(a, np.column_stack([b, c]))
+    assert y.shape == (n_cols, 2) and tail.shape[1] == 2
+    combo = _object_array([Fraction(s * p + t * q) for p, q in zip(b, c)],
+                          (len(b),))
+    aug, pivots = _oracle_rref(np.column_stack([a, combo]))
+    consistent = not any(s * u + t * w for u, w in tail.tolist())
+    assert consistent == (n_cols not in pivots)
+    if consistent:
+        want = [Fraction(0)] * n_cols
+        for row, p in enumerate(pivots):
+            want[p] = aug[row][n_cols]
+        assert [Fraction(s * u + t * w, d) for u, w in y.tolist()] == want
 
 
 @st.composite

@@ -8,6 +8,7 @@ import pytest
 from orbitcheck import catalog, core, exact, go, spaces
 from orbitcheck.linalg import rng_for
 from orbitcheck.spaces import ExactUnavailableError
+from test_exact import _solve
 from test_spaces import _with_modules
 
 
@@ -180,11 +181,14 @@ def test_exact_mode_certificates(so5_u2, so9_tensor):
 @pytest.mark.parametrize("entry_id", ["go-1", "struct-1", "t1-V.10",
                                       "t1-V.6-n2", "struct-5"])
 def test_exact_lane_is_unavailable(entry_id):
-    # isotypic pairs (go-1, struct-1), embeddings without rational entries
-    # (t1-V.10, t1-V.6-n2) and an h given as a raw float matrix (struct-5)
-    # have no exact lane
+    # isotypic pairs (go-1, struct-1, and struct-5's two trivial lines)
+    # and embeddings without rational entries (t1-V.10, t1-V.6-n2) have
+    # no exact lane, and each is refused for its own reason
+    reason = {"t1-V.10": "h embedding lacks exact coordinates",
+              "t1-V.6-n2": "h embedding lacks exact coordinates"}.get(
+        entry_id, "isotypic modules have no canonical split")
     space = catalog.catalog_instantiate(entry_id, seed=0)
-    with pytest.raises(ExactUnavailableError):
+    with pytest.raises(ExactUnavailableError, match=reason):
         go.go_check(space, (1, 2), n_samples=1, exact_mode=True)
 
 
@@ -375,33 +379,50 @@ def test_factored_lane_matches_per_sample_solves(entry_id, monkeypatch):
                                  _oracle(space, pair, 40, seed))
 
 
-@pytest.mark.parametrize("entry_id", ["go-3-k2", "t1-V.10"])
+def _dumps(verdict):
+    """The verdict and every witness as JSON, floats to the last bit."""
+    return [json.dumps(verdict.as_dict())] + [
+        json.dumps(w.as_dict()) for w in verdict.witnesses]
+
+
+@pytest.mark.parametrize("entry_id", ["go-3-k2", "t1-V.10", "t1-V.1-m3n3"])
 def test_factorisation_cache_is_bounded_and_invisible(entry_id):
-    # interleaved seeds, sample counts and tolerances on one space give
-    # the verdicts of a fresh space, and the space keeps one seed only,
-    # with no more samples than the longest call since it came in
+    # interleaved lanes, seeds, sample counts, tolerances and pairs on one
+    # space give the verdicts and witnesses of a fresh space, and the
+    # space keeps one seed per lane, with no more samples than the longest
+    # call since it came in (t1-V.10 has no exact lane)
     space = catalog.catalog_instantiate(entry_id, seed=0)
+    lanes = [go._Factorisation] + [go._ExactFactorisation] * (
+        entry_id in EXACT_CAPABLE)
     calls = [(0, 3, 1e-9), (0, 40, 1e-9), (1, 10, 1e-6), (0, 20, 1e-12),
              (1, 60, 1e-9), (1, 5, 1e-9), (2, 1, 1e-9), (0, 40, 1e-9)]
     longest = {}
     for seed, n_samples, tol in calls:
-        if seed not in space.go_factorisations:
-            longest = {seed: 0}
-        longest[seed] = max(longest[seed], n_samples)
-        for pair in ((1, 3), (4, 0.5)):
-            got = go.go_check(space, pair, n_samples=n_samples, seed=seed,
-                              tol=tol)
-            fresh = catalog.catalog_instantiate(entry_id, seed=0)
-            _assert_same_verdict(got, _oracle(fresh, pair, n_samples, seed,
-                                              tol))
-            got = got.as_dict()
-            want = go.go_check(fresh, pair, n_samples=n_samples, seed=seed,
-                               tol=tol).as_dict()
-            assert got.pop("max_residual") == pytest.approx(
-                want.pop("max_residual"), rel=1e-10, abs=1e-10)
-            assert got == want
-        assert list(space.go_factorisations) == [seed]
-        assert len(space.go_factorisations[seed].kinds) <= longest[seed]
+        for lane in lanes:
+            exact_mode = lane is go._ExactFactorisation
+            held = space.go_factorisations.get(lane)
+            if held is None or held.seed != seed:
+                longest[lane] = 0
+            longest[lane] = max(longest[lane], n_samples)
+            for pair in ((1, 3), (4, 0.5), (2, 2)) if exact_mode \
+                    else ((1, 3), (4, 0.5)):
+                got = go.go_check(space, pair, n_samples=n_samples,
+                                  seed=seed, tol=tol, exact_mode=exact_mode)
+                fresh = catalog.catalog_instantiate(entry_id, seed=0)
+                want = go.go_check(fresh, pair, n_samples=n_samples,
+                                   seed=seed, tol=tol, exact_mode=exact_mode)
+                if exact_mode:
+                    assert _dumps(got) == _dumps(want)
+                    continue
+                _assert_same_verdict(got, _oracle(fresh, pair, n_samples,
+                                                  seed, tol))
+                got, want = got.as_dict(), want.as_dict()
+                assert got.pop("max_residual") == pytest.approx(
+                    want.pop("max_residual"), rel=1e-10, abs=1e-10)
+                assert got == want
+            assert space.go_factorisations[lane].seed == seed
+            assert len(space.go_factorisations[lane].kinds) <= longest[lane]
+        assert list(space.go_factorisations) == lanes
 
 
 def test_a_rejected_sample_is_solved_again_and_the_run_goes_on(monkeypatch):
@@ -411,7 +432,7 @@ def test_a_rejected_sample_is_solved_again_and_the_run_goes_on(monkeypatch):
     space = catalog.catalog_instantiate("go-3-k2", seed=0)
     pair = (1, 2)
     go.go_check(space, pair, n_samples=40, seed=0)
-    space.go_factorisations[0].mz[17] += 1.0
+    space.go_factorisations[go._Factorisation].mz[17] += 1.0
     solve = go.go_witness_general
     calls = []
 
@@ -542,8 +563,8 @@ def test_a_copy_with_new_modules_builds_its_own_exact_data(so5_u2):
 def _fraction_sample(space, bases, rows, lam, mu, seed, i):
     """Sample i of the exact lane in Fraction arithmetic: X, and z in h
     coordinates (None when inconsistent) from one bracket_exact per h
-    column and exact.solve on the cleared columns, with the rational
-    module bases ``bases`` and the integer rows ``rows``."""
+    column and a one-column exact.solve on the cleared columns, with the
+    rational module bases ``bases`` and the integer rows ``rows``."""
     g = space.g
     rng = rng_for("go-exact", space.name, seed, i)
     parts = []
@@ -561,12 +582,19 @@ def _fraction_sample(space, bases, rows, lam, mu, seed, i):
     cols = rows @ exact.cleared(np.column_stack(
         [g.bracket_exact(h, axg) for h in space.embedding.matrix_exact.T]
         + [g.bracket_exact(xg, axg)]))[0]
-    solution = exact.solve(cols[:, :-1], -cols[:, -1])
+    solution = _solve(cols[:, :-1], -cols[:, -1])
     return xg, None if solution is None else exact.over(*solution)
+
+
+ORACLE_PAIRS = EXACT_PAIRS + [(Fraction(3), Fraction(1)),
+                              (Fraction(1, 5), Fraction(9, 2))]
 
 
 @pytest.mark.parametrize("entry_id", EXACT_CAPABLE)
 def test_integer_exact_lane_matches_the_fraction_path(entry_id):
+    # every pair is read off one shared space, and so off one
+    # factorisation per seed, against the oracle's own elimination on
+    # the m-pairing rows, whose row space the lane's module rows share
     space = catalog.catalog_instantiate(entry_id, seed=0)
     lane = space.exact_lane
     bases = [exact.over(b, lane.denom) for b in lane.bases]
@@ -575,32 +603,39 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
         space.embedding.matrix_exact.T, space.g.inner_product_exact)))
     rows, _ = exact.cleared(exact.matmul(m_basis.T,
                                          space.g.inner_product_exact))
-    assert rows.tolist() == lane.rows.tolist()
+    (want, d), (got, e) = exact.null_space(rows), exact.null_space(lane.rows)
+    assert want.tolist() == got.tolist() and d == e
     to_h = space.h.basis.T @ space.g.inner_product
+    to_m = space.m.basis.T @ space.g.inner_product
     statuses = set()
-    for lam, mu in EXACT_PAIRS:
-        for seed in range(3):
+    for seed in range(3):
+        for lam, mu in ORACLE_PAIRS:
             verdict = go.go_check(space, (lam, mu), n_samples=3, seed=seed,
                                   exact_mode=True)
+            fac = space.go_factorisations[go._ExactFactorisation]
+            c1 = lam.numerator * mu.denominator
+            c2 = mu.numerator * lam.denominator
             for i, got in enumerate(verdict.witnesses):
                 xg, want = _fraction_sample(space, bases, rows, lam, mu,
                                             seed, i)
-                x1, x2 = go._exact_draw(space, seed, i)
-                assert [Fraction(v, lane.denom) for v in x1 + x2] == list(xg)
-                solution = None if lam == mu else \
-                    go._exact_solution(space, lam, mu, x1, x2)
+                assert [Fraction(v, lane.denom) for v in sum(fac.parts[i])] \
+                    == list(xg)
+                np.testing.assert_array_equal(got.x,
+                                              to_m @ exact.to_float(xg))
                 assert got.rank_gap == (want is None)
                 if want is None:
-                    assert solution is None and got.z is None
+                    assert got.z is None
                     continue
+                zg = exact.matmul(space.embedding.matrix_exact, want)
                 if lam != mu:
-                    # z is h_cols @ y / d in g coordinates
-                    y, d = solution
-                    assert list(exact.over(lane.h_cols @ y, d)) == list(
-                        exact.matmul(space.embedding.matrix_exact, want))
-                np.testing.assert_array_equal(got.z, np.zeros(space.h.dim)
-                    if lam == mu else to_h @ exact.to_float(exact.matmul(
-                        space.embedding.matrix_exact, want)))
+                    # the stacked read-off, Fraction by Fraction: z is
+                    # h_cols @ y in g coordinates
+                    y, d, _ = fac.solved[i]
+                    y = [(c2 - c1) * (c2 * u + c1 * v) for u, v in y]
+                    assert list(exact.over(lane.h_cols @ np.array(
+                        y, dtype=object), c1 * c2 * d)) == list(zg)
+                np.testing.assert_array_equal(got.z,
+                                              to_h @ exact.to_float(zg))
             solvable = verdict.witnesses[-1].solvable
             assert verdict.status == ("NOT_GO" if not solvable else
                                       "NORMAL_TRIVIAL" if lam == mu else
@@ -613,28 +648,75 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
 @pytest.mark.parametrize("entry_id", EXACT_CAPABLE)
 def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
                                                              monkeypatch):
-    # the system and right-hand side that _exact_solution hands to
-    # exact.solve, against the dense product rows @ ad(A X) @ [H | X]
+    # the system and right-hand sides that each sample hands to
+    # exact.solve, against the dense products rows @ ad(X) @ H and
+    # rows_k @ [X1, X2]: the lane's rows are module by module, and one
+    # solve per sample serves every pair at its seed
     space = catalog.catalog_instantiate(entry_id, seed=0)
     lane = space.exact_lane
+    d1 = lane.bases[0].shape[1]
+    assert not np.any(lane.rows[:d1] @ lane.bases[1])
+    assert not np.any(lane.rows[d1:] @ lane.bases[0])
     solve, seen = exact.solve, []
     monkeypatch.setattr(exact, "solve",
                         lambda a, b: seen.append((a, b)) or solve(a, b))
-    rng = np.random.default_rng(7)
-    pairs = EXACT_PAIRS + [(Fraction(3), Fraction(1)),
-                           (Fraction(1, 5), Fraction(9, 2))]
-    for lam, mu in pairs:
-        for _ in range(2):
-            x1, x2 = (b @ rng.integers(-9, 10, size=b.shape[1]).astype(object)
-                      for b in lane.bases)
-            go._exact_solution(space, lam, mu, x1, x2)
-            system, rhs = seen.pop()
-            ax = (lam.numerator * mu.denominator) * x1 \
-                + (mu.numerator * lam.denominator) * x2
-            ad = space.g.structure_exact.ad_numerators(ax[:, None])[0]
-            cols = lane.rows @ (ad @ np.column_stack([lane.h_cols, x1 + x2]))
-            assert system.shape == (len(lane.rows), space.h.dim)
-            assert all(type(v) is int for v in system.flat)
-            assert all(type(v) is int for v in rhs)
-            assert system.tolist() == cols[:, :-1].tolist()
-            assert rhs.tolist() == (-cols[:, -1]).tolist()
+    read = max(go.go_check(space, pair, n_samples=2, seed=5,
+                           exact_mode=True).n_samples
+               for pair in ORACLE_PAIRS if pair[0] != pair[1])
+    assert len(seen) == read
+    ad = space.g.structure_exact.ad_numerators
+    fac = space.go_factorisations[go._ExactFactorisation]
+    for (system, rhs), (x1, x2) in zip(seen, fac.parts):
+        assert all(type(v) is int for v in system.flat)
+        assert all(type(v) is int for v in rhs.flat)
+        dense = lane.rows @ ad((x1 + x2)[:, None])[0] @ lane.h_cols
+        assert system.tolist() == dense.tolist()
+        b = lane.rows @ (ad(x1[:, None])[0] @ x2)
+        assert not any(rhs[:d1, 1]) and not any(rhs[d1:, 0])
+        assert rhs[:d1, 0].tolist() + rhs[d1:, 1].tolist() == b.tolist()
+
+
+def test_exact_lane_solves_no_sample_twice_and_none_at_equal_weights(
+        monkeypatch):
+    # lam == mu runs no elimination at all; four pairs at one seed solve
+    # each sample once; and a float call and an exact call on one space
+    # keep each other's factorisation
+    space = catalog.catalog_instantiate("go-4-r2", seed=0)
+    space.exact_lane
+    eliminate, calls = exact._eliminate, []
+    monkeypatch.setattr(exact, "_eliminate",
+                        lambda *args: calls.append(args) or eliminate(*args))
+    verdict = go.go_check(space, (2, 2), n_samples=100, exact_mode=True)
+    assert verdict.status == "NORMAL_TRIVIAL" and verdict.n_samples == 100
+    assert not calls
+    held = space.go_factorisations[go._ExactFactorisation]
+    go.go_check(space, (1, 2), n_samples=3)
+    floats = space.go_factorisations[go._Factorisation]
+    for pair in ORACLE_PAIRS:
+        go.go_check(space, pair, n_samples=3, exact_mode=True)
+        go.go_check(space, (1, 2), n_samples=3)
+    assert len(calls) == 3
+    assert space.go_factorisations[go._ExactFactorisation] is held
+    assert space.go_factorisations[go._Factorisation] is floats
+    assert list(space.go_factorisations) == [go._ExactFactorisation,
+                                             go._Factorisation]
+
+
+def test_exact_read_off_takes_each_pair_s_combination_of_the_tails():
+    # a sample whose reduced right-hand sides are (1, -3) below the rank
+    # is consistent exactly where c2 tail1 + c1 tail2 = 0, at mu = 3 lam,
+    # and its z there depends only on the ratio
+    space = catalog.catalog_instantiate("go-3-k2", seed=0)
+    want = go.go_check(space, (1, 3), n_samples=1, exact_mode=True)
+    fac = space.go_factorisations[go._ExactFactorisation]
+    y, d, _ = fac.solved[0]
+    fac.solved[0] = y, d, [[1, -3]]
+    for pair in [(1, 3), (2, 6), (3, 1), (1, 2)]:
+        verdict = go.go_check(space, pair, n_samples=1, exact_mode=True)
+        if pair[1] == 3 * pair[0]:
+            assert verdict.status == "GO_CONSISTENT"
+            assert _dumps(verdict)[1:] == _dumps(want)[1:]
+        else:
+            assert verdict.status == "NOT_GO"
+            assert verdict.counterexample.rank_gap == 1
+            assert verdict.counterexample.margin == np.inf
