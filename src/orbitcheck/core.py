@@ -207,8 +207,6 @@ def jacobi_residual(structure: np.ndarray) -> float:
     Evaluated one i-slice at a time to keep memory at O(n^3).
     """
     n = structure.shape[0]
-    if n == 0:
-        return 0.0
     flat = structure.reshape(n, n * n)
     worst = 0.0
     for i in range(n):

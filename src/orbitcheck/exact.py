@@ -174,16 +174,20 @@ def null_space(a: np.ndarray) -> tuple[np.ndarray, int]:
     return reduced(basis, d)
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+def solve(a: np.ndarray, b: np.ndarray, wanted=lambda tail: True):
     """Rref solutions Y / d of ``a Y = b`` (free unknowns 0, d maybe
     negative) and ``tail``, b's reduced rows below the rank. Only a's
     columns pivot: a combination of b's columns is consistent exactly
-    where that of tail's vanishes, and its solution is that of Y's."""
+    where that of tail's vanishes, and its solution is that of Y's. Y is
+    None, and not back-substituted, where ``wanted(tail)`` is false."""
     n_cols = a.shape[1]
     m, pivots, d = _eliminate(np.column_stack([a, b]), n_cols)
+    tail = m[len(pivots):, n_cols:]
+    if not wanted(tail):
+        return None, d, tail
     y = np.zeros((n_cols, b.shape[1]), dtype=object)
     y[pivots] = _back_substitute(m, pivots, d, range(n_cols, m.shape[1]))
-    return y, d, m[len(pivots):, n_cols:]
+    return y, d, tail
 
 
 def format_value(x: Fraction) -> str | int:

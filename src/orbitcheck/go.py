@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -46,12 +46,14 @@ class GoError(OrbitcheckError):
 
 @dataclass(frozen=True)
 class MetricOperator:
-    """Invariant metric endomorphism of m, positive and ad(h)-equivariant."""
+    """Invariant metric endomorphism of m, positive and ad(h)-equivariant
+    (checked once per space by ``two_param``), of largest eigenvalue s."""
 
     space: ReductiveSpace
     matrix: np.ndarray
     kind: str
     params: tuple
+    spectral_norm: float = field(init=False, repr=False, compare=False)  # s
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=np.float64)
@@ -74,21 +76,23 @@ class MetricOperator:
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_eigenvalues", eigs)
+        object.__setattr__(self, "spectral_norm", float(eigs.max(initial=0)))
 
     @classmethod
     def two_param(cls, space: ReductiveSpace, lam, mu) -> "MetricOperator":
-        """Metric acting by lam on the first module and mu on the second."""
+        """Metric lam P1 + mu P2 of norm max(lam, mu), unchecked per call."""
         if len(space.modules) != 2:
             raise ValidationError("two-parameter metric needs two modules")
         lam_f, mu_f = float(lam), float(mu)
         if lam_f <= 0 or mu_f <= 0:
             raise ValidationError("metric parameters must be positive")
-        b1 = space.module_coords_in_m(0)
-        b2 = space.module_coords_in_m(1)
-        mat = lam_f * (b1 @ b1.T) + mu_f * (b2 @ b2.T)
-        return cls(space=space, matrix=mat, kind="two_param",
-                   params=(lam, mu))
+        p1, p2 = space.module_projectors
+        op = object.__new__(cls)
+        vars(op).update(space=space, matrix=lam_f * p1 + mu_f * p2,
+                        kind="two_param", params=(lam, mu),
+                        spectral_norm=max(lam_f, mu_f))
+        op.matrix.flags.writeable = False
+        return op
 
     @classmethod
     def block(cls, space: ReductiveSpace,
@@ -123,11 +127,6 @@ class MetricOperator:
         return cls(space=space, matrix=mat, kind="block",
                    params=tuple(tuple(map(tuple, np.atleast_2d(c)))
                                 for c in coefficients))
-
-    @property
-    def spectral_norm(self) -> float:
-        """Largest eigenvalue; the operator is symmetric positive definite."""
-        return float(self._eigenvalues[-1])
 
     @property
     def is_scalar(self) -> bool:
@@ -308,13 +307,13 @@ def _sample_direction(blocks: list[np.ndarray], rng: np.random.Generator,
         b1, b2 = blocks
         x1 = b1 @ rng.standard_normal(b1.shape[1])
         x2 = b2 @ rng.standard_normal(b2.shape[1])
-        n1 = np.linalg.norm(x1)
-        n2 = np.linalg.norm(x2)
+        n1 = np.sqrt(x1 @ x1)
+        n2 = np.sqrt(x2 @ x2)
         if n1 < 1e-12 or n2 < 1e-12:
             return _sample_direction(blocks, rng, False)
         return (x1 / n1 + x2 / n2) / np.sqrt(2.0), "structured"
     v = rng.standard_normal(blocks[0].shape[0])
-    return v / np.linalg.norm(v), "generic"
+    return v / np.sqrt(v @ v), "generic"
 
 
 def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
@@ -395,7 +394,7 @@ class _Factorisation:
     kind, R1 and R2 (``r``, shape (n, dim m, 2)), the three parts
     (``z``, shape (n, dim h, 3)) and their images under M (``mz``),
     which give D M z for any weights without keeping M. M+ comes from
-    one batched SVD per chunk, cut at ``rank_threshold``.
+    one batched SVD per chunk, cut at ``rank_threshold`` in one call.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
@@ -404,7 +403,6 @@ class _Factorisation:
         self.seed = seed
         dm, dh = space.m.dim, space.h.dim
         self.blocks = [space.module_coords_in_m(i) for i in range(2)]
-        self.projectors = np.stack([b @ b.T for b in self.blocks])
         self.kinds: list[str] = []
         self.rows: list[np.ndarray] = []
         self.r = np.empty((0, dm, 2))
@@ -425,13 +423,13 @@ class _Factorisation:
             dh, dm, k).transpose(2, 1, 0)
         brackets = (x @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(
             k, dm, dm)
-        p1, p2 = self.projectors
+        p1, p2 = proj = space.module_projectors
         # rows R1, R2 of each sample, from its module parts x1, x2
-        r = -(x @ self.projectors).transpose(1, 0, 2) @ brackets
+        r = -(x @ proj).transpose(1, 0, 2) @ brackets
         parts = np.stack([r[:, 0] @ p1 + r[:, 1] @ p2, r[:, 1] @ p1,
                           r[:, 0] @ p2], axis=2)
         u, s, vt = np.linalg.svd(m, full_matrices=False)
-        cut = np.array([[rank_threshold(row, (dm, dh))] for row in s])
+        cut = rank_threshold(s, (dm, dh))
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
         z = vt.transpose(0, 2, 1) @ (inv[:, :, None]
                                      * (u.transpose(0, 2, 1) @ parts))
@@ -467,7 +465,8 @@ class _ExactFactorisation:
     with Z = H y / denom, M = rows ad(x) H and b = rows [x1, x2]. One
     ``exact.solve`` of M against [b1; 0] and [0; b2], at the sample's
     first lam != mu read-off, serves every pair: its rref solution is
-    y = (c2 - c1) (c2 Y1 + c1 Y2) / (c1 c2 d), if c2 tail1 + c1 tail2 = 0.
+    y = (c2 - c1) (c2 Y1 + c1 Y2) / (c1 c2 d), if c2 tail1 + c1 tail2 = 0;
+    a sample whose tail no c1, c2 > 0 can zero skips the back-substitution.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
@@ -498,8 +497,12 @@ class _ExactFactorisation:
         rhs = np.zeros((n, 2), dtype=object)
         cut = lane.bases[0].shape[1]
         rhs[:cut, 0], rhs[cut:, 1] = np.split(lane.rows[:, keys] @ sums, [cut])
-        y, d, tail = exact.solve(m.reshape(n, -1), rhs)
-        return y.tolist(), d * lane.denom, tail.tolist()
+
+        def ratio(tail):  # some c1, c2 > 0 zero c2 t1 + c1 t2 (any: tail 0)
+            t1, t2 = next(((u, v) for u, v in tail.tolist() if u or v), (-1, 1))
+            return t1 * t2 < 0 and all(t1 * v == t2 * u for u, v in tail.tolist())
+        y, d, tail = exact.solve(m.reshape(n, -1), rhs, ratio)
+        return None if y is None else y.tolist(), d * lane.denom, tail.tolist()
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask, residuals (all 0) and z of the samples in
@@ -618,8 +621,7 @@ def _pinned_solve(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
     for i, v in enumerate((x, y)):
         if v.shape != (space.m.dim,):
             raise ValidationError("vectors are m coordinates")
-        block = space.module_coords_in_m(i)
-        if float(np.linalg.norm(v - block @ (block.T @ v))) > \
+        if float(np.linalg.norm(v - space.module_projectors[i] @ v)) > \
                 tol * np.linalg.norm(v):
             raise ValidationError(f"vector does not lie in module {i + 1}")
     norm = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))

@@ -31,11 +31,9 @@ RANK_FLOOR = 1e-12
 
 
 def rank_threshold(singular_values: np.ndarray,
-                   shape: tuple[int, int]) -> float:
-    """Singular values at or below this count as zero."""
-    if singular_values.size == 0:
-        return 0.0
-    return max(max(shape) * _EPS * float(singular_values[0]), RANK_FLOOR)
+                   shape: tuple[int, int]) -> np.ndarray:
+    """Singular values at or below this count as zero, one per row: (..., 1)."""
+    return np.maximum(max(shape) * _EPS * singular_values[..., :1], RANK_FLOOR)
 
 
 def rank_of(singular_values: np.ndarray, shape: tuple[int, int]) -> int:

@@ -132,6 +132,29 @@ class ReductiveSpace:
         """Module basis expressed in m coordinates (cached, read-only)."""
         return self._module_coords[index]
 
+    @cached_property
+    def module_projectors(self) -> np.ndarray:
+        """Projectors P_k = b_k b_k^T onto the modules, (2, dim m, dim m) on
+        two, read-only, checked once: exactly symmetric (as numpy forms b b^T),
+        P1 + P2 = I, and c1/p1 + c2/p2 <= 1e-8 for c_k = |[ad h, P_k]|max,
+        p_k = max diag P_k >= 0. A = lam P1 + mu P2 (lam, mu > 0) is then
+        exactly symmetric, positive, of spectrum {lam, mu} to |P1 + P2 - I|,
+        and |A|max >= max(lam p1, mu p2), so for every lam and mu
+        |[ad h, A]|max <= lam c1 + mu c2 <= 1e-8 max(1, |A|max) to rounding."""
+        proj = np.stack([b @ b.T for b in self._module_coords])
+        if not np.array_equal(proj, proj.transpose(0, 2, 1)):
+            raise ValidationError("metric operator is not symmetric")
+        if float(np.abs(proj.sum(axis=0) - np.eye(self.m.dim)).max()) > 1e-10:
+            raise ValidationError("the modules do not split m: P1 + P2 != I")
+        act = self.iso_action
+        worst = sum(float(np.abs(act @ p - p @ act).max(initial=0.0)
+                          / p.diagonal().max()) for p in proj)
+        if worst > 1e-8:
+            raise ValidationError("metric operator does not commute with the "
+                                  f"isotropy action (residual {worst:.2e})")
+        proj.flags.writeable = False
+        return proj
+
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -381,11 +404,8 @@ def _self_bracket_norm(space: ReductiveSpace, block: np.ndarray) -> float:
 
 
 def _invariance_residual(action: np.ndarray, block: np.ndarray) -> float:
-    if action.shape[0] == 0:
-        return 0.0
     image = action @ block
-    recon = block @ (block.T @ image)
-    return float(np.abs(image - recon).max())
+    return float(np.abs(image - block @ (block.T @ image)).max(initial=0.0))
 
 
 def _connected_groups(items: list, linked) -> list[list[int]]:

@@ -400,11 +400,9 @@ class Embedding:
         return self.matrix @ v
 
     def homomorphism_residual(self) -> float:
-        if self.source.dim == 0:
-            return 0.0
         phi = self.matrix
         lhs = pair_bracket_tensor(self.target, phi, phi)
-        return float(np.abs(lhs - self.source.structure @ phi.T).max())
+        return float(np.abs(lhs - self.source.structure @ phi.T).max(initial=0))
 
     def compose(self, inner: "Embedding") -> "Embedding":
         """Composite self o inner; inner.target must match self.source."""

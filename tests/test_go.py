@@ -659,7 +659,7 @@ def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
     assert not np.any(lane.rows[d1:] @ lane.bases[0])
     solve, seen = exact.solve, []
     monkeypatch.setattr(exact, "solve",
-                        lambda a, b: seen.append((a, b)) or solve(a, b))
+                        lambda a, b, *rest: seen.append((a, b)) or solve(a, b, *rest))
     read = max(go.go_check(space, pair, n_samples=2, seed=5,
                            exact_mode=True).n_samples
                for pair in ORACLE_PAIRS if pair[0] != pair[1])
@@ -720,3 +720,134 @@ def test_exact_read_off_takes_each_pair_s_combination_of_the_tails():
             assert verdict.status == "NOT_GO"
             assert verdict.counterexample.rank_gap == 1
             assert verdict.counterexample.margin == np.inf
+
+
+@pytest.mark.parametrize("tail, wanted", [
+    ([1, 3], False), ([0, 2], False), ([0, 0], True), ([1, -3], True)])
+def test_back_substitution_runs_only_where_some_ratio_is_consistent(
+        tail, wanted, monkeypatch):
+    # the first sample of t1-V.1-m3n3 at seed 0 is inconsistent; its first
+    # reduced row below the rank is set to ``tail`` and every other one to
+    # zero. Only c2 t1 + c1 t2 = 0 with c1, c2 > 0 needs y: (1, -3) at
+    # mu = 3 lam, (0, 0) at every pair
+    space = catalog.catalog_instantiate("t1-V.1-m3n3", seed=0)
+    space.exact_lane
+    eliminate, substitute, calls = exact._eliminate, exact._back_substitute, []
+
+    def planted(a, width):
+        m, pivots, d = eliminate(a, width)
+        assert len(pivots) < len(m)
+        m[len(pivots):, width:] = 0
+        m[len(pivots), width:] = tail
+        return m, pivots, d
+    monkeypatch.setattr(exact, "_eliminate", planted)
+    monkeypatch.setattr(exact, "_back_substitute",
+                        lambda *args: calls.append(args) or substitute(*args))
+    go.go_check(space, (1, 3), n_samples=1, seed=0, exact_mode=True)
+    assert len(calls) == wanted
+    y, _, _ = space.go_factorisations[go._ExactFactorisation].solved[0]
+    assert (y is not None) == wanted
+
+
+def test_an_inconsistent_sample_skips_back_substitution(monkeypatch):
+    # unplanted: t1-V.1-m3n3's first sample admits no positive ratio, so
+    # the exact lane rejects it at every pair without back-substituting,
+    # while go-3-k2's consistent samples are all back-substituted
+    inconsistent, consistent = (catalog.catalog_instantiate(entry, seed=0)
+                                for entry in ("t1-V.1-m3n3", "go-3-k2"))
+    inconsistent.exact_lane, consistent.exact_lane
+    substitute, calls = exact._back_substitute, []
+    monkeypatch.setattr(exact, "_back_substitute",
+                        lambda *args: calls.append(args) or substitute(*args))
+    for pair in ORACLE_PAIRS:
+        verdict = go.go_check(inconsistent, pair, n_samples=3, seed=0,
+                              exact_mode=True)
+        assert verdict.status == ("NORMAL_TRIVIAL" if pair[0] == pair[1]
+                                  else "NOT_GO")
+        assert verdict.n_samples == (3 if pair[0] == pair[1] else 1)
+    assert not calls
+    verdict = go.go_check(consistent, (1, 3), n_samples=3, seed=0,
+                          exact_mode=True)
+    assert verdict.status == "GO_CONSISTENT" and len(calls) == 3
+
+
+# --- two-parameter metrics on the checked module projectors -------------
+
+def test_module_projectors_are_checked_once_and_read_only(so5_u2):
+    proj = so5_u2.module_projectors
+    assert proj is so5_u2.module_projectors
+    assert proj.shape == (2, 6, 6) and not proj.flags.writeable
+    np.testing.assert_array_equal(proj, proj.transpose(0, 2, 1))
+    assert np.abs(proj.sum(axis=0) - np.eye(6)).max() <= 1e-12
+    for k in range(2):
+        b = so5_u2.module_coords_in_m(k)
+        np.testing.assert_array_equal(proj[k], b @ b.T)
+
+
+def test_two_param_runs_no_eigvalsh_and_no_commutator(so5_u2, monkeypatch):
+    so5_u2.module_projectors
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(type(so5_u2), "iso_action",
+                        property(lambda self: calls.append(self)))
+    for pair in [(1, 2), (2.5, 0.5), (1e3, 1e-3)]:
+        metric = go.MetricOperator.two_param(so5_u2, *pair)
+        assert metric.spectral_norm == max(pair)
+        assert not metric.matrix.flags.writeable
+    assert not calls
+
+
+def test_two_param_refuses_a_split_that_is_not_invariant(so5_u2):
+    # a 1e-3 rotation between the modules keeps both bases orthonormal and
+    # P1 + P2 = I, so only the commutation check can refuse it, and it
+    # refuses with the message a directly built operator gives
+    b1 = so5_u2.module_coords_in_m(0).copy()
+    b2 = so5_u2.module_coords_in_m(1).copy()
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    b1[:, 0], b2[:, 0] = c * b1[:, 0] + s * b2[:, 0], c * b2[:, 0] - s * b1[:, 0]
+    tilted = _with_modules(so5_u2, [b1, b2])
+    message = "does not commute with the isotropy action"
+    with pytest.raises(core.ValidationError, match=message):
+        go.MetricOperator(space=tilted, matrix=b1 @ b1.T + 2 * b2 @ b2.T,
+                          kind="two_param", params=(1, 2))
+    for pair in [(1, 2), (1e3, 1e-3), (1e-3, 1e3)]:
+        with pytest.raises(core.ValidationError, match=message):
+            go.MetricOperator.two_param(tilted, *pair)
+        with pytest.raises(core.ValidationError, match=message):
+            go.go_check(tilted, pair, n_samples=2)
+
+
+def test_two_param_refuses_modules_that_do_not_split_m(so5_u2):
+    b1 = so5_u2.module_coords_in_m(0)
+    b2 = so5_u2.module_coords_in_m(1)[:, 1:]
+    with pytest.raises(core.ValidationError, match="P1 \\+ P2"):
+        go.MetricOperator.two_param(_with_modules(so5_u2, [b1, b2]), 1, 2)
+
+
+def test_a_directly_built_two_param_operator_keeps_every_check(so5_u2):
+    p1, p2 = so5_u2.module_projectors
+    rng = np.random.default_rng(0)
+    raw = rng.normal(size=(6, 6))
+    for matrix, message in [
+            (raw @ raw.T + 6 * np.eye(6), "does not commute"),
+            (p1 - p2, "not positive definite"),
+            (p1 + 2 * p2 + 1e-6 * np.triu(raw), "not symmetric")]:
+        with pytest.raises(core.ValidationError, match=message):
+            go.MetricOperator(space=so5_u2, matrix=matrix, kind="two_param",
+                              params=(1, 2))
+    direct = go.MetricOperator(space=so5_u2, matrix=p1 + 2 * p2,
+                               kind="two_param", params=(1, 2))
+    built = go.MetricOperator.two_param(so5_u2, 1, 2)
+    np.testing.assert_array_equal(direct.matrix, built.matrix)
+    assert direct.spectral_norm == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("entry_id", TWO_SUMMAND)
+def test_two_param_spectral_norm_is_the_larger_weight(entry_id):
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    for lam, mu in [(1, 2), (2.5, 0.5), (0.2, 5), (1.3, 2.7), (1e3, 1e-3)]:
+        metric = go.MetricOperator.two_param(space, lam, mu)
+        assert metric.spectral_norm == max(lam, mu)
+        top = np.linalg.eigvalsh(metric.matrix)[-1]
+        assert abs(top - max(lam, mu)) <= 1e-12 * max(lam, mu)
