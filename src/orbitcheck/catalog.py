@@ -120,7 +120,8 @@ def _struct_7() -> tuple[LieAlgebra, object]:
     return chain.target, chain
 
 
-_BUILTIN_CHAINS = {
+# Each builder runs once per process, so its spaces share one split.
+_BUILTIN_CHAINS = {name: lru_cache(maxsize=1)(build) for name, build in {
     "struct_1": _struct_1,
     "struct_2": _struct_2,
     "struct_3": _struct_3,
@@ -128,7 +129,7 @@ _BUILTIN_CHAINS = {
     "struct_5": _struct_5,
     "struct_6": _struct_6,
     "struct_7": _struct_7,
-}
+}.items()}
 
 
 @lru_cache(maxsize=1)
@@ -193,7 +194,14 @@ def catalog_instantiate(entry: CatalogEntry | str,
     """Build and decompose the space for a constructible entry.
 
     Module dimensions are checked against the expected profile before
-    the space is returned.
+    the space is returned. The seed-free part is built once per process
+    and shared by every seed: the entry's embedding (``named_embedding``
+    or its builtin builder, memoised) and its reductive split with the
+    isotropy action, the m-bracket tensors and the isotropy commutant
+    (``reductive_space``, at most ``spaces.SPLIT_CACHE_SIZE`` splits
+    kept), all as read-only arrays. Everything seeded runs per call:
+    the eigenvalue split of the commutant and the modules read off it,
+    and every later step.
     """
     entry = _resolve(entry)
     if not entry.constructible:

@@ -134,7 +134,9 @@ class MetricOperator:
         if dm == 0:
             return True
         a = float(self.matrix[0, 0])
-        return float(np.abs(self.matrix - a * np.eye(dm)).max()) <= 1e-12 * a
+        off = self.matrix.copy()
+        off.flat[::dm + 1] -= a
+        return float(np.abs(off).max()) <= 1e-12 * a
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x

@@ -6,8 +6,10 @@ equivariance question goes through one routine, ``intertwiners``, which
 returns a basis of the maps between two ad(h)-actions that commute with
 every generator, from the matching eigenvalues of one generic element
 of h on each side (on its kernels, of a second one's square). The
-isotropy decomposition computes the commutant of ad(h) on m once,
-splits m along the eigenspaces of a random symmetric element of it,
+commutant of ad(h) on m is computed once per ``ReductiveSplit``, the
+seed-free part of a space, shared by every space and seed built from
+one (g, embedding). The isotropy decomposition splits m along the
+eigenspaces of a random symmetric element of that commutant,
 rotates the basis once into those eigenvectors, and reads every count
 as an integer block sum of squared entries of that one stack: the
 invariant metrics are its symmetric part, a summand is irreducible when
@@ -24,6 +26,8 @@ h project onto them.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
@@ -62,9 +66,66 @@ class ExactUnavailableError(OrbitcheckError):
     pass
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _within(residual: float, tol: float, what: str) -> None:
+    if residual > tol:
+        raise ValidationError(f"{what} (residual {residual:.2e})")
+
+
+class ReductiveSplit:
+    """The part of g = h + m that no name or seed touches: h, m, the
+    closure and [h, m] residuals ``reductive_space`` measured (None on a
+    split it did not build), and, each computed when first read, the
+    isotropy action, the m-bracket tensors and the isotropy commutant.
+    Every array is read-only, as splits are shared between spaces."""
+
+    def __init__(self, g: LieAlgebra, h: Subspace, m: Subspace,
+                 closure: float | None = None, leak: float | None = None):
+        self.g, self.h, self.m = g, h, m
+        self.closure, self.leak = closure, leak
+
+    def check(self, tol: float) -> None:
+        """Raise unless h is a subalgebra and [h, m] lies in m, to ``tol``."""
+        if self.h.dim:
+            _within(self.closure, tol, "h is not a subalgebra")
+        _within(self.leak, tol, "[h, m] leaves m")
+
+    @cached_property
+    def iso_action(self) -> np.ndarray:
+        raw = pair_bracket_tensor(self.g, self.h.basis, self.m.basis)
+        return _read_only(bracket_coords(self.g, raw, self.m.basis))
+
+    def _m_brackets(self, basis: np.ndarray) -> np.ndarray:
+        raw = pair_bracket_tensor(self.g, self.m.basis, self.m.basis)
+        return _read_only(bracket_coords(self.g, raw, basis))
+
+    @cached_property
+    def m_bracket_h(self) -> np.ndarray:
+        return self._m_brackets(self.h.basis)
+
+    @cached_property
+    def m_bracket_m(self) -> np.ndarray:
+        return self._m_brackets(self.m.basis)
+
+    @cached_property
+    def commutant(self) -> np.ndarray:
+        """``intertwiners(iso_action, iso_action)``: a Frobenius-orthonormal
+        basis of the maps on m commuting with ad(h), (count, dim m, dim m).
+        Its only draw is ``rng_for("intertwiners", dim h)``, no seed."""
+        return _read_only(intertwiners(self.iso_action, self.iso_action))
+
+
 @dataclass(frozen=True)
 class ReductiveSpace:
-    """g = h + m with h a subalgebra and m its orthocomplement."""
+    """g = h + m with h a subalgebra and m its orthocomplement.
+
+    Seed-free data is read from ``split``, which ``replace`` carries over;
+    a space whose g, h or m is not its split's gets a split of its own.
+    """
 
     g: LieAlgebra
     h: Subspace
@@ -75,6 +136,15 @@ class ReductiveSpace:
     isotypic_groups: tuple[tuple[int, ...], ...] = ()
     metric_space_dim: int | None = None
     decomposition_seed: int | None = None
+    split: ReductiveSplit | None = field(default=None, compare=False,
+                                         repr=False)
+
+    def __post_init__(self):
+        s = self.split
+        if s is None or s.g is not self.g or s.h is not self.h \
+                or s.m is not self.m:
+            object.__setattr__(self, "split",
+                               ReductiveSplit(self.g, self.h, self.m))
 
     @property
     def dim_m(self) -> int:
@@ -88,11 +158,11 @@ class ReductiveSpace:
     def two_summand(self) -> bool:
         return len(self.modules) == 2
 
-    @cached_property
+    @property
     def iso_action(self) -> np.ndarray:
-        """ad(h) on m in orthonormal coordinates, shape (dim h, dim m, dim m)."""
-        raw = pair_bracket_tensor(self.g, self.h.basis, self.m.basis)
-        return bracket_coords(self.g, raw, self.m.basis)
+        """ad(h) on m in orthonormal coordinates, shape (dim h, dim m,
+        dim m), read-only."""
+        return self.split.iso_action
 
     @cached_property
     def go_factorisations(self) -> dict:
@@ -106,27 +176,22 @@ class ReductiveSpace:
         an ExactUnavailableError raises again on every access."""
         return exact_module_bases(self)
 
-    @cached_property
-    def _m_brackets(self) -> np.ndarray:
-        return pair_bracket_tensor(self.g, self.m.basis, self.m.basis)
-
-    @cached_property
+    @property
     def m_bracket_h(self) -> np.ndarray:
-        """h-coordinates of [m_i, m_j], shape (dim m, dim m, dim h)."""
-        return bracket_coords(self.g, self._m_brackets, self.h.basis)
+        """h-coordinates of [m_i, m_j], shape (dim m, dim m, dim h),
+        read-only."""
+        return self.split.m_bracket_h
 
-    @cached_property
+    @property
     def m_bracket_m(self) -> np.ndarray:
-        """m-coordinates of [m_i, m_j], shape (dim m, dim m, dim m)."""
-        return bracket_coords(self.g, self._m_brackets, self.m.basis)
+        """m-coordinates of [m_i, m_j], shape (dim m, dim m, dim m),
+        read-only."""
+        return self.split.m_bracket_m
 
     @cached_property
     def _module_coords(self) -> tuple[np.ndarray, ...]:
         to_m = self.m.basis.T @ self.g.inner_product
-        coords = tuple(to_m @ mod.basis for mod in self.modules)
-        for c in coords:
-            c.flags.writeable = False
-        return coords
+        return tuple(_read_only(to_m @ mod.basis) for mod in self.modules)
 
     def module_coords_in_m(self, index: int) -> np.ndarray:
         """Module basis expressed in m coordinates (cached, read-only)."""
@@ -152,8 +217,7 @@ class ReductiveSpace:
         if worst > 1e-8:
             raise ValidationError("metric operator does not commute with the "
                                   f"isotropy action (residual {worst:.2e})")
-        proj.flags.writeable = False
-        return proj
+        return _read_only(proj)
 
     def as_dict(self) -> dict:
         return {
@@ -185,26 +249,44 @@ def reductive_space(g: LieAlgebra | None,
     or a raw coordinate matrix whose columns span h. Verifies that h is
     a subalgebra, that [h, m] stays in m, and that h contains no
     nonzero ideal of g (almost-effective action).
+
+    From an Embedding or chain, the split is computed once per process
+    for each (g, composite embedding) pair, by object identity, and
+    shared by every space built from it, whatever its name or seed:
+    h, m, the residuals, and, once first read, the isotropy action, the
+    m-bracket tensors and the isotropy commutant, all read-only.
+    ``SPLITS`` keeps the last ``SPLIT_CACHE_SIZE`` splits and holds each
+    pair, so no id is reused while its entry lives. Each call compares
+    the stored residuals with its own ``tol`` and raises what a fresh
+    build would; a refused build is not kept. A raw matrix builds a
+    split of its own on every call.
     """
-    emb = None
     if isinstance(h_embedding, (Embedding, EmbeddingChain)):
         emb = as_embedding(h_embedding)
         if g is None:
             g = emb.target
         elif g.dim != emb.target.dim:
             raise ValidationError("embedding target does not match g")
-        cols = emb.matrix
+        split = SPLITS.split_of(g, emb, tol)
     else:
         if g is None:
             raise ValidationError("g is required with a raw basis matrix")
+        emb = None
         cols = np.asarray(h_embedding, dtype=np.float64)
         if cols.ndim != 2 or cols.shape[0] != g.dim:
             raise ValidationError(f"h basis shape {cols.shape} does not match g")
+        split = _build_split(g, cols, tol)
+    return ReductiveSpace(g=g, h=split.h, m=split.m, name=name,
+                          embedding=emb, split=split)
+
+
+def _build_split(g: LieAlgebra, cols: np.ndarray,
+                 tol: float) -> ReductiveSplit:
+    """The checked split of g along the span of ``cols``."""
     h = Subspace.from_columns(g, cols, name="h")
+    closure = h.closure_residual() if h.dim else 0.0
     if h.dim:
-        closure = h.closure_residual()
-        if closure > tol:
-            raise ValidationError(f"h is not a subalgebra (residual {closure:.2e})")
+        _within(closure, tol, "h is not a subalgebra")
     if h.dim == g.dim:
         raise EffectivenessError("h equals g; the space is a point")
     comp = nullspace(cols.T @ g.inner_product) if h.dim else np.eye(g.dim)
@@ -213,16 +295,55 @@ def reductive_space(g: LieAlgebra | None,
     if h.dim + m.dim != g.dim:
         raise ValidationError("h and m do not span g")
     raw = pair_bracket_tensor(g, h.basis, m.basis)
-    worst = m.max_distance(raw.reshape(h.dim * m.dim, g.dim).T)
-    if worst > tol:
-        raise ValidationError(f"[h, m] leaves m (residual {worst:.2e})")
+    leak = m.max_distance(raw.reshape(h.dim * m.dim, g.dim).T)
+    _within(leak, tol, "[h, m] leaves m")
     if h.dim:
         kernel = nullspace(raw.reshape(h.dim, -1).T)
         if kernel.shape[1]:
             raise EffectivenessError(
                 f"h contains a {kernel.shape[1]}-dimensional ideal of g "
                 "acting trivially on m")
-    return ReductiveSpace(g=g, h=h, m=m, name=name, embedding=emb)
+    return ReductiveSplit(g, h, m, closure, leak)
+
+
+class _SplitCache:
+    """Splits by the identity of (g, embedding), the least recently used
+    evicted past ``maxsize``. Each entry holds its embedding and (through
+    the split) its g, so neither id is reused while the entry lives. A
+    lock guards the table; builds run outside it."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def split_of(self, g: LieAlgebra, emb: Embedding,
+                 tol: float) -> ReductiveSplit:
+        key = id(g), id(emb)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+        if entry is not None:
+            entry[1].check(tol)
+            return entry[1]
+        split = _build_split(g, emb.matrix, tol)
+        with self._lock:
+            self._entries[key] = emb, split
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+        return split
+
+
+SPLIT_CACHE_SIZE = 32
+SPLITS = _SplitCache(SPLIT_CACHE_SIZE)
 
 
 def _cluster(values: np.ndarray) -> list[np.ndarray]:
@@ -344,7 +465,9 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
     """Split m into irreducible ad(h)-modules; returns an updated space.
 
     One commutant, ``intertwiners(action, action)``, gives an orthonormal
-    basis {T_k} of the maps commuting with ad(h). m splits along the
+    basis {T_k} of the maps commuting with ad(h); it is read from the
+    space's split, so it is computed once per split and shared by every
+    seed, and the returned space keeps the split. m splits along the
     eigenvalue clusters (relative gap 1e-6) of the projection of a random
     symmetric matrix onto the commutant, and the basis is rotated once
     into those eigenvectors E, T~_k = E^T T_k E. Every count is then a
@@ -360,7 +483,7 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
     derived seeds, then fail.
     """
     action = space.iso_action
-    maps = intertwiners(action, action)
+    maps = space.split.commutant
     whole = slice(None)
     for attempt in range(3):
         eigvals, eigvecs, clusters = _commutant_split(

@@ -389,6 +389,10 @@ class Embedding:
                 f"({self.target.dim}, {self.source.dim})")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        if self.matrix_exact is not None:
+            mex = np.array(self.matrix_exact)
+            mex.flags.writeable = False
+            object.__setattr__(self, "matrix_exact", mex)
         if self.source.dim and svd_rank(m) != self.source.dim:
             raise ValidationError(f"{self.name or 'embedding'}: matrix is not injective")
         res = self.homomorphism_residual()
@@ -796,7 +800,19 @@ EMBEDDING_KEYS = {
 
 
 def named_embedding(key: str, **params) -> Embedding | EmbeddingChain:
-    """Look up a standard embedding or chain by registry key."""
+    """Look up a standard embedding or chain by registry key.
+
+    Built once per process for each key and parameter set (the last 64
+    kept), so repeated lookups return the same object: a chain's
+    composite is composed once, and spaces built from it share one
+    reductive split (``spaces.reductive_space``). Embeddings are frozen
+    and their arrays read-only.
+    """
+    return _named_embedding(key, **dict(sorted(params.items())))
+
+
+@lru_cache(maxsize=64, typed=True)
+def _named_embedding(key: str, **params) -> Embedding | EmbeddingChain:
     if key in _CHAIN_BUILDERS:
         return _CHAIN_BUILDERS[key](**params)
     if key in _EMBEDDING_BUILDERS:

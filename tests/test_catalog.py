@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from orbitcheck import catalog, spaces
+from orbitcheck import catalog, spaces, zoo
 
 
 def test_catalog_loads_all_sources():
@@ -168,3 +170,39 @@ def test_weakly_symmetric_and_naturally_reductive_flags():
     nr = sorted({i.split("-")[1] for i, ex in flags.items()
                  if ex["naturally_reductive"]})
     assert nr == ["6", "8"]
+
+
+def _clear_caches():
+    spaces.SPLITS.cache_clear()
+    zoo._named_embedding.cache_clear()
+    for build in catalog._BUILTIN_CHAINS.values():
+        build.cache_clear()
+
+
+def test_catalog_run_reads_the_same_warm_as_cold():
+    # cold: every embedding and split built afresh for each seed; warm:
+    # every other seed first, entries one at a time in shuffled order
+    cold = {}
+    for s in range(12):
+        _clear_caches()
+        cold[s] = catalog.catalog_run(seed=s).as_dict()
+    ids = [e.id for e in catalog.catalog_list(constructible=True)]
+    rng = np.random.default_rng(20)
+    for s in rng.permutation(12):
+        for eid in rng.permutation(ids):
+            got = catalog.catalog_run(ids=(str(eid),), seed=int(s)).as_dict()
+            want = next(r for r in cold[s]["results"] if r["id"] == eid)
+            assert json.dumps(got["results"]) == json.dumps([want])
+    for s in range(12):
+        assert json.dumps(catalog.catalog_run(seed=s).as_dict()) == \
+            json.dumps(cold[s])
+
+
+def test_builtin_builders_run_once_and_share_a_split():
+    g, emb = catalog._BUILTIN_CHAINS["struct_4"]()
+    again = catalog._BUILTIN_CHAINS["struct_4"]()
+    assert again[0] is g and again[1] is emb
+    a = catalog.catalog_instantiate("struct-4", seed=0)
+    b = catalog.catalog_instantiate("struct-4", seed=5)
+    assert a.embedding is b.embedding is emb
+    assert a.split is b.split

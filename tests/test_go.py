@@ -89,6 +89,18 @@ def test_block_metric_with_cross_coupling(so8_g2):
     assert verdict.max_residual <= 1e-8
 
 
+@pytest.mark.parametrize("offset, scalar", [
+    (0.0, True), (1e-13, True), (-1e-13, True), (1e-11, False)])
+def test_is_scalar_cuts_a_block_metric_where_it_did(so5_u2, offset, scalar):
+    # a block metric built directly, offset from scalar on module 2: the
+    # decision is the max-abs distance from a I against 1e-12 a
+    metric = go.MetricOperator.block(so5_u2, [[[3.0]], [[3.0 + offset]]])
+    a = metric.matrix[0, 0]
+    old = float(np.abs(metric.matrix - a * np.eye(6)).max()) <= 1e-12 * a
+    assert metric.is_scalar == old == scalar
+    assert not metric.matrix.flags.writeable
+
+
 def test_metric_operator_validation(so5_u2, so8_g2):
     with pytest.raises(core.ValidationError):
         go.MetricOperator.two_param(so5_u2, -1.0, 2.0)

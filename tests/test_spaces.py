@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -501,14 +503,25 @@ def _noisy(inner, scale):
     return wrapped
 
 
+@pytest.fixture()
+def cold_splits():
+    """An empty split cache, emptied again afterwards, so a test that
+    patches ``intertwiners`` builds its commutants and leaves none."""
+    spaces.SPLITS.cache_clear()
+    yield
+    spaces.SPLITS.cache_clear()
+
+
 @pytest.mark.parametrize("entry_id", ["go-3-k3", "go-1", "go-2", "struct-1"])
-def test_counts_survive_a_commutant_known_to_rounding(entry_id, monkeypatch):
+def test_counts_survive_a_commutant_known_to_rounding(entry_id, monkeypatch,
+                                                      cold_splits):
     # complex-type modules (go-3-k3), isotypic pairs (go-1, struct-1) and
     # a plain pair (go-2): every count is an integer read off the basis,
     # so noise far above eps moves none of them
     want = catalog.catalog_instantiate(entry_id, seed=0)
     monkeypatch.setattr(spaces, "intertwiners",
                         _noisy(spaces.intertwiners, 1e-10))
+    spaces.SPLITS.cache_clear()
     got = catalog.catalog_instantiate(entry_id, seed=0)
     assert got.module_dims == want.module_dims
     assert got.metric_space_dim == want.metric_space_dim
@@ -527,11 +540,12 @@ def test_decomposition_solves_one_commutant(monkeypatch):
     assert len(entries) == 20
     for entry in entries:
         calls.clear()
+        spaces.SPLITS.cache_clear()
         catalog.catalog_instantiate(entry, seed=0)
         assert len(calls) == 1, entry.id
 
 
-def test_a_count_off_the_integers_is_refused(monkeypatch):
+def test_a_count_off_the_integers_is_refused(monkeypatch, cold_splits):
     # a basis scaled by sqrt(1.25) is no longer orthonormal, and the
     # 2-dimensional metric space of so(5)/u(2) reads 2.5
     inner = spaces.intertwiners
@@ -591,3 +605,137 @@ def test_empty_m_decomposes_to_nothing():
     out = spaces.decompose_isotropy(space, seed=4)
     assert (out.modules, out.isotypic_groups) == ((), ())
     assert (out.metric_space_dim, out.decomposition_seed) == (0, 4)
+
+
+# --- the seed-free split, shared per process ---------------------------
+
+def test_a_decomposed_space_shares_its_split(monkeypatch):
+    chain = zoo.named_embedding("u_in_so_odd", k=2)
+    bare = spaces.reductive_space(None, chain, name="so(5)/u(2)")
+    first = spaces.decompose_isotropy(bare, seed=0)
+    assert first.split is bare.split
+    assert first.iso_action is bare.iso_action
+    assert first.split.commutant is bare.split.commutant
+    calls = []
+    monkeypatch.setattr(spaces, "intertwiners",
+                        lambda *args: calls.append(args))
+    other = spaces.reductive_space(None, chain, name="another name")
+    for seed in range(4):
+        out = spaces.decompose_isotropy(other, seed=seed)
+        assert out.split is bare.split
+        assert out.module_dims == first.module_dims
+    assert not calls
+
+
+def _outcome(build):
+    try:
+        build()
+    except core.ValidationError as err:
+        return str(err)
+    return "built"
+
+
+def test_a_warm_split_honours_each_calls_tol():
+    # so(3) in so(5) tilted by 1e-6 (kept by a loose homomorphism bound):
+    # residuals near 1.7e-7, so each call's tol decides, warm as cold
+    base = zoo.embed_so_in_so(3, 5)
+    tilted = base.matrix.copy()
+    tilted[-1, 0] += 1e-6
+    emb = zoo.Embedding(source=base.source, target=base.target,
+                        matrix=tilted, atol=1e-3)
+    split = spaces.reductive_space(None, emb, tol=1.0).split
+    assert split.closure > 1e-7 and split.leak > 1e-7
+    outcomes = set()
+    for tol in (0.0, 1e-8, split.closure / 2, split.leak / 2, split.closure,
+                split.leak, 1e-6, 1.0):
+        warm = _outcome(lambda: spaces.reductive_space(None, emb, tol=tol))
+        cold = _outcome(lambda: spaces.reductive_space(emb.target,
+                                                       emb.matrix, tol=tol))
+        assert warm == cold, tol
+        outcomes.add(warm.split(" (")[0])
+    assert outcomes == {"built", "h is not a subalgebra"}
+    assert spaces.reductive_space(None, emb, tol=1e-6).split is split
+
+
+def test_a_warm_split_does_not_serve_another_g_of_its_dimension():
+    emb = zoo.named_embedding("so_in_so", k=2, n=3)
+    so3 = spaces.reductive_space(None, emb)
+    su2 = zoo.classical("su", 2)
+    other = spaces.reductive_space(su2, emb)
+    assert other.g is su2 and other.split is not so3.split
+    np.testing.assert_array_equal(
+        other.m.basis, spaces.reductive_space(su2, emb.matrix).m.basis)
+    # in the abelian torus(3) the same columns act trivially on m
+    with pytest.raises(core.EffectivenessError):
+        spaces.reductive_space(zoo.classical("torus", 3), emb)
+
+
+def test_a_refused_build_is_refused_on_every_call():
+    emb = zoo.named_embedding("so_in_so", k=2, n=3)
+    torus = zoo.classical("torus", 3)
+    before = len(spaces.SPLITS)
+    for _ in range(3):
+        with pytest.raises(core.EffectivenessError):
+            spaces.reductive_space(torus, emb)
+    assert len(spaces.SPLITS) == before
+    # a commutant over the size bound is not kept either
+    space = spaces.reductive_space(
+        None, zoo.named_embedding("so_in_so", k=8, n=16))
+    for _ in range(2):
+        with pytest.raises(spaces.DecompositionError, match="exceeds"):
+            spaces.decompose_isotropy(space)
+    assert "commutant" not in vars(space.split)
+
+
+def test_shared_arrays_are_read_only(so5_u2):
+    split = so5_u2.split
+    shared = [split.iso_action, split.m_bracket_m, split.m_bracket_h,
+              split.commutant, so5_u2.h.basis, so5_u2.m.basis,
+              so5_u2.embedding.matrix, so5_u2.embedding.matrix_exact]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+
+
+def test_the_split_cache_keeps_its_bound(cold_splits):
+    size = spaces.SPLIT_CACHE_SIZE
+    # a fresh Embedding object is a fresh key
+    embs = [zoo.embed_so_in_so(2, 3) for _ in range(size + 3)]
+    splits = [spaces.reductive_space(None, e).split for e in embs]
+    assert len(spaces.SPLITS) == size
+    # the three least recently used are gone, the rest are kept
+    assert spaces.reductive_space(None, embs[-1]).split is splits[-1]
+    assert spaces.reductive_space(None, embs[3]).split is splits[3]
+    assert spaces.reductive_space(None, embs[0]).split is not splits[0]
+    assert len(spaces.SPLITS) == size
+
+
+def test_the_split_cache_survives_concurrent_callers(cold_splits):
+    # more threads than cores, switching every microsecond, over a table
+    # that evicts on almost every insert
+    embs = [zoo.embed_so_in_so(2, 3) for _ in range(spaces.SPLIT_CACHE_SIZE)]
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(60):
+                emb = embs[(offset + 7 * i) % len(embs)] if i % 2 \
+                    else zoo.embed_so_in_so(2, 3)
+                space = spaces.reductive_space(None, emb)
+                assert space.split.m is space.m and space.m.dim == 2
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(spaces.SPLITS) == spaces.SPLIT_CACHE_SIZE

@@ -147,6 +147,22 @@ def test_named_embedding_unknown_key():
         zoo.named_embedding("so_in_sp")
 
 
+def test_named_embeddings_are_built_once_per_parameter_set():
+    emb = zoo.named_embedding("so_in_so", k=2, n=5)
+    assert zoo.named_embedding("so_in_so", n=5, k=2) is emb
+    assert zoo.named_embedding("so_in_so", k=2, n=5, offset=1) is not emb
+    chain = zoo.named_embedding("u_in_so_odd", k=2)
+    assert zoo.named_embedding("u_in_so_odd", k=2).composite is \
+        chain.composite
+    # 2.0 == 2, but it is not the same parameter
+    with pytest.raises(TypeError):
+        zoo.named_embedding("so_in_so", k=2.0, n=5)
+    assert zoo._named_embedding.cache_info().maxsize == 64
+    exact = chain.composite.matrix_exact
+    with pytest.raises(ValueError, match="read-only"):
+        exact[0, 0] = 1
+
+
 def test_chain_composite_matches_step_composition():
     chain = zoo.named_embedding("su_in_so_even", k=3)
     assert isinstance(chain, zoo.EmbeddingChain)
