@@ -298,6 +298,13 @@ class LieAlgebra:
     def killing_form_exact(self) -> np.ndarray:
         return self._exact().killing()
 
+    @cached_property
+    def center(self) -> np.ndarray:
+        """Orthonormal basis of the center (kernel of ad), read-only."""
+        center = _center(self.structure)
+        center.flags.writeable = False
+        return center
+
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         return validate_algebra(self, tol)
 
@@ -468,8 +475,8 @@ def direct_sum(summands: list[LieAlgebra], name: str | None = None) -> LieAlgebr
 
 
 def center_basis(algebra: LieAlgebra) -> np.ndarray:
-    """Orthonormal basis of the center (kernel of the adjoint map)."""
-    return _center(algebra.structure)
+    """``algebra.center``: orthonormal basis of the center, read-only."""
+    return algebra.center
 
 
 def _center(structure: np.ndarray) -> np.ndarray:

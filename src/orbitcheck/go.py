@@ -8,11 +8,15 @@ rank jump between the coefficient and augmented matrices certifies a
 counterexample, with the smallest discarded singular value as margin.
 Sampling many directions upgrades pointwise answers to a space verdict.
 
-The geodesic-graph solvers sharpen witnesses on two-module spaces: the
-witness of a mixed direction X + Y is pinned inside the complement of
-the centralizer of X + Y within its normalizer, splits into parts
-commuting with X and with Y, and rebuilds from those parts by explicit
-metric-ratio coefficients.
+The geodesic-graph solvers on two-module spaces read the parts
+Z_X = M+ P2 [X, Y]_m and Z_Y = M+ P1 [X, Y]_m of a mixed direction X + Y
+(X in module 1, Y in module 2, M: z -> proj_m [z, X + Y]) off the same
+metric-free factorisation as the sampled verdicts. Z_X commutes with X,
+Z_Y with Y, and each ratio's witness combines the two. They lie in the
+complement C~ of C = C_h(X + Y) in its normalizer, and are unique there:
+[h, m_k] lies in m_k, so each c in C fixes X and Y, and exp(t ad c) is
+an isometry of h keeping C, M and P_k [X, Y]_m, hence each min-norm z.
+So [c, z] = 0, z normalizes C, and z is orthogonal to C = ker M.
 """
 
 from __future__ import annotations
@@ -26,11 +30,9 @@ import numpy as np
 
 from . import exact
 from .core import OrbitcheckError, ValidationError
-from .filters import (CentralizerSplit, _module_action, centralizer,
-                      normalizer_split)
-from .linalg import (DEFAULT_TOL, consistency_gap, gram_orthonormalize,
-                     min_norm_solve, rank_of, rank_threshold, rng_for,
-                     subspace_intersection)
+from .filters import CentralizerSplit, _module_action, normalizer_split
+from .linalg import (DEFAULT_TOL, consistency_gap, min_norm_solve, rank_of,
+                     rank_threshold, rng_for)
 from .spaces import ExactUnavailableError, ReductiveSpace, intertwiners
 
 MARGIN_FACTOR = 1e3
@@ -381,6 +383,32 @@ def _float_lane(space: ReductiveSpace, a: MetricOperator, seed: int,
     return witness
 
 
+def _factorise(space: ReductiveSpace, x: np.ndarray):
+    """Metric-free solve for a (k, dim m) stack of directions x = x1 + x2
+    on a two-module space: per row, R1 and R2 (shape (k, dim m, 2)), the
+    min-norm parts Z0 = M+(P1 R1 + P2 R2), Z12 = M+(P1 R2) and
+    Z21 = M+(P2 R1) (shape (k, dim h, 3)) and their images under M
+    (shape (k, dim m, 3)), with M and R_j as in ``_Factorisation``. M+
+    comes from one batched SVD, cut at ``rank_threshold`` in one call."""
+    dm, dh = space.m.dim, space.h.dim
+    k = len(x)
+    m = -(space.iso_action.reshape(dh * dm, dm) @ x.T).reshape(
+        dh, dm, k).transpose(2, 1, 0)
+    brackets = (x @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(
+        k, dm, dm)
+    p1, p2 = proj = space.module_projectors
+    # rows R1, R2 of each sample, from its module parts x1, x2
+    r = -(x @ proj).transpose(1, 0, 2) @ brackets
+    parts = np.stack([r[:, 0] @ p1 + r[:, 1] @ p2, r[:, 1] @ p1,
+                      r[:, 0] @ p2], axis=2)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    cut = rank_threshold(s, (dm, dh))
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+    z = vt.transpose(0, 2, 1) @ (inv[:, :, None]
+                                 * (u.transpose(0, 2, 1) @ parts))
+    return r.transpose(0, 2, 1), z, m @ z
+
+
 class _Factorisation:
     """Metric-free part of the float system for the samples of one seed.
 
@@ -393,10 +421,9 @@ class _Factorisation:
     its weight over s, so on a consistent system the min-norm witness is
     z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 with Z0 = M+(P1 R1 + P2 R2),
     Z12 = M+(P1 R2) and Z21 = M+(P2 R1). Per sample this keeps x, its
-    kind, R1 and R2 (``r``, shape (n, dim m, 2)), the three parts
-    (``z``, shape (n, dim h, 3)) and their images under M (``mz``),
-    which give D M z for any weights without keeping M. M+ comes from
-    one batched SVD per chunk, cut at ``rank_threshold`` in one call.
+    kind and what ``_factorise`` returns for it: R1 and R2 (``r``), the
+    three parts (``z``) and their images under M (``mz``), which give
+    D M z for any weights without keeping M.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
@@ -413,33 +440,18 @@ class _Factorisation:
 
     def fill(self, space: ReductiveSpace, samples: range) -> None:
         """Factorise the next chunk of samples."""
-        dm, dh = space.m.dim, space.h.dim
         drawn = [_sample_direction(self.blocks,
                                    rng_for("go", space.name, self.seed, j),
                                    j % 2 == 1) for j in samples]
         # witnesses hand out rows of x, so nothing may write to them
         x = np.array([v for v, _ in drawn])
         x.flags.writeable = False
-        k = len(drawn)
-        m = -(space.iso_action.reshape(dh * dm, dm) @ x.T).reshape(
-            dh, dm, k).transpose(2, 1, 0)
-        brackets = (x @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(
-            k, dm, dm)
-        p1, p2 = proj = space.module_projectors
-        # rows R1, R2 of each sample, from its module parts x1, x2
-        r = -(x @ proj).transpose(1, 0, 2) @ brackets
-        parts = np.stack([r[:, 0] @ p1 + r[:, 1] @ p2, r[:, 1] @ p1,
-                          r[:, 0] @ p2], axis=2)
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        cut = rank_threshold(s, (dm, dh))
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
-        z = vt.transpose(0, 2, 1) @ (inv[:, :, None]
-                                     * (u.transpose(0, 2, 1) @ parts))
+        r, z, mz = _factorise(space, x)
         self.kinds += [kind for _, kind in drawn]
         self.rows += list(x)
-        self.r = np.concatenate([self.r, r.transpose(0, 2, 1)])
+        self.r = np.concatenate([self.r, r])
         self.z = np.concatenate([self.z, z])
-        self.mz = np.concatenate([self.mz, m @ z])
+        self.mz = np.concatenate([self.mz, mz])
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask, residuals and z of the samples in ``part``
@@ -600,78 +612,68 @@ def _nonzero_int_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeodesicGraph:
-    """Witness pinned in the normalizer complement, with its split data."""
+    """Witness of X + Y in the normalizer complement, with its split data."""
 
     z: np.ndarray
     split: CentralizerSplit
     residual: float
 
 
-def _pinned_solve(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
-                  tol: float, system, errors: tuple[str, str]):
-    """Unique min-norm Z in pinned subspaces of the normalizer of X + Y
-    with proj_m [Z, .] = proj_m [X, Y]; returns the split, one Z per basis
-    and the residual.
+def _pair_factorisation(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
+                        tol: float):
+    """Split, columns (Z_X, Z_Y) in h coordinates, their images under M,
+    [X, Y]_m and sx sy, the bracket scale that stands for unit scale.
 
-    ``system(xg, yg, split, proj)`` gives the pinned bases (g coords) and
-    the coefficient matrix. It is decided at unit scale: X and Y are
-    divided by the power of two nearest their larger norm, which is
-    exact; Z and the split's u scale back by it, the residual by its
-    square.
+    X and Y are each divided by the power of two nearest its norm, sx and
+    sy, which is exact; Z_X and Z_Y at X/sx + Y/sy scale back by sx and
+    sy, and M at X + Y is (sx P1 + sy P2) times M there.
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    for i, v in enumerate((x, y)):
+    if len(space.modules) != 2:
+        raise ValidationError("geodesic graphs need exactly two modules")
+    p1, p2 = space.module_projectors
+    for i, (v, p) in enumerate(((x, p1), (y, p2))):
         if v.shape != (space.m.dim,):
             raise ValidationError("vectors are m coordinates")
-        if float(np.linalg.norm(v - space.module_projectors[i] @ v)) > \
-                tol * np.linalg.norm(v):
+        if float(np.linalg.norm(v - p @ v)) > tol * np.linalg.norm(v):
             raise ValidationError(f"vector does not lie in module {i + 1}")
-    norm = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
-    scale = 2.0 ** round(math.log2(norm)) if norm else 1.0
-    g = space.g
-    xg = space.m.basis @ (x / scale)
-    yg = space.m.basis @ (y / scale)
-    split = normalizer_split(space, xg + yg)
-    proj = space.m.basis.T @ g.inner_product
-    bases, lhs = system(xg, yg, split, proj)
-    rhs = proj @ g.bracket(xg, yg)
-    coeff, residual, s = min_norm_solve(lhs, rhs)
-    if lhs.shape[1] and rank_of(s, lhs.shape) < lhs.shape[1]:
-        raise GoError(errors[0])
-    if residual > tol * max(1.0, float(np.linalg.norm(rhs))):
-        raise GoError(errors[1].format(scale * scale * residual))
-    cuts = np.cumsum([b.shape[1] for b in bases])[:-1]
-    zs = [scale * (b @ c) for b, c in zip(bases, np.split(coeff, cuts))]
-    return replace(split, u=scale * split.u), zs, scale * scale * residual
+    sx, sy = (2.0 ** round(math.log2(n)) if n else 1.0
+              for n in (float(np.linalg.norm(x)), float(np.linalg.norm(y))))
+    u = x / sx + y / sy
+    split = normalizer_split(space, space.m.basis @ u)
+    r, z, mz = _factorise(space, u[None])
+    # columns Z_X = sx Z21 and Z_Y = -sy Z12
+    scales = np.array([sx, -sy])
+    return (replace(split, u=space.m.basis @ (x + y)),
+            z[0][:, [2, 1]] * scales,
+            (sx * p1 + sy * p2) @ (mz[0][:, [2, 1]] * scales),
+            sx * sy * r[0, :, 0], sx * sy)
 
 
 def geodesic_graph(space: ReductiveSpace, lam, mu, x: np.ndarray,
                    y: np.ndarray, tol: float = 1e-8) -> GeodesicGraph:
-    """Solve for the unique witness of X + Y inside the normalizer
-    complement of the centralizer of X + Y.
-
-    X must lie in the first module and Y in the second; the metric
-    weights enter through the ratio coefficients lam/(lam - mu) and
-    mu/(lam - mu). The coefficient system must have full column rank
-    (kernel triviality gives uniqueness) and an exact solution up to
-    tolerance.
+    """Witness Z of X + Y with proj_m [Z, cx X + cy Y] = proj_m [X, Y],
+    cx = lam/(lam - mu) and cy = mu/(lam - mu): the min-norm, and in C~
+    unique, Z = Z_X/cy + Z_Y/cx (module docstring). X must lie in the
+    first module and Y in the second. Z is refused unless
+    ||cx P1 M Z + cy P2 M Z - [X, Y]_m|| <= tol max(1, ||[X, Y]_m||) at
+    unit scale; the residual is reported for X and Y as given.
     """
     lam_f, mu_f = float(lam), float(mu)
     if abs(lam_f - mu_f) < 1e-12 * max(abs(lam_f), abs(mu_f)):
         raise ValidationError("geodesic graph needs distinct metric weights")
     cx = lam_f / (lam_f - mu_f)
     cy = mu_f / (lam_f - mu_f)
-
-    def system(xg, yg, split, proj):
-        # column t is proj_m [c~_t, W] = -proj_m ad(W) c~_t, W = cx X + cy Y
-        basis = split.c_tilde
-        return [basis], -proj @ space.g.ad(cx * xg + cy * yg) @ basis
-    split, (z,), residual = _pinned_solve(
-        space, x, y, tol, system,
-        ("geodesic graph system has a nontrivial kernel; the witness is "
-         "not unique",
-         "no geodesic graph witness within tolerance (residual {:.2e})"))
-    return GeodesicGraph(z=z, split=split, residual=residual)
+    split, zs, mzs, b, unit = _pair_factorisation(space, x, y, tol)
+    weights = np.array([1.0 / cy, 1.0 / cx])
+    mw = mzs @ weights
+    p1, p2 = space.module_projectors
+    residual = float(np.linalg.norm(cx * p1 @ mw + cy * p2 @ mw - b))
+    if residual > tol * max(unit, float(np.linalg.norm(b))):
+        raise GoError("no geodesic graph witness within tolerance "
+                      f"(residual {residual:.2e})")
+    return GeodesicGraph(z=space.h.basis @ (zs @ weights), split=split,
+                         residual=residual)
 
 
 @dataclass(frozen=True)
@@ -693,24 +695,19 @@ class ZxZyDecomposition:
 def zxzy_decompose(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
                    tol: float = 1e-8) -> ZxZyDecomposition:
     """Write [X, Y] = [Z_Y, X] + [Z_X, Y] with Z_X centralizing X and
-    Z_Y centralizing Y, both inside the normalizer complement of X + Y.
-
-    The pair is unique (full column rank demanded) and rebuilds the
-    geodesic graph witness via the metric-ratio coefficients.
+    Z_Y centralizing Y: the min-norm, and in C~ unique, pair
+    Z_X = M+ P2 [X, Y]_m, Z_Y = M+ P1 [X, Y]_m (module docstring). It is
+    refused unless M Z_X - P2 [X, Y]_m and M Z_Y - P1 [X, Y]_m have joint
+    norm at most tol max(1, ||[X, Y]_m||) at unit scale, which asks
+    [Z_X, X] = 0 and [Z_Y, Y] = 0 too; the residual is reported for X and
+    Y as given. ``reconstruct`` rebuilds the geodesic graph witness.
     """
-    g = space.g
-
-    def system(xg, yg, split, proj):
-        bx, by = (gram_orthonormalize(subspace_intersection(
-            split.c_tilde, centralizer(g, space.h.basis, u)), g.inner_product)
-            for u in (xg, yg))
-        # columns proj_m [bx_t, Y], then proj_m [by_t, X]
-        return [bx, by], -proj @ np.hstack([g.ad(yg) @ bx, g.ad(xg) @ by])
-    split, (z_x, z_y), residual = _pinned_solve(
-        space, x, y, tol, system,
-        ("bracket split system has a nontrivial kernel",
-         "bracket does not split against the centralizers "
-         "(residual {:.2e})"))
-    return ZxZyDecomposition(z_x=z_x, z_y=z_y, split=split,
-                             residual=residual)
-
+    split, zs, mzs, b, unit = _pair_factorisation(space, x, y, tol)
+    p1, p2 = space.module_projectors
+    residual = float(np.linalg.norm(np.concatenate(
+        [mzs[:, 0] - p2 @ b, mzs[:, 1] - p1 @ b])))
+    if residual > tol * max(unit, float(np.linalg.norm(b))):
+        raise GoError("bracket does not split against the centralizers "
+                      f"(residual {residual:.2e})")
+    z_x, z_y = (space.h.basis @ zs).T
+    return ZxZyDecomposition(z_x=z_x, z_y=z_y, split=split, residual=residual)

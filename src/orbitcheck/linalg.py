@@ -81,12 +81,6 @@ def project_onto(v: np.ndarray, ortho_basis: np.ndarray, gram: np.ndarray) -> np
     return ortho_basis @ (ortho_basis.T @ (gram @ v))
 
 
-def subspace_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Basis (columns, coordinate-orthonormal) of span(a) ∩ span(b)."""
-    ns = nullspace(np.hstack([a, -b]))
-    return column_space(a @ ns[: a.shape[1]])
-
-
 def min_norm_solve(a: np.ndarray,
                    b: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Minimum-norm least squares solution of ``a x = b``, its residual

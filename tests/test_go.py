@@ -327,11 +327,50 @@ def test_pinned_solves_scale_with_the_input(so5_u2):
         assert np.abs(got - unit).max() <= 1e-10 * np.abs(unit).max(), scale
 
 
+def test_pair_solvers_scale_each_module_part_apart(so8_g2):
+    # Z_X scales with X and Z_Y with Y, also at very unequal norms; go-1's
+    # bracket is mixed, so neither part is zero
+    rng = rng_for("test-pinned", so8_g2.name, 1)
+    x = module_vector(so8_g2, 0, rng)
+    y = module_vector(so8_g2, 1, rng)
+    unit = go.zxzy_decompose(so8_g2, x, y)
+    for a, b in ((1e-5, 1.0), (1.0, 1e-5), (3e-3, 7e2)):
+        dec = go.zxzy_decompose(so8_g2, a * x, b * y)
+        graph = go.geodesic_graph(so8_g2, 1.0, 2.0, a * x, b * y)
+        for got, want in ((dec.z_x, a * unit.z_x), (dec.z_y, b * unit.z_y),
+                          (graph.z, -(a * unit.z_x / 2.0 + b * unit.z_y))):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # --- the factored float lane against per-sample solves ------------------
 
 TWO_SUMMAND = [e.id for e in catalog.catalog_list(constructible=True)
                if len(e.expected.get("module_dims") or ()) == 2]
 NON_NORMAL_PAIRS = [(1, 2), (2, 1), (0.2, 5), (5, 0.2), (1, 1.001)]
+
+
+@pytest.mark.parametrize("entry_id", [
+    e.id for e in catalog.catalog_list(constructible=True)
+    if e.id in TWO_SUMMAND and e.expected.get("go")])
+def test_pair_solvers_read_the_go_witness_off_inside_c_tilde(entry_id):
+    # the graph witness at X = P1 x, Y = P2 x is go_check's witness at x,
+    # and every min-norm part lies in the normalizer complement C~
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    p1, p2 = space.module_projectors
+    gram = space.g.inner_product
+    for pair in ((1, 2), (2.5, 0.5)):
+        for seed in (0, 1):
+            verdict = go.go_check(space, pair, n_samples=8, seed=seed)
+            for w in verdict.witnesses:
+                graph = go.geodesic_graph(space, *pair, p1 @ w.x, p2 @ w.x)
+                z = space.h.basis @ w.z
+                assert np.abs(graph.z - z).max() <= \
+                    1e-12 * max(1.0, np.abs(z).max())
+                dec = go.zxzy_decompose(space, p1 @ w.x, p2 @ w.x)
+                c_tilde = dec.split.c_tilde
+                for v in (graph.z, dec.z_x, dec.z_y):
+                    off = v - c_tilde @ (c_tilde.T @ gram @ v)
+                    assert np.abs(off).max() <= 1e-10
 
 
 def _oracle(space, pair, n_samples, seed, tol=go.DEFAULT_TOL):

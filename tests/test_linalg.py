@@ -121,17 +121,6 @@ def test_gram_orthonormalize_respects_metric():
     np.testing.assert_allclose(q.T @ gram @ q, np.eye(3), atol=1e-10)
 
 
-def test_subspace_intersection():
-    e = np.eye(4)
-    a = e[:, :3]
-    b = e[:, 1:]
-    inter = linalg.subspace_intersection(a, b)
-    assert inter.shape[1] == 2
-    # intersection lies in both spans
-    assert np.abs(inter - a @ (a.T @ inter)).max() < 1e-12
-    assert np.abs(inter - b @ (b.T @ inter)).max() < 1e-12
-
-
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=2 ** 31))
 @settings(max_examples=25, deadline=None)
 def test_nullspace_dimension_theorem(n, seed):

@@ -189,6 +189,17 @@ def test_classify_structure_on_projective_pair(so5_u2):
     assert "hit_matrix" in data and "v" in data
 
 
+def test_classify_reads_one_read_only_center_per_algebra():
+    for k in range(1, 8):
+        space = catalog.catalog_instantiate(f"struct-{k}", seed=0)
+        first = spaces.classify_structure(space).as_dict()
+        center = core.center_basis(space.g)
+        assert core.center_basis(space.g) is center is space.g.center
+        assert not center.flags.writeable
+        assert spaces.classify_structure(space).as_dict() == first
+        assert first["case"] == k
+
+
 def test_exact_module_bases_match_float_dims(so5_u2):
     lane = spaces.exact_module_bases(so5_u2)
     assert tuple(b.shape[1] for b in lane.bases) == (2, 4)
