@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LieAlgebra, OrbitcheckError, center_basis
-from .linalg import gram_orthonormalize, nullspace, rank_of, rng_for
+from .linalg import gram_orthonormalize, nullspace, rank_threshold, rng_for
 from .spaces import (ReductiveSpace, bracket_coords, minimal_ideals,
                      pair_bracket_tensor)
 
@@ -100,15 +100,16 @@ def principal_isotropy_dim(action: np.ndarray, seed: int = 0) -> int:
     """Generic stabilizer dimension of an action (k generators on R^d).
 
     Draws 20 unit vectors v from one seeded generator and takes the ranks
-    of the 20 (d x k) matrices [X_1 v, ..., X_k v] from one batched SVD;
-    k minus the largest rank is the principal value.
+    of the 20 (d x k) matrices [X_1 v, ..., X_k v] from one batched SVD,
+    cut at ``rank_threshold`` in one call; k minus the largest rank is the
+    principal value.
     """
     k, d, _ = action.shape
     vs = rng_for("principal", seed).standard_normal((20, d))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     columns = (action @ vs.T).transpose(2, 1, 0)
-    return k - max(rank_of(s, (d, k))
-                   for s in np.linalg.svd(columns, compute_uv=False))
+    s = np.linalg.svd(columns, compute_uv=False)
+    return k - int((s > rank_threshold(s, (d, k))).sum(axis=1).max())
 
 
 def _module_action(space: ReductiveSpace, index: int) -> np.ndarray:

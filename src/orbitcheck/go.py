@@ -32,7 +32,7 @@ from . import exact
 from .core import OrbitcheckError, ValidationError
 from .filters import CentralizerSplit, _module_action, normalizer_split
 from .linalg import (DEFAULT_TOL, consistency_gap, min_norm_solve, rank_of,
-                     rank_threshold, rng_for)
+                     rank_threshold, rng_for, stream_states)
 from .spaces import ExactUnavailableError, ReductiveSpace, intertwiners
 
 MARGIN_FACTOR = 1e3
@@ -305,19 +305,45 @@ def go_witness_general(space: ReductiveSpace, metric, x: np.ndarray,
                      rank_gap=rank_aug - rank_a, margin=margin, kind=kind)
 
 
-def _sample_direction(blocks: list[np.ndarray], rng: np.random.Generator,
-                      structured: bool) -> tuple[np.ndarray, str]:
-    if structured and len(blocks) == 2:
-        b1, b2 = blocks
-        x1 = b1 @ rng.standard_normal(b1.shape[1])
-        x2 = b2 @ rng.standard_normal(b2.shape[1])
-        n1 = np.sqrt(x1 @ x1)
-        n2 = np.sqrt(x2 @ x2)
-        if n1 < 1e-12 or n2 < 1e-12:
-            return _sample_direction(blocks, rng, False)
-        return (x1 / n1 + x2 / n2) / np.sqrt(2.0), "structured"
-    v = rng.standard_normal(blocks[0].shape[0])
-    return v / np.sqrt(v @ v), "generic"
+def _directions(blocks: list[np.ndarray], label: tuple, samples: range,
+                streams) -> tuple[np.ndarray, list[str]]:
+    """Unit directions (rows) of ``samples`` and their kinds. Sample j
+    draws from the next generator of ``streams``, which must start where
+    ``rng_for(*label, j)`` does. On two modules an odd j is structured,
+    (X1/|X1| + X2/|X2|) / sqrt(2) with X_k = b_k z_k for one standard
+    normal z_k per module, unless X1 or X2 has norm below 1e-12: then its
+    stream goes on with a generic draw, as every other j is, v / |v| for
+    a standard normal v in m. Module maps and norms are stacked matmuls,
+    bit-identical to the per-sample b @ z and x @ x."""
+    dm = blocks[0].shape[0]
+    widths = [b.shape[1] for b in blocks]
+    mixed = np.array([len(blocks) == 2 and j % 2 == 1 for j in samples],
+                     dtype=bool)
+    z = np.empty((int(mixed.sum()), sum(widths)))
+    v = np.empty((len(samples), dm))
+    rows = iter(z)
+    for i, rng in zip(range(len(samples)), streams):
+        rng.standard_normal(out=next(rows) if mixed[i] else v[i])
+    x = np.empty((len(samples), dm))
+    if len(z):
+        parts = [np.matmul(b, zk[:, :, None])[:, :, 0] for b, zk
+                 in zip(blocks, np.split(z, [widths[0]], axis=1))]
+        n1, n2 = (np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
+                  for p in parts)
+        ok = (n1[:, 0] >= 1e-12) & (n2[:, 0] >= 1e-12)
+        at = np.flatnonzero(mixed)
+        x[at[ok]] = (parts[0][ok] / n1[ok]
+                     + parts[1][ok] / n2[ok]) / np.sqrt(2.0)
+        for i in at[~ok]:
+            rng = rng_for(*label, samples[i])
+            rng.standard_normal(z.shape[1])
+            v[i] = rng.standard_normal(dm)
+            mixed[i] = False
+    generic = ~mixed
+    if generic.any():
+        vs = v[generic]
+        x[generic] = vs / np.sqrt(vs[:, None, :] @ vs[:, :, None])[:, 0]
+    return x, ["structured" if m else "generic" for m in mixed]
 
 
 def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
@@ -325,8 +351,11 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
              exact_mode: bool = False) -> GoVerdict:
     """Sample tangent directions and aggregate pointwise certificates.
 
-    Sample i is drawn from its own generator, and the first certified
-    counterexample ends the run as NOT_GO. The float lane alternates
+    Sample i draws from its own stream, ``rng_for("go", name, seed, i)``
+    (the exact lane's is labelled "go-exact"), and the first certified
+    counterexample ends the run as NOT_GO. A factorised float run
+    derives its streams from the same seeds in one pass
+    (``linalg.stream_states``), so it draws exactly those numbers. The float lane alternates
     generic unit vectors and normalized two-module mixtures
     (X1 + X2) / sqrt(2); the exact lane draws integer combinations of
     the rational module bases. A normal metric (scalar, or lam == mu
@@ -370,10 +399,12 @@ def _float_lane(space: ReductiveSpace, a: MetricOperator, seed: int,
     blocks = [space.module_coords_in_m(i) for i in range(len(space.modules))]
     dm = space.m.dim
     brackets = space.m_bracket_m.reshape(dm, dm * dm)
+    label = ("go", space.name, seed)
 
     def witness(i):
-        x, kind = _sample_direction(blocks, rng_for("go", space.name, seed, i),
-                                    i % 2 == 1)
+        x, kinds = _directions(blocks, label, range(i, i + 1),
+                               [rng_for(*label, i)])
+        x, kind = x[0], kinds[0]
         if not scalar:
             return go_witness_general(space, a, x, tol, kind)
         rhs = -a.apply(x) @ (x @ brackets).reshape(dm, dm)
@@ -432,26 +463,54 @@ class _Factorisation:
         self.seed = seed
         dm, dh = space.m.dim, space.h.dim
         self.blocks = [space.module_coords_in_m(i) for i in range(2)]
+        # PCG64 states of the samples after those held, and the one
+        # generator that reads them
+        self.states: list[dict] = []
+        self.rng: np.random.Generator | None = None
         self.kinds: list[str] = []
         self.rows: list[np.ndarray] = []
         self.r = np.empty((0, dm, 2))
         self.z = np.empty((0, dh, 3))
         self.mz = np.empty((0, dm, 3))
 
-    def fill(self, space: ReductiveSpace, samples: range) -> None:
-        """Factorise the next chunk of samples."""
-        drawn = [_sample_direction(self.blocks,
-                                   rng_for("go", space.name, self.seed, j),
-                                   j % 2 == 1) for j in samples]
+    def fill(self, space: ReductiveSpace, samples: range, stop: int) -> None:
+        """Factorise the next chunk of samples, which a call may follow
+        with more up to ``stop``."""
+        label = ("go", space.name, self.seed)
+        x, kinds = _directions(self.blocks, label, samples,
+                               self._streams(label, samples, stop))
         # witnesses hand out rows of x, so nothing may write to them
-        x = np.array([v for v, _ in drawn])
         x.flags.writeable = False
         r, z, mz = _factorise(space, x)
-        self.kinds += [kind for _, kind in drawn]
+        self.kinds += kinds
         self.rows += list(x)
         self.r = np.concatenate([self.r, r])
         self.z = np.concatenate([self.z, z])
         self.mz = np.concatenate([self.mz, mz])
+
+    def _streams(self, label: tuple, samples: range, stop: int):
+        """Yield a generator at the start of rng_for(*label, j) for each j
+        in ``samples``, the next samples after those held. A chunk of
+        two or more first derives, in one ``stream_states`` pass, the
+        states of every sample up to ``stop`` not yet derived, if there
+        are three or more: the pass has a fixed cost of about three
+        ``rng_for`` calls, and the one-sample chunks that open a run are
+        where a counterexample most often ends it. A sample with no state
+        takes its own ``rng_for``."""
+        todo = range(samples.start + len(self.states),
+                     max(samples.stop, stop))
+        if len(samples) > 1 and len(self.states) < len(samples) and \
+                len(todo) > 2:
+            if self.rng is None:
+                self.rng = np.random.Generator(np.random.PCG64())
+            self.states += stream_states(label, todo)
+        n = min(len(samples), len(self.states))
+        states, self.states = self.states[:n], self.states[n:]
+        for state in states:
+            self.rng.bit_generator.state = state
+            yield self.rng
+        for j in samples[n:]:
+            yield rng_for(*label, j)
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask, residuals and z of the samples in ``part``
@@ -490,8 +549,9 @@ class _ExactFactorisation:
         self.brackets = space.g.structure_exact.bracket_numerators
         self.kinds, self.rows, self.parts, self.solved = [], [], [], {}
 
-    def fill(self, space: ReductiveSpace, samples: range) -> None:
-        """Draw the next chunk of samples."""
+    def fill(self, space: ReductiveSpace, samples: range, stop: int) -> None:
+        """Draw the next chunk of samples, each from its own ``rng_for``
+        (a sample costs far more than its stream, so ``stop`` is unused)."""
         for i in samples:
             rng = rng_for("go-exact", space.name, self.seed, i)
             x1, x2 = (b @ _nonzero_int_vector(rng, b.shape[1])
@@ -560,7 +620,8 @@ def _factored_lane(space: ReductiveSpace, a: MetricOperator, seed: int,
     n = 0
     while n < n_samples and counterexample is None:
         if n >= len(fac.kinds):
-            fac.fill(space, range(n, max(n + 1, min(2 * n, n_samples))))
+            fac.fill(space, range(n, max(n + 1, min(2 * n, n_samples))),
+                     n_samples)
         part = slice(n, min(len(fac.kinds), n_samples))
         reads.append(fac.read_off(a, tol, part))
         n = part.stop

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -373,13 +375,35 @@ def test_pair_solvers_read_the_go_witness_off_inside_c_tilde(entry_id):
                     assert np.abs(off).max() <= 1e-10
 
 
+def _sample_direction(blocks, rng, structured):
+    # sample i's direction, drawn per sample from its own generator
+    if structured and len(blocks) == 2:
+        b1, b2 = blocks
+        x1 = b1 @ rng.standard_normal(b1.shape[1])
+        x2 = b2 @ rng.standard_normal(b2.shape[1])
+        n1 = np.sqrt(x1 @ x1)
+        n2 = np.sqrt(x2 @ x2)
+        if n1 < 1e-12 or n2 < 1e-12:
+            return _sample_direction(blocks, rng, False)
+        return (x1 / n1 + x2 / n2) / np.sqrt(2.0), "structured"
+    v = rng.standard_normal(blocks[0].shape[0])
+    return v / np.sqrt(v @ v), "generic"
+
+
+def _sampled_rows(space, seed, n_samples, blocks=None):
+    blocks = blocks or [space.module_coords_in_m(i) for i in range(2)]
+    drawn = [_sample_direction(blocks, rng_for("go", space.name, seed, i),
+                               i % 2 == 1) for i in range(n_samples)]
+    return np.array([x for x, _ in drawn]), [kind for _, kind in drawn]
+
+
 def _oracle(space, pair, n_samples, seed, tol=go.DEFAULT_TOL):
     """go_check's float loop with one go_witness_general per sample."""
     metric = go.MetricOperator.two_param(space, *pair)
     blocks = [space.module_coords_in_m(i) for i in range(2)]
     witnesses = []
     for i in range(n_samples):
-        x, kind = go._sample_direction(
+        x, kind = _sample_direction(
             blocks, rng_for("go", space.name, seed, i), i % 2 == 1)
         witnesses.append(go.go_witness_general(space, metric, x, tol, kind))
         if not witnesses[-1].solvable:
@@ -428,6 +452,85 @@ def test_factored_lane_matches_per_sample_solves(entry_id, monkeypatch):
             assert len(fallbacks) == (verdict.status == "NOT_GO")
             _assert_same_verdict(verdict,
                                  _oracle(space, pair, 40, seed))
+
+
+def _filled(space, seed, chunks, blocks=None):
+    fac = go._Factorisation(space, seed)
+    if blocks is not None:
+        fac.blocks = blocks
+    n = 0
+    for size in chunks:
+        fac.fill(space, range(n, n + size), sum(chunks))
+        n += size
+    return fac
+
+
+@pytest.mark.parametrize("entry_id", ["go-3-k2", "go-4-r2", "t1-V.10"])
+def test_a_chunked_fill_equals_a_one_shot_fill(entry_id):
+    # chunks that derive their streams in one pass, take rng_for's own,
+    # or both, draw the rows of per-sample draws bit for bit (the
+    # factorisation of a row may move in the last bits with its chunk)
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    rows, kinds = _sampled_rows(space, 3, 40)
+    for chunks in ([40], [1, 1, 2, 4, 8, 16, 8], [1, 2, 1, 36],
+                   [3, 1, 1, 35]):
+        fac = _filled(space, 3, chunks)
+        assert not fac.states and fac.kinds == kinds
+        np.testing.assert_array_equal(np.array(fac.rows), rows)
+    # calls that stop at 5, 6 and 40: the chunk (4, 5) of the second
+    # takes the state the first derived for 4 and rng_for's stream for 5
+    fac = go._Factorisation(space, 3)
+    for start, stop, call_stop in ((0, 1, 5), (1, 2, 5), (2, 4, 5),
+                                   (4, 6, 6), (6, 12, 40), (12, 40, 40)):
+        fac.fill(space, range(start, stop), call_stop)
+        assert len(fac.states) == {4: 1, 12: 28}.get(stop, 0)
+    assert fac.kinds == kinds
+    np.testing.assert_array_equal(np.array(fac.rows), rows)
+
+
+def test_a_zero_norm_module_draw_falls_back_to_a_generic_draw():
+    # a zeroed block makes every structured draw's module part zero: each
+    # such sample goes on along its stream with a generic draw, as the
+    # per-sample draw does
+    space = catalog.catalog_instantiate("go-3-k2", seed=0)
+    blocks = [space.module_coords_in_m(i) for i in range(2)]
+    blocks[1] = np.zeros_like(blocks[1])
+    rows, kinds = _sampled_rows(space, 2, 20, blocks)
+    assert set(kinds) == {"generic"}
+    for chunks in ([20], [1, 1, 2, 4, 8, 4]):
+        fac = _filled(space, 2, chunks, blocks)
+        assert fac.kinds == kinds
+        np.testing.assert_array_equal(np.array(fac.rows), rows)
+
+
+def test_threads_filling_different_spaces_reproduce_the_serial_rows():
+    ids = ["go-3-k2", "go-4-r2", "go-5", "t1-V.10"]
+    spaces_ = [catalog.catalog_instantiate(e, seed=0) for e in ids]
+    chunks = [1, 1, 2, 4, 8, 16, 32, 36]
+    serial = [_filled(space, 5, chunks).rows for space in spaces_]
+    results, errors = [None] * len(ids), []
+
+    def work(k):
+        try:
+            for _ in range(5):
+                results[k] = _filled(spaces_[k], 5, chunks).rows
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(len(ids))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    for got, want in zip(results, serial):
+        np.testing.assert_array_equal(np.array(got), np.array(want))
 
 
 def _dumps(verdict):
