@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import zoo
-from .core import LieAlgebra, ValidationError, direct_sum, trivial_algebra
+from .core import LieAlgebra, OrbitcheckError, direct_sum, trivial_algebra
 from .filters import necessary_filter
 from .go import MetricOperator, go_check
 from .linalg import DEFAULT_TOL
@@ -345,7 +345,7 @@ def catalog_run(source: str | None = None,
                 entry_id=entry.id,
                 passed=all(c.passed for c in checks),
                 error=None, checks=tuple(checks)))
-        except (CatalogError, ValidationError) as err:
+        except (CatalogError, OrbitcheckError) as err:
             results.append(EntryResult(entry_id=entry.id, passed=False,
                                        error=str(err), checks=()))
     return CatalogReport(results=tuple(results), pairs=tuple(pairs),

@@ -353,16 +353,19 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
 
     Sample i draws from its own stream, ``rng_for("go", name, seed, i)``
     (the exact lane's is labelled "go-exact"), and the first certified
-    counterexample ends the run as NOT_GO. A factorised float run
-    derives its streams from the same seeds in one pass
-    (``linalg.stream_states``), so it draws exactly those numbers. The float lane alternates
-    generic unit vectors and normalized two-module mixtures
-    (X1 + X2) / sqrt(2); the exact lane draws integer combinations of
-    the rational module bases. A normal metric (scalar, or lam == mu
-    exactly) is trivially consistent. A two-parameter metric reads its
-    samples off the space's metric-free factorisation for its lane,
-    which serves every (lam, mu) at one seed; only scalar and block
-    float metrics are solved sample by sample.
+    counterexample ends the run as NOT_GO. A float run derives its
+    streams from the same seeds in one pass (``linalg.stream_states``),
+    so it draws exactly those numbers. The float lane alternates generic
+    unit vectors and, on two modules, normalized mixtures
+    (X1 + X2) / sqrt(2); the exact lane draws integer combinations of the
+    rational module bases. A normal metric (scalar, or lam == mu exactly)
+    is trivially consistent. Every metric runs on one driver over its
+    lane's samples, which the space holds for one seed and fills in
+    chunks that double them (1, 1, 2, 4, ...). A two-parameter metric
+    reads them off the metric-free factorisation, a scalar one with
+    z = 0; any other float metric accepts none. A rejected sample is
+    solved again, a float one by go_witness_general, so every float
+    counterexample and ToleranceError is its.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
@@ -370,48 +373,36 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     if not space.modules:
         raise ValidationError("decompose the isotropy modules first")
     normal = len(set(a.exact_params())) == 1 if exact_mode else a.is_scalar
-    status = "NORMAL_TRIVIAL" if normal else "GO_CONSISTENT"
-    counterexample = None
-    if exact_mode or a.kind == "two_param" and not normal:
-        witnesses, max_res, counterexample = _factored_lane(
-            space, a, seed, tol, n_samples, exact_mode)
-    else:
-        witness = _float_lane(space, a, seed, tol)
-        witnesses, max_res = [], 0.0
-        for i in range(n_samples):
-            witnesses.append(witness(i))
-            if not witnesses[-1].solvable:
-                counterexample = witnesses[-1]
+    lane = _ExactFactorisation if exact_mode else _Factorisation \
+        if a.kind == "two_param" and not normal else _Draws
+    fac = space.go_factorisations.get(lane)
+    if fac is None or fac.seed != seed:
+        # one seed per lane, with the samples of its longest call
+        fac = space.go_factorisations[lane] = lane(space, seed)
+    reads, solved, counterexample, n = [], {}, None, 0
+    while n < n_samples and counterexample is None:
+        if n >= len(fac.kinds):
+            fac.fill(space, range(n, max(n + 1, min(2 * n, n_samples))),
+                     n_samples)
+        part = slice(n, min(len(fac.kinds), n_samples))
+        reads.append(fac.read_off(a, tol, part))
+        n = part.stop
+        for i in (part.start + np.flatnonzero(~reads[-1][0])).tolist():
+            w = solved[i] = fac.solve_again(space, a, tol, i)
+            if not w.solvable:
+                counterexample, n = w, i + 1
                 break
-            max_res = max(max_res, witnesses[-1].residual)
-        witnesses = tuple(witnesses)
-    return GoVerdict(status="NOT_GO" if counterexample is not None else status,
-                     witnesses=witnesses, counterexample=counterexample,
-                     max_residual=max_res, n_samples=len(witnesses),
-                     seed=seed, metric=a.as_dict(), space_name=space.name,
-                     exact=bool(exact_mode))
-
-
-def _float_lane(space: ReductiveSpace, a: MetricOperator, seed: int,
-                tol: float):
-    """Witness function of a scalar or block float metric."""
-    scalar = a.is_scalar
-    blocks = [space.module_coords_in_m(i) for i in range(len(space.modules))]
-    dm = space.m.dim
-    brackets = space.m_bracket_m.reshape(dm, dm * dm)
-    label = ("go", space.name, seed)
-
-    def witness(i):
-        x, kinds = _directions(blocks, label, range(i, i + 1),
-                               [rng_for(*label, i)])
-        x, kind = x[0], kinds[0]
-        if not scalar:
-            return go_witness_general(space, a, x, tol, kind)
-        rhs = -a.apply(x) @ (x @ brackets).reshape(dm, dm)
-        return GoWitness(x=x, z=np.zeros(space.h.dim),
-                         residual=float(np.linalg.norm(rhs)), rank_gap=0,
-                         margin=0.0, kind=kind)
-    return witness
+    ok, residuals, zs = (np.concatenate(arrays)[:n]
+                         for arrays in zip(*reads))
+    max_res = max([float(residuals[ok].max(initial=0.0))]
+                  + [w.residual for w in solved.values() if w.solvable])
+    return GoVerdict(status="NOT_GO" if counterexample is not None
+                     else "NORMAL_TRIVIAL" if normal else "GO_CONSISTENT",
+                     witnesses=_ReadOff(fac.rows[:n], fac.kinds[:n], zs,
+                                        residuals, solved),
+                     counterexample=counterexample, max_residual=max_res,
+                     n_samples=n, seed=seed, metric=a.as_dict(),
+                     space_name=space.name, exact=bool(exact_mode))
 
 
 def _factorise(space: ReductiveSpace, x: np.ndarray):
@@ -440,53 +431,40 @@ def _factorise(space: ReductiveSpace, x: np.ndarray):
     return r.transpose(0, 2, 1), z, m @ z
 
 
-class _Factorisation:
-    """Metric-free part of the float system for the samples of one seed.
-
-    For x = x1 + x2 with x_k in module k and A = lam P1 + mu P2, the
-    unit-scale system of ``go_witness_general`` is D M z = rhs with
-    M = -(iso_action @ x)^T, the matrix of z -> proj_m [z, x], free of
-    the metric; D = A / s, s the spectral norm of A; and
-    rhs = (lam R1 + mu R2) / s with R_j = -x_j @ (x @ m_bracket_m).
-    Since [h, m_k] lies in m_k, D only scales the rows of module k by
-    its weight over s, so on a consistent system the min-norm witness is
-    z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 with Z0 = M+(P1 R1 + P2 R2),
-    Z12 = M+(P1 R2) and Z21 = M+(P2 R1). Per sample this keeps x, its
-    kind and what ``_factorise`` returns for it: R1 and R2 (``r``), the
-    three parts (``z``) and their images under M (``mz``), which give
-    D M z for any weights without keeping M.
+class _Draws:
+    """The float lane's samples of one seed, drawn from every module
+    block: their unit directions (``rows``) and kinds. A scalar metric
+    accepts each sample with z = 0; any other float metric accepts none,
+    so each is solved again by ``go_witness_general``.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
         # no reference back to the space, which holds this object: a
         # cycle would keep both alive until the cyclic collector runs
         self.seed = seed
-        dm, dh = space.m.dim, space.h.dim
-        self.blocks = [space.module_coords_in_m(i) for i in range(2)]
+        self.blocks = [space.module_coords_in_m(i)
+                       for i in range(len(space.modules))]
+        dm = space.m.dim
+        self.dh, self.brackets = space.h.dim, space.m_bracket_m.reshape(
+            dm, dm * dm)
         # PCG64 states of the samples after those held, and the one
         # generator that reads them
         self.states: list[dict] = []
         self.rng: np.random.Generator | None = None
         self.kinds: list[str] = []
         self.rows: list[np.ndarray] = []
-        self.r = np.empty((0, dm, 2))
-        self.z = np.empty((0, dh, 3))
-        self.mz = np.empty((0, dm, 3))
 
-    def fill(self, space: ReductiveSpace, samples: range, stop: int) -> None:
-        """Factorise the next chunk of samples, which a call may follow
-        with more up to ``stop``."""
+    def fill(self, space: ReductiveSpace, samples: range, stop: int):
+        """Draw the next chunk of samples, which a call may follow with
+        more up to ``stop``, and return their rows."""
         label = ("go", space.name, self.seed)
         x, kinds = _directions(self.blocks, label, samples,
                                self._streams(label, samples, stop))
         # witnesses hand out rows of x, so nothing may write to them
         x.flags.writeable = False
-        r, z, mz = _factorise(space, x)
         self.kinds += kinds
         self.rows += list(x)
-        self.r = np.concatenate([self.r, r])
-        self.z = np.concatenate([self.z, z])
-        self.mz = np.concatenate([self.mz, mz])
+        return x
 
     def _streams(self, label: tuple, samples: range, stop: int):
         """Yield a generator at the start of rng_for(*label, j) for each j
@@ -513,6 +491,55 @@ class _Factorisation:
             yield rng_for(*label, j)
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
+        """Acceptance mask, residuals and z of the samples in ``part``:
+        under a scalar metric every sample, with z = 0 and residual
+        ||-A x @ (x @ m_bracket_m)|| row by row; under any other, none."""
+        rows = self.rows[part]
+        n, dm = len(rows), len(self.brackets)
+        zs = np.zeros((n, self.dh))
+        if not a.is_scalar:
+            return np.zeros(n, dtype=bool), np.zeros(n), zs
+        residuals = [np.linalg.norm(-a.apply(x) @ (x @ self.brackets).reshape(
+            dm, dm)) for x in rows]
+        return np.ones(n, dtype=bool), np.array(residuals), zs
+
+    def solve_again(self, space: ReductiveSpace, a: MetricOperator, tol, i):
+        return go_witness_general(space, a, self.rows[i], tol, self.kinds[i])
+
+
+class _Factorisation(_Draws):
+    """Metric-free part of the float system for the samples of one seed.
+
+    For x = x1 + x2 with x_k in module k and A = lam P1 + mu P2, the
+    unit-scale system of ``go_witness_general`` is D M z = rhs with
+    M = -(iso_action @ x)^T, the matrix of z -> proj_m [z, x], free of
+    the metric; D = A / s, s the spectral norm of A; and
+    rhs = (lam R1 + mu R2) / s with R_j = -x_j @ (x @ m_bracket_m).
+    Since [h, m_k] lies in m_k, D only scales the rows of module k by
+    its weight over s, so on a consistent system the min-norm witness is
+    z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 with Z0 = M+(P1 R1 + P2 R2),
+    Z12 = M+(P1 R2) and Z21 = M+(P2 R1). Besides the draws, per sample
+    this keeps what ``_factorise`` returns for it: R1 and R2 (``r``),
+    the three parts (``z``) and their images under M (``mz``), which
+    give D M z for any weights without keeping M.
+    """
+
+    def __init__(self, space: ReductiveSpace, seed: int):
+        super().__init__(space, seed)
+        dm, dh = space.m.dim, space.h.dim
+        self.r = np.empty((0, dm, 2))
+        self.z = np.empty((0, dh, 3))
+        self.mz = np.empty((0, dm, 3))
+
+    def fill(self, space: ReductiveSpace, samples: range, stop: int):
+        """Draw and factorise the next chunk of samples."""
+        x = super().fill(space, samples, stop)
+        r, z, mz = _factorise(space, x)
+        self.r = np.concatenate([self.r, r])
+        self.z = np.concatenate([self.z, z])
+        self.mz = np.concatenate([self.mz, mz])
+
+    def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask, residuals and z of the samples in ``part``
         under a two-parameter metric: go_witness_general's residual test,
         ||D M z - rhs|| <= tol * max(1, ||rhs||) at unit scale."""
@@ -524,9 +551,6 @@ class _Factorisation:
             (self.mz[part] @ coeffs) @ (a.matrix / scale) - rhs, axis=1)
         bound = tol * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
         return residual <= bound, scale * residual, self.z[part] @ coeffs
-
-    def solve_again(self, space: ReductiveSpace, a: MetricOperator, tol, i):
-        return go_witness_general(space, a, self.rows[i], tol, self.kinds[i])
 
 
 class _ExactFactorisation:
@@ -602,45 +626,9 @@ class _ExactFactorisation:
                          rank_gap=1, margin=float("inf"), kind="exact")
 
 
-def _factored_lane(space: ReductiveSpace, a: MetricOperator, seed: int,
-                   tol: float, n_samples: int, exact_mode: bool):
-    """Witnesses, max residual and counterexample of a two-parameter
-    metric on its lane's factorisation, filled in chunks that double the
-    samples held (1, 1, 2, 4, ...). The lane solves a rejected sample
-    again: go_witness_general a float one, so every float counterexample
-    and ToleranceError is its, and a solvable answer goes on."""
-    lane = _ExactFactorisation if exact_mode else _Factorisation
-    fac = space.go_factorisations.get(lane)
-    if fac is None or fac.seed != seed:
-        # one seed per lane, with the samples of its longest call
-        fac = space.go_factorisations[lane] = lane(space, seed)
-    reads = []
-    solved: dict[int, GoWitness] = {}
-    counterexample = None
-    n = 0
-    while n < n_samples and counterexample is None:
-        if n >= len(fac.kinds):
-            fac.fill(space, range(n, max(n + 1, min(2 * n, n_samples))),
-                     n_samples)
-        part = slice(n, min(len(fac.kinds), n_samples))
-        reads.append(fac.read_off(a, tol, part))
-        n = part.stop
-        for i in (part.start + np.flatnonzero(~reads[-1][0])).tolist():
-            w = solved[i] = fac.solve_again(space, a, tol, i)
-            if not w.solvable:
-                counterexample, n = w, i + 1
-                break
-    ok, residuals, zs = (np.concatenate(arrays)[:n]
-                         for arrays in zip(*reads))
-    max_res = max([float(residuals[ok].max(initial=0.0))]
-                  + [w.residual for w in solved.values() if w.solvable])
-    return (_ReadOff(fac.rows[:n], fac.kinds[:n], zs, residuals, solved),
-            max_res, counterexample)
-
-
 class _ReadOff(Sequence):
-    """Read-only witnesses of a factorised verdict: solved-again samples
-    as go_witness_general returned them, any other built on first read."""
+    """Read-only witnesses of a verdict: solved-again samples as their
+    lane's ``solve_again`` returned them, any other built on first read."""
 
     def __init__(self, rows, kinds, zs, residuals, solved):
         self._rows, self._kinds, self._zs = rows, kinds, zs

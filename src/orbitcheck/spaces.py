@@ -166,8 +166,9 @@ class ReductiveSpace:
 
     @cached_property
     def go_factorisations(self) -> dict:
-        """GO factorisations of this space by lane, float or exact, each
-        filled and bounded to its lane's latest seed by ``go``."""
+        """GO samples of this space by lane (float draws, float or exact
+        factorisation), each filled and bounded to its lane's latest seed
+        by ``go.go_check``."""
         return {}
 
     @cached_property

@@ -130,6 +130,18 @@ def test_catalog_run_reports_unconstructible_ids_as_failures():
     assert res.error is not None and "e6" in res.error
 
 
+def test_catalog_run_records_a_tolerance_error_and_goes_on():
+    # at a loose tolerance the negative entries' rank gaps fall inside the
+    # ambiguous band: the entry fails with the reason, the others still run
+    report = catalog.catalog_run(ids=["t1-V.10", "go-6-m2n1"], n_samples=10,
+                                 tol=1e-2)
+    assert not report.passed
+    bad, good = sorted(report.results, key=lambda r: r.entry_id != "t1-V.10")
+    assert bad.entry_id == "t1-V.10" and not bad.passed
+    assert "robust band" in bad.error and bad.checks == ()
+    assert good.passed and good.error is None
+
+
 def test_negative_entry_produces_not_go(so9_tensor):
     report = catalog.catalog_run(ids=["t1-V.1-m3n3"], n_samples=30)
     assert report.passed

@@ -224,6 +224,16 @@ def test_catalog_run_exit_codes(runner):
     assert unknown.exit_code == 2
 
 
+def test_catalog_run_names_an_entry_that_raises(runner):
+    result = runner.invoke(main, ["catalog", "run", "--tol", "1e-2",
+                                  "--id", "t1-V.10", "--id", "go-6-m2n1",
+                                  "--samples", "10"])
+    assert result.exit_code == 1
+    assert "FAIL  t1-V.10  (rank gap margin" in result.output
+    assert "ok    go-6-m2n1" in result.output
+    assert "(1/2 passed)" in result.output
+
+
 def test_catalog_run_go_filter_selects_before_running(runner, monkeypatch):
     from orbitcheck import catalog
     instantiated = []

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitcheck import catalog, core, exact, go, spaces
+from orbitcheck import catalog, core, exact, go, natred, spaces, zoo
 from orbitcheck.linalg import rng_for
 from orbitcheck.spaces import ExactUnavailableError
 from test_exact import _solve
@@ -390,22 +390,38 @@ def _sample_direction(blocks, rng, structured):
     return v / np.sqrt(v @ v), "generic"
 
 
+def _blocks(space):
+    return [space.module_coords_in_m(i) for i in range(len(space.modules))]
+
+
 def _sampled_rows(space, seed, n_samples, blocks=None):
-    blocks = blocks or [space.module_coords_in_m(i) for i in range(2)]
+    blocks = blocks or _blocks(space)
     drawn = [_sample_direction(blocks, rng_for("go", space.name, seed, i),
                                i % 2 == 1) for i in range(n_samples)]
     return np.array([x for x, _ in drawn]), [kind for _, kind in drawn]
 
 
-def _oracle(space, pair, n_samples, seed, tol=go.DEFAULT_TOL):
-    """go_check's float loop with one go_witness_general per sample."""
-    metric = go.MetricOperator.two_param(space, *pair)
-    blocks = [space.module_coords_in_m(i) for i in range(2)]
+def _oracle(space, metric, n_samples, seed, tol=go.DEFAULT_TOL):
+    """go_check's float run one sample at a time: the zero witness of a
+    scalar metric (a (lam, mu) pair or an operator), with residual
+    |-A x @ (x @ m_bracket_m)|, else go_witness_general's."""
+    metric = go._as_metric(space, metric)
+    dm = space.m.dim
+    brackets = space.m_bracket_m.reshape(dm, dm * dm)
+    blocks = _blocks(space)
     witnesses = []
     for i in range(n_samples):
         x, kind = _sample_direction(
             blocks, rng_for("go", space.name, seed, i), i % 2 == 1)
-        witnesses.append(go.go_witness_general(space, metric, x, tol, kind))
+        if metric.is_scalar:
+            rhs = -metric.apply(x) @ (x @ brackets).reshape(dm, dm)
+            witnesses.append(go.GoWitness(
+                x=x, z=np.zeros(space.h.dim),
+                residual=float(np.linalg.norm(rhs)), rank_gap=0, margin=0.0,
+                kind=kind))
+        else:
+            witnesses.append(go.go_witness_general(space, metric, x, tol,
+                                                   kind))
         if not witnesses[-1].solvable:
             break
     return witnesses
@@ -454,6 +470,80 @@ def test_factored_lane_matches_per_sample_solves(entry_id, monkeypatch):
                                  _oracle(space, pair, 40, seed))
 
 
+def _space(space_id):
+    """A catalog entry at seed 0, or so(n)/so(k) from ``so_in_so``."""
+    if not space_id.startswith("so("):
+        return catalog.catalog_instantiate(space_id, seed=0)
+    n, k = (int(c) for c in space_id if c.isdigit())
+    return spaces.decompose_isotropy(spaces.reductive_space(
+        None, zoo.named_embedding("so_in_so", k=k, n=n), name=space_id))
+
+
+def _metric(space, kind):
+    """A scalar, diagonal, cross-coupled or pullback metric operator; a
+    diagonal one weighs module k by 1 + 2k (diag(1, 3) on two modules)."""
+    groups = space.isotypic_groups
+    if kind == "scalar":
+        return go.MetricOperator.block(space,
+                                       [2.0 * np.eye(len(g)) for g in groups])
+    if kind == "pullback":
+        return natred.ledger_obata_metric_operator(
+            space, natred.LedgerObataMetric.from_values(2, 1, 3))
+    cross = 0.2 if kind == "cross" else 0.0
+    return go.MetricOperator.block(space, [
+        np.diag([1.0 + 2 * k for k in g]) + cross * (1 - np.eye(len(g)))
+        for g in groups])
+
+
+def _assert_identical(verdict, witnesses):
+    """The verdict is the one-sample-at-a-time run, to the last bit."""
+    assert [json.dumps(w.as_dict()) for w in verdict.witnesses] == \
+        [json.dumps(w.as_dict()) for w in witnesses]
+    if witnesses[-1].solvable:
+        assert verdict.counterexample is None
+    else:
+        assert verdict.status == "NOT_GO"
+        assert verdict.counterexample is verdict.witnesses[-1]
+    assert verdict.n_samples == len(witnesses)
+    assert verdict.max_residual == max(
+        (w.residual for w in witnesses if w.solvable), default=0.0)
+
+
+@pytest.mark.parametrize("space_id, kind, status", [
+    ("go-3-k2", (2, 2), "NORMAL_TRIVIAL"),
+    ("t1-V.10", (2, 2), "NORMAL_TRIVIAL"),
+    ("so(4)/so(3)", "scalar", "NORMAL_TRIVIAL"),
+    ("so(5)/so(3)", "scalar", "NORMAL_TRIVIAL"),
+    ("go-1", "diag", "GO_CONSISTENT"),
+    ("go-1", "cross", "GO_CONSISTENT"),
+    ("struct-1", "diag", "GO_CONSISTENT"),
+    ("struct-1", "cross", "GO_CONSISTENT"),
+    ("struct-1", "pullback", "GO_CONSISTENT"),
+    ("t1-V.10", "diag", "NOT_GO"),
+    ("so(5)/so(3)", "diag", "NOT_GO"),
+    ("so(5)/so(3)", "cross", "NOT_GO"),
+])
+def test_unfactorised_metrics_match_per_sample_runs_bit_for_bit(
+        space_id, kind, status):
+    # scalar, block and pullback metrics on one, two and three modules
+    # draw their chunked samples and solve them as a run of one
+    # go_witness_general (or zero witness) per sample does, also after
+    # longer and shorter calls on the same space
+    space = _space(space_id)
+    assert len(space.modules) == {"so(4)/so(3)": 1,
+                                  "so(5)/so(3)": 3}.get(space_id, 2)
+    metric = kind if isinstance(kind, tuple) else _metric(space, kind)
+    for seed in range(3):
+        for n_samples in (1, 7, 30, 7):
+            verdict = go.go_check(space, metric, n_samples=n_samples,
+                                  seed=seed)
+            assert verdict.status == status
+            _assert_identical(verdict,
+                              _oracle(space, metric, n_samples, seed))
+    assert space.go_factorisations[go._Draws].seed == 2
+    assert list(space.go_factorisations) == [go._Draws]
+
+
 def _filled(space, seed, chunks, blocks=None):
     fac = go._Factorisation(space, seed)
     if blocks is not None:
@@ -493,7 +583,7 @@ def test_a_zero_norm_module_draw_falls_back_to_a_generic_draw():
     # such sample goes on along its stream with a generic draw, as the
     # per-sample draw does
     space = catalog.catalog_instantiate("go-3-k2", seed=0)
-    blocks = [space.module_coords_in_m(i) for i in range(2)]
+    blocks = _blocks(space)
     blocks[1] = np.zeros_like(blocks[1])
     rows, kinds = _sampled_rows(space, 2, 20, blocks)
     assert set(kinds) == {"generic"}
@@ -541,34 +631,40 @@ def _dumps(verdict):
 
 @pytest.mark.parametrize("entry_id", ["go-3-k2", "t1-V.10", "t1-V.1-m3n3"])
 def test_factorisation_cache_is_bounded_and_invisible(entry_id):
-    # interleaved lanes, seeds, sample counts, tolerances and pairs on one
-    # space give the verdicts and witnesses of a fresh space, and the
+    # interleaved lanes, seeds, sample counts, tolerances and metrics on
+    # one space give the verdicts and witnesses of a fresh space, and the
     # space keeps one seed per lane, with no more samples than the longest
     # call since it came in (t1-V.10 has no exact lane)
     space = catalog.catalog_instantiate(entry_id, seed=0)
-    lanes = [go._Factorisation] + [go._ExactFactorisation] * (
-        entry_id in EXACT_CAPABLE)
+    lanes = {go._Factorisation: [(1, 3), (4, 0.5)],
+             go._Draws: [(2, 2), "diag"]}
+    if entry_id in EXACT_CAPABLE:
+        lanes[go._ExactFactorisation] = [(1, 3), (4, 0.5), (2, 2)]
     calls = [(0, 3, 1e-9), (0, 40, 1e-9), (1, 10, 1e-6), (0, 20, 1e-12),
              (1, 60, 1e-9), (1, 5, 1e-9), (2, 1, 1e-9), (0, 40, 1e-9)]
     longest = {}
     for seed, n_samples, tol in calls:
-        for lane in lanes:
+        for lane, metrics in lanes.items():
             exact_mode = lane is go._ExactFactorisation
             held = space.go_factorisations.get(lane)
             if held is None or held.seed != seed:
                 longest[lane] = 0
             longest[lane] = max(longest[lane], n_samples)
-            for pair in ((1, 3), (4, 0.5), (2, 2)) if exact_mode \
-                    else ((1, 3), (4, 0.5)):
-                got = go.go_check(space, pair, n_samples=n_samples,
-                                  seed=seed, tol=tol, exact_mode=exact_mode)
+            for metric in metrics:
                 fresh = catalog.catalog_instantiate(entry_id, seed=0)
-                want = go.go_check(fresh, pair, n_samples=n_samples,
-                                   seed=seed, tol=tol, exact_mode=exact_mode)
-                if exact_mode:
+                on = [(sp, _metric(sp, metric) if metric == "diag"
+                       else metric) for sp in (space, fresh)]
+                got, want = (go.go_check(sp, m, n_samples=n_samples,
+                                         seed=seed, tol=tol,
+                                         exact_mode=exact_mode)
+                             for sp, m in on)
+                if lane is go._Draws:
+                    _assert_identical(got, _oracle(*on[1], n_samples, seed,
+                                                   tol))
+                if lane is not go._Factorisation:
                     assert _dumps(got) == _dumps(want)
                     continue
-                _assert_same_verdict(got, _oracle(fresh, pair, n_samples,
+                _assert_same_verdict(got, _oracle(fresh, metric, n_samples,
                                                   seed, tol))
                 got, want = got.as_dict(), want.as_dict()
                 assert got.pop("max_residual") == pytest.approx(
@@ -576,7 +672,7 @@ def test_factorisation_cache_is_bounded_and_invisible(entry_id):
                 assert got == want
             assert space.go_factorisations[lane].seed == seed
             assert len(space.go_factorisations[lane].kinds) <= longest[lane]
-        assert list(space.go_factorisations) == lanes
+        assert list(space.go_factorisations) == list(lanes)
 
 
 def test_a_rejected_sample_is_solved_again_and_the_run_goes_on(monkeypatch):
