@@ -27,7 +27,7 @@ from . import catalog as catalog_mod
 from . import natred, zoo
 from .core import LieAlgebra, OrbitcheckError, algebra_from_json_dict
 from .filters import necessary_filter
-from .go import MetricOperator, ToleranceError, go_check
+from .go import MARGIN_FACTOR, MetricOperator, ToleranceError, go_check
 from .linalg import DEFAULT_TOL
 from .spaces import classify_structure, decompose_isotropy, reductive_space
 
@@ -148,7 +148,11 @@ _tol_option = click.option("--tol", type=float, default=DEFAULT_TOL,
                            show_default=True, envvar="ORBITCHECK_TOL",
                            show_envvar=True,
                            help="Numerical tolerance; --tol wins over the "
-                                "environment variable.")
+                                "environment variable. A NOT_GO needs a "
+                                f"rank-gap margin of {MARGIN_FACTOR:g}*tol, "
+                                "so above about 1e-5 the catalog's negatives "
+                                "fail with ToleranceError (t1-V.6-n2 at "
+                                "3e-5).")
 _json_option = click.option("--json", "as_json", is_flag=True,
                             help="Machine-readable deterministic output.")
 

@@ -360,10 +360,12 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     (X1 + X2) / sqrt(2); the exact lane draws integer combinations of the
     rational module bases. A normal metric (scalar, or lam == mu exactly)
     is trivially consistent. Every metric runs on one driver over its
-    lane's samples, which the space holds for one seed and fills in
-    chunks that double them (1, 1, 2, 4, ...). A two-parameter metric
-    reads them off the metric-free factorisation, a scalar one with
-    z = 0; any other float metric accepts none. A rejected sample is
+    lane's samples, which the space holds for one seed and fills in two
+    chunks: sample 0, where every counterexample seen so far ends a run,
+    then the rest of the call. A two-parameter metric reads them off the
+    metric-free factorisation, a scalar one with z = 0; any other float
+    metric accepts none. Per-sample products make each float witness
+    independent of its chunk and of earlier calls. A rejected sample is
     solved again, a float one by go_witness_general, so every float
     counterexample and ToleranceError is its.
     """
@@ -382,8 +384,7 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     reads, solved, counterexample, n = [], {}, None, 0
     while n < n_samples and counterexample is None:
         if n >= len(fac.kinds):
-            fac.fill(space, range(n, max(n + 1, min(2 * n, n_samples))),
-                     n_samples)
+            fac.fill(space, range(n, n_samples if n else 1))
         part = slice(n, min(len(fac.kinds), n_samples))
         reads.append(fac.read_off(a, tol, part))
         n = part.stop
@@ -407,28 +408,31 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
 
 def _factorise(space: ReductiveSpace, x: np.ndarray):
     """Metric-free solve for a (k, dim m) stack of directions x = x1 + x2
-    on a two-module space: per row, R1 and R2 (shape (k, dim m, 2)), the
+    on a two-module space: per row, R1 and R2 (shape (k, 2, dim m)), the
     min-norm parts Z0 = M+(P1 R1 + P2 R2), Z12 = M+(P1 R2) and
     Z21 = M+(P2 R1) (shape (k, dim h, 3)) and their images under M
     (shape (k, dim m, 3)), with M and R_j as in ``_Factorisation``. M+
-    comes from one batched SVD, cut at ``rank_threshold`` in one call."""
+    comes from one batched SVD, cut at ``rank_threshold`` in one call.
+    Every product is stacked per row, so a row's results are the same to
+    the last bit whatever rows share its stack."""
     dm, dh = space.m.dim, space.h.dim
-    k = len(x)
-    m = -(space.iso_action.reshape(dh * dm, dm) @ x.T).reshape(
-        dh, dm, k).transpose(2, 1, 0)
-    brackets = (x @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(
+    k, xs = len(x), x[:, None]
+    m = -(xs @ space.iso_action.reshape(dh * dm, dm).T).reshape(
+        k, dh, dm).transpose(0, 2, 1)
+    brackets = (xs @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(
         k, dm, dm)
-    p1, p2 = proj = space.module_projectors
+    proj = space.module_projectors
     # rows R1, R2 of each sample, from its module parts x1, x2
-    r = -(x @ proj).transpose(1, 0, 2) @ brackets
-    parts = np.stack([r[:, 0] @ p1 + r[:, 1] @ p2, r[:, 1] @ p1,
-                      r[:, 0] @ p2], axis=2)
+    r = -(xs[:, None] @ proj)[:, :, 0] @ brackets
+    pr = proj[:, None] @ r.transpose(0, 2, 1)  # [i, :, :, j] = P_i R_j
+    parts = np.stack([pr[0, ..., 0] + pr[1, ..., 1], pr[0, ..., 1],
+                      pr[1, ..., 0]], axis=2)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     cut = rank_threshold(s, (dm, dh))
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
     z = vt.transpose(0, 2, 1) @ (inv[:, :, None]
                                  * (u.transpose(0, 2, 1) @ parts))
-    return r.transpose(0, 2, 1), z, m @ z
+    return r, z, m @ z
 
 
 class _Draws:
@@ -447,48 +451,33 @@ class _Draws:
         dm = space.m.dim
         self.dh, self.brackets = space.h.dim, space.m_bracket_m.reshape(
             dm, dm * dm)
-        # PCG64 states of the samples after those held, and the one
-        # generator that reads them
-        self.states: list[dict] = []
-        self.rng: np.random.Generator | None = None
         self.kinds: list[str] = []
         self.rows: list[np.ndarray] = []
 
-    def fill(self, space: ReductiveSpace, samples: range, stop: int):
-        """Draw the next chunk of samples, which a call may follow with
-        more up to ``stop``, and return their rows."""
+    def fill(self, space: ReductiveSpace, samples: range):
+        """Draw the next chunk of samples and return their rows."""
         label = ("go", space.name, self.seed)
         x, kinds = _directions(self.blocks, label, samples,
-                               self._streams(label, samples, stop))
+                               self._streams(label, samples))
         # witnesses hand out rows of x, so nothing may write to them
         x.flags.writeable = False
         self.kinds += kinds
         self.rows += list(x)
         return x
 
-    def _streams(self, label: tuple, samples: range, stop: int):
+    @staticmethod
+    def _streams(label: tuple, samples: range):
         """Yield a generator at the start of rng_for(*label, j) for each j
-        in ``samples``, the next samples after those held. A chunk of
-        two or more first derives, in one ``stream_states`` pass, the
-        states of every sample up to ``stop`` not yet derived, if there
-        are three or more: the pass has a fixed cost of about three
-        ``rng_for`` calls, and the one-sample chunks that open a run are
-        where a counterexample most often ends it. A sample with no state
-        takes its own ``rng_for``."""
-        todo = range(samples.start + len(self.states),
-                     max(samples.stop, stop))
-        if len(samples) > 1 and len(self.states) < len(samples) and \
-                len(todo) > 2:
-            if self.rng is None:
-                self.rng = np.random.Generator(np.random.PCG64())
-            self.states += stream_states(label, todo)
-        n = min(len(samples), len(self.states))
-        states, self.states = self.states[:n], self.states[n:]
-        for state in states:
-            self.rng.bit_generator.state = state
-            yield self.rng
-        for j in samples[n:]:
-            yield rng_for(*label, j)
+        in ``samples``: rng_for's own for a chunk of one or two, else one
+        generator set to each state of one ``stream_states`` pass, which
+        has a fixed cost of about three ``rng_for`` calls."""
+        if len(samples) < 3:
+            yield from (rng_for(*label, j) for j in samples)
+            return
+        rng = np.random.Generator(np.random.PCG64())
+        for state in stream_states(label, samples):
+            rng.bit_generator.state = state
+            yield rng
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask, residuals and z of the samples in ``part``:
@@ -519,37 +508,42 @@ class _Factorisation(_Draws):
     its weight over s, so on a consistent system the min-norm witness is
     z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 with Z0 = M+(P1 R1 + P2 R2),
     Z12 = M+(P1 R2) and Z21 = M+(P2 R1). Besides the draws, per sample
-    this keeps what ``_factorise`` returns for it: R1 and R2 (``r``),
-    the three parts (``z``) and their images under M (``mz``), which
-    give D M z for any weights without keeping M.
+    this keeps the three parts (``z``) and, as the rows of ``terms``,
+    P1 M Z0, P1 M Z12, P1 M Z21, their P2 images and -R1, -R2: D M z - rhs
+    and -rhs are weighted sums of these rows for any weights, so M is not
+    kept. Each sample's rows come from its own stacked products, in
+    ``_factorise`` and here, and a read-off takes them as one stacked
+    product per sample, so no chunk or earlier call moves their bits.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
         super().__init__(space, seed)
         dm, dh = space.m.dim, space.h.dim
-        self.r = np.empty((0, dm, 2))
         self.z = np.empty((0, dh, 3))
-        self.mz = np.empty((0, dm, 3))
+        self.terms = np.empty((0, 8, dm))
 
-    def fill(self, space: ReductiveSpace, samples: range, stop: int):
+    def fill(self, space: ReductiveSpace, samples: range):
         """Draw and factorise the next chunk of samples."""
-        x = super().fill(space, samples, stop)
+        x = super().fill(space, samples)
         r, z, mz = _factorise(space, x)
-        self.r = np.concatenate([self.r, r])
+        pmz = (space.module_projectors[:, None] @ mz).transpose(1, 0, 3, 2)
+        terms = np.concatenate([pmz.reshape(len(x), 6, -1), -r], axis=1)
         self.z = np.concatenate([self.z, z])
-        self.mz = np.concatenate([self.mz, mz])
+        self.terms = np.concatenate([self.terms, terms])
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask, residuals and z of the samples in ``part``
         under a two-parameter metric: go_witness_general's residual test,
-        ||D M z - rhs|| <= tol * max(1, ||rhs||) at unit scale."""
+        ||D M z - rhs|| <= tol * max(1, ||rhs||) at unit scale, with
+        D M z - rhs and -rhs weighted sums of each sample's ``terms``."""
         lam, mu = float(a.params[0]), float(a.params[1])
         scale = a.spectral_norm
-        coeffs = np.array([1.0, mu / lam, lam / mu])
-        rhs = self.r[part] @ np.array([lam / scale, mu / scale])
-        residual = np.linalg.norm(
-            (self.mz[part] @ coeffs) @ (a.matrix / scale) - rhs, axis=1)
-        bound = tol * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
+        c12, c21, w1, w2 = mu / lam, lam / mu, lam / scale, mu / scale
+        weights = np.array([[w1, w1 * c12, w1 * c21, w2, w2 * c12, w2 * c21,
+                             w1, w2], [0, 0, 0, 0, 0, 0, w1, w2]])
+        coeffs = np.array([1.0, c12, c21])
+        residual, rhs = np.linalg.norm(weights @ self.terms[part], axis=2).T
+        bound = tol * np.maximum(1.0, rhs)
         return residual <= bound, scale * residual, self.z[part] @ coeffs
 
 
@@ -573,9 +567,9 @@ class _ExactFactorisation:
         self.brackets = space.g.structure_exact.bracket_numerators
         self.kinds, self.rows, self.parts, self.solved = [], [], [], {}
 
-    def fill(self, space: ReductiveSpace, samples: range, stop: int) -> None:
+    def fill(self, space: ReductiveSpace, samples: range) -> None:
         """Draw the next chunk of samples, each from its own ``rng_for``
-        (a sample costs far more than its stream, so ``stop`` is unused)."""
+        (a sample costs far more than its stream)."""
         for i in samples:
             rng = rng_for("go-exact", space.name, self.seed, i)
             x1, x2 = (b @ _nonzero_int_vector(rng, b.shape[1])
@@ -696,7 +690,7 @@ def _pair_factorisation(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
     return (replace(split, u=space.m.basis @ (x + y)),
             z[0][:, [2, 1]] * scales,
             (sx * p1 + sy * p2) @ (mz[0][:, [2, 1]] * scales),
-            sx * sy * r[0, :, 0], sx * sy)
+            sx * sy * r[0, 0], sx * sy)
 
 
 def geodesic_graph(space: ReductiveSpace, lam, mu, x: np.ndarray,

@@ -550,30 +550,53 @@ def _filled(space, seed, chunks, blocks=None):
         fac.blocks = blocks
     n = 0
     for size in chunks:
-        fac.fill(space, range(n, n + size), sum(chunks))
+        fac.fill(space, range(n, n + size))
         n += size
     return fac
 
 
+def _held(space, fac):
+    """A factorisation's rows, its held arrays (Z, and R among the read-off
+    terms) and its read-offs of every held sample under three pairs."""
+    reads = [fac.read_off(go.MetricOperator.two_param(space, *pair),
+                          go.DEFAULT_TOL, slice(0, len(fac.kinds)))
+             for pair in ((1, 2), (2.5, 0.5), (0.2, 5))]
+    return [np.array(fac.rows), fac.z, fac.terms,
+            *(array for read in reads for array in read)]
+
+
 @pytest.mark.parametrize("entry_id", ["go-3-k2", "go-4-r2", "t1-V.10"])
-def test_a_chunked_fill_equals_a_one_shot_fill(entry_id):
+def test_a_chunked_fill_equals_a_one_shot_fill(entry_id, monkeypatch):
     # chunks that derive their streams in one pass, take rng_for's own,
-    # or both, draw the rows of per-sample draws bit for bit (the
-    # factorisation of a row may move in the last bits with its chunk)
+    # or both, hold the rows of per-sample draws and the same R, Z and
+    # read-offs as a one-shot fill, bit for bit
     space = catalog.catalog_instantiate(entry_id, seed=0)
     rows, kinds = _sampled_rows(space, 3, 40)
+    want = None
     for chunks in ([40], [1, 1, 2, 4, 8, 16, 8], [1, 2, 1, 36],
-                   [3, 1, 1, 35]):
+                   [3, 1, 1, 35], [1, 39]):
         fac = _filled(space, 3, chunks)
-        assert not fac.states and fac.kinds == kinds
-        np.testing.assert_array_equal(np.array(fac.rows), rows)
-    # calls that stop at 5, 6 and 40: the chunk (4, 5) of the second
-    # takes the state the first derived for 4 and rng_for's stream for 5
+        held = _held(space, fac)
+        assert fac.kinds == kinds
+        np.testing.assert_array_equal(held[0], rows)
+        want = want or held
+        for got, one_shot in zip(held, want):
+            assert got.shape == one_shot.shape
+            assert got.tobytes() == one_shot.tobytes()
+    # a chunk of three or more derives its streams in one pass over
+    # exactly its samples, a shorter one takes rng_for's: no state is left
+    # over for a later chunk, which may come from a later call
+    passes = []
+    derive = go.stream_states
+
+    def spy(label, samples):
+        passes.append(samples)
+        return derive(label, samples)
+    monkeypatch.setattr(go, "stream_states", spy)
     fac = go._Factorisation(space, 3)
-    for start, stop, call_stop in ((0, 1, 5), (1, 2, 5), (2, 4, 5),
-                                   (4, 6, 6), (6, 12, 40), (12, 40, 40)):
-        fac.fill(space, range(start, stop), call_stop)
-        assert len(fac.states) == {4: 1, 12: 28}.get(stop, 0)
+    for start, stop in ((0, 1), (1, 2), (2, 4), (4, 5), (5, 12), (12, 40)):
+        fac.fill(space, range(start, stop))
+    assert passes == [range(5, 12), range(12, 40)]
     assert fac.kinds == kinds
     np.testing.assert_array_equal(np.array(fac.rows), rows)
 
@@ -661,18 +684,44 @@ def test_factorisation_cache_is_bounded_and_invisible(entry_id):
                 if lane is go._Draws:
                     _assert_identical(got, _oracle(*on[1], n_samples, seed,
                                                    tol))
-                if lane is not go._Factorisation:
-                    assert _dumps(got) == _dumps(want)
-                    continue
-                _assert_same_verdict(got, _oracle(fresh, metric, n_samples,
-                                                  seed, tol))
-                got, want = got.as_dict(), want.as_dict()
-                assert got.pop("max_residual") == pytest.approx(
-                    want.pop("max_residual"), rel=1e-10, abs=1e-10)
-                assert got == want
+                if lane is go._Factorisation:
+                    _assert_same_verdict(got, _oracle(fresh, metric,
+                                                      n_samples, seed, tol))
+                assert _dumps(got) == _dumps(want)
             assert space.go_factorisations[lane].seed == seed
             assert len(space.go_factorisations[lane].kinds) <= longest[lane]
         assert list(space.go_factorisations) == list(lanes)
+
+
+@pytest.mark.parametrize("entry_id", ["go-3-k2", "go-4-r2", "go-5"])
+def test_a_float_verdict_does_not_depend_on_an_earlier_call(entry_id):
+    # after a 3-sample call, a 40-sample call at the same seed reads
+    # samples 1 and 2 off the earlier call's chunk and factorises the rest
+    # alone; a fresh space factorises samples 1..39 in one chunk. Both
+    # give the same verdict and witnesses, to the last bit
+    space, fresh = (catalog.catalog_instantiate(entry_id, seed=0)
+                    for _ in range(2))
+    go.go_check(space, (1, 2), n_samples=3, seed=7)
+    assert _dumps(go.go_check(space, (1, 2), n_samples=40, seed=7)) == \
+        _dumps(go.go_check(fresh, (1, 2), n_samples=40, seed=7))
+
+
+def test_a_run_factorises_its_samples_in_two_chunks(monkeypatch):
+    # sample 0 alone, then the rest of the call at once; a longer call
+    # at the same seed factorises only the samples it adds, in one chunk
+    space = catalog.catalog_instantiate("go-4-r2", seed=0)
+    sizes = []
+    factorise = go._factorise
+
+    def counted(space, x):
+        sizes.append(len(x))
+        return factorise(space, x)
+    monkeypatch.setattr(go, "_factorise", counted)
+    assert go.go_check(space, (1, 2), n_samples=100, seed=0).n_samples == 100
+    assert sizes == [1, 99]
+    go.go_check(space, (2.5, 0.5), n_samples=100, seed=0)
+    go.go_check(space, (1, 2), n_samples=150, seed=0)
+    assert sizes == [1, 99, 50]
 
 
 def test_a_rejected_sample_is_solved_again_and_the_run_goes_on(monkeypatch):
@@ -682,7 +731,7 @@ def test_a_rejected_sample_is_solved_again_and_the_run_goes_on(monkeypatch):
     space = catalog.catalog_instantiate("go-3-k2", seed=0)
     pair = (1, 2)
     go.go_check(space, pair, n_samples=40, seed=0)
-    space.go_factorisations[go._Factorisation].mz[17] += 1.0
+    space.go_factorisations[go._Factorisation].terms[17, :6] += 1.0
     solve = go.go_witness_general
     calls = []
 
