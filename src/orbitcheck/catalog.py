@@ -197,7 +197,8 @@ def catalog_instantiate(entry: CatalogEntry | str,
     the space is returned. The seed-free part is built once per process
     and shared by every seed: the entry's embedding (``named_embedding``
     or its builtin builder, memoised) and its reductive split with the
-    isotropy action, the m-bracket tensors and the isotropy commutant
+    isotropy action, the m-bracket tensors, the isotropy commutant and,
+    once first classified, g's minimal ideals and the structure report
     (``reductive_space``, at most ``spaces.SPLIT_CACHE_SIZE`` splits
     kept), all as read-only arrays. Everything seeded runs per call:
     the eigenvalue split of the commutant and the modules read off it,
@@ -289,7 +290,7 @@ def _entry_checks(entry: CatalogEntry, space: ReductiveSpace,
         compare("metric_space_dim", expected["metric_space_dim"],
                 space.metric_space_dim)
     if expected.get("structure_case") is not None:
-        report = classify_structure(space, seed=seed)
+        report = classify_structure(space)
         compare("structure_case", expected["structure_case"],
                 report.case_label)
         if expected.get("counting_value") is not None:

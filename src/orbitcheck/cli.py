@@ -209,7 +209,7 @@ def classify(target, seed, tol, as_json):
 
     def run():
         space = _load_space(target, seed, tol)
-        return space, classify_structure(space, seed=seed)
+        return space, classify_structure(space)
 
     space, report = _wrap(run)
     data = {"space": space.name, **report.as_dict()}

@@ -239,13 +239,14 @@ def validate_algebra(structure, tol: float = DEFAULT_TOL) -> ValidationReport:
     return ValidationReport(anti, jac, anti <= tol and jac <= tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """Immutable Lie algebra with structure tensor and inner product.
 
     Float algebras give ``structure``. Exact algebras give
     ``structure_exact`` and ``structure=None``; their ``structure`` is
-    then the tensor derived from the triples.
+    then the tensor derived from the triples. Equality and hashing are
+    by identity.
     """
 
     structure: np.ndarray | None
@@ -472,11 +473,6 @@ def direct_sum(summands: list[LieAlgebra], name: str | None = None) -> LieAlgebr
         structure[o:o + alg.dim, o:o + alg.dim, o:o + alg.dim] = alg.structure
     return LieAlgebra(structure=structure, inner_product=gram, name=name,
                       inner_product_exact=gram_exact)
-
-
-def center_basis(algebra: LieAlgebra) -> np.ndarray:
-    """``algebra.center``: orthonormal basis of the center, read-only."""
-    return algebra.center
 
 
 def _center(structure: np.ndarray) -> np.ndarray:

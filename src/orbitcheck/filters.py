@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LieAlgebra, OrbitcheckError, center_basis
+from .core import LieAlgebra, OrbitcheckError
 from .linalg import gram_orthonormalize, nullspace, rank_threshold, rng_for
-from .spaces import (ReductiveSpace, bracket_coords, minimal_ideals,
-                     pair_bracket_tensor)
+from .spaces import ReductiveSpace, bracket_coords, pair_bracket_tensor
 
 
 class FilterError(OrbitcheckError):
@@ -196,9 +195,7 @@ def necessary_filter(space: ReductiveSpace, seed: int = 0,
             "extended_action_stabilizer_bound",
             space.modules[absorbed].dim, eta))
     else:
-        center = center_basis(space.g).shape[1]
-        ideals = len(minimal_ideals(space.g, seed=seed))
-        components = center + ideals
+        components = space.g.center.shape[1] + len(space.split.ideals)
         dims["algebra_components"] = components
         rules.append(FilterRule("commuting_modules_need_decomposable_g",
                                 2, components))

@@ -132,6 +132,12 @@ class MetricOperator:
 
     @property
     def is_scalar(self) -> bool:
+        """A = a I to 1e-12 a: for a two-parameter metric lam P1 + mu P2,
+        |lam - mu| <= 1e-12 max(lam, mu); else the largest entry of
+        A - A[0, 0] I against 1e-12 A[0, 0]."""
+        if self.kind == "two_param":
+            lam, mu = map(float, self.params)
+            return abs(lam - mu) <= 1e-12 * max(lam, mu)
         dm = self.matrix.shape[0]
         if dm == 0:
             return True

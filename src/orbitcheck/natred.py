@@ -48,11 +48,13 @@ def _maybe_frac(*values):
 
 @dataclass(frozen=True)
 class TwoFactorWeights:
-    """Result of the two-factor construction for metric weights (a, b)."""
+    """Result of the two-factor construction for metric weights (a, b),
+    kept as ``_maybe_frac`` returns them: Fractions when both convert
+    losslessly, else floats."""
 
     kind: str
-    a: float
-    b: float
+    a: object
+    b: object
     alpha: object | None
     beta: object | None
 
@@ -63,21 +65,8 @@ class TwoFactorWeights:
             return 0.0
         al, be = self.alpha, self.beta
         s = al + be
-        value = 4 * al * be * s - s * s * (self.a_exact + self.b_exact)
+        value = 4 * al * be * s - s * s * (self.a + self.b)
         return abs(float(value))
-
-    @property
-    def a_exact(self):
-        return self._coerce(self.a)
-
-    @property
-    def b_exact(self):
-        return self._coerce(self.b)
-
-    def _coerce(self, v):
-        if isinstance(self.alpha, Fraction):
-            return exact.frac(v)
-        return float(v)
 
     def as_dict(self) -> dict:
         return {
@@ -106,11 +95,11 @@ def product_biinvariant_weights(a, b) -> TwoFactorWeights:
     scale = max(abs(float(av)), abs(float(bv)))
     degenerate = gap == 0 if is_exact else abs(float(gap)) <= 1e-12 * scale
     if degenerate:
-        return TwoFactorWeights(kind="normal", a=float(av), b=float(bv),
+        return TwoFactorWeights(kind="normal", a=av, b=bv,
                                 alpha=None, beta=None)
     alpha = av
     beta = av * (av + bv) / gap
-    return TwoFactorWeights(kind="product", a=float(av), b=float(bv),
+    return TwoFactorWeights(kind="product", a=av, b=bv,
                             alpha=alpha, beta=beta)
 
 

@@ -20,16 +20,15 @@ the same eigenvalue split, applied to the commutant of the adjoint action
 of two generic elements of the derived algebra on itself. The structure
 classifier labels the pair (g, h) by one of seven coarse cases from the
 center dimension, the minimal ideals of g, and how the simple ideals of
-h project onto them.
+h project onto them. None of these depends on a seed, so the ideals of
+g and the label are computed once per split, from draws of their own.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -38,7 +37,7 @@ from fractions import Fraction
 
 from . import exact
 from .core import (LieAlgebra, OrbitcheckError, Subspace, ValidationError,
-                   EffectivenessError, center_basis, pair_bracket_tensor)
+                   EffectivenessError, pair_bracket_tensor)
 from .linalg import (column_space, gram_orthonormalize, nullspace, rng_for,
                      svd_rank)
 from .zoo import Embedding, EmbeddingChain, as_embedding
@@ -78,10 +77,11 @@ def _within(residual: float, tol: float, what: str) -> None:
 
 class ReductiveSplit:
     """The part of g = h + m that no name or seed touches: h, m, the
-    closure and [h, m] residuals ``reductive_space`` measured (None on a
+    closure and [h, m] residuals ``_build_split`` measured (None on a
     split it did not build), and, each computed when first read, the
-    isotropy action, the m-bracket tensors and the isotropy commutant.
-    Every array is read-only, as splits are shared between spaces."""
+    isotropy action, the m-bracket tensors, the isotropy commutant, the
+    minimal ideals of g and the structure report of (g, h). Every array
+    is read-only, as splits are shared between spaces."""
 
     def __init__(self, g: LieAlgebra, h: Subspace, m: Subspace,
                  closure: float | None = None, leak: float | None = None):
@@ -117,6 +117,16 @@ class ReductiveSplit:
         basis of the maps on m commuting with ad(h), (count, dim m, dim m).
         Its only draw is ``rng_for("intertwiners", dim h)``, no seed."""
         return _read_only(intertwiners(self.iso_action, self.iso_action))
+
+    @cached_property
+    def ideals(self) -> tuple[np.ndarray, ...]:
+        """``minimal_ideals(g)``, read-only."""
+        return tuple(_read_only(b) for b in minimal_ideals(self.g))
+
+    @cached_property
+    def structure(self) -> StructureReport:
+        """The seven-case label of (g, h); see ``classify_structure``."""
+        return _classify(self)
 
 
 @dataclass(frozen=True)
@@ -255,12 +265,13 @@ def reductive_space(g: LieAlgebra | None,
     for each (g, composite embedding) pair, by object identity, and
     shared by every space built from it, whatever its name or seed:
     h, m, the residuals, and, once first read, the isotropy action, the
-    m-bracket tensors and the isotropy commutant, all read-only.
-    ``SPLITS`` keeps the last ``SPLIT_CACHE_SIZE`` splits and holds each
-    pair, so no id is reused while its entry lives. Each call compares
-    the stored residuals with its own ``tol`` and raises what a fresh
-    build would; a refused build is not kept. A raw matrix builds a
-    split of its own on every call.
+    m-bracket tensors, the isotropy commutant, the minimal ideals of g
+    and the structure report, all read-only. ``SPLITS``, an
+    ``lru_cache`` of ``SPLIT_CACHE_SIZE`` entries, keeps the recent
+    splits; a build that raises is not kept. A raw matrix builds a split
+    of its own on every call. Either way the split's residuals are then
+    compared with this call's ``tol``, so a split one call refuses is
+    kept and served to a call with a looser ``tol``.
     """
     if isinstance(h_embedding, (Embedding, EmbeddingChain)):
         emb = as_embedding(h_embedding)
@@ -268,7 +279,7 @@ def reductive_space(g: LieAlgebra | None,
             g = emb.target
         elif g.dim != emb.target.dim:
             raise ValidationError("embedding target does not match g")
-        split = SPLITS.split_of(g, emb, tol)
+        split = SPLITS(g, emb)
     else:
         if g is None:
             raise ValidationError("g is required with a raw basis matrix")
@@ -276,18 +287,16 @@ def reductive_space(g: LieAlgebra | None,
         cols = np.asarray(h_embedding, dtype=np.float64)
         if cols.ndim != 2 or cols.shape[0] != g.dim:
             raise ValidationError(f"h basis shape {cols.shape} does not match g")
-        split = _build_split(g, cols, tol)
+        split = _build_split(g, cols)
+    split.check(tol)
     return ReductiveSpace(g=g, h=split.h, m=split.m, name=name,
                           embedding=emb, split=split)
 
 
-def _build_split(g: LieAlgebra, cols: np.ndarray,
-                 tol: float) -> ReductiveSplit:
-    """The checked split of g along the span of ``cols``."""
+def _build_split(g: LieAlgebra, cols: np.ndarray) -> ReductiveSplit:
+    """The split of g along the span of ``cols`` with its closure and
+    [h, m] residuals, raising on the checks that no ``tol`` decides."""
     h = Subspace.from_columns(g, cols, name="h")
-    closure = h.closure_residual() if h.dim else 0.0
-    if h.dim:
-        _within(closure, tol, "h is not a subalgebra")
     if h.dim == g.dim:
         raise EffectivenessError("h equals g; the space is a point")
     comp = nullspace(cols.T @ g.inner_product) if h.dim else np.eye(g.dim)
@@ -297,54 +306,23 @@ def _build_split(g: LieAlgebra, cols: np.ndarray,
         raise ValidationError("h and m do not span g")
     raw = pair_bracket_tensor(g, h.basis, m.basis)
     leak = m.max_distance(raw.reshape(h.dim * m.dim, g.dim).T)
-    _within(leak, tol, "[h, m] leaves m")
     if h.dim:
         kernel = nullspace(raw.reshape(h.dim, -1).T)
         if kernel.shape[1]:
             raise EffectivenessError(
                 f"h contains a {kernel.shape[1]}-dimensional ideal of g "
                 "acting trivially on m")
-    return ReductiveSplit(g, h, m, closure, leak)
-
-
-class _SplitCache:
-    """Splits by the identity of (g, embedding), the least recently used
-    evicted past ``maxsize``. Each entry holds its embedding and (through
-    the split) its g, so neither id is reused while the entry lives. A
-    lock guards the table; builds run outside it."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def split_of(self, g: LieAlgebra, emb: Embedding,
-                 tol: float) -> ReductiveSplit:
-        key = id(g), id(emb)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-        if entry is not None:
-            entry[1].check(tol)
-            return entry[1]
-        split = _build_split(g, emb.matrix, tol)
-        with self._lock:
-            self._entries[key] = emb, split
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return split
+    return ReductiveSplit(g, h, m, h.closure_residual() if h.dim else 0.0,
+                          leak)
 
 
 SPLIT_CACHE_SIZE = 32
-SPLITS = _SplitCache(SPLIT_CACHE_SIZE)
+
+
+@lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def SPLITS(g: LieAlgebra, emb: Embedding) -> ReductiveSplit:
+    """The split of g along ``emb``, cached by the identity of both."""
+    return _build_split(g, emb.matrix)
 
 
 def _cluster(values: np.ndarray) -> list[np.ndarray]:
@@ -561,29 +539,30 @@ def _connected_groups(items: list, linked) -> list[list[int]]:
 
 # --- minimal ideals and the structure classifier -----------------------
 
-def minimal_ideals(alg: LieAlgebra, seed: int = 0) -> list[np.ndarray]:
+def minimal_ideals(alg: LieAlgebra) -> list[np.ndarray]:
     """Gram-orthonormal bases of the minimal ideals of the derived algebra.
 
     An ideal of a compact algebra is an ad-invariant subspace, so the
     minimal ideals of s = [g, g] are its irreducible ad(s)-submodules.
-    Two seeded generic elements of s generate s (Kuranishi 1951), so
+    Two random generic elements of s generate s (Kuranishi 1951), so
     ``intertwiners`` on their adjoint actions, in s's gram-orthonormal
     coordinates, gives the commutant of ad(s): one map per simple ideal,
     as each carries an absolutely irreducible adjoint action that no
     other ideal shares. s splits along the eigenvalue clusters of a
     random element of that commutant. A draw is kept only when it gives
     one cluster per commutant map and the clusters are verified to be
-    ideals spanning s; otherwise it retries with derived seeds, then
-    fails. Ideals are ordered by dimension, then by the rounded entries
-    of their projectors B B^T, larger first; these depend only on the
-    subspace, so the order does not depend on the seed.
+    ideals spanning s; otherwise it retries, then fails. Attempt k draws
+    from ``rng_for("ideals", alg.name, k)``, so no seed reaches it.
+    Ideals are ordered by dimension, then by the rounded entries of their
+    projectors B B^T, larger first; these depend only on the subspace,
+    so the order does not depend on the draw.
     """
     gram = alg.inner_product
-    s_basis = gram_orthonormalize(nullspace(center_basis(alg).T @ gram), gram)
+    s_basis = gram_orthonormalize(nullspace(alg.center.T @ gram), gram)
     if s_basis.shape[1] == 0:
         return []
     for attempt in range(3):
-        rng = rng_for("ideals", alg.name, seed, attempt)
+        rng = rng_for("ideals", alg.name, attempt)
         generic = s_basis @ rng.standard_normal((s_basis.shape[1], 2))
         gens = bracket_coords(alg, pair_bracket_tensor(alg, generic, s_basis),
                               s_basis)
@@ -656,8 +635,7 @@ def _subalgebra_algebra(g: LieAlgebra, basis: np.ndarray,
     return LieAlgebra(structure=structure, inner_product=np.eye(d), name=name)
 
 
-def classify_structure(space: ReductiveSpace,
-                       seed: int = 0) -> StructureReport:
+def classify_structure(space: ReductiveSpace) -> StructureReport:
     """Label (g, h) by the seven-case coarse structure decision tree.
 
     The tree keys on the center dimension of g, then on how the simple
@@ -668,26 +646,33 @@ def classify_structure(space: ReductiveSpace,
     h-ideals the count of deficiently covered ideals decides (2) or (7).
     Center dimension 2 is the flat case (5); center dimension 1 routes
     to (6) or (4) by whether h sits inside the derived algebra.
+
+    Its inputs are the centers and minimal ideals of g and h, which no
+    seed changes, so the report is computed once per split, with g's
+    ideals read from ``split.ideals``, and returned on every later call.
     """
-    g = space.g
-    h_basis = space.h.basis
+    return space.split.structure
+
+
+def _classify(split: ReductiveSplit) -> StructureReport:
+    g = split.g
+    h_basis = split.h.basis
     gram = g.inner_product
     eigs = np.linalg.eigvalsh(-g.killing_form)
     scale = max(float(np.abs(eigs).max()), 1.0)
     if eigs.min() < -1e-8 * scale:
         raise ClassificationError("g is not compact (Killing form sign)")
-    center = center_basis(g)
+    center = g.center
     cg = center.shape[1]
-    ideals = minimal_ideals(g, seed=seed)
+    ideals = split.ideals
     ideal_dims = tuple(b.shape[1] for b in ideals)
-    proj_dims = tuple(int(svd_rank(b.T @ gram @ h_basis)) if space.h.dim else 0
+    proj_dims = tuple(int(svd_rank(b.T @ gram @ h_basis)) if split.h.dim else 0
                       for b in ideals)
     deficient = tuple(pd < b.shape[1] for pd, b in zip(proj_dims, ideals))
-    if space.h.dim:
+    if split.h.dim:
         h_alg = _subalgebra_algebra(g, h_basis, "h")
-        h_center = center_basis(h_alg)
-        l_dim = h_center.shape[1]
-        h_ideals = minimal_ideals(h_alg, seed=seed)
+        l_dim = h_alg.center.shape[1]
+        h_ideals = minimal_ideals(h_alg)
     else:
         l_dim = 0
         h_ideals = []
@@ -723,13 +708,13 @@ def classify_structure(space: ReductiveSpace,
     if cg > 2:
         raise ClassificationError(f"center dimension {cg} exceeds 2")
     if cg == 2:
-        if ideals or space.h.dim:
+        if ideals or split.h.dim:
             raise ClassificationError("center dimension 2 requires g flat "
                                       "and h trivial")
         return report(5)
     if cg == 1:
         center_overlap = float(np.abs(center.T @ gram @ h_basis).max()) \
-            if space.h.dim else 0.0
+            if split.h.dim else 0.0
         return report(6 if center_overlap <= 1e-8 else 4)
     if not v or v[0] == 1:
         if p == 2:

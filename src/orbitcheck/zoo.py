@@ -365,13 +365,13 @@ def _exactify_matrix(m: np.ndarray) -> np.ndarray:
     return fracs[inverse].reshape(m.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
     """Injective Lie algebra homomorphism in coordinates.
 
     ``matrix`` maps source coordinates to target coordinates and has
     shape (target.dim, source.dim). Construction verifies injectivity
-    and the homomorphism property.
+    and the homomorphism property. Equality and hashing are by identity.
     """
 
     source: LieAlgebra

@@ -90,7 +90,7 @@ def test_direct_sum_blocks_and_cross_brackets():
 
 def test_center_basis_of_u2():
     u2 = zoo.classical("u", 2)
-    z = core.center_basis(u2)
+    z = u2.center
     assert z.shape[1] == 1
     # the central direction commutes with everything
     assert np.abs(np.einsum("ijk,ia->ajk", u2.structure, z)).max() < 1e-12

@@ -103,6 +103,17 @@ def test_is_scalar_cuts_a_block_metric_where_it_did(so5_u2, offset, scalar):
     assert not metric.matrix.flags.writeable
 
 
+@pytest.mark.parametrize("offset, scalar", [
+    (0.0, True), (1e-13, True), (-1e-13, True), (1e-11, False)])
+def test_is_scalar_of_a_two_param_metric_reads_its_weights(so5_u2, offset,
+                                                          scalar):
+    # |lam - mu| <= 1e-12 max(lam, mu) agrees with the matrix test here
+    metric = go.MetricOperator.two_param(so5_u2, 3.0, 3.0 + 3 * offset)
+    a = metric.matrix[0, 0]
+    old = float(np.abs(metric.matrix - a * np.eye(6)).max()) <= 1e-12 * a
+    assert metric.is_scalar == old == scalar
+
+
 def test_metric_operator_validation(so5_u2, so8_g2):
     with pytest.raises(core.ValidationError):
         go.MetricOperator.two_param(so5_u2, -1.0, 2.0)

@@ -43,6 +43,16 @@ def test_two_factor_decimal_strings_stay_exact():
     assert w.identity_residual == 0.0
 
 
+def test_two_factor_keeps_large_denominators_exact():
+    # 1/3000001 lies past the 2^20 denominators a float is read back with
+    w = natred.product_biinvariant_weights(Fraction(1, 3_000_001), 1)
+    assert (w.a, w.b) == (Fraction(1, 3_000_001), 1)
+    assert w.identity_residual == 0.0
+    data = w.as_dict()
+    assert (data["a"], data["alpha"]) == (1 / 3_000_001, 1 / 3_000_001)
+    assert data["identity_residual"] == 0.0
+
+
 @given(st.floats(min_value=0.1, max_value=3.0),
        st.floats(min_value=0.1, max_value=3.0))
 @settings(max_examples=200, deadline=None)

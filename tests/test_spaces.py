@@ -135,17 +135,24 @@ def test_minimal_ideals_are_ideals(name):
                 assert sub.distance(images[:, j]) < 1e-8
 
 
-def test_minimal_ideal_order_does_not_depend_on_the_seed():
+def test_minimal_ideal_order_does_not_depend_on_the_draw():
     # so(4) splits into two so(3) ideals of equal dimension, so only a key
-    # read off each subspace, not off the random basis, fixes their order
+    # read off each subspace, not off the random basis, fixes their order;
+    # the draws are labelled by the algebra's name, so a renamed copy
+    # draws afresh
     for name in ("so(4)", "so(4)+so(3)", "so(4)+so(4)"):
         alg = zoo.algebra_by_name(name)
-        first = [b @ b.T for b in spaces.minimal_ideals(alg, seed=0)]
-        for seed in range(1, 5):
-            again = [b @ b.T for b in spaces.minimal_ideals(alg, seed=seed)]
+        first = spaces.minimal_ideals(alg)
+        for k in range(4):
+            # structure=None keeps the exact constants the only structure
+            renamed = replace(alg, structure=None, name=f"{name} copy {k}")
+            again = spaces.minimal_ideals(renamed)
             assert len(again) == len(first)
+            # another draw: other bases of the same ideals, in one order
+            assert not all(np.allclose(p, q) for p, q in zip(first, again))
             for p, q in zip(first, again):
-                np.testing.assert_allclose(q, p, atol=1e-8, err_msg=name)
+                np.testing.assert_allclose(q @ q.T, p @ p.T, atol=1e-8,
+                                           err_msg=name)
 
 
 def test_minimal_ideals_refuse_a_split_that_merges_ideals(monkeypatch):
@@ -193,11 +200,31 @@ def test_classify_reads_one_read_only_center_per_algebra():
     for k in range(1, 8):
         space = catalog.catalog_instantiate(f"struct-{k}", seed=0)
         first = spaces.classify_structure(space).as_dict()
-        center = core.center_basis(space.g)
-        assert core.center_basis(space.g) is center is space.g.center
+        center = space.g.center
+        assert space.g.center is center
         assert not center.flags.writeable
         assert spaces.classify_structure(space).as_dict() == first
         assert first["case"] == k
+
+
+def test_the_classifier_runs_once_per_split_whatever_the_seed(monkeypatch,
+                                                              cold_splits):
+    calls = []
+    inner = spaces.minimal_ideals
+    monkeypatch.setattr(spaces, "minimal_ideals",
+                        lambda alg: calls.append(alg.name) or inner(alg))
+    for k in range(1, 8):
+        calls.clear()
+        reports = []
+        for seed in range(12):
+            space = catalog.catalog_instantiate(f"struct-{k}", seed=seed)
+            reports.append(spaces.classify_structure(space))
+            # the zero-bracket rule counts g's ideals off the same split
+            if filters.bracket_location(space, 1e-8) == "zero":
+                filters.necessary_filter(space, seed=seed)
+        assert all(r == reports[0] for r in reports)
+        want = [space.g.name] + (["h"] if space.h.dim else [])
+        assert sorted(calls) == sorted(want), k
 
 
 def test_exact_module_bases_match_float_dims(so5_u2):
@@ -646,14 +673,19 @@ def _outcome(build):
     return "built"
 
 
-def test_a_warm_split_honours_each_calls_tol():
-    # so(3) in so(5) tilted by 1e-6 (kept by a loose homomorphism bound):
-    # residuals near 1.7e-7, so each call's tol decides, warm as cold
+def _tilted_so3_in_so5():
+    """so(3) in so(5) tilted by 1e-6, kept by a loose homomorphism bound:
+    closure and [h, m] residuals near 1.7e-7."""
     base = zoo.embed_so_in_so(3, 5)
     tilted = base.matrix.copy()
     tilted[-1, 0] += 1e-6
-    emb = zoo.Embedding(source=base.source, target=base.target,
-                        matrix=tilted, atol=1e-3)
+    return zoo.Embedding(source=base.source, target=base.target,
+                         matrix=tilted, atol=1e-3)
+
+
+def test_a_warm_split_honours_each_calls_tol():
+    # each call's tol decides, warm as cold
+    emb = _tilted_so3_in_so5()
     split = spaces.reductive_space(None, emb, tol=1.0).split
     assert split.closure > 1e-7 and split.leak > 1e-7
     outcomes = set()
@@ -666,6 +698,19 @@ def test_a_warm_split_honours_each_calls_tol():
         outcomes.add(warm.split(" (")[0])
     assert outcomes == {"built", "h is not a subalgebra"}
     assert spaces.reductive_space(None, emb, tol=1e-6).split is split
+
+
+def test_a_split_refused_by_tol_is_kept(cold_splits):
+    # the residuals are the split's own; only the comparison is per call
+    emb = _tilted_so3_in_so5()
+    for _ in range(2):
+        with pytest.raises(core.ValidationError, match="not a subalgebra"):
+            spaces.reductive_space(None, emb, tol=1e-8)
+    info = spaces.SPLITS.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    split = spaces.reductive_space(None, emb, tol=1e-6).split
+    assert split.closure > 1e-8
+    assert spaces.SPLITS.cache_info()[:2] == (2, 1)
 
 
 def test_a_warm_split_does_not_serve_another_g_of_its_dimension():
@@ -684,11 +729,14 @@ def test_a_warm_split_does_not_serve_another_g_of_its_dimension():
 def test_a_refused_build_is_refused_on_every_call():
     emb = zoo.named_embedding("so_in_so", k=2, n=3)
     torus = zoo.classical("torus", 3)
-    before = len(spaces.SPLITS)
+    before = spaces.SPLITS.cache_info()
     for _ in range(3):
         with pytest.raises(core.EffectivenessError):
             spaces.reductive_space(torus, emb)
-    assert len(spaces.SPLITS) == before
+    after = spaces.SPLITS.cache_info()
+    # each call built afresh, and none was kept
+    assert after.misses == before.misses + 3 and after.hits == before.hits
+    assert after.currsize == before.currsize
     # a commutant over the size bound is not kept either
     space = spaces.reductive_space(
         None, zoo.named_embedding("so_in_so", k=8, n=16))
@@ -713,12 +761,12 @@ def test_the_split_cache_keeps_its_bound(cold_splits):
     # a fresh Embedding object is a fresh key
     embs = [zoo.embed_so_in_so(2, 3) for _ in range(size + 3)]
     splits = [spaces.reductive_space(None, e).split for e in embs]
-    assert len(spaces.SPLITS) == size
+    assert spaces.SPLITS.cache_info() == (0, size + 3, size, size)
     # the three least recently used are gone, the rest are kept
     assert spaces.reductive_space(None, embs[-1]).split is splits[-1]
     assert spaces.reductive_space(None, embs[3]).split is splits[3]
     assert spaces.reductive_space(None, embs[0]).split is not splits[0]
-    assert len(spaces.SPLITS) == size
+    assert spaces.SPLITS.cache_info() == (2, size + 4, size, size)
 
 
 def test_the_split_cache_survives_concurrent_callers(cold_splits):
@@ -749,4 +797,6 @@ def test_the_split_cache_survives_concurrent_callers(cold_splits):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert len(spaces.SPLITS) == spaces.SPLIT_CACHE_SIZE
+    info = spaces.SPLITS.cache_info()
+    assert info.hits + info.misses == 6 * 60
+    assert info.currsize == spaces.SPLIT_CACHE_SIZE
