@@ -256,6 +256,11 @@ class LieAlgebra:
     inner_product_exact: np.ndarray | None = None
 
     def __post_init__(self):
+        # a copy (dataclasses.replace) is handed the tensor derived from
+        # its exact constants, which is no second representation
+        if self.structure_exact is not None and \
+                self.structure is self.structure_exact.tensor:
+            object.__setattr__(self, "structure", None)
         if (self.structure is None) == (self.structure_exact is None):
             raise ValidationError("give either a float structure tensor or "
                                   "exact structure constants")

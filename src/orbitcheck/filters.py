@@ -50,6 +50,11 @@ class CentralizerSplit:
 def normalizer_split(space: ReductiveSpace, u: np.ndarray) -> CentralizerSplit:
     """Split h along the centralizer of u and its normalizer.
 
+    [h, h] lies in h and [h, m_k] in m_k, so C = C_h(u) is the same for
+    u and for ``_balanced(space, u)``, whose parts have unit norm: C is
+    computed there, so its rank gap does not shrink with the ratio of
+    the parts' norms. C~ is the z in the complement of C in h with
+    [z, C] in C, and N = C + C~, so N contains C by construction.
     Verifies the structural identity [C~, C] = 0: the complement of the
     centralizer inside its own normalizer commutes with the centralizer.
     Empty centralizers, complements and h go through the same steps.
@@ -57,19 +62,36 @@ def normalizer_split(space: ReductiveSpace, u: np.ndarray) -> CentralizerSplit:
     g = space.g
     h_basis = space.h.basis
     gram = g.inner_product
-    c = centralizer(g, h_basis, u)
+    c = centralizer(g, h_basis, _balanced(space, u))
     comp = gram_orthonormalize(h_basis @ nullspace(c.T @ gram @ h_basis), gram)
-    # z normalizes C when no [z, c_b] has a component along comp
-    coords = bracket_coords(g, pair_bracket_tensor(g, h_basis, c), comp)
-    rows = coords.reshape(h_basis.shape[1], c.shape[1] * comp.shape[1]).T
-    n = gram_orthonormalize(h_basis @ nullspace(rows), gram)
-    c_tilde = gram_orthonormalize(n @ nullspace(c.T @ gram @ n), gram)
+    # z in comp normalizes C when no [z, c_b] has a component along comp
+    coords = bracket_coords(g, pair_bracket_tensor(g, comp, c), comp)
+    rows = coords.reshape(comp.shape[1], c.shape[1] * comp.shape[1]).T
+    c_tilde = gram_orthonormalize(comp @ nullspace(rows), gram)
+    n = np.hstack([c, c_tilde])
     worst = float(np.abs(pair_bracket_tensor(g, c_tilde, c)).max(initial=0.0))
     if worst > 1e-8:
         raise FilterError(
             f"normalizer complement does not commute with the "
             f"centralizer (residual {worst:.2e})")
     return CentralizerSplit(u=u, c=c, n=n, c_tilde=c_tilde)
+
+
+def _balanced(space: ReductiveSpace, u: np.ndarray) -> np.ndarray:
+    """Sum of u's parts along h and along each isotropy module (along m
+    before a decomposition), each scaled to unit norm; a part at or below
+    1e-12 max(1, |u|) counts as zero."""
+    gram = space.g.inner_product
+    blocks = [space.h.basis] + ([mod.basis for mod in space.modules]
+                                or [space.m.basis])
+    floor = 1e-12 * max(1.0, float(np.linalg.norm(u)))
+    out = np.zeros_like(u, dtype=np.float64)
+    for b in blocks:
+        coords = b.T @ (gram @ u)
+        size = float(np.linalg.norm(coords))
+        if size > floor:
+            out += b @ (coords / size)
+    return out
 
 
 def bracket_location(space: ReductiveSpace, tol: float = 1e-8) -> str:

@@ -31,11 +31,18 @@ import numpy as np
 from . import exact
 from .core import OrbitcheckError, ValidationError
 from .filters import CentralizerSplit, _module_action, normalizer_split
-from .linalg import (DEFAULT_TOL, consistency_gap, min_norm_solve, rank_of,
-                     rank_threshold, rng_for, stream_states)
+from .linalg import (DEFAULT_TOL, RANK_FLOOR, consistency_gap,
+                     min_norm_solve, rank_of, rank_threshold, rng_for,
+                     stream_states)
 from .spaces import ExactUnavailableError, ReductiveSpace, intertwiners
 
 MARGIN_FACTOR = 1e3
+# the QR certificate of ``_qr_solve``: an R is inverted only when its
+# smallest pivot exceeds QR_PIVOT_FLOOR |M|_F, and a row is solved by QR
+# only when |M|_F |R^-1|_F, a bound on the condition number of M, is at
+# most QR_CONDITION_CAP, far below the 1 / (dim m eps) of rank_threshold
+QR_PIVOT_FLOOR = 1e-8
+QR_CONDITION_CAP = 1e8
 
 
 class ToleranceError(OrbitcheckError):
@@ -82,19 +89,29 @@ class MetricOperator:
 
     @classmethod
     def two_param(cls, space: ReductiveSpace, lam, mu) -> "MetricOperator":
-        """Metric lam P1 + mu P2 of norm max(lam, mu), unchecked per call."""
+        """Metric lam P1 + mu P2 of norm max(lam, mu), unchecked per call
+        (the projectors are checked once per space). ``matrix`` is formed
+        on first read: the factorised read-off never reads it."""
         if len(space.modules) != 2:
             raise ValidationError("two-parameter metric needs two modules")
         lam_f, mu_f = float(lam), float(mu)
         if lam_f <= 0 or mu_f <= 0:
             raise ValidationError("metric parameters must be positive")
-        p1, p2 = space.module_projectors
+        space.module_projectors  # raises on a split that is not invariant
         op = object.__new__(cls)
-        vars(op).update(space=space, matrix=lam_f * p1 + mu_f * p2,
-                        kind="two_param", params=(lam, mu),
+        vars(op).update(space=space, kind="two_param", params=(lam, mu),
                         spectral_norm=max(lam_f, mu_f))
-        op.matrix.flags.writeable = False
         return op
+
+    def __getattr__(self, name):
+        # only an operator from ``two_param`` lacks its matrix, until read
+        if name != "matrix" or "params" not in vars(self):
+            raise AttributeError(name)
+        p1, p2 = self.space.module_projectors
+        mat = float(self.params[0]) * p1 + float(self.params[1]) * p2
+        mat.flags.writeable = False
+        vars(self)["matrix"] = mat
+        return mat
 
     @classmethod
     def block(cls, space: ReductiveSpace,
@@ -417,10 +434,14 @@ def _factorise(space: ReductiveSpace, x: np.ndarray):
     on a two-module space: per row, R1 and R2 (shape (k, 2, dim m)), the
     min-norm parts Z0 = M+(P1 R1 + P2 R2), Z12 = M+(P1 R2) and
     Z21 = M+(P2 R1) (shape (k, dim h, 3)) and their images under M
-    (shape (k, dim m, 3)), with M and R_j as in ``_Factorisation``. M+
-    comes from one batched SVD, cut at ``rank_threshold`` in one call.
-    Every product is stacked per row, so a row's results are the same to
-    the last bit whatever rows share its stack."""
+    (shape (k, dim m, 3)), with M and R_j as in ``_Factorisation``. A
+    row whose M passes the QR certificate (``_qr_solve``: pivots above
+    QR_PIVOT_FLOOR |M|_F, |M|_F |R^-1|_F <= QR_CONDITION_CAP) takes
+    M+ = R^-1 Q^T; every other row, and every row when dim m < dim h,
+    takes M+ from one batched SVD of those rows, cut at
+    ``rank_threshold`` in one call. Which path a row takes depends on its
+    M alone, and every product is stacked per row, so a row's results
+    are the same to the last bit whatever rows share its stack."""
     dm, dh = space.m.dim, space.h.dim
     k, xs = len(x), x[:, None]
     m = -(xs @ space.iso_action.reshape(dh * dm, dm).T).reshape(
@@ -433,12 +454,43 @@ def _factorise(space: ReductiveSpace, x: np.ndarray):
     pr = proj[:, None] @ r.transpose(0, 2, 1)  # [i, :, :, j] = P_i R_j
     parts = np.stack([pr[0, ..., 0] + pr[1, ..., 1], pr[0, ..., 1],
                       pr[1, ..., 0]], axis=2)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    cut = rank_threshold(s, (dm, dh))
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
-    z = vt.transpose(0, 2, 1) @ (inv[:, :, None]
-                                 * (u.transpose(0, 2, 1) @ parts))
+    z = np.empty((k, dh, 3))
+    rest = _qr_solve(m, parts, z) if dm >= dh else np.arange(k)
+    if len(rest):
+        u, s, vt = np.linalg.svd(m[rest], full_matrices=False)
+        cut = rank_threshold(s, (dm, dh))
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+        z[rest] = vt.transpose(0, 2, 1) @ (inv[:, :, None]
+                                           * (u.transpose(0, 2, 1)
+                                              @ parts[rest]))
     return r, z, m @ z
+
+
+def _qr_solve(m: np.ndarray, parts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Write R^-1 Q^T parts into z for every row of a tall stack m = Q R
+    that passes the certificate, and return the other rows. One batched
+    QR of [M | parts] gives R and, beside it, Q^T parts. Only an R with
+    min |R_ii| > QR_PIVOT_FLOOR |M|_F goes to the batched inverse, which
+    an exactly singular R would make raise. A row is certified when
+    |M|_F |R^-1|_F <= QR_CONDITION_CAP and 1 / |R^-1|_F > RANK_FLOOR: as
+    s_max <= |M|_F and s_min >= 1 / |R^-1|_F, the SVD path's
+    ``rank_threshold`` then keeps every singular value, so M has full
+    column rank and R^-1 Q^T is its pseudo-inverse."""
+    dh = m.shape[2]
+    r = np.linalg.qr(np.concatenate([m, parts], axis=2), mode="r")
+    r, qt_parts = r[:, :dh, :dh], r[:, :dh, dh:]
+    norm = np.linalg.norm(m, axis=(1, 2))
+    pivots = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1,
+                                                           initial=np.inf)
+    at = np.flatnonzero(pivots > QR_PIVOT_FLOOR * norm)
+    r_inv = np.linalg.inv(r[at])
+    size = np.linalg.norm(r_inv, axis=(1, 2))
+    ok = (norm[at] * size <= QR_CONDITION_CAP) & (size < 1.0 / RANK_FLOOR)
+    at = at[ok]
+    z[at] = r_inv[ok] @ qt_parts[at]
+    certified = np.zeros(len(m), dtype=bool)
+    certified[at] = True
+    return np.flatnonzero(~certified)
 
 
 class _Draws:
@@ -513,13 +565,17 @@ class _Factorisation(_Draws):
     Since [h, m_k] lies in m_k, D only scales the rows of module k by
     its weight over s, so on a consistent system the min-norm witness is
     z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 with Z0 = M+(P1 R1 + P2 R2),
-    Z12 = M+(P1 R2) and Z21 = M+(P2 R1). Besides the draws, per sample
-    this keeps the three parts (``z``) and, as the rows of ``terms``,
-    P1 M Z0, P1 M Z12, P1 M Z21, their P2 images and -R1, -R2: D M z - rhs
-    and -rhs are weighted sums of these rows for any weights, so M is not
-    kept. Each sample's rows come from its own stacked products, in
-    ``_factorise`` and here, and a read-off takes them as one stacked
-    product per sample, so no chunk or earlier call moves their bits.
+    Z12 = M+(P1 R2) and Z21 = M+(P2 R1). M+ is R^-1 Q^T for a sample
+    whose M = Q R is certified of full column rank (pivots above
+    QR_PIVOT_FLOOR = 1e-8 |M|_F, |M|_F |R^-1|_F <= QR_CONDITION_CAP = 1e8
+    and 1 / |R^-1|_F > RANK_FLOOR), else the SVD's (``_factorise``).
+    Besides the draws, per sample this keeps the three parts (``z``)
+    and, as the rows of ``terms``, P1 M Z0, P1 M Z12, P1 M Z21, their P2
+    images and -R1, -R2: D M z - rhs and -rhs are weighted sums of these
+    rows for any weights, so M is not kept. Each sample's rows come from
+    its own stacked products, in ``_factorise`` and here, and a read-off
+    takes them as one stacked product per sample, so no chunk or earlier
+    call moves their bits.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):

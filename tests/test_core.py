@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -261,6 +262,20 @@ def test_an_algebra_holds_one_form_of_its_constants():
                         structure_exact=exact_constants)
     with pytest.raises(core.ValidationError):
         core.LieAlgebra(structure=None, inner_product=np.eye(3))
+
+
+def test_a_copy_of_an_exact_algebra_keeps_one_form():
+    # replace hands the copy the tensor derived from the exact constants,
+    # which stays the derived one; any other tensor is still refused
+    alg = zoo.algebra_by_name("so(4)")
+    copy = replace(alg, name="x")
+    assert copy.name == "x" and copy.structure_exact is alg.structure_exact
+    assert copy.structure is alg.structure_exact.tensor
+    np.testing.assert_array_equal(copy.structure, alg.structure)
+    with pytest.raises(core.ValidationError, match="give either"):
+        replace(alg, structure=alg.structure.copy())
+    with pytest.raises(core.ValidationError, match="give either"):
+        replace(alg, structure_exact=zoo.classical("su", 2).structure_exact)
 
 
 def test_exact_builds_never_run_the_dense_jacobi(monkeypatch):

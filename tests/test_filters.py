@@ -224,3 +224,26 @@ def test_normalizer_split_with_trivial_h():
     split = filters.normalizer_split(space, space.m.basis @ np.ones(2))
     assert split.dims == (0, 0, 0)
     _assert_split(space, split)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-5])
+def test_normalizer_split_near_a_larger_centralizer(so8_g2, scale):
+    # on go-1, X and Y each have an 8-dimensional centralizer and X + Y a
+    # 3-dimensional one, the same for scale X + Y at every scale > 0. A
+    # split cut at the unbalanced u lost N: (3, 0, 0) at 1e-5, and at
+    # 1e-4 (3, 4, 1) for draw 2
+    space = so8_g2
+    for t in range(4):
+        rng = rng_for("test-split", space.name, 3, t)
+        x, y = (mod.basis @ rng.normal(size=mod.dim) for mod in space.modules)
+        x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        assert filters.normalizer_split(space, y).dims == (8, 8, 0)
+        unit = filters.normalizer_split(space, x + y)
+        split = filters.normalizer_split(space, scale * x + y)
+        assert split.dims == unit.dims == (3, 6, 3)
+        _assert_split(space, split)
+        np.testing.assert_array_equal(split.u, scale * x + y)
+        # the same C, N and C~ as at scale 1
+        for got, want in ((split.c, unit.c), (split.n, unit.n),
+                          (split.c_tilde, unit.c_tilde)):
+            np.testing.assert_allclose(got @ got.T, want @ want.T, atol=1e-10)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitcheck import catalog, core, exact, go, natred, spaces, zoo
+from orbitcheck import catalog, core, exact, go, linalg, natred, spaces, zoo
 from orbitcheck.linalg import rng_for
 from orbitcheck.spaces import ExactUnavailableError
 from test_exact import _solve
@@ -735,6 +735,116 @@ def test_a_run_factorises_its_samples_in_two_chunks(monkeypatch):
     assert sizes == [1, 99, 50]
 
 
+# --- the factorisation's QR and SVD paths --------------------------------
+
+# two-summand entries whose sampled M lose column rank: every sample takes
+# the SVD path, as every sample of a space with dim m < dim h does
+RANK_LOSING = {"go-1", "go-6-m3n2", "go-7-n2", "struct-3"}
+LADDER = [f"so({2 * k + 1})/u({k})" for k in range(2, 6)]
+
+
+def _ladder_space(space_id):
+    k = int(space_id.split("u(")[1][:-1])
+    chain = zoo.named_embedding("u_in_so_odd", k=k)
+    return spaces.decompose_isotropy(
+        spaces.reductive_space(None, chain, name=space_id), seed=0)
+
+
+def _reference_solve(space, x):
+    """Per row, M (columns proj_m [h_a, x]) and the parts
+    [P1 R1 + P2 R2, P1 R2, P2 R1], R_j = proj_m [x_j, x], from brackets
+    in g, and the min-norm M+ parts of an SVD cut at rank_threshold."""
+    g, gram = space.g, space.g.inner_product
+    hb, mb = space.h.basis, space.m.basis
+    p1, p2 = space.module_projectors
+    ms, zs = [], []
+    for row in x:
+        xg = mb @ row
+        m = np.array([mb.T @ gram @ g.bracket(h, xg) for h in hb.T]).reshape(
+            hb.shape[1], len(row)).T
+        r1, r2 = (mb.T @ gram @ g.bracket(mb @ (p @ row), xg)
+                  for p in (p1, p2))
+        parts = np.stack([p1 @ r1 + p2 @ r2, p1 @ r2, p2 @ r1], axis=1)
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        top = s[0] if len(s) else 0.0
+        keep = s > max(max(m.shape) * np.finfo(float).eps * top, 1e-12)
+        zs.append(vt[keep].T @ ((u[:, keep].T @ parts) / s[keep, None]))
+        ms.append(m)
+    return ms, zs
+
+
+def _qr_refused(space, x):
+    """Rows of x whose reference M the QR certificate refuses."""
+    dm, dh = space.m.dim, space.h.dim
+    return go._qr_solve(np.stack(_reference_solve(space, x)[0]),
+                        np.zeros((len(x), dm, 3)),
+                        np.empty((len(x), dh, 3))).tolist()
+
+
+def _assert_matches_reference(space, x, z, mz):
+    for m, want, got, got_mz in zip(*_reference_solve(space, x), z, mz):
+        assert np.linalg.norm(got - want) <= \
+            1e-12 * max(1.0, np.linalg.norm(want))
+        assert np.linalg.norm(got_mz - m @ want) <= \
+            1e-12 * max(1.0, np.linalg.norm(m @ want))
+
+
+@pytest.mark.parametrize("space_id", TWO_SUMMAND + LADDER)
+def test_factorisation_matches_a_pseudo_inverse_reference(space_id):
+    # every sample of a full-rank entry is certified for QR, no sample of
+    # a rank-losing or wide one is; both paths give the min-norm solution
+    # of the reference within 1e-12 relative
+    space = (_ladder_space if space_id in LADDER else _space)(space_id)
+    x, _ = _sampled_rows(space, 0, 30)
+    if space.m.dim >= space.h.dim:
+        want = range(len(x)) if space_id in RANK_LOSING else []
+        assert _qr_refused(space, x) == list(want)
+    else:
+        assert space_id in ("go-4-r2", "go-5")
+    _, z, mz = go._factorise(space, x)
+    _assert_matches_reference(space, x, z, mz)
+
+
+def test_a_mixed_stack_factorises_each_row_on_its_own_path():
+    # generic rows, a row inside one module (M loses rank) and a zero row:
+    # nothing raises, each row is the same to the last bit as that row
+    # factorised alone, and the rank-losing rows are the reference's
+    space = catalog.catalog_instantiate("go-3-k2", seed=0)
+    generic, _ = _sampled_rows(space, 0, 6)
+    inside = space.module_coords_in_m(0) @ np.array([0.6, 0.8])
+    x = np.vstack([generic[:3], inside, np.zeros(space.m.dim), generic[3:]])
+    assert _qr_refused(space, x) == [3, 4]
+    stacked = go._factorise(space, x)
+    for i in range(len(x)):
+        alone = go._factorise(space, x[i:i + 1])
+        for got, want in zip(stacked, alone):
+            assert got[i].tobytes() == want[0].tobytes()
+    _assert_matches_reference(space, x, *stacked[1:])
+    assert not stacked[1][4].any()
+
+
+def test_factorisation_qr_certificate_refuses_what_the_svd_would_cut():
+    # a Kahan matrix times 1e3 has pivots above the pivot floor and every
+    # singular value above RANK_FLOOR, yet the SVD cuts its smallest one;
+    # a well-conditioned matrix of norm 1e-13 has every singular value
+    # below RANK_FLOOR; a zero matrix has zero pivots. Only the
+    # well-conditioned unit-scale row is solved by QR
+    n, s = 30, 0.6
+    kahan = 1e3 * np.diag(s ** np.arange(n)) @ (
+        np.eye(n) - np.sqrt(1 - s * s) * np.triu(np.ones((n, n)), 1))
+    assert np.abs(np.diag(kahan)).min() > \
+        go.QR_PIVOT_FLOOR * np.linalg.norm(kahan)
+    assert linalg.svd_rank(kahan) == n - 1
+    assert np.linalg.svd(kahan, compute_uv=False)[-1] > linalg.RANK_FLOOR
+    well = np.linalg.qr(rng_for("test-qr", 0).standard_normal((n, n)))[0]
+    m = np.stack([well, kahan, 1e-13 * well, np.zeros((n, n))])
+    parts = rng_for("test-qr", 1).standard_normal((4, n, 3))
+    z = np.full((4, n, 3), np.nan)
+    assert go._qr_solve(m, parts, z).tolist() == [1, 2, 3]
+    np.testing.assert_allclose(z[0], well.T @ parts[0], atol=1e-13)
+    assert np.isnan(z[1:]).all()
+
+
 def test_a_rejected_sample_is_solved_again_and_the_run_goes_on(monkeypatch):
     # corrupt one held sample so the batched residual test rejects it:
     # go_witness_general solves that sample alone, and its solvable
@@ -1106,6 +1216,23 @@ def test_two_param_runs_no_eigvalsh_and_no_commutator(so5_u2, monkeypatch):
         assert metric.spectral_norm == max(pair)
         assert not metric.matrix.flags.writeable
     assert not calls
+
+
+def test_two_param_forms_its_matrix_on_first_read(so5_u2):
+    # a factorised run reads the weights, never lam P1 + mu P2; the first
+    # read forms it once, read-only and bit-equal to the weighted sum
+    p1, p2 = so5_u2.module_projectors
+    metric = go.MetricOperator.two_param(so5_u2, 1.5, 2)
+    assert go.go_check(so5_u2, metric, n_samples=5).status == "GO_CONSISTENT"
+    assert not metric.is_scalar and metric.spectral_norm == 2.0
+    assert "matrix" not in vars(metric)
+    mat = metric.matrix
+    assert mat is metric.matrix and not mat.flags.writeable
+    assert mat.tobytes() == (1.5 * p1 + 2.0 * p2).tobytes()
+    x = np.arange(1.0, 7.0)
+    assert metric.apply(x).tobytes() == (mat @ x).tobytes()
+    with pytest.raises(AttributeError):
+        metric.weights
 
 
 def test_two_param_refuses_a_split_that_is_not_invariant(so5_u2):
