@@ -134,14 +134,13 @@ class StructureConstants:
         return (Fraction(np.abs(anti).max(initial=0), self.denom),
                 Fraction(np.abs(jac).max(initial=0), self.denom ** 2))
 
-    def killing(self) -> np.ndarray:
-        """B_ij = sum_{m,n} c_imn c_jnm as a Fraction matrix, from one join
-        of the rows (i, m, n) with the rows (j, n, m)."""
+    def killing(self) -> tuple[np.ndarray, np.ndarray]:
+        """denom^2 B_ij = denom^2 sum_{m,n} c_imn c_jnm as flat (keys,
+        sums), from one join of the rows (i, m, n) with the rows (j, n, m)."""
         n = self.dim
         i, j, k = self.index.T
         a, b = _join(j * n + k, k * n + j)
-        return _fractions((n, n), *_accumulate(
-            i[a] * n + i[b], self.numer[a] * self.numer[b]), self.denom ** 2)
+        return _accumulate(i[a] * n + i[b], self.numer[a] * self.numer[b])
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Exact [x, y] for Fraction coordinate vectors, from
@@ -302,7 +301,8 @@ class LieAlgebra:
 
     @cached_property
     def killing_form_exact(self) -> np.ndarray:
-        return self._exact().killing()
+        c = self._exact()
+        return _fractions((self.dim,) * 2, *c.killing(), c.denom ** 2)
 
     @cached_property
     def center(self) -> np.ndarray:
@@ -414,12 +414,24 @@ def default_inner_product(structure: np.ndarray,
     (negative Killing form not positive definite on [g, g]). Given the
     exact ``constants`` of ``structure`` and a trivial center, the
     result is the exact negative Killing form and its float copy.
+
+    A -B that passes the definiteness test on all of g is nondegenerate,
+    so g is semisimple (Cartan), with center 0 and [g, g] = g: -B is the
+    result, and the SVDs of the n x n^2 bracket matrix run only for
+    algebras with a center and for non-compact input.
     """
     n = structure.shape[0]
     if not structure.any():
         return np.eye(n), exact.fidentity(n)
-    b_exact = None if constants is None else constants.killing()
-    b = _killing(structure) if b_exact is None else exact.to_float(b_exact)
+    if constants is None:
+        b, neg_exact = _killing(structure), None
+    else:
+        keys, sums = constants.killing()
+        d, b = constants.denom ** 2, np.zeros(n * n)
+        b[keys] = [int(v) / d for v in sums]
+        b, neg_exact = b.reshape(n, n), _fractions((n, n), keys, -sums, d)
+    if np.linalg.eigvalsh(-b).min() > 1e-8 * float(np.abs(b).max()):
+        return -b, neg_exact
     derived = column_space(structure.reshape(n * n, n).T)
     eigs = np.linalg.eigvalsh(derived.T @ -b @ derived)
     if eigs.min() <= 1e-8 * float(np.abs(b).max()):
@@ -429,7 +441,7 @@ def default_inner_product(structure: np.ndarray,
     if center.shape[1] + derived.shape[1] != n:
         raise ValidationError("center and derived algebra do not span (non-reductive?)")
     if center.shape[1] == 0:
-        return -b, None if b_exact is None else -b_exact
+        return -b, neg_exact
     basis = np.hstack([center, derived])
     inv = np.linalg.inv(basis)
     proj_center = center @ inv[: center.shape[1], :]

@@ -437,25 +437,31 @@ def _factorise(space: ReductiveSpace, x: np.ndarray):
     (shape (k, dim m, 3)), with M and R_j as in ``_Factorisation``. A
     row whose M passes the QR certificate (``_qr_solve``: pivots above
     QR_PIVOT_FLOOR |M|_F, |M|_F |R^-1|_F <= QR_CONDITION_CAP) takes
-    M+ = R^-1 Q^T; every other row, and every row when dim m < dim h,
-    takes M+ from one batched SVD of those rows, cut at
-    ``rank_threshold`` in one call. Which path a row takes depends on its
-    M alone, and every product is stacked per row, so a row's results
-    are the same to the last bit whatever rows share its stack."""
+    M+ = R^-1 Q^T; every other row takes M+ from one batched SVD of
+    those rows, cut at ``rank_threshold`` in one call, and so does every
+    row where h has a nonzero generic stabilizer on m (dim m < dim h
+    among them), as no M there has full column rank. Which path a row
+    takes depends on its M and its space alone, and every product is
+    stacked per row, so a row's results are the same to the last bit
+    whatever rows share its stack."""
     dm, dh = space.m.dim, space.h.dim
     k, xs = len(x), x[:, None]
     m = -(xs @ space.iso_action.reshape(dh * dm, dm).T).reshape(
         k, dh, dm).transpose(0, 2, 1)
-    brackets = (xs @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(
-        k, dm, dm)
+    # [M | parts] of each row in one buffer, which _qr_solve factorises
+    m_parts = np.empty((k, dm, dh + 3))
+    m_parts[..., :dh], parts = m, m_parts[..., dh:]
     proj = space.module_projectors
-    # rows R1, R2 of each sample, from its module parts x1, x2
-    r = -(xs[:, None] @ proj)[:, :, 0] @ brackets
+    # rows R1, R2 of each sample, from its module parts x1, x2; the
+    # (k, dim m, dim m) brackets [x, .] are freed at once
+    r = -(xs[:, None] @ proj)[:, :, 0] @ (
+        xs @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(k, dm, dm)
     pr = proj[:, None] @ r.transpose(0, 2, 1)  # [i, :, :, j] = P_i R_j
-    parts = np.stack([pr[0, ..., 0] + pr[1, ..., 1], pr[0, ..., 1],
-                      pr[1, ..., 0]], axis=2)
+    parts[..., 0] = pr[0, ..., 0] + pr[1, ..., 1]
+    parts[..., 1], parts[..., 2] = pr[0, ..., 1], pr[1, ..., 0]
     z = np.empty((k, dh, 3))
-    rest = _qr_solve(m, parts, z) if dm >= dh else np.arange(k)
+    rest = np.arange(k) if space.split.stabilizer_dim \
+        else _qr_solve(m_parts, z)
     if len(rest):
         u, s, vt = np.linalg.svd(m[rest], full_matrices=False)
         cut = rank_threshold(s, (dm, dh))
@@ -466,20 +472,20 @@ def _factorise(space: ReductiveSpace, x: np.ndarray):
     return r, z, m @ z
 
 
-def _qr_solve(m: np.ndarray, parts: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Write R^-1 Q^T parts into z for every row of a tall stack m = Q R
-    that passes the certificate, and return the other rows. One batched
-    QR of [M | parts] gives R and, beside it, Q^T parts. Only an R with
-    min |R_ii| > QR_PIVOT_FLOOR |M|_F goes to the batched inverse, which
-    an exactly singular R would make raise. A row is certified when
-    |M|_F |R^-1|_F <= QR_CONDITION_CAP and 1 / |R^-1|_F > RANK_FLOOR: as
-    s_max <= |M|_F and s_min >= 1 / |R^-1|_F, the SVD path's
-    ``rank_threshold`` then keeps every singular value, so M has full
-    column rank and R^-1 Q^T is its pseudo-inverse."""
-    dh = m.shape[2]
-    r = np.linalg.qr(np.concatenate([m, parts], axis=2), mode="r")
+def _qr_solve(m_parts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Write R^-1 Q^T parts into z for every row of a tall stack
+    ``m_parts`` = [M | parts], M = Q R, that passes the certificate, and
+    return the other rows. One batched QR gives R and, beside it, Q^T
+    parts. Only an R with min |R_ii| > QR_PIVOT_FLOOR |M|_F goes to the
+    batched inverse, which an exactly singular R would make raise. A row
+    is certified when |M|_F |R^-1|_F <= QR_CONDITION_CAP and
+    1 / |R^-1|_F > RANK_FLOOR: as s_max <= |M|_F and s_min >= 1 / |R^-1|_F,
+    the SVD path's ``rank_threshold`` then keeps every singular value, so
+    M has full column rank and R^-1 Q^T is its pseudo-inverse."""
+    dh = z.shape[1]
+    r = np.linalg.qr(m_parts, mode="r")
     r, qt_parts = r[:, :dh, :dh], r[:, :dh, dh:]
-    norm = np.linalg.norm(m, axis=(1, 2))
+    norm = np.linalg.norm(m_parts[..., :dh], axis=(1, 2))
     pivots = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1,
                                                            initial=np.inf)
     at = np.flatnonzero(pivots > QR_PIVOT_FLOOR * norm)
@@ -488,7 +494,7 @@ def _qr_solve(m: np.ndarray, parts: np.ndarray, z: np.ndarray) -> np.ndarray:
     ok = (norm[at] * size <= QR_CONDITION_CAP) & (size < 1.0 / RANK_FLOOR)
     at = at[ok]
     z[at] = r_inv[ok] @ qt_parts[at]
-    certified = np.zeros(len(m), dtype=bool)
+    certified = np.zeros(len(m_parts), dtype=bool)
     certified[at] = True
     return np.flatnonzero(~certified)
 

@@ -104,6 +104,12 @@ class ReductiveSplit:
         return _read_only(bracket_coords(self.g, raw, basis))
 
     @cached_property
+    def stabilizer_dim(self) -> int:
+        """``filters.principal_isotropy_dim(iso_action)``, no seed."""
+        from .filters import principal_isotropy_dim
+        return principal_isotropy_dim(self.iso_action)
+
+    @cached_property
     def m_bracket_h(self) -> np.ndarray:
         return self._m_brackets(self.h.basis)
 

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import exact
-from .core import (LieAlgebra, ValidationError,
+from .core import (LieAlgebra, StructureConstants, ValidationError,
                    direct_sum, make_algebra, pair_bracket_tensor,
                    structure_constants, trivial_algebra)
 from .linalg import svd_rank
@@ -61,14 +60,10 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
 def _offdiag_matrices(n: int) -> list[np.ndarray]:
     mats = []
     for a, b in so_pairs(n):
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[a, b] = 1.0
-        m[b, a] = -1.0
-        mats.append(m)
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[a, b] = 1j
-        m[b, a] = 1j
-        mats.append(m)
+        for upper, lower in ((1.0, -1.0), (1j, 1j)):
+            m = np.zeros((n, n), dtype=np.complex128)
+            m[a, b], m[b, a] = upper, lower
+            mats.append(m)
     return mats
 
 
@@ -99,16 +94,10 @@ def _sp_from_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _sp_matrices(n: int) -> list[np.ndarray]:
     zero = np.zeros((n, n), dtype=np.complex128)
     mats = [_sp_from_blocks(u, zero) for u in _u_matrices(n)]
-    sym: list[np.ndarray] = []
-    for k in range(n):
-        b = np.zeros((n, n), dtype=np.complex128)
-        b[k, k] = 1.0
-        sym.append(b)
-    for a, b_ in so_pairs(n):
-        b = np.zeros((n, n), dtype=np.complex128)
-        b[a, b_] = 1.0
-        b[b_, a] = 1.0
-        sym.append(b)
+    unit = np.eye(n, dtype=np.complex128)
+    sym = [np.outer(unit[k], unit[k]) for k in range(n)] + [
+        np.outer(unit[a], unit[b]) + np.outer(unit[b], unit[a])
+        for a, b in so_pairs(n)]
     mats.extend(_sp_from_blocks(zero, b) for b in sym)
     mats.extend(_sp_from_blocks(zero, 1j * b) for b in sym)
     return mats
@@ -123,11 +112,8 @@ def matrix_basis(family: str, n: int) -> list[np.ndarray]:
 
 
 def _offdiag_coords(batch: np.ndarray, n: int) -> np.ndarray:
-    pairs = so_pairs(n)
-    a = [p[0] for p in pairs]
-    b = [p[1] for p in pairs]
-    entries = batch[:, a, b]
-    out = np.empty((batch.shape[0], 2 * len(pairs)))
+    entries = batch[(slice(None), *np.triu_indices(n, 1))]
+    out = np.empty((batch.shape[0], 2 * entries.shape[1]))
     out[:, 0::2] = np.real(entries)
     out[:, 1::2] = np.imag(entries)
     return out
@@ -149,15 +135,11 @@ def _extract_u(batch: np.ndarray, n: int) -> np.ndarray:
 
 
 def _extract_sp(batch: np.ndarray, n: int) -> np.ndarray:
-    a_block = batch[:, :n, :n]
     b_block = batch[:, :n, n:]
-    pairs = so_pairs(n)
-    a = [p[0] for p in pairs]
-    b = [p[1] for p in pairs]
     diag = np.diagonal(b_block, axis1=1, axis2=2)
-    off = b_block[:, a, b]
+    off = b_block[(slice(None), *np.triu_indices(n, 1))]
     return np.hstack([
-        _extract_u(a_block, n),
+        _extract_u(batch[:, :n, :n], n),
         np.real(diag), np.real(off),
         np.imag(diag), np.imag(off),
     ])
@@ -187,20 +169,31 @@ def _coordinates(batch: np.ndarray, family: str, n: int, stack: np.ndarray,
 def classical(family: str, n: int) -> LieAlgebra:
     """Compact classical algebra with integer structure constants.
 
+    The coordinates of each row of commutators [x_i, x_j] must be
+    integers that rebuild them exactly (``_coordinates`` at atol 0). With
+    Gaussian-integer basis matrices that float rebuild is exact, so they
+    are the constants; their triples are gathered as integers, row by row.
+
     The inner product is minus the Killing form on the derived algebra
     and the coordinate dot product on the center.
     """
     _check_family(family, n)
     name = f"{family}({n})"
     if family == "torus":
-        return make_algebra(structure_constants(n, []), name,
-                            np.eye(n), exact.fidentity(n))
+        return make_algebra(structure_constants(n, []), name)
     stack = np.stack(matrix_basis(family, n))
-    entries = []
+    index, numer = [], []
     for i, x in enumerate(stack):
         coords = _coordinates(x @ stack - stack @ x, family, n, stack, name)
-        entries += [(i, j, k, coords[j, k]) for j, k in zip(*np.nonzero(coords))]
-    return make_algebra(structure_constants(len(stack), entries), name)
+        j, k = np.nonzero(coords)
+        values = coords[j, k]
+        if not np.array_equal(values, np.rint(values)):
+            raise ValidationError(f"{name}: constants are not integers")
+        index.append(np.column_stack([np.full_like(j, i), j, k]))
+        numer += values.astype(np.int64).tolist()
+    constants = StructureConstants(len(stack), np.vstack(index),
+                                   np.array(numer, dtype=object))
+    return make_algebra(constants, name)
 
 
 # --- octonions ---------------------------------------------------------
@@ -220,16 +213,9 @@ _QUAT_IDX = np.array([
 
 
 def quaternion_multiply(x, y):
-    x = np.asarray(x)
-    y = np.asarray(y)
+    x, y = np.asarray(x), np.asarray(y)
     out = np.zeros(4, dtype=np.result_type(x, y))
-    for a in range(4):
-        if x[a] == 0:
-            continue
-        for b in range(4):
-            if y[b] == 0:
-                continue
-            out[_QUAT_IDX[a, b]] += _QUAT_SGN[a, b] * x[a] * y[b]
+    np.add.at(out, _QUAT_IDX, _QUAT_SGN * np.multiply.outer(x, y))
     return out
 
 
@@ -256,13 +242,10 @@ def octonion_table() -> tuple[np.ndarray, np.ndarray]:
     """Signs and indices with e_a e_b = sgn[a, b] e_{idx[a, b]}."""
     sgn = np.zeros((8, 8), dtype=np.int64)
     idx = np.zeros((8, 8), dtype=np.int64)
+    unit = np.eye(8, dtype=np.int64)
     for a in range(8):
         for b in range(8):
-            x = np.zeros(8, dtype=np.int64)
-            y = np.zeros(8, dtype=np.int64)
-            x[a] = 1
-            y[b] = 1
-            z = octonion_multiply(x, y)
+            z = octonion_multiply(unit[a], unit[b])
             nz = np.nonzero(z)[0]
             if len(nz) != 1 or abs(z[nz[0]]) != 1:
                 raise ValidationError("octonion basis product is not a signed unit")
@@ -283,22 +266,15 @@ def _octonion_f() -> np.ndarray:
     return f
 
 
-def left_mult_matrices() -> list[np.ndarray]:
-    """8x8 integer matrices of left multiplication by e_1..e_7."""
+def unit_mult_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """8x8 integer matrices of left and of right multiplication by
+    e_1..e_7, each stack of shape (7, 8, 8)."""
     sgn, idx = octonion_table()
     t, q = np.arange(1, 8)[:, None], np.arange(8)
-    mats = np.zeros((7, 8, 8), dtype=np.int64)
-    mats[t - 1, idx[t, q], q] = sgn[t, q]
-    return list(mats)
-
-
-def right_mult_matrices() -> list[np.ndarray]:
-    """8x8 integer matrices of right multiplication by e_1..e_7."""
-    sgn, idx = octonion_table()
-    t, q = np.arange(1, 8)[:, None], np.arange(8)
-    mats = np.zeros((7, 8, 8), dtype=np.int64)
-    mats[t - 1, idx[q, t], q] = sgn[q, t]
-    return list(mats)
+    left, right = np.zeros((2, 7, 8, 8), dtype=np.int64)
+    left[t - 1, idx[t, q], q] = sgn[t, q]
+    right[t - 1, idx[q, t], q] = sgn[q, t]
+    return left, right
 
 
 @lru_cache(maxsize=1)
@@ -309,31 +285,33 @@ def _g2_data() -> tuple[LieAlgebra, np.ndarray]:
     antisymmetric, so it is a vector in so(7); the derivation property
     D(e_a e_b) = D(e_a) e_b + e_a D(e_b) on basis products, one row per
     (a, b, q) and one column per so(7) basis matrix, gives an integer
-    linear system whose kernel is g2.
+    linear system whose kernel is g2. Its distinct nonzero rows have the
+    same row space, so the same rref and kernel K = N / d (N integer).
+    W = ad(N) N holds d^2 [K_s, K_t] at W[s, :, t]; as K[free] = I, its
+    rows ``free`` are their coordinates in K, and the closure check
+    N W[:, free] = d W is an identity of integers.
     """
     f = _octonion_f()
     basis = np.real(np.stack(_so_matrices(7))).astype(np.int64)
     defect = (np.einsum("abc,tqc->abqt", f, basis)
               - np.einsum("tca,cbq->abqt", basis, f)
               - np.einsum("tcb,acq->abqt", basis, f))
-    kernel = exact.over(*exact.null_space(defect.reshape(-1, 21)))
+    rows = {tuple(row) for row in defect.reshape(-1, 21).tolist() if any(row)}
+    kernel, d = exact.null_space(np.array(sorted(rows), dtype=object))
     # in free-column form every later row of a kernel column is zero
     free = [int(np.flatnonzero(col)[-1]) for col in kernel.T]
-    if kernel.shape != (21, 14) or not np.array_equal(kernel[free],
-                                                      exact.fidentity(14)):
+    if kernel.shape != (21, 14) or not np.array_equal(
+            kernel[free], d * np.eye(14, dtype=np.int64)):
         raise ValidationError("derivation kernel is not 14-dimensional "
                               "in free-column form")
-    so7 = classical("so", 7)
-    entries = []
-    for s in range(14):
-        for t in range(s + 1, 14):
-            w = so7.bracket_exact(kernel[:, s], kernel[:, t])
-            coords = w[free]
-            if not np.array_equal(exact.matmul(kernel, coords), w):
-                raise ValidationError("derivation bracket left the kernel")
-            for k in np.flatnonzero(coords != 0).tolist():
-                entries += [(s, t, k, coords[k]), (t, s, k, -coords[k])]
-    return make_algebra(structure_constants(14, entries), "g2"), kernel
+    w = classical("so", 7).structure_exact.ad_numerators(kernel) @ kernel
+    coords = w[:, free]
+    if not np.array_equal(kernel @ coords, d * w):
+        raise ValidationError("derivation bracket left the kernel")
+    numer, denom = exact.reduced(coords.transpose(0, 2, 1), d * d)
+    index = np.column_stack(np.nonzero(numer))
+    constants = StructureConstants(14, index, numer[tuple(index.T)], denom)
+    return make_algebra(constants, "g2"), exact.over(kernel, d)
 
 
 def g2() -> LieAlgebra:
@@ -667,27 +645,29 @@ def embed_spin7_in_so8() -> Embedding:
 
     The generator image for the pair (a, b) is a half multiple of the
     product of the two unit multiplications; the sign and the side
-    (left or right) are fixed by the exact homomorphism test.
+    (left or right) are fixed by the exact homomorphism test, run on the
+    integer P = 2 phi: [P e_i, P e_j] = 2 P [e_i, e_j] for all basis
+    pairs. P and both algebras' constants lie in {0, 1, -1}, so each side
+    is a sum of at most 28^2 such products, exact in int64.
     """
     so7 = classical("so", 7)
     so8 = classical("so", 8)
     a7, b7 = np.array(so_pairs(7)).T
     p8, q8 = np.array(so_pairs(8)).T
-    units = exact.fidentity(21)
-    brackets = [(i, j, so7.bracket_exact(units[:, i], units[:, j]))
-                for i in range(21) for j in range(i + 1, 21)]
-    left, right = np.stack(left_mult_matrices()), np.stack(right_mult_matrices())
+    # P @ ad7 holds P [e_i, e_j] at [i, :, j], ad8 @ P [P e_i, P e_j]
+    ad7 = np.array(so7.structure_exact.ad_numerators(np.eye(21, dtype=int)),
+                   dtype=np.int64)
+    left, right = unit_mult_matrices()
     for mats, sign in ((left, -1), (left, 1), (right, -1), (right, 1)):
         prods = mats[a7] @ mats[b7]
         if not np.array_equal(prods, -prods.transpose(0, 2, 1)):
             continue
-        phi = np.array([[Fraction(sign * int(v), 2) for v in row]
-                        for row in prods[:, p8, q8].T], dtype=object)
-        if all(np.array_equal(so8.bracket_exact(phi[:, i], phi[:, j]),
-                              phi[:, w != 0] @ w[w != 0])
-               for i, j, w in brackets):
-            return Embedding(source=so7, target=so8, matrix=exact.to_float(phi),
-                             name="spin7<so(8)", matrix_exact=phi)
+        p = sign * prods[:, p8, q8].T
+        ad8 = np.array(so8.structure_exact.ad_numerators(p), dtype=np.int64)
+        if np.array_equal(ad8 @ p, 2 * (p @ ad7)):
+            return Embedding(source=so7, target=so8, matrix=p / 2,
+                             name="spin7<so(8)",
+                             matrix_exact=exact.over(p.astype(object), 2))
     raise ValidationError("no sign convention makes the spin map a homomorphism")
 
 
@@ -707,12 +687,8 @@ def su2_irrep_matrices(two_j: int) -> np.ndarray:
     jx = (jp + jm) / 2
     rho = np.stack([2j * jz, 2j * jy, 2j * jx])
     su2 = classical("su", 2)
-    worst = 0.0
-    for i in range(3):
-        for jdx in range(3):
-            lhs = rho[i] @ rho[jdx] - rho[jdx] @ rho[i]
-            rhs = np.einsum("k,kpq->pq", su2.structure[i, jdx], rho)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    lhs = rho[:, None] @ rho - rho @ rho[:, None]
+    worst = float(np.abs(lhs - np.tensordot(su2.structure, rho, 1)).max())
     if worst > 1e-10:
         raise ValidationError(f"spin-{two_j}/2 matrices fail the bracket test ({worst:.2e})")
     return rho

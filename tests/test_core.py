@@ -296,3 +296,55 @@ def test_exact_direct_sum_round_trips_through_json():
     np.testing.assert_array_equal(back.structure, g.structure)
     np.testing.assert_array_equal(back.inner_product, g.inner_product)
     assert back.validate().mode == "exact"
+
+
+def _svd_path_inner_product(alg):
+    """default_inner_product by the route every input took before the
+    definiteness exit: the exact Killing form as Fractions, its float
+    copy, the column space of the n x n^2 bracket matrix and the center,
+    both from SVDs. Returns -B and -B exact for a trivial center."""
+    n, structure = alg.dim, alg.structure
+    b_exact = alg.killing_form_exact
+    b = core.exact.to_float(b_exact)
+    derived = core.column_space(structure.reshape(n * n, n).T)
+    assert np.linalg.eigvalsh(derived.T @ -b @ derived).min() > 0
+    assert core._center(structure).shape[1] == 0
+    return -b, -b_exact
+
+
+@pytest.mark.parametrize("name", ["so(5)", "su(3)", "sp(2)", "g2"])
+def test_definite_killing_form_skips_the_svds_with_the_same_bits(
+        name, monkeypatch):
+    alg = zoo.algebra_by_name(name)
+    want, want_exact = _svd_path_inner_product(alg)
+
+    def refuse(*args):
+        raise AssertionError("bracket-matrix SVD on a semisimple algebra")
+    monkeypatch.setattr(core, "column_space", refuse)
+    monkeypatch.setattr(core, "_center", refuse)
+    got, got_exact = core.default_inner_product(alg.structure,
+                                                alg.structure_exact)
+    assert got.tobytes() == want.tobytes() == alg.inner_product.tobytes()
+    assert [repr(v) for v in got_exact.flat] == \
+        [repr(v) for v in want_exact.flat] == \
+        [repr(v) for v in alg.inner_product_exact.flat]
+
+
+@pytest.mark.parametrize("name", ["u(3)", "su(2)+torus(2)"])
+def test_algebras_with_a_center_still_take_the_svd_path(name, monkeypatch):
+    alg = zoo.algebra_by_name(name)
+    calls = []
+    column_space = core.column_space
+
+    def spy(a):
+        calls.append(a.shape)
+        return column_space(a)
+    monkeypatch.setattr(core, "column_space", spy)
+    gram, gram_exact = core.default_inner_product(alg.structure,
+                                                  alg.structure_exact)
+    assert calls == [(alg.dim, alg.dim ** 2)] and gram_exact is None
+    # the center block is the coordinate dot product, the rest -B
+    center = alg.center
+    np.testing.assert_allclose(center.T @ gram @ center,
+                               np.eye(center.shape[1]), atol=1e-12)
+    assert np.linalg.eigvalsh(gram).min() > 0

@@ -776,8 +776,8 @@ def _reference_solve(space, x):
 def _qr_refused(space, x):
     """Rows of x whose reference M the QR certificate refuses."""
     dm, dh = space.m.dim, space.h.dim
-    return go._qr_solve(np.stack(_reference_solve(space, x)[0]),
-                        np.zeros((len(x), dm, 3)),
+    m = np.stack(_reference_solve(space, x)[0])
+    return go._qr_solve(np.concatenate([m, np.zeros((len(x), dm, 3))], axis=2),
                         np.empty((len(x), dh, 3))).tolist()
 
 
@@ -803,6 +803,25 @@ def test_factorisation_matches_a_pseudo_inverse_reference(space_id):
         assert space_id in ("go-4-r2", "go-5")
     _, z, mz = go._factorise(space, x)
     _assert_matches_reference(space, x, z, mz)
+
+
+@pytest.mark.parametrize("entry_id", sorted(RANK_LOSING) + ["go-2"])
+def test_spaces_with_a_generic_stabilizer_skip_the_qr_attempt(entry_id,
+                                                              monkeypatch):
+    # no sampled M of a rank-losing entry can pass the QR certificate, so
+    # _factorise sends every row straight to the SVD; a full-rank entry
+    # still tries QR first
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    assert (space.split.stabilizer_dim > 0) == (entry_id in RANK_LOSING)
+    calls = []
+    qr_solve = go._qr_solve
+
+    def spy(m_parts, z):
+        calls.append(len(m_parts))
+        return qr_solve(m_parts, z)
+    monkeypatch.setattr(go, "_qr_solve", spy)
+    go.go_check(space, (1, 2), n_samples=20, seed=0)
+    assert calls == ([] if entry_id in RANK_LOSING else [1, 19])
 
 
 def test_a_mixed_stack_factorises_each_row_on_its_own_path():
@@ -840,7 +859,8 @@ def test_factorisation_qr_certificate_refuses_what_the_svd_would_cut():
     m = np.stack([well, kahan, 1e-13 * well, np.zeros((n, n))])
     parts = rng_for("test-qr", 1).standard_normal((4, n, 3))
     z = np.full((4, n, 3), np.nan)
-    assert go._qr_solve(m, parts, z).tolist() == [1, 2, 3]
+    assert go._qr_solve(np.concatenate([m, parts], axis=2),
+                        z).tolist() == [1, 2, 3]
     np.testing.assert_allclose(z[0], well.T @ parts[0], atol=1e-13)
     assert np.isnan(z[1:]).all()
 

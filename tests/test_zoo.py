@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcheck import core, zoo
+from orbitcheck import core, exact, zoo
 
 
 CLASSICAL_DIMS = {
@@ -235,3 +237,87 @@ def test_composite_exact_matrix_is_the_fraction_product():
     naive = outer.matrix_exact @ inner.matrix_exact
     assert composite.shape == naive.shape
     assert all(a == b for a, b in zip(composite.flat, naive.flat))
+
+
+# --- the integer builds against the per-entry Fraction builds -----------
+
+def _fraction_constants(family, n):
+    """Classical constants built as before: one Fraction per commutator
+    coordinate, each through ``exact.frac``, into ``structure_constants``."""
+    stack = np.stack(zoo.matrix_basis(family, n))
+    entries = []
+    for i, x in enumerate(stack):
+        coords = zoo._coordinates(x @ stack - stack @ x, family, n, stack, "")
+        entries += [(i, j, k, coords[j, k]) for j, k in zip(*np.nonzero(coords))]
+    return core.structure_constants(len(stack), entries)
+
+
+def _same_constants(got, want):
+    assert got.dim == want.dim and got.denom == want.denom
+    assert got.index.dtype == want.index.dtype and got.index.flags.c_contiguous
+    assert got.index.tobytes() == want.index.tobytes()
+    assert got.numer.dtype == want.numer.dtype == object
+    assert [type(v) for v in got.numer] == [int] * len(want.numer)
+    assert list(got.numer) == list(want.numer)
+
+
+@pytest.mark.parametrize("family, n", [
+    (f, n) for f in ("so", "su", "u", "sp")
+    for n in sorted({zoo.RANK_MIN[f], zoo.RANK_MIN[f] + 1, 4, zoo.RANK_CAPS[f]})
+    if zoo.RANK_MIN[f] <= n])
+def test_classical_constants_equal_the_fraction_build(family, n):
+    _same_constants(zoo.classical(family, n).structure_exact,
+                    _fraction_constants(family, n))
+
+
+def test_classical_refuses_non_integer_constants(monkeypatch):
+    # in the basis L_ab / 2 of so(3) the constants are +-1/2: the rebuild
+    # is exact, the integer test is not met
+    extract = zoo._EXTRACTORS["so"]
+    monkeypatch.setitem(zoo._EXTRACTORS, "so",
+                        lambda batch, n: 2 * extract(batch, n))
+    monkeypatch.setitem(zoo._MATRIX_BASES, "so",
+                        lambda n: [m / 2 for m in zoo._so_matrices(n)])
+    with pytest.raises(core.ValidationError, match="not integers"):
+        zoo.classical.__wrapped__("so", 3)
+
+
+def _derivation_system():
+    f = zoo._octonion_f()
+    basis = np.real(np.stack(zoo._so_matrices(7))).astype(np.int64)
+    defect = (np.einsum("abc,tqc->abqt", f, basis)
+              - np.einsum("tca,cbq->abqt", basis, f)
+              - np.einsum("tcb,acq->abqt", basis, f))
+    return defect.reshape(-1, 21)
+
+
+def test_g2_kernel_and_constants_equal_the_full_fraction_build():
+    alg, kernel = zoo._g2_data()
+    # the kernel of the whole system, duplicate and zero rows included
+    want = exact.over(*exact.null_space(_derivation_system()))
+    assert [repr(v) for v in kernel.flat] == [repr(v) for v in want.flat]
+    # the 91 brackets one pair at a time, in Fractions
+    free = [int(np.flatnonzero(col)[-1]) for col in want.T]
+    so7 = zoo.classical("so", 7)
+    entries = []
+    for s in range(14):
+        for t in range(s + 1, 14):
+            w = so7.bracket_exact(want[:, s], want[:, t])
+            assert np.array_equal(exact.matmul(want, w[free]), w)
+            entries += [(s, t, k, w[free][k]) for k in np.flatnonzero(w[free])]
+            entries += [(t, s, k, -w[free][k]) for k in np.flatnonzero(w[free])]
+    _same_constants(alg.structure_exact, core.structure_constants(14, entries))
+
+
+def test_spin7_matrix_passes_the_fraction_homomorphism_test():
+    emb = zoo.embed_spin7_in_so8()
+    phi = emb.matrix_exact
+    assert all(type(v) is Fraction and v.denominator <= 2 for v in phi.flat)
+    assert emb.matrix.tobytes() == exact.to_float(phi).tobytes()
+    so7, so8 = emb.source, emb.target
+    units = exact.fidentity(21)
+    for i in range(21):
+        for j in range(i + 1, 21):
+            w = so7.bracket_exact(units[:, i], units[:, j])
+            assert np.array_equal(so8.bracket_exact(phi[:, i], phi[:, j]),
+                                  phi[:, w != 0] @ w[w != 0]), (i, j)
