@@ -32,8 +32,7 @@ from . import exact
 from .core import OrbitcheckError, ValidationError
 from .filters import CentralizerSplit, _module_action, normalizer_split
 from .linalg import (DEFAULT_TOL, RANK_FLOOR, consistency_gap,
-                     min_norm_solve, rank_of, rank_threshold, rng_for,
-                     stream_states)
+                     min_norm_solve, rank_of, rank_threshold, rng_for)
 from .spaces import ExactUnavailableError, ReductiveSpace, intertwiners
 
 MARGIN_FACTOR = 1e3
@@ -328,40 +327,41 @@ def go_witness_general(space: ReductiveSpace, metric, x: np.ndarray,
                      rank_gap=rank_aug - rank_a, margin=margin, kind=kind)
 
 
-def _directions(blocks: list[np.ndarray], label: tuple, samples: range,
-                streams) -> tuple[np.ndarray, list[str]]:
-    """Unit directions (rows) of ``samples`` and their kinds. Sample j
-    draws from the next generator of ``streams``, which must start where
-    ``rng_for(*label, j)`` does. On two modules an odd j is structured,
-    (X1/|X1| + X2/|X2|) / sqrt(2) with X_k = b_k z_k for one standard
-    normal z_k per module, unless X1 or X2 has norm below 1e-12: then its
-    stream goes on with a generic draw, as every other j is, v / |v| for
-    a standard normal v in m. Module maps and norms are stacked matmuls,
-    bit-identical to the per-sample b @ z and x @ x."""
-    dm = blocks[0].shape[0]
-    widths = [b.shape[1] for b in blocks]
-    mixed = np.array([len(blocks) == 2 and j % 2 == 1 for j in samples],
-                     dtype=bool)
-    z = np.empty((int(mixed.sum()), sum(widths)))
-    v = np.empty((len(samples), dm))
-    rows = iter(z)
-    for i, rng in zip(range(len(samples)), streams):
-        rng.standard_normal(out=next(rows) if mixed[i] else v[i])
-    x = np.empty((len(samples), dm))
-    if len(z):
-        parts = [np.matmul(b, zk[:, :, None])[:, :, 0] for b, zk
-                 in zip(blocks, np.split(z, [widths[0]], axis=1))]
+def _coordinates(label: tuple, samples: range, dm: int) -> np.ndarray:
+    """Coordinates (rows) of ``samples``: sample j takes the 64-bit words
+    [j dm, (j + 1) dm) of the one stream ``rng_for(*label)``, reached by
+    one ``advance`` and one ``random_raw``, and reads word w as
+    2 (w >> 11) 2^-53 - 1 in [-1, 1). Each step is exact, so a row
+    depends on (label, j) alone, to the last bit on any machine."""
+    bits = rng_for(*label).bit_generator
+    bits.advance(samples.start * dm)
+    words = bits.random_raw(len(samples) * dm).reshape(len(samples), dm)
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -52 - 1.0
+
+
+def _directions(blocks: list[np.ndarray], label: tuple,
+                samples: range) -> tuple[np.ndarray, list[str]]:
+    """Unit directions (rows) of ``samples`` and their kinds, from their
+    ``_coordinates`` u. On two modules an odd j is structured,
+    (X1/|X1| + X2/|X2|) / sqrt(2) with X_k = b_k z_k, z1 and z2 the first
+    and last module widths of u (the widths sum to dim m), unless X1 or
+    X2 has norm below 1e-12: then it is generic, as every other j is,
+    u / |u|. Module maps and norms are stacked matmuls, bit-identical to
+    the per-sample b @ z and x @ x."""
+    v = _coordinates(label, samples, blocks[0].shape[0])
+    mixed = (np.arange(samples.start, samples.stop) % 2 == 1) \
+        & (len(blocks) == 2)
+    x = np.empty_like(v)
+    if mixed.any():
+        at = np.flatnonzero(mixed)
+        parts = [np.matmul(b, z[:, :, None])[:, :, 0] for b, z in zip(
+            blocks, np.split(v[at], [blocks[0].shape[1]], axis=1))]
         n1, n2 = (np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
                   for p in parts)
         ok = (n1[:, 0] >= 1e-12) & (n2[:, 0] >= 1e-12)
-        at = np.flatnonzero(mixed)
         x[at[ok]] = (parts[0][ok] / n1[ok]
                      + parts[1][ok] / n2[ok]) / np.sqrt(2.0)
-        for i in at[~ok]:
-            rng = rng_for(*label, samples[i])
-            rng.standard_normal(z.shape[1])
-            v[i] = rng.standard_normal(dm)
-            mixed[i] = False
+        mixed[at[~ok]] = False
     generic = ~mixed
     if generic.any():
         vs = v[generic]
@@ -374,20 +374,20 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
              exact_mode: bool = False) -> GoVerdict:
     """Sample tangent directions and aggregate pointwise certificates.
 
-    Sample i draws from its own stream, ``rng_for("go", name, seed, i)``
-    (the exact lane's is labelled "go-exact"), and the first certified
-    counterexample ends the run as NOT_GO. A float run derives its
-    streams from the same seeds in one pass (``linalg.stream_states``),
-    so it draws exactly those numbers. The float lane alternates generic
-    unit vectors and, on two modules, normalized mixtures
-    (X1 + X2) / sqrt(2); the exact lane draws integer combinations of the
-    rational module bases. A normal metric (scalar, or lam == mu exactly)
-    is trivially consistent. Every metric runs on one driver over its
-    lane's samples, which the space holds for one seed and fills in two
-    chunks: sample 0, where every counterexample seen so far ends a run,
-    then the rest of the call. A two-parameter metric reads them off the
-    metric-free factorisation, a scalar one with z = 0; any other float
-    metric accepts none. Per-sample products make each float witness
+    Float sample i takes its own run of words of one stream,
+    ``rng_for("go", name, seed)`` (``_coordinates``); exact sample i
+    draws from its own ``rng_for("go-exact", name, seed, i)``. The first
+    certified counterexample ends the run as NOT_GO. The float lane
+    alternates generic unit vectors and, on two modules, normalized
+    mixtures (X1 + X2) / sqrt(2) (``_directions``); the exact lane draws
+    integer combinations of the rational module bases. A normal metric
+    (scalar, or lam == mu exactly) is trivially consistent. Every metric
+    runs on one driver over its lane's samples, which the space holds for
+    one seed and fills in two chunks: sample 0, where every
+    counterexample seen so far ends a run, then the rest of the call. A
+    two-parameter metric reads them off the metric-free factorisation, a
+    scalar one with z = 0; any other float metric accepts none.
+    Addressed draws and per-sample products make each float witness
     independent of its chunk and of earlier calls. A rejected sample is
     solved again, a float one by go_witness_general, so every float
     counterexample and ToleranceError is its.
@@ -501,9 +501,11 @@ def _qr_solve(m_parts: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 class _Draws:
     """The float lane's samples of one seed, drawn from every module
-    block: their unit directions (``rows``) and kinds. A scalar metric
-    accepts each sample with z = 0; any other float metric accepts none,
-    so each is solved again by ``go_witness_general``.
+    block: their unit directions (``rows``) and kinds, each chunk read
+    off the seed's one addressed stream (``_directions``), so a row is
+    the same whatever chunk drew it. A scalar metric accepts each sample
+    with z = 0; any other float metric accepts none, so each is solved
+    again by ``go_witness_general``.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
@@ -520,28 +522,13 @@ class _Draws:
 
     def fill(self, space: ReductiveSpace, samples: range):
         """Draw the next chunk of samples and return their rows."""
-        label = ("go", space.name, self.seed)
-        x, kinds = _directions(self.blocks, label, samples,
-                               self._streams(label, samples))
+        x, kinds = _directions(self.blocks, ("go", space.name, self.seed),
+                               samples)
         # witnesses hand out rows of x, so nothing may write to them
         x.flags.writeable = False
         self.kinds += kinds
         self.rows += list(x)
         return x
-
-    @staticmethod
-    def _streams(label: tuple, samples: range):
-        """Yield a generator at the start of rng_for(*label, j) for each j
-        in ``samples``: rng_for's own for a chunk of one or two, else one
-        generator set to each state of one ``stream_states`` pass, which
-        has a fixed cost of about three ``rng_for`` calls."""
-        if len(samples) < 3:
-            yield from (rng_for(*label, j) for j in samples)
-            return
-        rng = np.random.Generator(np.random.PCG64())
-        for state in stream_states(label, samples):
-            rng.bit_generator.state = state
-            yield rng
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask, residuals and z of the samples in ``part``:

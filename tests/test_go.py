@@ -386,19 +386,30 @@ def test_pair_solvers_read_the_go_witness_off_inside_c_tilde(entry_id):
                     assert np.abs(off).max() <= 1e-10
 
 
-def _sample_direction(blocks, rng, structured):
-    # sample i's direction, drawn per sample from its own generator
+def _sample_coordinates(space, seed, i):
+    """Sample i's coordinates, one word at a time in Python ints: the
+    words [i dm, (i + 1) dm) of rng_for("go", name, seed), dm = dim m,
+    each word w read as 2 (w >> 11) 2^-53 - 1, which a float holds
+    exactly."""
+    dm = space.m.dim
+    bits = rng_for("go", space.name, seed).bit_generator
+    bits.advance(i * dm)
+    words = [int(w) for w in bits.random_raw(dm)]
+    return np.array([(2 * (w >> 11) - 2 ** 53) / 2 ** 53 for w in words])
+
+
+def _sample_direction(blocks, u, structured):
+    # sample i's direction from its own coordinates u
     if structured and len(blocks) == 2:
         b1, b2 = blocks
-        x1 = b1 @ rng.standard_normal(b1.shape[1])
-        x2 = b2 @ rng.standard_normal(b2.shape[1])
+        x1 = b1 @ u[:b1.shape[1]]
+        x2 = b2 @ u[b1.shape[1]:]
         n1 = np.sqrt(x1 @ x1)
         n2 = np.sqrt(x2 @ x2)
         if n1 < 1e-12 or n2 < 1e-12:
-            return _sample_direction(blocks, rng, False)
+            return _sample_direction(blocks, u, False)
         return (x1 / n1 + x2 / n2) / np.sqrt(2.0), "structured"
-    v = rng.standard_normal(blocks[0].shape[0])
-    return v / np.sqrt(v @ v), "generic"
+    return u / np.sqrt(u @ u), "generic"
 
 
 def _blocks(space):
@@ -407,7 +418,7 @@ def _blocks(space):
 
 def _sampled_rows(space, seed, n_samples, blocks=None):
     blocks = blocks or _blocks(space)
-    drawn = [_sample_direction(blocks, rng_for("go", space.name, seed, i),
+    drawn = [_sample_direction(blocks, _sample_coordinates(space, seed, i),
                                i % 2 == 1) for i in range(n_samples)]
     return np.array([x for x, _ in drawn]), [kind for _, kind in drawn]
 
@@ -423,7 +434,7 @@ def _oracle(space, metric, n_samples, seed, tol=go.DEFAULT_TOL):
     witnesses = []
     for i in range(n_samples):
         x, kind = _sample_direction(
-            blocks, rng_for("go", space.name, seed, i), i % 2 == 1)
+            blocks, _sample_coordinates(space, seed, i), i % 2 == 1)
         if metric.is_scalar:
             rhs = -metric.apply(x) @ (x @ brackets).reshape(dm, dm)
             witnesses.append(go.GoWitness(
@@ -479,6 +490,21 @@ def test_factored_lane_matches_per_sample_solves(entry_id, monkeypatch):
             assert len(fallbacks) == (verdict.status == "NOT_GO")
             _assert_same_verdict(verdict,
                                  _oracle(space, pair, 40, seed))
+
+
+@pytest.mark.parametrize("entry_id", TWO_SUMMAND)
+def test_float_verdicts_do_not_depend_on_the_seed(entry_id):
+    # the seed moves the decomposition and every sample, not the verdict:
+    # at each DEFAULT_PAIRS pair the status, and on NOT_GO the
+    # counterexample's rank gap, are the same at seeds 0..3
+    verdicts = set()
+    for seed in range(4):
+        space = catalog.catalog_instantiate(entry_id, seed=seed)
+        runs = [go.go_check(space, pair, seed=seed)
+                for pair in catalog.DEFAULT_PAIRS]
+        verdicts.add(tuple((v.status, v.counterexample and
+                            v.counterexample.rank_gap) for v in runs))
+    assert len(verdicts) == 1
 
 
 def _space(space_id):
@@ -578,43 +604,69 @@ def _held(space, fac):
 
 @pytest.mark.parametrize("entry_id", ["go-3-k2", "go-4-r2", "t1-V.10"])
 def test_a_chunked_fill_equals_a_one_shot_fill(entry_id, monkeypatch):
-    # chunks that derive their streams in one pass, take rng_for's own,
-    # or both, hold the rows of per-sample draws and the same R, Z and
-    # read-offs as a one-shot fill, bit for bit
+    # chunks of any size, and a chunk that starts mid-run, hold the rows
+    # of per-sample draws and the same R, Z and read-offs as a one-shot
+    # fill, bit for bit
     space = catalog.catalog_instantiate(entry_id, seed=0)
-    rows, kinds = _sampled_rows(space, 3, 40)
+    rows, kinds = _sampled_rows(space, 3, 60)
     want = None
     for chunks in ([40], [1, 1, 2, 4, 8, 16, 8], [1, 2, 1, 36],
                    [3, 1, 1, 35], [1, 39]):
         fac = _filled(space, 3, chunks)
         held = _held(space, fac)
-        assert fac.kinds == kinds
-        np.testing.assert_array_equal(held[0], rows)
+        assert fac.kinds == kinds[:40]
+        np.testing.assert_array_equal(held[0], rows[:40])
         want = want or held
         for got, one_shot in zip(held, want):
             assert got.shape == one_shot.shape
             assert got.tobytes() == one_shot.tobytes()
-    # a chunk of three or more derives its streams in one pass over
-    # exactly its samples, a shorter one takes rng_for's: no state is left
-    # over for a later chunk, which may come from a later call
-    passes = []
-    derive = go.stream_states
+    # each chunk reads its words off one rng_for stream, advanced to its
+    # first sample: no state is left over for a later chunk, which may
+    # come from a later call
+    labels = []
 
-    def spy(label, samples):
-        passes.append(samples)
-        return derive(label, samples)
-    monkeypatch.setattr(go, "stream_states", spy)
+    def spy(*label):
+        labels.append(label)
+        return rng_for(*label)
+    monkeypatch.setattr(go, "rng_for", spy)
     fac = go._Factorisation(space, 3)
-    for start, stop in ((0, 1), (1, 2), (2, 4), (4, 5), (5, 12), (12, 40)):
+    chunks = ((0, 1), (1, 2), (2, 4), (4, 5), (5, 12), (12, 40))
+    for start, stop in chunks:
         fac.fill(space, range(start, stop))
-    assert passes == [range(5, 12), range(12, 40)]
-    assert fac.kinds == kinds
-    np.testing.assert_array_equal(np.array(fac.rows), rows)
+    assert labels == [("go", space.name, 3)] * len(chunks)
+    assert fac.kinds == kinds[:40]
+    np.testing.assert_array_equal(np.array(fac.rows), rows[:40])
+    mid = go._Factorisation(space, 3)
+    mid.fill(space, range(57, 60))
+    assert mid.kinds == kinds[57:]
+    np.testing.assert_array_equal(np.array(mid.rows), rows[57:])
+    one_shot = _filled(space, 3, [60])
+    assert mid.z.tobytes() == one_shot.z[57:].tobytes()
+    assert mid.terms.tobytes() == one_shot.terms[57:].tobytes()
+
+
+def test_draw_coordinates_are_pinned_to_the_bit():
+    # the addressed stream and its word-to-coordinate map, pinned at
+    # samples 0, 1 and 57 of one label: they must not move with the
+    # machine, the numpy version or the chunk a sample is drawn in
+    label, dm = ("go", "golden", 0), 4
+    want = {
+        0: ["0x1.36c4d1d2ad93cp-2", "0x1.1b2068816cf4ep-1",
+            "0x1.562969394db38p-2", "0x1.1d73fb8ee99d4p-1"],
+        1: ["0x1.38a822992b188p-1", "-0x1.0f00c815c6ca8p-1",
+            "-0x1.e06128112b7aep-1", "-0x1.090dce12c39e4p-2"],
+        57: ["-0x1.03686fcd66954p-2", "-0x1.1a98a3488bac0p-6",
+             "0x1.64190f4f251cap-1", "-0x1.1d1df1bdadde0p-4"],
+    }
+    for chunk in (range(0, 60), range(0, 2), range(57, 58)):
+        u = go._coordinates(label, chunk, dm)
+        for j in set(want) & set(chunk):
+            assert [c.hex() for c in u[j - chunk.start]] == want[j]
 
 
 def test_a_zero_norm_module_draw_falls_back_to_a_generic_draw():
     # a zeroed block makes every structured draw's module part zero: each
-    # such sample goes on along its stream with a generic draw, as the
+    # such sample becomes a generic row of its own coordinates, as the
     # per-sample draw does
     space = catalog.catalog_instantiate("go-3-k2", seed=0)
     blocks = _blocks(space)

@@ -13,61 +13,6 @@ def test_rng_for_is_deterministic_and_label_sensitive():
     assert np.abs(a - c).max() > 0
 
 
-def _draws(rng, n=3):
-    """Raw bits of n standard normals from ``rng``."""
-    return rng.standard_normal(n).view(np.uint64)
-
-
-def _from_states(states, n=3):
-    rng = np.random.Generator(np.random.PCG64())
-    out = np.empty((len(states), n), dtype=np.uint64)
-    for row, state in zip(out, states):
-        rng.bit_generator.state = state
-        row[:] = _draws(rng, n)
-    return out
-
-
-# the seeds at the 32- and 64-bit word boundaries of SeedSequence's pool
-BOUNDARY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
-
-
-def test_stream_states_draw_what_default_rng_draws():
-    # the gate for deriving streams in one pass: 10^5 seeds, bit for bit
-    seeds = BOUNDARY_SEEDS + list(range(2, 50_000)) + [
-        int(s) for s in np.random.default_rng(11).integers(
-            0, 2 ** 64, size=40_000, dtype=np.uint64)]
-    states = linalg.default_rng_states(seeds)
-    want = np.array([_draws(np.random.default_rng(s)) for s in seeds])
-    np.testing.assert_array_equal(_from_states(states), want)
-    for s in BOUNDARY_SEEDS:
-        assert linalg.default_rng_states([s])[0] == \
-            np.random.default_rng(s).bit_generator.state
-    # the go lane's own streams, against rng_for
-    parts = [("go", f"so({2 * k + 1})/u({k})", seed)
-             for k in range(2, 7) for seed in range(20)]
-    got = np.concatenate([_from_states(linalg.stream_states(p, range(100)))
-                          for p in parts])
-    want = np.array([_draws(linalg.rng_for(*p, j))
-                     for p in parts for j in range(100)])
-    assert len(seeds) + len(want) >= 100_000
-    np.testing.assert_array_equal(got, want)
-
-
-@given(st.lists(st.one_of(st.integers(), st.floats(allow_nan=False),
-                          st.text(st.characters(blacklist_categories=["Cs"]),
-                                  max_size=12)), max_size=4),
-       st.integers(0, 2 ** 40), st.integers(0, 6))
-@settings(max_examples=60, deadline=None)
-def test_stream_states_follow_rng_for_over_any_parts(parts, start, count):
-    indices = range(start, start + count)
-    states = linalg.stream_states(tuple(parts), indices)
-    assert states == [linalg.rng_for(*parts, j).bit_generator.state
-                      for j in indices]
-    want = np.array([_draws(linalg.rng_for(*parts, j), 5)
-                     for j in indices]).reshape(count, 5)
-    np.testing.assert_array_equal(_from_states(states, 5), want)
-
-
 def test_svd_rank_matches_known_ranks():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(9, 5))
