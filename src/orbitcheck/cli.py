@@ -9,10 +9,11 @@ catalog regression.
 
 Exit codes: 0 on success or expected match, 1 on a verdict mismatch or
 violated invariant, 2 on usage errors (including missing or malformed
-input files). Every subcommand has a --json mode; JSON output is
-deterministic for a fixed seed, tolerance and BLAS thread count (sorted
-keys, no timestamps). Float residuals and margins may differ in their
-last digits between thread counts; statuses and exact verdicts do not.
+input files and names or parameters the zoo cannot build). Every
+subcommand has a --json mode; JSON output is deterministic for a fixed
+seed, tolerance and BLAS thread count (sorted keys, no timestamps).
+Float residuals and margins may differ in their last digits between
+thread counts; statuses and exact verdicts do not.
 """
 
 from __future__ import annotations
@@ -90,9 +91,18 @@ def _load_spec_file(path: str) -> dict:
             f"{path}: line {err.lineno} column {err.colno}: {err.msg}")
 
 
+def _zoo(lookup, *args, **params):
+    """A zoo lookup, whose bad names and parameters (the zoo raises
+    ValueError, KeyError or TypeError for them) are usage errors."""
+    try:
+        return lookup(*args, **params)
+    except (ValueError, KeyError, TypeError) as err:
+        raise click.UsageError(" ".join(map(str, err.args)) or repr(err))
+
+
 def _algebra_from_spec(spec) -> LieAlgebra:
     if isinstance(spec, str):
-        return zoo.algebra_by_name(spec)
+        return _zoo(zoo.algebra_by_name, spec)
     if isinstance(spec, dict):
         return algebra_from_json_dict(spec)
     raise click.UsageError(f"cannot interpret algebra spec {spec!r}")
@@ -112,8 +122,11 @@ def _space_from_file(path: str, seed: int, tol: float):
     if emb_spec is None:
         emb = np.zeros((g.dim, 0))
     elif "key" in emb_spec:
-        emb = zoo.named_embedding(emb_spec["key"],
-                                  **emb_spec.get("params", {}))
+        params = emb_spec.get("params", {})
+        if not isinstance(params, dict):
+            raise click.UsageError(f"{path}: embedding params must be an "
+                                   "object")
+        emb = _zoo(zoo.named_embedding, emb_spec["key"], **params)
     elif "matrix" in emb_spec:
         emb = np.asarray(emb_spec["matrix"], dtype=float)
     else:
@@ -447,7 +460,7 @@ def zoo_list(as_json):
 def zoo_algebra(name, tol, as_json):
     """Build an algebra by name and report its validation residuals; exit
     1 if validation fails."""
-    alg = _wrap(lambda: zoo.algebra_by_name(name))
+    alg = _wrap(lambda: _zoo(zoo.algebra_by_name, name))
     report = alg.validate(tol=max(tol, 1e-12))
     _emit({"name": alg.name, "dim": alg.dim, **report.as_dict()}, as_json)
     if not report.passed:
@@ -471,11 +484,8 @@ def zoo_embedding(key, params, as_json):
         except ValueError:
             kwargs[name] = value
 
-    def run():
-        emb = zoo.named_embedding(key, **kwargs)
-        return zoo.as_embedding(emb)
-
-    emb = _wrap(run)
+    emb = _wrap(lambda: zoo.as_embedding(
+        _zoo(zoo.named_embedding, key, **kwargs)))
     _emit({
         "key": key,
         "params": kwargs,

@@ -42,6 +42,8 @@ MARGIN_FACTOR = 1e3
 # most QR_CONDITION_CAP, far below the 1 / (dim m eps) of rank_threshold
 QR_PIVOT_FLOOR = 1e-8
 QR_CONDITION_CAP = 1e8
+# the exact lane's basis coefficients, as Python ints: none is zero
+COEFFICIENTS = np.array([-3, -2, -1, 1, 2, 3], dtype=object)
 
 
 class ToleranceError(OrbitcheckError):
@@ -327,15 +329,21 @@ def go_witness_general(space: ReductiveSpace, metric, x: np.ndarray,
                      rank_gap=rank_aug - rank_a, margin=margin, kind=kind)
 
 
-def _coordinates(label: tuple, samples: range, dm: int) -> np.ndarray:
-    """Coordinates (rows) of ``samples``: sample j takes the 64-bit words
+def _words(label: tuple, samples: range, dm: int) -> np.ndarray:
+    """The 64-bit words (rows) of ``samples``: sample j takes the words
     [j dm, (j + 1) dm) of the one stream ``rng_for(*label)``, reached by
-    one ``advance`` and one ``random_raw``, and reads word w as
-    2 (w >> 11) 2^-53 - 1 in [-1, 1). Each step is exact, so a row
-    depends on (label, j) alone, to the last bit on any machine."""
+    one ``advance`` and one ``random_raw``, so a row depends on (label, j)
+    alone, on any machine and numpy version."""
     bits = rng_for(*label).bit_generator
     bits.advance(samples.start * dm)
-    words = bits.random_raw(len(samples) * dm).reshape(len(samples), dm)
+    return bits.random_raw(len(samples) * dm).reshape(len(samples), dm)
+
+
+def _coordinates(label: tuple, samples: range, dm: int) -> np.ndarray:
+    """Coordinates (rows) of ``samples``: their ``_words``, word w read as
+    2 (w >> 11) 2^-53 - 1 in [-1, 1). Each step is exact, so a row is the
+    same to the last bit whatever chunk drew it."""
+    words = _words(label, samples, dm)
     return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -52 - 1.0
 
 
@@ -374,20 +382,20 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
              exact_mode: bool = False) -> GoVerdict:
     """Sample tangent directions and aggregate pointwise certificates.
 
-    Float sample i takes its own run of words of one stream,
-    ``rng_for("go", name, seed)`` (``_coordinates``); exact sample i
-    draws from its own ``rng_for("go-exact", name, seed, i)``. The first
-    certified counterexample ends the run as NOT_GO. The float lane
-    alternates generic unit vectors and, on two modules, normalized
-    mixtures (X1 + X2) / sqrt(2) (``_directions``); the exact lane draws
-    integer combinations of the rational module bases. A normal metric
+    Sample i takes its own run of dim m words of one stream per lane and
+    seed, ``rng_for("go", name, seed)`` or ``rng_for("go-exact", name,
+    seed)`` (``_words``). The first certified counterexample ends the run
+    as NOT_GO. The float lane alternates generic unit vectors and, on two
+    modules, normalized mixtures (X1 + X2) / sqrt(2) (``_directions``);
+    the exact lane takes combinations of the rational module bases with
+    coefficients in {-3, -2, -1, 1, 2, 3}, one per word. A normal metric
     (scalar, or lam == mu exactly) is trivially consistent. Every metric
     runs on one driver over its lane's samples, which the space holds for
     one seed and fills in two chunks: sample 0, where every
     counterexample seen so far ends a run, then the rest of the call. A
     two-parameter metric reads them off the metric-free factorisation, a
     scalar one with z = 0; any other float metric accepts none.
-    Addressed draws and per-sample products make each float witness
+    Addressed draws and per-sample products make each witness
     independent of its chunk and of earlier calls. A rejected sample is
     solved again, a float one by go_witness_general, so every float
     counterexample and ToleranceError is its.
@@ -605,7 +613,8 @@ class _Factorisation(_Draws):
 class _ExactFactorisation:
     """Metric-free part of the exact system for the samples of one seed.
 
-    Sample i is X = (x1 + x2) / denom, x_k in module k, and A scales X_k
+    Sample i is X = (x1 + x2) / denom, x_k in module k a combination of
+    its basis columns with nonzero integer coefficients, and A scales X_k
     by c_k, c1 : c2 = lam : mu. As rows_k sees only module k and [h, m_k]
     lies in m_k, rows [Z + X, A X] = 0 is diag(c1, c2) M y = (c2 - c1) b
     with Z = H y / denom, M = rows ad(x) H and b = rows [x1, x2]. One
@@ -617,18 +626,20 @@ class _ExactFactorisation:
 
     def __init__(self, space: ReductiveSpace, seed: int):
         self.seed, self.lane = seed, space.exact_lane
-        if len(self.lane.bases) != 2:
-            raise ExactUnavailableError("exact mode expects two modules")
         self.brackets = space.g.structure_exact.bracket_numerators
         self.kinds, self.rows, self.parts, self.solved = [], [], [], {}
 
     def fill(self, space: ReductiveSpace, samples: range) -> None:
-        """Draw the next chunk of samples, each from its own ``rng_for``
-        (a sample costs far more than its stream)."""
-        for i in samples:
-            rng = rng_for("go-exact", space.name, self.seed, i)
-            x1, x2 = (b @ _nonzero_int_vector(rng, b.shape[1])
-                      for b in self.lane.bases)
+        """Draw the next chunk of samples off the seed's one addressed
+        stream (``_words``): word w is the coefficient
+        ``COEFFICIENTS[w % 6]`` of a basis column, module 1's columns
+        first, so neither module part is zero. Each sample's float row is
+        its own product, whatever chunk drew it."""
+        b1, b2 = self.lane.bases
+        words = _words(("go-exact", space.name, self.seed), samples,
+                       b1.shape[1] + b2.shape[1])
+        for c in COEFFICIENTS[words % np.uint64(6)]:
+            x1, x2 = b1 @ c[:b1.shape[1]], b2 @ c[b1.shape[1]:]
             x = self.lane.to_m @ exact.to_float(x1 + x2, self.lane.denom)
             x.flags.writeable = False
             self.kinds.append("exact")
@@ -696,14 +707,6 @@ class _ReadOff(Sequence):
                 residual=float(self._residuals[j]), rank_gap=0, margin=0.0,
                 kind=self._kinds[j])
         return self._built[j]
-
-
-def _nonzero_int_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Nonzero Python-int vector with entries in [-3, 3]."""
-    while True:
-        v = rng.integers(-3, 4, size=n)
-        if np.any(v):
-            return v.astype(object)
 
 
 # --- geodesic graphs on two-module spaces -------------------------------

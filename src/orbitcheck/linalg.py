@@ -10,9 +10,11 @@ Inputs are assumed to carry O(1) scale (orthonormal bases, integer
 structure constants); rescale before calling if that does not hold.
 
 Seeded streams: ``rng_for(*parts)`` is ``default_rng`` seeded from a
-SHA-256 of the parts. The float GO lane reads one such stream as an
-addressed sequence of 64-bit words (``go._coordinates``): PCG64's
-``advance`` jumps to a sample's words in O(log n) steps.
+SHA-256 of the parts. Each GO lane, float and exact, reads one such
+stream per seed as an addressed sequence of raw 64-bit words
+(``go._words``): PCG64's ``advance`` jumps to a sample's words in
+O(log n) steps, and no ``Generator`` method, whose output numpy may
+change between releases, is called.
 """
 
 from __future__ import annotations

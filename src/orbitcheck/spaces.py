@@ -767,7 +767,7 @@ class ExactLane:
     h coordinates.
     """
 
-    bases: tuple[np.ndarray, ...]
+    bases: tuple[np.ndarray, np.ndarray]
     denom: int
     rows: np.ndarray
     system: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -777,34 +777,37 @@ class ExactLane:
 
 
 def exact_module_bases(space: ReductiveSpace) -> ExactLane:
-    """The exact GO lane: rational bases of the isotropy modules, verified
-    against the float ones, and the integer data every sample reuses.
+    """The exact GO lane: rational bases of the two isotropy modules,
+    verified against the float ones, and the integer data each sample reuses.
 
     m's rational basis mx / dx is the exact kernel of h's Gram pairing,
     in rref free-column form; gm / (dx^2 dip) is its Gram matrix, with
-    dip the inner product's denominator. Every module but the largest is
-    read off its float projector: the gm-orthogonal projector P onto the
-    module, in that basis, is rounded entry by entry to fractions with
-    denominators up to 2^20, and the module is the exact kernel of I - P
-    in rref free-column form, which depends only on the subspace. The
-    guess is then checked exactly: its dimension is the float module's,
-    the bracket of every h generator with every basis vector stays
-    inside it (one integer product of h's ad matrices with the basis
-    must vanish on the rows that vanish on the span), and the guessed
-    modules are pairwise gm-orthogonal. The largest module is their
-    exact gm-orthocomplement in m, invariant because the inner product
-    is. Every exact module must also match its float module to 1e-8.
+    dip the inner product's denominator. The module that
+    ``argmax(module_dims)`` does not pick is read off its float
+    projector: the gm-orthogonal projector P onto the module, in that
+    basis, is rounded entry by entry to fractions with denominators up
+    to 2^20, and the module is the exact kernel of I - P in rref
+    free-column form, which depends only on the subspace. The guess is
+    then checked exactly: its dimension is the float module's, and the
+    bracket of every h generator with every basis vector stays inside it
+    (one integer product of h's ad matrices with the basis must vanish on
+    the rows that vanish on the span). The other module is its exact
+    gm-orthocomplement in m, invariant because the inner product is.
+    Both exact modules must also match their float modules to 1e-8.
 
     Raises ExactUnavailableError when an exact ingredient is missing,
-    when the modules form isotypic pairs (an equivalent pair has no
-    canonical split to recover), or when any check fails, so a bad
-    rounding withdraws the exact lane but never certifies a wrong split.
+    when the modules form an isotypic pair (an equivalent pair has no
+    canonical split to recover), when there are not two, or when any
+    check fails, so a bad rounding withdraws the exact lane but never
+    certifies a wrong split.
     """
     _require_exact(space)
     if not space.modules:
         raise ExactUnavailableError("decompose the isotropy modules first")
     if any(len(group) > 1 for group in space.isotypic_groups):
         raise ExactUnavailableError("isotypic modules have no canonical split")
+    if len(space.modules) != 2:
+        raise ExactUnavailableError("exact mode expects two modules")
     g = space.g
     gram_f = g.inner_product
     h_cols = exact.cleared(space.embedding.matrix_exact)[0]
@@ -816,34 +819,24 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     gm = mx.T @ ip @ mx
     gm_f = exact.to_float(gm, dx * dx * dip)
     to_coords = np.linalg.solve(gm_f, exact.to_float(mx, dx).T @ gram_f)
-    largest = int(np.argmax(space.module_dims))
-    coords: list[tuple[np.ndarray, int] | None] = [None] * len(space.modules)
-    for idx, mod in enumerate(space.modules):
-        if idx == largest:
-            continue
-        c = to_coords @ mod.basis
-        proj, d = exact.cleared(exact.fmatrix(
-            [[Fraction(v).limit_denominator(1 << 20) for v in row]
-             for row in c @ c.T @ gm_f]))
-        # I - P has the kernel of d I - proj, which stays on integers
-        kernel, dk = exact.null_space(
-            d * np.identity(len(proj), dtype=object) - proj)
-        if kernel.shape[1] != mod.dim:
-            raise ExactUnavailableError(f"rounded {mod.name} has dimension "
-                                        f"{kernel.shape[1]}, not {mod.dim}")
-        basis = mx @ kernel
-        if np.any(exact.null_space(basis.T)[0].T @ (ad_h @ basis) != 0):
-            raise ExactUnavailableError(
-                f"rounded {mod.name} is not ad(h)-invariant")
-        coords[idx] = kernel, dk
-    guessed = [c[0] for c in coords if c is not None]
-    for i, a in enumerate(guessed):
-        for b in guessed[i + 1:]:
-            if np.any(a.T @ gm @ b != 0):
-                raise ExactUnavailableError("rounded modules are not orthogonal")
-    coords[largest] = exact.null_space(
-        np.vstack([c.T @ gm for c in guessed]) if guessed
-        else exact.fzeros((0, len(gm))))
+    rounded = 1 - int(np.argmax(space.module_dims))
+    mod = space.modules[rounded]
+    c = to_coords @ mod.basis
+    proj, d = exact.cleared(exact.fmatrix(
+        [[Fraction(v).limit_denominator(1 << 20) for v in row]
+         for row in c @ c.T @ gm_f]))
+    # I - P has the kernel of d I - proj, which stays on integers
+    kernel, dk = exact.null_space(
+        d * np.identity(len(proj), dtype=object) - proj)
+    if kernel.shape[1] != mod.dim:
+        raise ExactUnavailableError(f"rounded {mod.name} has dimension "
+                                    f"{kernel.shape[1]}, not {mod.dim}")
+    basis = mx @ kernel
+    if np.any(exact.null_space(basis.T)[0].T @ (ad_h @ basis) != 0):
+        raise ExactUnavailableError(
+            f"rounded {mod.name} is not ad(h)-invariant")
+    guess, rest = (kernel, dk), exact.null_space(kernel.T @ gm)
+    coords = (rest, guess) if rounded else (guess, rest)
     common = math.lcm(*(dk for _, dk in coords))
     bases = []
     for mod, (kernel, dk) in zip(space.modules, coords):
@@ -856,7 +849,6 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
                 f"exact {mod.name} does not match the float module")
         bases.append(basis * (common // dk))
     nums, denom = exact.reduced(np.hstack(bases), dx * common)
-    cuts = np.cumsum([b.shape[1] for b in bases])[:-1]
     rows = exact.reduced(nums.T @ ip, 1)[0]
     # rows is 2-5 % nonzero: sum S over the nonzero entries rows[p, k]
     tensor = np.zeros((len(rows), h_cols.shape[1], g.dim), dtype=object)
@@ -864,7 +856,8 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
         tensor[p] += rows[p, k] * ad_h[:, k]
     tensor = tensor.reshape(-1, g.dim)
     keys, cols = np.nonzero(tensor)
-    return ExactLane(bases=tuple(np.split(nums, cuts, axis=1)), denom=denom,
+    return ExactLane(bases=tuple(np.split(nums, [space.modules[0].dim],
+                                          axis=1)), denom=denom,
                      rows=rows, system=(keys, cols, tensor[keys, cols]),
                      h_cols=h_cols, to_m=space.m.basis.T @ gram_f,
                      to_h=space.h.basis.T @ gram_f)

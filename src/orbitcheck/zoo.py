@@ -53,10 +53,6 @@ def so_pairs(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {p: t for t, p in enumerate(so_pairs(n))}
-
-
 def _offdiag_matrices(n: int) -> list[np.ndarray]:
     mats = []
     for a, b in so_pairs(n):
@@ -111,8 +107,17 @@ def matrix_basis(family: str, n: int) -> list[np.ndarray]:
     return _MATRIX_BASES[family](n)
 
 
+@lru_cache(maxsize=None)
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of n x n,
+    read-only, as every call shares them."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _offdiag_coords(batch: np.ndarray, n: int) -> np.ndarray:
-    entries = batch[(slice(None), *np.triu_indices(n, 1))]
+    entries = batch[(slice(None), *_upper(n))]
     out = np.empty((batch.shape[0], 2 * entries.shape[1]))
     out[:, 0::2] = np.real(entries)
     out[:, 1::2] = np.imag(entries)
@@ -137,7 +142,7 @@ def _extract_u(batch: np.ndarray, n: int) -> np.ndarray:
 def _extract_sp(batch: np.ndarray, n: int) -> np.ndarray:
     b_block = batch[:, :n, n:]
     diag = np.diagonal(b_block, axis1=1, axis2=2)
-    off = b_block[(slice(None), *np.triu_indices(n, 1))]
+    off = b_block[(slice(None), *_upper(n))]
     return np.hstack([
         _extract_u(batch[:, :n, :n], n),
         np.real(diag), np.real(off),
@@ -459,37 +464,21 @@ def _pad(m: np.ndarray, size: int, offset: int) -> np.ndarray:
 
 def embed_so_in_so(k: int, n: int, offset: int = 0) -> Embedding:
     """so(k) acting on coordinates offset..offset+k-1 of R^n."""
-    if offset + k > n:
-        raise ValueError("block does not fit")
-    src = classical("so", k)
-    tgt = classical("so", n)
-    col = _pair_index(n)
-    matrix = np.zeros((tgt.dim, src.dim))
-    for t, (a, b) in enumerate(so_pairs(k)):
-        matrix[col[(a + offset, b + offset)], t] = 1.0
-    return Embedding(source=src, target=tgt, matrix=matrix,
-                     name=f"so({k})<so({n})@{offset}",
-                     matrix_exact=_exactify_matrix(matrix))
+    return _block_embedding("so", k, n, offset)
 
 
 def embed_su_in_su(k: int, n: int, offset: int = 0) -> Embedding:
     """su(k) block at the given diagonal offset inside su(n)."""
+    return _block_embedding("su", k, n, offset)
+
+
+def _block_embedding(family: str, k: int, n: int, offset: int) -> Embedding:
     if offset + k > n:
         raise ValueError("block does not fit")
-    src = classical("su", k)
-    tgt = classical("su", n)
-    matrix = np.zeros((tgt.dim, src.dim))
-    col = _pair_index(n)
-    for t in range(k - 1):
-        matrix[t + offset, t] = 1.0
-    base = k - 1
-    for p, (a, b) in enumerate(so_pairs(k)):
-        tgt_pair = col[(a + offset, b + offset)]
-        matrix[(n - 1) + 2 * tgt_pair, base + 2 * p] = 1.0
-        matrix[(n - 1) + 2 * tgt_pair + 1, base + 2 * p + 1] = 1.0
-    return Embedding(source=src, target=tgt, matrix=matrix,
-                     name=f"su({k})<su({n})@{offset}",
-                     matrix_exact=_exactify_matrix(matrix))
+    return _embedding_from_matrices(
+        classical(family, k), family, n,
+        [_pad(m, n, offset) for m in matrix_basis(family, k)],
+        f"{family}({k})<{family}({n})@{offset}")
 
 
 def embed_su_in_u(n: int) -> Embedding:

@@ -266,6 +266,43 @@ def test_zoo_commands(runner):
     assert data["target_dim"] == 10
 
 
+def _usage_error_line(result):
+    # exit 2 and one error line, not a traceback and not the exit code 1
+    # of a verdict mismatch
+    assert result.exit_code == 2
+    errors = [ln for ln in result.output.splitlines() if ln.startswith("Error")]
+    assert len(errors) == 1 and "Traceback" not in result.output
+    return errors[0]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["zoo", "algebra", "so(17)"], "so(17) outside supported range"),
+    (["zoo", "algebra", "su(3"], "cannot parse algebra name 'su(3'"),
+    (["zoo", "embedding", "nope"], "unknown embedding 'nope'"),
+    (["zoo", "embedding", "so_in_so", "--param", "k=2", "--param",
+      "bogus=1"], "unexpected keyword argument 'bogus'"),
+])
+def test_a_bad_zoo_name_is_a_usage_error(runner, args, message):
+    assert message in _usage_error_line(invoke(runner, args))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"algebra": "so(17)"}, "so(17) outside supported range"),
+    ({"algebra": "so(5)",
+      "embedding": {"key": "so_in_so", "params": {"k": 9, "n": 5}}},
+     "block does not fit"),
+    ({"algebra": "so(5)",
+      "embedding": {"key": "so_in_so", "params": [3, 5]}},
+     "embedding params must be an object"),
+])
+def test_a_spec_file_with_a_bad_zoo_name_is_a_usage_error(runner, tmp_path,
+                                                          spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    line = _usage_error_line(invoke(runner, ["decompose", str(path)]))
+    assert message in line
+
+
 def test_space_spec_file_target(runner, tmp_path):
     spec = {
         "name": "sphere-pair",

@@ -1036,6 +1036,21 @@ def test_a_refused_space_is_refused_on_every_call(entry_id, basis_calls):
     assert "exact_lane" not in vars(space)
 
 
+def test_a_one_module_space_is_refused_on_every_access(basis_calls):
+    # so(4)/so(3): m = R^3 is one module, which no isotypic pair refuses.
+    # go_check cannot reach this refusal, as a two-parameter metric needs
+    # two modules, so the lane is asked for directly
+    space = spaces.decompose_isotropy(spaces.reductive_space(
+        None, zoo.named_embedding("so_in_so", k=3, n=4)))
+    assert space.module_dims == (3,) and space.isotypic_groups == ((0,),)
+    for _ in range(3):
+        with pytest.raises(ExactUnavailableError,
+                           match="exact mode expects two modules"):
+            space.exact_lane
+    assert len(basis_calls) == 3
+    assert "exact_lane" not in vars(space)
+
+
 def test_a_copy_with_new_modules_builds_its_own_exact_data(so5_u2):
     # the tilted split of test_spaces must still be refused after the
     # original space's exact lane has run
@@ -1052,21 +1067,28 @@ def test_a_copy_with_new_modules_builds_its_own_exact_data(so5_u2):
         tilted.exact_lane
 
 
+def _exact_coefficients(space, seed, i):
+    """Sample i's basis coefficients, one word at a time in Python ints:
+    the words [i dm, (i + 1) dm) of rng_for("go-exact", name, seed),
+    dm = dim m, word w read as (-3, -2, -1, 1, 2, 3)[w % 6]."""
+    dm = space.m.dim
+    bits = rng_for("go-exact", space.name, seed).bit_generator
+    bits.advance(i * dm)
+    return [(-3, -2, -1, 1, 2, 3)[int(w) % 6] for w in bits.random_raw(dm)]
+
+
 def _fraction_sample(space, bases, rows, lam, mu, seed, i):
     """Sample i of the exact lane in Fraction arithmetic: X, and z in h
     coordinates (None when inconsistent) from one bracket_exact per h
     column and a one-column exact.solve on the cleared columns, with the
-    rational module bases ``bases`` and the integer rows ``rows``."""
+    rational module bases ``bases`` and the integer rows ``rows``; module
+    1 takes the first of the sample's coefficients."""
     g = space.g
-    rng = rng_for("go-exact", space.name, seed, i)
-    parts = []
-    for basis in bases:
-        while True:
-            v = rng.integers(-3, 4, size=basis.shape[1])
-            if np.any(v):
-                break
-        parts.append(exact.matmul(
-            basis, np.array([Fraction(int(t)) for t in v], dtype=object)))
+    coeffs = _exact_coefficients(space, seed, i)
+    cut = bases[0].shape[1]
+    parts = [exact.matmul(basis, np.array([Fraction(t) for t in c],
+                                          dtype=object))
+             for basis, c in zip(bases, (coeffs[:cut], coeffs[cut:]))]
     xg = parts[0] + parts[1]
     if lam == mu:
         return xg, exact.fzeros(space.h.dim)
@@ -1135,6 +1157,51 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
             statuses.add(verdict.status)
     assert "NORMAL_TRIVIAL" in statuses
     assert ("NOT_GO" in statuses) == (entry_id == "t1-V.1-m3n3")
+
+
+def test_exact_draw_coefficients_are_pinned_to_the_word(monkeypatch):
+    # go-3-k2's exact samples 0, 1 and 57 at seed 0, pinned as basis
+    # coefficients (module 1's two first): they must not move with the
+    # numpy version or the chunk a sample is drawn in, and no module part
+    # is zero. Each chunk reads one stream, advanced to its first sample
+    space = catalog.catalog_instantiate("go-3-k2", seed=0)
+    want = {0: [-2, -1, -3, -3, -3, -3], 1: [-3, 3, -1, 2, 2, -1],
+            57: [-1, 2, -3, 1, 1, -1]}
+    b1, b2 = space.exact_lane.bases
+    labels = []
+    monkeypatch.setattr(go, "rng_for",
+                        lambda *label: labels.append(label) or rng_for(*label))
+    chunks = (range(0, 60), range(0, 2), range(57, 58))
+    for chunk in chunks:
+        fac = go._ExactFactorisation(space, 0)
+        fac.fill(space, chunk)
+        for i in set(want) & set(chunk):
+            c = np.array(want[i], dtype=object)
+            x1, x2 = fac.parts[i - chunk.start]
+            assert x1.tolist() == (b1 @ c[:2]).tolist()
+            assert x2.tolist() == (b2 @ c[2:]).tolist()
+            assert all(type(v) is int for v in (*x1, *x2))
+            assert any(x1) and any(x2)
+    assert labels == [("go-exact", space.name, 0)] * len(chunks)
+    for i, c in want.items():
+        assert _exact_coefficients(space, 0, i) == c
+
+
+@pytest.mark.parametrize("entry_id", EXACT_CAPABLE)
+def test_exact_status_is_the_float_status_at_every_seed(entry_id):
+    # the seed moves the decomposition and every sample of both lanes,
+    # not the verdict: at each DEFAULT_PAIRS pair the exact status is the
+    # float status at seeds 0..3, and an inconsistent system gains exactly
+    # one rank on either lane
+    for seed in range(4):
+        space = catalog.catalog_instantiate(entry_id, seed=seed)
+        for pair in catalog.DEFAULT_PAIRS:
+            verdicts = [go.go_check(space, pair, seed=seed, exact_mode=mode)
+                        for mode in (True, False)]
+            assert verdicts[0].status == verdicts[1].status, (seed, pair)
+            for verdict in verdicts:
+                if verdict.status == "NOT_GO":
+                    assert verdict.counterexample.rank_gap == 1
 
 
 @pytest.mark.parametrize("entry_id", EXACT_CAPABLE)
