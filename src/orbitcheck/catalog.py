@@ -198,11 +198,14 @@ def catalog_instantiate(entry: CatalogEntry | str,
     and shared by every seed: the entry's embedding (``named_embedding``
     or its builtin builder, memoised) and its reductive split with the
     isotropy action, the m-bracket tensors, the isotropy commutant and,
-    once first classified, g's minimal ideals and the structure report
+    once first read, g's minimal ideals and the structure report
     (``reductive_space``, at most ``spaces.SPLIT_CACHE_SIZE`` splits
-    kept), all as read-only arrays. Everything seeded runs per call:
-    the eigenvalue split of the commutant and the modules read off it,
-    and every later step.
+    kept), all as read-only arrays. Without isotypic summands the
+    isotropy decomposition is seed-free too: every seed's space carries
+    the split's one ``IsotropyModules``, with its module coordinates,
+    projectors, filter reports and exact lane (``decompose_isotropy``).
+    The seed acts on what remains: the split of an isotypic group, drawn
+    per call, and the GO samples of every later step.
     """
     entry = _resolve(entry)
     if not entry.constructible:
@@ -299,7 +302,7 @@ def _entry_checks(entry: CatalogEntry, space: ReductiveSpace,
     two = space.two_summand
     if two and (expected.get("filter_pass") is not None
                 or expected.get("bracket_location") is not None):
-        report = necessary_filter(space, seed=seed)
+        report = necessary_filter(space)
         if expected.get("filter_pass") is not None:
             compare("filter_pass", expected["filter_pass"], report.passed)
         if expected.get("bracket_location") is not None:

@@ -127,6 +127,11 @@ def _space_from_file(path: str, seed: int, tol: float):
             raise click.UsageError(f"{path}: embedding params must be an "
                                    "object")
         emb = _zoo(zoo.named_embedding, emb_spec["key"], **params)
+        target = zoo.as_embedding(emb).target
+        if target.dim != g.dim:
+            raise click.UsageError(
+                f"{path}: embedding target {target.name} (dim {target.dim}) "
+                f"does not match algebra {g.name} (dim {g.dim})")
     elif "matrix" in emb_spec:
         emb = np.asarray(emb_spec["matrix"], dtype=float)
     else:
@@ -156,7 +161,10 @@ def _wrap(fn):
 
 
 _seed_option = click.option("--seed", type=int, default=0, show_default=True,
-                            help="Master seed for all sampling.")
+                            help="Master seed for the GO samples and for how "
+                                 "an isotypic group splits into modules; the "
+                                 "modules of any other space, the filter and "
+                                 "the structure label read no seed.")
 _tol_option = click.option("--tol", type=float, default=DEFAULT_TOL,
                            show_default=True, envvar="ORBITCHECK_TOL",
                            show_envvar=True,
@@ -275,7 +283,7 @@ def filter_cmd(target, expect, seed, tol, as_json):
 
     def run():
         space = _load_space(target, seed, tol)
-        return necessary_filter(space, seed=seed, tol=max(tol, 1e-8))
+        return necessary_filter(space, tol=max(tol, 1e-8))
 
     report = _wrap(run)
     _emit(report.as_dict(), as_json)
@@ -482,7 +490,7 @@ def zoo_embedding(key, params, as_json):
         try:
             kwargs[name] = int(value)
         except ValueError:
-            kwargs[name] = value
+            kwargs[name] = value  # a family name; the zoo checks the type
 
     emb = _wrap(lambda: zoo.as_embedding(
         _zoo(zoo.named_embedding, key, **kwargs)))

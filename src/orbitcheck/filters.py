@@ -4,12 +4,16 @@ The verdict engine certifies single tangent vectors; the filters here
 rule entire spaces out before any sampling. They key on where the
 bracket of the two isotropy modules lands and on principal stabilizer
 dimensions of the isotropy action, both computable by exact basis
-sweeps and small rank computations.
+sweeps and small rank computations. Neither reads a seed: the filter
+report is computed once per isotropy decomposition and shared by every
+space that carries it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -98,16 +102,13 @@ def bracket_location(space: ReductiveSpace, tol: float = 1e-8) -> str:
     """Where [m1, m2] lands: 'in_m1', 'in_m2', 'mixed', or 'zero'.
 
     Exact basis sweep over all pairs of module basis vectors; the m
-    component of each bracket is resolved against the two modules.
+    component of each bracket is resolved against the two modules. The
+    sweep's largest coordinates along each module are kept on the space's
+    decomposition and compared with each call's ``tol``.
     """
     if len(space.modules) != 2:
         raise FilterError("bracket location needs exactly two modules")
-    g = space.g
-    b1 = space.modules[0].basis
-    b2 = space.modules[1].basis
-    raw = pair_bracket_tensor(g, b1, b2)
-    in1 = float(np.abs(bracket_coords(g, raw, b1)).max())
-    in2 = float(np.abs(bracket_coords(g, raw, b2)).max())
+    in1, in2 = space.decomposition.bracket_sizes
     if in1 > tol and in2 > tol:
         return "mixed"
     if in2 > tol:
@@ -170,7 +171,7 @@ class FilterReport:
 
     bracket_location: str
     rules: tuple[FilterRule, ...]
-    principal_dims: dict
+    principal_dims: Mapping[str, int]
 
     @property
     def passed(self) -> bool:
@@ -194,12 +195,26 @@ def necessary_filter(space: ReductiveSpace, seed: int = 0,
     other module needs a positive stabilizer and the enlarged algebra
     h + m_absorbed must act on the big module with generic stabilizer
     at least dim m_absorbed. A vanishing bracket forces g decomposable.
+
+    The principal dimensions take ``principal_isotropy_dim``'s fixed
+    draw, as ``ReductiveSplit.stabilizer_dim`` does, and ``seed`` is not
+    read; it stays for callers that pass it. ``tol`` places the bracket
+    (see ``bracket_location``), and the report for each location is
+    built once per decomposition, so every space carrying the same
+    modules gets the same report object.
     """
     if len(space.modules) != 2:
         raise FilterError("necessary filter needs exactly two modules")
     location = bracket_location(space, tol)
-    chi1 = principal_isotropy_dim(_module_action(space, 0), seed)
-    chi2 = principal_isotropy_dim(_module_action(space, 1), seed)
+    reports = space.decomposition.filter_reports
+    if location not in reports:
+        reports[location] = _filter_report(space, location)
+    return reports[location]
+
+
+def _filter_report(space: ReductiveSpace, location: str) -> FilterReport:
+    chi1 = principal_isotropy_dim(_module_action(space, 0))
+    chi2 = principal_isotropy_dim(_module_action(space, 1))
     dims = {"module_1_stabilizer": chi1, "module_2_stabilizer": chi2}
     rules = []
     if location == "mixed":
@@ -211,7 +226,7 @@ def necessary_filter(space: ReductiveSpace, seed: int = 0,
         rules.append(FilterRule(
             f"module_{absorbed + 1}_stabilizer_positive", 1, small_chi))
         eta = principal_isotropy_dim(
-            _subalgebra_action_on_module(space, absorbed, big), seed)
+            _subalgebra_action_on_module(space, absorbed, big))
         dims["extended_action_stabilizer"] = eta
         rules.append(FilterRule(
             "extended_action_stabilizer_bound",
@@ -221,5 +236,6 @@ def necessary_filter(space: ReductiveSpace, seed: int = 0,
         dims["algebra_components"] = components
         rules.append(FilterRule("commuting_modules_need_decomposable_g",
                                 2, components))
+    # read-only, as the report is shared by every space of a decomposition
     return FilterReport(bracket_location=location, rules=tuple(rules),
-                        principal_dims=dims)
+                        principal_dims=MappingProxyType(dims))

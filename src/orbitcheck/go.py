@@ -57,7 +57,8 @@ class GoError(OrbitcheckError):
 @dataclass(frozen=True)
 class MetricOperator:
     """Invariant metric endomorphism of m, positive and ad(h)-equivariant
-    (checked once per space by ``two_param``), of largest eigenvalue s."""
+    (checked once per decomposition by ``two_param``), of largest
+    eigenvalue s."""
 
     space: ReductiveSpace
     matrix: np.ndarray
@@ -91,8 +92,8 @@ class MetricOperator:
     @classmethod
     def two_param(cls, space: ReductiveSpace, lam, mu) -> "MetricOperator":
         """Metric lam P1 + mu P2 of norm max(lam, mu), unchecked per call
-        (the projectors are checked once per space). ``matrix`` is formed
-        on first read: the factorised read-off never reads it."""
+        (the projectors are checked once per decomposition). ``matrix``
+        is formed on first read: the factorised read-off never reads it."""
         if len(space.modules) != 2:
             raise ValidationError("two-parameter metric needs two modules")
         lam_f, mu_f = float(lam), float(mu)

@@ -14,14 +14,21 @@ rotates the basis once into those eigenvectors, and reads every count
 as an integer block sum of squared entries of that one stack: the
 invariant metrics are its symmetric part, a summand is irreducible when
 it carries one symmetric invariant map, and summands joined by an
-invariant map are grouped as isotypic. The minimal ideals
-of an algebra go through ``intertwiners`` too: they are the summands of
-the same eigenvalue split, applied to the commutant of the adjoint action
-of two generic elements of the derived algebra on itself. The structure
-classifier labels the pair (g, h) by one of seven coarse cases from the
-center dimension, the minimal ideals of g, and how the simple ideals of
-h project onto them. None of these depends on a seed, so the ideals of
-g and the label are computed once per split, from draws of their own.
+invariant map are grouped as isotypic. When no two summands are
+isotypic the split of m is unique, so it is drawn once per split, with
+no seed, and every space of that split carries the same
+``IsotropyModules``: the modules, and what is read off them alone
+(module coordinates, checked projectors, the filter reports and the
+exact lane), each computed once. Only an isotypic group, whose split
+the maths leaves open, is split again from each seed's draw. The
+minimal ideals of an algebra go through ``intertwiners`` too: they are
+the summands of the same eigenvalue split, applied to the commutant of
+the adjoint action of two generic elements of the derived algebra on
+itself. The structure classifier labels the pair (g, h) by one of seven
+coarse cases from the center dimension, the minimal ideals of g, and how
+the simple ideals of h project onto them. None of these depends on a
+seed, so the ideals of g and the label are computed once per split, from
+draws of their own.
 """
 
 from __future__ import annotations
@@ -77,16 +84,21 @@ def _within(residual: float, tol: float, what: str) -> None:
 
 class ReductiveSplit:
     """The part of g = h + m that no name or seed touches: h, m, the
-    closure and [h, m] residuals ``_build_split`` measured (None on a
-    split it did not build), and, each computed when first read, the
-    isotropy action, the m-bracket tensors, the isotropy commutant, the
-    minimal ideals of g and the structure report of (g, h). Every array
-    is read-only, as splits are shared between spaces."""
+    embedding it was built from (None from a raw matrix), the closure and
+    [h, m] residuals ``_build_split`` measured (None on a split it did not
+    build), and, each computed when first read, the isotropy action, the
+    m-bracket tensors, the isotropy commutant, the seed-free isotropy
+    decomposition, the minimal ideals of g and the structure report of
+    (g, h). Every array is read-only, as splits are shared between
+    spaces."""
 
     def __init__(self, g: LieAlgebra, h: Subspace, m: Subspace,
-                 closure: float | None = None, leak: float | None = None):
+                 closure: float | None = None, leak: float | None = None,
+                 embedding: Embedding | None = None):
         self.g, self.h, self.m = g, h, m
         self.closure, self.leak = closure, leak
+        self.embedding = embedding
+        self._draws: dict[int, tuple[float, IsotropyModules | None]] = {}
 
     def check(self, tol: float) -> None:
         """Raise unless h is a subalgebra and [h, m] lies in m, to ``tol``."""
@@ -124,6 +136,19 @@ class ReductiveSplit:
         Its only draw is ``rng_for("intertwiners", dim h)``, no seed."""
         return _read_only(intertwiners(self.iso_action, self.iso_action))
 
+    def decomposition_draw(self, attempt: int
+                           ) -> tuple[float, IsotropyModules | None]:
+        """Attempt ``attempt`` of the seed-free isotropy decomposition,
+        ``_split_modules`` on ``rng_for("decompose", attempt)``, computed
+        once: its worst invariance residual, which each call compares with
+        its own ``tol``, and its modules (None when a summand is
+        reducible)."""
+        if attempt not in self._draws:
+            # the first draw stored wins, should two threads race
+            self._draws.setdefault(attempt, _split_modules(
+                self, rng_for("decompose", attempt)))
+        return self._draws[attempt]
+
     @cached_property
     def ideals(self) -> tuple[np.ndarray, ...]:
         """``minimal_ideals(g)``, read-only."""
@@ -135,12 +160,69 @@ class ReductiveSplit:
         return _classify(self)
 
 
+class IsotropyModules:
+    """One isotropy decomposition of a split: the modules, their isotypic
+    groups and the dimension of the invariant metrics, with what is read
+    off the modules alone, each computed once and shared by every space
+    that carries this decomposition: the modules' m coordinates, their
+    checked projectors, the largest coordinates of [m1, m2] along each
+    module, the ``filters.necessary_filter`` reports (``filter_reports``,
+    by bracket location) and the exact lane (``exact_lane``, filled by
+    ``ReductiveSpace.exact_lane``). Every array is read-only."""
+
+    def __init__(self, split: ReductiveSplit,
+                 modules: tuple[Subspace, ...] = (),
+                 isotypic_groups: tuple[tuple[int, ...], ...] = (),
+                 metric_space_dim: int | None = None):
+        self.split, self.modules = split, modules
+        self.isotypic_groups = isotypic_groups
+        self.metric_space_dim = metric_space_dim
+        self.filter_reports: dict = {}
+        self.exact_lane: ExactLane | None = None
+
+    @cached_property
+    def coords(self) -> tuple[np.ndarray, ...]:
+        """Module bases in m coordinates."""
+        to_m = self.split.m.basis.T @ self.split.g.inner_product
+        return tuple(_read_only(to_m @ mod.basis) for mod in self.modules)
+
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """``ReductiveSpace.module_projectors``, checked once."""
+        proj = np.stack([b @ b.T for b in self.coords])
+        if not np.array_equal(proj, proj.transpose(0, 2, 1)):
+            raise ValidationError("metric operator is not symmetric")
+        dm = self.split.m.dim
+        if float(np.abs(proj.sum(axis=0) - np.eye(dm)).max()) > 1e-10:
+            raise ValidationError("the modules do not split m: P1 + P2 != I")
+        act = self.split.iso_action
+        worst = sum(float(np.abs(act @ p - p @ act).max(initial=0.0)
+                          / p.diagonal().max()) for p in proj)
+        if worst > 1e-8:
+            raise ValidationError("metric operator does not commute with the "
+                                  f"isotropy action (residual {worst:.2e})")
+        return _read_only(proj)
+
+    @cached_property
+    def bracket_sizes(self) -> tuple[float, float]:
+        """Largest coordinates of [m1, m2] along m1 and along m2, over every
+        pair of basis vectors of two modules."""
+        g = self.split.g
+        b1, b2 = (mod.basis for mod in self.modules)
+        raw = pair_bracket_tensor(g, b1, b2)
+        return (float(np.abs(bracket_coords(g, raw, b1)).max()),
+                float(np.abs(bracket_coords(g, raw, b2)).max()))
+
+
 @dataclass(frozen=True)
 class ReductiveSpace:
     """g = h + m with h a subalgebra and m its orthocomplement.
 
-    Seed-free data is read from ``split``, which ``replace`` carries over;
-    a space whose g, h or m is not its split's gets a split of its own.
+    Seed-free data is read from ``split``, and the data read off the
+    modules alone from ``decomposition``, which ``replace`` carries over.
+    A space whose g, h, m or embedding is not its split's gets a split of
+    its own, and one whose split, modules or isotypic groups are not its
+    decomposition's gets a decomposition of its own.
     """
 
     g: LieAlgebra
@@ -154,13 +236,21 @@ class ReductiveSpace:
     decomposition_seed: int | None = None
     split: ReductiveSplit | None = field(default=None, compare=False,
                                          repr=False)
+    decomposition: IsotropyModules | None = field(default=None, compare=False,
+                                                  repr=False)
 
     def __post_init__(self):
         s = self.split
         if s is None or s.g is not self.g or s.h is not self.h \
-                or s.m is not self.m:
-            object.__setattr__(self, "split",
-                               ReductiveSplit(self.g, self.h, self.m))
+                or s.m is not self.m or s.embedding is not self.embedding:
+            s = ReductiveSplit(self.g, self.h, self.m,
+                               embedding=self.embedding)
+            object.__setattr__(self, "split", s)
+        d = self.decomposition
+        if d is None or d.split is not s or d.modules is not self.modules \
+                or d.isotypic_groups != self.isotypic_groups:
+            object.__setattr__(self, "decomposition", IsotropyModules(
+                s, self.modules, self.isotypic_groups, self.metric_space_dim))
 
     @property
     def dim_m(self) -> int:
@@ -189,9 +279,13 @@ class ReductiveSpace:
 
     @cached_property
     def exact_lane(self) -> ExactLane:
-        """The exact GO lane's data, built by ``exact_module_bases`` once;
-        an ExactUnavailableError raises again on every access."""
-        return exact_module_bases(self)
+        """The exact GO lane's data, built by ``exact_module_bases`` once
+        per decomposition and shared by every space that carries it; an
+        ExactUnavailableError raises again on every access."""
+        d = self.decomposition
+        if d.exact_lane is None:
+            d.exact_lane = exact_module_bases(self)
+        return d.exact_lane
 
     @property
     def m_bracket_h(self) -> np.ndarray:
@@ -205,36 +299,21 @@ class ReductiveSpace:
         read-only."""
         return self.split.m_bracket_m
 
-    @cached_property
-    def _module_coords(self) -> tuple[np.ndarray, ...]:
-        to_m = self.m.basis.T @ self.g.inner_product
-        return tuple(_read_only(to_m @ mod.basis) for mod in self.modules)
-
     def module_coords_in_m(self, index: int) -> np.ndarray:
-        """Module basis expressed in m coordinates (cached, read-only)."""
-        return self._module_coords[index]
+        """Module basis expressed in m coordinates (shared, read-only)."""
+        return self.decomposition.coords[index]
 
-    @cached_property
+    @property
     def module_projectors(self) -> np.ndarray:
         """Projectors P_k = b_k b_k^T onto the modules, (2, dim m, dim m) on
-        two, read-only, checked once: exactly symmetric (as numpy forms b b^T),
-        P1 + P2 = I, and c1/p1 + c2/p2 <= 1e-8 for c_k = |[ad h, P_k]|max,
-        p_k = max diag P_k >= 0. A = lam P1 + mu P2 (lam, mu > 0) is then
-        exactly symmetric, positive, of spectrum {lam, mu} to |P1 + P2 - I|,
-        and |A|max >= max(lam p1, mu p2), so for every lam and mu
-        |[ad h, A]|max <= lam c1 + mu c2 <= 1e-8 max(1, |A|max) to rounding."""
-        proj = np.stack([b @ b.T for b in self._module_coords])
-        if not np.array_equal(proj, proj.transpose(0, 2, 1)):
-            raise ValidationError("metric operator is not symmetric")
-        if float(np.abs(proj.sum(axis=0) - np.eye(self.m.dim)).max()) > 1e-10:
-            raise ValidationError("the modules do not split m: P1 + P2 != I")
-        act = self.iso_action
-        worst = sum(float(np.abs(act @ p - p @ act).max(initial=0.0)
-                          / p.diagonal().max()) for p in proj)
-        if worst > 1e-8:
-            raise ValidationError("metric operator does not commute with the "
-                                  f"isotropy action (residual {worst:.2e})")
-        return _read_only(proj)
+        two, read-only, checked once per decomposition: exactly symmetric
+        (as numpy forms b b^T), P1 + P2 = I, and c1/p1 + c2/p2 <= 1e-8 for
+        c_k = |[ad h, P_k]|max, p_k = max diag P_k >= 0. A = lam P1 + mu P2
+        (lam, mu > 0) is then exactly symmetric, positive, of spectrum
+        {lam, mu} to |P1 + P2 - I|, and |A|max >= max(lam p1, mu p2), so
+        for every lam and mu |[ad h, A]|max <= lam c1 + mu c2 <= 1e-8
+        max(1, |A|max) to rounding."""
+        return self.decomposition.projectors
 
     def as_dict(self) -> dict:
         return {
@@ -271,13 +350,14 @@ def reductive_space(g: LieAlgebra | None,
     for each (g, composite embedding) pair, by object identity, and
     shared by every space built from it, whatever its name or seed:
     h, m, the residuals, and, once first read, the isotropy action, the
-    m-bracket tensors, the isotropy commutant, the minimal ideals of g
-    and the structure report, all read-only. ``SPLITS``, an
-    ``lru_cache`` of ``SPLIT_CACHE_SIZE`` entries, keeps the recent
-    splits; a build that raises is not kept. A raw matrix builds a split
-    of its own on every call. Either way the split's residuals are then
-    compared with this call's ``tol``, so a split one call refuses is
-    kept and served to a call with a looser ``tol``.
+    m-bracket tensors, the isotropy commutant, the seed-free isotropy
+    decomposition, the minimal ideals of g and the structure report, all
+    read-only. ``SPLITS``, an ``lru_cache`` of ``SPLIT_CACHE_SIZE``
+    entries, keeps the recent splits; a build that raises is not kept. A
+    raw matrix builds a split of its own on every call. Either way the
+    split's residuals are then compared with this call's ``tol``, so a
+    split one call refuses is kept and served to a call with a looser
+    ``tol``.
     """
     if isinstance(h_embedding, (Embedding, EmbeddingChain)):
         emb = as_embedding(h_embedding)
@@ -299,9 +379,11 @@ def reductive_space(g: LieAlgebra | None,
                           embedding=emb, split=split)
 
 
-def _build_split(g: LieAlgebra, cols: np.ndarray) -> ReductiveSplit:
-    """The split of g along the span of ``cols`` with its closure and
-    [h, m] residuals, raising on the checks that no ``tol`` decides."""
+def _build_split(g: LieAlgebra, cols: np.ndarray,
+                 embedding: Embedding | None = None) -> ReductiveSplit:
+    """The split of g along the span of ``cols`` (the columns of
+    ``embedding``, when given) with its closure and [h, m] residuals,
+    raising on the checks that no ``tol`` decides."""
     h = Subspace.from_columns(g, cols, name="h")
     if h.dim == g.dim:
         raise EffectivenessError("h equals g; the space is a point")
@@ -319,7 +401,7 @@ def _build_split(g: LieAlgebra, cols: np.ndarray) -> ReductiveSplit:
                 f"h contains a {kernel.shape[1]}-dimensional ideal of g "
                 "acting trivially on m")
     return ReductiveSplit(g, h, m, h.closure_residual() if h.dim else 0.0,
-                          leak)
+                          leak, embedding)
 
 
 SPLIT_CACHE_SIZE = 32
@@ -328,7 +410,7 @@ SPLIT_CACHE_SIZE = 32
 @lru_cache(maxsize=SPLIT_CACHE_SIZE)
 def SPLITS(g: LieAlgebra, emb: Embedding) -> ReductiveSplit:
     """The split of g along ``emb``, cached by the identity of both."""
-    return _build_split(g, emb.matrix)
+    return _build_split(g, emb.matrix, emb)
 
 
 def _cluster(values: np.ndarray) -> list[np.ndarray]:
@@ -466,49 +548,76 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
     [m_i, m_i], then by eigenvalue, so the module with h + m_i a
     subalgebra comes first whatever the seed. Degenerate draws retry with
     derived seeds, then fail.
+
+    The first split is drawn with no name or seed
+    (``ReductiveSplit.decomposition_draw``), once per split; its residual
+    is compared with each call's ``tol``. Without isotypic summands the modules are unique, so
+    every seed's space carries that decomposition, the same
+    ``IsotropyModules`` object, and only ``decomposition_seed`` records
+    ``seed``. With an isotypic group the seed's draw, from
+    ``rng_for("decompose", space.name, seed, attempt)``, splits it, and
+    the space gets modules of its own on every call.
     """
-    action = space.iso_action
-    maps = space.split.commutant
-    whole = slice(None)
+    split = space.split
+    found = _first_split(split.decomposition_draw, tol)
+    if any(len(group) > 1 for group in found.isotypic_groups):
+        found = _first_split(lambda attempt: _split_modules(
+            split, rng_for("decompose", space.name, seed, attempt)), tol)
+    return replace(space, modules=found.modules,
+                   isotypic_groups=found.isotypic_groups,
+                   metric_space_dim=found.metric_space_dim,
+                   decomposition_seed=seed, decomposition=found)
+
+
+def _first_split(draw, tol: float) -> IsotropyModules:
+    """The modules of the first of three attempts ``draw(attempt)`` whose
+    summands are irreducible and invariant to ``tol``."""
     for attempt in range(3):
-        eigvals, eigvecs, clusters = _commutant_split(
-            maps, rng_for("decompose", space.name, seed, attempt))
-        squares, symmetric = _block_sums(maps, eigvecs)
-        metric_dim = _commutant_count(symmetric, whole, whole)
-        mods = []
-        for cl in clusters:
-            block = eigvecs[:, cl]
-            if _invariance_residual(action, block) > tol or \
-                    _commutant_count(symmetric, cl, cl) != 1:
-                break
-            mods.append((len(cl), round(_self_bracket_norm(space, block), 6),
-                         float(np.mean(eigvals[cl])), cl))
-        else:
-            clusters = [t[-1] for t in sorted(mods, key=lambda t: t[:3])]
-            groups = _connected_groups(
-                clusters, lambda a, b: _commutant_count(squares, b, a) > 0)
-            modules = tuple(
-                Subspace(ambient=space.g, basis=space.m.basis @ eigvecs[:, cl],
-                         name=f"m{i + 1}")
-                for i, cl in enumerate(clusters))
-            return replace(space, modules=modules,
-                           isotypic_groups=tuple(map(tuple, groups)),
-                           metric_space_dim=metric_dim,
-                           decomposition_seed=seed)
+        residual, found = draw(attempt)
+        if found is not None and residual <= tol:
+            return found
     raise DecompositionError("isotropy decomposition failed after 3 attempts "
                              "(degenerate eigenvalue split)")
 
 
-def _self_bracket_norm(space: ReductiveSpace, block: np.ndarray) -> float:
+def _split_modules(split: ReductiveSplit, rng: np.random.Generator
+                   ) -> tuple[float, IsotropyModules | None]:
+    """One eigenvalue split of the commutant: the worst invariance residual
+    of its clusters, and the decomposition they give, in module order, or
+    None when a cluster carries more than one symmetric map."""
+    maps = split.commutant
+    eigvals, eigvecs, clusters = _commutant_split(maps, rng)
+    squares, symmetric = _block_sums(maps, eigvecs)
+    whole = slice(None)
+    metric_dim = _commutant_count(symmetric, whole, whole)
+    residual = max((_invariance_residual(split.iso_action, eigvecs[:, cl])
+                    for cl in clusters), default=0.0)
+    if any(_commutant_count(symmetric, cl, cl) != 1 for cl in clusters):
+        return residual, None
+    mods = sorted(((len(cl), round(_self_bracket_norm(split, eigvecs[:, cl]),
+                                   6), float(np.mean(eigvals[cl])), cl)
+                   for cl in clusters), key=lambda t: t[:3])
+    clusters = [t[-1] for t in mods]
+    groups = _connected_groups(
+        clusters, lambda a, b: _commutant_count(squares, b, a) > 0)
+    modules = tuple(
+        Subspace(ambient=split.g, basis=split.m.basis @ eigvecs[:, cl],
+                 name=f"m{i + 1}")
+        for i, cl in enumerate(clusters))
+    return residual, IsotropyModules(split, modules,
+                                     tuple(map(tuple, groups)), metric_dim)
+
+
+def _self_bracket_norm(split: ReductiveSplit, block: np.ndarray) -> float:
     """Norm of proj_m [m_i, m_i] for the module with m coordinates ``block``.
 
     It does not depend on the module's basis, and it is 0 exactly when
     h + m_i is a subalgebra, so that module sorts first among equal
     dimensions.
     """
-    cols = space.m.basis @ block
-    raw = pair_bracket_tensor(space.g, cols, cols)
-    return float(np.linalg.norm(bracket_coords(space.g, raw, space.m.basis)))
+    cols = split.m.basis @ block
+    raw = pair_bracket_tensor(split.g, cols, cols)
+    return float(np.linalg.norm(bracket_coords(split.g, raw, split.m.basis)))
 
 
 def _invariance_residual(action: np.ndarray, block: np.ndarray) -> float:

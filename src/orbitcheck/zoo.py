@@ -25,6 +25,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -757,6 +758,13 @@ def _signature_text(builder) -> str:
         for p in inspect.signature(builder).parameters.values())
 
 
+# For each key, whether each builder parameter is a string (annotated
+# ``str``); every other parameter is an integer.
+_PARAM_IS_STRING = {
+    key: {p.name: p.annotation in ("str", str)
+          for p in inspect.signature(b).parameters.values()}
+    for key, b in {**_EMBEDDING_BUILDERS, **_CHAIN_BUILDERS}.items()}
+
 EMBEDDING_KEYS = {
     **{key: _signature_text(b) for key, b in _EMBEDDING_BUILDERS.items()},
     **{key: f"{_signature_text(b)} (chain)".lstrip()
@@ -771,8 +779,21 @@ def named_embedding(key: str, **params) -> Embedding | EmbeddingChain:
     kept), so repeated lookups return the same object: a chain's
     composite is composed once, and spaces built from it share one
     reductive split (``spaces.reductive_space``). Embeddings are frozen
-    and their arrays read-only.
+    and their arrays read-only. A parameter its builder annotates ``str``
+    must be a string and every other one an integer (not a bool), or
+    TypeError names it.
     """
+    known = _PARAM_IS_STRING.get(key, {})
+    for name, value in params.items():
+        if name not in known:
+            continue  # the builder's own TypeError names it
+        if known[name]:
+            if not isinstance(value, str):
+                raise TypeError(f"{key}: parameter {name} must be a string, "
+                                f"got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, Integral):
+            raise TypeError(f"{key}: parameter {name} must be an integer, "
+                            f"got {value!r}")
     return _named_embedding(key, **dict(sorted(params.items())))
 
 

@@ -264,6 +264,11 @@ def test_zoo_commands(runner):
     data = json.loads(emb.output)
     assert data["source_dim"] == 3
     assert data["target_dim"] == 10
+    # a family name stays a string
+    diag = invoke(runner, ["zoo", "embedding", "diagonal", "--param",
+                           "family=so", "--param", "n=3", "--param",
+                           "copies=2", "--json"])
+    assert json.loads(diag.output)["target_dim"] == 6
 
 
 def _usage_error_line(result):
@@ -281,6 +286,14 @@ def _usage_error_line(result):
     (["zoo", "embedding", "nope"], "unknown embedding 'nope'"),
     (["zoo", "embedding", "so_in_so", "--param", "k=2", "--param",
       "bogus=1"], "unexpected keyword argument 'bogus'"),
+    (["zoo", "embedding", "so_in_so", "--param", "k=x", "--param", "n=5"],
+     "so_in_so: parameter k must be an integer, got 'x'"),
+    (["zoo", "embedding", "diagonal", "--param", "family=so", "--param",
+      "n=3", "--param", "copies=two"],
+     "diagonal: parameter copies must be an integer, got 'two'"),
+    (["zoo", "embedding", "diagonal", "--param", "family=3", "--param",
+      "n=3", "--param", "copies=2"],
+     "diagonal: parameter family must be a string, got 3"),
 ])
 def test_a_bad_zoo_name_is_a_usage_error(runner, args, message):
     assert message in _usage_error_line(invoke(runner, args))
@@ -294,6 +307,18 @@ def test_a_bad_zoo_name_is_a_usage_error(runner, args, message):
     ({"algebra": "so(5)",
       "embedding": {"key": "so_in_so", "params": [3, 5]}},
      "embedding params must be an object"),
+    ({"algebra": "so(7)",
+      "embedding": {"key": "so_in_so", "params": {"k": 3, "n": 5}}},
+     "embedding target so(5) (dim 10) does not match algebra so(7) (dim 21)"),
+    ({"algebra": "so(5)",
+      "embedding": {"key": "so_in_so", "params": {"k": "3", "n": 5}}},
+     "so_in_so: parameter k must be an integer, got '3'"),
+    ({"algebra": "so(5)",
+      "embedding": {"key": "so_in_so", "params": {"k": 3.0, "n": 5}}},
+     "so_in_so: parameter k must be an integer, got 3.0"),
+    ({"algebra": "so(5)",
+      "embedding": {"key": "u_in_so_odd", "params": {"k": True}}},
+     "u_in_so_odd: parameter k must be an integer, got True"),
 ])
 def test_a_spec_file_with_a_bad_zoo_name_is_a_usage_error(runner, tmp_path,
                                                           spec, message):

@@ -1018,12 +1018,20 @@ def basis_calls(monkeypatch):
     return seen
 
 
-def test_exact_module_bases_run_once_per_space(so5_u2, basis_calls):
-    fresh = replace(so5_u2)
-    for pair in EXACT_PAIRS:
-        for seed in range(3):
-            go.go_check(fresh, pair, n_samples=2, seed=seed, exact_mode=True)
+def test_exact_module_bases_run_once_per_decomposition(so5_u2, basis_calls):
+    # a copy with a decomposition of its own builds its exact lane once,
+    # and another space carrying that decomposition reads the same lane
+    fresh = replace(so5_u2, decomposition=None)
+    twin = replace(fresh, name="twin", decomposition_seed=5)
+    assert twin.decomposition is fresh.decomposition
+    assert fresh.decomposition is not so5_u2.decomposition
+    for space in (fresh, twin):
+        for pair in EXACT_PAIRS:
+            for seed in range(3):
+                go.go_check(space, pair, n_samples=2, seed=seed,
+                            exact_mode=True)
     assert basis_calls == [fresh]
+    assert twin.exact_lane is fresh.exact_lane
 
 
 @pytest.mark.parametrize("entry_id", ["go-1", "t1-V.10"])

@@ -699,6 +699,105 @@ def test_a_warm_split_honours_each_calls_tol():
     assert spaces.reductive_space(None, emb, tol=1e-6).split is split
 
 
+ISOTYPIC_ENTRIES = ("go-1", "struct-1", "struct-5")
+
+
+def _seeded_bases(space, seed):
+    """Module bases drawn from ``rng_for("decompose", name, seed, 0)`` and
+    ordered by (dimension, norm of proj_m [m_i, m_i], mean eigenvalue):
+    the per-seed split every space took before the seed-free one."""
+    split = space.split
+    eigvals, eigvecs, clusters = spaces._commutant_split(
+        split.commutant, linalg.rng_for("decompose", space.name, seed, 0))
+    clusters.sort(key=lambda cl: (
+        len(cl), round(spaces._self_bracket_norm(split, eigvecs[:, cl]), 6),
+        float(np.mean(eigvals[cl]))))
+    return [split.m.basis @ eigvecs[:, cl] for cl in clusters]
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in catalog.catalog_list(
+    constructible=True)])
+def test_every_seed_shares_one_decomposition_and_filter_report(entry_id):
+    found = [catalog.catalog_instantiate(entry_id, seed=s) for s in range(4)]
+    first = found[0]
+    assert [space.decomposition_seed for space in found] == [0, 1, 2, 3]
+    if any(len(group) > 1 for group in first.isotypic_groups):
+        # the seed splits an isotypic group, as it always has
+        assert entry_id in ISOTYPIC_ENTRIES
+        assert len({id(space.decomposition) for space in found}) == 4
+        for seed, space in enumerate(found):
+            for mod, want in zip(space.modules,
+                                 _seeded_bases(space, seed), strict=True):
+                assert mod.basis.tobytes() == want.tobytes()
+        assert first.modules[0].basis.tobytes() \
+            != found[1].modules[0].basis.tobytes()
+        return
+    assert entry_id not in ISOTYPIC_ENTRIES
+    reports = [filters.necessary_filter(space, seed=seed)
+               for seed, space in enumerate(found)]
+    for space, report in zip(found, reports):
+        assert space.decomposition is first.decomposition
+        assert space.modules is first.modules
+        assert space.module_projectors is first.module_projectors
+        assert report is reports[0]
+    fresh = replace(first, decomposition=None)
+    assert fresh.decomposition is not first.decomposition
+    again = filters.necessary_filter(fresh)
+    assert again is not reports[0]
+    assert again.as_dict() == reports[0].as_dict()
+
+
+def _decomposed(build, tol):
+    """The module bases' bytes, or the error, of decomposing at ``tol``."""
+    try:
+        space = spaces.decompose_isotropy(build(), tol=tol)
+    except spaces.DecompositionError as err:
+        return str(err)
+    return b"".join(mod.basis.tobytes() for mod in space.modules)
+
+
+def test_a_warm_decomposition_honours_each_calls_tol():
+    # each call's tol decides, warm as cold, with tols rising and falling
+    emb = zoo.as_embedding(zoo.named_embedding("u_in_so_odd", k=2))
+    split = spaces.reductive_space(None, emb).split
+    residuals = [split.decomposition_draw(attempt)[0] for attempt in range(3)]
+    tols = sorted({0.0, 1e-8, *residuals, *(0.999 * r for r in residuals)})
+    outcomes = set()
+    for order in (tols, tols[::-1]):
+        for tol in order:
+            warm = _decomposed(lambda: spaces.reductive_space(None, emb), tol)
+            # a raw matrix builds a split, and draws, of its own
+            cold = _decomposed(lambda: spaces.reductive_space(
+                emb.target, emb.matrix), tol)
+            assert warm == cold, tol
+            outcomes.add(warm)
+    # one outcome per first attempt within tol, and the error under all
+    firsts = {next((a for a, r in enumerate(residuals) if r <= tol), None)
+              for tol in tols}
+    assert None in firsts and len(outcomes) == len(firsts) >= 2
+    assert spaces.reductive_space(None, emb).split is split
+
+
+@pytest.mark.parametrize("entry_id", ["go-3-k2", "t1-V.1-m3n3"])
+def test_a_warm_filter_honours_each_calls_tol(entry_id):
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    sizes = space.decomposition.bracket_sizes
+    tols = sorted({0.0, 1.0, *sizes, *(0.999 * v for v in sizes)})
+    locations = set()
+    for order in (tols, tols[::-1]):
+        for tol in order:
+            warm = filters.necessary_filter(space, tol=tol)
+            # a decomposition of its own reads the modules afresh
+            cold = filters.necessary_filter(
+                replace(space, decomposition=None), tol=tol)
+            assert warm.as_dict() == cold.as_dict(), tol
+            assert filters.bracket_location(space, tol) \
+                == warm.bracket_location
+            locations.add(warm.bracket_location)
+    # mixed under the smaller size, zero above both
+    assert len(locations) == 3
+
+
 def test_a_split_refused_by_tol_is_kept(cold_splits):
     # the residuals are the split's own; only the comparison is per call
     emb = _tilted_so3_in_so5()
