@@ -118,20 +118,35 @@ def bracket_location(space: ReductiveSpace, tol: float = 1e-8) -> str:
     return "zero"
 
 
-def principal_isotropy_dim(action: np.ndarray, seed: int = 0) -> int:
-    """Generic stabilizer dimension of an action (k generators on R^d).
-
-    Draws 20 unit vectors v from one seeded generator and takes the ranks
-    of the 20 (d x k) matrices [X_1 v, ..., X_k v] from one batched SVD,
-    cut at ``rank_threshold`` in one call; k minus the largest rank is the
-    principal value.
-    """
+def _principal_ranks(action: np.ndarray, seed: int):
+    """The 20 (d x k) matrices [X_1 v, ..., X_k v] of 20 unit vectors v
+    from one seeded generator, and their ranks from one batched SVD, cut
+    at ``rank_threshold`` in one call."""
     k, d, _ = action.shape
     vs = rng_for("principal", seed).standard_normal((20, d))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     columns = (action @ vs.T).transpose(2, 1, 0)
     s = np.linalg.svd(columns, compute_uv=False)
-    return k - int((s > rank_threshold(s, (d, k))).sum(axis=1).max())
+    return columns, (s > rank_threshold(s, (d, k))).sum(axis=1)
+
+
+def principal_isotropy_dim(action: np.ndarray, seed: int = 0) -> int:
+    """Generic stabilizer dimension of an action (k generators on R^d):
+    k minus the largest rank of ``_principal_ranks``' 20 draws."""
+    return action.shape[0] - int(_principal_ranks(action, seed)[1].max())
+
+
+def principal_frame(action: np.ndarray) -> tuple[np.ndarray, int]:
+    """(F, r): an orthogonal k x k frame and the largest rank r of
+    ``principal_isotropy_dim``'s draws at seed 0. The last k - r columns
+    of F span the stabilizer of the first draw of rank r, the first r
+    its orthocomplement; F is the identity when r = k."""
+    k = action.shape[0]
+    columns, ranks = _principal_ranks(action, 0)
+    best = int(np.argmax(ranks))
+    if ranks[best] == k:
+        return np.eye(k), k
+    return np.linalg.svd(columns[best])[2].T.copy(), int(ranks[best])
 
 
 def _module_action(space: ReductiveSpace, index: int) -> np.ndarray:
@@ -197,7 +212,7 @@ def necessary_filter(space: ReductiveSpace, seed: int = 0,
     at least dim m_absorbed. A vanishing bracket forces g decomposable.
 
     The principal dimensions take ``principal_isotropy_dim``'s fixed
-    draw, as ``ReductiveSplit.stabilizer_dim`` does, and ``seed`` is not
+    draw, as ``ReductiveSplit.stabilizer_frame`` does, and ``seed`` is not
     read; it stays for callers that pass it. ``tol`` places the bracket
     (see ``bracket_location``), and the report for each location is
     built once per decomposition, so every space carrying the same

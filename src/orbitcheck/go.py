@@ -97,8 +97,9 @@ class MetricOperator:
         if len(space.modules) != 2:
             raise ValidationError("two-parameter metric needs two modules")
         lam_f, mu_f = float(lam), float(mu)
-        if lam_f <= 0 or mu_f <= 0:
-            raise ValidationError("metric parameters must be positive")
+        if not (0 < lam_f < math.inf and 0 < mu_f < math.inf):
+            raise ValidationError("metric parameters must be positive and "
+                                  f"finite, got {lam!r}, {mu!r}")
         space.module_projectors  # raises on a split that is not invariant
         op = object.__new__(cls)
         vars(op).update(space=space, kind="two_param", params=(lam, mu),
@@ -158,12 +159,9 @@ class MetricOperator:
             lam, mu = map(float, self.params)
             return abs(lam - mu) <= 1e-12 * max(lam, mu)
         dm = self.matrix.shape[0]
-        if dm == 0:
-            return True
-        a = float(self.matrix[0, 0])
-        off = self.matrix.copy()
-        off.flat[::dm + 1] -= a
-        return float(np.abs(off).max()) <= 1e-12 * a
+        a = float(self.matrix[0, 0]) if dm else 0.0
+        return float(np.abs(self.matrix - a * np.eye(dm)).max(
+            initial=0.0)) <= 1e-12 * a
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -180,8 +178,7 @@ class MetricOperator:
 
     def as_dict(self) -> dict:
         if self.kind == "two_param":
-            return {"kind": "two_param",
-                    "lambda": float(self.params[0]),
+            return {"kind": "two_param", "lambda": float(self.params[0]),
                     "mu": float(self.params[1])}
         if self.kind == "block":
             return {"kind": "block",
@@ -207,11 +204,7 @@ def _equivariant_isometry(space: ReductiveSpace, i: int, j: int) -> np.ndarray:
     if float(np.abs(gram - scale * np.eye(d)).max()) > 1e-8 * max(scale, 1.0):
         raise ValidationError("equivariant map is not conformal")
     t = t / np.sqrt(scale)
-    flat = t.reshape(-1)
-    pivot = int(np.argmax(np.abs(flat)))
-    if flat[pivot] < 0:
-        t = -t
-    return t
+    return -t if t.flat[np.argmax(np.abs(t))] < 0 else t
 
 
 @dataclass(frozen=True)
@@ -305,8 +298,7 @@ def go_witness_general(space: ReductiveSpace, metric, x: np.ndarray,
     """
     a = _as_metric(space, metric)
     x = np.asarray(x, dtype=np.float64)
-    dm = space.m.dim
-    scale = a.spectral_norm
+    dm, scale = space.m.dim, a.spectral_norm
     ax = a.apply(x) / scale
     # column a is proj_m [h_a, AX]; iso_action holds the transpose of
     # each ad(h_a) on m, which is its negative, hence the sign
@@ -390,16 +382,18 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     modules, normalized mixtures (X1 + X2) / sqrt(2) (``_directions``);
     the exact lane takes combinations of the rational module bases with
     coefficients in {-3, -2, -1, 1, 2, 3}, one per word. A normal metric
-    (scalar, or lam == mu exactly) is trivially consistent. Every metric
-    runs on one driver over its lane's samples, which the space holds for
-    one seed and fills in two chunks: sample 0, where every
-    counterexample seen so far ends a run, then the rest of the call. A
-    two-parameter metric reads them off the metric-free factorisation, a
-    scalar one with z = 0; any other float metric accepts none.
-    Addressed draws and per-sample products make each witness
-    independent of its chunk and of earlier calls. A rejected sample is
-    solved again, a float one by go_witness_general, so every float
-    counterexample and ToleranceError is its.
+    (scalar, or lam == mu exactly) is trivially consistent. The float
+    lane refuses (ToleranceError) a weight ratio above max(MARGIN_FACTOR,
+    1 / (MARGIN_FACTOR tol)), where the lighter module's rank gaps fall
+    below the band at unit scale, and near RANK_FLOOR read as inconsistent.
+    Every metric runs on one driver over its lane's samples, which the
+    space holds for one seed and fills in two chunks: sample 0, where
+    every counterexample seen so far ends a run, then the rest of the
+    call. A two-parameter metric reads them off the metric-free
+    factorisation, a scalar one with z = 0; any other float metric
+    accepts none. Addressed draws and per-sample products make each
+    witness independent of its chunk and of earlier calls. A rejected
+    sample is solved again, a float one by go_witness_general.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
@@ -407,6 +401,12 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     if not space.modules:
         raise ValidationError("decompose the isotropy modules first")
     normal = len(set(a.exact_params())) == 1 if exact_mode else a.is_scalar
+    lo, hi = sorted(map(float, a.params)) if a.kind == "two_param" else (1, 1)
+    if not exact_mode and min(hi * MARGIN_FACTOR * tol,
+                              hi / MARGIN_FACTOR) > lo:
+        raise ToleranceError(f"weight ratio {hi / lo:.3g} exceeds max("
+                             f"{MARGIN_FACTOR:g}, 1 / ({MARGIN_FACTOR:g} tol))"
+                             ": unit scale does not resolve the lighter module")
     lane = _ExactFactorisation if exact_mode else _Factorisation \
         if a.kind == "two_param" and not normal else _Draws
     fac = space.go_factorisations.get(lane)
@@ -443,23 +443,22 @@ def _factorise(space: ReductiveSpace, x: np.ndarray):
     on a two-module space: per row, R1 and R2 (shape (k, 2, dim m)), the
     min-norm parts Z0 = M+(P1 R1 + P2 R2), Z12 = M+(P1 R2) and
     Z21 = M+(P2 R1) (shape (k, dim h, 3)) and their images under M
-    (shape (k, dim m, 3)), with M and R_j as in ``_Factorisation``. A
-    row whose M passes the QR certificate (``_qr_solve``: pivots above
-    QR_PIVOT_FLOOR |M|_F, |M|_F |R^-1|_F <= QR_CONDITION_CAP) takes
-    M+ = R^-1 Q^T; every other row takes M+ from one batched SVD of
-    those rows, cut at ``rank_threshold`` in one call, and so does every
-    row where h has a nonzero generic stabilizer on m (dim m < dim h
-    among them), as no M there has full column rank. Which path a row
-    takes depends on its M and its space alone, and every product is
-    stacked per row, so a row's results are the same to the last bit
-    whatever rows share its stack."""
+    (shape (k, dim m, 3)), with M and R_j as in ``_Factorisation``. A row
+    whose M, on the split's stabilizer frame, passes ``_qr_solve``'s
+    certificate is solved there; any other (such as a row inside one
+    module, or a zero row) takes M+ from one batched SVD of those rows,
+    cut at ``rank_threshold`` in one call. A row's path depends on its M
+    and its space alone, and every product is stacked per row, so its
+    results are the same to the last bit whatever rows share its stack."""
     dm, dh = space.m.dim, space.h.dim
     k, xs = len(x), x[:, None]
     m = -(xs @ space.iso_action.reshape(dh * dm, dm).T).reshape(
         k, dh, dm).transpose(0, 2, 1)
-    # [M | parts] of each row in one buffer, which _qr_solve factorises
+    # [M F | parts] of each row in one buffer, which _qr_solve factorises
+    frame, rank = space.split.stabilizer_frame
     m_parts = np.empty((k, dm, dh + 3))
-    m_parts[..., :dh], parts = m, m_parts[..., dh:]
+    m_parts[..., :dh] = m if rank == dh else m @ frame
+    parts = m_parts[..., dh:]
     proj = space.module_projectors
     # rows R1, R2 of each sample, from its module parts x1, x2; the
     # (k, dim m, dim m) brackets [x, .] are freed at once
@@ -469,43 +468,51 @@ def _factorise(space: ReductiveSpace, x: np.ndarray):
     parts[..., 0] = pr[0, ..., 0] + pr[1, ..., 1]
     parts[..., 1], parts[..., 2] = pr[0, ..., 1], pr[1, ..., 0]
     z = np.empty((k, dh, 3))
-    rest = np.arange(k) if space.split.stabilizer_dim \
-        else _qr_solve(m_parts, z)
+    rest = _qr_solve(m_parts, z, frame, rank)
     if len(rest):
         u, s, vt = np.linalg.svd(m[rest], full_matrices=False)
         cut = rank_threshold(s, (dm, dh))
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
-        z[rest] = vt.transpose(0, 2, 1) @ (inv[:, :, None]
-                                           * (u.transpose(0, 2, 1)
-                                              @ parts[rest]))
+        z[rest] = vt.transpose(0, 2, 1) @ (
+            inv[:, :, None] * (u.transpose(0, 2, 1) @ parts[rest]))
     return r, z, m @ z
 
 
-def _qr_solve(m_parts: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Write R^-1 Q^T parts into z for every row of a tall stack
-    ``m_parts`` = [M | parts], M = Q R, that passes the certificate, and
-    return the other rows. One batched QR gives R and, beside it, Q^T
-    parts. Only an R with min |R_ii| > QR_PIVOT_FLOOR |M|_F goes to the
-    batched inverse, which an exactly singular R would make raise. A row
-    is certified when |M|_F |R^-1|_F <= QR_CONDITION_CAP and
-    1 / |R^-1|_F > RANK_FLOOR: as s_max <= |M|_F and s_min >= 1 / |R^-1|_F,
-    the SVD path's ``rank_threshold`` then keeps every singular value, so
-    M has full column rank and R^-1 Q^T is its pseudo-inverse."""
+def _qr_solve(m_parts: np.ndarray, z: np.ndarray, frame: np.ndarray,
+              rank: int) -> np.ndarray:
+    """Write the min-norm solution into z for each row of ``m_parts`` =
+    [M S | M T | parts] (``frame`` F = [S | T], S its first ``rank``
+    columns) whose M S = Q R11 passes the certificate, and return the
+    other rows. One batched QR gives R11, R12 = Q^T M T and Q^T parts.
+    Only an R11 with min |R_ii| > QR_PIVOT_FLOOR |M|_F is inverted (an
+    exactly singular one would make the batched inverse raise), and a row
+    is certified when |M|_F |R11^-1|_F <= QR_CONDITION_CAP and
+    1 / |R11^-1|_F > RANK_FLOOR. As s_max <= |M|_F and the rank-th
+    singular value is at least 1 / |R11^-1|_F, ``rank_threshold`` keeps
+    ``rank`` singular values, the most any M of the split has, so
+    range(M) = range(M S) and z = S R11^-1 Q^T parts solves M z = parts
+    in least squares. K = T - S R11^-1 R12 spans ker M; z less its
+    projection on an orthonormal basis of K (one small batched QR) is
+    the min-norm solution. With no T it is R^-1 Q^T parts."""
     dh = z.shape[1]
     r = np.linalg.qr(m_parts, mode="r")
-    r, qt_parts = r[:, :dh, :dh], r[:, :dh, dh:]
+    r, rhs = r[:, :rank, :rank], r[:, :rank, rank:]
     norm = np.linalg.norm(m_parts[..., :dh], axis=(1, 2))
-    pivots = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1,
-                                                           initial=np.inf)
+    pivots = np.abs(np.diagonal(r, 0, 1, 2)).min(axis=1, initial=np.inf)
     at = np.flatnonzero(pivots > QR_PIVOT_FLOOR * norm)
     r_inv = np.linalg.inv(r[at])
     size = np.linalg.norm(r_inv, axis=(1, 2))
     ok = (norm[at] * size <= QR_CONDITION_CAP) & (size < 1.0 / RANK_FLOOR)
     at = at[ok]
-    z[at] = r_inv[ok] @ qt_parts[at]
-    certified = np.zeros(len(m_parts), dtype=bool)
-    certified[at] = True
-    return np.flatnonzero(~certified)
+    y = r_inv[ok] @ rhs[at]  # [R11^-1 R12 | R11^-1 Q^T parts]
+    if rank < dh:
+        # on the frame, [-R11^-1 R12; I] spans ker M and z is [z_S; 0]
+        y = np.concatenate([-y, np.zeros((len(at), dh - rank, y.shape[2]))], 1)
+        y[:, rank:, :dh - rank] = np.eye(dh - rank)
+        q, zf = np.linalg.qr(y[..., :dh - rank])[0], -y[..., dh - rank:]
+        y = frame @ (zf - q @ (q.transpose(0, 2, 1) @ zf))
+    z[at] = y
+    return np.flatnonzero(np.bincount(at, minlength=len(m_parts)) == 0)
 
 
 class _Draws:
@@ -523,9 +530,8 @@ class _Draws:
         self.seed = seed
         self.blocks = [space.module_coords_in_m(i)
                        for i in range(len(space.modules))]
-        dm = space.m.dim
-        self.dh, self.brackets = space.h.dim, space.m_bracket_m.reshape(
-            dm, dm * dm)
+        self.dh = space.h.dim
+        self.brackets = space.m_bracket_m.reshape(space.m.dim, -1)
         self.kinds: list[str] = []
         self.rows: list[np.ndarray] = []
 
@@ -567,24 +573,20 @@ class _Factorisation(_Draws):
     Since [h, m_k] lies in m_k, D only scales the rows of module k by
     its weight over s, so on a consistent system the min-norm witness is
     z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 with Z0 = M+(P1 R1 + P2 R2),
-    Z12 = M+(P1 R2) and Z21 = M+(P2 R1). M+ is R^-1 Q^T for a sample
-    whose M = Q R is certified of full column rank (pivots above
-    QR_PIVOT_FLOOR = 1e-8 |M|_F, |M|_F |R^-1|_F <= QR_CONDITION_CAP = 1e8
-    and 1 / |R^-1|_F > RANK_FLOOR), else the SVD's (``_factorise``).
+    Z12 = M+(P1 R2) and Z21 = M+(P2 R1), from a certified QR on the
+    split's stabilizer frame, or else the SVD (``_factorise``).
     Besides the draws, per sample this keeps the three parts (``z``)
     and, as the rows of ``terms``, P1 M Z0, P1 M Z12, P1 M Z21, their P2
     images and -R1, -R2: D M z - rhs and -rhs are weighted sums of these
-    rows for any weights, so M is not kept. Each sample's rows come from
-    its own stacked products, in ``_factorise`` and here, and a read-off
-    takes them as one stacked product per sample, so no chunk or earlier
-    call moves their bits.
+    rows for any weights, so M is not kept. Every product is stacked per
+    sample, here, in ``_factorise`` and in a read-off, so no chunk or
+    earlier call moves a sample's bits.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
         super().__init__(space, seed)
-        dm, dh = space.m.dim, space.h.dim
-        self.z = np.empty((0, dh, 3))
-        self.terms = np.empty((0, 8, dm))
+        self.z = np.empty((0, self.dh, 3))
+        self.terms = np.empty((0, 8, len(self.brackets)))
 
     def fill(self, space: ReductiveSpace, samples: range):
         """Draw and factorise the next chunk of samples."""
@@ -600,15 +602,14 @@ class _Factorisation(_Draws):
         under a two-parameter metric: go_witness_general's residual test,
         ||D M z - rhs|| <= tol * max(1, ||rhs||) at unit scale, with
         D M z - rhs and -rhs weighted sums of each sample's ``terms``."""
-        lam, mu = float(a.params[0]), float(a.params[1])
-        scale = a.spectral_norm
+        (lam, mu), scale = map(float, a.params), a.spectral_norm
         c12, c21, w1, w2 = mu / lam, lam / mu, lam / scale, mu / scale
         weights = np.array([[w1, w1 * c12, w1 * c21, w2, w2 * c12, w2 * c21,
                              w1, w2], [0, 0, 0, 0, 0, 0, w1, w2]])
         coeffs = np.array([1.0, c12, c21])
         residual, rhs = np.linalg.norm(weights @ self.terms[part], axis=2).T
-        bound = tol * np.maximum(1.0, rhs)
-        return residual <= bound, scale * residual, self.z[part] @ coeffs
+        return (residual <= tol * np.maximum(1.0, rhs), scale * residual,
+                self.z[part] @ coeffs)
 
 
 class _ExactFactorisation:
@@ -764,8 +765,7 @@ def geodesic_graph(space: ReductiveSpace, lam, mu, x: np.ndarray,
     lam_f, mu_f = float(lam), float(mu)
     if abs(lam_f - mu_f) < 1e-12 * max(abs(lam_f), abs(mu_f)):
         raise ValidationError("geodesic graph needs distinct metric weights")
-    cx = lam_f / (lam_f - mu_f)
-    cy = mu_f / (lam_f - mu_f)
+    cx, cy = lam_f / (lam_f - mu_f), mu_f / (lam_f - mu_f)
     split, zs, mzs, b, unit = _pair_factorisation(space, x, y, tol)
     weights = np.array([1.0 / cy, 1.0 / cx])
     mw = mzs @ weights

@@ -86,11 +86,11 @@ class ReductiveSplit:
     """The part of g = h + m that no name or seed touches: h, m, the
     embedding it was built from (None from a raw matrix), the closure and
     [h, m] residuals ``_build_split`` measured (None on a split it did not
-    build), and, each computed when first read, the isotropy action, the
-    m-bracket tensors, the isotropy commutant, the seed-free isotropy
-    decomposition, the minimal ideals of g and the structure report of
-    (g, h). Every array is read-only, as splits are shared between
-    spaces."""
+    build), and, each computed when first read, the isotropy action, its
+    stabilizer frame, the m-bracket tensors, the isotropy commutant, the
+    seed-free isotropy decomposition, the minimal ideals of g and the
+    structure report of (g, h). Every array is read-only, as splits are
+    shared between spaces."""
 
     def __init__(self, g: LieAlgebra, h: Subspace, m: Subspace,
                  closure: float | None = None, leak: float | None = None,
@@ -116,10 +116,15 @@ class ReductiveSplit:
         return _read_only(bracket_coords(self.g, raw, basis))
 
     @cached_property
-    def stabilizer_dim(self) -> int:
-        """``filters.principal_isotropy_dim(iso_action)``, no seed."""
-        from .filters import principal_isotropy_dim
-        return principal_isotropy_dim(self.iso_action)
+    def stabilizer_frame(self) -> tuple[np.ndarray, int]:
+        """``filters.principal_frame(iso_action)``, no seed: (F, r), r the
+        generic rank of M(v): z -> proj_m [z, v] over h, F an orthogonal
+        frame of h whose last dim h - r columns span ker M at a fixed v
+        of rank r (the generic stabilizer), the identity when r = dim h.
+        Every M(v) has rank at most r; ``go._factorise`` solves on M F."""
+        from .filters import principal_frame
+        frame, rank = principal_frame(self.iso_action)
+        return _read_only(frame), rank
 
     @cached_property
     def m_bracket_h(self) -> np.ndarray:

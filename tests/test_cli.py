@@ -113,6 +113,26 @@ def test_check_go_not_go_with_certificate(runner):
     assert data["counterexample"]["rank_gap"] >= 1
 
 
+def test_check_go_refuses_extreme_and_non_finite_weights(runner):
+    # a ratio past what unit scale resolves is a ToleranceError, never a
+    # NOT_GO; NaN and inf are refused before any solve, with no traceback
+    # and no NaN in the output
+    extreme = runner.invoke(main, ["check-go", "go-3-k2", "--lambda", "1e12",
+                                   "--mu", "1"])
+    assert extreme.exit_code == 1
+    assert "ambiguous within tolerance: weight ratio 1e+12" in extreme.output
+    assert "NOT_GO" not in extreme.output
+    for flag, value in (("--lambda", "nan"), ("--lambda", "inf"),
+                        ("--mu", "-inf")):
+        result = runner.invoke(main, ["check-go", "go-3-k2", flag, value,
+                                      "--json"])
+        assert result.exit_code == 1, value
+        assert "positive and finite" in result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        assert "NaN" not in result.output
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_samples_below_one_is_a_usage_error(runner, samples):
     # t1-V.10 is NOT_GO; zero samples once made it pass --expect go

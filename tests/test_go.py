@@ -264,6 +264,45 @@ def test_float_status_is_invariant_under_homothety(entry_id):
         assert verdict.status == want, scale
 
 
+@pytest.mark.parametrize("entry_id", ["go-3-k2", "go-2", "go-7-n2"])
+def test_float_lane_refuses_weights_unit_scale_cannot_resolve(entry_id):
+    # at unit scale the lighter module's weight is min/max; past
+    # 1 / (MARGIN_FACTOR tol) its rank gaps fall below the band, and these
+    # GO entries once came out NOT_GO (1e12..1e17) or raised a margin
+    # ToleranceError (1e7..1e11). Now the ratio is refused by name, at
+    # any tol, while the exact lane, which has no band, still decides
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    for ratio in (1.01e6, 1e7, 1e12, 1e17):
+        for pair in ((ratio, 1.0), (1.0, ratio), (3 * ratio, 3.0)):
+            with pytest.raises(go.ToleranceError, match="weight ratio"):
+                go.go_check(space, pair, n_samples=5)
+    # the bound is max(MARGIN_FACTOR, 1 / (MARGIN_FACTOR tol)): 1e3 at
+    # tol 1e-6 and at the loose 1e-2
+    for tol in (1e-6, 1e-2):
+        with pytest.raises(go.ToleranceError, match="weight ratio"):
+            go.go_check(space, (1.01e3, 1.0), n_samples=5, tol=tol)
+        assert go.go_check(space, (1e3, 1.0), n_samples=5,
+                           tol=tol).status == "GO_CONSISTENT"
+    for pair in ((1e6, 1.0), (1e3, 1e-3), (1e-3, 1e3)):
+        assert go.go_check(space, pair, n_samples=5).status == "GO_CONSISTENT"
+    for ratio in (10 ** 12, 10 ** 17):
+        assert go.go_check(space, (Fraction(ratio), 1), n_samples=3,
+                           exact_mode=True).status == "GO_CONSISTENT"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 0.0, -1.0])
+def test_two_param_refuses_weights_that_are_not_positive_and_finite(so5_u2,
+                                                                    bad):
+    # NaN once passed to LAPACK, and inf gave go_consistent with a NaN
+    # max_residual
+    for pair in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(core.ValidationError, match="positive and finite"):
+            go.MetricOperator.two_param(so5_u2, *pair)
+        with pytest.raises(core.ValidationError, match="positive and finite"):
+            go.go_check(so5_u2, pair, n_samples=2)
+
+
 def test_commutator_check_is_relative_to_the_metric_scale(so5_u2):
     rng = np.random.default_rng(0)
     raw = rng.normal(size=(6, 6))
@@ -789,9 +828,11 @@ def test_a_run_factorises_its_samples_in_two_chunks(monkeypatch):
 
 # --- the factorisation's QR and SVD paths --------------------------------
 
-# two-summand entries whose sampled M lose column rank: every sample takes
-# the SVD path, as every sample of a space with dim m < dim h does
+# two-summand entries whose sampled M lose column rank, and the wide ones
+# (dim m < dim h): h has a nonzero generic stabilizer on m, and every
+# sample is solved by QR on the split's stabilizer frame
 RANK_LOSING = {"go-1", "go-6-m3n2", "go-7-n2", "struct-3"}
+STABILIZER = RANK_LOSING | {"go-4-r2", "go-5"}
 LADDER = [f"so({2 * k + 1})/u({k})" for k in range(2, 6)]
 
 
@@ -826,11 +867,13 @@ def _reference_solve(space, x):
 
 
 def _qr_refused(space, x):
-    """Rows of x whose reference M the QR certificate refuses."""
+    """Rows of x whose reference M, on the split's stabilizer frame, the
+    QR certificate refuses."""
     dm, dh = space.m.dim, space.h.dim
-    m = np.stack(_reference_solve(space, x)[0])
+    frame, rank = space.split.stabilizer_frame
+    m = np.stack(_reference_solve(space, x)[0]) @ frame
     return go._qr_solve(np.concatenate([m, np.zeros((len(x), dm, 3))], axis=2),
-                        np.empty((len(x), dh, 3))).tolist()
+                        np.empty((len(x), dh, 3)), frame, rank).tolist()
 
 
 def _assert_matches_reference(space, x, z, mz):
@@ -843,37 +886,124 @@ def _assert_matches_reference(space, x, z, mz):
 
 @pytest.mark.parametrize("space_id", TWO_SUMMAND + LADDER)
 def test_factorisation_matches_a_pseudo_inverse_reference(space_id):
-    # every sample of a full-rank entry is certified for QR, no sample of
-    # a rank-losing or wide one is; both paths give the min-norm solution
-    # of the reference within 1e-12 relative
+    # the stabilizer frame is orthogonal, the identity exactly on the
+    # full-rank entries, and its rank is the largest rank of any sampled
+    # M, below dim m; every sample, full-rank, rank-losing or wide, is
+    # certified for QR on it, with the min-norm solution of the reference
+    # within 1e-12 relative
     space = (_ladder_space if space_id in LADDER else _space)(space_id)
     x, _ = _sampled_rows(space, 0, 30)
-    if space.m.dim >= space.h.dim:
-        want = range(len(x)) if space_id in RANK_LOSING else []
-        assert _qr_refused(space, x) == list(want)
-    else:
-        assert space_id in ("go-4-r2", "go-5")
+    frame, rank = space.split.stabilizer_frame
+    dh = space.h.dim
+    assert (rank < dh) == (space_id in STABILIZER)
+    if rank == dh:
+        assert frame.tobytes() == np.eye(dh).tobytes()
+    np.testing.assert_allclose(frame.T @ frame, np.eye(dh), atol=1e-13)
+    ranks = {linalg.svd_rank(m) for m in _reference_solve(space, x)[0]}
+    assert ranks == {rank} and rank < space.m.dim
+    assert _qr_refused(space, x) == []
     _, z, mz = go._factorise(space, x)
     _assert_matches_reference(space, x, z, mz)
 
 
-@pytest.mark.parametrize("entry_id", sorted(RANK_LOSING) + ["go-2"])
-def test_spaces_with_a_generic_stabilizer_skip_the_qr_attempt(entry_id,
-                                                              monkeypatch):
-    # no sampled M of a rank-losing entry can pass the QR certificate, so
-    # _factorise sends every row straight to the SVD; a full-rank entry
-    # still tries QR first
+@pytest.mark.parametrize("entry_id", sorted(STABILIZER) + ["go-2"])
+def test_factorisation_tries_qr_first_on_every_space(entry_id, monkeypatch):
+    # no space goes straight to the SVD: a space with a nonzero generic
+    # stabilizer tries QR on its frame, a full-rank one on M itself, one
+    # call per chunk
     space = catalog.catalog_instantiate(entry_id, seed=0)
-    assert (space.split.stabilizer_dim > 0) == (entry_id in RANK_LOSING)
+    frame, rank = space.split.stabilizer_frame
+    assert (rank < space.h.dim) == (entry_id in STABILIZER)
     calls = []
     qr_solve = go._qr_solve
 
-    def spy(m_parts, z):
+    def spy(m_parts, *args):
         calls.append(len(m_parts))
-        return qr_solve(m_parts, z)
+        return qr_solve(m_parts, *args)
     monkeypatch.setattr(go, "_qr_solve", spy)
     go.go_check(space, (1, 2), n_samples=20, seed=0)
-    assert calls == ([] if entry_id in RANK_LOSING else [1, 19])
+    assert calls == [1, 19]
+
+
+@pytest.mark.parametrize("entry_id", sorted(STABILIZER))
+def test_factorisation_on_the_stabilizer_frame_runs_no_svd(entry_id,
+                                                           monkeypatch):
+    # 100 samples of a space with a nonzero generic stabilizer call no
+    # np.linalg.svd inside _factorise, and go_witness_general solves none
+    # of them again
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    space.split.stabilizer_frame  # the split's one SVD, not a sample's
+    svd, factorise, solve = np.linalg.svd, go._factorise, \
+        go.go_witness_general
+    inside, svds, solved = [], [], []
+
+    def spied_svd(*args, **kwargs):
+        if inside:
+            svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    def spied_factorise(*args):
+        inside.append(args)
+        try:
+            return factorise(*args)
+        finally:
+            inside.pop()
+
+    def spied_solve(*args):
+        solved.append(args)
+        return solve(*args)
+    monkeypatch.setattr(np.linalg, "svd", spied_svd)
+    monkeypatch.setattr(go, "_factorise", spied_factorise)
+    monkeypatch.setattr(go, "go_witness_general", spied_solve)
+    for pair in catalog.DEFAULT_PAIRS:
+        verdict = go.go_check(space, pair, n_samples=100, seed=0)
+        assert verdict.status == "GO_CONSISTENT"
+    assert svds == [] and solved == []
+
+
+@pytest.mark.parametrize("entry_id", sorted(STABILIZER) + ["t1-V.10"])
+def test_factorisation_on_a_wrong_frame_rank_keeps_every_status(entry_id,
+                                                                monkeypatch):
+    # a frame one rank too small misses part of range(M): its samples fail
+    # the read-off and go_witness_general solves them again. One rank too
+    # large puts a kernel column of M into R11, and every row falls back
+    # to the SVD. Either way every status, sample count and NOT_GO rank
+    # gap is the one the right frame gives
+    def verdicts(space):
+        return [go.go_check(space, pair, n_samples=20, seed=seed)
+                for pair in catalog.DEFAULT_PAIRS for seed in (0, 1)]
+
+    def gaps(runs):
+        return [(v.status, v.n_samples, v.counterexample
+                 and v.counterexample.rank_gap) for v in runs]
+    want = gaps(verdicts(catalog.catalog_instantiate(entry_id, seed=0)))
+    split = catalog.catalog_instantiate(entry_id, seed=0).split
+    frame, rank = split.stabilizer_frame
+    qr_solve, solve = go._qr_solve, go.go_witness_general
+    for shift in (-1, 1) if rank < split.h.dim else (-1,):
+        refused, solved = [], []
+
+        def spied_qr(m_parts, *args):
+            rest = qr_solve(m_parts, *args)
+            refused.append((len(m_parts), len(rest)))
+            return rest
+
+        def spied_solve(*args):
+            solved.append(args)
+            return solve(*args)
+        monkeypatch.setitem(vars(split), "stabilizer_frame",
+                            (frame, rank + shift))
+        monkeypatch.setattr(go, "_qr_solve", spied_qr)
+        monkeypatch.setattr(go, "go_witness_general", spied_solve)
+        assert gaps(verdicts(catalog.catalog_instantiate(entry_id,
+                                                         seed=0))) == want
+        monkeypatch.undo()
+        if shift < 0:
+            # struct-3's [m, m] has no m part, so z = 0 solves on any frame
+            assert bool(solved) == (entry_id != "struct-3")
+        else:
+            assert refused and all(n == out for n, out in refused)
+    assert split.stabilizer_frame == (frame, rank)
 
 
 def test_a_mixed_stack_factorises_each_row_on_its_own_path():
@@ -894,6 +1024,51 @@ def test_a_mixed_stack_factorises_each_row_on_its_own_path():
     assert not stacked[1][4].any()
 
 
+def test_factorisation_on_the_frame_refuses_a_row_inside_a_module():
+    # on go-7-n2 (generic stabilizer 1), a row inside one module, where M
+    # loses more rank than the frame allows, and a zero row fall back to
+    # the SVD; every row is the same to the last bit as that row
+    # factorised alone, and all are the reference's
+    space = catalog.catalog_instantiate("go-7-n2", seed=0)
+    generic, _ = _sampled_rows(space, 0, 6)
+    block = space.module_coords_in_m(0)
+    inside = block @ np.full(block.shape[1], 1 / np.sqrt(block.shape[1]))
+    x = np.vstack([generic[:3], inside, np.zeros(space.m.dim), generic[3:]])
+    assert _qr_refused(space, x) == [3, 4]
+    stacked = go._factorise(space, x)
+    for i in range(len(x)):
+        alone = go._factorise(space, x[i:i + 1])
+        for got, want in zip(stacked, alone):
+            assert got[i].tobytes() == want[0].tobytes()
+    _assert_matches_reference(space, x, *stacked[1:])
+    assert not stacked[1][4].any()
+
+
+@pytest.mark.parametrize("entry_id", ["go-1", "go-4-r2", "go-5", "go-6-m3n2",
+                                      "go-7-n2"])
+def test_pair_solvers_factorised_on_the_frame_match_the_svd(entry_id,
+                                                            monkeypatch):
+    # geodesic_graph and zxzy_decompose read the frame's QR solve; with
+    # every row sent to the SVD instead they agree within 1e-10
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    p1, p2 = space.module_projectors
+    x, _ = _sampled_rows(space, 1, 6)
+
+    def solve():
+        out = []
+        for v in x:
+            dec = go.zxzy_decompose(space, p1 @ v, p2 @ v)
+            out += [go.geodesic_graph(space, 1, 2, p1 @ v, p2 @ v).z,
+                    go.geodesic_graph(space, 2.5, 0.5, p1 @ v, p2 @ v).z,
+                    dec.z_x, dec.z_y]
+        return out
+    got = solve()
+    monkeypatch.setattr(go, "_qr_solve",
+                        lambda m_parts, *args: np.arange(len(m_parts)))
+    for g, want in zip(got, solve()):
+        assert np.abs(g - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
 def test_factorisation_qr_certificate_refuses_what_the_svd_would_cut():
     # a Kahan matrix times 1e3 has pivots above the pivot floor and every
     # singular value above RANK_FLOOR, yet the SVD cuts its smallest one;
@@ -911,8 +1086,8 @@ def test_factorisation_qr_certificate_refuses_what_the_svd_would_cut():
     m = np.stack([well, kahan, 1e-13 * well, np.zeros((n, n))])
     parts = rng_for("test-qr", 1).standard_normal((4, n, 3))
     z = np.full((4, n, 3), np.nan)
-    assert go._qr_solve(np.concatenate([m, parts], axis=2),
-                        z).tolist() == [1, 2, 3]
+    assert go._qr_solve(np.concatenate([m, parts], axis=2), z, np.eye(n),
+                        n).tolist() == [1, 2, 3]
     np.testing.assert_allclose(z[0], well.T @ parts[0], atol=1e-13)
     assert np.isnan(z[1:]).all()
 
