@@ -1,15 +1,14 @@
 """Lie algebras presented by structure constants, with a chosen inner product.
 
 The structure tensor convention is [e_i, e_j] = sum_k c[i][j][k] e_k.
-An exact algebra (every classical algebra, g2, rational JSON specs and
-direct sums of exact algebras) holds its constants once, as a
-``StructureConstants``: the sorted integer triples (i, j, k) with a
-nonzero c[i][j][k], their numerators as Python ints and one common
-denominator. Its float tensor is derived from the triples, and every
-exact operation (antisymmetry and Jacobi checks, the Killing form,
-brackets) runs on the triples. Float-only algebras (float JSON specs,
-subalgebras read off numerically) hold the dense float tensor alone.
-The default inner product is the negative Killing form on the derived
+Every algebra holds its constants once, as ``StructureConstants``: the
+sorted triples (i, j, k) with a nonzero c[i][j][k] and their values,
+Python-int numerators over one denominator for an exact algebra (every
+classical algebra, g2, rational JSON specs, direct sums of exact
+algebras), float64 for a float one (float JSON specs, subalgebras read
+off numerically, dense tensors). Every contraction, exact or float,
+runs on the triples; ``LieAlgebra.structure`` rebuilds the dense
+tensor on each read. The default inner product is the negative Killing form on the derived
 algebra plus the coordinate dot product on the center, assembled so
 that it is ad-invariant and positive definite on compact algebras.
 """
@@ -88,15 +87,31 @@ def _fractions(shape, keys: np.ndarray, sums: np.ndarray,
     return out
 
 
+def _floats(shape, keys: np.ndarray, sums: np.ndarray,
+            denom: int) -> np.ndarray:
+    """Float array of the given shape, sums / denom rounded at the keys."""
+    out = np.zeros(shape)
+    out.flat[keys] = exact.to_float(sums, denom)
+    return out
+
+
+def check_finite(matrix: np.ndarray, what: str) -> None:
+    """Raise a ValidationError naming the first non-finite entry."""
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        at = tuple(int(t) for t in bad[0])
+        raise ValidationError(f"{what} entry {at} is {matrix[at]}, not finite")
+
+
 @dataclass(frozen=True, eq=False)
 class StructureConstants:
-    """Exact structure constants as sorted integer triples.
+    """Structure constants as sorted triples.
 
     Row t of ``index`` is (i, j, k): e_k has coefficient
     numer[t] / denom in [e_i, e_j]. Rows are distinct and in increasing
-    order, numerators are nonzero Python ints, and ``denom`` is their
-    least common denominator (1 for every classical algebra and g2).
-    Build them with ``structure_constants``.
+    order. Exact numerators are nonzero Python ints (an object array)
+    over their least common denominator (1 for every classical algebra
+    and g2); float ones are float64, over 1.
     """
 
     dim: int
@@ -104,12 +119,24 @@ class StructureConstants:
     numer: np.ndarray
     denom: int = 1
 
+    @property
+    def exact(self) -> bool:
+        return self.numer.dtype == object
+
     @cached_property
-    def tensor(self) -> np.ndarray:
-        """The dense float tensor; each entry is numer / denom rounded once."""
-        out = np.zeros((self.dim,) * 3)
-        out[tuple(self.index.T)] = [int(v) / self.denom for v in self.numer]
-        return out
+    def values(self) -> np.ndarray:
+        """Float value of each triple, numer / denom rounded once."""
+        return exact.to_float(self.numer, self.denom)
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, ...]:
+        """The distinct j n + k and i n + j of the triples, each followed
+        by every triple's place among them: the compressed axes of
+        ``left_brackets`` and ``bracket_images``."""
+        i, j, k = self.index.T
+        jk, at_jk = np.unique(j * self.dim + k, return_inverse=True)
+        ij, at_ij = np.unique(i * self.dim + j, return_inverse=True)
+        return jk, at_jk.reshape(-1), ij, at_ij.reshape(-1)
 
     def residuals(self) -> tuple[Fraction, Fraction]:
         """Largest |c_ijk + c_jik| and largest Jacobi defect, exactly.
@@ -174,36 +201,46 @@ class StructureConstants:
         return out.reshape(xs.shape[1], n, n)
 
 
-def structure_constants(dim: int, entries) -> StructureConstants:
-    """Triples from (i, j, k, value) entries with rational values
-    (Fractions, ints, strings or exactly rational floats). Zero values are
-    dropped; of repeated (i, j, k) the last entry wins."""
-    coeffs = {(int(i), int(j), int(k)): exact.frac(v) for i, j, k, v in entries}
+def _entries(entries, convert) -> tuple[np.ndarray, list]:
+    """Sorted distinct (i, j, k) of (i, j, k, value) entries, with their
+    converted values; zero values are dropped, and of repeated (i, j, k)
+    the last entry wins."""
+    coeffs = {(int(i), int(j), int(k)): convert(v) for i, j, k, v in entries}
     keys = sorted(key for key, v in coeffs.items() if v != 0)
-    denom = math.lcm(*(coeffs[key].denominator for key in keys))
-    numer = [coeffs[key].numerator * (denom // coeffs[key].denominator)
-             for key in keys]
-    return StructureConstants(
-        dim=dim, index=np.array(keys, dtype=np.int64).reshape(-1, 3),
-        numer=np.array(numer, dtype=object), denom=denom)
+    return (np.array(keys, dtype=np.int64).reshape(-1, 3),
+            [coeffs[key] for key in keys])
+
+
+def structure_constants(dim: int, entries) -> StructureConstants:
+    """Exact triples from (i, j, k, value) entries with rational values
+    (Fractions, ints, strings or exactly rational floats), as ``_entries``
+    reads them."""
+    index, values = _entries(entries, exact.frac)
+    denom = math.lcm(*(v.denominator for v in values))
+    numer = [v.numerator * (denom // v.denominator) for v in values]
+    return StructureConstants(dim, index, np.array(numer, dtype=object), denom)
+
+
+def float_constants(structure) -> StructureConstants:
+    """Float triples of a dense (n, n, n) tensor: every nonzero entry bit
+    for bit, in index order; only exact zeros are dropped."""
+    arr = np.asarray(structure, dtype=np.float64)
+    _check_tensor_shape(arr)
+    index = np.argwhere(arr)
+    return StructureConstants(arr.shape[0], index, arr[tuple(index.T)])
 
 
 def _check_tensor_shape(structure: np.ndarray) -> None:
-    if structure.ndim != 3:
-        raise ValidationError(
-            f"structure tensor must have 3 axes, got {structure.ndim}")
-    n = structure.shape[0]
-    for axis in (1, 2):
-        if structure.shape[axis] != n:
-            raise ValidationError(
-                f"structure tensor is not cubic: axis {axis} has length "
-                f"{structure.shape[axis]}, expected {n}")
+    if structure.ndim != 3 or len(set(structure.shape)) != 1:
+        raise ValidationError(f"structure tensor must be cubic with 3 axes, "
+                              f"got shape {structure.shape}")
 
 
 def jacobi_residual(structure: np.ndarray) -> float:
     """Max-norm of the Jacobi identity over all basis triples (float tensor).
 
-    Evaluated one i-slice at a time to keep memory at O(n^3).
+    Evaluated one i-slice at a time to keep memory at O(n^3); a NaN
+    anywhere gives NaN.
     """
     n = structure.shape[0]
     flat = structure.reshape(n, n * n)
@@ -213,17 +250,18 @@ def jacobi_residual(structure: np.ndarray) -> float:
         term2 = (structure.reshape(n * n, n) @ structure[:, i, :]).reshape(n, n, n)
         term3 = (structure[:, i, :] @ flat).reshape(n, n, n)
         total = term1 + term2 + np.transpose(term3, (1, 0, 2))
-        worst = max(worst, float(np.abs(total).max()))
+        worst = float(np.maximum(worst, np.abs(total).max()))
     return worst
 
 
 def validate_algebra(structure, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Antisymmetry and Jacobi check.
 
-    Accepts a float tensor, a ``StructureConstants`` or a LieAlgebra.
-    Exact constants are checked on their triples in integer arithmetic
-    and pass only with both residuals exactly 0; a float tensor is
-    checked densely against ``tol``.
+    Accepts a float tensor, exact ``StructureConstants`` or a
+    LieAlgebra. Exact constants are checked on their triples in integer
+    arithmetic and pass only with both residuals exactly 0; a float
+    algebra is checked densely, on its rebuilt ``structure`` (a join over
+    dense float triples would cost n^5 memory), against ``tol``.
     """
     if isinstance(structure, LieAlgebra):
         structure = structure.structure_exact or structure.structure
@@ -240,52 +278,48 @@ def validate_algebra(structure, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Immutable Lie algebra with structure tensor and inner product.
+    """Immutable Lie algebra: structure constants and an inner product.
+    A dense (n, n, n) tensor given as ``constants`` becomes float triples
+    (``float_constants``). Equality and hashing are by identity."""
 
-    Float algebras give ``structure``. Exact algebras give
-    ``structure_exact`` and ``structure=None``; their ``structure`` is
-    then the tensor derived from the triples. Equality and hashing are
-    by identity.
-    """
-
-    structure: np.ndarray | None
+    constants: StructureConstants
     inner_product: np.ndarray
     name: str = ""
-    structure_exact: StructureConstants | None = None
     inner_product_exact: np.ndarray | None = None
 
     def __post_init__(self):
-        # a copy (dataclasses.replace) is handed the tensor derived from
-        # its exact constants, which is no second representation
-        if self.structure_exact is not None and \
-                self.structure is self.structure_exact.tensor:
-            object.__setattr__(self, "structure", None)
-        if (self.structure is None) == (self.structure_exact is None):
-            raise ValidationError("give either a float structure tensor or "
-                                  "exact structure constants")
-        dense = self.structure if self.structure_exact is None \
-            else self.structure_exact.tensor
-        struct = np.ascontiguousarray(np.asarray(dense, dtype=np.float64))
-        _check_tensor_shape(struct)
+        if not isinstance(self.constants, StructureConstants):
+            object.__setattr__(self, "constants",
+                               float_constants(self.constants))
         gram = np.ascontiguousarray(np.asarray(self.inner_product, dtype=np.float64))
-        if gram.shape != (struct.shape[0], struct.shape[0]):
+        if gram.shape != (self.dim, self.dim):
             raise ValidationError("inner product shape does not match dim")
-        struct.flags.writeable = False
         gram.flags.writeable = False
-        object.__setattr__(self, "structure", struct)
         object.__setattr__(self, "inner_product", gram)
 
     @property
     def dim(self) -> int:
-        return self.structure.shape[0]
+        return self.constants.dim
+
+    @property
+    def structure(self) -> np.ndarray:
+        """The dense (n, n, n) tensor, rebuilt from the triples per read."""
+        c = self.constants
+        out = np.zeros((c.dim,) * 3)
+        out[tuple(c.index.T)] = c.values
+        return out
+
+    @property
+    def structure_exact(self) -> StructureConstants | None:
+        """The constants when they are exact, else None."""
+        return self.constants if self.constants.exact else None
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.ad(x) @ y
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad(x) acting on coordinate vectors."""
-        n = self.dim
-        return (x @ self.structure.reshape(n, n * n)).reshape(n, n).T
+        return left_brackets(self, x[:, None])[0].T
 
     def _exact(self) -> StructureConstants:
         if self.structure_exact is None:
@@ -297,7 +331,8 @@ class LieAlgebra:
 
     @cached_property
     def killing_form(self) -> np.ndarray:
-        return _killing(self.structure)
+        c = self.constants
+        return _floats((self.dim,) * 2, *c.killing(), c.denom ** 2)
 
     @cached_property
     def killing_form_exact(self) -> np.ndarray:
@@ -307,7 +342,7 @@ class LieAlgebra:
     @cached_property
     def center(self) -> np.ndarray:
         """Orthonormal basis of the center (kernel of ad), read-only."""
-        center = _center(self.structure)
+        center = _center(self.constants)
         center.flags.writeable = False
         return center
 
@@ -316,17 +351,14 @@ class LieAlgebra:
 
     def inner_ad_invariance(self) -> float:
         """Max violation of <[x,y],z> + <y,[x,z]> = 0 over basis triples."""
-        t = self.structure @ self.inner_product
-        return float(np.abs(t + np.transpose(t, (0, 2, 1))).max()) if t.size else 0.0
+        t = bracket_images(self, self.inner_product)  # <[e_i, e_j], e_l>
+        return float(np.abs(t + t.transpose(0, 2, 1)).max(initial=0.0))
 
     def to_json_dict(self) -> dict:
-        c = self.structure_exact
-        if c is not None:
-            entries = [[i, j, k, exact.format_value(Fraction(int(v), c.denom))]
-                       for (i, j, k), v in zip(c.index.tolist(), c.numer)]
-        else:
-            entries = [[i, j, k, float(self.structure[i, j, k])]
-                       for i, j, k in np.argwhere(self.structure != 0.0).tolist()]
+        c = self.constants
+        values = ([exact.format_value(Fraction(int(v), c.denom)) for v in c.numer]
+                  if c.exact else c.numer.tolist())
+        entries = [[i, j, k, v] for (i, j, k), v in zip(c.index.tolist(), values)]
         data = {"name": self.name, "dim": self.dim, "structure": entries}
         if self.inner_product_exact is not None:
             data["inner_product"] = [[exact.format_value(v) for v in row]
@@ -348,9 +380,12 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
     can still be built and reported."""
     dim = int(data["dim"])
     entries = data["structure"]
-    for i, j, k, _ in entries:
+    for i, j, k, value in entries:
         if not all(0 <= int(t) < dim for t in (i, j, k)):
             raise ValidationError(f"structure index ({i},{j},{k}) out of range")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(
+                f"structure constant ({i},{j},{k}) is {value}, not finite")
     gram = gram_exact = None
     if data.get("inner_product") is not None:
         rows = data["inner_product"]
@@ -359,16 +394,15 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
             gram = exact.to_float(gram_exact)
         else:
             gram = np.array(rows, dtype=np.float64)
-    name = data.get("name", "")
+            check_finite(gram, "inner product")
     if all(isinstance(e[3], (str, int)) for e in entries):
         constants = structure_constants(dim, entries)
-        return make_algebra(constants, name, gram, gram_exact, validate=False)
-    dense = np.zeros((dim, dim, dim))
-    for i, j, k, value in entries:
-        dense[int(i), int(j), int(k)] = float(value)
-    if gram is None:
-        gram, _ = default_inner_product(dense)
-    return LieAlgebra(structure=dense, inner_product=gram, name=name)
+    else:
+        index, values = _entries(entries, float)
+        constants = StructureConstants(dim, index,
+                                       np.array(values, dtype=np.float64))
+    return make_algebra(constants, data.get("name", ""), gram, gram_exact,
+                        validate=False)
 
 
 def algebra_from_json(text: str) -> LieAlgebra:
@@ -379,11 +413,11 @@ def make_algebra(constants: StructureConstants, name: str,
                  inner_product: np.ndarray | None = None,
                  inner_product_exact: np.ndarray | None = None,
                  validate: bool = True, tol: float = DEFAULT_TOL) -> LieAlgebra:
-    """Assemble an exact algebra from its structure constants.
+    """Assemble an algebra from its structure constants.
 
-    With ``validate`` the constants must pass the exact antisymmetry and
-    Jacobi check and the inner product must be ad-invariant. Without an
-    inner product the default one is built.
+    With ``validate`` the (exact) constants must pass the exact
+    antisymmetry and Jacobi check and the inner product must be
+    ad-invariant. Without an inner product the default one is built.
     """
     if validate:
         report = validate_algebra(constants)
@@ -392,11 +426,8 @@ def make_algebra(constants: StructureConstants, name: str,
                 f"{name}: structure constants fail validation "
                 f"(antisymmetry {report.antisymmetry:.2e}, jacobi {report.jacobi:.2e})")
     if inner_product is None:
-        inner_product, inner_product_exact = default_inner_product(
-            constants.tensor, constants)
-    alg = LieAlgebra(structure=None, inner_product=inner_product, name=name,
-                     structure_exact=constants,
-                     inner_product_exact=inner_product_exact)
+        inner_product, inner_product_exact = default_inner_product(constants)
+    alg = LieAlgebra(constants, inner_product, name, inner_product_exact)
     if validate:
         inv = alg.inner_ad_invariance()
         if inv > max(tol, 1e-8 * max(1.0, float(np.abs(inner_product).max(initial=0.0)))):
@@ -404,40 +435,40 @@ def make_algebra(constants: StructureConstants, name: str,
     return alg
 
 
-def default_inner_product(structure: np.ndarray,
-                          constants: StructureConstants | None = None
+def default_inner_product(constants: StructureConstants
                           ) -> tuple[np.ndarray, np.ndarray | None]:
     """Negative Killing form on the derived algebra, dot product on the center.
 
     The two blocks are glued along the direct sum g = center + [g, g],
     which keeps the result ad-invariant. Raises for non-compact input
-    (negative Killing form not positive definite on [g, g]). Given the
-    exact ``constants`` of ``structure`` and a trivial center, the
-    result is the exact negative Killing form and its float copy.
+    (negative Killing form not positive definite on [g, g]). Exact
+    constants with a trivial center give the exact -B and its float copy.
 
     A -B that passes the definiteness test on all of g is nondegenerate,
     so g is semisimple (Cartan), with center 0 and [g, g] = g: -B is the
-    result, and the SVDs of the n x n^2 bracket matrix run only for
-    algebras with a center and for non-compact input.
+    result, and the SVDs of the n x n^2 bracket matrix (rebuilt from the
+    triples for the call) run only for algebras with a center and for
+    non-compact input.
     """
-    n = structure.shape[0]
-    if not structure.any():
+    n = constants.dim
+    if not len(constants.index):
         return np.eye(n), exact.fidentity(n)
-    if constants is None:
-        b, neg_exact = _killing(structure), None
-    else:
-        keys, sums = constants.killing()
-        d, b = constants.denom ** 2, np.zeros(n * n)
-        b[keys] = [int(v) / d for v in sums]
-        b, neg_exact = b.reshape(n, n), _fractions((n, n), keys, -sums, d)
+    keys, sums = constants.killing()
+    d = constants.denom ** 2
+    b = _floats((n, n), keys, sums, d)
+    neg_exact = _fractions((n, n), keys, -sums, d) if constants.exact else None
     if np.linalg.eigvalsh(-b).min() > 1e-8 * float(np.abs(b).max()):
         return -b, neg_exact
-    derived = column_space(structure.reshape(n * n, n).T)
+    # column (i, j) of the bracket matrix is [e_i, e_j]
+    i, j, k = constants.index.T
+    brackets = np.zeros((n, n * n))
+    brackets[k, i * n + j] = constants.values
+    derived = column_space(brackets)
     eigs = np.linalg.eigvalsh(derived.T @ -b @ derived)
     if eigs.min() <= 1e-8 * float(np.abs(b).max()):
         raise ValidationError("Killing form is not negative definite on [g, g]"
                               " (g is not compact); give an inner product")
-    center = _center(structure)
+    center = _center(constants)
     if center.shape[1] + derived.shape[1] != n:
         raise ValidationError("center and derived algebra do not span (non-reductive?)")
     if center.shape[1] == 0:
@@ -449,13 +480,6 @@ def default_inner_product(structure: np.ndarray,
     return gram, None
 
 
-def _killing(structure: np.ndarray) -> np.ndarray:
-    """B_ij = sum_{m,n} c_imn c_jnm = tr(ad e_i ad e_j), as one matmul."""
-    n = structure.shape[0]
-    return structure.reshape(n, n * n) @ \
-        structure.transpose(0, 2, 1).reshape(n, n * n).T
-
-
 def trivial_algebra() -> LieAlgebra:
     return make_algebra(structure_constants(0, []), "0")
 
@@ -463,8 +487,8 @@ def trivial_algebra() -> LieAlgebra:
 def direct_sum(summands: list[LieAlgebra], name: str | None = None) -> LieAlgebra:
     """Block-diagonal direct sum; inner products stay block-diagonal.
 
-    Exact summands give an exact sum: their triples are offset into
-    place and brought to the lcm of their denominators.
+    The triples are offset into place; exact summands give an exact sum
+    over the lcm of their denominators, any float one a float sum.
     """
     dims = [a.dim for a in summands]
     total = sum(dims)
@@ -478,23 +502,25 @@ def direct_sum(summands: list[LieAlgebra], name: str | None = None) -> LieAlgebr
             gram_exact[o:o + alg.dim, o:o + alg.dim] = alg.inner_product_exact
     if name is None:
         name = "+".join(a.name or "?" for a in summands)
-    parts = [a.structure_exact for a in summands]
-    if parts and None not in parts:
+    parts = [a.constants for a in summands] or [structure_constants(0, [])]
+    if all(c.exact for c in parts):
         denom = math.lcm(*(c.denom for c in parts))
-        constants = StructureConstants(
-            total, np.vstack([c.index + o for c, o in zip(parts, offsets)]),
-            np.concatenate([c.numer * (denom // c.denom) for c in parts]), denom)
-        return make_algebra(constants, name, gram, gram_exact, validate=False)
-    structure = np.zeros((total, total, total))
-    for o, alg in zip(offsets, summands):
-        structure[o:o + alg.dim, o:o + alg.dim, o:o + alg.dim] = alg.structure
-    return LieAlgebra(structure=structure, inner_product=gram, name=name,
-                      inner_product_exact=gram_exact)
+        numer = [c.numer * (denom // c.denom) for c in parts]
+    else:
+        denom, numer = 1, [c.values for c in parts]
+    constants = StructureConstants(
+        total, np.vstack([c.index + o for c, o in zip(parts, offsets)]),
+        np.concatenate(numer), denom)
+    return make_algebra(constants, name, gram, gram_exact, validate=False)
 
 
-def _center(structure: np.ndarray) -> np.ndarray:
-    n = structure.shape[0]
-    return nullspace(np.transpose(structure, (0, 2, 1)).reshape(n, n * n).T)
+def _center(constants: StructureConstants) -> np.ndarray:
+    """Kernel of ad: null space of the n^2 x n matrix of columns ad(e_i)."""
+    n = constants.dim
+    i, j, k = constants.index.T
+    ads = np.zeros((n * n, n))
+    ads[k * n + j, i] = constants.values
+    return nullspace(ads)
 
 
 @dataclass(frozen=True)
@@ -546,15 +572,43 @@ class Subspace:
             raw.reshape(self.dim ** 2, self.ambient.dim).T)
 
 
+def left_brackets(g: LieAlgebra, left: np.ndarray) -> np.ndarray:
+    """out[a, j] = [left_a, e_j] in g coords, shape (p, n, n), so
+    out[a].T is ad(left_a). The values are scattered into an n x s
+    matrix, s the number of distinct (j, k) among the triples, and the
+    sum over i is one BLAS product.
+    """
+    c = g.constants
+    n, p = c.dim, left.shape[1]
+    jk, at_jk = c.groups[:2]
+    mat = np.zeros((n, len(jk)))
+    mat[c.index[:, 0], at_jk] = c.values
+    half = np.zeros((p, n * n))
+    half[:, jk] = left.T @ mat
+    return half.reshape(p, n, n)
+
+
 def pair_bracket_tensor(g: LieAlgebra, left: np.ndarray,
                         right: np.ndarray) -> np.ndarray:
     """Brackets of basis columns: out[a, b] = [left_a, right_b] in g coords.
 
-    One matmul contracts the first slot of the structure tensor with
+    ``left_brackets`` contracts the first slot of the constants with
     every left column, and one batched matmul the second slot with every
-    right column, so both run on BLAS.
+    right column.
     """
-    n = g.dim
-    flat = g.structure.reshape(n, n * n)
-    half = (left.T @ flat).reshape(left.shape[1], n, n)
-    return right.T @ half
+    return right.T @ left_brackets(g, left)
+
+
+def bracket_images(g: LieAlgebra, images: np.ndarray) -> np.ndarray:
+    """out[a, b] = sum_k c_abk images[k], the image of [e_a, e_b] under
+    the linear map e_k -> images[k]; as ``left_brackets``, over the
+    distinct (a, b) of the triples."""
+    c = g.constants
+    n = c.dim
+    ij, at_ij = c.groups[2:]
+    mat = np.zeros((len(ij), n))
+    mat[at_ij, c.index[:, 2]] = c.values
+    flat = images.reshape(n, math.prod(images.shape[1:]))
+    out = np.zeros((n * n, flat.shape[1]), dtype=np.result_type(flat, float))
+    out[ij] = mat @ flat
+    return out.reshape((n, n) + images.shape[1:])

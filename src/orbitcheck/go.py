@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .core import OrbitcheckError, ValidationError
+from .core import OrbitcheckError, ValidationError, check_finite
 from .filters import CentralizerSplit, _module_action, normalizer_split
 from .linalg import (DEFAULT_TOL, RANK_FLOOR, consistency_gap,
                      min_norm_solve, rank_of, rank_threshold, rng_for)
@@ -71,6 +71,7 @@ class MetricOperator:
         dm = self.space.m.dim
         if mat.shape != (dm, dm):
             raise ValidationError("metric operator shape mismatch")
+        check_finite(mat, "metric operator")
         if float(np.abs(mat - mat.T).max()) > 1e-10:
             raise ValidationError("metric operator is not symmetric")
         eigs = np.linalg.eigvalsh(mat)

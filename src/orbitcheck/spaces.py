@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from . import exact
 from .core import (LieAlgebra, OrbitcheckError, Subspace, ValidationError,
-                   EffectivenessError, pair_bracket_tensor)
+                   EffectivenessError, left_brackets, pair_bracket_tensor)
 from .linalg import (column_space, gram_orthonormalize, nullspace, rng_for,
                      svd_rank)
 from .zoo import Embedding, EmbeddingChain, as_embedding
@@ -707,8 +707,8 @@ def _verify_ideals(alg: LieAlgebra, parts: list[np.ndarray],
     ideal and together they span the derived algebra."""
     gram = alg.inner_product
     for basis in parts:
-        # [e_a, b] for every coordinate vector e_a and every column b
-        flat = (basis.T @ alg.structure).reshape(-1, alg.dim)
+        # [b, e_a] for every column b and every coordinate vector e_a
+        flat = left_brackets(alg, basis).reshape(-1, alg.dim)
         recon = flat @ (gram @ basis) @ basis.T
         if float(np.abs(flat - recon).max()) > 1e-7:
             raise DecompositionError("candidate block is not an ideal")
@@ -752,7 +752,7 @@ def _subalgebra_algebra(g: LieAlgebra, basis: np.ndarray,
     """Abstract algebra carried by an orthonormal subalgebra basis."""
     d = basis.shape[1]
     structure = bracket_coords(g, pair_bracket_tensor(g, basis, basis), basis)
-    return LieAlgebra(structure=structure, inner_product=np.eye(d), name=name)
+    return LieAlgebra(structure, np.eye(d), name)
 
 
 def classify_structure(space: ReductiveSpace) -> StructureReport:

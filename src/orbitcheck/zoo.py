@@ -31,8 +31,8 @@ import numpy as np
 
 from . import exact
 from .core import (LieAlgebra, StructureConstants, ValidationError,
-                   direct_sum, make_algebra, pair_bracket_tensor,
-                   structure_constants, trivial_algebra)
+                   bracket_images, direct_sum, make_algebra,
+                   pair_bracket_tensor, structure_constants, trivial_algebra)
 from .linalg import svd_rank
 
 RANK_MIN = {"so": 2, "su": 2, "u": 1, "sp": 1, "torus": 1}
@@ -390,7 +390,7 @@ class Embedding:
     def homomorphism_residual(self) -> float:
         phi = self.matrix
         lhs = pair_bracket_tensor(self.target, phi, phi)
-        return float(np.abs(lhs - self.source.structure @ phi.T).max(initial=0))
+        return float(np.abs(lhs - bracket_images(self.source, phi.T)).max(initial=0))
 
     def compose(self, inner: "Embedding") -> "Embedding":
         """Composite self o inner; inner.target must match self.source."""
@@ -678,7 +678,7 @@ def su2_irrep_matrices(two_j: int) -> np.ndarray:
     rho = np.stack([2j * jz, 2j * jy, 2j * jx])
     su2 = classical("su", 2)
     lhs = rho[:, None] @ rho - rho @ rho[:, None]
-    worst = float(np.abs(lhs - np.tensordot(su2.structure, rho, 1)).max())
+    worst = float(np.abs(lhs - bracket_images(su2, rho)).max())
     if worst > 1e-10:
         raise ValidationError(f"spin-{two_j}/2 matrices fail the bracket test ({worst:.2e})")
     return rho

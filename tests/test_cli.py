@@ -1,9 +1,11 @@
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from orbitcheck import cli
+from orbitcheck import cli, zoo
 from orbitcheck.cli import main
 from orbitcheck.linalg import DEFAULT_TOL
 
@@ -45,6 +47,50 @@ def test_validate_refuses_a_non_compact_algebra(runner, tmp_path, spec,
     assert result.exit_code == 1
     assert "Killing form is not negative definite on [g, g] (g is not " \
         "compact)" in result.output
+
+
+@pytest.mark.parametrize("where", ["structure", "inner_product"])
+def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
+    # a NaN constant or Gram entry once ended in a LAPACK traceback
+    data = zoo.classical("su", 2).to_json_dict()
+    data["structure"] = [e[:3] + [float(e[3])] for e in data["structure"]]
+    data["inner_product"] = [[float(v) for v in row]
+                             for row in data["inner_product"]]
+    if where == "structure":
+        data["structure"][0][3] = float("nan")
+    else:
+        data["inner_product"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"algebra": data}))
+    result = invoke(runner, ["validate", str(path)])
+    assert result.exit_code == 1
+    assert "is nan, not finite" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_commands_never_read_the_dense_structure_tensor():
+    # in a fresh process, so that every algebra, embedding and split is
+    # built under the spy rather than read from a cache
+    script = """
+import contextlib, io
+import numpy as np
+from orbitcheck import catalog, core, go
+from orbitcheck.cli import main
+
+def refuse(self):
+    raise AssertionError("LieAlgebra.structure was read")
+core.LieAlgebra.structure = property(refuse)
+catalog.catalog_run(seed=0)
+with contextlib.redirect_stdout(io.StringIO()):
+    for args in (["check-go", "go-3-k3", "--exact"], ["classify", "struct-3"],
+                 ["filter", "t1-V.10"]):
+        main(args, standalone_mode=False)
+space = catalog.catalog_instantiate("go-3-k2", seed=0)
+p1, p2 = space.module_projectors
+v = np.arange(1.0, space.m.dim + 1)
+go.geodesic_graph(space, 1, 2, p1 @ v, p2 @ v)
+"""
+    subprocess.run([sys.executable, "-c", script], check=True)
 
 
 def test_zoo_algebra_at_the_cap_validates_exactly(runner):

@@ -36,6 +36,10 @@ def test_jacobi_residual_detects_broken_structure():
     bad[0, 1, 2] *= 1.5
     assert core.jacobi_residual(bad) > 0.1
     assert not core.validate_algebra(bad).passed
+    # a NaN is not dropped by the running maximum
+    bad[0, 1, 2] = np.nan
+    assert np.isnan(core.jacobi_residual(bad))
+    assert not core.validate_algebra(bad).passed
 
 
 def test_so3_killing_form_is_minus_two_identity():
@@ -125,12 +129,21 @@ def test_ad_is_a_derivation_on_g2(seed):
     np.testing.assert_allclose(left, right, atol=1e-10)
 
 
-def _random_algebra(rng, n):
-    """A random structure tensor (no Jacobi identity needed) with a random
-    positive definite inner product."""
+CONSTANT_KINDS = ["float", "zeros", "exact"]
+
+
+def _random_algebra(rng, n, kind="float"):
+    """Random constants (no Jacobi identity needed) with a random positive
+    definite inner product: a dense float tensor, one with about half its
+    entries exactly zero, or exact triples."""
     raw = rng.standard_normal((n, n))
-    return core.LieAlgebra(structure=rng.standard_normal((n, n, n)),
-                           inner_product=raw @ raw.T + n * np.eye(n))
+    if kind == "exact":
+        constants = _random_exact_algebra(rng, n, 0.5, 4).constants
+    else:
+        constants = rng.standard_normal((n, n, n))
+        if kind == "zeros":
+            constants *= rng.random((n, n, n)) < 0.5
+    return core.LieAlgebra(constants, raw @ raw.T + n * np.eye(n))
 
 
 def assert_matches(got, want):
@@ -142,11 +155,13 @@ def assert_matches(got, want):
 
 
 @given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 4),
-       st.integers(0, 2 ** 31))
-@settings(max_examples=40, deadline=None)
-def test_structure_contractions_match_einsum(n, p, q, seed):
+       st.sampled_from(CONSTANT_KINDS), st.integers(0, 2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_structure_contractions_match_einsum(n, p, q, kind, seed):
+    # every contraction runs on the triples; the einsums read the tensor
+    # that ``structure`` rebuilds from them
     rng = np.random.default_rng(seed)
-    alg = _random_algebra(rng, n)
+    alg = _random_algebra(rng, n, kind)
     c = alg.structure
     left, right = rng.standard_normal((n, p)), rng.standard_normal((n, q))
     x, y = rng.standard_normal((2, n))
@@ -155,6 +170,12 @@ def test_structure_contractions_match_einsum(n, p, q, seed):
     assert_matches(alg.ad(x), np.einsum("ijk,i->kj", c, x))
     assert_matches(alg.bracket(x, y), np.einsum("ijk,i,j->k", c, x, y))
     assert_matches(alg.killing_form, np.einsum("imn,jnm->ij", c, c))
+    t = np.einsum("ijk,kl->ijl", c, alg.inner_product)
+    assert_matches(alg.inner_ad_invariance(),
+                   np.abs(t + t.transpose(0, 2, 1)).max(initial=0.0))
+    ads = c.reshape(n, n * n)
+    assert alg.center.shape[1] == n - np.linalg.matrix_rank(ads)
+    assert_matches(alg.center.T @ ads, np.zeros((alg.center.shape[1], n * n)))
     sub = core.Subspace.from_columns(alg, left)
     b, gram = sub.basis, alg.inner_product
     brackets = np.einsum("ijk,ia,jb->kab", c, b, b).reshape(n, sub.dim ** 2)
@@ -162,12 +183,14 @@ def test_structure_contractions_match_einsum(n, p, q, seed):
     assert_matches(sub.closure_residual(), distances.max(initial=0.0))
 
 
-@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2 ** 31))
-@settings(max_examples=30, deadline=None)
-def test_homomorphism_residual_matches_einsum(s, extra, seed):
+@given(st.integers(0, 3), st.integers(0, 3), st.sampled_from(CONSTANT_KINDS),
+       st.sampled_from(CONSTANT_KINDS), st.integers(0, 2 ** 31))
+@settings(max_examples=40, deadline=None)
+def test_homomorphism_residual_matches_einsum(s, extra, source_kind,
+                                              target_kind, seed):
     rng = np.random.default_rng(seed)
-    source = _random_algebra(rng, s)
-    target = _random_algebra(rng, s + extra)
+    source = _random_algebra(rng, s, source_kind)
+    target = _random_algebra(rng, s + extra, target_kind)
     phi = rng.standard_normal((s + extra, s))
     emb = zoo.Embedding(source=source, target=target, matrix=phi,
                         atol=np.inf)
@@ -231,8 +254,37 @@ def test_non_compact_specs_are_refused(spec, as_float, request):
         core.algebra_from_json_dict(data)
 
 
+def _float_spec(name):
+    """A zoo algebra as a JSON spec with float constants and Gram."""
+    data = zoo.algebra_by_name(name).to_json_dict()
+    data["structure"] = [e[:3] + [float(Fraction(e[3]))]
+                         for e in data["structure"]]
+    data["inner_product"] = [[float(Fraction(v)) for v in row]
+                             for row in data["inner_product"]]
+    return data
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_spec_entry_is_refused_by_name(bad):
+    # NaN and inf once reached LAPACK, which failed to converge
+    data = _float_spec("su(2)")
+    i, j, k, _ = data["structure"][1]
+    data["structure"][1][3] = bad
+    with pytest.raises(core.ValidationError,
+                       match=rf"structure constant \({i},{j},{k}\) is {bad}, "
+                             "not finite"):
+        core.algebra_from_json_dict(data)
+    data = _float_spec("su(2)")
+    data["inner_product"][1][2] = bad
+    with pytest.raises(core.ValidationError,
+                       match=rf"inner product entry \(1, 2\) is {bad}, "
+                             "not finite"):
+        core.algebra_from_json_dict(data)
+
+
 def test_abelian_default_inner_product_is_the_identity():
-    gram, gram_exact = core.default_inner_product(np.zeros((3, 3, 3)))
+    gram, gram_exact = core.default_inner_product(
+        core.float_constants(np.zeros((3, 3, 3))))
     np.testing.assert_array_equal(gram, np.eye(3))
     assert (gram_exact == core.exact.fidentity(3)).all()
 
@@ -255,27 +307,52 @@ def test_structure_constants_share_one_denominator():
     assert list(c.numer) == [3, -3, 4] and c.denom == 6
 
 
+def _held_arrays(alg):
+    """Every ndarray an algebra holds: in its fields and cached
+    properties and in those of its constants, tuples unpacked."""
+    stack = [*vars(alg).values(), *vars(alg.constants).values()]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, tuple):
+            stack.extend(value)
+        elif isinstance(value, np.ndarray):
+            yield value
+
+
 def test_an_algebra_holds_one_form_of_its_constants():
-    exact_constants = zoo.classical("so", 3).structure_exact
-    with pytest.raises(core.ValidationError):
-        core.LieAlgebra(structure=np.zeros((3, 3, 3)), inner_product=np.eye(3),
-                        structure_exact=exact_constants)
-    with pytest.raises(core.ValidationError):
-        core.LieAlgebra(structure=None, inner_product=np.eye(3))
+    # zoo, direct-sum, catalog, subalgebra and float-spec algebras hold
+    # their triples and no (n, n, n) array, after every cached contraction
+    # has run; ``structure`` is rebuilt on each read
+    from orbitcheck import catalog, spaces
+    space = catalog.catalog_instantiate("go-3-k2", seed=0)
+    spec = zoo.classical("su", 3).to_json_dict()
+    spec["structure"] = [e[:3] + [float(e[3])] for e in spec["structure"]]
+    algebras = [zoo.algebra_by_name(name)
+                for name in ("so(5)", "u(3)", "sp(2)", "g2", "su(3)+so(3)")]
+    algebras += [space.g, spaces._subalgebra_algebra(space.g, space.h.basis, "h"),
+                 core.algebra_from_json_dict(spec)]
+    for alg in algebras:
+        assert isinstance(alg.constants, core.StructureConstants)
+        alg.killing_form, alg.center, alg.ad(np.ones(alg.dim))
+        core.pair_bracket_tensor(alg, np.eye(alg.dim), np.eye(alg.dim))
+        assert [a.shape for a in _held_arrays(alg) if a.ndim > 2] == [], alg
+        assert alg.structure is not alg.structure
+    assert algebras[-1].structure_exact is None
+    assert algebras[-2].structure_exact is None
 
 
 def test_a_copy_of_an_exact_algebra_keeps_one_form():
-    # replace hands the copy the tensor derived from the exact constants,
-    # which stays the derived one; any other tensor is still refused
+    # replace hands the copy the same triples; a dense tensor handed in
+    # becomes float triples, bit for bit, without its exact zeros
     alg = zoo.algebra_by_name("so(4)")
     copy = replace(alg, name="x")
-    assert copy.name == "x" and copy.structure_exact is alg.structure_exact
-    assert copy.structure is alg.structure_exact.tensor
+    assert copy.name == "x" and copy.constants is alg.constants
+    assert copy.structure_exact is alg.structure_exact
     np.testing.assert_array_equal(copy.structure, alg.structure)
-    with pytest.raises(core.ValidationError, match="give either"):
-        replace(alg, structure=alg.structure.copy())
-    with pytest.raises(core.ValidationError, match="give either"):
-        replace(alg, structure_exact=zoo.classical("su", 2).structure_exact)
+    dense = replace(alg, constants=alg.structure)
+    assert dense.structure_exact is None and not dense.constants.exact
+    np.testing.assert_array_equal(dense.constants.index, alg.constants.index)
+    assert dense.constants.numer.tobytes() == alg.constants.values.tobytes()
 
 
 def test_exact_builds_never_run_the_dense_jacobi(monkeypatch):
@@ -308,7 +385,8 @@ def _svd_path_inner_product(alg):
     b = core.exact.to_float(b_exact)
     derived = core.column_space(structure.reshape(n * n, n).T)
     assert np.linalg.eigvalsh(derived.T @ -b @ derived).min() > 0
-    assert core._center(structure).shape[1] == 0
+    assert core.nullspace(
+        structure.transpose(0, 2, 1).reshape(n, n * n).T).shape[1] == 0
     return -b, -b_exact
 
 
@@ -322,8 +400,7 @@ def test_definite_killing_form_skips_the_svds_with_the_same_bits(
         raise AssertionError("bracket-matrix SVD on a semisimple algebra")
     monkeypatch.setattr(core, "column_space", refuse)
     monkeypatch.setattr(core, "_center", refuse)
-    got, got_exact = core.default_inner_product(alg.structure,
-                                                alg.structure_exact)
+    got, got_exact = core.default_inner_product(alg.constants)
     assert got.tobytes() == want.tobytes() == alg.inner_product.tobytes()
     assert [repr(v) for v in got_exact.flat] == \
         [repr(v) for v in want_exact.flat] == \
@@ -340,8 +417,7 @@ def test_algebras_with_a_center_still_take_the_svd_path(name, monkeypatch):
         calls.append(a.shape)
         return column_space(a)
     monkeypatch.setattr(core, "column_space", spy)
-    gram, gram_exact = core.default_inner_product(alg.structure,
-                                                  alg.structure_exact)
+    gram, gram_exact = core.default_inner_product(alg.constants)
     assert calls == [(alg.dim, alg.dim ** 2)] and gram_exact is None
     # the center block is the coordinate dot product, the rest -B
     center = alg.center

@@ -303,6 +303,20 @@ def test_two_param_refuses_weights_that_are_not_positive_and_finite(so5_u2,
             go.go_check(so5_u2, pair, n_samples=2)
 
 
+@pytest.mark.parametrize("block", [[[1.0, np.nan], [np.nan, 2.0]],
+                                   [[np.inf, 0.2], [0.2, 2.0]]])
+def test_a_non_finite_metric_is_refused_before_its_eigenvalues(so8_g2, block):
+    # NaN passed the symmetry check and LAPACK's eigvalsh did not converge
+    with pytest.raises(core.ValidationError, match="not finite"):
+        go.MetricOperator.block(so8_g2, [block])
+    space = catalog.catalog_instantiate("go-2", seed=0)
+    dm = space.m.dim
+    with pytest.raises(core.ValidationError,
+                       match=r"metric operator entry \(0, 0\) is nan"):
+        go.MetricOperator(space=space, matrix=np.full((dm, dm), np.nan),
+                          kind="raw", params=())
+
+
 def test_commutator_check_is_relative_to_the_metric_scale(so5_u2):
     rng = np.random.default_rng(0)
     raw = rng.normal(size=(6, 6))

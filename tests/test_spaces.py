@@ -466,8 +466,8 @@ def test_module_contractions_match_einsum(dh, d1, d2, seed):
     rng = np.random.default_rng(seed)
     n = dh + d1 + d2
     raw = rng.standard_normal((n, n))
-    g = core.LieAlgebra(structure=rng.standard_normal((n, n, n)),
-                        inner_product=raw @ raw.T + n * np.eye(n))
+    g = core.LieAlgebra(rng.standard_normal((n, n, n)),
+                        raw @ raw.T + n * np.eye(n))
     frame = linalg.gram_orthonormalize(rng.standard_normal((n, n)),
                                        g.inner_product)
     hb, mb = frame[:, :dh], frame[:, dh:]

@@ -1,4 +1,7 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,3 +324,24 @@ def test_spin7_matrix_passes_the_fraction_homomorphism_test():
             w = so7.bracket_exact(units[:, i], units[:, j])
             assert np.array_equal(so8.bracket_exact(phi[:, i], phi[:, j]),
                                   phi[:, w != 0] @ w[w != 0]), (i, j)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_zoo_triples_and_grams_match_the_checked_in_digests():
+    # the triples, Gram and exact Gram of every algebra the acceptance
+    # test validates, and of the cap algebras, pinned to the byte
+    data = json.loads(Path(__file__).with_name(
+        "algebra_digests.json").read_text())["sha256"]
+    for name, want in data.items():
+        alg = zoo.algebra_by_name(name)
+        c, gram_exact = alg.structure_exact, alg.inner_product_exact
+        triples = [c.dim, c.index.tolist(), [int(v) for v in c.numer], c.denom]
+        got = {"triples": _sha256(json.dumps(triples).encode()),
+               "gram": _sha256(alg.inner_product.tobytes()),
+               "gram_exact": _sha256(json.dumps(
+                   None if gram_exact is None
+                   else [str(v) for v in gram_exact.flat]).encode())}
+        assert got == want, name
