@@ -332,6 +332,8 @@ class LieAlgebra:
     @cached_property
     def killing_form(self) -> np.ndarray:
         c = self.constants
+        if not c.exact:
+            return _float_killing(c)
         return _floats((self.dim,) * 2, *c.killing(), c.denom ** 2)
 
     @cached_property
@@ -453,10 +455,13 @@ def default_inner_product(constants: StructureConstants
     n = constants.dim
     if not len(constants.index):
         return np.eye(n), exact.fidentity(n)
-    keys, sums = constants.killing()
-    d = constants.denom ** 2
-    b = _floats((n, n), keys, sums, d)
-    neg_exact = _fractions((n, n), keys, -sums, d) if constants.exact else None
+    if constants.exact:
+        keys, sums = constants.killing()
+        d = constants.denom ** 2
+        b = _floats((n, n), keys, sums, d)
+        neg_exact = _fractions((n, n), keys, -sums, d)
+    else:
+        b, neg_exact = _float_killing(constants), None
     if np.linalg.eigvalsh(-b).min() > 1e-8 * float(np.abs(b).max()):
         return -b, neg_exact
     # column (i, j) of the bracket matrix is [e_i, e_j]
@@ -572,17 +577,36 @@ class Subspace:
             raw.reshape(self.dim ** 2, self.ambient.dim).T)
 
 
+def _first_slot(c: StructureConstants) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct j n + k of the triples and the n x s matrix holding
+    c_ijk at row i and the place of (j, k) among them."""
+    jk, at_jk = c.groups[:2]
+    mat = np.zeros((c.dim, len(jk)))
+    mat[c.index[:, 0], at_jk] = c.values
+    return jk, mat
+
+
+def _float_killing(c: StructureConstants) -> np.ndarray:
+    """B_ij = sum_{m,n} c_imn c_jnm in floats, as one BLAS product of the
+    ``_first_slot`` matrix with its columns at the swapped (n, m): memory
+    in n times the distinct (m, n), where the exact join's is in the
+    joined pairs, n^4 on dense constants."""
+    n = c.dim
+    jk, mat = _first_slot(c)
+    # column col[t] at (m, n) meets column pair[t] at (n, m)
+    _, pair, col = np.intersect1d(jk, jk % n * n + jk // n,
+                                  assume_unique=True, return_indices=True)
+    return mat[:, col] @ mat[:, pair].T
+
+
 def left_brackets(g: LieAlgebra, left: np.ndarray) -> np.ndarray:
     """out[a, j] = [left_a, e_j] in g coords, shape (p, n, n), so
     out[a].T is ad(left_a). The values are scattered into an n x s
     matrix, s the number of distinct (j, k) among the triples, and the
     sum over i is one BLAS product.
     """
-    c = g.constants
-    n, p = c.dim, left.shape[1]
-    jk, at_jk = c.groups[:2]
-    mat = np.zeros((n, len(jk)))
-    mat[c.index[:, 0], at_jk] = c.values
+    n, p = g.dim, left.shape[1]
+    jk, mat = _first_slot(g.constants)
     half = np.zeros((p, n * n))
     half[:, jk] = left.T @ mat
     return half.reshape(p, n, n)

@@ -446,11 +446,13 @@ def _factorise(space: ReductiveSpace, x: np.ndarray):
     Z21 = M+(P2 R1) (shape (k, dim h, 3)) and their images under M
     (shape (k, dim m, 3)), with M and R_j as in ``_Factorisation``. A row
     whose M, on the split's stabilizer frame, passes ``_qr_solve``'s
-    certificate is solved there; any other (such as a row inside one
-    module, or a zero row) takes M+ from one batched SVD of those rows,
-    cut at ``rank_threshold`` in one call. A row's path depends on its M
-    and its space alone, and every product is stacked per row, so its
-    results are the same to the last bit whatever rows share its stack."""
+    certificate is solved there, by one raw QR of the chunk and a
+    back-substitution, no general inverse; any other (such as a row
+    inside one module, or a zero row) takes M+ from one batched SVD of
+    those rows, cut at ``rank_threshold`` in one call. A row's path
+    depends on its M and its space alone, and every product is stacked
+    per row, so its results are the same to the last bit whatever rows
+    share its stack."""
     dm, dh = space.m.dim, space.h.dim
     k, xs = len(x), x[:, None]
     m = -(xs @ space.iso_action.reshape(dh * dm, dm).T).reshape(
@@ -484,11 +486,12 @@ def _qr_solve(m_parts: np.ndarray, z: np.ndarray, frame: np.ndarray,
     """Write the min-norm solution into z for each row of ``m_parts`` =
     [M S | M T | parts] (``frame`` F = [S | T], S its first ``rank``
     columns) whose M S = Q R11 passes the certificate, and return the
-    other rows. One batched QR gives R11, R12 = Q^T M T and Q^T parts.
-    Only an R11 with min |R_ii| > QR_PIVOT_FLOOR |M|_F is inverted (an
-    exactly singular one would make the batched inverse raise), and a row
-    is certified when |M|_F |R11^-1|_F <= QR_CONDITION_CAP and
-    1 / |R11^-1|_F > RANK_FLOOR. As s_max <= |M|_F and the rank-th
+    other rows. One batched QR, read raw, gives R11, R12 = Q^T M T and
+    Q^T parts on and above its diagonal (Householder vectors below).
+    Only an R11 with min |R_ii| > QR_PIVOT_FLOOR |M|_F is inverted, by
+    back-substitution, and a row is certified when
+    |M|_F |R11^-1|_F <= QR_CONDITION_CAP and 1 / |R11^-1|_F > RANK_FLOOR
+    (an overflowing inverse fails). As s_max <= |M|_F and the rank-th
     singular value is at least 1 / |R11^-1|_F, ``rank_threshold`` keeps
     ``rank`` singular values, the most any M of the split has, so
     range(M) = range(M S) and z = S R11^-1 Q^T parts solves M z = parts
@@ -496,16 +499,17 @@ def _qr_solve(m_parts: np.ndarray, z: np.ndarray, frame: np.ndarray,
     projection on an orthonormal basis of K (one small batched QR) is
     the min-norm solution. With no T it is R^-1 Q^T parts."""
     dh = z.shape[1]
-    r = np.linalg.qr(m_parts, mode="r")
-    r, rhs = r[:, :rank, :rank], r[:, :rank, rank:]
-    norm = np.linalg.norm(m_parts[..., :dh], axis=(1, 2))
-    pivots = np.abs(np.diagonal(r, 0, 1, 2)).min(axis=1, initial=np.inf)
+    r = np.linalg.qr(m_parts, mode="raw")[0].swapaxes(1, 2)
+    m = m_parts[..., :dh]
+    norm = np.sqrt(np.einsum("kij,kij->k", m, m))
+    pivots = np.abs(r.diagonal(0, 1, 2)[:, :rank]).min(1, initial=np.inf)
     at = np.flatnonzero(pivots > QR_PIVOT_FLOOR * norm)
-    r_inv = np.linalg.inv(r[at])
-    size = np.linalg.norm(r_inv, axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_inv = _triu_inverse(r[at, :rank, :rank])
+        size = np.sqrt(np.einsum("kij,kij->k", r_inv, r_inv))
     ok = (norm[at] * size <= QR_CONDITION_CAP) & (size < 1.0 / RANK_FLOOR)
     at = at[ok]
-    y = r_inv[ok] @ rhs[at]  # [R11^-1 R12 | R11^-1 Q^T parts]
+    y = r_inv[ok] @ r[at, :rank, rank:]  # [R11^-1 R12 | R11^-1 Q^T parts]
     if rank < dh:
         # on the frame, [-R11^-1 R12; I] spans ker M and z is [z_S; 0]
         y = np.concatenate([-y, np.zeros((len(at), dh - rank, y.shape[2]))], 1)
@@ -514,6 +518,22 @@ def _qr_solve(m_parts: np.ndarray, z: np.ndarray, frame: np.ndarray,
         y = frame @ (zf - q @ (q.transpose(0, 2, 1) @ zf))
     z[at] = y
     return np.flatnonzero(np.bincount(at, minlength=len(m_parts)) == 0)
+
+
+def _triu_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of the upper triangle of each matrix of a (k, n, n) stack,
+    by back-substitution: past its diagonal 1 / R_ii, row i of R^-1 is
+    -R[i, i+1:] / R_ii times rows i+1: of R^-1. Nothing below the
+    diagonal is read, and each matrix's products are its own."""
+    n = r.shape[1]
+    recip = 1.0 / r.diagonal(0, 1, 2)
+    inv = np.zeros(r.shape)
+    inv.reshape(len(r), n * n)[:, ::n + 1] = recip
+    r = r * -recip[:, :, None]
+    for i in range(n - 2, -1, -1):
+        np.matmul(r[:, i:i + 1, i + 1:], inv[:, i + 1:, i + 1:],
+                  out=inv[:, i:i + 1, i + 1:])
+    return inv
 
 
 class _Draws:
@@ -575,7 +595,8 @@ class _Factorisation(_Draws):
     its weight over s, so on a consistent system the min-norm witness is
     z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 with Z0 = M+(P1 R1 + P2 R2),
     Z12 = M+(P1 R2) and Z21 = M+(P2 R1), from a certified QR on the
-    split's stabilizer frame, or else the SVD (``_factorise``).
+    split's stabilizer frame whose R11 is inverted by back-substitution,
+    or else the SVD (``_factorise``).
     Besides the draws, per sample this keeps the three parts (``z``)
     and, as the rows of ``terms``, P1 M Z0, P1 M Z12, P1 M Z21, their P2
     images and -R1, -R2: D M z - rhs and -rhs are weighted sums of these

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -424,3 +425,44 @@ def test_algebras_with_a_center_still_take_the_svd_path(name, monkeypatch):
     np.testing.assert_allclose(center.T @ gram @ center,
                                np.eye(center.shape[1]), atol=1e-12)
     assert np.linalg.eigvalsh(gram).min() > 0
+
+
+def _rotated(name):
+    """Dense float constants of a zoo algebra in a random orthonormal basis:
+    every one of the n^3 entries is nonzero."""
+    structure = zoo.algebra_by_name(name).structure
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal(
+        structure.shape[:2]))[0]
+    return np.einsum("ijk,ia,jb,kc->abc", structure, q, q, q, optimize=True)
+
+
+@pytest.mark.parametrize("name", ["so(9)", "su(6)"])
+def test_float_killing_form_matches_einsum_on_dense_constants(name):
+    # the float Killing form is one product over the scattered constants;
+    # on a rotated spec it and the default inner product agree with the
+    # einsum to 1e-13 relative
+    c = _rotated(name)
+    assert np.count_nonzero(c) == c.size
+    want = np.einsum("imn,jnm->ij", c, c)
+    constants = core.float_constants(c)
+    gram, gram_exact = core.default_inner_product(constants)
+    alg = core.LieAlgebra(constants, gram)
+    scale = np.abs(want).max()
+    assert np.abs(alg.killing_form - want).max() <= 1e-13 * scale
+    assert np.abs(gram + want).max() <= 1e-13 * scale and gram_exact is None
+
+
+def test_float_killing_form_of_dense_constants_stays_small():
+    # the exact lane's join holds every joined pair, n^4 on dense float
+    # constants (about 70 MB at dim 36); the float product holds an n x n^2
+    # matrix and its column gathers
+    constants = core.float_constants(_rotated("so(9)"))
+    constants.groups  # cached with the constants, as after any contraction
+    tracemalloc.start()
+    try:
+        gram, _ = core.default_inner_product(constants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.linalg.eigvalsh(gram).min() > 0
+    assert peak < 8 * 2 ** 20

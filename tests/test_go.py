@@ -975,6 +975,24 @@ def test_factorisation_on_the_stabilizer_frame_runs_no_svd(entry_id,
     assert svds == [] and solved == []
 
 
+def test_factorisation_in_catalog_runs_falls_back_to_no_svd(monkeypatch):
+    # over catalog_run at seeds 0..3 every factorised row of every
+    # two-summand entry, full-rank, rank-losing or wide, passes the QR
+    # certificate: none is left for the SVD
+    rows, rest = [], []
+    qr_solve = go._qr_solve
+
+    def spy(m_parts, *args):
+        out = qr_solve(m_parts, *args)
+        rows.append(len(m_parts))
+        rest.extend(out.tolist())
+        return out
+    monkeypatch.setattr(go, "_qr_solve", spy)
+    for seed in range(4):
+        assert catalog.catalog_run(seed=seed).passed
+    assert sum(rows) == 4012 and rest == []
+
+
 @pytest.mark.parametrize("entry_id", sorted(STABILIZER) + ["t1-V.10"])
 def test_factorisation_on_a_wrong_frame_rank_keeps_every_status(entry_id,
                                                                 monkeypatch):
@@ -1104,6 +1122,76 @@ def test_factorisation_qr_certificate_refuses_what_the_svd_would_cut():
                         n).tolist() == [1, 2, 3]
     np.testing.assert_allclose(z[0], well.T @ parts[0], atol=1e-13)
     assert np.isnan(z[1:]).all()
+
+
+def test_factorisation_triangular_inverse_matches_the_general_inverse():
+    # raw QR output holds its Householder vectors below the diagonal;
+    # _triu_inverse reads only the triangle, agrees with the general
+    # inverse of the triangle, and gives each matrix the same bits
+    # stacked or alone
+    a = rng_for("test-triu", 0).standard_normal((9, 20, 24))
+    for n in (0, 1, 2, 7, 18):
+        raw = np.linalg.qr(a, mode="raw")[0].swapaxes(1, 2)[:, :n, :n].copy()
+        if n > 1:
+            assert np.tril(raw, -1).any(axis=(1, 2)).all()
+        got = go._triu_inverse(raw)
+        want = np.linalg.inv(np.triu(raw))
+        assert got.shape == want.shape
+        scale = np.abs(want).max(axis=(1, 2), initial=1.0)
+        assert (np.abs(got - want).max(axis=(1, 2), initial=0.0)
+                <= 1e-13 * scale).all()
+        assert not np.tril(got, -1).any()
+        for i in range(len(raw)):
+            assert go._triu_inverse(raw[i:i + 1])[0].tobytes() == \
+                got[i].tobytes()
+
+
+@pytest.mark.parametrize("entry_id", ["go-2", "go-4-r2", "struct-3"])
+def test_factorisation_runs_no_general_inverse(entry_id, monkeypatch):
+    # the certified solve reads R off LAPACK's raw QR and inverts R11 by
+    # back-substitution: _factorise calls neither np.linalg.inv nor
+    # np.linalg.qr(mode="r"), and still solves every sample
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    inv, qr, factorise = np.linalg.inv, np.linalg.qr, go._factorise
+    inside, calls = [], []
+
+    def spied_inv(*args, **kwargs):
+        if inside:
+            calls.append("inv")
+        return inv(*args, **kwargs)
+
+    def spied_qr(a, mode="reduced"):
+        if inside:
+            calls.append(mode)
+        return qr(a, mode=mode)
+
+    def spied_factorise(*args):
+        inside.append(args)
+        try:
+            return factorise(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(np.linalg, "inv", spied_inv)
+    monkeypatch.setattr(np.linalg, "qr", spied_qr)
+    monkeypatch.setattr(go, "_factorise", spied_factorise)
+    verdict = go.go_check(space, (1, 2), n_samples=100, seed=0)
+    assert verdict.status == "GO_CONSISTENT"
+    frame_qr = ["reduced"] if entry_id in STABILIZER else []
+    assert calls == (["raw"] + frame_qr) * 2
+
+
+def test_factorisation_qr_certificate_refuses_an_overflowing_inverse():
+    # I + 1e6 N, N the strictly upper ones of size 60, is its own R and
+    # its pivots pass the pivot floor, but its inverse, with entries
+    # near 1e6^58, overflows: the row is refused without a warning
+    n = 60
+    m = np.eye(n) + 1e6 * np.triu(np.ones((n, n)), 1)
+    assert 1.0 > go.QR_PIVOT_FLOOR * np.linalg.norm(m)
+    z = np.full((1, n, 3), np.nan)
+    parts = np.ones((1, n, 3))
+    assert go._qr_solve(np.concatenate([m[None], parts], axis=2), z,
+                        np.eye(n), n).tolist() == [0]
+    assert np.isnan(z).all()
 
 
 def test_a_rejected_sample_is_solved_again_and_the_run_goes_on(monkeypatch):
