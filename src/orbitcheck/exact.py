@@ -5,10 +5,13 @@ entries (or of Python ints), and ``cleared`` turns one into an integer
 array n over a common denominator d. Products run on such integers too:
 ``matmul`` scales each operand by the lcm of its denominators, multiplies
 the integer arrays, and divides once per output entry. One fraction-free
-forward elimination (Bareiss steps on rows cleared to integers) serves
-the two solvers, ``null_space`` and ``solve``: each back-substitutes, in
+forward elimination serves the two solvers, ``null_space`` and
+``solve``. It clears each row to integers and divides it by the gcd of
+its entries, which keeps the rref and shortens every minor, then runs
+Bareiss steps in int64 for as long as a bound per pivot proves them
+exact, and on Python ints after. Each solver back-substitutes, in
 integers too, the columns it needs (the free ones, or the right-hand
-sides, all at once), and returns its answer as integers over one
+sides, all at once), and returns its answer as Python integers over one
 denominator, so no row operation ever touches a Fraction. ``reduced``
 brings such a pair to its least denominator, ``over`` back to Fractions.
 """
@@ -105,21 +108,34 @@ def _eliminate(a: np.ndarray, width: int
     """Fraction-free forward elimination: (rows, pivots, d).
 
     A matrix of Python ints is taken as it is; any other has each row
-    cleared to Python integers. Each pivot p, found among the first
-    ``width`` columns, then updates the rows below it, from its column
-    on, by the Bareiss step (p m[r][j] - m[r][col] m[row][j]) // d,
+    cleared to Python integers. Each row is then divided by the gcd of
+    its entries (a zero row stays as it is), which keeps the rref and
+    scales each minor by a positive factor. Each pivot p, found among the
+    first ``width`` columns, then updates the rows below it, from its
+    column on, by the Bareiss step (p m[r][j] - m[r][col] m[row][j]) // d,
     with d the previous pivot (1 at the start). Every division is exact
-    because every entry stays a minor of the cleared matrix. On return
-    the rows are an integer echelon form and d is the last pivot, which
+    because every entry stays a minor of the primitive-row matrix.
+
+    The steps run in int64 while 2 M^2 < 2^63, with M the largest
+    |entry| of the block m[row:, col:] that the step reads: each product
+    is at most M^2 in size, their difference at most 2 M^2, and the
+    quotient by d, a nonzero earlier pivot, no larger. From the first
+    step whose bound fails on, the steps run on Python ints; a matrix
+    with an entry outside int64 starts there. On return the rows are an
+    integer echelon form and d, a Python int, is the last pivot, which
     may be negative.
     """
     n_rows, n_cols = a.shape
-    m = np.empty((n_rows, n_cols), dtype=object)
     if set(map(type, a.flat)) <= {int}:
-        m[...] = a
+        rows = a.tolist()
     else:
-        for i, row in enumerate(a):
-            m[i] = cleared(row)[0]
+        rows = [cleared(row)[0].tolist() for row in a]
+    rows = [[v // g for v in row] if (g := math.gcd(*row)) > 1 else row
+            for row in rows]
+    try:
+        m = np.array(rows, dtype=np.int64).reshape(n_rows, n_cols)
+    except OverflowError:
+        m = np.array(rows, dtype=object).reshape(n_rows, n_cols)
     pivots: list[int] = []
     d = 1
     for col in range(width):
@@ -129,13 +145,19 @@ def _eliminate(a: np.ndarray, width: int
         below = m[row:, col].nonzero()[0]
         if not below.size:
             continue
-        m[[row, row + below[0]]] = m[[row + below[0], row]]
+        if m.dtype != object:
+            block = m[row:, col:]
+            top = max(int(block.max()), -int(block.min()))
+            if 2 * top * top >= 2 ** 63:
+                m, d = m.astype(object), int(d)
+        if below[0]:
+            m[[row, row + below[0]]] = m[[row + below[0], row]]
         p = m[row, col]
         m[row + 1:, col:] = (p * m[row + 1:, col:] - np.multiply.outer(
             m[row + 1:, col], m[row, col:])) // d
         d = p
         pivots.append(col)
-    return m, pivots, d
+    return m, pivots, int(d)
 
 
 def _back_substitute(rows: np.ndarray, pivots: list[int], d: int, cols):
@@ -176,13 +198,14 @@ def null_space(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 def solve(a: np.ndarray, b: np.ndarray, wanted=lambda tail: True):
     """Rref solutions Y / d of ``a Y = b`` (free unknowns 0, d maybe
-    negative) and ``tail``, b's reduced rows below the rank. Only a's
-    columns pivot: a combination of b's columns is consistent exactly
-    where that of tail's vanishes, and its solution is that of Y's. Y is
-    None, and not back-substituted, where ``wanted(tail)`` is false."""
+    negative) and ``tail``, b's reduced rows below the rank, each times
+    d over the content (gcd) of the row it came from. Only a's columns
+    pivot: a combination of b's columns is consistent exactly where that
+    of tail's vanishes, and its solution is that of Y's. Y is None, and
+    not back-substituted, where ``wanted(tail)`` is false."""
     n_cols = a.shape[1]
     m, pivots, d = _eliminate(np.column_stack([a, b]), n_cols)
-    tail = m[len(pivots):, n_cols:]
+    tail = m[len(pivots):, n_cols:].astype(object)
     if not wanted(tail):
         return None, d, tail
     y = np.zeros((n_cols, b.shape[1]), dtype=object)

@@ -1,11 +1,14 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orbitcheck import exact
+from orbitcheck import catalog, exact, go
 
 
 def test_frac_accepts_exact_floats_and_rejects_irrational_ones():
@@ -245,6 +248,17 @@ def _big_prime_system():
     return exact.fmatrix(rows), exact.fmatrix([b]).ravel()
 
 
+def _past_int64_system():
+    # one near-2^40 denominator per row: cleared, each row fits int64,
+    # but the 2 x 2 minors pass 2^63
+    p = BIG_PRIMES
+    rows = [[Fraction(1, p[0] * p[1]), 3, -2],
+            [5, Fraction(-7, p[2] * p[3]), 1],
+            [2, 1, Fraction(4, p[4] * p[5])]]
+    b = [1, Fraction(1, p[2] * p[3]), -1]
+    return exact.fmatrix(rows), exact.fmatrix([b]).ravel()
+
+
 def _assert_matches_the_oracle(a, b):
     """null_space and solve against the Fraction oracle: N / d is the rref
     free-column kernel, y / d the solution with free unknowns 0, each
@@ -283,6 +297,7 @@ def _assert_matches_the_oracle(a, b):
 
 @given(rational_systems())
 @example(_big_prime_system())
+@example(_past_int64_system())
 @settings(max_examples=150, deadline=None)
 def test_one_elimination_matches_the_fraction_oracle(system):
     _assert_matches_the_oracle(*system)
@@ -367,3 +382,123 @@ def test_back_substitution_matches_the_fraction_oracle_on_larger_systems(
     # long back-substitution chains: up to 10 pivots, every kernel vector
     # and solution entry compared exactly with the oracle
     _assert_matches_the_oracle(*system)
+
+
+class _StepSpy:
+    """Stands in for numpy inside ``exact``: records the dtype of each
+    Bareiss step, read off the column its outer product takes."""
+
+    def __init__(self):
+        self.steps = []
+        self.multiply = self
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def outer(self, col, row):
+        self.steps.append(col.dtype)
+        return np.multiply.outer(col, row)
+
+
+def _eliminate_with_spy(monkeypatch, a, b):
+    """The oracle check of (a, b), then the dtype of each step of the
+    elimination that ``solve`` runs on [a | b]."""
+    _assert_matches_the_oracle(a, b)
+    spy = _StepSpy()
+    monkeypatch.setattr(exact, "np", spy)
+    y, d, tail = exact.solve(a, b.reshape(-1, 1))
+    monkeypatch.undo()
+    assert type(d) is int and all(type(v) is int for v in tail.flat)
+    return [str(t) for t in spy.steps]
+
+
+def _integer_system(rows, b):
+    return _object_array(rows, (len(rows), len(rows[0]))), \
+        _object_array(b, (len(b),))
+
+
+def test_small_integer_systems_stay_on_int64(monkeypatch):
+    a, b = _integer_system([[2, -1, 0, 3], [1, 4, -2, 0], [0, 3, 5, -1],
+                            [3, 3, -2, 3]], [1, -2, 4, -1])
+    steps = _eliminate_with_spy(monkeypatch, a, b)
+    assert steps == ["int64"] * 3
+
+
+def test_minors_past_the_int64_bound_finish_on_python_ints(monkeypatch):
+    # primitive 12-bit rows: the 1 x 1 and 2 x 2 minors fit the bound
+    # 2 M^2 < 2^63, the 3 x 3 ones (about 38 bits) do not, so the
+    # elimination leaves int64 after two pivots
+    rng = np.random.default_rng(7)
+    rows = rng.integers(-4095, 4096, size=(6, 6)).tolist()
+    rows[5] = [u + v for u, v in zip(rows[0], rows[1])]
+    b = rng.integers(-4095, 4096, size=6).tolist()
+    a, b = _integer_system(rows, b)
+    steps = _eliminate_with_spy(monkeypatch, a, b)
+    assert steps[:2] == ["int64"] * 2
+    assert len(steps) > 3 and set(steps[2:]) == {"object"}
+
+
+def test_the_int64_bound_holds_at_its_edge(monkeypatch):
+    # 2 M^2 < 2^63 admits M = 2^31 - 1, where p u - f v reaches 2 M^2;
+    # just past it, M^2 < 2^63 alone would let 2 M^2 wrap around
+    for top, first in ((2 ** 31 - 1, "int64"), (3 * 10 ** 9, "object")):
+        a, b = _integer_system([[top, top - 1], [-(top - 1), top]], [1, 0])
+        assert _eliminate_with_spy(monkeypatch, a, b)[0] == first
+
+
+def test_entries_outside_int64_start_on_python_ints(monkeypatch):
+    # 2^63 does not fit int64 at all; -2^63 does, but |-2^63| does not
+    for big in (2 ** 63, 2 ** 70 + 1, -2 ** 63):
+        a, b = _integer_system([[big, 1, 2], [1, 1, 0], [3, 0, 1]],
+                               [1, 2, big])
+        assert set(_eliminate_with_spy(monkeypatch, a, b)) == {"object"}
+
+
+def test_rows_with_a_common_factor_and_a_zero_row():
+    # row scaling keeps the rref: every row but the zero one has a factor
+    # of 6 to 180, which the elimination divides out
+    a = exact.fmatrix([[6, 12, -18, 24], [0, 0, 0, 0], [180, -360, 540, 0],
+                       [Fraction(7, 2), 7, Fraction(21, 2), 0]])
+    for b in ([12, 0, 180, 7], [12, 1, 180, 7], [0, 0, 0, 0]):
+        _assert_matches_the_oracle(a, exact.fmatrix([b]).ravel())
+    y, d, tail = exact.solve(a, exact.fmatrix([[12, 1, 180, 7]]).T)
+    # d is the pivot minor of the primitive rows, without their factors
+    # 6, 180 and 7; the zero row, the one below the rank, keeps b's 1 as
+    # d times it
+    assert d == -24 and tail.tolist() == [[-24]]
+
+
+# the two-summand entries whose exact lane runs, and the pairs their
+# digests read; go-4-r2 leaves int64 mid-elimination on most samples and
+# t1-V.1-m3n3 gives NOT_GO with its rank-gap witness
+EXACT_IDS = ("go-2", "go-3-k2", "go-3-k3", "go-4-r2", "go-5", "go-6-m2n1",
+             "go-6-m3n2", "go-7-n2", "go-8-n1", "t1-V.1-m3n3", "struct-2",
+             "struct-3", "struct-4", "struct-6", "struct-7")
+EXACT_PAIRS = ((1, 2), (2, 1), (1, 5), (Fraction(5, 2), Fraction(1, 3)))
+
+
+def _exact_digest(entry_id: str, seed: int) -> str:
+    """sha256 of one space's exact lane (bases and denominator) and of its
+    exact verdicts at EXACT_PAIRS, each with every witness."""
+    space = catalog.catalog_instantiate(entry_id, seed=seed)
+    lane = space.exact_lane
+    dump = {"bases": [b.tolist() for b in lane.bases], "denom": lane.denom,
+            "verdicts": []}
+    for lam, mu in EXACT_PAIRS:
+        verdict = go.go_check(space, (Fraction(lam), Fraction(mu)),
+                              n_samples=8, seed=seed, exact_mode=True)
+        dump["verdicts"].append([verdict.as_dict()]
+                                + [w.as_dict() for w in verdict.witnesses])
+    return hashlib.sha256(
+        json.dumps(dump, sort_keys=True).encode()).hexdigest()
+
+
+def test_exact_verdicts_match_the_checked_in_digests():
+    # every exact verdict and witness, and each lane's bases, for seeds
+    # 0..3, is pinned to the byte: a change shows in the diff of
+    # tests/exact_digests.json
+    want = json.loads(Path(__file__).with_name(
+        "exact_digests.json").read_text())["sha256"]
+    got = {f"{entry_id}/{seed}": _exact_digest(entry_id, seed)
+           for entry_id in EXACT_IDS for seed in range(4)}
+    assert got == want
