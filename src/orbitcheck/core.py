@@ -520,12 +520,8 @@ def direct_sum(summands: list[LieAlgebra], name: str | None = None) -> LieAlgebr
 
 
 def _center(constants: StructureConstants) -> np.ndarray:
-    """Kernel of ad: null space of the n^2 x n matrix of columns ad(e_i)."""
-    n = constants.dim
-    i, j, k = constants.index.T
-    ads = np.zeros((n * n, n))
-    ads[k * n + j, i] = constants.values
-    return nullspace(ads)
+    """Kernel of ad: the null space of the ``_first_slot`` matrix's rows."""
+    return nullspace(_first_slot(constants)[1].T)
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,13 @@ no seed, and every space of that split carries the same
 (module coordinates, checked projectors, the filter reports and the
 exact lane), each computed once. Only an isotypic group, whose split
 the maths leaves open, is split again from each seed's draw. The
-minimal ideals of an algebra go through ``intertwiners`` too: they are
-the summands of the same eigenvalue split, applied to the commutant of
-the adjoint action of two generic elements of the derived algebra on
-itself. The structure classifier labels the pair (g, h) by one of seven
-coarse cases from the center dimension, the minimal ideals of g, and how
-the simple ideals of h project onto them. None of these depends on a
-seed, so the ideals of g and the label are computed once per split, from
-draws of their own.
+minimal ideals of an algebra need no commutant: they are the components
+of the roots of one generic element of the derived algebra, linked where
+two roots are not orthogonal. The structure classifier labels the pair
+(g, h) by one of seven coarse cases from the center dimension, the
+minimal ideals of g, and how the simple ideals of h project onto them.
+None of these depends on a seed, so the ideals of g and the label are
+computed once per split, from draws of their own.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from fractions import Fraction
 
 from . import exact
 from .core import (LieAlgebra, OrbitcheckError, Subspace, ValidationError,
-                   EffectivenessError, left_brackets, pair_bracket_tensor)
+                   EffectivenessError, pair_bracket_tensor)
 from .linalg import (column_space, gram_orthonormalize, nullspace, rng_for,
                      svd_rank)
 from .zoo import Embedding, EmbeddingChain, as_embedding
@@ -59,9 +58,13 @@ class DecompositionError(OrbitcheckError):
 # five and a half with a one-dimensional h), so a decomposition stays
 # under 1 GB.
 MAX_SYSTEM_BYTES = 128 * 2 ** 20
-# Relative gap under which intertwiners pairs two eigenvalues: loose, as
-# the generators prune a pair matched by accident.
+# Relative gap under which intertwiners pairs two eigenvalues, and
+# minimal_ideals counts one as zero: loose, as the generators prune a pair
+# matched by accident and [t, t] refuses a root counted as zero.
 EIGENVALUE_MATCH = 1e-6
+# Largest miss minimal_ideals accepts: of a Cartan integer from an integer,
+# of a bracket that must vanish from zero, relative to the longest root.
+ROOT_MARGIN = 1e-6
 
 
 class ClassificationError(OrbitcheckError):
@@ -156,7 +159,7 @@ class ReductiveSplit:
 
     @cached_property
     def ideals(self) -> tuple[np.ndarray, ...]:
-        """``minimal_ideals(g)``, read-only."""
+        """``minimal_ideals(g)``, read-only, from one draw by g's name."""
         return tuple(_read_only(b) for b in minimal_ideals(self.g))
 
     @cached_property
@@ -445,9 +448,8 @@ def intertwiners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     the real kernels P_s, P_d of a and b, T restricts to a C with
     M_d C = C M_s for M = P^T c^T c P and a second generic combination
     c, so the last candidates are the maps between matched eigenvectors
-    of M_s and M_d: about one per kernel dimension, where all maps
-    between the kernels are rank^2 for an adjoint action. Every
-    generator is then imposed on the candidates only.
+    of M_s and M_d, not every map between the kernels. Every generator
+    is then imposed on the candidates only.
     """
     k, ds, dd = len(src), src.shape[1], dst.shape[1]
     if k == 0 or dd * ds == 0:
@@ -662,59 +664,59 @@ def _connected_groups(items: list, linked) -> list[list[int]]:
 def minimal_ideals(alg: LieAlgebra) -> list[np.ndarray]:
     """Gram-orthonormal bases of the minimal ideals of the derived algebra.
 
-    An ideal of a compact algebra is an ad-invariant subspace, so the
-    minimal ideals of s = [g, g] are its irreducible ad(s)-submodules.
-    Two random generic elements of s generate s (Kuranishi 1951), so
-    ``intertwiners`` on their adjoint actions, in s's gram-orthonormal
-    coordinates, gives the commutant of ad(s): one map per simple ideal,
-    as each carries an absolutely irreducible adjoint action that no
-    other ideal shares. s splits along the eigenvalue clusters of a
-    random element of that commutant. A draw is kept only when it gives
-    one cluster per commutant map and the clusters are verified to be
-    ideals spanning s; otherwise it retries, then fails. Attempt k draws
-    from ``rng_for("ideals", alg.name, k)``, so no seed reaches it.
-    Ideals are ordered by dimension, then by the rounded entries of their
-    projectors B B^T, larger first; these depend only on the subspace,
-    so the order does not depend on the draw.
+    In s = [g, g]'s gram-orthonormal coordinates, one generic X drawn
+    from ``rng_for("ideals", alg.name)`` (no seed reaches it) has a Cartan
+    subalgebra t = ker ad(X). The eigenvectors e_a of i ad(X) with
+    eigenvalue a(X) > 0 are positive root vectors, and a(H) = e_a^H i
+    ad(H) e_a on an orthonormal basis of t. Ideal j is spanned by Re e_a,
+    Im e_a and the coroots over a component of the graph linking a and b
+    when (a, b) != 0. With no retry, ``DecompositionError`` names the miss
+    when [t, t], a Cartan integer 2 (a, b) / (b, b), [I, I^perp] (zero for
+    an ideal I, the gram being ad-invariant) or the ideals' dimension
+    misses by more than ``ROOT_MARGIN``. Ideals are ordered by dimension,
+    then by the rounded entries of their projectors B B^T, larger first:
+    keys of the subspace, not of the draw.
     """
     gram = alg.inner_product
     s_basis = gram_orthonormalize(nullspace(alg.center.T @ gram), gram)
-    if s_basis.shape[1] == 0:
+    d = s_basis.shape[1]
+    if d == 0:
         return []
-    for attempt in range(3):
-        rng = rng_for("ideals", alg.name, attempt)
-        generic = s_basis @ rng.standard_normal((s_basis.shape[1], 2))
-        gens = bracket_coords(alg, pair_bracket_tensor(alg, generic, s_basis),
-                              s_basis)
-        maps = intertwiners(gens, gens)
-        _, eigvecs, clusters = _commutant_split(maps, rng)
-        parts = [s_basis @ eigvecs[:, cl] for cl in clusters]
-        if len(parts) != len(maps):
-            continue  # two ideals drew eigenvalues within the cluster gap
-        try:
-            _verify_ideals(alg, parts, s_basis)
-        except DecompositionError:
-            continue
-        parts.sort(key=lambda b: (b.shape[1],
-                                  tuple(np.round(-(b @ b.T), 6).ravel())))
-        return parts
-    raise DecompositionError(f"minimal ideal split failed for {alg.name}")
 
+    def brackets(left, right):  # of s-coordinate columns, in s coordinates
+        raw = pair_bracket_tensor(alg, s_basis @ left, s_basis @ right)
+        return bracket_coords(alg, raw, s_basis)
 
-def _verify_ideals(alg: LieAlgebra, parts: list[np.ndarray],
-                   s_basis: np.ndarray) -> None:
-    """Raise unless each gram-orthonormal basis in ``parts`` spans an
-    ideal and together they span the derived algebra."""
-    gram = alg.inner_product
-    for basis in parts:
-        # [b, e_a] for every column b and every coordinate vector e_a
-        flat = left_brackets(alg, basis).reshape(-1, alg.dim)
-        recon = flat @ (gram @ basis) @ basis.T
-        if float(np.abs(flat - recon).max()) > 1e-7:
-            raise DecompositionError("candidate block is not an ideal")
-    total = sum(b.shape[1] for b in parts)
-    if total != s_basis.shape[1]:
-        raise DecompositionError("ideals do not span the derived algebra")
+    def check(what, miss):
+        if miss > ROOT_MARGIN:
+            raise DecompositionError(f"{what} of {alg.name} misses by "
+                                     f"{miss:.1e}, over {ROOT_MARGIN:.0e}")
+
+    x = rng_for("ideals", alg.name).standard_normal((d, 1))
+    lam, vecs = np.linalg.eigh(1j * brackets(x, np.eye(d))[0].T)
+    cut = EIGENVALUE_MATCH * float(np.abs(lam).max())
+    kernel, e = vecs[:, np.abs(lam) <= cut], vecs[:, lam > cut]
+    cartan = column_space(np.hstack([kernel.real, kernel.imag]))
+    ads = brackets(cartan, np.eye(d)).transpose(0, 2, 1)  # ad(H_r)
+    roots = (1j * (e.conj() * (ads @ e)).sum(axis=1)).real
+    longest = float(np.linalg.norm(roots, axis=0).max())
+    check("ker ad(X) is not abelian: [t, t]",
+          float(np.abs(ads @ cartan).max()) / longest)
+    integers = 2 * (roots.T @ roots) / (roots * roots).sum(axis=0)
+    nearest = np.round(integers)
+    check("a Cartan integer", float(np.abs(integers - nearest).max()))
+    parts = [column_space(np.hstack([e[:, gp].real, e[:, gp].imag,
+                                     cartan @ roots[:, gp]]))
+             for gp in _connected_groups(list(range(e.shape[1])),
+                                         lambda a, b: nearest[a, b] != 0)]
+    check("the ideals' dimension", abs(d - sum(p.shape[1] for p in parts)))
+    for part in parts[:-1]:  # the last spans the others' complement
+        small, large = sorted((part, nullspace(part.T)),
+                              key=lambda b: b.shape[1])
+        check("[I, I^perp]",
+              float(np.abs(brackets(small, large)).max()) / longest)
+    return sorted((s_basis @ p for p in parts), key=lambda b: (
+        b.shape[1], tuple(np.round(-(b @ b.T), 6).ravel())))
 
 
 @dataclass(frozen=True)

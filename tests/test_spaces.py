@@ -116,6 +116,8 @@ def test_minimal_ideal_dimensions():
         "so(9)": [36],
         "so(16)": [120],
         "sp(7)": [105],
+        "so(16)+so(16)": [120, 120],
+        "so(16)+sp(7)": [105, 120],
     })
     for name, dims in cases.items():
         parts = spaces.minimal_ideals(zoo.algebra_by_name(name))
@@ -154,20 +156,74 @@ def test_minimal_ideal_order_does_not_depend_on_the_draw():
                                            err_msg=name)
 
 
-def test_minimal_ideals_refuse_a_split_that_merges_ideals(monkeypatch):
-    # every draw puts both so(3) ideals of so(4) in one cluster: an ideal
-    # spanning s, but fewer clusters than commutant maps
-    monkeypatch.setattr(spaces, "_cluster",
-                        lambda values: [np.arange(values.size)])
-    with pytest.raises(spaces.DecompositionError):
-        spaces.minimal_ideals(zoo.algebra_by_name("so(4)"))
+def test_minimal_ideals_refuse_a_non_regular_element(monkeypatch):
+    # X inside one so(3) of so(4): ker ad(X) is X plus the other so(3),
+    # not a Cartan subalgebra, so the split is refused, not returned wrong
+    alg = zoo.algebra_by_name("so(4)")
+    first = spaces.minimal_ideals(alg)[0]
+    gram = alg.inner_product
+    s_basis = linalg.gram_orthonormalize(
+        linalg.nullspace(alg.center.T @ gram), gram)
+    inside = s_basis.T @ gram @ first @ np.array([[1.0], [2.0], [3.0]])
+
+    class Stream:
+        def standard_normal(self, shape):
+            return inside.reshape(shape)
+
+    monkeypatch.setattr(spaces, "rng_for", lambda *labels: Stream())
+    with pytest.raises(spaces.DecompositionError, match="not abelian"):
+        spaces.minimal_ideals(alg)
+
+
+@pytest.mark.parametrize("name, blocks", [
+    ("so(16)+so(16)", [(0, 120), (120, 240)]),
+    ("so(16)+sp(7)", [(120, 225), (0, 120)]),
+])
+def test_minimal_ideals_split_the_cap_sums_from_a_cold_algebra(name, blocks):
+    # a fresh sum, so the center is computed under the trace too
+    import tracemalloc
+    alg = zoo.algebra_by_name(name)
+    tracemalloc.start()
+    try:
+        parts = spaces.minimal_ideals(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each ideal is one summand: its rows vanish off that summand's block
+    rows = [np.flatnonzero(np.abs(p).max(axis=1) > 1e-8) for p in parts]
+    assert [(r.min(), r.max() + 1, len(r)) for r in rows] == [
+        (lo, hi, hi - lo) for lo, hi in blocks]
+    assert peak < spaces.MAX_SYSTEM_BYTES
+
+
+def _conjugated(alg, q):
+    """alg in the basis f_a = sum_i q_ia e_i, for an orthogonal q."""
+    c = np.einsum("ijk,ia,jb,kc->abc", alg.structure, q, q, q, optimize=True)
+    return core.LieAlgebra(core.float_constants(c),
+                           q.T @ alg.inner_product @ q, alg.name)
+
+
+@pytest.mark.parametrize("name", ["su(3)+so(3)", "so(4)+so(3)"])
+def test_minimal_ideals_follow_an_orthogonal_change_of_basis(name):
+    # the rotated ideals are the conjugated ones, q^T P q, in the order the
+    # rule gives the conjugated projectors: dimension, then entries
+    alg = zoo.algebra_by_name(name)
+    for trial in range(3):
+        q = np.linalg.qr(linalg.rng_for("test-rotate", name, trial)
+                         .standard_normal((alg.dim, alg.dim)))[0]
+        want = sorted(((p.shape[1], q.T @ p @ p.T @ q)
+                       for p in spaces.minimal_ideals(alg)),
+                      key=lambda t: (t[0], tuple(np.round(-t[1], 6).ravel())))
+        got = spaces.minimal_ideals(_conjugated(alg, q))
+        assert [p.shape[1] for p in got] == [dim for dim, _ in want]
+        for p, (_, proj) in zip(got, want):
+            np.testing.assert_allclose(p @ p.T, proj, atol=1e-8, err_msg=name)
 
 
 @pytest.mark.parametrize("family, n, copies", [("so", 3, 40), ("so", 5, 12)])
 def test_minimal_ideals_split_the_largest_direct_powers(family, n, copies):
-    # direct powers reach dimension 120; with every map between the
-    # rank-dimensional kernels of one generic element as a candidate,
-    # so(3)^40 was a 387 MiB system and refused by MAX_SYSTEM_BYTES
+    # direct powers reach dimension 120, and so(3)^40 has 40 ideals whose
+    # root vectors share one generic element's spectrum
     import tracemalloc
     alg = zoo.embed_diagonal(family, n, copies).target
     tracemalloc.start()
