@@ -2,18 +2,24 @@
 
 Rational matrices enter as numpy object arrays of fractions.Fraction
 entries (or of Python ints), and ``cleared`` turns one into an integer
-array n over a common denominator d. Products run on such integers too:
-``matmul`` scales each operand by the lcm of its denominators, multiplies
-the integer arrays, and divides once per output entry. One fraction-free
-forward elimination serves the two solvers, ``null_space`` and
-``solve``. It clears each row to integers and divides it by the gcd of
-its entries, which keeps the rref and shortens every minor, then runs
-Bareiss steps in int64 for as long as a bound per pivot proves them
-exact, and on Python ints after. Each solver back-substitutes, in
-integers too, the columns it needs (the free ones, or the right-hand
-sides, all at once), and returns its answer as Python integers over one
-denominator, so no row operation ever touches a Fraction. ``reduced``
-brings such a pair to its least denominator, ``over`` back to Fractions.
+array n over a common denominator d. ``rounded`` does the same for the
+entries of a float array rounded to fractions with denominators up to
+2^20, taking the nearest integer directly wherever it lies within 2^-21,
+where it is provably ``limit_denominator``'s answer. Products run on
+such integers too: ``matmul`` scales each operand by the lcm of its
+denominators, multiplies the integer arrays, and divides once per output
+entry; ``imatmul`` multiplies integer arrays in int64 wherever
+max|a| max|b| (inner length) < 2^63 bounds every partial sum, and on
+Python ints otherwise. One fraction-free forward elimination serves the
+two solvers, ``null_space`` and ``solve``. It clears each row to integers
+and divides it by the gcd of its entries, which keeps the rref and
+shortens every minor, then runs Bareiss steps in int64 for as long as a
+bound per pivot proves them exact, and on Python ints after. Each solver
+back-substitutes, in integers too, the columns it needs (the free ones,
+or the right-hand sides, all at once), and returns its answer as Python
+integers over one denominator, so no row operation ever touches a
+Fraction. ``reduced`` brings such a pair to its least denominator,
+``over`` back to Fractions.
 """
 
 from __future__ import annotations
@@ -75,6 +81,26 @@ def cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=object).reshape(a.shape), d
 
 
+def rounded(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``cleared`` of the float array ``a`` with each entry x rounded to
+    ``Fraction(x).limit_denominator(2**20)``: integer object array n and
+    denominator d.
+
+    An entry within 2^-21 of an integer k (a difference that float
+    subtraction computes exactly) takes k, without a Fraction: every
+    other fraction with denominator up to 2^20 lies at least 2^-20 from
+    k, so farther from x than k is. Every other entry, and any |k| from
+    2^62 up, goes through ``limit_denominator``.
+    """
+    k = np.rint(a)
+    far = ~(np.abs(a - k) < 2.0 ** -21) | (np.abs(k) >= 2.0 ** 62)
+    fracs = [Fraction(x).limit_denominator(1 << 20) for x in a[far].tolist()]
+    d = math.lcm(*(x.denominator for x in fracs))
+    n = np.where(far, 0, k).astype(np.int64).astype(object) * d
+    n[far] = [x.numerator * (d // x.denominator) for x in fracs]
+    return n, d
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product ``a @ b`` of rational arrays (``b`` may be 1-D).
 
@@ -86,6 +112,36 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ia, da = cleared(a)
     ib, db = cleared(b)
     return over(ia @ ib, da * db)
+
+
+def _top(a: np.ndarray) -> int:
+    """max |entry| of an integer array, as a Python int (0 if empty)."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def narrowed(a: np.ndarray) -> np.ndarray:
+    """The integer array ``a`` as int64 where every |entry| < 2^63, so
+    that -a fits too, else as Python ints."""
+    try:
+        n = a.astype(np.int64, copy=False)
+    except OverflowError:  # an entry past int64
+        return a
+    return n if _top(n) < 2 ** 63 else a.astype(object)
+
+
+def imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact ``a @ b`` of integer arrays (int64 or Python-int object).
+
+    Every partial sum is at most max|a| max|b| times the inner length in
+    size. Where both operands fit int64 and that bound, computed on
+    Python ints, is below 2^63, the product runs in int64 and comes back
+    int64; otherwise it runs on Python ints and comes back object.
+    """
+    a, b = narrowed(a), narrowed(b)
+    if a.dtype == b.dtype == np.int64 \
+            and _top(a) * _top(b) * a.shape[-1] < 2 ** 63:
+        return a @ b
+    return a.astype(object) @ b.astype(object)
 
 
 def over(num: np.ndarray, d: int) -> np.ndarray:
@@ -107,10 +163,12 @@ def _eliminate(a: np.ndarray, width: int
                ) -> tuple[np.ndarray, list[int], int]:
     """Fraction-free forward elimination: (rows, pivots, d).
 
-    A matrix of Python ints is taken as it is; any other has each row
-    cleared to Python integers. Each row is then divided by the gcd of
-    its entries (a zero row stays as it is), which keeps the rref and
-    scales each minor by a positive factor. Each pivot p, found among the
+    An int64 matrix (every |entry| < 2^63, as ``narrowed`` and
+    ``imatmul`` give) or one of Python ints is taken as it is; any other
+    has each row cleared to Python integers. Each row is then divided by
+    the gcd of its entries (``np.gcd.reduce`` on int64 input; a zero row
+    stays as it is), which keeps the rref and scales each minor by a
+    positive factor. Each pivot p, found among the
     first ``width`` columns, then updates the rows below it, from its
     column on, by the Bareiss step (p m[r][j] - m[r][col] m[row][j]) // d,
     with d the previous pivot (1 at the start). Every division is exact
@@ -126,16 +184,19 @@ def _eliminate(a: np.ndarray, width: int
     may be negative.
     """
     n_rows, n_cols = a.shape
-    if set(map(type, a.flat)) <= {int}:
-        rows = a.tolist()
+    if a.dtype == np.int64:
+        m = a // np.maximum(np.gcd.reduce(a, axis=1), 1)[:, None]
     else:
-        rows = [cleared(row)[0].tolist() for row in a]
-    rows = [[v // g for v in row] if (g := math.gcd(*row)) > 1 else row
-            for row in rows]
-    try:
-        m = np.array(rows, dtype=np.int64).reshape(n_rows, n_cols)
-    except OverflowError:
-        m = np.array(rows, dtype=object).reshape(n_rows, n_cols)
+        if set(map(type, a.flat)) <= {int}:
+            rows = a.tolist()
+        else:
+            rows = [cleared(row)[0].tolist() for row in a]
+        rows = [[v // g for v in row] if (g := math.gcd(*row)) > 1 else row
+                for row in rows]
+        try:
+            m = np.array(rows, dtype=np.int64).reshape(n_rows, n_cols)
+        except OverflowError:
+            m = np.array(rows, dtype=object).reshape(n_rows, n_cols)
     pivots: list[int] = []
     d = 1
     for col in range(width):
@@ -146,8 +207,7 @@ def _eliminate(a: np.ndarray, width: int
         if not below.size:
             continue
         if m.dtype != object:
-            block = m[row:, col:]
-            top = max(int(block.max()), -int(block.min()))
+            top = _top(m[row:, col:])
             if 2 * top * top >= 2 ** 63:
                 m, d = m.astype(object), int(d)
         if below[0]:

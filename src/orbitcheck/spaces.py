@@ -39,8 +39,6 @@ from itertools import combinations
 
 import numpy as np
 
-from fractions import Fraction
-
 from . import exact
 from .core import (LieAlgebra, OrbitcheckError, Subspace, ValidationError,
                    EffectivenessError, pair_bracket_tensor)
@@ -715,8 +713,18 @@ def minimal_ideals(alg: LieAlgebra) -> list[np.ndarray]:
                               key=lambda b: b.shape[1])
         check("[I, I^perp]",
               float(np.abs(brackets(small, large)).max()) / longest)
-    return sorted((s_basis @ p for p in parts), key=lambda b: (
-        b.shape[1], tuple(np.round(-(b @ b.T), 6).ravel())))
+    ideals = [s_basis @ p for p in parts]
+    dims = [b.shape[1] for b in ideals]
+    # projector entries only break ties of dimension, and only those that
+    # differ within a tie can decide the order
+    keys = {}
+    for dim in set(dims):
+        group = [i for i, k in enumerate(dims) if k == dim]
+        proj = np.round(-np.stack([ideals[i] @ ideals[i].T for i in group]),
+                        6).reshape(len(group), -1)
+        keys.update(zip(group, map(tuple, proj[:, (proj != proj[0]).any(0)])))
+    return [ideals[i] for i in sorted(range(len(ideals)),
+                                      key=lambda i: (dims[i], keys[i]))]
 
 
 @dataclass(frozen=True)
@@ -901,15 +909,22 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     dip the inner product's denominator. The module that
     ``argmax(module_dims)`` does not pick is read off its float
     projector: the gm-orthogonal projector P onto the module, in that
-    basis, is rounded entry by entry to fractions with denominators up
-    to 2^20, and the module is the exact kernel of I - P in rref
-    free-column form, which depends only on the subspace. The guess is
-    then checked exactly: its dimension is the float module's, and the
-    bracket of every h generator with every basis vector stays inside it
-    (one integer product of h's ad matrices with the basis must vanish on
-    the rows that vanish on the span). The other module is its exact
-    gm-orthocomplement in m, invariant because the inner product is.
-    Both exact modules must also match their float modules to 1e-8.
+    basis, is rounded to the nearest fractions with denominators up to
+    2^20 by ``exact.rounded`` (an entry within 2^-21 of an integer takes
+    that integer, provably ``limit_denominator``'s answer, so only the
+    others build a Fraction), and the module is the exact kernel of
+    I - P in rref free-column form, which depends only on the subspace.
+    The guess is then checked exactly: its dimension is the float
+    module's, and the bracket of every h generator with every basis
+    vector stays inside it (one integer product of h's ad matrices with
+    the basis must vanish on the rows that vanish on the span). The other
+    module is its exact gm-orthocomplement in m, invariant because the
+    inner product is. Both exact modules must also match their float
+    modules to 1e-8. Every product is ``exact.imatmul``: in int64 where
+    max|a| max|b| (inner length) < 2^63 proves it exact, on Python ints
+    otherwise, and the eliminations take int64 input as it is. The lane's
+    bases, rows, h columns and system values are Python ints all the
+    same, so each sample's arithmetic is unchanged.
 
     Raises ExactUnavailableError when an exact ingredient is missing,
     when the modules form an isotypic pair (an equivalent pair has no
@@ -928,35 +943,35 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     gram_f = g.inner_product
     h_cols = exact.cleared(space.embedding.matrix_exact)[0]
     ip, dip = exact.cleared(g.inner_product_exact)
-    ad_h = g.structure_exact.ad_numerators(h_cols)
-    mx, dx = exact.null_space(h_cols.T @ ip)
+    ip = exact.narrowed(ip)
+    ad_h = exact.narrowed(g.structure_exact.ad_numerators(h_cols))
+    mx, dx = exact.null_space(exact.imatmul(h_cols.T, ip))
     if mx.shape[1] != space.m.dim:
         raise ExactUnavailableError("exact m dimension disagrees with float")
-    gm = mx.T @ ip @ mx
-    gm_f = exact.to_float(gm, dx * dx * dip)
+    gm = exact.imatmul(exact.imatmul(mx.T, ip), mx)
+    gm_f = exact.to_float(gm.astype(object), dx * dx * dip)
     to_coords = np.linalg.solve(gm_f, exact.to_float(mx, dx).T @ gram_f)
     rounded = 1 - int(np.argmax(space.module_dims))
     mod = space.modules[rounded]
     c = to_coords @ mod.basis
-    proj, d = exact.cleared(exact.fmatrix(
-        [[Fraction(v).limit_denominator(1 << 20) for v in row]
-         for row in c @ c.T @ gm_f]))
+    proj, d = exact.rounded(c @ c.T @ gm_f)
     # I - P has the kernel of d I - proj, which stays on integers
     kernel, dk = exact.null_space(
-        d * np.identity(len(proj), dtype=object) - proj)
+        exact.narrowed(d * np.identity(len(proj), dtype=object) - proj))
     if kernel.shape[1] != mod.dim:
         raise ExactUnavailableError(f"rounded {mod.name} has dimension "
                                     f"{kernel.shape[1]}, not {mod.dim}")
-    basis = mx @ kernel
-    if np.any(exact.null_space(basis.T)[0].T @ (ad_h @ basis) != 0):
+    basis = exact.imatmul(mx, kernel)
+    if np.any(exact.imatmul(exact.null_space(basis.T)[0].T,
+                            exact.imatmul(ad_h, basis)) != 0):
         raise ExactUnavailableError(
             f"rounded {mod.name} is not ad(h)-invariant")
-    guess, rest = (kernel, dk), exact.null_space(kernel.T @ gm)
+    guess, rest = (kernel, dk), exact.null_space(exact.imatmul(kernel.T, gm))
     coords = (rest, guess) if rounded else (guess, rest)
     common = math.lcm(*(dk for _, dk in coords))
     bases = []
     for mod, (kernel, dk) in zip(space.modules, coords):
-        basis = mx @ kernel
+        basis = exact.imatmul(mx, kernel).astype(object)
         basis_f = exact.to_float(basis, dx * dk)
         proj = mod.basis @ (mod.basis.T @ gram_f @ basis_f)
         if kernel.shape[1] != mod.dim or float(np.abs(basis_f - proj).max()) \
@@ -965,15 +980,13 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
                 f"exact {mod.name} does not match the float module")
         bases.append(basis * (common // dk))
     nums, denom = exact.reduced(np.hstack(bases), dx * common)
-    rows = exact.reduced(nums.T @ ip, 1)[0]
-    # rows is 2-5 % nonzero: sum S over the nonzero entries rows[p, k]
-    tensor = np.zeros((len(rows), h_cols.shape[1], g.dim), dtype=object)
-    for p, k in zip(*np.nonzero(rows)):
-        tensor[p] += rows[p, k] * ad_h[:, k]
-    tensor = tensor.reshape(-1, g.dim)
+    rows = exact.imatmul(nums.T, ip).astype(object)
+    # S[a] = rows @ ad(h_a) for every a at once, row (p, a) at p dim h + a
+    tensor = exact.imatmul(rows, ad_h).transpose(1, 0, 2).reshape(-1, g.dim)
     keys, cols = np.nonzero(tensor)
     return ExactLane(bases=tuple(np.split(nums, [space.modules[0].dim],
                                           axis=1)), denom=denom,
-                     rows=rows, system=(keys, cols, tensor[keys, cols]),
+                     rows=rows,
+                     system=(keys, cols, tensor[keys, cols].astype(object)),
                      h_cols=h_cols, to_m=space.m.basis.T @ gram_f,
                      to_h=space.h.basis.T @ gram_f)

@@ -154,6 +154,70 @@ def test_matmul_clears_denominators_beyond_int64():
     assert exact.matmul(b, a)[1, 2] == Fraction(p[2] * p[3], p[4] * p[5])
 
 
+def test_imatmul_takes_int64_only_below_its_bound():
+    # rows of three equal entries u against columns of v: every partial
+    # sum reaches 3 u v, the bound; just below 2^63 the product runs in
+    # int64, just above on Python ints, where int64 would wrap around
+    u = 2 ** 31
+    for v, dtype in ((2 ** 32 // 3, np.int64), (2 ** 32 // 3 + 1, object)):
+        assert (3 * u * v < 2 ** 63) == (dtype is np.int64)
+        for sign in (1, -1):
+            a = _object_array([sign * u] * 6, (2, 3))
+            b = _object_array([v] * 6, (3, 2))
+            for left, right in ((a, b), (a.astype(np.int64), b),
+                                (a[None].repeat(2, axis=0), b)):
+                got = exact.imatmul(left, right)
+                want = left.astype(object) @ right
+                assert got.dtype == dtype and got.tolist() == want.tolist()
+        if dtype is object:
+            assert (a.astype(np.int64) @ b.astype(np.int64)).tolist() \
+                != (a @ b).tolist()
+    # an operand past int64, or holding -2^63, stays on Python ints
+    for big in (2 ** 63, -2 ** 63, 2 ** 70):
+        a = _object_array([big, 1], (1, 2))
+        got = exact.imatmul(a, _object_array([0, 3], (2, 1)))
+        assert got.dtype == object and got.tolist() == [[3]]
+        assert exact.narrowed(a).dtype == object
+
+
+@st.composite
+def near_integers(draw):
+    """A float at or next to k +- 2^-21 for an integer k, the edge of
+    ``rounded``'s integer shortcut."""
+    k = draw(st.integers(min_value=-2 ** 20, max_value=2 ** 20))
+    edge = k + draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** -21
+    return draw(st.sampled_from([np.nextafter(edge, k), edge,
+                                 np.nextafter(edge, 2 * edge - k)]))
+
+
+floats_to_round = st.one_of(
+    st.builds(lambda k, e: k + e, st.integers(-2 ** 40, 2 ** 40),
+              st.floats(min_value=-1e-9, max_value=1e-9)),
+    st.integers(-2 ** 41, 2 ** 41).map(lambda n: n / 2),
+    near_integers(),
+    st.floats(min_value=-2 ** 40, max_value=2 ** 40),
+    st.floats(min_value=-2.0 ** -1022, max_value=2.0 ** -1022))
+
+
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=0,
+                                                          max_value=4),
+       st.data())
+@example(1, 4, [1 + 2.0 ** -22, 0.5 - 2.0 ** -60, -3 - 2.0 ** -21,
+                5e-324])
+@settings(max_examples=200, deadline=None)
+def test_rounded_is_the_cleared_limit_denominator(n_rows, n_cols, data):
+    size = n_rows * n_cols
+    values = data if isinstance(data, list) else data.draw(
+        st.lists(floats_to_round, min_size=size, max_size=size))
+    a = np.array(values, dtype=np.float64).reshape(n_rows, n_cols)
+    got, d = exact.rounded(a)
+    want, want_d = exact.cleared(_object_array(
+        [Fraction(x).limit_denominator(1 << 20) for x in a.flat], a.shape))
+    assert d == want_d and type(d) is int
+    assert got.dtype == object and got.tolist() == want.tolist()
+    assert all(type(v) is int for v in got.flat)
+
+
 def test_bareiss_rank_survives_denominators_past_int64():
     # the running lcm of a row once wrapped around in int64, so these
     # rank-1 rows came out with rank 2
@@ -267,6 +331,16 @@ def _assert_matches_the_oracle(a, b):
     n_cols = a.shape[1]
     want, want_pivots = _oracle_rref(a)
     rank = len(want_pivots)
+    # cleared to one denominator, a's rows keep their directions, so the
+    # integer array and its int64 copy eliminate to a's (rows, pivots, d)
+    ints = exact.cleared(a)[0]
+    if exact.narrowed(ints).dtype == np.int64:
+        want_steps = exact._eliminate(a, n_cols)
+        for copy in (ints, exact.narrowed(ints)):
+            rows, pivots, d = exact._eliminate(copy, n_cols)
+            assert rows.dtype == want_steps[0].dtype
+            assert rows.tolist() == want_steps[0].tolist()
+            assert (pivots, d) == want_steps[1:] and type(d) is int
     free = [c for c in range(n_cols) if c not in want_pivots]
     n, d = exact.null_space(a)
     assert n.shape == (n_cols, len(free)) and _rank(a) == rank

@@ -1,6 +1,10 @@
+import hashlib
+import json
 import sys
 import threading
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitcheck import catalog, core, filters, linalg, spaces, zoo
 from test_core import assert_matches
+from test_exact import EXACT_IDS
 
 
 EXPECTED_MODULE_DIMS = {
@@ -220,6 +225,20 @@ def test_minimal_ideals_follow_an_orthogonal_change_of_basis(name):
             np.testing.assert_allclose(p @ p.T, proj, atol=1e-8, err_msg=name)
 
 
+@pytest.mark.parametrize("name, power", [("so(3)^40", ("so", 3, 40)),
+                                         ("so(5)^12", ("so", 5, 12)),
+                                         ("su(3)+so(3)", None)])
+def test_minimal_ideals_keep_the_order_of_the_full_projector_key(name, power):
+    # ties among ideals of one dimension are broken on the projector
+    # entries that differ among them: the order of the key on every
+    # rounded entry of B B^T, distinct for distinct ideals
+    alg = zoo.embed_diagonal(*power).target if power \
+        else zoo.algebra_by_name(name)
+    keys = [(b.shape[1], tuple(np.round(-(b @ b.T), 6).ravel()))
+            for b in spaces.minimal_ideals(alg)]
+    assert len(set(keys)) == len(keys) and keys == sorted(keys)
+
+
 @pytest.mark.parametrize("family, n, copies", [("so", 3, 40), ("so", 5, 12)])
 def test_minimal_ideals_split_the_largest_direct_powers(family, n, copies):
     # direct powers reach dimension 120, and so(3)^40 has 40 ideals whose
@@ -327,6 +346,48 @@ def test_exact_module_bases_refuse_a_rational_split_that_is_not_invariant(
     with pytest.raises(spaces.ExactUnavailableError, match="invariant"):
         spaces.exact_module_bases(
             _with_modules(so5_u2, [full[:, :2], full[:, 2:]]))
+
+
+def _lane_part(a):
+    """dtype, shape, entry types and values of one lane array."""
+    a = np.asarray(a)
+    return [str(a.dtype), list(a.shape),
+            sorted({type(v).__name__ for v in a.flat}),
+            [int(v) for v in a.flat]]
+
+
+def test_exact_lanes_match_the_checked_in_digests():
+    # every array of each lane, in values, dtypes and entry types: the
+    # integer build must give the Python-int arrays each sample reads
+    want = json.loads(Path(__file__).with_name(
+        "exact_digests.json").read_text())["lanes"]["sha256"]
+    got = {}
+    for entry_id in EXACT_IDS:
+        lane = catalog.catalog_instantiate(entry_id, seed=0).exact_lane
+        dump = {"bases": [_lane_part(b) for b in lane.bases],
+                "denom": [type(lane.denom).__name__, lane.denom],
+                "rows": _lane_part(lane.rows),
+                "system": [_lane_part(s) for s in lane.system],
+                "h_cols": _lane_part(lane.h_cols)}
+        got[f"{entry_id}/0"] = hashlib.sha256(
+            json.dumps(dump, sort_keys=True).encode()).hexdigest()
+    assert got == want
+
+
+@pytest.mark.parametrize("entry_id, most", [
+    ("go-2", 0), ("go-4-r2", 0), ("go-6-m3n2", 0), ("t1-V.1-m3n3", 42)])
+def test_exact_projector_rounding_takes_integers_without_fractions(
+        entry_id, most, monkeypatch):
+    # the rounded projector's entries are 0, 1 and +-1/2: only the
+    # halves of t1-V.1-m3n3 go through limit_denominator
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    calls, limit = [], Fraction.limit_denominator
+    monkeypatch.setattr(Fraction, "limit_denominator",
+                        lambda self, *a: calls.append(self) or limit(self, *a))
+    spaces.exact_module_bases(space)
+    assert len(calls) <= most
+    if most:
+        assert calls
 
 
 def test_iso_action_is_antisymmetric_in_orthonormal_coords(so5_u2):
