@@ -68,11 +68,6 @@ class CatalogEntry:
         }
 
 
-def _struct_1() -> tuple[LieAlgebra, object]:
-    emb = zoo.embed_diagonal("so", 3, 3)
-    return emb.target, emb
-
-
 def _struct_2() -> tuple[LieAlgebra, object]:
     so3 = classical("so", 3)
     g = direct_sum([so3, so3])
@@ -115,20 +110,13 @@ def _struct_6() -> tuple[LieAlgebra, object]:
     return g, zoo.embed_into_summand(zoo.embed_so_in_so(2, 3), g, 1)
 
 
-def _struct_7() -> tuple[LieAlgebra, object]:
-    chain = named_embedding("u_in_so_odd", k=2)
-    return chain.target, chain
-
-
 # Each builder runs once per process, so its spaces share one split.
 _BUILTIN_CHAINS = {name: lru_cache(maxsize=1)(build) for name, build in {
-    "struct_1": _struct_1,
     "struct_2": _struct_2,
     "struct_3": _struct_3,
     "struct_4": _struct_4,
     "struct_5": _struct_5,
     "struct_6": _struct_6,
-    "struct_7": _struct_7,
 }.items()}
 
 
@@ -150,14 +138,6 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
         seen.add(entry.id)
         entries.append(entry)
     return tuple(entries)
-
-
-def catalog_sources() -> tuple[str, ...]:
-    out = []
-    for entry in load_catalog():
-        if entry.source not in out:
-            out.append(entry.source)
-    return tuple(out)
 
 
 def catalog_list(source: str | None = None,
@@ -202,10 +182,12 @@ def catalog_instantiate(entry: CatalogEntry | str,
     (``reductive_space``, at most ``spaces.SPLIT_CACHE_SIZE`` splits
     kept), all as read-only arrays. Without isotypic summands the
     isotropy decomposition is seed-free too: every seed's space carries
-    the split's one ``IsotropyModules``, with its module coordinates,
-    projectors, filter reports and exact lane (``decompose_isotropy``).
-    The seed acts on what remains: the split of an isotypic group, drawn
-    per call, and the GO samples of every later step.
+    the split's one ``IsotropyModules``, drawn once with no retry and
+    ordered by keys of the module subspaces, with its module
+    coordinates, projectors, filter reports and exact lane
+    (``decompose_isotropy``). The seed acts on what remains: the split of
+    an isotypic group, from one draw per call, and the GO samples of
+    every later step.
     """
     entry = _resolve(entry)
     if not entry.constructible:

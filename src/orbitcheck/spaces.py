@@ -9,9 +9,9 @@ of h on each side (on its kernels, of a second one's square). The
 commutant of ad(h) on m is computed once per ``ReductiveSplit``, the
 seed-free part of a space, shared by every space and seed built from
 one (g, embedding). The isotropy decomposition splits m along the
-eigenspaces of a random symmetric element of that commutant,
-rotates the basis once into those eigenvectors, and reads every count
-as an integer block sum of squared entries of that one stack: the
+eigenspaces of one random symmetric element of that commutant, with no
+retry, rotates the basis once into those eigenvectors, and reads every
+count as an integer block sum of squared entries of that one stack: the
 invariant metrics are its symmetric part, a summand is irreducible when
 it carries one symmetric invariant map, and summands joined by an
 invariant map are grouped as isotypic. When no two summands are
@@ -20,12 +20,14 @@ no seed, and every space of that split carries the same
 ``IsotropyModules``: the modules, and what is read off them alone
 (module coordinates, checked projectors, the filter reports and the
 exact lane), each computed once. Only an isotypic group, whose split
-the maths leaves open, is split again from each seed's draw. The
+the maths leaves open, is split again from one draw per seed. The
 minimal ideals of an algebra need no commutant: they are the components
 of the roots of one generic element of the derived algebra, linked where
-two roots are not orthogonal. The structure classifier labels the pair
-(g, h) by one of seven coarse cases from the center dimension, the
-minimal ideals of g, and how the simple ideals of h project onto them.
+two roots are not orthogonal. Ideals and modules alike are ordered by
+keys of their subspaces, never of a draw. The structure classifier
+labels the pair (g, h) by one of seven coarse cases from the center
+dimension, the minimal ideals of g, and how the simple ideals of h
+project onto them.
 None of these depends on a seed, so the ideals of g and the label are
 computed once per split, from draws of their own.
 """
@@ -78,9 +80,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _within(residual: float, tol: float, what: str) -> None:
+def _within(residual: float, tol: float, what: str,
+            error: type[OrbitcheckError] = ValidationError) -> None:
     if residual > tol:
-        raise ValidationError(f"{what} (residual {residual:.2e})")
+        raise error(f"{what} (residual {residual:.2e}, over tol {tol:.2e})")
 
 
 class ReductiveSplit:
@@ -89,9 +92,9 @@ class ReductiveSplit:
     [h, m] residuals ``_build_split`` measured (None on a split it did not
     build), and, each computed when first read, the isotropy action, its
     stabilizer frame, the m-bracket tensors, the isotropy commutant, the
-    seed-free isotropy decomposition, the minimal ideals of g and the
-    structure report of (g, h). Every array is read-only, as splits are
-    shared between spaces."""
+    seed-free isotropy decomposition (one draw, no retry), the minimal
+    ideals of g and the structure report of (g, h). Every array is
+    read-only, as splits are shared between spaces."""
 
     def __init__(self, g: LieAlgebra, h: Subspace, m: Subspace,
                  closure: float | None = None, leak: float | None = None,
@@ -99,7 +102,6 @@ class ReductiveSplit:
         self.g, self.h, self.m = g, h, m
         self.closure, self.leak = closure, leak
         self.embedding = embedding
-        self._draws: dict[int, tuple[float, IsotropyModules | None]] = {}
 
     def check(self, tol: float) -> None:
         """Raise unless h is a subalgebra and [h, m] lies in m, to ``tol``."""
@@ -142,18 +144,14 @@ class ReductiveSplit:
         Its only draw is ``rng_for("intertwiners", dim h)``, no seed."""
         return _read_only(intertwiners(self.iso_action, self.iso_action))
 
-    def decomposition_draw(self, attempt: int
-                           ) -> tuple[float, IsotropyModules | None]:
-        """Attempt ``attempt`` of the seed-free isotropy decomposition,
-        ``_split_modules`` on ``rng_for("decompose", attempt)``, computed
-        once: its worst invariance residual, which each call compares with
-        its own ``tol``, and its modules (None when a summand is
-        reducible)."""
-        if attempt not in self._draws:
-            # the first draw stored wins, should two threads race
-            self._draws.setdefault(attempt, _split_modules(
-                self, rng_for("decompose", attempt)))
-        return self._draws[attempt]
+    @cached_property
+    def decomposition(self) -> IsotropyModules:
+        """The seed-free isotropy decomposition: ``_split_modules`` on one
+        draw, no name or seed, with the worst invariance residual, which
+        each call compares with its own ``tol``."""
+        # the trailing 0 keeps this draw, and so every module basis,
+        # bit-identical to those of the decompositions before it
+        return _split_modules(self, rng_for("decompose", 0))
 
     @cached_property
     def ideals(self) -> tuple[np.ndarray, ...]:
@@ -174,15 +172,19 @@ class IsotropyModules:
     checked projectors, the largest coordinates of [m1, m2] along each
     module, the ``filters.necessary_filter`` reports (``filter_reports``,
     by bracket location) and the exact lane (``exact_lane``, filled by
-    ``ReductiveSpace.exact_lane``). Every array is read-only."""
+    ``ReductiveSpace.exact_lane``). ``residual`` is the worst invariance
+    residual of the draw that found the modules (None for modules given
+    rather than drawn). Every array is read-only."""
 
     def __init__(self, split: ReductiveSplit,
                  modules: tuple[Subspace, ...] = (),
                  isotypic_groups: tuple[tuple[int, ...], ...] = (),
-                 metric_space_dim: int | None = None):
+                 metric_space_dim: int | None = None,
+                 residual: float | None = None):
         self.split, self.modules = split, modules
         self.isotypic_groups = isotypic_groups
         self.metric_space_dim = metric_space_dim
+        self.residual = residual
         self.filter_reports: dict = {}
         self.exact_lane: ExactLane | None = None
 
@@ -496,20 +498,6 @@ def _kernel_frame(gens: np.ndarray, vecs: np.ndarray, weights: np.ndarray
     return mu, ker @ w, float(np.sum(c * c))
 
 
-def _commutant_split(maps: np.ndarray, rng: np.random.Generator
-                     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Eigenvalues, eigenvectors and eigenvalue clusters of a random
-    symmetric element of the span of ``maps``, a Frobenius-orthonormal
-    commutant stack: the projection onto that span of a random symmetric
-    matrix. Its eigenspaces are invariant, and generically irreducible."""
-    d = maps.shape[1]
-    raw = rng.standard_normal((d, d))
-    raw = (raw + raw.T) / 2
-    op = np.einsum("s,sij->ij", np.einsum("sij,ij->s", maps, raw), maps)
-    eigvals, eigvecs = np.linalg.eigh(op)
-    return eigvals, eigvecs, _cluster(eigvals)
-
-
 def _block_sums(maps: np.ndarray,
                 basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums over the commutant basis {T_k}, rotated once into the
@@ -532,6 +520,9 @@ def _commutant_count(sums: np.ndarray, rows, cols) -> int:
     return round(value)
 
 
+_NOT_INVARIANT = "the isotropy modules are not ad(h)-invariant"
+
+
 def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
                        tol: float = 1e-8) -> ReductiveSpace:
     """Split m into irreducible ad(h)-modules; returns an updated space.
@@ -540,77 +531,94 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
     basis {T_k} of the maps commuting with ad(h); it is read from the
     space's split, so it is computed once per split and shared by every
     seed, and the returned space keeps the split. m splits along the
-    eigenvalue clusters (relative gap 1e-6) of the projection of a random
-    symmetric matrix onto the commutant, and the basis is rotated once
-    into those eigenvectors E, T~_k = E^T T_k E. Every count is then a
-    block sum of that one stack: the maps from module i to module j
+    eigenvalue clusters (relative gap 1e-6) of the projection of one
+    random symmetric matrix onto the commutant, and the basis is rotated
+    once into those eigenvectors E, T~_k = E^T T_k E. Every count is then
+    a block sum of that one stack: the maps from module i to module j
     number sum_k |T~_k[j, i]|^2, and the symmetric ones (the action is
     skew, so the commutant is closed under transposition) sum_k
     |sym T~_k[i, i]|^2; over all of m the latter is the dimension of the
-    invariant metrics. Each cluster must be invariant to ``tol`` and
-    carry one symmetric map, and summands joined by a map are isotypic.
-    Modules are ordered by dimension, then by the norm of proj_m
-    [m_i, m_i], then by eigenvalue, so the module with h + m_i a
-    subalgebra comes first whatever the seed. Degenerate draws retry with
-    derived seeds, then fail.
+    invariant metrics. Summands joined by a map are isotypic. With no
+    retry, ``DecompositionError`` names a cluster that does not carry one
+    symmetric map, or a worst invariance residual over ``tol``. Modules
+    are ordered by dimension, then by the norm of proj_m [m_i, m_i] (the
+    module with h + m_i a subalgebra first), then by the rounded entries
+    of their projectors B B^T: keys of the subspaces, not of the draw.
 
-    The first split is drawn with no name or seed
-    (``ReductiveSplit.decomposition_draw``), once per split; its residual
-    is compared with each call's ``tol``. Without isotypic summands the modules are unique, so
-    every seed's space carries that decomposition, the same
+    The seed-free split is drawn once per split
+    (``ReductiveSplit.decomposition``), and its residual is compared with
+    each call's ``tol``. Without isotypic summands the modules are unique,
+    so every seed's space carries that decomposition, the same
     ``IsotropyModules`` object, and only ``decomposition_seed`` records
-    ``seed``. With an isotypic group the seed's draw, from
-    ``rng_for("decompose", space.name, seed, attempt)``, splits it, and
-    the space gets modules of its own on every call.
+    ``seed``. With an isotypic group one draw of the seed's own, from
+    ``rng_for("decompose", space.name, seed, 0)``, splits it, its residual
+    is checked too, and the space gets modules of its own on every call.
     """
     split = space.split
-    found = _first_split(split.decomposition_draw, tol)
+    found = split.decomposition
+    _within(found.residual, tol, _NOT_INVARIANT, DecompositionError)
     if any(len(group) > 1 for group in found.isotypic_groups):
-        found = _first_split(lambda attempt: _split_modules(
-            split, rng_for("decompose", space.name, seed, attempt)), tol)
+        # the trailing 0 keeps the draw bit-identical, as for the split's
+        found = _split_modules(split,
+                               rng_for("decompose", space.name, seed, 0))
+        _within(found.residual, tol, _NOT_INVARIANT, DecompositionError)
     return replace(space, modules=found.modules,
                    isotypic_groups=found.isotypic_groups,
                    metric_space_dim=found.metric_space_dim,
                    decomposition_seed=seed, decomposition=found)
 
 
-def _first_split(draw, tol: float) -> IsotropyModules:
-    """The modules of the first of three attempts ``draw(attempt)`` whose
-    summands are irreducible and invariant to ``tol``."""
-    for attempt in range(3):
-        residual, found = draw(attempt)
-        if found is not None and residual <= tol:
-            return found
-    raise DecompositionError("isotropy decomposition failed after 3 attempts "
-                             "(degenerate eigenvalue split)")
-
-
-def _split_modules(split: ReductiveSplit, rng: np.random.Generator
-                   ) -> tuple[float, IsotropyModules | None]:
-    """One eigenvalue split of the commutant: the worst invariance residual
-    of its clusters, and the decomposition they give, in module order, or
-    None when a cluster carries more than one symmetric map."""
+def _split_modules(split: ReductiveSplit,
+                   rng: np.random.Generator) -> IsotropyModules:
+    """The decomposition from one draw: m split along the eigenvalue
+    clusters of the projection onto the commutant of a random symmetric
+    matrix, whose eigenspaces are invariant and generically irreducible,
+    with the worst invariance residual of its clusters."""
     maps = split.commutant
-    eigvals, eigvecs, clusters = _commutant_split(maps, rng)
+    d = maps.shape[1]
+    raw = rng.standard_normal((d, d))
+    raw = (raw + raw.T) / 2
+    op = np.einsum("s,sij->ij", np.einsum("sij,ij->s", maps, raw), maps)
+    eigvals, eigvecs = np.linalg.eigh(op)
+    clusters = _cluster(eigvals)
     squares, symmetric = _block_sums(maps, eigvecs)
     whole = slice(None)
     metric_dim = _commutant_count(symmetric, whole, whole)
+    for cl in clusters:
+        count = _commutant_count(symmetric, cl, cl)
+        if count != 1:
+            raise DecompositionError(
+                f"a {len(cl)}-dimensional eigenvalue cluster carries {count} "
+                "symmetric invariant maps, not 1")
     residual = max((_invariance_residual(split.iso_action, eigvecs[:, cl])
                     for cl in clusters), default=0.0)
-    if any(_commutant_count(symmetric, cl, cl) != 1 for cl in clusters):
-        return residual, None
-    mods = sorted(((len(cl), round(_self_bracket_norm(split, eigvecs[:, cl]),
-                                   6), float(np.mean(eigvals[cl])), cl)
-                   for cl in clusters), key=lambda t: t[:3])
-    clusters = [t[-1] for t in mods]
+    blocks = [eigvecs[:, cl] for cl in clusters]
+    clusters = [clusters[i] for i in _subspace_order(
+        [b @ b.T for b in blocks],
+        [(b.shape[1], round(_self_bracket_norm(split, b), 6))
+         for b in blocks])]
     groups = _connected_groups(
         clusters, lambda a, b: _commutant_count(squares, b, a) > 0)
     modules = tuple(
         Subspace(ambient=split.g, basis=split.m.basis @ eigvecs[:, cl],
                  name=f"m{i + 1}")
         for i, cl in enumerate(clusters))
-    return residual, IsotropyModules(split, modules,
-                                     tuple(map(tuple, groups)), metric_dim)
+    return IsotropyModules(split, modules, tuple(map(tuple, groups)),
+                           metric_dim, residual)
+
+
+def _subspace_order(projectors: list[np.ndarray], keys: list) -> list[int]:
+    """Indices of subspaces sorted by their ``keys``, ties broken by the
+    entries of their ``projectors`` rounded to 6 decimals, ascending: only
+    those that differ within a tie, as only they can decide its order."""
+    tie_keys = {}
+    for key in set(keys):
+        group = [i for i, k in enumerate(keys) if k == key]
+        proj = np.round(np.stack([projectors[i] for i in group]),
+                        6).reshape(len(group), -1)
+        tie_keys.update(zip(group,
+                            map(tuple, proj[:, (proj != proj[0]).any(0)])))
+    return sorted(range(len(keys)), key=lambda i: (keys[i], tie_keys[i]))
 
 
 def _self_bracket_norm(split: ReductiveSplit, block: np.ndarray) -> float:
@@ -714,17 +722,9 @@ def minimal_ideals(alg: LieAlgebra) -> list[np.ndarray]:
         check("[I, I^perp]",
               float(np.abs(brackets(small, large)).max()) / longest)
     ideals = [s_basis @ p for p in parts]
-    dims = [b.shape[1] for b in ideals]
-    # projector entries only break ties of dimension, and only those that
-    # differ within a tie can decide the order
-    keys = {}
-    for dim in set(dims):
-        group = [i for i, k in enumerate(dims) if k == dim]
-        proj = np.round(-np.stack([ideals[i] @ ideals[i].T for i in group]),
-                        6).reshape(len(group), -1)
-        keys.update(zip(group, map(tuple, proj[:, (proj != proj[0]).any(0)])))
-    return [ideals[i] for i in sorted(range(len(ideals)),
-                                      key=lambda i: (dims[i], keys[i]))]
+    # negated projectors sort the larger entries first
+    return [ideals[i] for i in _subspace_order(
+        [-b @ b.T for b in ideals], [b.shape[1] for b in ideals])]
 
 
 @dataclass(frozen=True)

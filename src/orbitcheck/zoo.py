@@ -404,21 +404,6 @@ class Embedding:
         return Embedding(source=inner.source, target=self.target, matrix=matrix,
                          name=name, matrix_exact=mex, atol=max(self.atol, inner.atol))
 
-    def killing_index(self) -> tuple[float, float]:
-        """Frobenius ratio of the pulled-back Killing form, with residual.
-
-        For a simple source the pullback is a constant multiple of the
-        source Killing form; the residual measures deviation from that.
-        """
-        induced = self.matrix.T @ self.target.killing_form @ self.matrix
-        bsrc = self.source.killing_form
-        denom = float((bsrc * bsrc).sum())
-        if denom == 0.0:
-            return 0.0, float(np.abs(induced).max()) if induced.size else 0.0
-        ratio = float((induced * bsrc).sum()) / denom
-        residual = float(np.abs(induced - ratio * bsrc).max())
-        return ratio, residual
-
 
 @dataclass(frozen=True)
 class EmbeddingChain:

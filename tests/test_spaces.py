@@ -574,6 +574,36 @@ def test_module_order_does_not_depend_on_the_seed(seed):
     assert filters.bracket_location(space) == "in_m2"
 
 
+@pytest.mark.parametrize("entry_id", ["t1-V.1-m3n3", "struct-2"])
+def test_module_order_does_not_depend_on_the_draw(entry_id, monkeypatch):
+    # both modules tie in dimension and in |proj_m [m_i, m_i]|, so only a
+    # key read off each subspace, not off the draw, fixes their order
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    eigvecs = []
+    block_sums = spaces._block_sums
+
+    def spy(maps, basis):
+        eigvecs.append(basis.tobytes())
+        return block_sums(maps, basis)
+    monkeypatch.setattr(spaces, "_block_sums", spy)
+
+    def fresh():
+        # a raw matrix builds a split, and draws, of its own
+        return spaces.decompose_isotropy(spaces.reductive_space(
+            space.g, space.embedding.matrix))
+    want = fresh()
+    rng_for = linalg.rng_for
+    for suffix in "abcd":
+        monkeypatch.setattr(spaces, "rng_for", lambda *parts, s=suffix: (
+            rng_for(*parts, s) if parts[0] == "decompose"
+            else rng_for(*parts)))
+        got = fresh()
+        np.testing.assert_allclose(got.module_projectors,
+                                   want.module_projectors, atol=1e-8)
+    # another draw: other eigenvectors of the same modules, in one order
+    assert len(eigvecs) == 5 and len(set(eigvecs)) > 1
+
+
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
        st.integers(0, 2 ** 31))
 @settings(max_examples=30, deadline=None)
@@ -711,6 +741,26 @@ def test_a_count_off_the_integers_is_refused(monkeypatch, cold_splits):
         spaces.decompose_isotropy(space)
 
 
+def test_a_degenerate_draw_fails_fast(monkeypatch):
+    # one cluster for all of so(5)/u(2) carries both symmetric invariant
+    # maps; the one draw is refused by name, with no retry
+    emb = zoo.as_embedding(zoo.named_embedding("u_in_so_odd", k=2))
+    space = spaces.reductive_space(emb.target, emb.matrix)
+    calls = []
+    split_modules = spaces._split_modules
+
+    def spy(*args):
+        calls.append(args)
+        return split_modules(*args)
+    monkeypatch.setattr(spaces, "_split_modules", spy)
+    monkeypatch.setattr(spaces, "_cluster",
+                        lambda values: [np.arange(len(values))])
+    with pytest.raises(spaces.DecompositionError,
+                       match="6-dimensional eigenvalue cluster carries 2 "):
+        spaces.decompose_isotropy(space)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("fixture_name", sorted(EXPECTED_MODULE_DIMS))
 def test_counts_match_per_module_solves(fixture_name, request):
     # oracle: the Kronecker reference for every module and every pair,
@@ -820,16 +870,11 @@ ISOTYPIC_ENTRIES = ("go-1", "struct-1", "struct-5")
 
 
 def _seeded_bases(space, seed):
-    """Module bases drawn from ``rng_for("decompose", name, seed, 0)`` and
-    ordered by (dimension, norm of proj_m [m_i, m_i], mean eigenvalue):
-    the per-seed split every space took before the seed-free one."""
-    split = space.split
-    eigvals, eigvecs, clusters = spaces._commutant_split(
-        split.commutant, linalg.rng_for("decompose", space.name, seed, 0))
-    clusters.sort(key=lambda cl: (
-        len(cl), round(spaces._self_bracket_norm(split, eigvecs[:, cl]), 6),
-        float(np.mean(eigvals[cl]))))
-    return [split.m.basis @ eigvecs[:, cl] for cl in clusters]
+    """Module bases of the one draw from ``rng_for("decompose", name,
+    seed, 0)``: the per-seed split of an isotypic group."""
+    found = spaces._split_modules(
+        space.split, linalg.rng_for("decompose", space.name, seed, 0))
+    return [mod.basis for mod in found.modules]
 
 
 @pytest.mark.parametrize("entry_id", [e.id for e in catalog.catalog_list(
@@ -877,8 +922,9 @@ def test_a_warm_decomposition_honours_each_calls_tol():
     # each call's tol decides, warm as cold, with tols rising and falling
     emb = zoo.as_embedding(zoo.named_embedding("u_in_so_odd", k=2))
     split = spaces.reductive_space(None, emb).split
-    residuals = [split.decomposition_draw(attempt)[0] for attempt in range(3)]
-    tols = sorted({0.0, 1e-8, *residuals, *(0.999 * r for r in residuals)})
+    residual = split.decomposition.residual
+    assert 0 < residual < 1e-8
+    tols = sorted({0.0, 1e-8, residual, 0.999 * residual})
     outcomes = set()
     for order in (tols, tols[::-1]):
         for tol in order:
@@ -887,11 +933,14 @@ def test_a_warm_decomposition_honours_each_calls_tol():
             cold = _decomposed(lambda: spaces.reductive_space(
                 emb.target, emb.matrix), tol)
             assert warm == cold, tol
+            # built exactly when the one draw's residual is within tol
+            assert isinstance(warm, bytes) == (tol >= residual), tol
             outcomes.add(warm)
-    # one outcome per first attempt within tol, and the error under all
-    firsts = {next((a for a, r in enumerate(residuals) if r <= tol), None)
-              for tol in tols}
-    assert None in firsts and len(outcomes) == len(firsts) >= 2
+    # one set of module bases, and the error under the residual
+    errors = [out for out in outcomes if not isinstance(out, bytes)]
+    assert len(outcomes) - len(errors) == 1 and errors
+    assert all(err.startswith("the isotropy modules are not ad(h)-invariant")
+               for err in errors)
     assert spaces.reductive_space(None, emb).split is split
 
 
