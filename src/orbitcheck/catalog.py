@@ -31,7 +31,7 @@ from .go import MetricOperator, go_check
 from .linalg import DEFAULT_TOL
 from .spaces import (ReductiveSpace, classify_structure, decompose_isotropy,
                      reductive_space)
-from .zoo import Embedding, _exactify_matrix, classical, named_embedding
+from .zoo import Embedding, classical, named_embedding
 
 DEFAULT_PAIRS = ((1.0, 2.0), (2.0, 1.0), (1.0, 5.0))
 
@@ -93,7 +93,7 @@ def _struct_4() -> tuple[LieAlgebra, object]:
     u1m[0] = 1.0
     u1m[1] = 2.0
     u1 = Embedding(source=classical("torus", 1), target=g, matrix=u1m,
-                   name="u(1)<su(3)", matrix_exact=_exactify_matrix(u1m))
+                   name="u(1)<su(3)")
     return g, zoo.embed_sum([diag, u1], target=g,
                             name="diag su(2)+u(1)<su(3)+su(2)")
 
@@ -102,7 +102,7 @@ def _struct_5() -> tuple[LieAlgebra, object]:
     g = classical("torus", 2)
     zero = np.zeros((2, 0))
     return g, Embedding(source=trivial_algebra(), target=g, matrix=zero,
-                        name="0<torus(2)", matrix_exact=_exactify_matrix(zero))
+                        name="0<torus(2)")
 
 
 def _struct_6() -> tuple[LieAlgebra, object]:

@@ -6,9 +6,7 @@ array n over a common denominator d. ``rounded`` does the same for the
 entries of a float array rounded to fractions with denominators up to
 2^20, taking the nearest integer directly wherever it lies within 2^-21,
 where it is provably ``limit_denominator``'s answer. Products run on
-such integers too: ``matmul`` scales each operand by the lcm of its
-denominators, multiplies the integer arrays, and divides once per output
-entry; ``imatmul`` multiplies integer arrays in int64 wherever
+such integers too: ``imatmul`` multiplies integer arrays in int64 wherever
 max|a| max|b| (inner length) < 2^63 bounds every partial sum, and on
 Python ints otherwise. One fraction-free forward elimination serves the
 two solvers, ``null_space`` and ``solve``. It clears each row to integers
@@ -99,19 +97,6 @@ def rounded(a: np.ndarray) -> tuple[np.ndarray, int]:
     n = np.where(far, 0, k).astype(np.int64).astype(object) * d
     n[far] = [x.numerator * (d // x.denominator) for x in fracs]
     return n, d
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product ``a @ b`` of rational arrays (``b`` may be 1-D).
-
-    Both operands are scaled to Python integers by the lcm of their
-    denominators, so the product is one integer ``@``, where a zero
-    factor costs almost nothing; each output entry is then divided by
-    the product of the two denominators.
-    """
-    ia, da = cleared(a)
-    ib, db = cleared(b)
-    return over(ia @ ib, da * db)
 
 
 def _top(a: np.ndarray) -> int:

@@ -867,21 +867,14 @@ def _classify(split: ReductiveSplit) -> StructureReport:
 
 # --- exact (rational) bases for certified verdicts ----------------------
 
-def _require_exact(space: ReductiveSpace) -> None:
-    g = space.g
-    if g.structure_exact is None or g.inner_product_exact is None:
-        raise ExactUnavailableError(f"{g.name or 'g'} lacks exact data")
-    emb = space.embedding
-    if emb is None or emb.matrix_exact is None:
-        raise ExactUnavailableError("h embedding lacks exact coordinates")
-
-
 @dataclass(frozen=True)
 class ExactLane:
     """The exact GO lane's per-space data, on integers.
 
     Module k's rational basis (g coords) is ``bases[k] / denom``, over
-    its least denominator, and the integer columns ``h_cols`` span h.
+    its least denominator, and the integer columns ``h_cols`` span h:
+    they are the embedding's float matrix read as rationals over one
+    denominator (``exact.rounded``), which gives the matrix back exactly.
     ``rows`` are module-ordered, rows_k = bases[k]^T G with G the integer
     Gram, so ``rows @ v`` vanishes exactly when v lies in h and rows_k
     sees only v's part in module k. ``system`` is the integer tensor
@@ -904,9 +897,14 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     """The exact GO lane: rational bases of the two isotropy modules,
     verified against the float ones, and the integer data each sample reuses.
 
+    h's integer columns are the embedding's float matrix rounded by
+    ``exact.rounded``, and are taken only if they give the matrix back
+    exactly, entry for entry; an irrational embedding is refused there.
     m's rational basis mx / dx is the exact kernel of h's Gram pairing,
-    in rref free-column form; gm / (dx^2 dip) is its Gram matrix, with
-    dip the inner product's denominator. The module that
+    in rref free-column form, and its pairing rows mx^T G must kill
+    [h, h], one integer product, which proves that the rounded h is a
+    subalgebra. gm / (dx^2 dip) is m's Gram matrix, with dip the inner
+    product's denominator. The module that
     ``argmax(module_dims)`` does not pick is read off its float
     projector: the gm-orthogonal projector P onto the module, in that
     basis, is rounded to the nearest fractions with denominators up to
@@ -932,23 +930,30 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     check fails, so a bad rounding withdraws the exact lane but never
     certifies a wrong split.
     """
-    _require_exact(space)
+    g, emb = space.g, space.embedding
+    if g.structure_exact is None or g.inner_product_exact is None:
+        raise ExactUnavailableError(f"{g.name or 'g'} lacks exact data")
+    h_cols, dh = exact.rounded(emb.matrix) if emb is not None else (None, 1)
+    if emb is None or not np.array_equal(exact.to_float(h_cols, dh),
+                                         emb.matrix):
+        raise ExactUnavailableError("h embedding lacks exact coordinates")
     if not space.modules:
         raise ExactUnavailableError("decompose the isotropy modules first")
     if any(len(group) > 1 for group in space.isotypic_groups):
         raise ExactUnavailableError("isotypic modules have no canonical split")
     if len(space.modules) != 2:
         raise ExactUnavailableError("exact mode expects two modules")
-    g = space.g
     gram_f = g.inner_product
-    h_cols = exact.cleared(space.embedding.matrix_exact)[0]
     ip, dip = exact.cleared(g.inner_product_exact)
     ip = exact.narrowed(ip)
     ad_h = exact.narrowed(g.structure_exact.ad_numerators(h_cols))
     mx, dx = exact.null_space(exact.imatmul(h_cols.T, ip))
     if mx.shape[1] != space.m.dim:
         raise ExactUnavailableError("exact m dimension disagrees with float")
-    gm = exact.imatmul(exact.imatmul(mx.T, ip), mx)
+    m_rows = exact.imatmul(mx.T, ip)
+    if np.any(exact.imatmul(m_rows, exact.imatmul(ad_h, h_cols)) != 0):
+        raise ExactUnavailableError("rounded h is not a subalgebra")
+    gm = exact.imatmul(m_rows, mx)
     gm_f = exact.to_float(gm.astype(object), dx * dx * dip)
     to_coords = np.linalg.solve(gm_f, exact.to_float(mx, dx).T @ gram_f)
     rounded = 1 - int(np.argmax(space.module_dims))

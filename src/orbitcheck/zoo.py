@@ -341,14 +341,6 @@ def algebra_by_name(text: str) -> LieAlgebra:
 
 # --- embeddings --------------------------------------------------------
 
-def _exactify_matrix(m: np.ndarray) -> np.ndarray:
-    """Fractions equal to the entries of ``m``; each distinct value is
-    converted once."""
-    values, inverse = np.unique(m.ravel(), return_inverse=True)
-    fracs = np.array([exact.frac(float(v)) for v in values], dtype=object)
-    return fracs[inverse].reshape(m.shape)
-
-
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """Injective Lie algebra homomorphism in coordinates.
@@ -356,13 +348,15 @@ class Embedding:
     ``matrix`` maps source coordinates to target coordinates and has
     shape (target.dim, source.dim). Construction verifies injectivity
     and the homomorphism property. Equality and hashing are by identity.
+    The float matrix is the only copy: where its entries are exactly
+    rational, the exact lane reads them off it
+    (``spaces.exact_module_bases``).
     """
 
     source: LieAlgebra
     target: LieAlgebra
     matrix: np.ndarray
     name: str = ""
-    matrix_exact: np.ndarray | None = field(default=None, repr=False)
     atol: float = field(default=1e-8, repr=False)
 
     def __post_init__(self):
@@ -373,10 +367,6 @@ class Embedding:
                 f"({self.target.dim}, {self.source.dim})")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if self.matrix_exact is not None:
-            mex = np.array(self.matrix_exact)
-            mex.flags.writeable = False
-            object.__setattr__(self, "matrix_exact", mex)
         if self.source.dim and svd_rank(m) != self.source.dim:
             raise ValidationError(f"{self.name or 'embedding'}: matrix is not injective")
         res = self.homomorphism_residual()
@@ -393,16 +383,18 @@ class Embedding:
         return float(np.abs(lhs - bracket_images(self.source, phi.T)).max(initial=0))
 
     def compose(self, inner: "Embedding") -> "Embedding":
-        """Composite self o inner; inner.target must match self.source."""
+        """Composite self o inner; inner.target must match self.source.
+
+        The matrix is the float product. The exact lane takes its
+        entries as rationals only where they read back exactly, and then
+        proves that the image closes (``spaces.exact_module_bases``).
+        """
         if inner.target.dim != self.source.dim:
             raise ValidationError("embedding composition dimension mismatch")
         matrix = self.matrix @ inner.matrix
-        mex = None
-        if self.matrix_exact is not None and inner.matrix_exact is not None:
-            mex = exact.matmul(self.matrix_exact, inner.matrix_exact)
         name = f"{self.name} o {inner.name}" if self.name and inner.name else ""
         return Embedding(source=inner.source, target=self.target, matrix=matrix,
-                         name=name, matrix_exact=mex, atol=max(self.atol, inner.atol))
+                         name=name, atol=max(self.atol, inner.atol))
 
 
 @dataclass(frozen=True)
@@ -429,16 +421,14 @@ class EmbeddingChain:
 
 def _embedding_from_matrices(source: LieAlgebra, family: str, n: int,
                              source_mats: list[np.ndarray], name: str,
-                             exact_entries: bool = True,
                              atol: float = 0.0) -> Embedding:
     target = classical(family, n)
     batch = np.stack([np.asarray(m, dtype=np.complex128) for m in source_mats])
     matrix = _coordinates(batch, family, n, np.stack(matrix_basis(family, n)),
                           name, atol).T
-    mex = _exactify_matrix(matrix) if exact_entries else None
     emb_atol = 1e-8 if atol == 0.0 else max(1e-8, 10 * atol)
     return Embedding(source=source, target=target, matrix=matrix, name=name,
-                     matrix_exact=mex, atol=emb_atol)
+                     atol=emb_atol)
 
 
 def _pad(m: np.ndarray, size: int, offset: int) -> np.ndarray:
@@ -555,8 +545,7 @@ def embed_diagonal(family: str, n: int, copies: int) -> Embedding:
     target = direct_sum([alg] * copies)
     matrix = np.tile(np.eye(alg.dim), (copies, 1))
     return Embedding(source=alg, target=target, matrix=matrix,
-                     name=f"diag({alg.name}^{copies})",
-                     matrix_exact=_exactify_matrix(matrix))
+                     name=f"diag({alg.name}^{copies})")
 
 
 def embed_sum(parts: list[Embedding], target: LieAlgebra | None = None,
@@ -569,11 +558,8 @@ def embed_sum(parts: list[Embedding], target: LieAlgebra | None = None,
             raise ValidationError("embedding sum targets differ")
     source = direct_sum([p.source for p in parts])
     matrix = np.hstack([p.matrix for p in parts])
-    mex = None
-    if all(p.matrix_exact is not None for p in parts):
-        mex = np.hstack([p.matrix_exact for p in parts])
     return Embedding(source=source, target=target, matrix=matrix, name=name,
-                     matrix_exact=mex, atol=max(p.atol for p in parts))
+                     atol=max(p.atol for p in parts))
 
 
 def embed_stack(parts: list[Embedding], target: LieAlgebra,
@@ -584,11 +570,8 @@ def embed_stack(parts: list[Embedding], target: LieAlgebra,
         if p.source.dim != source.dim:
             raise ValidationError("embedding stack sources differ")
     matrix = np.vstack([p.matrix for p in parts])
-    mex = None
-    if all(p.matrix_exact is not None for p in parts):
-        mex = np.vstack([p.matrix_exact for p in parts])
     return Embedding(source=source, target=target, matrix=matrix, name=name,
-                     matrix_exact=mex, atol=max(p.atol for p in parts))
+                     atol=max(p.atol for p in parts))
 
 
 def embed_into_summand(emb: Embedding, target: LieAlgebra,
@@ -599,19 +582,14 @@ def embed_into_summand(emb: Embedding, target: LieAlgebra,
         raise ValidationError("padded embedding does not fit in target")
     matrix = np.zeros((target.dim, cols))
     matrix[offset:offset + rows] = emb.matrix
-    mex = None
-    if emb.matrix_exact is not None:
-        mex = exact.fzeros((target.dim, cols))
-        mex[offset:offset + rows] = emb.matrix_exact
     return Embedding(source=emb.source, target=target, matrix=matrix,
-                     name=name or emb.name, matrix_exact=mex, atol=emb.atol)
+                     name=name or emb.name, atol=emb.atol)
 
 
 def embed_g2_in_so7() -> Embedding:
     alg, kernel = _g2_data()
     return Embedding(source=alg, target=classical("so", 7),
-                     matrix=exact.to_float(kernel), name="g2<so(7)",
-                     matrix_exact=kernel)
+                     matrix=exact.to_float(kernel), name="g2<so(7)")
 
 
 @lru_cache(maxsize=1)
@@ -641,8 +619,7 @@ def embed_spin7_in_so8() -> Embedding:
         ad8 = np.array(so8.structure_exact.ad_numerators(p), dtype=np.int64)
         if np.array_equal(ad8 @ p, 2 * (p @ ad7)):
             return Embedding(source=so7, target=so8, matrix=p / 2,
-                             name="spin7<so(8)",
-                             matrix_exact=exact.over(p.astype(object), 2))
+                             name="spin7<so(8)")
     raise ValidationError("no sign convention makes the spin map a homomorphism")
 
 
@@ -674,7 +651,7 @@ def embed_irreducible_su2_in_su(two_j: int) -> Embedding:
     rho = su2_irrep_matrices(two_j)
     return _embedding_from_matrices(classical("su", 2), "su", two_j + 1,
                                     list(rho), f"su(2)<su({two_j + 1}) spin",
-                                    exact_entries=False, atol=1e-11)
+                                    atol=1e-11)
 
 
 def embed_principal_su2_in_sp3() -> Embedding:
@@ -696,8 +673,7 @@ def embed_principal_su2_in_sp3() -> Embedding:
             raise ValidationError("conjugated matrix is not symplectic")
         mats.append(m)
     return _embedding_from_matrices(classical("su", 2), "sp", 3, mats,
-                                    "su(2)<sp(3) principal",
-                                    exact_entries=False, atol=1e-11)
+                                    "su(2)<sp(3) principal", atol=1e-11)
 
 
 def embed_so2_plus_g2_in_so9() -> Embedding:

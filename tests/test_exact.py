@@ -127,33 +127,6 @@ def _object_array(values, shape):
     return np.array(values, dtype=object).reshape(shape)
 
 
-@given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4),
-       st.integers(min_value=0, max_value=4), st.booleans(), st.data())
-@settings(max_examples=80, deadline=None)
-def test_matmul_equals_the_fraction_product(n_rows, inner, n_cols, vector, data):
-    a = _object_array(data.draw(st.lists(rationals, min_size=n_rows * inner,
-                                         max_size=n_rows * inner)),
-                      (n_rows, inner))
-    b_shape = (inner,) if vector else (inner, n_cols)
-    size = int(np.prod(b_shape))
-    b = _object_array(data.draw(st.lists(rationals, min_size=size,
-                                         max_size=size)), b_shape)
-    got = exact.matmul(a, b)
-    want = a @ b
-    assert got.shape == want.shape == (n_rows,) + b_shape[1:]
-    assert all(isinstance(v, Fraction) for v in got.flat)
-    assert all(g == w for g, w in zip(got.flat, want.flat))
-
-
-def test_matmul_clears_denominators_beyond_int64():
-    p = BIG_PRIMES
-    a = exact.fmatrix([[Fraction(1, p[0] * p[1]), Fraction(1, p[2] * p[3]),
-                        Fraction(1, p[4] * p[5])]])
-    b = exact.fmatrix([[p[0] * p[1]], [p[2] * p[3]], [p[4] * p[5]]])
-    assert exact.matmul(a, b)[0, 0] == 3
-    assert exact.matmul(b, a)[1, 2] == Fraction(p[2] * p[3], p[4] * p[5])
-
-
 def test_imatmul_takes_int64_only_below_its_bound():
     # rows of three equal entries u against columns of v: every partial
     # sum reaches 3 u v, the bound; just below 2^63 the product runs in

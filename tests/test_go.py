@@ -1362,24 +1362,24 @@ def _exact_coefficients(space, seed, i):
     return [(-3, -2, -1, 1, 2, 3)[int(w) % 6] for w in bits.random_raw(dm)]
 
 
-def _fraction_sample(space, bases, rows, lam, mu, seed, i):
+def _fraction_sample(space, h, bases, rows, lam, mu, seed, i):
     """Sample i of the exact lane in Fraction arithmetic: X, and z in h
-    coordinates (None when inconsistent) from one bracket_exact per h
-    column and a one-column exact.solve on the cleared columns, with the
-    rational module bases ``bases`` and the integer rows ``rows``; module
-    1 takes the first of the sample's coefficients."""
+    coordinates (None when inconsistent) from one bracket_exact per
+    column of the Fraction h basis ``h`` and a one-column exact.solve on
+    the cleared columns, with the rational module bases ``bases`` and the
+    integer rows ``rows``; module 1 takes the first of the sample's
+    coefficients."""
     g = space.g
     coeffs = _exact_coefficients(space, seed, i)
     cut = bases[0].shape[1]
-    parts = [exact.matmul(basis, np.array([Fraction(t) for t in c],
-                                          dtype=object))
+    parts = [basis @ np.array([Fraction(t) for t in c], dtype=object)
              for basis, c in zip(bases, (coeffs[:cut], coeffs[cut:]))]
     xg = parts[0] + parts[1]
     if lam == mu:
         return xg, exact.fzeros(space.h.dim)
     axg = lam * parts[0] + mu * parts[1]
     cols = rows @ exact.cleared(np.column_stack(
-        [g.bracket_exact(h, axg) for h in space.embedding.matrix_exact.T]
+        [g.bracket_exact(col, axg) for col in h.T]
         + [g.bracket_exact(xg, axg)]))[0]
     solution = _solve(cols[:, :-1], -cols[:, -1])
     return xg, None if solution is None else exact.over(*solution)
@@ -1397,11 +1397,12 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
     space = catalog.catalog_instantiate(entry_id, seed=0)
     lane = space.exact_lane
     bases = [exact.over(b, lane.denom) for b in lane.bases]
+    # h's columns read off the float embedding, one exact.frac per entry
+    h = exact.fmatrix(space.embedding.matrix.tolist())
     # m's rational basis is the kernel of h's Gram pairing
-    m_basis = exact.over(*exact.null_space(exact.matmul(
-        space.embedding.matrix_exact.T, space.g.inner_product_exact)))
-    rows, _ = exact.cleared(exact.matmul(m_basis.T,
-                                         space.g.inner_product_exact))
+    gram = space.g.inner_product_exact
+    m_basis = exact.over(*exact.null_space(h.T @ gram))
+    rows, _ = exact.cleared(m_basis.T @ gram)
     (want, d), (got, e) = exact.null_space(rows), exact.null_space(lane.rows)
     assert want.tolist() == got.tolist() and d == e
     to_h = space.h.basis.T @ space.g.inner_product
@@ -1415,7 +1416,7 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
             c1 = lam.numerator * mu.denominator
             c2 = mu.numerator * lam.denominator
             for i, got in enumerate(verdict.witnesses):
-                xg, want = _fraction_sample(space, bases, rows, lam, mu,
+                xg, want = _fraction_sample(space, h, bases, rows, lam, mu,
                                             seed, i)
                 assert [Fraction(v, lane.denom) for v in sum(fac.parts[i])] \
                     == list(xg)
@@ -1425,7 +1426,7 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
                 if want is None:
                     assert got.z is None
                     continue
-                zg = exact.matmul(space.embedding.matrix_exact, want)
+                zg = h @ want
                 if lam != mu:
                     # the stacked read-off, Fraction by Fraction: z is
                     # h_cols @ y in g coordinates

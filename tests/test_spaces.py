@@ -348,6 +348,24 @@ def test_exact_module_bases_refuse_a_rational_split_that_is_not_invariant(
             _with_modules(so5_u2, [full[:, :2], full[:, 2:]]))
 
 
+def test_exact_module_bases_refuse_an_h_that_is_not_a_subalgebra(so5_u2):
+    # h's first column swapped for a rational vector of m1: the matrix
+    # reads exactly and keeps its rank, but its span does not close. The
+    # Embedding is built past its float homomorphism check.
+    lane = spaces.exact_module_bases(so5_u2)
+    matrix = so5_u2.embedding.matrix.copy()
+    matrix[:, 0] = core.exact.to_float(lane.bases[0][:, 0], lane.denom)
+    matrix.flags.writeable = False
+    bad = object.__new__(zoo.Embedding)
+    for name, value in (("source", so5_u2.embedding.source),
+                        ("target", so5_u2.g), ("matrix", matrix),
+                        ("name", "not a subalgebra"), ("atol", 1e-8)):
+        object.__setattr__(bad, name, value)
+    assert bad.homomorphism_residual() > 0.1
+    with pytest.raises(spaces.ExactUnavailableError, match="subalgebra"):
+        spaces.exact_module_bases(replace(so5_u2, embedding=bad))
+
+
 def _lane_part(a):
     """dtype, shape, entry types and values of one lane array."""
     a = np.asarray(a)
@@ -1014,7 +1032,7 @@ def test_shared_arrays_are_read_only(so5_u2):
     split = so5_u2.split
     shared = [split.iso_action, split.m_bracket_m, split.m_bracket_h,
               split.commutant, so5_u2.h.basis, so5_u2.m.basis,
-              so5_u2.embedding.matrix, so5_u2.embedding.matrix_exact]
+              so5_u2.embedding.matrix]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcheck import core, exact, zoo
+from orbitcheck import core, exact, spaces, zoo
 
 
 CLASSICAL_DIMS = {
@@ -163,9 +163,8 @@ def test_named_embeddings_are_built_once_per_parameter_set():
     with pytest.raises(TypeError):
         zoo.named_embedding("so_in_so", k=2.0, n=5)
     assert zoo._named_embedding.cache_info().maxsize == 64
-    exact = chain.composite.matrix_exact
     with pytest.raises(ValueError, match="read-only"):
-        exact[0, 0] = 1
+        chain.composite.matrix[0, 0] = 1
 
 
 def test_chain_composite_matches_step_composition():
@@ -237,13 +236,53 @@ def test_killing_form_negative_definite_on_semisimple_algebras(family, n):
     assert eigs.max() < 0
 
 
+def _fractions(emb):
+    """The embedding's float matrix as Fractions, one ``exact.frac`` per
+    entry (ValueError on an entry that is not exactly rational)."""
+    return exact.fmatrix(emb.matrix.tolist())
+
+
+CHAINS = [("u_in_so_odd", {"k": 3}), ("su_in_so_even", {"k": 3}),
+          ("g2_in_so7_in_so8", {}), ("spin7_in_so8_in_so9", {})]
+
+
 def test_composite_exact_matrix_is_the_fraction_product():
-    chain = zoo.named_embedding("u_in_so_odd", k=3)
-    inner, outer = chain.steps
-    composite = zoo.as_embedding(chain).matrix_exact
-    naive = outer.matrix_exact @ inner.matrix_exact
-    assert composite.shape == naive.shape
-    assert all(a == b for a, b in zip(composite.flat, naive.flat))
+    # the float product of the steps is exact on every chain: its entries
+    # read as Fractions are those of the Fraction product
+    assert sorted(key for key, _ in CHAINS) == sorted(zoo._CHAIN_BUILDERS)
+    for key, params in CHAINS:
+        chain = zoo.named_embedding(key, **params)
+        want = _fractions(chain.steps[0])
+        for step in chain.steps[1:]:
+            want = _fractions(step) @ want
+        composite = _fractions(chain.composite)
+        assert composite.shape == want.shape, key
+        assert all(a == b for a, b in zip(composite.flat, want.flat)), key
+
+
+def test_registry_embeddings_read_exactly_unless_irrational():
+    # exact.rounded gives the float matrix back, and the Fractions that
+    # exact.frac reads entry by entry, on every rational embedding; on an
+    # irrational one it does not, and the exact lane refuses the space.
+    # The spin representations of su(2) past spin 1/2 hold square roots.
+    irrational = [("irreducible_su2_in_su", {"two_j": j}) for j in range(2, 8)]
+    irrational.append(("principal_su2_in_sp3", {}))
+    rational = [(key, params) for key, params in SMALL_PARAMS.items()
+                if key not in dict(irrational)]
+    rational.append(("irreducible_su2_in_su", {"two_j": 1}))
+    for key, params in rational + irrational:
+        emb = zoo.as_embedding(zoo.named_embedding(key, **params))
+        n, d = exact.rounded(emb.matrix)
+        reads = np.array_equal(exact.to_float(n, d), emb.matrix)
+        assert reads == ((key, params) not in irrational), (key, params)
+        if reads:
+            assert list(exact.over(n, d).flat) == list(_fractions(emb).flat)
+            continue
+        with pytest.raises(ValueError, match="not exactly rational"):
+            _fractions(emb)
+        with pytest.raises(spaces.ExactUnavailableError,
+                           match="lacks exact coordinates"):
+            spaces.exact_module_bases(spaces.reductive_space(None, emb))
 
 
 # --- the integer builds against the per-entry Fraction builds -----------
@@ -310,7 +349,7 @@ def test_g2_kernel_and_constants_equal_the_full_fraction_build():
     for s in range(14):
         for t in range(s + 1, 14):
             w = so7.bracket_exact(want[:, s], want[:, t])
-            assert np.array_equal(exact.matmul(want, w[free]), w)
+            assert np.array_equal(want @ w[free], w)
             entries += [(s, t, k, w[free][k]) for k in np.flatnonzero(w[free])]
             entries += [(t, s, k, -w[free][k]) for k in np.flatnonzero(w[free])]
     _same_constants(alg.structure_exact, core.structure_constants(14, entries))
@@ -318,7 +357,7 @@ def test_g2_kernel_and_constants_equal_the_full_fraction_build():
 
 def test_spin7_matrix_passes_the_fraction_homomorphism_test():
     emb = zoo.embed_spin7_in_so8()
-    phi = emb.matrix_exact
+    phi = _fractions(emb)
     assert all(type(v) is Fraction and v.denominator <= 2 for v in phi.flat)
     assert emb.matrix.tobytes() == exact.to_float(phi).tobytes()
     so7, so8 = emb.source, emb.target
