@@ -138,36 +138,53 @@ class StructureConstants:
         ij, at_ij = np.unique(i * self.dim + j, return_inverse=True)
         return jk, at_jk.reshape(-1), ij, at_ij.reshape(-1)
 
+    def _machine(self, terms: int) -> np.ndarray:
+        """The exact numerators as int64 where max|c|^2 ``terms`` < 2^63,
+        computed on Python ints, bounds every sum of up to ``terms``
+        products of two of them (and of two numerators); otherwise as
+        they are."""
+        if not self.exact:
+            return self.numer
+        top = exact._top(self.numer)
+        return (self.numer.astype(np.int64)
+                if top * top * max(terms, 2) < 2 ** 63 else self.numer)
+
     def residuals(self) -> tuple[Fraction, Fraction]:
         """Largest |c_ijk + c_jik| and largest Jacobi defect, exactly.
 
         The Jacobi defect J(a, b, c) = [[a, b], c] + [[b, c], a]
         + [[c, a], b] comes from one join of the rows (a, b, m) with the
         rows (m, c, p); each product c_abm c_mcp is one term of J at the
-        three cyclic rotations of (a, b, c).
+        three cyclic rotations of (a, b, c). The sums run in int64 where
+        ``_machine`` bounds them, on Python ints otherwise.
         """
         n = self.dim
         i, j, k = self.index.T
+        a, b = _join(k, i)
+        numer = self._machine(3 * len(a))
         _, anti = _accumulate(np.concatenate([(i * n + j) * n + k,
                                               (j * n + i) * n + k]),
-                              np.concatenate([self.numer, self.numer]))
-        a, b = _join(k, i)
+                              np.concatenate([numer, numer]))
         x, y, z, p = i[a], j[a], j[b], k[b]
         _, jac = _accumulate(
             np.concatenate([((x * n + y) * n + z) * n + p,
                             ((z * n + x) * n + y) * n + p,
                             ((y * n + z) * n + x) * n + p]),
-            np.tile(self.numer[a] * self.numer[b], 3))
-        return (Fraction(np.abs(anti).max(initial=0), self.denom),
-                Fraction(np.abs(jac).max(initial=0), self.denom ** 2))
+            np.tile(numer[a] * numer[b], 3))
+        return (Fraction(int(np.abs(anti).max(initial=0)), self.denom),
+                Fraction(int(np.abs(jac).max(initial=0)), self.denom ** 2))
 
     def killing(self) -> tuple[np.ndarray, np.ndarray]:
         """denom^2 B_ij = denom^2 sum_{m,n} c_imn c_jnm as flat (keys,
-        sums), from one join of the rows (i, m, n) with the rows (j, n, m)."""
+        sums), from one join of the rows (i, m, n) with the rows (j, n, m);
+        the sums are Python ints, run in int64 where ``_machine``
+        bounds them."""
         n = self.dim
         i, j, k = self.index.T
         a, b = _join(j * n + k, k * n + j)
-        return _accumulate(i[a] * n + i[b], self.numer[a] * self.numer[b])
+        numer = self._machine(len(a))
+        keys, sums = _accumulate(i[a] * n + i[b], numer[a] * numer[b])
+        return keys, sums.astype(object)
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Exact [x, y] for Fraction coordinate vectors, from
@@ -188,15 +205,24 @@ class StructureConstants:
         """Integer ad matrices of the integer columns of ``xs`` (n, k).
 
         Returns N of shape (k, n, n) with ad(x_t) = N[t] / denom, so
-        N[t] @ y is denom [x_t, y]; Python ints throughout. Only rows
-        (i, j, k) with x_t[i] nonzero are touched.
+        N[t] @ y is denom [x_t, y]. Only rows (i, j, k) with x_t[i]
+        nonzero are touched, r of them, so each entry of N sums at most r
+        products c x: N is int64 where max|c| max|x| r < 2^63, computed
+        on Python ints, and Python ints otherwise.
         """
         n = self.dim
         i, j, k = self.index.T
+        xs = exact.narrowed(xs)
         rows, t = np.nonzero(xs[i] != 0)
+        numer = self.numer
+        if xs.dtype == np.int64 and self.exact and exact._top(numer) \
+                * exact._top(xs) * len(rows) < 2 ** 63:
+            numer = numer.astype(np.int64)
+        else:
+            numer, xs = numer.astype(object), xs.astype(object)
         keys, sums = _accumulate((t * n + k[rows]) * n + j[rows],
-                                 self.numer[rows] * xs[i[rows], t])
-        out = np.zeros(xs.shape[1] * n * n, dtype=object)
+                                 numer[rows] * xs[i[rows], t])
+        out = np.zeros(xs.shape[1] * n * n, dtype=numer.dtype)
         out[keys] = sums
         return out.reshape(xs.shape[1], n, n)
 

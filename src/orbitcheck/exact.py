@@ -72,9 +72,13 @@ def to_float(a: np.ndarray, d: int = 1) -> np.ndarray:
 
 
 def cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Integer object array n and common denominator d with a == n / d."""
-    fracs = [frac(x) for x in a.flat]
-    d = math.lcm(*(x.denominator for x in fracs))
+    """Integer object array n and common denominator d with a == n / d.
+    Entries that are all Fractions or Python ints are read as they are;
+    any other set goes through ``frac``."""
+    fracs = list(a.flat)
+    if not set(map(type, fracs)) <= {Fraction, int}:
+        fracs = [frac(x) for x in fracs]
+    d = math.lcm(*{x.denominator for x in fracs})
     ints = [x.numerator * (d // x.denominator) for x in fracs]
     return np.array(ints, dtype=object).reshape(a.shape), d
 

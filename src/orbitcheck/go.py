@@ -672,13 +672,14 @@ class _ExactFactorisation:
 
     def _solve(self, x1: np.ndarray, x2: np.ndarray):
         lane = self.lane
-        n, keys, cols, values = len(lane.rows), *lane.system
+        rows, (keys, cols, values) = lane.primitive
+        n = len(rows)
         m = np.zeros(n * len(lane.to_h), dtype=object)
         np.add.at(m, keys, values * (-x1 - x2)[cols])
         keys, sums = self.brackets(x1, x2)
         rhs = np.zeros((n, 2), dtype=object)
         cut = lane.bases[0].shape[1]
-        rhs[:cut, 0], rhs[cut:, 1] = np.split(lane.rows[:, keys] @ sums, [cut])
+        rhs[:cut, 0], rhs[cut:, 1] = np.split(rows[:, keys] @ sums, [cut])
 
         def ratio(tail):  # some c1, c2 > 0 zero c2 t1 + c1 t2 (any: tail 0)
             t1, t2 = next(((u, v) for u, v in tail.tolist() if u or v), (-1, 1))

@@ -881,7 +881,11 @@ class ExactLane:
     S[a] = rows @ ad(h_a), h_a column a of ``h_cols``, as its nonzero
     (keys, cols, values): key p * dim h + a and column j hold S[a][p, j].
     ``to_m`` and ``to_h`` take float g coordinates to orthonormal m and
-    h coordinates.
+    h coordinates. ``primitive`` holds ``rows`` and ``system`` with row p
+    divided by the content (gcd) of rows[p], once per lane: each
+    sample's [M | b] row p is a multiple of rows[p], and the elimination
+    divides every row by its content first, so it gives the same y, d
+    and tail on shorter integers.
     """
 
     bases: tuple[np.ndarray, np.ndarray]
@@ -891,6 +895,14 @@ class ExactLane:
     h_cols: np.ndarray
     to_m: np.ndarray
     to_h: np.ndarray
+
+    @cached_property
+    def primitive(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        content = np.array([math.gcd(*row) or 1 for row in self.rows.tolist()],
+                           dtype=object)
+        keys, cols, values = self.system
+        return (self.rows // content[:, None],
+                (keys, cols, values // content[keys // self.h_cols.shape[1]]))
 
 
 def exact_module_bases(space: ReductiveSpace) -> ExactLane:
@@ -946,7 +958,7 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     gram_f = g.inner_product
     ip, dip = exact.cleared(g.inner_product_exact)
     ip = exact.narrowed(ip)
-    ad_h = exact.narrowed(g.structure_exact.ad_numerators(h_cols))
+    ad_h = g.structure_exact.ad_numerators(h_cols)
     mx, dx = exact.null_space(exact.imatmul(h_cols.T, ip))
     if mx.shape[1] != space.m.dim:
         raise ExactUnavailableError("exact m dimension disagrees with float")

@@ -14,10 +14,15 @@ sp(n):  complex 2n x 2n matrices [[A, B], [-conj(B), conj(A)]] with A in
         in the B block.
 torus(n): abelian, identity inner product.
 
-Classical structure constants are integers and are computed exactly;
-constructors raise if exact reconstruction ever fails. The exceptional
-algebra g2 is realized as the derivation algebra of the octonions and
-carries exact rational structure constants.
+Classical structure constants are integers and are computed exactly,
+from one sparse join: each basis matrix is expanded once into its
+matrix-unit entries with Gaussian-integer coefficients, every commutator
+comes from joining them on the shared index (E_rs E_uv = delta_su E_rv),
+and its coordinates from the family's extractor applied once to each
+matrix unit, a sparse dual. Constructors raise unless the coordinates
+are integers that rebuild the commutators exactly, entry for entry. The
+exceptional algebra g2 is realized as the derivation algebra of the
+octonions and carries exact rational structure constants.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ import numpy as np
 
 from . import exact
 from .core import (LieAlgebra, StructureConstants, ValidationError,
-                   bracket_images, direct_sum, make_algebra,
-                   pair_bracket_tensor, structure_constants, trivial_algebra)
+                   _accumulate, _join, bracket_images, direct_sum,
+                   make_algebra, pair_bracket_tensor, structure_constants,
+                   trivial_algebra)
 from .linalg import svd_rank
 
 RANK_MIN = {"so": 2, "su": 2, "u": 1, "sp": 1, "torus": 1}
@@ -173,12 +179,8 @@ def _coordinates(batch: np.ndarray, family: str, n: int, stack: np.ndarray,
 
 @lru_cache(maxsize=None)
 def classical(family: str, n: int) -> LieAlgebra:
-    """Compact classical algebra with integer structure constants.
-
-    The coordinates of each row of commutators [x_i, x_j] must be
-    integers that rebuild them exactly (``_coordinates`` at atol 0). With
-    Gaussian-integer basis matrices that float rebuild is exact, so they
-    are the constants; their triples are gathered as integers, row by row.
+    """Compact classical algebra with integer structure constants, read
+    off its basis matrices by ``_matrix_constants``.
 
     The inner product is minus the Killing form on the derived algebra
     and the coordinate dot product on the center.
@@ -187,19 +189,61 @@ def classical(family: str, n: int) -> LieAlgebra:
     name = f"{family}({n})"
     if family == "torus":
         return make_algebra(structure_constants(n, []), name)
+    return make_algebra(_matrix_constants(family, n, name), name)
+
+
+def _matrix_constants(family: str, n: int, name: str) -> StructureConstants:
+    """The family's integer structure constants, from one sparse join.
+
+    Each basis matrix x_t is expanded once into its matrix-unit entries
+    (t, r, s, c), x_t = sum c E_rs with c a Gaussian integer, and every
+    commutator [x_i, x_j] = x_i x_j - x_j x_i comes from one join of the
+    entries on the shared index, as E_rs E_uv = delta_su E_rv. The
+    family's extractor is real-linear, so applied once to each E_rv and
+    i E_rv it gives a sparse dual, and the coordinates of every
+    commutator are one more join, of its real and imaginary parts with
+    that dual. They must rebuild the commutators exactly, entry for entry
+    (a sparse rebuild, exact on Gaussian integers), and be integers; they
+    are the constants.
+    """
     stack = np.stack(matrix_basis(family, n))
-    index, numer = [], []
-    for i, x in enumerate(stack):
-        coords = _coordinates(x @ stack - stack @ x, family, n, stack, name)
-        j, k = np.nonzero(coords)
-        values = coords[j, k]
-        if not np.array_equal(values, np.rint(values)):
-            raise ValidationError(f"{name}: constants are not integers")
-        index.append(np.column_stack([np.full_like(j, i), j, k]))
-        numer += values.astype(np.int64).tolist()
-    constants = StructureConstants(len(stack), np.vstack(index),
-                                   np.array(numer, dtype=object))
-    return make_algebra(constants, name)
+    dim, size = len(stack), stack.shape[1]
+    units = size * size
+    t, r, s = np.nonzero(stack)
+    c = stack[t, r, s]
+    # x_a x_b holds c_a c_b at E_(r_a, s_b) wherever s_a == r_b
+    a, b = _join(s, r)
+    at = r[a] * size + s[b]
+    keys, comm = _accumulate(
+        np.concatenate([(t[a] * dim + t[b]) * units + at,
+                        (t[b] * dim + t[a]) * units + at]),
+        np.concatenate([c[a] * c[b], -c[a] * c[b]]))
+    keys, comm = keys[comm != 0], comm[comm != 0]
+    # Re w reads the dual row of E_rv, Im w the row of i E_rv
+    basis = np.identity(units).reshape(units, size, size)
+    dual = _EXTRACTORS[family](np.concatenate([basis, 1j * basis]), n)
+    unit, k = np.nonzero(dual)
+    pair, at = np.divmod(keys, units)
+    part = np.concatenate([comm.real, comm.imag])
+    live = np.flatnonzero(part)
+    a, b = _join(np.concatenate([at, at + units])[live], unit)
+    ijk, coords = _accumulate(np.tile(pair, 2)[live][a] * dim + k[b],
+                              part[live][a] * dual[unit[b], k[b]])
+    ijk, coords = ijk[coords != 0], coords[coords != 0]
+    # sum_k c_ijk x_k against [x_i, x_j], entry for entry
+    a, b = _join(ijk % dim, t)
+    _, diff = _accumulate(
+        np.concatenate([ijk[a] // dim * units + r[b] * size + s[b], keys]),
+        np.concatenate([coords[a] * c[b], -comm]))
+    err = np.abs(diff).max(initial=0.0)
+    if err > 0:
+        raise ValidationError(f"{name}: matrices do not lie in {family}({n}) "
+                              f"(residual {err:.2e})")
+    if not np.array_equal(coords, np.rint(coords)):
+        raise ValidationError(f"{name}: constants are not integers")
+    index = np.column_stack([ijk // (dim * dim), ijk // dim % dim, ijk % dim])
+    return StructureConstants(dim, index,
+                              coords.astype(np.int64).astype(object))
 
 
 # --- octonions ---------------------------------------------------------
@@ -310,7 +354,8 @@ def _g2_data() -> tuple[LieAlgebra, np.ndarray]:
             kernel[free], d * np.eye(14, dtype=np.int64)):
         raise ValidationError("derivation kernel is not 14-dimensional "
                               "in free-column form")
-    w = classical("so", 7).structure_exact.ad_numerators(kernel) @ kernel
+    w = exact.imatmul(classical("so", 7).structure_exact.ad_numerators(kernel),
+                      kernel).astype(object)
     coords = w[:, free]
     if not np.array_equal(kernel @ coords, d * w):
         raise ValidationError("derivation bracket left the kernel")
@@ -608,15 +653,14 @@ def embed_spin7_in_so8() -> Embedding:
     a7, b7 = np.array(so_pairs(7)).T
     p8, q8 = np.array(so_pairs(8)).T
     # P @ ad7 holds P [e_i, e_j] at [i, :, j], ad8 @ P [P e_i, P e_j]
-    ad7 = np.array(so7.structure_exact.ad_numerators(np.eye(21, dtype=int)),
-                   dtype=np.int64)
+    ad7 = so7.structure_exact.ad_numerators(np.eye(21, dtype=np.int64))
     left, right = unit_mult_matrices()
     for mats, sign in ((left, -1), (left, 1), (right, -1), (right, 1)):
         prods = mats[a7] @ mats[b7]
         if not np.array_equal(prods, -prods.transpose(0, 2, 1)):
             continue
         p = sign * prods[:, p8, q8].T
-        ad8 = np.array(so8.structure_exact.ad_numerators(p), dtype=np.int64)
+        ad8 = so8.structure_exact.ad_numerators(p)
         if np.array_equal(ad8 @ p, 2 * (p @ ad7)):
             return Embedding(source=so7, target=so8, matrix=p / 2,
                              name="spin7<so(8)")

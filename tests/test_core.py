@@ -236,6 +236,40 @@ def test_exact_checks_match_the_dense_float_ones(n, density, denom, seed):
         alg.bracket(core.exact.to_float(x), core.exact.to_float(y)), atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["so(5)", "sp(2)", "g2", "su(3)+su(2)"])
+def test_residuals_and_killing_agree_on_int64_and_python_ints(name):
+    # the same constants over a denominator 2^40 times larger: their
+    # products pass 2^63, so the joins run on Python ints, and give the
+    # Fractions and (scaled) sums of the int64 joins on the small ones
+    small = zoo.algebra_by_name(name).constants
+    scale = 2 ** 40
+    big = core.StructureConstants(small.dim, small.index, small.numer * scale,
+                                  small.denom * scale)
+    assert small._machine(len(small.index) ** 2).dtype == np.int64
+    assert big._machine(1).dtype == object
+    assert small.residuals() == big.residuals() == (0, 0)
+    keys, sums = small.killing()
+    big_keys, big_sums = big.killing()
+    assert sums.dtype == big_sums.dtype == object
+    assert {type(v) for v in sums} == {type(v) for v in big_sums} == {int}
+    np.testing.assert_array_equal(keys, big_keys)
+    assert [v * scale ** 2 for v in sums] == list(big_sums)
+    # one constant and its partner doubled keep antisymmetry, break Jacobi
+    i, j, k = small.index[0]
+    twice = np.flatnonzero((small.index == (i, j, k)).all(axis=1)
+                           | (small.index == (j, i, k)).all(axis=1))
+    broken = []
+    for c in (small, big):
+        numer = c.numer.copy()
+        numer[twice] *= 2
+        broken.append(core.StructureConstants(c.dim, c.index, numer,
+                                              c.denom).residuals())
+    assert broken[0] == broken[1]
+    anti, jac = broken[0]
+    assert anti == 0 and jac > 0
+    assert {type(v.numerator) for v in broken[0] + broken[1]} == {int}
+
+
 def test_broken_spec_is_reported_exactly(broken_su3_spec):
     report = core.algebra_from_json_dict(broken_su3_spec).validate()
     assert report.as_dict() == {"antisymmetry": 0.0, "jacobi": 2.0,

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -1495,10 +1496,16 @@ def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
                                                              monkeypatch):
     # the system and right-hand sides that each sample hands to
     # exact.solve, against the dense products rows @ ad(X) @ H and
-    # rows_k @ [X1, X2]: the lane's rows are module by module, and one
-    # solve per sample serves every pair at its seed
+    # rows_k @ [X1, X2] on the lane's primitive rows, each lane row over
+    # its content: the lane's rows are module by module, and one solve
+    # per sample serves every pair at its seed
     space = catalog.catalog_instantiate(entry_id, seed=0)
     lane = space.exact_lane
+    rows = lane.primitive[0]
+    content = [math.gcd(*row) for row in lane.rows.tolist()]
+    assert rows.tolist() == [[v // g for v in row] for row, g
+                             in zip(lane.rows.tolist(), content)]
+    assert [math.gcd(*row) for row in rows.tolist()] == [1] * len(rows)
     d1 = lane.bases[0].shape[1]
     assert not np.any(lane.rows[:d1] @ lane.bases[1])
     assert not np.any(lane.rows[d1:] @ lane.bases[0])
@@ -1514,9 +1521,9 @@ def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
     for (system, rhs), (x1, x2) in zip(seen, fac.parts):
         assert all(type(v) is int for v in system.flat)
         assert all(type(v) is int for v in rhs.flat)
-        dense = lane.rows @ ad((x1 + x2)[:, None])[0] @ lane.h_cols
+        dense = rows @ ad((x1 + x2)[:, None])[0].astype(object) @ lane.h_cols
         assert system.tolist() == dense.tolist()
-        b = lane.rows @ (ad(x1[:, None])[0] @ x2)
+        b = rows @ (ad(x1[:, None])[0].astype(object) @ x2)
         assert not any(rhs[:d1, 1]) and not any(rhs[d1:, 0])
         assert rhs[:d1, 0].tolist() + rhs[d1:, 1].tolist() == b.tolist()
 

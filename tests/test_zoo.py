@@ -309,8 +309,7 @@ def _same_constants(got, want):
 
 @pytest.mark.parametrize("family, n", [
     (f, n) for f in ("so", "su", "u", "sp")
-    for n in sorted({zoo.RANK_MIN[f], zoo.RANK_MIN[f] + 1, 4, zoo.RANK_CAPS[f]})
-    if zoo.RANK_MIN[f] <= n])
+    for n in range(zoo.RANK_MIN[f], zoo.RANK_CAPS[f] + 1)])
 def test_classical_constants_equal_the_fraction_build(family, n):
     _same_constants(zoo.classical(family, n).structure_exact,
                     _fraction_constants(family, n))
@@ -325,6 +324,18 @@ def test_classical_refuses_non_integer_constants(monkeypatch):
     monkeypatch.setitem(zoo._MATRIX_BASES, "so",
                         lambda n: [m / 2 for m in zoo._so_matrices(n)])
     with pytest.raises(core.ValidationError, match="not integers"):
+        zoo.classical.__wrapped__("so", 3)
+
+
+def test_classical_refuses_a_basis_matrix_outside_its_family(monkeypatch):
+    # E_01 + E_10 is symmetric: the extractor reads its commutators' upper
+    # triangles as integers, but they do not rebuild the commutators
+    def bases(n):
+        sym = np.zeros((n, n), dtype=np.complex128)
+        sym[0, 1] = sym[1, 0] = 1
+        return [sym] + zoo._so_matrices(n)[1:]
+    monkeypatch.setitem(zoo._MATRIX_BASES, "so", bases)
+    with pytest.raises(core.ValidationError, match="do not lie in so"):
         zoo.classical.__wrapped__("so", 3)
 
 
