@@ -19,10 +19,10 @@ from one sparse join: each basis matrix is expanded once into its
 matrix-unit entries with Gaussian-integer coefficients, every commutator
 comes from joining them on the shared index (E_rs E_uv = delta_su E_rv),
 and its coordinates from the family's extractor applied once to each
-matrix unit, a sparse dual. Constructors raise unless the coordinates
-are integers that rebuild the commutators exactly, entry for entry. The
-exceptional algebra g2 is realized as the derivation algebra of the
-octonions and carries exact rational structure constants.
+matrix unit, a sparse dual. Constructors raise unless the extractor
+reads the basis as the identity and the coordinates are integers that
+rebuild the commutators exactly, entry for entry, which proves Jacobi.
+g2, the octonions' derivation algebra, has exact rational constants.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def _coordinates(batch: np.ndarray, family: str, n: int, stack: np.ndarray,
 @lru_cache(maxsize=None)
 def classical(family: str, n: int) -> LieAlgebra:
     """Compact classical algebra with integer structure constants, read
-    off its basis matrices by ``_matrix_constants``.
+    off and proven by ``_matrix_constants`` (a torus has none).
 
     The inner product is minus the Killing form on the derived algebra
     and the coordinate dot product on the center.
@@ -204,10 +204,13 @@ def _matrix_constants(family: str, n: int, name: str) -> StructureConstants:
     commutator are one more join, of its real and imaginary parts with
     that dual. They must rebuild the commutators exactly, entry for entry
     (a sparse rebuild, exact on Gaussian integers), and be integers; they
-    are the constants.
+    are the constants. The extractor must read the basis as the identity:
+    the matrices are then independent, so antisymmetry and Jacobi hold.
     """
     stack = np.stack(matrix_basis(family, n))
     dim, size = len(stack), stack.shape[1]
+    if not np.array_equal(_EXTRACTORS[family](stack, n), np.identity(dim)):
+        raise ValidationError(f"{name}: basis matrices are not independent")
     units = size * size
     t, r, s = np.nonzero(stack)
     c = stack[t, r, s]
@@ -339,7 +342,8 @@ def _g2_data() -> tuple[LieAlgebra, np.ndarray]:
     same row space, so the same rref and kernel K = N / d (N integer).
     W = ad(N) N holds d^2 [K_s, K_t] at W[s, :, t]; as K[free] = I, its
     rows ``free`` are their coordinates in K, and the closure check
-    N W[:, free] = d W is an identity of integers.
+    N W[:, free] = d W is an identity of integers. The two checks prove
+    Jacobi: K[free] = I makes the columns of K independent.
     """
     f = _octonion_f()
     basis = np.real(np.stack(_so_matrices(7))).astype(np.int64)

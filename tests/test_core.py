@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -210,7 +211,7 @@ def _random_exact_algebra(rng, n, density, denom):
                                       else -upper[j, i, k]), denom))
                for i in range(n) for j in range(n) for k in range(n) if i != j]
     return core.make_algebra(core.structure_constants(n, entries), "",
-                             np.eye(n), validate=False)
+                             np.eye(n))
 
 
 @given(st.integers(0, 6), st.floats(0.0, 1.0), st.sampled_from([1, 2, 4]),
@@ -340,6 +341,70 @@ def test_structure_constants_share_one_denominator():
             (1, 1, 1, "2/3")])
     assert c.index.tolist() == [[0, 1, 0], [1, 0, 0], [1, 1, 1]]
     assert list(c.numer) == [3, -3, 4] and c.denom == 6
+
+
+def _per_entry_reader(data):
+    """A spec's triples as the reader built them one entry at a time: a
+    dict keyed by (i, j, k), so the last repeat wins, zeros dropped, then
+    sorted. Returns the index and the float values, or the Python-int
+    numerators and their denominator."""
+    entries = data["structure"]
+    rational = all(isinstance(e[3], (str, int)) for e in entries)
+    convert = core.exact.frac if rational else float
+    coeffs = {(int(i), int(j), int(k)): convert(v) for i, j, k, v in entries}
+    keys = sorted(key for key, v in coeffs.items() if v != 0)
+    index = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    values = [coeffs[key] for key in keys]
+    if not rational:
+        return index, np.array(values, dtype=np.float64), 1
+    denom = math.lcm(*(v.denominator for v in values))
+    return index, [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+@given(st.integers(1, 4), st.integers(0, 60), st.booleans(),
+       st.integers(0, 2 ** 31))
+@settings(max_examples=80, deadline=None)
+def test_spec_reader_matches_the_per_entry_reader(dim, m, rational, seed):
+    # few indices, so (i, j, k) repeat; a fifth of the values are zeros
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, dim, (m, 3)).tolist()
+    picks = rng.integers(-2, 3, m).tolist()
+    if rational:
+        values = [p if p % 2 else f"{p}/{3 + p}" for p in picks]
+    else:
+        values = [[0.0, -0.0, 0][int(rng.integers(3))] if p == 0 else
+                  p if p == 1 else p * float(rng.standard_normal())
+                  for p in picks]
+    data = {"dim": dim, "structure": [e + [v] for e, v in zip(index, values)]}
+    rational = all(isinstance(v, (str, int)) for v in values)
+    c = core.algebra_from_json_dict({**data, "inner_product": np.eye(
+        dim).tolist()}).constants
+    index, numer, denom = _per_entry_reader(data)
+    assert c.index.dtype == np.int64 and c.index.flags.c_contiguous
+    assert c.index.shape == index.shape
+    assert c.index.tobytes() == index.tobytes()
+    assert c.denom == denom and c.exact == rational
+    if rational:
+        assert [type(v) for v in c.numer] == [int] * len(numer)
+        assert list(c.numer) == numer
+    else:
+        assert c.numer.dtype == np.float64
+        assert c.numer.tobytes() == numer.tobytes()
+
+
+def test_spec_errors_name_the_first_bad_entry_in_input_order():
+    nan, inf = float("nan"), float("inf")
+    good = [0, 1, 2, 1.0]
+    cases = [
+        ([good, [1, 0, 2, nan], [0, 3, 1, 1.0]], r"constant \(1,0,2\) is nan"),
+        ([good, [0, 3, 1, 1.0], [1, 0, 2, nan]], r"index \(0,3,1\) out of"),
+        ([[2, 0, -1, inf], [1, 0, 2, nan]], r"index \(2,0,-1\) out of"),
+        ([good, [1, 2, 0, -inf]], r"constant \(1,2,0\) is -inf"),
+        ([[0, 1, 2, 1], [0, 1, 9, "1/2"]], r"index \(0,1,9\) out of"),
+    ]
+    for entries, message in cases:
+        with pytest.raises(core.ValidationError, match=message):
+            core.algebra_from_json_dict({"dim": 3, "structure": entries})
 
 
 def _held_arrays(alg):

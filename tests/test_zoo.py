@@ -26,12 +26,29 @@ def test_classical_dimensions_match_closed_forms():
 
 
 def test_classical_structures_validate_exactly():
-    for family, n in (("so", 6), ("su", 4), ("u", 3), ("sp", 2), ("so", 16),
-                      ("su", 8), ("u", 8), ("sp", 7)):
-        report = zoo.classical(family, n).validate()
-        assert report.mode == "exact"
-        assert report.jacobi == 0.0
-        assert report.antisymmetry == 0.0
+    # no build runs the Jacobi join: this oracle runs it on every
+    # buildable classical algebra
+    for family in ("so", "su", "u", "sp"):
+        for n in range(zoo.RANK_MIN[family], zoo.RANK_CAPS[family] + 1):
+            report = zoo.classical(family, n).validate()
+            assert report.mode == "exact", (family, n)
+            assert report.jacobi == 0.0, (family, n)
+            assert report.antisymmetry == 0.0, (family, n)
+
+
+def test_classical_builds_run_no_jacobi_or_invariance_check(monkeypatch):
+    # the constructions prove what the two checks test, so a build runs
+    # neither
+    def refuse(*args):
+        raise AssertionError("a build ran a check its construction proves")
+    monkeypatch.setattr(core.StructureConstants, "residuals", refuse)
+    monkeypatch.setattr(core.LieAlgebra, "inner_ad_invariance", refuse)
+    for family in zoo.RANK_CAPS:
+        for n in (zoo.RANK_MIN[family], zoo.RANK_CAPS[family]):
+            assert zoo.classical.__wrapped__(family, n).dim \
+                == zoo._DIMENSION[family](n)
+    assert zoo._g2_data.__wrapped__()[0].dim == 14
+    assert core.trivial_algebra().dim == 0
 
 
 def test_classical_and_g2_constants_are_integers():
@@ -336,6 +353,17 @@ def test_classical_refuses_a_basis_matrix_outside_its_family(monkeypatch):
         return [sym] + zoo._so_matrices(n)[1:]
     monkeypatch.setitem(zoo._MATRIX_BASES, "so", bases)
     with pytest.raises(core.ValidationError, match="do not lie in so"):
+        zoo.classical.__wrapped__("so", 3)
+
+
+def test_classical_refuses_a_dependent_basis(monkeypatch):
+    # a copy of L_01 appended to so(3)'s basis: every commutator still
+    # lies in the span and has integer coordinates that rebuild it, but
+    # the four matrices are not a basis
+    monkeypatch.setitem(zoo._MATRIX_BASES, "so",
+                        lambda n: zoo._so_matrices(n) + zoo._so_matrices(n)[:1])
+    with pytest.raises(core.ValidationError,
+                       match=r"so\(3\): basis matrices are not independent"):
         zoo.classical.__wrapped__("so", 3)
 
 
