@@ -8,11 +8,11 @@ classical algebra, g2, rational JSON specs, direct sums of exact
 algebras), float64 for a float one (float JSON specs, subalgebras read
 off numerically, dense tensors). Every contraction, exact or float,
 runs on the triples; ``LieAlgebra.structure`` rebuilds the dense
-tensor on each read. The default inner product is the negative Killing form on the derived
-algebra plus the coordinate dot product on the center, assembled so
-that it is ad-invariant and positive definite on compact algebras.
-An inner product that a JSON spec supplies is never checked for
-ad-invariance: ``validate_algebra`` checks antisymmetry and Jacobi only.
+tensor on each read. The one float Gram defaults to the negative Killing
+form on the derived algebra plus the dot product on the center,
+ad-invariant and positive definite on compact algebras; the exact GO
+lane reads its rationals back and proves them ad-invariant, while
+``validate_algebra`` checks antisymmetry and Jacobi only.
 """
 
 from __future__ import annotations
@@ -188,6 +188,27 @@ class StructureConstants:
         keys, sums = _accumulate(i[a] * n + i[b], numer[a] * numer[b])
         return keys, sums.astype(object)
 
+    def invariance(self, gram: np.ndarray) -> int:
+        """Largest |denom (<[e_a, e_b], e_c> + <e_b, [e_a, e_c]>)| for an
+        integer Gram, on Python ints: 0 exactly when it is ad-invariant.
+        One join of the rows (a, b, d) with the Gram's nonzero (d, c) puts
+        each term c_abd G_dc at (a, b, c) and at (a, c, b). The exact
+        lane's GO equation, [X + Z, A X] in h for X in m and Z in h, is
+        the geodesic lemma <[X + Z, Y]_m, A X> = 0 (all Y in m) only once
+        ad(X + Z) moves across the inner product, with X in m: ad(h)-
+        invariance, which keeps m and its modules invariant, is not enough.
+        """
+        n = self.dim
+        i, j, k = self.index.T
+        d, col = np.nonzero(gram)
+        row, at = _join(k, d)
+        a, b, c = i[row], j[row], col[at]
+        terms = self.numer.astype(object)[row] * gram[d[at], c].astype(object)
+        _, sums = _accumulate(np.concatenate([(a * n + b) * n + c,
+                                              (a * n + c) * n + b]),
+                              np.tile(terms, 2))
+        return int(np.abs(sums).max(initial=0))
+
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Exact [x, y] for Fraction coordinate vectors, from
         ``bracket_numerators`` on integers over the cleared denominators."""
@@ -308,14 +329,13 @@ def validate_algebra(structure, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Immutable Lie algebra: structure constants and an inner product.
+    """Immutable Lie algebra: structure constants and one float Gram.
     A dense (n, n, n) tensor given as ``constants`` becomes float triples
     (``float_constants``). Equality and hashing are by identity."""
 
     constants: StructureConstants
     inner_product: np.ndarray
     name: str = ""
-    inner_product_exact: np.ndarray | None = None
 
     def __post_init__(self):
         if not isinstance(self.constants, StructureConstants):
@@ -391,13 +411,8 @@ class LieAlgebra:
         values = ([exact.format_value(Fraction(int(v), c.denom)) for v in c.numer]
                   if c.exact else c.numer.tolist())
         entries = [[i, j, k, v] for (i, j, k), v in zip(c.index.tolist(), values)]
-        data = {"name": self.name, "dim": self.dim, "structure": entries}
-        if self.inner_product_exact is not None:
-            data["inner_product"] = [[exact.format_value(v) for v in row]
-                                     for row in self.inner_product_exact]
-        else:
-            data["inner_product"] = [[float(v) for v in row] for row in self.inner_product]
-        return data
+        return {"name": self.name, "dim": self.dim, "structure": entries,
+                "inner_product": self.inner_product.tolist()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -408,8 +423,9 @@ class LieAlgebra:
 
 def algebra_from_json_dict(data: dict) -> LieAlgebra:
     """Algebra from a JSON spec; rational constants (ints and strings) give
-    an exact algebra, any float a float one. Not validated, so a bad spec
-    can still be built and reported."""
+    an exact algebra, any float a float one. An inner product must be
+    finite and positive definite; the constants are not validated, so a
+    bad spec can still be built and reported."""
     dim = int(data["dim"])
     entries = data["structure"]
     table = np.array(entries, dtype=object).reshape(len(entries), 4)
@@ -425,12 +441,11 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
         raise ValidationError(
             f"structure index ({i},{j},{k}) out of range" if outside[t]
             else f"structure constant ({i},{j},{k}) is {value}, not finite")
-    gram = gram_exact = None
+    gram = None
     if data.get("inner_product") is not None:
         rows = data["inner_product"]
         if all(isinstance(v, (str, int)) for row in rows for v in row):
-            gram_exact = exact.fmatrix(rows)
-            gram = exact.to_float(gram_exact)
+            gram = exact.to_float(exact.fmatrix(rows))
         else:
             gram = np.array(rows, dtype=np.float64)
             check_finite(gram, "inner product")
@@ -438,7 +453,13 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
         constants = structure_constants(dim, entries)
     else:
         constants = StructureConstants(dim, *_entries(dim, table, values))
-    return make_algebra(constants, data.get("name", ""), gram, gram_exact)
+    alg = make_algebra(constants, data.get("name", ""), gram)
+    if gram is not None:
+        try:  # the test gram_orthonormalize applies
+            np.linalg.cholesky(alg.inner_product)
+        except np.linalg.LinAlgError:
+            raise ValidationError("inner product is not positive definite") from None
+    return alg
 
 
 def algebra_from_json(text: str) -> LieAlgebra:
@@ -446,18 +467,17 @@ def algebra_from_json(text: str) -> LieAlgebra:
 
 
 def make_algebra(constants: StructureConstants, name: str,
-                 inner_product: np.ndarray | None = None,
-                 inner_product_exact: np.ndarray | None = None) -> LieAlgebra:
+                 inner_product: np.ndarray | None = None) -> LieAlgebra:
     """Assemble an algebra, with ``default_inner_product`` when no inner
     product is given. Nothing is checked: builders prove their constants
-    (``zoo.classical``, ``zoo._g2_data``), ``validate_algebra`` others."""
+    (``zoo.classical``, ``zoo._g2_data``), ``validate_algebra`` others,
+    and the exact lane proves the inner product it reads back."""
     if inner_product is None:
-        inner_product, inner_product_exact = default_inner_product(constants)
-    return LieAlgebra(constants, inner_product, name, inner_product_exact)
+        inner_product = default_inner_product(constants)
+    return LieAlgebra(constants, inner_product, name)
 
 
-def default_inner_product(constants: StructureConstants
-                          ) -> tuple[np.ndarray, np.ndarray | None]:
+def default_inner_product(constants: StructureConstants) -> np.ndarray:
     """Negative Killing form on the derived algebra, dot product on the center.
 
     The two blocks are glued along the direct sum g = center + [g, g]:
@@ -465,7 +485,8 @@ def default_inner_product(constants: StructureConstants
     is (Humphreys, Introduction to Lie Algebras, 5.1) and the center is
     ad-trivial and orthogonal to [g, g]. Raises for non-compact input
     (negative Killing form not positive definite on [g, g]). Exact
-    constants with a trivial center give the exact -B and its float copy.
+    constants give -B from the exact Killing sums, each entry rounded
+    once, so the exact lane reads the exact -B back off it.
 
     A -B that passes the definiteness test on all of g is nondegenerate,
     so g is semisimple (Cartan), with center 0 and [g, g] = g: -B is the
@@ -475,16 +496,11 @@ def default_inner_product(constants: StructureConstants
     """
     n = constants.dim
     if not len(constants.index):
-        return np.eye(n), exact.fidentity(n)
-    if constants.exact:
-        keys, sums = constants.killing()
-        d = constants.denom ** 2
-        b = _floats((n, n), keys, sums, d)
-        neg_exact = _fractions((n, n), keys, -sums, d)
-    else:
-        b, neg_exact = _float_killing(constants), None
+        return np.eye(n)
+    b = (_floats((n, n), *constants.killing(), constants.denom ** 2)
+         if constants.exact else _float_killing(constants))
     if np.linalg.eigvalsh(-b).min() > 1e-8 * float(np.abs(b).max()):
-        return -b, neg_exact
+        return -b
     # column (i, j) of the bracket matrix is [e_i, e_j]
     i, j, k = constants.index.T
     brackets = np.zeros((n, n * n))
@@ -498,12 +514,11 @@ def default_inner_product(constants: StructureConstants
     if center.shape[1] + derived.shape[1] != n:
         raise ValidationError("center and derived algebra do not span (non-reductive?)")
     if center.shape[1] == 0:
-        return -b, neg_exact
+        return -b
     basis = np.hstack([center, derived])
     inv = np.linalg.inv(basis)
     proj_center = center @ inv[: center.shape[1], :]
-    gram = -b + proj_center.T @ proj_center
-    return gram, None
+    return -b + proj_center.T @ proj_center
 
 
 def trivial_algebra() -> LieAlgebra:
@@ -520,12 +535,8 @@ def direct_sum(summands: list[LieAlgebra], name: str | None = None) -> LieAlgebr
     total = sum(dims)
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     gram = np.zeros((total, total))
-    gram_exact = exact.fzeros((total, total)) if all(
-        a.inner_product_exact is not None for a in summands) else None
     for o, alg in zip(offsets, summands):
         gram[o:o + alg.dim, o:o + alg.dim] = alg.inner_product
-        if gram_exact is not None:
-            gram_exact[o:o + alg.dim, o:o + alg.dim] = alg.inner_product_exact
     if name is None:
         name = "+".join(a.name or "?" for a in summands)
     parts = [a.constants for a in summands] or [structure_constants(0, [])]
@@ -537,7 +548,7 @@ def direct_sum(summands: list[LieAlgebra], name: str | None = None) -> LieAlgebr
     constants = StructureConstants(
         total, np.vstack([c.index + o for c, o in zip(parts, offsets)]),
         np.concatenate(numer), denom)
-    return make_algebra(constants, name, gram, gram_exact)
+    return make_algebra(constants, name, gram)
 
 
 def _center(constants: StructureConstants) -> np.ndarray:

@@ -56,13 +56,6 @@ def fzeros(shape) -> np.ndarray:
     return arr
 
 
-def fidentity(n: int) -> np.ndarray:
-    arr = fzeros((n, n))
-    for i in range(n):
-        arr[i, i] = Fraction(1)
-    return arr
-
-
 def to_float(a: np.ndarray, d: int = 1) -> np.ndarray:
     """Float array of ``a / d``, each entry rounded once (``a`` of
     Fractions or Python ints)."""

@@ -114,10 +114,6 @@ class ReductiveSplit:
         raw = pair_bracket_tensor(self.g, self.h.basis, self.m.basis)
         return _read_only(bracket_coords(self.g, raw, self.m.basis))
 
-    def _m_brackets(self, basis: np.ndarray) -> np.ndarray:
-        raw = pair_bracket_tensor(self.g, self.m.basis, self.m.basis)
-        return _read_only(bracket_coords(self.g, raw, basis))
-
     @cached_property
     def stabilizer_frame(self) -> tuple[np.ndarray, int]:
         """``filters.principal_frame(iso_action)``, no seed: (F, r), r the
@@ -130,12 +126,9 @@ class ReductiveSplit:
         return _read_only(frame), rank
 
     @cached_property
-    def m_bracket_h(self) -> np.ndarray:
-        return self._m_brackets(self.h.basis)
-
-    @cached_property
     def m_bracket_m(self) -> np.ndarray:
-        return self._m_brackets(self.m.basis)
+        raw = pair_bracket_tensor(self.g, self.m.basis, self.m.basis)
+        return _read_only(bracket_coords(self.g, raw, self.m.basis))
 
     @cached_property
     def commutant(self) -> np.ndarray:
@@ -294,12 +287,6 @@ class ReductiveSpace:
         if d.exact_lane is None:
             d.exact_lane = exact_module_bases(self)
         return d.exact_lane
-
-    @property
-    def m_bracket_h(self) -> np.ndarray:
-        """h-coordinates of [m_i, m_j], shape (dim m, dim m, dim h),
-        read-only."""
-        return self.split.m_bracket_h
 
     @property
     def m_bracket_m(self) -> np.ndarray:
@@ -876,10 +863,11 @@ class ExactLane:
     they are the embedding's float matrix read as rationals over one
     denominator (``exact.rounded``), which gives the matrix back exactly.
     ``rows`` are module-ordered, rows_k = bases[k]^T G with G the integer
-    Gram, so ``rows @ v`` vanishes exactly when v lies in h and rows_k
-    sees only v's part in module k. ``system`` is the integer tensor
-    S[a] = rows @ ad(h_a), h_a column a of ``h_cols``, as its nonzero
-    (keys, cols, values): key p * dim h + a and column j hold S[a][p, j].
+    Gram read off g's float one and proven ad-invariant, so ``rows @ v``
+    vanishes exactly when v lies in h and rows_k sees only v's part in
+    module k. ``system`` is the integer tensor S[a] = rows @ ad(h_a), h_a
+    column a of ``h_cols``, as its nonzero (keys, cols, values): key
+    p * dim h + a and column j hold S[a][p, j].
     ``to_m`` and ``to_h`` take float g coordinates to orthonormal m and
     h coordinates. ``primitive`` holds ``rows`` and ``system`` with row p
     divided by the content (gcd) of rows[p], once per lane: each
@@ -909,15 +897,17 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     """The exact GO lane: rational bases of the two isotropy modules,
     verified against the float ones, and the integer data each sample reuses.
 
-    h's integer columns are the embedding's float matrix rounded by
-    ``exact.rounded``, and are taken only if they give the matrix back
-    exactly, entry for entry; an irrational embedding is refused there.
-    m's rational basis mx / dx is the exact kernel of h's Gram pairing,
-    in rref free-column form, and its pairing rows mx^T G must kill
-    [h, h], one integer product, which proves that the rounded h is a
-    subalgebra. gm / (dx^2 dip) is m's Gram matrix, with dip the inner
-    product's denominator. The module that
-    ``argmax(module_dims)`` does not pick is read off its float
+    The integer Gram ip / dip and h's integer columns are g's float Gram
+    and the embedding's float matrix read by ``exact.rounded``, each taken
+    only if it gives its matrix back exactly, entry for entry; an
+    irrational one is refused there. The Gram must also be symmetric and
+    ad(g)-invariant (``StructureConstants.invariance`` 0), as the GO
+    equation the lane solves assumes. m's rational basis mx / dx is the
+    exact kernel of h's Gram pairing, in rref free-column form, and its
+    pairing rows mx^T G must kill [h, h], one integer product, which
+    proves that the rounded h is a subalgebra. gm / (dx^2 dip) is m's
+    Gram matrix. The module that ``argmax(module_dims)`` does not pick
+    is read off its float
     projector: the gm-orthogonal projector P onto the module, in that
     basis, is rounded to the nearest fractions with denominators up to
     2^20 by ``exact.rounded`` (an entry within 2^-21 of an integer takes
@@ -943,8 +933,13 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     certifies a wrong split.
     """
     g, emb = space.g, space.embedding
-    if g.structure_exact is None or g.inner_product_exact is None:
+    ip, dip = exact.rounded(g.inner_product)
+    if g.structure_exact is None or not np.array_equal(
+            exact.to_float(ip, dip), g.inner_product):
         raise ExactUnavailableError(f"{g.name or 'g'} lacks exact data")
+    if not np.array_equal(ip, ip.T) or g.structure_exact.invariance(ip):
+        raise ExactUnavailableError(
+            f"{g.name or 'g'}: inner product is not ad-invariant")
     h_cols, dh = exact.rounded(emb.matrix) if emb is not None else (None, 1)
     if emb is None or not np.array_equal(exact.to_float(h_cols, dh),
                                          emb.matrix):
@@ -956,7 +951,6 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     if len(space.modules) != 2:
         raise ExactUnavailableError("exact mode expects two modules")
     gram_f = g.inner_product
-    ip, dip = exact.cleared(g.inner_product_exact)
     ip = exact.narrowed(ip)
     ad_h = g.structure_exact.ad_numerators(h_cols)
     mx, dx = exact.null_space(exact.imatmul(h_cols.T, ip))

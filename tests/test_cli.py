@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -49,23 +50,29 @@ def test_validate_refuses_a_non_compact_algebra(runner, tmp_path, spec,
         "compact)" in result.output
 
 
-@pytest.mark.parametrize("where", ["structure", "inner_product"])
+@pytest.mark.parametrize("where", ["structure", "inner_product", "indefinite"])
 def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
-    # a NaN constant or Gram entry once ended in a LAPACK traceback
+    # a NaN constant or Gram entry, or an indefinite Gram, once ended in
+    # a LAPACK traceback
     data = zoo.classical("su", 2).to_json_dict()
     data["structure"] = [e[:3] + [float(e[3])] for e in data["structure"]]
     data["inner_product"] = [[float(v) for v in row]
                              for row in data["inner_product"]]
+    message = "is nan, not finite"
     if where == "structure":
         data["structure"][0][3] = float("nan")
-    else:
+    elif where == "inner_product":
         data["inner_product"][0][0] = float("nan")
-    path = tmp_path / "nan.json"
+    else:
+        data["inner_product"] = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
+        message = "Error: inner product is not positive definite"
+    path = tmp_path / "bad.json"
     path.write_text(json.dumps({"algebra": data}))
-    result = invoke(runner, ["validate", str(path)])
-    assert result.exit_code == 1
-    assert "is nan, not finite" in result.output
-    assert "Traceback" not in result.output
+    for command in ("validate", "decompose", "check-go"):
+        result = invoke(runner, [command, str(path)])
+        assert result.exit_code == 1, command
+        assert message in result.output, command
+        assert "Traceback" not in result.output
 
 
 def test_commands_never_read_the_dense_structure_tensor():
@@ -405,6 +412,24 @@ def test_space_spec_file_target(runner, tmp_path):
     result = invoke(runner, ["decompose", str(path), "--json"])
     assert result.exit_code == 0
     assert json.loads(result.output)["module_dims"] == [2, 4]
+
+
+def test_exact_lane_reads_a_float_spec_gram(runner, tmp_path):
+    # the lane reads the rationals off a float Gram and proves them
+    # ad-invariant, so a spec with float Gram entries gets the exact
+    # verdict of the catalog entry it restates
+    data = zoo.classical("so", 5).to_json_dict()
+    data["inner_product"] = [[float(Fraction(v)) for v in row]
+                             for row in data["inner_product"]]
+    spec = {"name": "so(5)/u(2)", "algebra": data,
+            "embedding": {"key": "u_in_so_odd", "params": {"k": 2}}}
+    path = tmp_path / "so5_u2.json"
+    path.write_text(json.dumps(spec))
+    got = invoke(runner, ["check-go", str(path), "--exact", "--json"])
+    want = invoke(runner, ["check-go", "go-3-k2", "--exact", "--json"])
+    assert got.exit_code == want.exit_code == 0
+    assert got.output == want.output
+    assert json.loads(got.output)["exact"] is True
 
 
 def test_missing_and_malformed_spec_files_are_usage_errors(runner, tmp_path):

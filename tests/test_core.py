@@ -271,6 +271,44 @@ def test_residuals_and_killing_agree_on_int64_and_python_ints(name):
     assert {type(v.numerator) for v in broken[0] + broken[1]} == {int}
 
 
+def test_invariance_residuals_match_a_dense_reference():
+    # the join's integer sums are the dense <[e_a, e_b], e_c> +
+    # <e_b, [e_a, e_c]> of ``inner_ad_invariance`` times the constants'
+    # denominator, on invariant Grams (integer multiples of the read-off
+    # on each ideal) and on random symmetric ones
+    rng = np.random.default_rng(0)
+    for name in ("su(2)", "so(5)", "g2", "su(3)+su(2)", "u(2)"):
+        alg = zoo.algebra_by_name(name)
+        ip, dip = core.exact.rounded(alg.inner_product)
+        raw = rng.integers(-3, 4, (alg.dim, alg.dim))
+        # the same constants at half scale: [x, y] / 2 is a Lie bracket too
+        halved = core.StructureConstants(alg.dim, alg.constants.index,
+                                         alg.constants.numer, 2)
+        grams = [ip, 2 * ip, raw + raw.T, ip + np.diag(raw.diagonal())]
+        if name == "su(3)+su(2)":
+            grams.append(ip * np.r_[np.full(8, 3), np.full(3, -1)])
+        for gram in grams:
+            for c in (alg.constants, halved):
+                got = c.invariance(gram.astype(object))
+                dense = core.LieAlgebra(c, gram.astype(np.float64))
+                assert got == c.denom * dense.inner_ad_invariance(), name
+                # on Python ints past int64 the sums scale with the Gram
+                assert c.invariance(gram.astype(object) * 2 ** 70) \
+                    == got * 2 ** 70
+        assert alg.constants.invariance(raw + raw.T) > 0, name
+    # the read-off Gram of every algebra that has one is invariant
+    names = [f"{family}({n})" for family in zoo.RANK_CAPS
+             for n in range(zoo.RANK_MIN[family], zoo.RANK_CAPS[family] + 1)]
+    read_off = 0
+    for alg in map(zoo.algebra_by_name, names + ["g2"]):
+        ip, dip = core.exact.rounded(alg.inner_product)
+        if np.array_equal(core.exact.to_float(ip, dip), alg.inner_product):
+            assert alg.constants.invariance(ip) == 0, alg.name
+            read_off += 1
+    # all but u(3) to u(8), whose center blocks are not rational
+    assert read_off == len(names) + 1 - 6
+
+
 def test_broken_spec_is_reported_exactly(broken_su3_spec):
     report = core.algebra_from_json_dict(broken_su3_spec).validate()
     assert report.as_dict() == {"antisymmetry": 0.0, "jacobi": 2.0,
@@ -319,10 +357,8 @@ def test_a_non_finite_spec_entry_is_refused_by_name(bad):
 
 
 def test_abelian_default_inner_product_is_the_identity():
-    gram, gram_exact = core.default_inner_product(
-        core.float_constants(np.zeros((3, 3, 3))))
+    gram = core.default_inner_product(core.float_constants(np.zeros((3, 3, 3))))
     np.testing.assert_array_equal(gram, np.eye(3))
-    assert (gram_exact == core.exact.fidentity(3)).all()
 
 
 def test_unpaired_rational_entry_breaks_antisymmetry():
@@ -500,11 +536,11 @@ def test_definite_killing_form_skips_the_svds_with_the_same_bits(
         raise AssertionError("bracket-matrix SVD on a semisimple algebra")
     monkeypatch.setattr(core, "column_space", refuse)
     monkeypatch.setattr(core, "_center", refuse)
-    got, got_exact = core.default_inner_product(alg.constants)
+    got = core.default_inner_product(alg.constants)
     assert got.tobytes() == want.tobytes() == alg.inner_product.tobytes()
-    assert [repr(v) for v in got_exact.flat] == \
-        [repr(v) for v in want_exact.flat] == \
-        [repr(v) for v in alg.inner_product_exact.flat]
+    # the exact lane reads the exact -B back off the float one
+    assert [repr(v) for v in core.exact.over(
+        *core.exact.rounded(got)).flat] == [repr(v) for v in want_exact.flat]
 
 
 @pytest.mark.parametrize("name", ["u(3)", "su(2)+torus(2)"])
@@ -517,8 +553,8 @@ def test_algebras_with_a_center_still_take_the_svd_path(name, monkeypatch):
         calls.append(a.shape)
         return column_space(a)
     monkeypatch.setattr(core, "column_space", spy)
-    gram, gram_exact = core.default_inner_product(alg.constants)
-    assert calls == [(alg.dim, alg.dim ** 2)] and gram_exact is None
+    gram = core.default_inner_product(alg.constants)
+    assert calls == [(alg.dim, alg.dim ** 2)]
     # the center block is the coordinate dot product, the rest -B
     center = alg.center
     np.testing.assert_allclose(center.T @ gram @ center,
@@ -544,11 +580,11 @@ def test_float_killing_form_matches_einsum_on_dense_constants(name):
     assert np.count_nonzero(c) == c.size
     want = np.einsum("imn,jnm->ij", c, c)
     constants = core.float_constants(c)
-    gram, gram_exact = core.default_inner_product(constants)
+    gram = core.default_inner_product(constants)
     alg = core.LieAlgebra(constants, gram)
     scale = np.abs(want).max()
     assert np.abs(alg.killing_form - want).max() <= 1e-13 * scale
-    assert np.abs(gram + want).max() <= 1e-13 * scale and gram_exact is None
+    assert np.abs(gram + want).max() <= 1e-13 * scale
 
 
 def test_float_killing_form_of_dense_constants_stays_small():
@@ -559,7 +595,7 @@ def test_float_killing_form_of_dense_constants_stays_small():
     constants.groups  # cached with the constants, as after any contraction
     tracemalloc.start()
     try:
-        gram, _ = core.default_inner_product(constants)
+        gram = core.default_inner_product(constants)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1401,7 +1401,7 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
     # h's columns read off the float embedding, one exact.frac per entry
     h = exact.fmatrix(space.embedding.matrix.tolist())
     # m's rational basis is the kernel of h's Gram pairing
-    gram = space.g.inner_product_exact
+    gram = exact.over(*exact.rounded(space.g.inner_product))
     m_basis = exact.over(*exact.null_space(h.T @ gram))
     rows, _ = exact.cleared(m_basis.T @ gram)
     (want, d), (got, e) = exact.null_space(rows), exact.null_space(lane.rows)

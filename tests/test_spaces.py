@@ -305,7 +305,7 @@ def test_exact_module_bases_match_float_dims(so5_u2):
     lane = spaces.exact_module_bases(so5_u2)
     assert tuple(b.shape[1] for b in lane.bases) == (2, 4)
     g = so5_u2.g
-    gram = core.exact.to_float(g.inner_product_exact)
+    gram = g.inner_product
     for exact_b, mod in zip(lane.bases, so5_u2.modules):
         cols = core.exact.to_float(exact_b, lane.denom)
         # same subspace as the float module, checked via gram projections
@@ -313,6 +313,26 @@ def test_exact_module_bases_match_float_dims(so5_u2):
         recon = mod.basis @ np.linalg.solve(
             mod.basis.T @ gram @ mod.basis, proj)
         np.testing.assert_allclose(recon, cols, atol=1e-8)
+
+
+def test_exact_lane_refuses_a_gram_that_is_not_ad_invariant(so5_u2):
+    # -B on h and -3B on m is rational and ad(h)-invariant, so the split
+    # and both modules stand, but ad(m) breaks it: the GO equation the
+    # lane solves would not be that of the metric
+    g, emb = so5_u2.g, so5_u2.embedding
+    h, neg_b = emb.matrix, g.inner_product
+    p_m = np.eye(g.dim) - h @ np.linalg.solve(h.T @ neg_b @ h, h.T @ neg_b)
+    gram = core.exact.to_float(*core.exact.rounded(
+        neg_b + 2 * p_m.T @ neg_b @ p_m))
+    mutant = core.LieAlgebra(g.constants, gram, "so(5)'")
+    assert mutant.inner_ad_invariance() == 12.0
+    space = spaces.decompose_isotropy(spaces.reductive_space(
+        None, zoo.Embedding(source=emb.source, target=mutant,
+                            matrix=h)))
+    assert space.module_dims == so5_u2.module_dims
+    with pytest.raises(spaces.ExactUnavailableError,
+                       match=r"^so\(5\)': inner product is not ad-invariant$"):
+        spaces.exact_module_bases(space)
 
 
 def _with_modules(space, blocks):
@@ -422,8 +442,10 @@ def test_bracket_tensors_are_consistent(su3_su2):
     m_part = su3_su2.m.basis @ np.einsum(
         "abc,a,b->c", su3_su2.m_bracket_m,
         np.arange(1.0, su3_su2.m.dim + 1), np.eye(su3_su2.m.dim)[0])
+    m_bracket_h = spaces.bracket_coords(g, core.pair_bracket_tensor(
+        g, su3_su2.m.basis, su3_su2.m.basis), su3_su2.h.basis)
     h_part = su3_su2.h.basis @ np.einsum(
-        "abc,a,b->c", su3_su2.m_bracket_h,
+        "abc,a,b->c", m_bracket_h,
         np.arange(1.0, su3_su2.m.dim + 1), np.eye(su3_su2.m.dim)[0])
     np.testing.assert_allclose(m_part + h_part, full, atol=1e-10)
 
@@ -645,7 +667,8 @@ def test_module_contractions_match_einsum(dh, d1, d2, seed):
     m_m = np.einsum("ijk,ia,jb,kc->abc", c, mb, mb, gram @ mb)
     assert_matches(space.iso_action, iso)
     assert_matches(space.m_bracket_m, m_m)
-    assert_matches(space.m_bracket_h,
+    assert_matches(spaces.bracket_coords(g, core.pair_bracket_tensor(
+                       g, mb, mb), hb),
                    np.einsum("ijk,ia,jb,kc->abc", c, mb, mb, gram @ hb))
     blocks = [space.module_coords_in_m(i) for i in range(2)]
     for i, (bf, bt) in enumerate([blocks, blocks[::-1]]):
@@ -1030,9 +1053,8 @@ def test_a_refused_build_is_refused_on_every_call():
 
 def test_shared_arrays_are_read_only(so5_u2):
     split = so5_u2.split
-    shared = [split.iso_action, split.m_bracket_m, split.m_bracket_h,
-              split.commutant, so5_u2.h.basis, so5_u2.m.basis,
-              so5_u2.embedding.matrix]
+    shared = [split.iso_action, split.m_bracket_m, split.commutant,
+              so5_u2.h.basis, so5_u2.m.basis, so5_u2.embedding.matrix]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
