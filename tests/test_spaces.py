@@ -270,6 +270,37 @@ def test_classify_structure_on_projective_pair(so5_u2):
     assert "hit_matrix" in data and "v" in data
 
 
+STRUCTURE_REGISTRY_ROWS = {
+    "so(16)/su(8)": ("su_in_so_even", {"k": 8}),
+    "so(15)/u(7)": ("u_in_so_odd", {"k": 7}),
+    "so(12)/so(2)": ("so_in_so", {"k": 2, "n": 12}),
+    "sp(7)/(sp(6)+u(1))": ("sp_u1_in_sp", {"n": 6}),
+    "su(8)/(su(4)+su(4))": ("su_x_su_in_su", {"m": 4, "n": 4}),
+}
+
+
+def test_classify_structure_matches_the_pinned_reports():
+    # a regression pin: every report below was read off the classifier
+    # as it stood, at seed 0 for the catalog, so a change in how h or g
+    # is split shows in the diff of tests/structure_reports.json
+    want = json.loads(Path(__file__).with_name(
+        "structure_reports.json").read_text())
+    got = {"entries": {}, "registry": {}}
+    for entry in catalog.catalog_list(constructible=True):
+        got["entries"][entry.id] = spaces.classify_structure(
+            catalog.catalog_instantiate(entry.id, seed=0)).as_dict()
+    for name, (key, params) in STRUCTURE_REGISTRY_ROWS.items():
+        space = spaces.reductive_space(None, zoo.named_embedding(key, **params))
+        got["registry"][name] = spaces.classify_structure(space).as_dict()
+    power = spaces.reductive_space(
+        None, zoo.named_embedding("diagonal", family="so", n=3, copies=40))
+    with pytest.raises(spaces.ClassificationError) as refused:
+        spaces.classify_structure(power)
+    got["diagonal so(3)^40"] = str(refused.value)
+    assert len(got["entries"]) == 20
+    assert got == want
+
+
 def test_classify_reads_one_read_only_center_per_algebra():
     for k in range(1, 8):
         space = catalog.catalog_instantiate(f"struct-{k}", seed=0)
