@@ -5,14 +5,14 @@ Every algebra holds its constants once, as ``StructureConstants``: the
 sorted triples (i, j, k) with a nonzero c[i][j][k] and their values,
 Python-int numerators over one denominator for an exact algebra (every
 classical algebra, g2, rational JSON specs, direct sums of exact
-algebras), float64 for a float one (float JSON specs, subalgebras read
-off numerically, dense tensors). Every contraction, exact or float,
-runs on the triples; ``LieAlgebra.structure`` rebuilds the dense
-tensor on each read. The one float Gram defaults to the negative Killing
-form on the derived algebra plus the dot product on the center,
-ad-invariant and positive definite on compact algebras; the exact GO
-lane reads its rationals back and proves them ad-invariant, while
-``validate_algebra`` checks antisymmetry and Jacobi only.
+algebras), float64 for a float one (float JSON specs, dense tensors).
+Every contraction, exact or float, runs on the triples;
+``LieAlgebra.structure`` rebuilds the dense tensor on each read. The one
+float Gram defaults to the negative Killing form on the derived algebra
+plus the dot product on the center, ad-invariant and positive definite
+on compact algebras; the exact GO lane reads its rationals back and
+proves them ad-invariant, while ``validate_algebra`` checks antisymmetry
+and Jacobi only.
 """
 
 from __future__ import annotations
@@ -424,8 +424,8 @@ class LieAlgebra:
 def algebra_from_json_dict(data: dict) -> LieAlgebra:
     """Algebra from a JSON spec; rational constants (ints and strings) give
     an exact algebra, any float a float one. An inner product must be
-    finite and positive definite; the constants are not validated, so a
-    bad spec can still be built and reported."""
+    finite, symmetric and positive definite; the constants are not
+    validated, so a bad spec can still be built and reported."""
     dim = int(data["dim"])
     entries = data["structure"]
     table = np.array(entries, dtype=object).reshape(len(entries), 4)
@@ -455,7 +455,9 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
         constants = StructureConstants(dim, *_entries(dim, table, values))
     alg = make_algebra(constants, data.get("name", ""), gram)
     if gram is not None:
-        try:  # the test gram_orthonormalize applies
+        if not np.array_equal(alg.inner_product, alg.inner_product.T):
+            raise ValidationError("inner product is not symmetric")
+        try:  # gram_orthonormalize's test, which reads one triangle
             np.linalg.cholesky(alg.inner_product)
         except np.linalg.LinAlgError:
             raise ValidationError("inner product is not positive definite") from None

@@ -20,16 +20,16 @@ no seed, and every space of that split carries the same
 ``IsotropyModules``: the modules, and what is read off them alone
 (module coordinates, checked projectors, the filter reports and the
 exact lane), each computed once. Only an isotypic group, whose split
-the maths leaves open, is split again from one draw per seed. The
-minimal ideals of an algebra need no commutant: they are the components
-of the roots of one generic element of the derived algebra, linked where
-two roots are not orthogonal. Ideals and modules alike are ordered by
-keys of their subspaces, never of a draw. The structure classifier
-labels the pair (g, h) by one of seven coarse cases from the center
-dimension, the minimal ideals of g, and how the simple ideals of h
-project onto them.
-None of these depends on a seed, so the ideals of g and the label are
-computed once per split, from draws of their own.
+the maths leaves open, is split again from one draw per seed. Ideals
+need no commutant: those of [g, g], and of [h, h], are the components of
+the roots of one generic element, linked where two roots are not
+orthogonal, every bracket taken through g's constants. Ideals and
+modules alike are ordered by keys of their subspaces, never of a draw.
+The structure classifier labels the pair (g, h) by one of seven coarse
+cases from the center dimension, the minimal ideals of g, and how the
+simple ideals of h project onto them. None of these depends on a seed,
+so the ideals of g and h and the label are computed once per split,
+from draws of their own.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ class DecompositionError(OrbitcheckError):
 # under 1 GB.
 MAX_SYSTEM_BYTES = 128 * 2 ** 20
 # Relative gap under which intertwiners pairs two eigenvalues, and
-# minimal_ideals counts one as zero: loose, as the generators prune a pair
+# _simple_ideals counts one as zero: loose, as the generators prune a pair
 # matched by accident and [t, t] refuses a root counted as zero.
 EIGENVALUE_MATCH = 1e-6
-# Largest miss minimal_ideals accepts: of a Cartan integer from an integer,
+# Largest miss _simple_ideals accepts: of a Cartan integer from an integer,
 # of a bracket that must vanish from zero, relative to the longest root.
 ROOT_MARGIN = 1e-6
 
@@ -655,37 +655,45 @@ def _connected_groups(items: list, linked) -> list[list[int]]:
 # --- minimal ideals and the structure classifier -----------------------
 
 def minimal_ideals(alg: LieAlgebra) -> list[np.ndarray]:
-    """Gram-orthonormal bases of the minimal ideals of the derived algebra.
+    """Gram-orthonormal bases of the minimal ideals of [g, g], the center's
+    orthocomplement: its ``_simple_ideals``, from a draw by ``alg.name``."""
+    gram = alg.inner_product
+    return _simple_ideals(alg, gram_orthonormalize(
+        nullspace(alg.center.T @ gram), gram), alg.name)
 
-    In s = [g, g]'s gram-orthonormal coordinates, one generic X drawn
-    from ``rng_for("ideals", alg.name)`` (no seed reaches it) has a Cartan
-    subalgebra t = ker ad(X). The eigenvectors e_a of i ad(X) with
+
+def _simple_ideals(g: LieAlgebra, s_basis: np.ndarray,
+                   label: str) -> list[np.ndarray]:
+    """g-orthonormal bases of the simple ideals of the semisimple
+    subalgebra s of g spanned by the g-orthonormal columns ``s_basis``.
+
+    In s's coordinates, brackets taken through g's constants, one generic
+    X drawn from ``rng_for("ideals", label)`` (no seed reaches it) has a
+    Cartan subalgebra t = ker ad(X). The eigenvectors e_a of i ad(X) with
     eigenvalue a(X) > 0 are positive root vectors, and a(H) = e_a^H i
     ad(H) e_a on an orthonormal basis of t. Ideal j is spanned by Re e_a,
     Im e_a and the coroots over a component of the graph linking a and b
-    when (a, b) != 0. With no retry, ``DecompositionError`` names the miss
-    when [t, t], a Cartan integer 2 (a, b) / (b, b), [I, I^perp] (zero for
-    an ideal I, the gram being ad-invariant) or the ideals' dimension
-    misses by more than ``ROOT_MARGIN``. Ideals are ordered by dimension,
-    then by the rounded entries of their projectors B B^T, larger first:
-    keys of the subspace, not of the draw.
+    when (a, b) != 0. With no retry, ``DecompositionError`` names the
+    miss, and ``label``, when [t, t], a Cartan integer 2 (a, b) / (b, b),
+    [I, I^perp] (zero for an ideal I, the gram being ad-invariant) or the
+    ideals' dimension misses by more than ``ROOT_MARGIN``. Ideals are
+    ordered by dimension, then by the rounded entries of their projectors
+    B B^T, larger first: keys of the subspace, not of the draw.
     """
-    gram = alg.inner_product
-    s_basis = gram_orthonormalize(nullspace(alg.center.T @ gram), gram)
     d = s_basis.shape[1]
     if d == 0:
         return []
 
     def brackets(left, right):  # of s-coordinate columns, in s coordinates
-        raw = pair_bracket_tensor(alg, s_basis @ left, s_basis @ right)
-        return bracket_coords(alg, raw, s_basis)
+        raw = pair_bracket_tensor(g, s_basis @ left, s_basis @ right)
+        return bracket_coords(g, raw, s_basis)
 
     def check(what, miss):
         if miss > ROOT_MARGIN:
-            raise DecompositionError(f"{what} of {alg.name} misses by "
+            raise DecompositionError(f"{what} of {label} misses by "
                                      f"{miss:.1e}, over {ROOT_MARGIN:.0e}")
 
-    x = rng_for("ideals", alg.name).standard_normal((d, 1))
+    x = rng_for("ideals", label).standard_normal((d, 1))
     lam, vecs = np.linalg.eigh(1j * brackets(x, np.eye(d))[0].T)
     cut = EIGENVALUE_MATCH * float(np.abs(lam).max())
     kernel, e = vecs[:, np.abs(lam) <= cut], vecs[:, lam > cut]
@@ -744,14 +752,6 @@ class StructureReport:
         }
 
 
-def _subalgebra_algebra(g: LieAlgebra, basis: np.ndarray,
-                        name: str) -> LieAlgebra:
-    """Abstract algebra carried by an orthonormal subalgebra basis."""
-    d = basis.shape[1]
-    structure = bracket_coords(g, pair_bracket_tensor(g, basis, basis), basis)
-    return LieAlgebra(structure, np.eye(d), name)
-
-
 def classify_structure(space: ReductiveSpace) -> StructureReport:
     """Label (g, h) by the seven-case coarse structure decision tree.
 
@@ -767,6 +767,8 @@ def classify_structure(space: ReductiveSpace) -> StructureReport:
     Its inputs are the centers and minimal ideals of g and h, which no
     seed changes, so the report is computed once per split, with g's
     ideals read from ``split.ideals``, and returned on every later call.
+    h is read through g's constants: its center is the kernel of its
+    brackets, and [h, h] is split as [g, g] is, from a draw labelled "h".
     """
     return space.split.structure
 
@@ -783,23 +785,19 @@ def _classify(split: ReductiveSplit) -> StructureReport:
     cg = center.shape[1]
     ideals = split.ideals
     ideal_dims = tuple(b.shape[1] for b in ideals)
-    proj_dims = tuple(int(svd_rank(b.T @ gram @ h_basis)) if split.h.dim else 0
-                      for b in ideals)
+    proj_dims = tuple(int(svd_rank(b.T @ gram @ h_basis)) for b in ideals)
     deficient = tuple(pd < b.shape[1] for pd, b in zip(proj_dims, ideals))
-    if split.h.dim:
-        h_alg = _subalgebra_algebra(g, h_basis, "h")
-        l_dim = h_alg.center.shape[1]
-        h_ideals = minimal_ideals(h_alg)
-    else:
-        l_dim = 0
-        h_ideals = []
+    dh = split.h.dim  # h's center is the kernel of its brackets
+    raw = pair_bracket_tensor(g, h_basis, h_basis).reshape(dh, dh * g.dim)
+    h_center = nullspace(raw.T)
+    l_dim = h_center.shape[1]
+    h_ideals = _simple_ideals(g, h_basis @ nullspace(h_center.T), "h")
     h_ideal_dims = [b.shape[1] for b in h_ideals]
     hit = []
     for hb in h_ideals:
-        h_cols = h_basis @ hb
         row = []
         for b in ideals:
-            r = int(svd_rank(b.T @ gram @ h_cols))
+            r = int(svd_rank(b.T @ gram @ hb))
             if r not in (0, hb.shape[1]):
                 raise ClassificationError(
                     f"simple h-ideal projects with rank {r}, expected 0 or "
@@ -830,9 +828,8 @@ def _classify(split: ReductiveSplit) -> StructureReport:
                                       "and h trivial")
         return report(5)
     if cg == 1:
-        center_overlap = float(np.abs(center.T @ gram @ h_basis).max()) \
-            if split.h.dim else 0.0
-        return report(6 if center_overlap <= 1e-8 else 4)
+        overlap = np.abs(center.T @ gram @ h_basis).max(initial=0.0)
+        return report(6 if overlap <= 1e-8 else 4)
     if not v or v[0] == 1:
         if p == 2:
             return report(2)

@@ -50,10 +50,12 @@ def test_validate_refuses_a_non_compact_algebra(runner, tmp_path, spec,
         "compact)" in result.output
 
 
-@pytest.mark.parametrize("where", ["structure", "inner_product", "indefinite"])
+@pytest.mark.parametrize("where", ["structure", "inner_product", "indefinite",
+                                   "asymmetric"])
 def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
     # a NaN constant or Gram entry, or an indefinite Gram, once ended in
-    # a LAPACK traceback
+    # a LAPACK traceback; a Gram that is not symmetric once passed, as
+    # the Cholesky test reads one triangle only
     data = zoo.classical("su", 2).to_json_dict()
     data["structure"] = [e[:3] + [float(e[3])] for e in data["structure"]]
     data["inner_product"] = [[float(v) for v in row]
@@ -63,9 +65,12 @@ def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
         data["structure"][0][3] = float("nan")
     elif where == "inner_product":
         data["inner_product"][0][0] = float("nan")
-    else:
+    elif where == "indefinite":
         data["inner_product"] = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
         message = "Error: inner product is not positive definite"
+    else:
+        data["inner_product"] = [[8, 1, 0], [0, 8, 0], [0, 0, 8]]
+        message = "Error: inner product is not symmetric"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"algebra": data}))
     for command in ("validate", "decompose", "check-go"):

@@ -456,17 +456,19 @@ def _held_arrays(alg):
 
 
 def test_an_algebra_holds_one_form_of_its_constants():
-    # zoo, direct-sum, catalog, subalgebra and float-spec algebras hold
-    # their triples and no (n, n, n) array, after every cached contraction
-    # has run; ``structure`` is rebuilt on each read
+    # zoo, direct-sum, catalog, float read-off and float-spec algebras
+    # hold their triples and no (n, n, n) array, after every cached
+    # contraction has run; ``structure`` is rebuilt on each read
     from orbitcheck import catalog, spaces
     space = catalog.catalog_instantiate("go-3-k2", seed=0)
+    g, hb = space.g, space.h.basis
+    read_off = core.LieAlgebra(spaces.bracket_coords(
+        g, core.pair_bracket_tensor(g, hb, hb), hb), np.eye(space.h.dim), "h")
     spec = zoo.classical("su", 3).to_json_dict()
     spec["structure"] = [e[:3] + [float(e[3])] for e in spec["structure"]]
     algebras = [zoo.algebra_by_name(name)
                 for name in ("so(5)", "u(3)", "sp(2)", "g2", "su(3)+so(3)")]
-    algebras += [space.g, spaces._subalgebra_algebra(space.g, space.h.basis, "h"),
-                 core.algebra_from_json_dict(spec)]
+    algebras += [g, read_off, core.algebra_from_json_dict(spec)]
     for alg in algebras:
         assert isinstance(alg.constants, core.StructureConstants)
         alg.killing_form, alg.center, alg.ad(np.ones(alg.dim))

@@ -176,7 +176,8 @@ def test_minimal_ideals_refuse_a_non_regular_element(monkeypatch):
             return inside.reshape(shape)
 
     monkeypatch.setattr(spaces, "rng_for", lambda *labels: Stream())
-    with pytest.raises(spaces.DecompositionError, match="not abelian"):
+    with pytest.raises(spaces.DecompositionError,
+                       match=r"not abelian: \[t, t\] of so\(4\) misses"):
         spaces.minimal_ideals(alg)
 
 
@@ -314,10 +315,12 @@ def test_classify_reads_one_read_only_center_per_algebra():
 
 def test_the_classifier_runs_once_per_split_whatever_the_seed(monkeypatch,
                                                               cold_splits):
+    # g's ideals and h's are split by one routine, labelled by g's name
+    # and by "h", each once per split, a trivial h included
     calls = []
-    inner = spaces.minimal_ideals
-    monkeypatch.setattr(spaces, "minimal_ideals",
-                        lambda alg: calls.append(alg.name) or inner(alg))
+    inner = spaces._simple_ideals
+    monkeypatch.setattr(spaces, "_simple_ideals", lambda g, basis, label:
+                        calls.append(label) or inner(g, basis, label))
     for k in range(1, 8):
         calls.clear()
         reports = []
@@ -328,8 +331,7 @@ def test_the_classifier_runs_once_per_split_whatever_the_seed(monkeypatch,
             if filters.bracket_location(space, 1e-8) == "zero":
                 filters.necessary_filter(space, seed=seed)
         assert all(r == reports[0] for r in reports)
-        want = [space.g.name] + (["h"] if space.h.dim else [])
-        assert sorted(calls) == sorted(want), k
+        assert sorted(calls) == sorted([space.g.name, "h"]), k
 
 
 def test_exact_module_bases_match_float_dims(so5_u2):
