@@ -180,14 +180,13 @@ def catalog_instantiate(entry: CatalogEntry | str,
     isotropy action, the m-bracket tensors, the isotropy commutant and,
     once first read, g's minimal ideals and the structure report
     (``reductive_space``, at most ``spaces.SPLIT_CACHE_SIZE`` splits
-    kept), all as read-only arrays. Without isotypic summands the
-    isotropy decomposition is seed-free too: every seed's space carries
+    kept), all as read-only arrays. The isotropy decomposition is
+    seed-free too, isotypic groups included: every seed's space carries
     the split's one ``IsotropyModules``, drawn once with no retry and
     ordered by keys of the module subspaces, with its module
     coordinates, projectors, filter reports and exact lane
-    (``decompose_isotropy``). The seed acts on what remains: the split of
-    an isotypic group, from one draw per call, and the GO samples of
-    every later step.
+    (``decompose_isotropy``). ``seed`` is not read; it stays for callers
+    that pass it, as the seed reaches only the GO samples of later steps.
     """
     entry = _resolve(entry)
     if not entry.constructible:
@@ -203,7 +202,7 @@ def catalog_instantiate(entry: CatalogEntry | str,
     else:
         raise CatalogError(f"{entry.id}: unsupported chain kind {kind!r}")
     space = reductive_space(g, emb, name=entry.name)
-    space = decompose_isotropy(space, seed=seed)
+    space = decompose_isotropy(space)
     want = entry.expected.get("module_dims")
     if want is not None and list(space.module_dims) != list(want):
         raise CatalogError(
@@ -325,7 +324,7 @@ def catalog_run(source: str | None = None,
     results = []
     for entry in sorted(entries, key=lambda e: e.id):
         try:
-            space = catalog_instantiate(entry, seed=seed)
+            space = catalog_instantiate(entry)
             checks = _entry_checks(entry, space, pairs, n_samples, seed, tol)
             results.append(EntryResult(
                 entry_id=entry.id,

@@ -11,9 +11,11 @@ Exit codes: 0 on success or expected match, 1 on a verdict mismatch or
 violated invariant, 2 on usage errors (including missing or malformed
 input files and names or parameters the zoo cannot build). Every
 subcommand has a --json mode; JSON output is deterministic for a fixed
-seed, tolerance and BLAS thread count (sorted keys, no timestamps).
-Float residuals and margins may differ in their last digits between
-thread counts; statuses and exact verdicts do not.
+tolerance and BLAS thread count (sorted keys, no timestamps), and for
+a fixed --seed in check-go and catalog run, the only subcommands that
+draw GO samples and so the only ones with a seed. Float residuals and
+margins may differ in their last digits between thread counts;
+statuses and exact verdicts do not.
 """
 
 from __future__ import annotations
@@ -108,12 +110,12 @@ def _algebra_from_spec(spec) -> LieAlgebra:
     raise click.UsageError(f"cannot interpret algebra spec {spec!r}")
 
 
-def _space_from_file(path: str, seed: int, tol: float):
+def _space_from_file(path: str, tol: float):
     spec = _load_spec_file(path)
     if not isinstance(spec, dict):
         raise click.UsageError(f"{path}: top level must be an object")
     if "catalog" in spec:
-        return catalog_mod.catalog_instantiate(spec["catalog"], seed=seed)
+        return catalog_mod.catalog_instantiate(spec["catalog"])
     if "algebra" not in spec:
         raise click.UsageError(
             f"{path}: needs either a 'catalog' id or an 'algebra' entry")
@@ -138,14 +140,14 @@ def _space_from_file(path: str, seed: int, tol: float):
         raise click.UsageError(
             f"{path}: embedding needs a registry 'key' or a raw 'matrix'")
     space = reductive_space(g, emb, name=spec.get("name", ""), tol=max(tol, 1e-8))
-    return decompose_isotropy(space, seed=seed, tol=max(tol, 1e-8))
+    return decompose_isotropy(space, tol=max(tol, 1e-8))
 
 
-def _load_space(target: str, seed: int, tol: float):
+def _load_space(target: str, tol: float):
     if target.endswith(".json") or os.path.sep in target:
-        return _space_from_file(target, seed, tol)
+        return _space_from_file(target, tol)
     try:
-        return catalog_mod.catalog_instantiate(target, seed=seed)
+        return catalog_mod.catalog_instantiate(target)
     except catalog_mod.CatalogError as err:
         raise click.UsageError(
             f"{target}: {err} (expected a catalog id or a JSON spec file)")
@@ -161,10 +163,9 @@ def _wrap(fn):
 
 
 _seed_option = click.option("--seed", type=int, default=0, show_default=True,
-                            help="Master seed for the GO samples and for how "
-                                 "an isotypic group splits into modules; the "
-                                 "modules of any other space, the filter and "
-                                 "the structure label read no seed.")
+                            help="Master seed for the GO samples; the "
+                                 "modules, the filter and the structure label "
+                                 "read no seed.")
 _tol_option = click.option("--tol", type=float, default=DEFAULT_TOL,
                            show_default=True, envvar="ORBITCHECK_TOL",
                            show_envvar=True,
@@ -185,16 +186,15 @@ def main() -> None:
 
 @main.command()
 @click.argument("target")
-@_seed_option
 @_tol_option
 @_json_option
-def validate(target, seed, tol, as_json):
+def validate(target, tol, as_json):
     """Build TARGET and report the core invariant residuals.
 
     TARGET is a catalog id or a JSON spec file. Exit 1 if construction
     fails any invariant.
     """
-    space = _wrap(lambda: _load_space(target, seed, tol))
+    space = _wrap(lambda: _load_space(target, tol))
     report = space.g.validate(tol=max(tol, 1e-12))
     _emit({
         "space": space.name,
@@ -211,25 +211,23 @@ def validate(target, seed, tol, as_json):
 
 @main.command()
 @click.argument("target")
-@_seed_option
 @_tol_option
 @_json_option
-def decompose(target, seed, tol, as_json):
+def decompose(target, tol, as_json):
     """Decompose the isotropy representation of TARGET."""
-    space = _wrap(lambda: _load_space(target, seed, tol))
+    space = _wrap(lambda: _load_space(target, tol))
     _emit(space.as_dict(), as_json)
 
 
 @main.command()
 @click.argument("target")
-@_seed_option
 @_tol_option
 @_json_option
-def classify(target, seed, tol, as_json):
+def classify(target, tol, as_json):
     """Classify the pair structure of TARGET into one of seven cases."""
 
     def run():
-        space = _load_space(target, seed, tol)
+        space = _load_space(target, tol)
         return space, classify_structure(space)
 
     space, report = _wrap(run)
@@ -256,7 +254,7 @@ def check_go(target, lam, mu, samples, exact, expect, seed, tol, as_json):
     """Check the geodesic-orbit property of a two-parameter metric."""
 
     def run():
-        space = _load_space(target, seed, tol)
+        space = _load_space(target, tol)
         metric = MetricOperator.two_param(space, lam, mu)
         return go_check(space, metric, n_samples=samples, seed=seed, tol=tol,
                         exact_mode=exact)
@@ -275,14 +273,13 @@ def check_go(target, lam, mu, samples, exact, expect, seed, tol, as_json):
 @click.argument("target")
 @click.option("--expect", type=click.Choice(["pass", "fail"]), default=None,
               help="Exit 1 unless the filter outcome matches.")
-@_seed_option
 @_tol_option
 @_json_option
-def filter_cmd(target, expect, seed, tol, as_json):
+def filter_cmd(target, expect, tol, as_json):
     """Run the necessary structural filters on TARGET."""
 
     def run():
-        space = _load_space(target, seed, tol)
+        space = _load_space(target, tol)
         return necessary_filter(space, tol=max(tol, 1e-8))
 
     report = _wrap(run)

@@ -118,31 +118,31 @@ def bracket_location(space: ReductiveSpace, tol: float = 1e-8) -> str:
     return "zero"
 
 
-def _principal_ranks(action: np.ndarray, seed: int):
+def _principal_ranks(action: np.ndarray):
     """The 20 (d x k) matrices [X_1 v, ..., X_k v] of 20 unit vectors v
-    from one seeded generator, and their ranks from one batched SVD, cut
-    at ``rank_threshold`` in one call."""
+    from one fixed draw, ``rng_for("principal", 0)``, and their ranks
+    from one batched SVD, cut at ``rank_threshold`` in one call."""
     k, d, _ = action.shape
-    vs = rng_for("principal", seed).standard_normal((20, d))
+    vs = rng_for("principal", 0).standard_normal((20, d))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     columns = (action @ vs.T).transpose(2, 1, 0)
     s = np.linalg.svd(columns, compute_uv=False)
     return columns, (s > rank_threshold(s, (d, k))).sum(axis=1)
 
 
-def principal_isotropy_dim(action: np.ndarray, seed: int = 0) -> int:
+def principal_isotropy_dim(action: np.ndarray) -> int:
     """Generic stabilizer dimension of an action (k generators on R^d):
     k minus the largest rank of ``_principal_ranks``' 20 draws."""
-    return action.shape[0] - int(_principal_ranks(action, seed)[1].max())
+    return action.shape[0] - int(_principal_ranks(action)[1].max())
 
 
 def principal_frame(action: np.ndarray) -> tuple[np.ndarray, int]:
     """(F, r): an orthogonal k x k frame and the largest rank r of
-    ``principal_isotropy_dim``'s draws at seed 0. The last k - r columns
-    of F span the stabilizer of the first draw of rank r, the first r
-    its orthocomplement; F is the identity when r = k."""
+    ``principal_isotropy_dim``'s draws. The last k - r columns of F span
+    the stabilizer of the first draw of rank r, the first r its
+    orthocomplement; F is the identity when r = k."""
     k = action.shape[0]
-    columns, ranks = _principal_ranks(action, 0)
+    columns, ranks = _principal_ranks(action)
     best = int(np.argmax(ranks))
     if ranks[best] == k:
         return np.eye(k), k

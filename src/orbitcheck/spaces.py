@@ -14,13 +14,13 @@ retry, rotates the basis once into those eigenvectors, and reads every
 count as an integer block sum of squared entries of that one stack: the
 invariant metrics are its symmetric part, a summand is irreducible when
 it carries one symmetric invariant map, and summands joined by an
-invariant map are grouped as isotypic. When no two summands are
-isotypic the split of m is unique, so it is drawn once per split, with
-no seed, and every space of that split carries the same
+invariant map are grouped as isotypic. The split of m is drawn once
+per split, with no seed, and every space of that split carries the same
 ``IsotropyModules``: the modules, and what is read off them alone
 (module coordinates, checked projectors, the filter reports and the
-exact lane), each computed once. Only an isotypic group, whose split
-the maths leaves open, is split again from one draw per seed. Ideals
+exact lane), each computed once. When no two summands are isotypic that
+split is unique; an isotypic group, whose split the maths leaves open,
+takes the same one draw, so no seed moves it either. Ideals
 need no commutant: those of [g, g], and of [h, h], are the components of
 the roots of one generic element, linked where two roots are not
 orthogonal, every bracket taken through g's constants. Ideals and
@@ -139,12 +139,10 @@ class ReductiveSplit:
 
     @cached_property
     def decomposition(self) -> IsotropyModules:
-        """The seed-free isotropy decomposition: ``_split_modules`` on one
-        draw, no name or seed, with the worst invariance residual, which
-        each call compares with its own ``tol``."""
-        # the trailing 0 keeps this draw, and so every module basis,
-        # bit-identical to those of the decompositions before it
-        return _split_modules(self, rng_for("decompose", 0))
+        """The isotropy decomposition, the only one: ``_split_modules`` on
+        one draw, no name or seed, with the worst invariance residual,
+        which each call compares with its own ``tol``."""
+        return _split_modules(self)
 
     @cached_property
     def ideals(self) -> tuple[np.ndarray, ...]:
@@ -234,7 +232,6 @@ class ReductiveSpace:
     modules: tuple[Subspace, ...] = ()
     isotypic_groups: tuple[tuple[int, ...], ...] = ()
     metric_space_dim: int | None = None
-    decomposition_seed: int | None = None
     split: ReductiveSplit | None = field(default=None, compare=False,
                                          repr=False)
     decomposition: IsotropyModules | None = field(default=None, compare=False,
@@ -517,7 +514,7 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
     One commutant, ``intertwiners(action, action)``, gives an orthonormal
     basis {T_k} of the maps commuting with ad(h); it is read from the
     space's split, so it is computed once per split and shared by every
-    seed, and the returned space keeps the split. m splits along the
+    space of it, and the returned space keeps the split. m splits along the
     eigenvalue clusters (relative gap 1e-6) of the projection of one
     random symmetric matrix onto the commutant, and the basis is rotated
     once into those eigenvectors E, T~_k = E^T T_k E. Every count is then
@@ -532,38 +529,32 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
     module with h + m_i a subalgebra first), then by the rounded entries
     of their projectors B B^T: keys of the subspaces, not of the draw.
 
-    The seed-free split is drawn once per split
-    (``ReductiveSplit.decomposition``), and its residual is compared with
-    each call's ``tol``. Without isotypic summands the modules are unique,
-    so every seed's space carries that decomposition, the same
-    ``IsotropyModules`` object, and only ``decomposition_seed`` records
-    ``seed``. With an isotypic group one draw of the seed's own, from
-    ``rng_for("decompose", space.name, seed, 0)``, splits it, its residual
-    is checked too, and the space gets modules of its own on every call.
+    The split is drawn once per split (``ReductiveSplit.decomposition``),
+    with no name or seed, and every space of that split carries it, the
+    same ``IsotropyModules`` object, its residual compared with each
+    call's ``tol``. An isotypic group, whose split the maths leaves open,
+    is split by that one draw too. ``seed`` is not read; it stays for
+    callers that pass it.
     """
-    split = space.split
-    found = split.decomposition
+    found = space.split.decomposition
     _within(found.residual, tol, _NOT_INVARIANT, DecompositionError)
-    if any(len(group) > 1 for group in found.isotypic_groups):
-        # the trailing 0 keeps the draw bit-identical, as for the split's
-        found = _split_modules(split,
-                               rng_for("decompose", space.name, seed, 0))
-        _within(found.residual, tol, _NOT_INVARIANT, DecompositionError)
     return replace(space, modules=found.modules,
                    isotypic_groups=found.isotypic_groups,
                    metric_space_dim=found.metric_space_dim,
-                   decomposition_seed=seed, decomposition=found)
+                   decomposition=found)
 
 
-def _split_modules(split: ReductiveSplit,
-                   rng: np.random.Generator) -> IsotropyModules:
-    """The decomposition from one draw: m split along the eigenvalue
-    clusters of the projection onto the commutant of a random symmetric
-    matrix, whose eigenspaces are invariant and generically irreducible,
-    with the worst invariance residual of its clusters."""
+def _split_modules(split: ReductiveSplit) -> IsotropyModules:
+    """The decomposition from one draw, ``rng_for("decompose", 0)``: m
+    split along the eigenvalue clusters of the projection onto the
+    commutant of a random symmetric matrix, whose eigenspaces are
+    invariant and generically irreducible, with the worst invariance
+    residual of its clusters."""
     maps = split.commutant
     d = maps.shape[1]
-    raw = rng.standard_normal((d, d))
+    # the trailing 0 keeps this draw, and so every module basis,
+    # bit-identical to those of the decompositions before it
+    raw = rng_for("decompose", 0).standard_normal((d, d))
     raw = (raw + raw.T) / 2
     op = np.einsum("s,sij->ij", np.einsum("sij,ij->s", maps, raw), maps)
     eigvals, eigvecs = np.linalg.eigh(op)

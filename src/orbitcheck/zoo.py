@@ -28,7 +28,7 @@ g2, the octonions' derivation algebra, has exact rational constants.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from numbers import Integral
 
@@ -390,13 +390,18 @@ def algebra_by_name(text: str) -> LieAlgebra:
 
 # --- embeddings --------------------------------------------------------
 
+# Largest homomorphism residual an Embedding accepts.
+HOMOMORPHISM_TOL = 1e-8
+
+
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """Injective Lie algebra homomorphism in coordinates.
 
     ``matrix`` maps source coordinates to target coordinates and has
     shape (target.dim, source.dim). Construction verifies injectivity
-    and the homomorphism property. Equality and hashing are by identity.
+    and the homomorphism property, to ``HOMOMORPHISM_TOL``. Equality and
+    hashing are by identity.
     The float matrix is the only copy: where its entries are exactly
     rational, the exact lane reads them off it
     (``spaces.exact_module_bases``).
@@ -406,7 +411,6 @@ class Embedding:
     target: LieAlgebra
     matrix: np.ndarray
     name: str = ""
-    atol: float = field(default=1e-8, repr=False)
 
     def __post_init__(self):
         m = np.ascontiguousarray(np.asarray(self.matrix, dtype=np.float64))
@@ -419,7 +423,7 @@ class Embedding:
         if self.source.dim and svd_rank(m) != self.source.dim:
             raise ValidationError(f"{self.name or 'embedding'}: matrix is not injective")
         res = self.homomorphism_residual()
-        if res > self.atol:
+        if res > HOMOMORPHISM_TOL:
             raise ValidationError(
                 f"{self.name or 'embedding'}: homomorphism residual {res:.2e}")
 
@@ -443,7 +447,7 @@ class Embedding:
         matrix = self.matrix @ inner.matrix
         name = f"{self.name} o {inner.name}" if self.name and inner.name else ""
         return Embedding(source=inner.source, target=self.target, matrix=matrix,
-                         name=name, atol=max(self.atol, inner.atol))
+                         name=name)
 
 
 @dataclass(frozen=True)
@@ -475,9 +479,7 @@ def _embedding_from_matrices(source: LieAlgebra, family: str, n: int,
     batch = np.stack([np.asarray(m, dtype=np.complex128) for m in source_mats])
     matrix = _coordinates(batch, family, n, np.stack(matrix_basis(family, n)),
                           name, atol).T
-    emb_atol = 1e-8 if atol == 0.0 else max(1e-8, 10 * atol)
-    return Embedding(source=source, target=target, matrix=matrix, name=name,
-                     atol=emb_atol)
+    return Embedding(source=source, target=target, matrix=matrix, name=name)
 
 
 def _pad(m: np.ndarray, size: int, offset: int) -> np.ndarray:
@@ -607,8 +609,7 @@ def embed_sum(parts: list[Embedding], target: LieAlgebra | None = None,
             raise ValidationError("embedding sum targets differ")
     source = direct_sum([p.source for p in parts])
     matrix = np.hstack([p.matrix for p in parts])
-    return Embedding(source=source, target=target, matrix=matrix, name=name,
-                     atol=max(p.atol for p in parts))
+    return Embedding(source=source, target=target, matrix=matrix, name=name)
 
 
 def embed_stack(parts: list[Embedding], target: LieAlgebra,
@@ -619,8 +620,7 @@ def embed_stack(parts: list[Embedding], target: LieAlgebra,
         if p.source.dim != source.dim:
             raise ValidationError("embedding stack sources differ")
     matrix = np.vstack([p.matrix for p in parts])
-    return Embedding(source=source, target=target, matrix=matrix, name=name,
-                     atol=max(p.atol for p in parts))
+    return Embedding(source=source, target=target, matrix=matrix, name=name)
 
 
 def embed_into_summand(emb: Embedding, target: LieAlgebra,
@@ -632,7 +632,7 @@ def embed_into_summand(emb: Embedding, target: LieAlgebra,
     matrix = np.zeros((target.dim, cols))
     matrix[offset:offset + rows] = emb.matrix
     return Embedding(source=emb.source, target=target, matrix=matrix,
-                     name=name or emb.name, atol=emb.atol)
+                     name=name or emb.name)
 
 
 def embed_g2_in_so7() -> Embedding:

@@ -452,6 +452,15 @@ def test_unknown_catalog_target_is_usage_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "decompose", "classify",
+                                     "filter"])
+def test_commands_that_draw_no_go_sample_take_no_seed(runner, command):
+    result = runner.invoke(main, [command, "go-1", "--seed", "1"])
+    assert result.exit_code == 2
+    # click words it "No such option: --seed" or "No such option '--seed'"
+    assert "No such option" in result.output and "--seed" in result.output
+
+
 def test_tolerance_env_override(runner, monkeypatch):
     monkeypatch.setenv("ORBITCHECK_TOL", "not-a-number")
     result = runner.invoke(main, ["check-go", "go-6-m2n1", "--samples", "2"])

@@ -1300,7 +1300,7 @@ def test_exact_module_bases_run_once_per_decomposition(so5_u2, basis_calls):
     # a copy with a decomposition of its own builds its exact lane once,
     # and another space carrying that decomposition reads the same lane
     fresh = replace(so5_u2, decomposition=None)
-    twin = replace(fresh, name="twin", decomposition_seed=5)
+    twin = replace(fresh, name="twin")
     assert twin.decomposition is fresh.decomposition
     assert fresh.decomposition is not so5_u2.decomposition
     for space in (fresh, twin):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcheck import catalog, core, filters, linalg, spaces, zoo
+from orbitcheck import catalog, core, filters, go, linalg, spaces, zoo
 from test_core import assert_matches
 from test_exact import EXACT_IDS
 
@@ -60,7 +60,7 @@ def test_modules_are_invariant_orthogonal_and_span(so8_g2):
 def test_decomposition_is_deterministic_under_seed(so5_u2):
     again = spaces.decompose_isotropy(
         spaces.reductive_space(None, zoo.named_embedding("u_in_so_odd", k=2),
-                               name=so5_u2.name), seed=so5_u2.decomposition_seed)
+                               name=so5_u2.name))
     for mod, mod2 in zip(so5_u2.modules, again.modules):
         np.testing.assert_allclose(mod.basis, mod2.basis, atol=1e-12)
 
@@ -412,7 +412,7 @@ def test_exact_module_bases_refuse_an_h_that_is_not_a_subalgebra(so5_u2):
     bad = object.__new__(zoo.Embedding)
     for name, value in (("source", so5_u2.embedding.source),
                         ("target", so5_u2.g), ("matrix", matrix),
-                        ("name", "not a subalgebra"), ("atol", 1e-8)):
+                        ("name", "not a subalgebra")):
         object.__setattr__(bad, name, value)
     assert bad.homomorphism_residual() > 0.1
     with pytest.raises(spaces.ExactUnavailableError, match="subalgebra"):
@@ -880,9 +880,9 @@ def test_empty_m_decomposes_to_nothing():
     space = spaces.ReductiveSpace(
         g=g, h=core.Subspace.from_columns(g, np.eye(3), name="h"),
         m=core.Subspace(ambient=g, basis=np.zeros((3, 0)), name="m"))
-    out = spaces.decompose_isotropy(space, seed=4)
+    out = spaces.decompose_isotropy(space)
     assert (out.modules, out.isotypic_groups) == ((), ())
-    assert (out.metric_space_dim, out.decomposition_seed) == (0, 4)
+    assert out.metric_space_dim == 0
 
 
 # --- the seed-free split, shared per process ---------------------------
@@ -914,13 +914,15 @@ def _outcome(build):
 
 
 def _tilted_so3_in_so5():
-    """so(3) in so(5) tilted by 1e-6, kept by a loose homomorphism bound:
-    closure and [h, m] residuals near 1.7e-7."""
+    """so(3) in so(5) tilted by 1e-6, built under a loose homomorphism
+    bound: closure and [h, m] residuals near 1.7e-7."""
     base = zoo.embed_so_in_so(3, 5)
     tilted = base.matrix.copy()
     tilted[-1, 0] += 1e-6
-    return zoo.Embedding(source=base.source, target=base.target,
-                         matrix=tilted, atol=1e-3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zoo, "HOMOMORPHISM_TOL", 1e-3)
+        return zoo.Embedding(source=base.source, target=base.target,
+                             matrix=tilted)
 
 
 def test_a_warm_split_honours_each_calls_tol():
@@ -943,36 +945,19 @@ def test_a_warm_split_honours_each_calls_tol():
 ISOTYPIC_ENTRIES = ("go-1", "struct-1", "struct-5")
 
 
-def _seeded_bases(space, seed):
-    """Module bases of the one draw from ``rng_for("decompose", name,
-    seed, 0)``: the per-seed split of an isotypic group."""
-    found = spaces._split_modules(
-        space.split, linalg.rng_for("decompose", space.name, seed, 0))
-    return [mod.basis for mod in found.modules]
-
-
 @pytest.mark.parametrize("entry_id", [e.id for e in catalog.catalog_list(
     constructible=True)])
 def test_every_seed_shares_one_decomposition_and_filter_report(entry_id):
+    # an isotypic group, whose split the maths leaves open, takes the
+    # split's one draw as every other space does
     found = [catalog.catalog_instantiate(entry_id, seed=s) for s in range(4)]
     first = found[0]
-    assert [space.decomposition_seed for space in found] == [0, 1, 2, 3]
-    if any(len(group) > 1 for group in first.isotypic_groups):
-        # the seed splits an isotypic group, as it always has
-        assert entry_id in ISOTYPIC_ENTRIES
-        assert len({id(space.decomposition) for space in found}) == 4
-        for seed, space in enumerate(found):
-            for mod, want in zip(space.modules,
-                                 _seeded_bases(space, seed), strict=True):
-                assert mod.basis.tobytes() == want.tobytes()
-        assert first.modules[0].basis.tobytes() \
-            != found[1].modules[0].basis.tobytes()
-        return
-    assert entry_id not in ISOTYPIC_ENTRIES
+    assert (entry_id in ISOTYPIC_ENTRIES) == any(
+        len(group) > 1 for group in first.isotypic_groups)
     reports = [filters.necessary_filter(space, seed=seed)
                for seed, space in enumerate(found)]
     for space, report in zip(found, reports):
-        assert space.decomposition is first.decomposition
+        assert space.decomposition is first.split.decomposition
         assert space.modules is first.modules
         assert space.module_projectors is first.module_projectors
         assert report is reports[0]
@@ -981,6 +966,17 @@ def test_every_seed_shares_one_decomposition_and_filter_report(entry_id):
     again = filters.necessary_filter(fresh)
     assert again is not reports[0]
     assert again.as_dict() == reports[0].as_dict()
+
+
+@pytest.mark.parametrize("entry_id", ISOTYPIC_ENTRIES)
+def test_no_seed_moves_the_metric_of_an_isotypic_split(entry_id):
+    # lam P1 + mu P2 is the same metric, to the bit, whatever the seed
+    want = go.MetricOperator.two_param(
+        catalog.catalog_instantiate(entry_id, seed=0), 1, 2).matrix.tobytes()
+    for seed in range(1, 4):
+        space = catalog.catalog_instantiate(entry_id, seed=seed)
+        assert go.MetricOperator.two_param(space, 1, 2).matrix.tobytes() \
+            == want, seed
 
 
 def _decomposed(build, tol):
