@@ -30,10 +30,10 @@ import numpy as np
 
 from . import exact
 from .core import OrbitcheckError, ValidationError, check_finite
-from .filters import CentralizerSplit, _module_action, normalizer_split
+from .filters import CentralizerSplit, normalizer_split
 from .linalg import (DEFAULT_TOL, RANK_FLOOR, consistency_gap,
                      min_norm_solve, rank_of, rank_threshold, rng_for)
-from .spaces import ExactUnavailableError, ReductiveSpace, intertwiners
+from .spaces import ExactUnavailableError, ReductiveSpace
 
 MARGIN_FACTOR = 1e3
 # the QR certificate of ``_qr_solve``: an R is inverted only when its
@@ -123,8 +123,8 @@ class MetricOperator:
         """Metric from one symmetric coefficient matrix per isotypic group.
 
         Cross coefficients couple equivalent modules through a fixed
-        equivariant isometry; groups of more than two modules are not
-        supported.
+        equivariant isometry, read off the split's commutant; a block that
+        is not symmetric is refused, as are groups of more than two.
         """
         groups = space.isotypic_groups
         if len(coefficients) != len(groups):
@@ -137,6 +137,10 @@ class MetricOperator:
             coeff = np.atleast_2d(np.asarray(coeff, dtype=np.float64))
             if coeff.shape != (len(group), len(group)):
                 raise ValidationError("coefficient block shape mismatch")
+            check_finite(coeff, "coefficient block")
+            if float(np.abs(coeff - coeff.T).max()) > 1e-10:
+                raise ValidationError(
+                    f"coefficient block {coeff.tolist()} is not symmetric")
             if len(group) > 2:
                 raise ValidationError(
                     "isotypic groups above size 2 are not supported")
@@ -191,15 +195,20 @@ class MetricOperator:
 
 def _equivariant_isometry(space: ReductiveSpace, i: int, j: int) -> np.ndarray:
     """Isometry from module i coordinates to module j coordinates
-    commuting with the isotropy action; sign fixed deterministically."""
-    ai, aj = _module_action(space, i), _module_action(space, j)
-    d = ai.shape[1]
-    if aj.shape[1] != d:
+    commuting with the isotropy action, sign fixed deterministically: the
+    largest of the maps B_j^T T_k B_i, for {T_k} the split's commutant,
+    which span Hom_h(m_i, m_j). Every nonzero map between equivalent
+    irreducible modules (of real, complex or quaternionic type) is
+    conformal, so the conformality check guards and selects nothing."""
+    bi, bj = space.module_coords_in_m(i), space.module_coords_in_m(j)
+    d = bi.shape[1]
+    if bj.shape[1] != d:
         raise ValidationError("isotypic modules with unequal dimensions")
-    maps = intertwiners(ai, aj)
-    if not len(maps):
+    maps = bj.T @ space.split.commutant @ bi
+    norms = np.linalg.norm(maps, axis=(1, 2))
+    if float(norms.max()) <= 1e-8:
         raise ValidationError("modules are not equivalent")
-    t = maps[0]
+    t = maps[np.argmax(norms)]
     gram = t.T @ t
     scale = float(gram[0, 0])
     if float(np.abs(gram - scale * np.eye(d)).max()) > 1e-8 * max(scale, 1.0):

@@ -2,10 +2,10 @@
 
 A reductive space is g = h + m with m the orthocomplement of a
 subalgebra h against the chosen ad-invariant inner product. Every
-equivariance question goes through one routine, ``intertwiners``, which
-returns a basis of the maps between two ad(h)-actions that commute with
-every generator, from the matching eigenvalues of one generic element
-of h on each side (on its kernels, of a second one's square). The
+equivariance question goes through one routine, ``commutant``, which
+returns a basis of the maps on a space commuting with every generator
+of an ad(h)-action, from the matching eigenvalues of one generic
+element of h (on its kernel, of a second one's square). The
 commutant of ad(h) on m is computed once per ``ReductiveSplit``, the
 seed-free part of a space, shared by every space and seed built from
 one (g, embedding). The isotropy decomposition splits m along the
@@ -53,12 +53,12 @@ class DecompositionError(OrbitcheckError):
     pass
 
 
-# Largest pruning system intertwiners builds, k * d_dst * d_src * K doubles
-# for K candidate maps. RSS grows by about three times the system (up to
+# Largest pruning system commutant builds, k * d * d * K doubles for K
+# candidate maps. RSS grows by about three times the system (up to
 # five and a half with a one-dimensional h), so a decomposition stays
 # under 1 GB.
 MAX_SYSTEM_BYTES = 128 * 2 ** 20
-# Relative gap under which intertwiners pairs two eigenvalues, and
+# Relative gap under which commutant pairs two eigenvalues, and
 # _simple_ideals counts one as zero: loose, as the generators prune a pair
 # matched by accident and [t, t] refuses a root counted as zero.
 EIGENVALUE_MATCH = 1e-6
@@ -132,10 +132,10 @@ class ReductiveSplit:
 
     @cached_property
     def commutant(self) -> np.ndarray:
-        """``intertwiners(iso_action, iso_action)``: a Frobenius-orthonormal
-        basis of the maps on m commuting with ad(h), (count, dim m, dim m).
-        Its only draw is ``rng_for("intertwiners", dim h)``, no seed."""
-        return _read_only(intertwiners(self.iso_action, self.iso_action))
+        """``commutant(iso_action)``: a Frobenius-orthonormal basis of the
+        maps on m commuting with ad(h), (count, dim m, dim m). Its only
+        draw is ``rng_for("intertwiners", dim h)``, no seed."""
+        return _read_only(commutant(self.iso_action))
 
     @cached_property
     def decomposition(self) -> IsotropyModules:
@@ -418,68 +418,54 @@ def _cluster(values: np.ndarray) -> list[np.ndarray]:
     return [np.array(gp) for gp in groups]
 
 
-def intertwiners(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the maps T with dst[a] T = T src[a] for every a.
+def commutant(action: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the maps T with a T = T a for every generator a.
 
-    ``src`` and ``dst`` are (k, d_src, d_src) and (k, d_dst, d_dst) stacks
-    of skew generator actions; the result is a (count, d_dst, d_src)
-    stack, orthonormal in the Frobenius inner product. Every intertwiner
-    solves b T = T a for one generic combination a of src and b of dst:
-    with i a = U diag(l) U^H and i b = V diag(n) V^H, T = V E U^H with
-    E_ji = 0 unless n_j = l_i. The spectra are symmetric, with conjugate
-    eigenvectors at -l, so the candidates are sqrt(2) times the real and
-    imaginary parts of V[:, j] U[:, i]^H for matched n_j = l_i > 0. On
-    the real kernels P_s, P_d of a and b, T restricts to a C with
-    M_d C = C M_s for M = P^T c^T c P and a second generic combination
-    c, so the last candidates are the maps between matched eigenvectors
-    of M_s and M_d, not every map between the kernels. Every generator
-    is then imposed on the candidates only.
+    ``action`` is a (k, d, d) stack of skew generator actions; the result
+    is a Frobenius-orthonormal (count, d, d) stack. Every such T commutes
+    with one generic combination a: with i a = U diag(l) U^H, T = U E U^H
+    with E_ji = 0 unless l_j = l_i. The spectrum is symmetric, with
+    conjugate eigenvectors at -l, so the candidates are sqrt(2) times the
+    real and imaginary parts of U[:, j] U[:, i]^H for l_j = l_i > 0. On
+    the real kernel P of a, T commutes with M = P^T c^T c P for a second
+    generic combination c, so the last candidates are the maps between
+    matched eigenvectors of M (whose eigenvalues, and their rounding, lie
+    under |c|_F^2). Every generator is then imposed on the candidates
+    only.
     """
-    k, ds, dd = len(src), src.shape[1], dst.shape[1]
-    if k == 0 or dd * ds == 0:
-        return np.eye(dd * ds).reshape(dd * ds, dd, ds)
+    k, d = len(action), action.shape[1]
+    if k == 0 or d == 0:
+        return np.eye(d * d).reshape(d * d, d, d)
     rng = rng_for("intertwiners", k)
     weights = rng.standard_normal(k)
-    lam, u = np.linalg.eigh(1j * np.einsum("a,aij->ij", weights, src))
-    nu, v = np.linalg.eigh(1j * np.einsum("a,aij->ij", weights, dst))
-    cut = EIGENVALUE_MATCH * np.abs(np.append(lam, nu)).max()
-    jj, ii = np.nonzero((np.abs(nu[:, None] - lam) <= cut)
-                        & (nu[:, None] > cut) & (lam > cut))
-    second = rng.standard_normal(k)
-    (mu_s, ker_s, size_s), (mu_d, ker_d, size_d) = (
-        _kernel_frame(x, vecs[:, np.abs(vals) <= cut], second)
-        for x, vals, vecs in ((src, lam, u), (dst, nu, v)))
-    kj, ki = np.nonzero(np.abs(mu_d[:, None] - mu_s)
-                        <= EIGENVALUE_MATCH * max(size_s, size_d))
-    count = 2 * len(jj) + len(kj)
-    if k * dd * ds * count * 8 > MAX_SYSTEM_BYTES:
-        raise DecompositionError(
-            f"intertwiner system of {k * dd * ds * count / 2 ** 17:.0f} MiB "
-            f"({count} candidate maps) exceeds the "
-            f"{MAX_SYSTEM_BYTES >> 20} MiB bound")
-    pairs = np.sqrt(2) * (v.T[jj, :, None] * u.T[ii, None].conj()).reshape(
-        len(jj), dd * ds)
-    kernel = np.hstack([pairs.real.T, pairs.imag.T, (
-        ker_d[:, None, kj] * ker_s[None, :, ki]).reshape(dd * ds, -1)])
-    # rows[a, p, q] = (dst[a] T - T src[a])[p, q], built in place
-    rows = (dst @ kernel.reshape(dd, ds * count)).reshape(k, dd, ds, count)
-    for a, x in enumerate(src):
-        rows[a] -= x.T @ kernel.reshape(dd, ds, count)
-    coeffs = nullspace(rows.reshape(k * dd * ds, count))
-    return (coeffs.T @ kernel.T).reshape(-1, dd, ds)
-
-
-def _kernel_frame(gens: np.ndarray, vecs: np.ndarray, weights: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenvalues and eigenvectors of M = P^T c^T c P, for P a real
-    orthonormal basis of the span of the complex eigenvectors ``vecs``
-    and c the combination ``weights`` of ``gens``, with |c|_F^2: every
-    eigenvalue of M, and its rounding, lies under that bound."""
+    lam, u = np.linalg.eigh(1j * np.einsum("a,aij->ij", weights, action))
+    cut = EIGENVALUE_MATCH * np.abs(lam).max()
+    jj, ii = np.nonzero((np.abs(lam[:, None] - lam) <= cut)
+                        & (lam[:, None] > cut) & (lam > cut))
+    vecs = u[:, np.abs(lam) <= cut]
     ker = column_space(np.hstack([vecs.real, vecs.imag]))
-    c = np.einsum("a,aij->ij", weights, gens)
+    c = np.einsum("a,aij->ij", rng.standard_normal(k), action)
     image = c @ ker
     mu, w = np.linalg.eigh(image.T @ image)
-    return mu, ker @ w, float(np.sum(c * c))
+    ker = ker @ w
+    kj, ki = np.nonzero(np.abs(mu[:, None] - mu)
+                        <= EIGENVALUE_MATCH * float(np.sum(c * c)))
+    count = 2 * len(jj) + len(kj)
+    if k * d * d * count * 8 > MAX_SYSTEM_BYTES:
+        raise DecompositionError(
+            f"commutant system of {k * d * d * count / 2 ** 17:.0f} MiB "
+            f"({count} candidate maps) exceeds the "
+            f"{MAX_SYSTEM_BYTES >> 20} MiB bound")
+    pairs = np.sqrt(2) * (u.T[jj, :, None] * u.T[ii, None].conj()).reshape(
+        len(jj), d * d)
+    kernel = np.hstack([pairs.real.T, pairs.imag.T, (
+        ker[:, None, kj] * ker[None, :, ki]).reshape(d * d, -1)])
+    # rows[a, p, q] = (action[a] T - T action[a])[p, q], built in place
+    rows = (action @ kernel.reshape(d, d * count)).reshape(k, d, d, count)
+    for a, x in enumerate(action):
+        rows[a] -= x.T @ kernel.reshape(d, d, count)
+    coeffs = nullspace(rows.reshape(k * d * d, count))
+    return (coeffs.T @ kernel.T).reshape(-1, d, d)
 
 
 def _block_sums(maps: np.ndarray,
@@ -511,7 +497,7 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
                        tol: float = 1e-8) -> ReductiveSpace:
     """Split m into irreducible ad(h)-modules; returns an updated space.
 
-    One commutant, ``intertwiners(action, action)``, gives an orthonormal
+    One commutant, ``commutant(action)``, gives an orthonormal
     basis {T_k} of the maps commuting with ad(h); it is read from the
     space's split, so it is computed once per split and shared by every
     space of it, and the returned space keeps the split. m splits along the
@@ -702,11 +688,13 @@ def _simple_ideals(g: LieAlgebra, s_basis: np.ndarray,
              for gp in _connected_groups(list(range(e.shape[1])),
                                          lambda a, b: nearest[a, b] != 0)]
     check("the ideals' dimension", abs(d - sum(p.shape[1] for p in parts)))
+    step = max(1, 2 ** 22 // d ** 2)  # bracket blocks of <= 2^22 doubles
     for part in parts[:-1]:  # the last spans the others' complement
         small, large = sorted((part, nullspace(part.T)),
                               key=lambda b: b.shape[1])
-        check("[I, I^perp]",
-              float(np.abs(brackets(small, large)).max()) / longest)
+        check("[I, I^perp]", max(
+            float(np.abs(brackets(small[:, i:i + step], large)).max())
+            for i in range(0, small.shape[1], step)) / longest)
     ideals = [s_basis @ p for p in parts]
     # negated projectors sort the larger entries first
     return [ideals[i] for i in _subspace_order(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -12,7 +13,7 @@ from orbitcheck import catalog, core, exact, go, linalg, natred, spaces, zoo
 from orbitcheck.linalg import rng_for
 from orbitcheck.spaces import ExactUnavailableError
 from test_exact import _solve
-from test_spaces import _with_modules
+from test_spaces import _kronecker_commutant, _module_action, _with_modules
 
 
 def module_vector(space, index, rng):
@@ -90,6 +91,39 @@ def test_block_metric_with_cross_coupling(so8_g2):
     verdict = go.go_check(so8_g2, metric, n_samples=25, seed=0)
     assert verdict.status == "GO_CONSISTENT"
     assert verdict.max_residual <= 1e-8
+
+
+def test_an_asymmetric_coefficient_block_is_refused(so8_g2):
+    # only the upper cross entry is read: [[1, 0.2], [0.7, 2]] once built
+    # the metric of [[1, 0.2], [0.2, 2]], and its verdict reported 0.7
+    with pytest.raises(core.ValidationError, match=re.escape(
+            "coefficient block [[1.0, 0.2], [0.7, 2.0]] is not symmetric")):
+        go.MetricOperator.block(so8_g2, [[[1.0, 0.2], [0.7, 2.0]]])
+
+
+@pytest.mark.parametrize("entry_id", ["go-1", "struct-1"])
+def test_a_block_metric_solves_nothing(entry_id, monkeypatch):
+    # the cross isometry is read off the commutant the split computed
+    # when the space was decomposed
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    calls = []
+    inner = spaces.commutant
+
+    def spy(action):
+        calls.append(action.shape)
+        return inner(action)
+    monkeypatch.setattr(spaces, "commutant", spy)
+    go.MetricOperator.block(space, [[[1.0, 0.2], [0.2, 2.0]]])
+    (i, j), = space.isotypic_groups
+    t = go._equivariant_isometry(space, i, j)
+    assert not calls
+    d = len(t)
+    np.testing.assert_allclose(t.T @ t, np.eye(d), atol=1e-12)
+    ai, aj = _module_action(space, i), _module_action(space, j)
+    assert np.abs(aj @ t - t @ ai).max() <= 1e-12
+    # the one reference map, Frobenius-normalised, is T / sqrt(d)
+    ref, = np.sqrt(d) * _kronecker_commutant(ai, aj)
+    assert min(np.abs(t - ref).max(), np.abs(t + ref).max()) <= 1e-10
 
 
 @pytest.mark.parametrize("offset, scalar", [

@@ -78,7 +78,7 @@ def test_kron_guard_finds_every_form(source, uses):
 
 
 def test_no_kronecker_system_in_the_package():
-    # intertwiners matches eigenvalues of one generic element; a dense
+    # spaces.commutant pairs eigenvalues of one generic element; a dense
     # Kronecker system grows like (dim m)^4 and lives only in the tests'
     # reference commutant. The one use left builds so(p) x 1 + 1 x so(q)
     # on R^p x R^q, matrices of size pq <= 16.

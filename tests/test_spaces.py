@@ -200,6 +200,9 @@ def test_minimal_ideals_split_the_cap_sums_from_a_cold_algebra(name, blocks):
     assert [(r.min(), r.max() + 1, len(r)) for r in rows] == [
         (lo, hi, hi - lo) for lo, hi in blocks]
     assert peak < spaces.MAX_SYSTEM_BYTES
+    # [I, I^perp] is bracketed in column chunks of at most 2^22 doubles,
+    # so neither sum's 120-column ideals are bracketed whole
+    assert peak < 64 << 20
 
 
 def _conjugated(alg, q):
@@ -497,10 +500,10 @@ def _module_action(space, index):
     return np.einsum("pi,apq,qj->aij", block, space.iso_action, block)
 
 
-def _assert_intertwiner_basis(maps, src, dst):
+def _assert_commutant_basis(maps, action):
     # every count multiplies the whole stack, which BLAS needs contiguous
     assert maps.flags.c_contiguous
-    residual = dst[:, None] @ maps[None] - maps[None] @ src[:, None]
+    residual = action[:, None] @ maps[None] - maps[None] @ action[:, None]
     assert np.abs(residual).max(initial=0.0) < 1e-10
     flat = maps.reshape(len(maps), maps.shape[1] * maps.shape[2])
     np.testing.assert_allclose(flat @ flat.T, np.eye(len(maps)), atol=1e-10)
@@ -511,44 +514,80 @@ def _symmetric_dim(maps):
         (maps + maps.transpose(0, 2, 1)).reshape(len(maps), -1))
 
 
-def test_intertwiners_of_the_isotropy_action(so5_u2, so8_g2):
+def _direct_sum(*actions):
+    """The block-diagonal action of stacks with one generator count."""
+    dims = [a.shape[1] for a in actions]
+    rep = np.zeros((len(actions[0]), sum(dims), sum(dims)))
+    start = 0
+    for a, d in zip(actions, dims):
+        rep[:, start:start + d, start:start + d] = a
+        start += d
+    return rep
+
+
+def _hom_dim(maps, dst, src):
+    """Dimension of the maps from the coordinates ``src`` to ``dst`` (two
+    slices) in the commutant ``maps`` of a direct sum: the rank of its
+    (dst, src) blocks, the intertwiners between the two summands."""
+    return linalg.svd_rank(maps[:, dst, src].reshape(len(maps), -1))
+
+
+def test_commutant_of_the_isotropy_action(so5_u2, so8_g2):
     for space in (so5_u2, so8_g2):
         action = space.iso_action
-        maps = spaces.intertwiners(action, action)
-        _assert_intertwiner_basis(maps, action, action)
+        maps = spaces.commutant(action)
+        _assert_commutant_basis(maps, action)
         assert _symmetric_dim(maps) == space.metric_space_dim
 
 
 def test_equivalent_real_modules_have_one_intertwiner(so8_g2):
-    maps = _assert_matches_kronecker(_module_action(so8_g2, 0),
-                                     _module_action(so8_g2, 1))
-    assert maps.shape == (1, 7, 7)
+    first, second = (_module_action(so8_g2, i) for i in range(2))
+    maps = _assert_matches_kronecker(_direct_sum(first, second))
+    # R in each diagonal block and in each off-diagonal one
+    assert maps.shape == (4, 14, 14)
+    one, two = slice(0, 7), slice(7, 14)
+    assert _hom_dim(maps, two, one) == _hom_dim(maps, one, two) == 1
+    assert len(_kronecker_commutant(first, second)) == 1
 
 
 def test_complex_type_module_has_one_symmetric_intertwiner():
     space = catalog.catalog_instantiate("go-3-k3", seed=0)
+    maps = _assert_matches_kronecker(
+        _direct_sum(*(_module_action(space, i) for i in range(2))))
     for index in range(2):
-        action = _module_action(space, index)
-        maps = _assert_matches_kronecker(action, action)
-        assert len(maps) == 2
-        assert _symmetric_dim(maps) == 1
+        own = slice(6 * index, 6 * index + 6)
+        block = maps[:, own, own]
+        assert _hom_dim(maps, own, own) == 2
+        assert _symmetric_dim(block) == 1
+    # the two modules are not equivalent
+    assert _hom_dim(maps, slice(6, 12), slice(0, 6)) == 0
+    assert len(maps) == 4
 
 
 def test_inequivalent_modules_have_no_intertwiner():
     space = catalog.catalog_instantiate("go-2", seed=0)
-    maps = _assert_matches_kronecker(_module_action(space, 0),
-                                     _module_action(space, 1))
-    assert maps.shape == (0, 14, 7)
+    maps = _assert_matches_kronecker(
+        _direct_sum(*(_module_action(space, i) for i in range(2))))
+    seven, fourteen = slice(0, 7), slice(7, 21)
+    assert _hom_dim(maps, fourteen, seven) == 0
+    assert _hom_dim(maps, seven, fourteen) == 0
+    # R on the 7-dimensional module, C on the 14-dimensional one
+    assert _hom_dim(maps, seven, seven) == 1
+    assert _hom_dim(maps, fourteen, fourteen) == len(maps) - 1 == 2
     # so(3) on R^3 against the trivial R^2: both have eigenvalue 0, so
-    # the kernels give candidates, and the generators remove them all
+    # the kernel gives candidates between them, and the generators remove
+    # them all, leaving R on R^3 and gl(2) on R^2
     vector = _so3_summands()[1]
-    assert len(_assert_matches_kronecker(vector, np.zeros((3, 2, 2)))) == 0
+    maps = _assert_matches_kronecker(_direct_sum(vector, np.zeros((3, 2, 2))))
+    assert _hom_dim(maps, slice(3, 5), slice(0, 3)) == 0
+    assert _hom_dim(maps, slice(0, 3), slice(3, 5)) == 0
+    assert len(maps) == 1 + 4
 
 
-def test_intertwiners_without_generators_span_every_map():
-    maps = spaces.intertwiners(np.zeros((0, 2, 2)), np.zeros((0, 3, 3)))
-    assert maps.shape == (6, 3, 2)
-    np.testing.assert_array_equal(maps.reshape(6, 6), np.eye(6))
+def test_commutant_without_generators_spans_every_map():
+    maps = spaces.commutant(np.zeros((0, 3, 3)))
+    assert maps.shape == (9, 3, 3)
+    np.testing.assert_array_equal(maps.reshape(9, 9), np.eye(9))
 
 
 def _so3_summands():
@@ -559,16 +598,9 @@ def _so3_summands():
 
 
 def _random_direct_sum(counts, rng):
-    blocks = [block for block, count in zip(_so3_summands(), counts)
-              for _ in range(count)]
-    dim = sum(b.shape[1] for b in blocks)
-    rep = np.zeros((3, dim, dim))
-    start = 0
-    for block in blocks:
-        d = block.shape[1]
-        rep[:, start:start + d, start:start + d] = block
-        start += d
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    rep = _direct_sum(*(block for block, count in zip(_so3_summands(), counts)
+                        for _ in range(count)))
+    q, _ = np.linalg.qr(rng.standard_normal(rep.shape[1:]))
     return q.T @ rep @ q
 
 
@@ -577,7 +609,7 @@ _COUNTS = st.tuples(st.integers(0, 2), st.integers(0, 2),
 
 
 def _kronecker_commutant(src, dst):
-    """Reference commutant, independent of ``spaces.intertwiners``: the
+    """Reference intertwiners, independent of ``spaces.commutant``: the
     kernel of every generator's Kronecker system at once, a
     (k dim dst dim src) x (dim dst dim src) matrix, so small sizes only.
     An orthonormal (count, dim dst, dim src) stack."""
@@ -589,12 +621,12 @@ def _kronecker_commutant(src, dst):
     return kernel.T.reshape(kernel.shape[1], dd, ds)
 
 
-def _assert_matches_kronecker(src, dst):
-    """``intertwiners`` is an orthonormal basis of the reference
-    commutant: same count, same projector F^T F on the flattened maps."""
-    maps = spaces.intertwiners(src, dst)
-    _assert_intertwiner_basis(maps, src, dst)
-    reference = _kronecker_commutant(src, dst)
+def _assert_matches_kronecker(action):
+    """``commutant`` is an orthonormal basis of the reference commutant:
+    same count, same projector F^T F on the flattened maps."""
+    maps = spaces.commutant(action)
+    _assert_commutant_basis(maps, action)
+    reference = _kronecker_commutant(action, action)
     assert maps.shape == reference.shape
     flat, ref = (m.reshape(len(m), m.shape[1] * m.shape[2])
                  for m in (maps, reference))
@@ -606,23 +638,38 @@ def _assert_matches_kronecker(src, dst):
 @settings(max_examples=20, deadline=None)
 def test_intertwiners_match_the_kronecker_nullspace(src_counts, dst_counts,
                                                     seed):
+    # the commutant of src + dst holds Hom(src, dst) as its off-diagonal
+    # block: that block spans the reference Hom(src, dst), and the four
+    # blocks' references count the whole commutant
     rng = np.random.default_rng(seed)
-    _assert_matches_kronecker(_random_direct_sum(src_counts, rng),
-                              _random_direct_sum(dst_counts, rng))
+    src = _random_direct_sum(src_counts, rng)
+    dst = _random_direct_sum(dst_counts, rng)
+    action = _direct_sum(src, dst)
+    maps = spaces.commutant(action)
+    _assert_commutant_basis(maps, action)
+    ds = src.shape[1]
+    cross = linalg.column_space(maps[:, ds:, :ds].reshape(len(maps), -1).T)
+    ref = _kronecker_commutant(src, dst).reshape(-1, cross.shape[0])
+    assert cross.shape[1] == len(ref)
+    np.testing.assert_allclose(cross @ cross.T, ref.T @ ref, atol=1e-9)
+    assert len(maps) == sum(len(_kronecker_commutant(a, b))
+                            for a in (src, dst) for b in (src, dst))
 
 
 @pytest.mark.parametrize("entry_id", [
     e.id for e in catalog.catalog_list(constructible=True)
     if sum(e.expected["module_dims"]) <= 21])
 def test_isotropy_commutant_matches_the_kronecker_reference(entry_id):
-    action = catalog.catalog_instantiate(entry_id, seed=0).iso_action
-    _assert_matches_kronecker(action, action)
+    _assert_matches_kronecker(
+        catalog.catalog_instantiate(entry_id, seed=0).iso_action)
 
 
 def test_zero_action_commutant_is_every_map():
-    # every eigenvalue is 0, so every pair matches
-    maps = _assert_matches_kronecker(np.zeros((2, 3, 3)), np.zeros((2, 4, 4)))
-    assert len(maps) == 12
+    # every eigenvalue is 0, so every pair matches: all 49 maps, 12 of
+    # them from the first 3 coordinates to the last 4
+    maps = _assert_matches_kronecker(np.zeros((2, 7, 7)))
+    assert len(maps) == 49
+    assert _hom_dim(maps, slice(3, 7), slice(0, 3)) == 12
 
 
 def test_one_generator_with_repeated_eigenvalues():
@@ -636,7 +683,7 @@ def test_one_generator_with_repeated_eigenvalues():
     action = (q.T @ gen @ q)[None]
     # the commutant of the +-i block is gl(2, C) (8 real dims), then
     # C for the +-2i block and R for the kernel
-    assert len(_assert_matches_kronecker(action, action)) == 8 + 2 + 1
+    assert len(_assert_matches_kronecker(action)) == 8 + 2 + 1
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -712,16 +759,17 @@ def test_module_contractions_match_einsum(dh, d1, d2, seed):
                        np.concatenate([action, cross]))
 
 
-def test_intertwiners_refuse_an_oversized_system_before_allocating():
+def test_commutant_refuses_an_oversized_system_before_allocating():
     import tracemalloc
-    # 65 * 64 = 4160 unknowns: a 132 MiB system, just over the bound
-    src = np.zeros((1, 64, 64))
-    dst = np.zeros((1, 65, 65))
-    assert (65 * 64) ** 2 * 8 > spaces.MAX_SYSTEM_BYTES
+    # 65^2 unknowns, every one a candidate: a 136 MiB system, just over
+    # the bound
+    action = np.zeros((1, 65, 65))
+    assert 65 ** 4 * 8 > spaces.MAX_SYSTEM_BYTES
     tracemalloc.start()
     try:
-        with pytest.raises(spaces.DecompositionError, match="MiB"):
-            spaces.intertwiners(src, dst)
+        with pytest.raises(spaces.DecompositionError,
+                           match="commutant system of 136 MiB"):
+            spaces.commutant(action)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -750,10 +798,10 @@ def test_rows_near_the_rank_caps_decompose(key, params, dims, metric_dim):
 
 
 def _noisy(inner, scale):
-    """``intertwiners`` with Gaussian noise of size ``scale`` added to its
+    """``commutant`` with Gaussian noise of size ``scale`` added to its
     basis, re-orthonormalised: a commutant known only to rounding."""
-    def wrapped(src, dst):
-        maps = inner(src, dst)
+    def wrapped(action):
+        maps = inner(action)
         flat = maps.reshape(len(maps), -1)
         rng = np.random.default_rng(flat.shape)
         q = np.linalg.qr((flat + scale * rng.standard_normal(flat.shape)).T)[0]
@@ -764,7 +812,7 @@ def _noisy(inner, scale):
 @pytest.fixture()
 def cold_splits():
     """An empty split cache, emptied again afterwards, so a test that
-    patches ``intertwiners`` builds its commutants and leaves none."""
+    patches ``commutant`` builds its commutants and leaves none."""
     spaces.SPLITS.cache_clear()
     yield
     spaces.SPLITS.cache_clear()
@@ -777,8 +825,8 @@ def test_counts_survive_a_commutant_known_to_rounding(entry_id, monkeypatch,
     # a plain pair (go-2): every count is an integer read off the basis,
     # so noise far above eps moves none of them
     want = catalog.catalog_instantiate(entry_id, seed=0)
-    monkeypatch.setattr(spaces, "intertwiners",
-                        _noisy(spaces.intertwiners, 1e-10))
+    monkeypatch.setattr(spaces, "commutant",
+                        _noisy(spaces.commutant, 1e-10))
     spaces.SPLITS.cache_clear()
     got = catalog.catalog_instantiate(entry_id, seed=0)
     assert got.module_dims == want.module_dims
@@ -788,12 +836,12 @@ def test_counts_survive_a_commutant_known_to_rounding(entry_id, monkeypatch,
 
 def test_decomposition_solves_one_commutant(monkeypatch):
     calls = []
-    inner = spaces.intertwiners
+    inner = spaces.commutant
 
-    def spy(src, dst):
-        calls.append(src.shape)
-        return inner(src, dst)
-    monkeypatch.setattr(spaces, "intertwiners", spy)
+    def spy(action):
+        calls.append(action.shape)
+        return inner(action)
+    monkeypatch.setattr(spaces, "commutant", spy)
     entries = catalog.catalog_list(constructible=True)
     assert len(entries) == 20
     for entry in entries:
@@ -806,9 +854,9 @@ def test_decomposition_solves_one_commutant(monkeypatch):
 def test_a_count_off_the_integers_is_refused(monkeypatch, cold_splits):
     # a basis scaled by sqrt(1.25) is no longer orthonormal, and the
     # 2-dimensional metric space of so(5)/u(2) reads 2.5
-    inner = spaces.intertwiners
-    monkeypatch.setattr(spaces, "intertwiners",
-                        lambda src, dst: np.sqrt(1.25) * inner(src, dst))
+    inner = spaces.commutant
+    monkeypatch.setattr(spaces, "commutant",
+                        lambda action: np.sqrt(1.25) * inner(action))
     space = spaces.reductive_space(
         None, zoo.named_embedding("u_in_so_odd", k=2), name="so(5)/u(2)")
     with pytest.raises(spaces.DecompositionError, match="2.500"):
@@ -841,7 +889,7 @@ def test_counts_match_per_module_solves(fixture_name, request):
     # against block sums of the commutant rotated into the module bases
     space = request.getfixturevalue(fixture_name)
     action = space.iso_action
-    maps = spaces.intertwiners(action, action)
+    maps = spaces.commutant(action)
     blocks = [space.module_coords_in_m(i) for i in range(len(space.modules))]
     squares, symmetric = spaces._block_sums(maps, np.hstack(blocks))
     assert spaces._commutant_count(symmetric, slice(None), slice(None)) == \
@@ -895,7 +943,7 @@ def test_a_decomposed_space_shares_its_split(monkeypatch):
     assert first.iso_action is bare.iso_action
     assert first.split.commutant is bare.split.commutant
     calls = []
-    monkeypatch.setattr(spaces, "intertwiners",
+    monkeypatch.setattr(spaces, "commutant",
                         lambda *args: calls.append(args))
     other = spaces.reductive_space(None, chain, name="another name")
     for seed in range(4):
