@@ -15,15 +15,39 @@ stream per seed as an addressed sequence of raw 64-bit words
 (``go._words``): PCG64's ``advance`` jumps to a sample's words in
 O(log n) steps, and no ``Generator`` method, whose output numpy may
 change between releases, is called.
+
+Heap: importing the module pins glibc's mmap and trim thresholds
+(``_pin_heap``). glibc's defaults start at 128 KiB and rise only after a
+large block is freed, so without the pin the stacks each GO fill frees
+(1-2.3 MiB) are unmapped or trimmed and page-faulted back on every call.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import os
+import platform
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+
+def _pin_heap() -> None:
+    """Fix glibc's thresholds once: freed blocks under 32 MiB stay in the
+    heap, and it is trimmed only above 64 MiB. Skipped off glibc, and when
+    a ``MALLOC_*`` variable or a ``glibc.malloc`` tunable is set."""
+    if (platform.libc_ver()[0] != "glibc"
+            or any(name.startswith("MALLOC_") for name in os.environ)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt(-3, 32 * 2 ** 20)  # M_MMAP_THRESHOLD
+    libc.mallopt(-1, 64 * 2 ** 20)  # M_TRIM_THRESHOLD
+
+
+_pin_heap()
 
 _EPS = np.finfo(np.float64).eps
 

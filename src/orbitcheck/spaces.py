@@ -5,7 +5,8 @@ subalgebra h against the chosen ad-invariant inner product. Every
 equivariance question goes through one routine, ``commutant``, which
 returns a basis of the maps on a space commuting with every generator
 of an ad(h)-action, from the matching eigenvalues of one generic
-element of h (on its kernel, of a second one's square). The
+element of h (on its kernel, of a second one's square), pruned by two
+more generic elements and then by every generator. The
 commutant of ad(h) on m is computed once per ``ReductiveSplit``, the
 seed-free part of a space, shared by every space and seed built from
 one (g, embedding). The isotropy decomposition splits m along the
@@ -53,10 +54,10 @@ class DecompositionError(OrbitcheckError):
     pass
 
 
-# Largest pruning system commutant builds, k * d * d * K doubles for K
-# candidate maps. RSS grows by about three times the system (up to
-# five and a half with a one-dimensional h), so a decomposition stays
-# under 1 GB.
+# Largest stage commutant allocates: K candidate maps on R^d, d * d * K
+# doubles, and, when j generators are imposed on them, the (j d^2, K)
+# system and the QR's two copies of it. The first stage, with j = 1 and
+# the most candidates, is checked before any candidate is built.
 MAX_SYSTEM_BYTES = 128 * 2 ** 20
 # Relative gap under which commutant pairs two eigenvalues, and
 # _simple_ideals counts one as zero: loose, as the generators prune a pair
@@ -422,16 +423,21 @@ def commutant(action: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the maps T with a T = T a for every generator a.
 
     ``action`` is a (k, d, d) stack of skew generator actions; the result
-    is a Frobenius-orthonormal (count, d, d) stack. Every such T commutes
-    with one generic combination a: with i a = U diag(l) U^H, T = U E U^H
-    with E_ji = 0 unless l_j = l_i. The spectrum is symmetric, with
-    conjugate eigenvectors at -l, so the candidates are sqrt(2) times the
-    real and imaginary parts of U[:, j] U[:, i]^H for l_j = l_i > 0. On
-    the real kernel P of a, T commutes with M = P^T c^T c P for a second
-    generic combination c, so the last candidates are the maps between
-    matched eigenvectors of M (whose eigenvalues, and their rounding, lie
-    under |c|_F^2). Every generator is then imposed on the candidates
-    only.
+    is a Frobenius-orthonormal, C-contiguous (count, d, d) stack. Every
+    such T commutes with one generic combination a: with i a = U diag(l)
+    U^H, T = U E U^H with E_ji = 0 unless l_j = l_i. The spectrum is
+    symmetric, with conjugate eigenvectors at -l, so the candidates are
+    sqrt(2) times the real and imaginary parts of U[:, j] U[:, i]^H for
+    l_j = l_i > 0. On the real kernel P of a, T commutes with
+    M = P^T c^T c P for a second generic combination c, so the last
+    candidates are the maps between matched eigenvectors of M (whose
+    eigenvalues, and their rounding, lie under |c|_F^2). With one
+    generator every candidate commutes with it, by construction. Else two
+    more generic combinations are imposed on the candidates, one (d^2, K)
+    system each, which leaves few survivors, and then every generator is
+    imposed on those (``_impose``): the result is the commutant whatever
+    the draws were. Each stage is refused before it allocates, by
+    ``_check_size``.
     """
     k, d = len(action), action.shape[1]
     if k == 0 or d == 0:
@@ -450,22 +456,50 @@ def commutant(action: np.ndarray) -> np.ndarray:
     ker = ker @ w
     kj, ki = np.nonzero(np.abs(mu[:, None] - mu)
                         <= EIGENVALUE_MATCH * float(np.sum(c * c)))
-    count = 2 * len(jj) + len(kj)
-    if k * d * d * count * 8 > MAX_SYSTEM_BYTES:
+    pairs, count = len(jj), 2 * len(jj) + len(kj)
+    _check_size(count, d, 0 if k == 1 else 1)
+    maps = np.empty((count, d, d))
+    product = np.sqrt(2) * (u.T[jj, :, None] * u.T[ii, None].conj())
+    maps[:pairs], maps[pairs:2 * pairs] = product.real, product.imag
+    np.multiply(ker.T[kj, :, None], ker.T[ki, None], out=maps[2 * pairs:])
+    if k == 1:
+        return maps
+    generic = np.einsum("sa,aij->sij", rng.standard_normal((2, k)), action)
+    for gens in (generic[:1], generic[1:], action):
+        maps = _impose(maps, gens)
+    return maps
+
+
+def _check_size(count: int, d: int, generators: int) -> None:
+    """Refuse a stage of ``count`` candidate maps on R^d that imposes
+    ``generators`` maps before it allocates: it holds the candidates, its
+    (generators d^2, count) system and the QR's two copies of it (numpy's
+    and LAPACK's), against ``MAX_SYSTEM_BYTES``."""
+    size = count * d * d * (1 + 3 * generators) * 8
+    if size > MAX_SYSTEM_BYTES:
         raise DecompositionError(
-            f"commutant system of {k * d * d * count / 2 ** 17:.0f} MiB "
+            f"commutant system of {size / 2 ** 20:.0f} MiB "
             f"({count} candidate maps) exceeds the "
             f"{MAX_SYSTEM_BYTES >> 20} MiB bound")
-    pairs = np.sqrt(2) * (u.T[jj, :, None] * u.T[ii, None].conj()).reshape(
-        len(jj), d * d)
-    kernel = np.hstack([pairs.real.T, pairs.imag.T, (
-        ker[:, None, kj] * ker[None, :, ki]).reshape(d * d, -1)])
-    # rows[a, p, q] = (action[a] T - T action[a])[p, q], built in place
-    rows = (action @ kernel.reshape(d, d * count)).reshape(k, d, d, count)
-    for a, x in enumerate(action):
-        rows[a] -= x.T @ kernel.reshape(d, d, count)
-    coeffs = nullspace(rows.reshape(k * d * d, count))
-    return (coeffs.T @ kernel.T).reshape(-1, d, d)
+
+
+def _impose(maps: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """The combinations of the orthonormal stack ``maps`` (K, d, d) that
+    commute with each of ``gens`` (j, d, d): the kernel of the (j d^2, K)
+    system whose columns are the residuals a T - T a, an orthonormal
+    C-contiguous stack. The generators go in as few parts as
+    ``_check_size`` admits, each part's kernel shrinking the stack."""
+    d, done = maps.shape[1], 0
+    while done < len(gens) and len(maps):
+        fit = (MAX_SYSTEM_BYTES // (8 * d * d * len(maps)) - 1) // 3
+        part = gens[done:done + max(fit, 1)]
+        _check_size(len(maps), d, len(part))
+        rows = part @ maps[:, None]
+        rows -= maps[:, None] @ part
+        coeffs = nullspace(rows.reshape(len(maps), -1).T)
+        maps = (coeffs.T @ maps.reshape(len(maps), d * d)).reshape(-1, d, d)
+        done += len(part)
+    return maps
 
 
 def _block_sums(maps: np.ndarray,

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import platform
 import re
+import subprocess
 import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,6 +128,35 @@ def test_a_block_metric_solves_nothing(entry_id, monkeypatch):
     # the one reference map, Frobenius-normalised, is T / sqrt(d)
     ref, = np.sqrt(d) * _kronecker_commutant(ai, aj)
     assert min(np.abs(t - ref).max(), np.abs(t + ref).max()) <= 1e-10
+
+
+def test_the_cross_isometry_takes_the_largest_block(so8_g2):
+    # Hom_h(m_1, m_2) of so(8)/G2 is one line, so every commutant map's
+    # (m_2, m_1) block is a multiple s_k T of one isometry. Rotating the
+    # commutant so that one block is 1e-6 |s| leaves its rounding at
+    # about 1e-10 relative; the largest block keeps eps
+    (i, j), = so8_g2.isotypic_groups
+    maps = so8_g2.split.commutant
+    bi, bj = so8_g2.module_coords_in_m(i), so8_g2.module_coords_in_m(j)
+    sizes = np.einsum("kpq,pq->k", bj.T @ maps @ bi,
+                      _kronecker_commutant(_module_action(so8_g2, i),
+                                           _module_action(so8_g2, j))[0])
+    unit = sizes / np.linalg.norm(sizes)
+    rng = np.random.default_rng(1)
+    away = rng.standard_normal(len(sizes))
+    away -= (away @ unit) * unit
+    first = np.sqrt(1 - 1e-12) * away / np.linalg.norm(away) + 1e-6 * unit
+    q, _ = np.linalg.qr(np.column_stack(
+        [first, rng.standard_normal((len(sizes), len(sizes) - 1))]))
+    rotated = np.einsum("kl,kpq->lpq", q, maps)
+    blocks = np.linalg.norm(bj.T @ rotated @ bi, axis=(1, 2))
+    assert blocks.min() < 1e-5 < 0.1 < blocks.max()
+    split = SimpleNamespace(commutant=rotated)
+    space = SimpleNamespace(split=split,
+                            module_coords_in_m=so8_g2.module_coords_in_m)
+    t = go._equivariant_isometry(space, i, j)
+    want = go._equivariant_isometry(so8_g2, i, j)
+    assert np.abs(t - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("offset, scalar", [
@@ -1754,3 +1787,64 @@ def test_two_param_spectral_norm_is_the_larger_weight(entry_id):
         assert metric.spectral_norm == max(lam, mu)
         top = np.linalg.eigvalsh(metric.matrix)[-1]
         assert abs(top - max(lam, mu)) <= 1e-12 * max(lam, mu)
+
+
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                reason="the heap pin is for glibc only")
+
+
+def _fresh_python(script, **env):
+    """Run ``script`` in a fresh interpreter at one BLAS thread, with no
+    MALLOC_* variable or glibc tunable but ``env``; its last output line."""
+    child = {k: v for k, v in os.environ.items()
+             if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    child.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **env)
+    proc = subprocess.run([sys.executable, "-c", script], env=child,
+                          check=True, capture_output=True, text=True)
+    return proc.stdout.splitlines()[-1]
+
+
+@glibc_only
+def test_warm_go_lane_does_not_page_fault_with_the_heap_pin():
+    # each fill frees 1-2.3 MiB of stacks; under glibc's default
+    # thresholds they are trimmed or unmapped and faulted back on every
+    # call (339 minor faults a call on go-5 alone), unless the heap is
+    # pinned at import
+    script = """
+import resource
+from orbitcheck import catalog, go
+space = catalog.catalog_instantiate("go-5", seed=0)
+for seed in range(3):
+    go.go_check(space, (1.0, 2.0), seed=seed)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(3, 23):
+    go.go_check(space, (1.0, 2.0), seed=seed)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+    assert float(_fresh_python(script)) < 10
+
+
+@glibc_only
+def test_a_malloc_variable_overrides_the_heap_pin():
+    # mallopt is spied on through ctypes.CDLL before the package loads:
+    # two calls (mmap and trim thresholds) by default, none once the
+    # environment sets glibc's own variable
+    script = """
+import ctypes
+calls = []
+cdll = ctypes.CDLL
+
+class Spy:
+    def __init__(self, *args, **kwargs):
+        self.lib = cdll(*args, **kwargs)
+
+    def __getattr__(self, name):
+        if name == "mallopt":
+            return lambda *args: calls.append(args) or 1
+        return getattr(self.lib, name)
+ctypes.CDLL = Spy
+import orbitcheck
+print(len(calls))
+"""
+    assert _fresh_python(script) == "2"
+    assert _fresh_python(script, MALLOC_TRIM_THRESHOLD_="131072") == "0"

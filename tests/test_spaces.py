@@ -686,6 +686,70 @@ def test_one_generator_with_repeated_eigenvalues():
     assert len(_assert_matches_kronecker(action)) == 8 + 2 + 1
 
 
+def test_staged_commutant_imposes_every_generator_last():
+    # five generators a_i = alpha_i X + beta_i Y on R^6, not a Lie action,
+    # with beta orthogonal to the four weight vectors commutant draws from
+    # rng_for("intertwiners", 5): the generic element, c, and the two
+    # staged combinations. Every drawn combination is then a multiple of
+    # X, whose commutant (C on each of its three planes, 6 maps) survives
+    # every generic stage; only the final stage, which imposes each a_i,
+    # cuts it to the scalars that also commute with Y
+    k, d = 5, 6
+    rng = linalg.rng_for("intertwiners", k)
+    drawn = np.vstack([rng.standard_normal(k), rng.standard_normal(k),
+                       rng.standard_normal((2, k))])
+    beta = linalg.nullspace(drawn)[:, 0]
+    local = np.random.default_rng(3)
+    x, y = (a - a.T for a in local.standard_normal((2, d, d)))
+    action = (local.standard_normal(k)[:, None, None] * x
+              + beta[:, None, None] * y)
+    combos = np.einsum("sa,aij->sij", drawn, action)
+    assert len(_kronecker_commutant(combos, combos)) == d
+    maps = _assert_matches_kronecker(action)
+    assert len(maps) == 1
+
+
+def test_staged_commutant_of_one_generator_imposes_nothing(monkeypatch):
+    # so(7)/so(2): the one generator has eigenvalues +-i, five times
+    # each, and a 10-dimensional kernel, and its candidates commute with
+    # it by construction, so commutant imposes no stage; imposing the
+    # generator on them keeps every one, and both match the Kronecker
+    # reference
+    action = spaces.reductive_space(
+        None, zoo.named_embedding("so_in_so", k=2, n=7)).iso_action
+    impose = spaces._impose
+
+    def refuse(maps, gens):
+        raise AssertionError("a stage was imposed with one generator")
+    monkeypatch.setattr(spaces, "_impose", refuse)
+    maps = _assert_matches_kronecker(action)
+    imposed = impose(maps, action)
+    assert imposed.shape == maps.shape == (10 * 10 + 2 * 5 * 5, 20, 20)
+    flat, kept = (m.reshape(len(m), -1) for m in (maps, imposed))
+    np.testing.assert_allclose(kept.T @ kept, flat.T @ flat, atol=1e-12)
+
+
+def test_staged_commutant_splits_its_last_stage_under_the_bound(
+        monkeypatch):
+    # su(4)/su(2): 48 candidates on R^12, 32 after the generic stages
+    # (gl(4) on the trivial part, gl(2, H) on two copies of H); under a
+    # bound that only the first stage's footprint meets, the three
+    # generators are imposed one at a time, with the same result
+    action = spaces.reductive_space(
+        None, zoo.named_embedding("su_in_su", k=2, n=4)).iso_action
+    assert len(_assert_matches_kronecker(action)) == 32
+    calls = []
+    check_size = spaces._check_size
+
+    def spy(*args):
+        calls.append(args)
+        check_size(*args)
+    monkeypatch.setattr(spaces, "_check_size", spy)
+    monkeypatch.setattr(spaces, "MAX_SYSTEM_BYTES", 4 * 48 * 12 * 12 * 8)
+    assert len(_assert_matches_kronecker(action)) == 32
+    assert calls == [(48, 12, 1)] * 2 + [(32, 12, 1)] * 4
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_module_order_does_not_depend_on_the_seed(seed):
     # so(7)/u(3): both modules are 6-dimensional; h + m1 must be the
@@ -787,10 +851,25 @@ def test_so16_over_so8_fails_fast():
 @pytest.mark.parametrize("key, params, dims, metric_dim", [
     ("u_in_so_odd", {"k": 6}, (12, 30), 2),
     ("irreducible_su2_in_su", {"two_j": 7}, (5, 7, 9, 11, 13, 15), 6),
+    # su(8)/su(4): m = su(4)' + u(1), trivial, and C^4 x C^4', four copies
+    # of C^4 of complex type; symmetric maps: 16 * 17 / 2 + 4^2 = 152
+    ("su_in_su", {"k": 4, "n": 8}, (1,) * 16 + (8,) * 4, 152),
+    # so(mn)/(so(m)+so(n)) on R^m x R^n, t1-V.1: so(mn) = L2(R^m x R^n)
+    # = L2 R^m x S2 R^n + S2 R^m x L2 R^n, with S2 = S2_0 + R and
+    # h = L2 R^m + L2 R^n, so m = L2 R^m x S2_0 R^n + S2_0 R^m x L2 R^n.
+    # At (3, 5): (3 * 14, 5 * 10) = (42, 50), inequivalent, real type.
+    ("so_x_so_tensor", {"p": 3, "q": 5}, (42, 50), 2),
+    # At (4, 4): L2 R^4 = L2+ + L2-, so four pairwise inequivalent
+    # modules of 3 * 9 = 27, each of real type.
+    ("so_x_so_tensor", {"p": 4, "q": 4}, (27, 27, 27, 27), 4),
 ])
 def test_rows_near_the_rank_caps_decompose(key, params, dims, metric_dim):
-    # so(13)/u(6) and su(8)/su(2), dim m 42 and 60: about 20 s each
-    # through a (dim m)^2-unknown Kronecker solve, well under 1 s here
+    # so(13)/u(6), su(8)/su(2), su(8)/su(4), so(15)/(so(3)+so(5)) and
+    # so(16)/(so(4)+so(4)), dim m 42 to 108: about 20 s each through a
+    # (dim m)^2-unknown Kronecker solve, under 1 s each here. The tensor
+    # rows were refused by the size bound when commutant imposed every
+    # generator at once; su(8)/su(4), whose 288 candidates all survive
+    # the generic stages, imposes its generators in two parts
     space = spaces.decompose_isotropy(spaces.reductive_space(
         None, zoo.named_embedding(key, **params)))
     assert space.module_dims == dims
