@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -48,6 +48,7 @@ class ValidationReport:
     jacobi: float
     passed: bool
     mode: str = "float"
+    invariance: float | None = None  # None: no inner product was given
 
     def as_dict(self) -> dict:
         return {
@@ -55,6 +56,7 @@ class ValidationReport:
             "jacobi": self.jacobi,
             "passed": self.passed,
             "mode": self.mode,
+            "invariance": self.invariance,
         }
 
 
@@ -306,16 +308,33 @@ def jacobi_residual(structure: np.ndarray) -> float:
 
 
 def validate_algebra(structure, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Antisymmetry and Jacobi check.
+    """Antisymmetry and Jacobi check, and for a LieAlgebra the
+    ad-invariance of its inner product.
 
     Accepts a float tensor, exact ``StructureConstants`` or a
     LieAlgebra. Exact constants are checked on their triples in integer
     arithmetic and pass only with both residuals exactly 0; a float
     algebra is checked densely, on its rebuilt ``structure`` (a join over
-    dense float triples would cost n^5 memory), against ``tol``.
+    dense float triples would cost n^5 memory), against ``tol``. A
+    LieAlgebra's ``invariance``, the largest |<[e_a, e_b], e_c> +
+    <e_b, [e_a, e_c]>| relative to max |Gram|, must be 0 where it is
+    exact (``StructureConstants.invariance`` on exact constants and a
+    Gram that ``exact.rounded`` reads back), else at most ``tol``.
     """
     if isinstance(structure, LieAlgebra):
-        structure = structure.structure_exact or structure.structure
+        gram, c = structure.inner_product, structure.structure_exact
+        ip, dip = exact.rounded(gram)
+        proven = c is not None and np.array_equal(exact.to_float(ip, dip),
+                                                  gram)
+        if proven:
+            top = c.denom * (int(np.abs(ip).max(initial=0)) or 1)
+            invariance = float(Fraction(c.invariance(ip), top))
+        else:
+            top = float(np.abs(gram).max(initial=0.0)) or 1.0
+            invariance = structure.inner_ad_invariance() / top
+        report = validate_algebra(c or structure.structure, tol)
+        return replace(report, invariance=invariance, passed=report.passed
+                       and invariance <= (0.0 if proven else tol))
     if isinstance(structure, StructureConstants):
         anti, jac = structure.residuals()
         return ValidationReport(float(anti), float(jac),

@@ -296,9 +296,11 @@ def go_witness_general(space: ReductiveSpace, metric, x: np.ndarray,
     """Decide the pointwise criterion at X (m coordinates).
 
     Solves proj_m [Z, A X] = -proj_m [X, A X] for Z in h by minimum-norm
-    least squares. An inconsistent system is certified by the rank gap
-    of the augmented matrix; a gap whose margin falls below 1000 * tol
-    raises ToleranceError instead of returning an uncertain verdict.
+    least squares, reading Z, the residual and the rank off one thin SVD
+    (``min_norm_solve``). An inconsistent system is certified by the rank
+    gap of the augmented matrix, from its singular values alone; a gap
+    whose margin falls below 1000 * tol raises ToleranceError instead of
+    returning an uncertain verdict.
 
     Both sides are linear in A, so the system is solved for A divided by
     its spectral norm: GO is invariant under homothety, and the
@@ -397,13 +399,17 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     1 / (MARGIN_FACTOR tol)), where the lighter module's rank gaps fall
     below the band at unit scale, and near RANK_FLOOR read as inconsistent.
     Every metric runs on one driver over its lane's samples, which the
-    space holds for one seed and fills in two chunks: sample 0, where
-    every counterexample seen so far ends a run, then the rest of the
-    call. A two-parameter metric reads them off the metric-free
-    factorisation, a scalar one with z = 0; any other float metric
-    accepts none. Addressed draws and per-sample products make each
-    witness independent of its chunk and of earlier calls. A rejected
-    sample is solved again, a float one by go_witness_general.
+    space holds for one seed. A two-parameter metric reads them off the
+    metric-free factorisation, a scalar one with z = 0; any other float
+    metric accepts none. A rejected sample is solved again, a float one
+    by go_witness_general. Sample 0, where every counterexample seen so
+    far ends a run, is decided first: a two-parameter call of several
+    samples at a new seed probes it (``_Factorisation.probe``) before it
+    factorises the whole call at once; any other call, or one whose
+    probe is ambiguous, fills it alone.
+    Addressed draws and per-sample products make each witness
+    independent of its chunk and of earlier calls; its z is formed on
+    first read.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
@@ -424,25 +430,32 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
         # one seed per lane, with the samples of its longest call
         fac = space.go_factorisations[lane] = lane(space, seed)
     reads, solved, counterexample, n = [], {}, None, 0
+    probe = fac.probe(space, a, tol) if lane is _Factorisation \
+        and n_samples > 1 and not fac.held else None
+    if probe and not probe.solvable:
+        reads.append((np.zeros(1, dtype=bool), np.zeros(1)))
+        solved, counterexample, n = {0: probe}, probe, 1
     while n < n_samples and counterexample is None:
-        if n >= len(fac.kinds):
-            fac.fill(space, range(n, n_samples if n else 1))
-        part = slice(n, min(len(fac.kinds), n_samples))
+        if n >= fac.held:
+            fac.fill(space, range(n, n_samples if n or probe else 1))
+        part = slice(n, min(fac.held, n_samples))
         reads.append(fac.read_off(a, tol, part))
         n = part.stop
         for i in (part.start + np.flatnonzero(~reads[-1][0])).tolist():
-            w = solved[i] = fac.solve_again(space, a, tol, i)
+            w = solved[i] = probe if i == 0 and probe else \
+                fac.solve_again(space, a, tol, i)
             if not w.solvable:
                 counterexample, n = w, i + 1
                 break
-    ok, residuals, zs = (np.concatenate(arrays)[:n]
-                         for arrays in zip(*reads))
+    ok, residuals = (np.concatenate(arrays)[:n] if len(reads) > 1
+                     else arrays[0][:n] for arrays in zip(*reads))
     max_res = max([float(residuals[ok].max(initial=0.0))]
                   + [w.residual for w in solved.values() if w.solvable])
     return GoVerdict(status="NOT_GO" if counterexample is not None
                      else "NORMAL_TRIVIAL" if normal else "GO_CONSISTENT",
-                     witnesses=_ReadOff(fac.rows[:n], fac.kinds[:n], zs,
-                                        residuals, solved),
+                     witnesses=_ReadOff(fac.rows[:n], fac.kinds[:n],
+                                        residuals, solved,
+                                        lambda i: fac.z_at(a, i)),
                      counterexample=counterexample, max_residual=max_res,
                      n_samples=n, seed=seed, metric=a.as_dict(),
                      space_name=space.name, exact=bool(exact_mode))
@@ -565,6 +578,10 @@ class _Draws:
         self.kinds: list[str] = []
         self.rows: list[np.ndarray] = []
 
+    @property
+    def held(self) -> int:  # samples a read-off can read
+        return len(self.kinds)
+
     def fill(self, space: ReductiveSpace, samples: range):
         """Draw the next chunk of samples and return their rows."""
         x, kinds = _directions(self.blocks, ("go", space.name, self.seed),
@@ -576,17 +593,19 @@ class _Draws:
         return x
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
-        """Acceptance mask, residuals and z of the samples in ``part``:
-        under a scalar metric every sample, with z = 0 and residual
+        """Acceptance mask and residuals of the samples in ``part``:
+        under a scalar metric every sample, with residual
         ||-A x @ (x @ m_bracket_m)|| row by row; under any other, none."""
         rows = self.rows[part]
         n, dm = len(rows), len(self.brackets)
-        zs = np.zeros((n, self.dh))
         if not a.is_scalar:
-            return np.zeros(n, dtype=bool), np.zeros(n), zs
+            return np.zeros(n, dtype=bool), np.zeros(n)
         residuals = [np.linalg.norm(-a.apply(x) @ (x @ self.brackets).reshape(
             dm, dm)) for x in rows]
-        return np.ones(n, dtype=bool), np.array(residuals), zs
+        return np.ones(n, dtype=bool), np.array(residuals)
+
+    def z_at(self, a: MetricOperator, i: int) -> np.ndarray:
+        return np.zeros(self.dh)  # only a scalar metric accepts a sample
 
     def solve_again(self, space: ReductiveSpace, a: MetricOperator, tol, i):
         return go_witness_general(space, a, self.rows[i], tol, self.kinds[i])
@@ -606,12 +625,13 @@ class _Factorisation(_Draws):
     Z12 = M+(P1 R2) and Z21 = M+(P2 R1), from a certified QR on the
     split's stabilizer frame whose R11 is inverted by back-substitution,
     or else the SVD (``_factorise``).
-    Besides the draws, per sample this keeps the three parts (``z``)
-    and, as the rows of ``terms``, P1 M Z0, P1 M Z12, P1 M Z21, their P2
-    images and -R1, -R2: D M z - rhs and -rhs are weighted sums of these
-    rows for any weights, so M is not kept. Every product is stacked per
-    sample, here, in ``_factorise`` and in a read-off, so no chunk or
-    earlier call moves a sample's bits.
+    Besides the draws, per factorised sample this keeps the three parts
+    (``z``) and, as the rows of ``terms``, P1 M Z0, P1 M Z12, P1 M Z21,
+    their P2 images and -R1, -R2: D M z - rhs and -rhs are weighted sums
+    of these rows for any weights, so M is not kept. Every product is
+    stacked per sample, here, in ``_factorise`` and in a read-off, so no
+    chunk or earlier call moves a sample's bits. ``probe`` may draw
+    sample 0 ahead of its chunk.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
@@ -619,9 +639,26 @@ class _Factorisation(_Draws):
         self.z = np.empty((0, self.dh, 3))
         self.terms = np.empty((0, 8, len(self.brackets)))
 
+    @property
+    def held(self) -> int:
+        return len(self.z)
+
+    def probe(self, space: ReductiveSpace, a: MetricOperator, tol: float):
+        """go_witness_general at sample 0, drawn once and kept, or None
+        where it raises ToleranceError: the read-off then decides."""
+        if not self.rows:
+            super().fill(space, range(1))
+        try:
+            return self.solve_again(space, a, tol, 0)
+        except ToleranceError:
+            return None
+
     def fill(self, space: ReductiveSpace, samples: range):
-        """Draw and factorise the next chunk of samples."""
-        x = super().fill(space, samples)
+        """Factorise the next chunk, drawing its samples not drawn yet."""
+        done = self.held
+        super().fill(space, range(samples.start + len(self.rows) - done,
+                                  samples.stop))
+        x = np.array(self.rows[done:])
         r, z, mz = _factorise(space, x)
         pmz = (space.module_projectors[:, None] @ mz).transpose(1, 0, 3, 2)
         terms = np.concatenate([pmz.reshape(len(x), 6, -1), -r], axis=1)
@@ -629,18 +666,21 @@ class _Factorisation(_Draws):
         self.terms = np.concatenate([self.terms, terms])
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
-        """Acceptance mask, residuals and z of the samples in ``part``
-        under a two-parameter metric: go_witness_general's residual test,
+        """Acceptance mask and residuals of the samples in ``part`` under
+        a two-parameter metric: go_witness_general's residual test,
         ||D M z - rhs|| <= tol * max(1, ||rhs||) at unit scale, with
         D M z - rhs and -rhs weighted sums of each sample's ``terms``."""
         (lam, mu), scale = map(float, a.params), a.spectral_norm
         c12, c21, w1, w2 = mu / lam, lam / mu, lam / scale, mu / scale
         weights = np.array([[w1, w1 * c12, w1 * c21, w2, w2 * c12, w2 * c21,
                              w1, w2], [0, 0, 0, 0, 0, 0, w1, w2]])
-        coeffs = np.array([1.0, c12, c21])
         residual, rhs = np.linalg.norm(weights @ self.terms[part], axis=2).T
-        return (residual <= tol * np.maximum(1.0, rhs), scale * residual,
-                self.z[part] @ coeffs)
+        return residual <= tol * np.maximum(1.0, rhs), scale * residual
+
+    def z_at(self, a: MetricOperator, i: int) -> np.ndarray:
+        """z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 of accepted sample i."""
+        lam, mu = map(float, a.params)
+        return self.z[i] @ np.array([1.0, mu / lam, lam / mu])
 
 
 class _ExactFactorisation:
@@ -696,23 +736,31 @@ class _ExactFactorisation:
         y, d, tail = exact.solve(m.reshape(n, -1), rhs, ratio)
         return None if y is None else y.tolist(), d * lane.denom, tail.tolist()
 
+    held = _Draws.held
+
     def read_off(self, a: MetricOperator, tol: float, part: slice):
-        """Acceptance mask, residuals (all 0) and z of the samples in
-        ``part``; at lam == mu every z is 0 and no sample is solved."""
+        """Acceptance mask and residuals (all 0) of the samples in
+        ``part``; at lam == mu no sample is solved."""
         lam, mu = a.exact_params()
         c1, c2 = lam.numerator * mu.denominator, mu.numerator * lam.denominator
         n = part.stop - part.start
-        ok, zs = np.ones(n, dtype=bool), np.zeros((n, len(self.lane.to_h)))
+        ok = np.ones(n, dtype=bool)
         for j, i in enumerate(range(part.start, part.stop) if c1 != c2 else ()):
             if i not in self.solved:
                 self.solved[i] = self._solve(*self.parts[i])
-            y, d, tail = self.solved[i]
-            ok[j] = all(c2 * t1 + c1 * t2 == 0 for t1, t2 in tail)
-            if ok[j]:
-                y = [(c2 - c1) * (c2 * u + c1 * v) for u, v in y]
-                zs[j] = self.lane.to_h @ exact.to_float(
-                    self.lane.h_cols @ np.array(y, dtype=object), c1 * c2 * d)
-        return ok, np.zeros(n), zs
+            ok[j] = all(c2 * t1 + c1 * t2 == 0 for t1, t2 in self.solved[i][2])
+        return ok, np.zeros(n)
+
+    def z_at(self, a: MetricOperator, i: int) -> np.ndarray:
+        """z of accepted sample i, 0 at lam == mu."""
+        lam, mu = a.exact_params()
+        c1, c2 = lam.numerator * mu.denominator, mu.numerator * lam.denominator
+        if c1 == c2:
+            return np.zeros(len(self.lane.to_h))
+        y, d, _ = self.solved[i]
+        y = [(c2 - c1) * (c2 * u + c1 * v) for u, v in y]
+        return self.lane.to_h @ exact.to_float(
+            self.lane.h_cols @ np.array(y, dtype=object), c1 * c2 * d)
 
     def solve_again(self, space: ReductiveSpace, a: MetricOperator, tol, i):
         # an inconsistent system gains exactly one rank from b
@@ -724,8 +772,8 @@ class _ReadOff(Sequence):
     """Read-only witnesses of a verdict: solved-again samples as their
     lane's ``solve_again`` returned them, any other built on first read."""
 
-    def __init__(self, rows, kinds, zs, residuals, solved):
-        self._rows, self._kinds, self._zs = rows, kinds, zs
+    def __init__(self, rows, kinds, residuals, solved, z_at):
+        self._rows, self._kinds, self._z_at = rows, kinds, z_at
         self._residuals, self._built = residuals, solved
 
     def __len__(self) -> int:
@@ -737,7 +785,7 @@ class _ReadOff(Sequence):
         j = range(len(self))[i]
         if j not in self._built:
             self._built[j] = GoWitness(
-                x=self._rows[j], z=self._zs[j],
+                x=self._rows[j], z=self._z_at(j),
                 residual=float(self._residuals[j]), rank_gap=0, margin=0.0,
                 kind=self._kinds[j])
         return self._built[j]

@@ -70,8 +70,8 @@ def rank_threshold(singular_values: np.ndarray,
 
 def rank_of(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
     """Numerical rank of a matrix of ``shape`` from its singular values."""
-    return int(np.sum(singular_values > rank_threshold(singular_values,
-                                                       shape)))
+    return int(np.count_nonzero(
+        singular_values > rank_threshold(singular_values, shape)))
 
 
 def svd_rank(a: np.ndarray) -> int:
@@ -116,8 +116,12 @@ def project_onto(v: np.ndarray, ortho_basis: np.ndarray, gram: np.ndarray) -> np
 def min_norm_solve(a: np.ndarray,
                    b: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Minimum-norm least squares solution of ``a x = b``, its residual
-    norm, and the singular values of ``a`` that the solve computed."""
-    x, _, _, s = np.linalg.lstsq(a, b, rcond=None)
+    norm, and the singular values of ``a``, from one thin SVD cut where
+    ``np.linalg.lstsq(rcond=None)`` cuts: at max(shape) eps s_max, with
+    no absolute floor (``rank_threshold`` has one)."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    k = int(np.count_nonzero(s > max(a.shape) * _EPS * s[:1]))
+    x = ((b @ u[:, :k]) / s[:k]) @ vt[:k]
     return x, float(np.linalg.norm(a @ x - b)), s
 
 

@@ -507,10 +507,17 @@ def _block_sums(maps: np.ndarray,
     """Sums over the commutant basis {T_k}, rotated once into the
     orthonormal ``basis`` as T~_k = basis^T T_k basis, of the entrywise
     squares T~_k * T~_k (summed over a block, the maps between two spans)
-    and of sym T~_k * sym T~_k (over a diagonal block, the symmetric ones)."""
-    rotated = basis.T @ maps @ basis
-    squares = np.einsum("kpq,kpq->pq", rotated, rotated)
-    return squares, (squares + np.einsum("kpq,kqp->pq", rotated, rotated)) / 2
+    and of sym T~_k * sym T~_k (over a diagonal block, the symmetric ones).
+    The maps are rotated and summed in chunks of at most 2^19 doubles, so
+    no rotated copy of the whole stack is held beside it."""
+    d = len(basis)
+    squares, crossed = np.zeros((d, d)), np.zeros((d, d))
+    step = max(1, 2 ** 19 // max(d * d, 1))
+    for i in range(0, len(maps), step):
+        rotated = basis.T @ maps[i:i + step] @ basis
+        squares += np.einsum("kpq,kpq->pq", rotated, rotated)
+        crossed += np.einsum("kpq,kqp->pq", rotated, rotated)
+    return squares, (squares + crossed) / 2
 
 
 def _commutant_count(sums: np.ndarray, rows, cols) -> int:

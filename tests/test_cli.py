@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from orbitcheck import cli, zoo
+from orbitcheck import catalog, cli, zoo
 from orbitcheck.cli import main
 from orbitcheck.linalg import DEFAULT_TOL
 
@@ -35,7 +35,35 @@ def test_validate_exits_1_when_validation_fails(runner, tmp_path,
     data = json.loads(result.output)
     assert data["ok"] is False
     assert data["validation"] == {"antisymmetry": 0.0, "jacobi": 2.0,
-                                  "mode": "exact", "passed": False}
+                                  "mode": "exact", "passed": False,
+                                  "invariance": 1.0}
+
+
+def test_validate_passes_every_catalog_entry(runner):
+    for entry in catalog.catalog_list(constructible=True):
+        result = invoke(runner, ["validate", entry.id, "--json"])
+        assert result.exit_code == 0, entry.id
+        report = json.loads(result.output)["validation"]
+        assert (report["passed"], report["invariance"]) == (True, 0.0)
+
+
+def test_validate_exits_1_on_a_gram_that_is_not_ad_invariant(runner,
+                                                              tmp_path):
+    # su(2) with Gram diag(1, 2, 3) is a Lie algebra whose inner product
+    # is not ad-invariant: <[e1, e2], e3> + <e2, [e1, e3]> = 3 - 2, read
+    # exactly off the integer Gram and relative to its largest entry
+    data = zoo.classical("su", 2).to_json_dict()
+    data["inner_product"] = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    path = tmp_path / "su2.json"
+    path.write_text(json.dumps({"algebra": data, "name": "su2"}))
+    result = invoke(runner, ["validate", str(path), "--json"])
+    assert result.exit_code == 1
+    report = json.loads(result.output)["validation"]
+    assert report == {"antisymmetry": 0.0, "jacobi": 0.0, "mode": "exact",
+                      "passed": False, "invariance": 4 / 3}
+    result = invoke(runner, ["validate", str(path)])
+    assert result.exit_code == 1
+    assert "invariance: 1.3333333333333333" in result.output
 
 
 @pytest.mark.parametrize("spec", ["euclidean3_spec", "heisenberg_spec"])
@@ -110,6 +138,7 @@ def test_zoo_algebra_at_the_cap_validates_exactly(runner):
     assert result.exit_code == 0
     data = json.loads(result.output)
     assert (data["dim"], data["mode"], data["passed"]) == (120, "exact", True)
+    assert data["invariance"] == 0.0
 
 
 def test_decompose_json_output(runner):

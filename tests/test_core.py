@@ -227,7 +227,11 @@ def test_exact_checks_match_the_dense_float_ones(n, density, denom, seed):
     assert report.mode == "exact" and dense.mode == "float"
     assert report.antisymmetry == dense.antisymmetry == 0.0
     assert report.jacobi == dense.jacobi == core.jacobi_residual(alg.structure)
-    assert report.passed == (dense.jacobi == 0.0)
+    # the identity Gram is read back exactly, so its invariance is the
+    # exact one, and the dense sum of dyadic terms agrees
+    assert dense.invariance is None
+    assert report.invariance == alg.inner_ad_invariance()
+    assert report.passed == (dense.jacobi == 0.0 and report.invariance == 0)
     np.testing.assert_array_equal(core.exact.to_float(alg.killing_form_exact),
                                   alg.killing_form)
     x, y = (np.array([Fraction(int(p), int(q)) for p, q in
@@ -310,10 +314,27 @@ def test_invariance_residuals_match_a_dense_reference():
     assert read_off == len(names) + 1 - 6
 
 
+def test_validation_proves_every_zoo_gram_ad_invariant():
+    # ``validate`` reports the same invariance, relative to max |Gram|:
+    # exactly 0 where the Gram is read back, and within tol on u(3) to
+    # u(8), whose dense check is in floats; every family passes
+    names = [f"{family}({n})" for family in zoo.RANK_CAPS
+             for n in range(zoo.RANK_MIN[family], zoo.RANK_CAPS[family] + 1)]
+    for alg in map(zoo.algebra_by_name, names + ["g2"]):
+        report = alg.validate()
+        assert report.passed, alg.name
+        ip, dip = core.exact.rounded(alg.inner_product)
+        if np.array_equal(core.exact.to_float(ip, dip), alg.inner_product):
+            assert report.invariance == 0.0, alg.name
+        else:
+            assert 0 <= report.invariance <= core.DEFAULT_TOL, alg.name
+
+
 def test_broken_spec_is_reported_exactly(broken_su3_spec):
     report = core.algebra_from_json_dict(broken_su3_spec).validate()
     assert report.as_dict() == {"antisymmetry": 0.0, "jacobi": 2.0,
-                                "mode": "exact", "passed": False}
+                                "mode": "exact", "passed": False,
+                                "invariance": 1.0}
 
 
 @pytest.mark.parametrize("spec", ["euclidean3_spec", "heisenberg_spec"])

@@ -603,12 +603,18 @@ def test_factored_lane_matches_per_sample_solves(entry_id, monkeypatch):
     for seed in range(3):
         for pair in NON_NORMAL_PAIRS:
             fallbacks.clear()
+            held = space.go_factorisations.get(go._Factorisation)
+            probed = held is None or held.seed != seed or not held.held
             monkeypatch.setattr(go, "go_witness_general", counted)
             verdict = go.go_check(space, pair, n_samples=40, seed=seed)
             monkeypatch.undo()
             # the factorisation certifies every solvable sample itself;
-            # only the counterexample is solved again
-            assert len(fallbacks) == (verdict.status == "NOT_GO")
+            # a call that holds no factorised sample at its seed first
+            # solves sample 0 (the probe), and only a counterexample
+            # past it is solved again
+            past_probe = verdict.n_samples > 1 or not probed
+            assert len(fallbacks) == probed + (
+                verdict.status == "NOT_GO" and past_probe)
             _assert_same_verdict(verdict,
                                  _oracle(space, pair, 40, seed))
 
@@ -715,12 +721,16 @@ def _filled(space, seed, chunks, blocks=None):
 
 def _held(space, fac):
     """A factorisation's rows, its held arrays (Z, and R among the read-off
-    terms) and its read-offs of every held sample under three pairs."""
-    reads = [fac.read_off(go.MetricOperator.two_param(space, *pair),
-                          go.DEFAULT_TOL, slice(0, len(fac.kinds)))
-             for pair in ((1, 2), (2.5, 0.5), (0.2, 5))]
+    terms), and its read-offs and witness z of every held sample under
+    three pairs."""
+    metrics = [go.MetricOperator.two_param(space, *pair)
+               for pair in ((1, 2), (2.5, 0.5), (0.2, 5))]
+    reads = [fac.read_off(a, go.DEFAULT_TOL, slice(0, fac.held))
+             for a in metrics]
+    zs = [np.array([fac.z_at(a, i) for i in range(fac.held)])
+          for a in metrics]
     return [np.array(fac.rows), fac.z, fac.terms,
-            *(array for read in reads for array in read)]
+            *(array for read in reads for array in read), *zs]
 
 
 @pytest.mark.parametrize("entry_id", ["go-3-k2", "go-4-r2", "t1-V.10"])
@@ -890,9 +900,10 @@ def test_a_float_verdict_does_not_depend_on_an_earlier_call(entry_id):
         _dumps(go.go_check(fresh, (1, 2), n_samples=40, seed=7))
 
 
-def test_a_run_factorises_its_samples_in_two_chunks(monkeypatch):
-    # sample 0 alone, then the rest of the call at once; a longer call
-    # at the same seed factorises only the samples it adds, in one chunk
+def test_a_run_factorises_its_samples_in_one_chunk(monkeypatch):
+    # sample 0 is probed first and factorised with the rest of the call,
+    # at once; a longer call at the same seed factorises only the samples
+    # it adds, in one chunk
     space = catalog.catalog_instantiate("go-4-r2", seed=0)
     sizes = []
     factorise = go._factorise
@@ -902,10 +913,10 @@ def test_a_run_factorises_its_samples_in_two_chunks(monkeypatch):
         return factorise(space, x)
     monkeypatch.setattr(go, "_factorise", counted)
     assert go.go_check(space, (1, 2), n_samples=100, seed=0).n_samples == 100
-    assert sizes == [1, 99]
+    assert sizes == [100]
     go.go_check(space, (2.5, 0.5), n_samples=100, seed=0)
     go.go_check(space, (1, 2), n_samples=150, seed=0)
-    assert sizes == [1, 99, 50]
+    assert sizes == [100, 50]
 
 
 # --- the factorisation's QR and SVD paths --------------------------------
@@ -1004,7 +1015,7 @@ def test_factorisation_tries_qr_first_on_every_space(entry_id, monkeypatch):
         return qr_solve(m_parts, *args)
     monkeypatch.setattr(go, "_qr_solve", spy)
     go.go_check(space, (1, 2), n_samples=20, seed=0)
-    assert calls == [1, 19]
+    assert calls == [20]
 
 
 @pytest.mark.parametrize("entry_id", sorted(STABILIZER))
@@ -1012,7 +1023,7 @@ def test_factorisation_on_the_stabilizer_frame_runs_no_svd(entry_id,
                                                            monkeypatch):
     # 100 samples of a space with a nonzero generic stabilizer call no
     # np.linalg.svd inside _factorise, and go_witness_general solves none
-    # of them again
+    # of them again: it solves only sample 0, as the first call's probe
     space = catalog.catalog_instantiate(entry_id, seed=0)
     space.split.stabilizer_frame  # the split's one SVD, not a sample's
     svd, factorise, solve = np.linalg.svd, go._factorise, \
@@ -1040,13 +1051,15 @@ def test_factorisation_on_the_stabilizer_frame_runs_no_svd(entry_id,
     for pair in catalog.DEFAULT_PAIRS:
         verdict = go.go_check(space, pair, n_samples=100, seed=0)
         assert verdict.status == "GO_CONSISTENT"
-    assert svds == [] and solved == []
+    assert svds == [] and len(solved) == 1
+    np.testing.assert_array_equal(solved[0][2], verdict.witnesses[0].x)
 
 
 def test_factorisation_in_catalog_runs_falls_back_to_no_svd(monkeypatch):
     # over catalog_run at seeds 0..3 every factorised row of every
     # two-summand entry, full-rank, rank-losing or wide, passes the QR
-    # certificate: none is left for the SVD
+    # certificate: none is left for the SVD. A NOT_GO entry whose probe
+    # finds its counterexample at sample 0 factorises nothing
     rows, rest = [], []
     qr_solve = go._qr_solve
 
@@ -1058,7 +1071,7 @@ def test_factorisation_in_catalog_runs_falls_back_to_no_svd(monkeypatch):
     monkeypatch.setattr(go, "_qr_solve", spy)
     for seed in range(4):
         assert catalog.catalog_run(seed=seed).passed
-    assert sum(rows) == 4012 and rest == []
+    assert sum(rows) == 4000 and rest == []
 
 
 @pytest.mark.parametrize("entry_id", sorted(STABILIZER) + ["t1-V.10"])
@@ -1078,6 +1091,8 @@ def test_factorisation_on_a_wrong_frame_rank_keeps_every_status(entry_id,
                  and v.counterexample.rank_gap) for v in runs]
     want = gaps(verdicts(catalog.catalog_instantiate(entry_id, seed=0)))
     split = catalog.catalog_instantiate(entry_id, seed=0).split
+    probes = [_sampled_rows(catalog.catalog_instantiate(entry_id, seed=0),
+                            seed, 1)[0][0] for seed in (0, 1)]
     frame, rank = split.stabilizer_frame
     qr_solve, solve = go._qr_solve, go.go_witness_general
     for shift in (-1, 1) if rank < split.h.dim else (-1,):
@@ -1099,8 +1114,13 @@ def test_factorisation_on_a_wrong_frame_rank_keeps_every_status(entry_id,
                                                          seed=0))) == want
         monkeypatch.undo()
         if shift < 0:
-            # struct-3's [m, m] has no m part, so z = 0 solves on any frame
-            assert bool(solved) == (entry_id != "struct-3")
+            # struct-3's [m, m] has no m part, so z = 0 solves on any
+            # frame, and t1-V.10's probes end every run at sample 0 with
+            # nothing factorised: past the probes of sample 0, nothing is
+            # solved again there
+            again = [args for args in solved
+                     if not any(np.array_equal(args[2], x) for x in probes)]
+            assert bool(again) == (entry_id not in ("struct-3", "t1-V.10"))
         else:
             assert refused and all(n == out for n, out in refused)
     assert split.stabilizer_frame == (frame, rank)
@@ -1245,7 +1265,7 @@ def test_factorisation_runs_no_general_inverse(entry_id, monkeypatch):
     verdict = go.go_check(space, (1, 2), n_samples=100, seed=0)
     assert verdict.status == "GO_CONSISTENT"
     frame_qr = ["reduced"] if entry_id in STABILIZER else []
-    assert calls == (["raw"] + frame_qr) * 2
+    assert calls == ["raw"] + frame_qr
 
 
 def test_factorisation_qr_certificate_refuses_an_overflowing_inverse():
@@ -1329,6 +1349,175 @@ def test_factored_witnesses_are_built_when_read(monkeypatch):
     assert verdict.counterexample is verdict.witnesses[-1]
     assert verdict.counterexample.rank_gap == 1
     assert all(w.solvable for w in verdict.witnesses[:-1])
+
+
+# --- the probe of sample 0 and the float certificate ----------------------
+
+CERTIFIED = ["t1-V.1-m3n3", "t1-V.6-n2", "t1-V.10"]
+
+
+def _certified_runs():
+    """(space, metric, seed) of every float counterexample pinned below:
+    the three t1 entries at DEFAULT_PAIRS and seeds 0..2, and so(5)/so(3)
+    under a diagonal block metric."""
+    for entry_id in CERTIFIED:
+        space = catalog.catalog_instantiate(entry_id, seed=0)
+        for seed in range(3):
+            for pair in catalog.DEFAULT_PAIRS:
+                yield space, pair, seed
+    space = _space("so(5)/so(3)")
+    for seed in range(3):
+        yield space, _metric(space, "diag"), seed
+
+
+def test_float_certificates_match_plain_numpy_references(monkeypatch):
+    # each counterexample's rank gap, margin and residual, against numpy's
+    # own matrix_rank, SVD and lstsq of the system go_witness_general
+    # built: the smallest singular value of [lhs | rhs] beyond the rank
+    # of lhs is the margin, and the residual is reported at A's scale
+    systems = []
+    solve = go.min_norm_solve
+    monkeypatch.setattr(go, "min_norm_solve",
+                        lambda a, b: systems.append((a, b)) or solve(a, b))
+    checked = 0
+    for space, metric, seed in _certified_runs():
+        systems.clear()
+        verdict = go.go_check(space, metric, seed=seed)
+        assert verdict.status == "NOT_GO"
+        got, (lhs, rhs) = verdict.counterexample, systems[-1]
+        aug = np.column_stack([lhs, rhs])
+        rank = np.linalg.matrix_rank(lhs)
+        assert got.rank_gap == np.linalg.matrix_rank(aug) - rank == 1
+        assert got.margin == pytest.approx(
+            np.linalg.svd(aug, compute_uv=False)[rank], rel=1e-12, abs=0)
+        z = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        scale = go._as_metric(space, metric).spectral_norm
+        assert got.residual == pytest.approx(
+            scale * np.linalg.norm(lhs @ z - rhs), rel=1e-12, abs=0)
+        checked += 1
+    assert checked == 3 * 3 * 3 + 3
+
+
+def test_min_norm_solve_cuts_where_lstsq_cuts_for_the_certificate():
+    # singular values at max(shape) eps s_max (6e-15 here) and below are
+    # cut, as lstsq(rcond=None) cuts them, and 1e-6 is kept by both; the
+    # reported singular values are all of a's
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    for tiny in (0.0, 1e-17, 1e-15, 1e-6):
+        a = u[:, :6] @ np.diag([3.0, 2.0, 1.0, 0.5, tiny, tiny]) @ v.T
+        b = rng.standard_normal(9)
+        x, residual, s = linalg.min_norm_solve(a, b)
+        want = np.linalg.lstsq(a, b, rcond=None)
+        assert (np.linalg.norm(x) < 10) == (tiny < 1e-14)
+        np.testing.assert_allclose(x, want[0], rtol=1e-8, atol=1e-12)
+        # |x| near 1e6 at tiny = 1e-6: a x - b loses about 1e-10
+        assert residual == pytest.approx(np.linalg.norm(a @ want[0] - b),
+                                         rel=1e-8)
+        np.testing.assert_allclose(s, want[3], rtol=1e-12, atol=1e-15)
+
+
+def test_the_probe_ends_a_not_go_run_with_nothing_factorised(monkeypatch):
+    # a new seed's call first solves sample 0: a counterexample there is
+    # the verdict, with no factorisation; a GO call then solves sample 0
+    # once more, as its probe, and factorises the whole call in one chunk
+    space = catalog.catalog_instantiate("t1-V.10", seed=0)
+    events = []
+    factorise, solve = go._factorise, go.go_witness_general
+    monkeypatch.setattr(go, "_factorise", lambda space, x: events.append(
+        ("factorise", len(x))) or factorise(space, x))
+    monkeypatch.setattr(go, "go_witness_general", lambda *args: events.append(
+        "solve") or solve(*args))
+    for pair in catalog.DEFAULT_PAIRS:
+        verdict = go.go_check(space, pair, n_samples=100, seed=4)
+        assert (verdict.status, verdict.n_samples) == ("NOT_GO", 1)
+        assert verdict.counterexample is verdict.witnesses[0]
+        assert verdict.max_residual == 0.0
+    assert events == ["solve"] * 3
+    fac = space.go_factorisations[go._Factorisation]
+    assert (fac.held, len(fac.rows)) == (0, 1)
+    # the kept draw is the one a fill gives sample 0
+    np.testing.assert_array_equal(fac.rows[0], _sampled_rows(space, 4, 1)[0][0])
+    events.clear()
+    go_space = catalog.catalog_instantiate("go-5", seed=0)
+    assert go.go_check(go_space, (1, 2), n_samples=100,
+                       seed=4).status == "GO_CONSISTENT"
+    assert events == ["solve", ("factorise", 100)]
+
+
+@pytest.mark.parametrize("entry_id", ["go-3-k2", "go-4-r2", "t1-V.10",
+                                      "t1-V.1-m3n3"])
+def test_the_probe_raises_tolerance_errors_where_the_read_off_does(entry_id):
+    # a call of one sample takes the read-off path for sample 0, and a
+    # longer call after it reads sample 0 off the held chunk; a fresh
+    # space probes sample 0 instead. Over tolerances that make samples
+    # ambiguous, both raise the same ToleranceError or give the same
+    # verdict and witnesses, to the last bit
+    raised = 0
+    for tol in (1e-3, 1e-4, 1e-9, 1e-14, 1e-15, 1e-16, 1e-17):
+        for pair in ((1, 2), (2, 1), (1, 1.001)):
+            outcomes = []
+            for probed in (False, True):
+                space = catalog.catalog_instantiate(entry_id, seed=0)
+                try:
+                    if not probed:
+                        go.go_check(space, pair, n_samples=1, seed=0, tol=tol)
+                    outcomes.append(_dumps(go.go_check(
+                        space, pair, n_samples=40, seed=0, tol=tol)))
+                except go.ToleranceError as err:
+                    outcomes.append(str(err))
+                    raised += 1
+            assert outcomes[0] == outcomes[1], (tol, pair)
+    assert raised
+
+
+def test_an_ambiguous_probe_leaves_sample_0_to_the_read_off(monkeypatch):
+    # where the probe's solve raises ToleranceError, the call factorises
+    # as a call without a probe does: sample 0 is the read-off's, and had
+    # the read-off rejected it, solving it again raises as before
+    held = catalog.catalog_instantiate("go-3-k2", seed=0)
+    go.go_check(held, (1, 2), n_samples=1, seed=0)
+    want = _dumps(go.go_check(held, (1, 2), n_samples=40, seed=0))
+    solve, calls, always = go.go_witness_general, [], []
+
+    def ambiguous(*args):
+        calls.append(args)
+        if len(calls) == 1 or always:
+            raise go.ToleranceError("ambiguous")
+        return solve(*args)
+    monkeypatch.setattr(go, "go_witness_general", ambiguous)
+    space = catalog.catalog_instantiate("go-3-k2", seed=0)
+    assert _dumps(go.go_check(space, (1, 2), n_samples=40, seed=0)) == want
+    assert len(calls) == 1
+    calls.clear()
+    always.append(True)
+    with pytest.raises(go.ToleranceError, match="ambiguous"):
+        go.go_check(catalog.catalog_instantiate("t1-V.10", seed=0), (1, 2),
+                    n_samples=40, seed=0)
+    assert len(calls) == 2  # the probe, then the solve again of sample 0
+
+
+def test_a_held_read_off_forms_no_z_until_a_witness_is_read(monkeypatch):
+    # a 100-sample GO call on held samples runs no concatenation and
+    # forms no witness z; reading a witness forms its z alone, as the
+    # parts held for it combine: Z0 + (mu/lam) Z12 + (lam/mu) Z21
+    space = catalog.catalog_instantiate("go-4-r2", seed=0)
+    go.go_check(space, (1, 2), n_samples=100, seed=0)
+    fac = space.go_factorisations[go._Factorisation]
+    formed, joined = [], []
+    z_at, concatenate = go._Factorisation.z_at, np.concatenate
+    monkeypatch.setattr(go._Factorisation, "z_at", lambda self, a, i: (
+        formed.append(i), z_at(self, a, i))[1])
+    monkeypatch.setattr(np, "concatenate", lambda *args, **kwargs: (
+        joined.append(1), concatenate(*args, **kwargs))[1])
+    verdict = go.go_check(space, (2.5, 0.5), n_samples=100, seed=0)
+    monkeypatch.setattr(np, "concatenate", concatenate)
+    assert verdict.status == "GO_CONSISTENT" and verdict.n_samples == 100
+    assert formed == [] and joined == []
+    z = verdict.witnesses[37].z
+    assert formed == [37]
+    assert z.tobytes() == (fac.z[37] @ np.array([1.0, 0.2, 5.0])).tobytes()
 
 
 @pytest.mark.parametrize("entry_id", TWO_SUMMAND)

@@ -823,6 +823,26 @@ def test_module_contractions_match_einsum(dh, d1, d2, seed):
                        np.concatenate([action, cross]))
 
 
+def test_split_modules_holds_one_copy_of_the_commutant():
+    # so(12)/so(2)'s commutant is a (2225, 65, 65) stack of 72 MiB; the
+    # block sums rotate it a chunk of maps at a time, so the split, the
+    # commutant's own stages included, never holds a second whole copy
+    import tracemalloc
+    split = spaces.reductive_space(
+        None, zoo.named_embedding("so_in_so", k=2, n=12)).split
+    tracemalloc.start()
+    try:
+        found = spaces._split_modules(split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split.commutant.shape == (2225, 65, 65)
+    # symmetric invariant maps: 45 * 46 / 2 on so(10), trivial under
+    # so(2), and 10^2 Hermitian ones on the ten copies of R^2
+    assert found.metric_space_dim == 45 * 46 // 2 + 10 ** 2
+    assert peak < 1.5 * split.commutant.nbytes
+
+
 def test_commutant_refuses_an_oversized_system_before_allocating():
     import tracemalloc
     # 65^2 unknowns, every one a candidate: a 136 MiB system, just over
