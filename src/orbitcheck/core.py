@@ -421,9 +421,25 @@ class LieAlgebra:
         return validate_algebra(self, tol)
 
     def inner_ad_invariance(self) -> float:
-        """Max violation of <[x,y],z> + <y,[x,z]> = 0 over basis triples."""
-        t = bracket_images(self, self.inner_product)  # <[e_i, e_j], e_l>
-        return float(np.abs(t + t.transpose(0, 2, 1)).max(initial=0.0))
+        """Max violation of <[x,y],z> + <y,[x,z]> = 0 over basis triples.
+
+        Evaluated one i-slice t[j, l] = <[e_i, e_j], e_l> at a time, the
+        rows of ``bracket_images`` whose pairs start with i, to keep
+        memory at O(n^2); a NaN anywhere gives NaN.
+        """
+        c, n = self.constants, self.dim
+        ij, at_ij = c.groups[2:]
+        rows = np.searchsorted(ij, np.arange(n + 1) * n)  # pairs (i, .)
+        cuts = np.searchsorted(at_ij, rows)  # their triples
+        worst = 0.0
+        for i in range(n):
+            at = slice(cuts[i], cuts[i + 1])
+            mat = np.zeros((rows[i + 1] - rows[i], n))
+            mat[at_ij[at] - rows[i], c.index[at, 2]] = c.values[at]
+            t = np.zeros((n, n))
+            t[ij[rows[i]:rows[i + 1]] - i * n] = mat @ self.inner_product
+            worst = float(np.maximum(worst, np.abs(t + t.T).max(initial=0.0)))
+        return worst
 
     def to_json_dict(self) -> dict:
         c = self.constants

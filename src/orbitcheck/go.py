@@ -33,7 +33,7 @@ from .core import OrbitcheckError, ValidationError, check_finite
 from .filters import CentralizerSplit, normalizer_split
 from .linalg import (DEFAULT_TOL, RANK_FLOOR, consistency_gap,
                      min_norm_solve, rank_of, rank_threshold, rng_for)
-from .spaces import ExactUnavailableError, ReductiveSpace
+from .spaces import ExactUnavailableError, ReductiveSpace, ReductiveSplit
 
 MARGIN_FACTOR = 1e3
 # the QR certificate of ``_qr_solve``: an R is inverted only when its
@@ -461,29 +461,38 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
                      space_name=space.name, exact=bool(exact_mode))
 
 
+def _m_of(iso_action: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M of each row of a (k, dim m) stack x, shape (k, dim m, dim h):
+    column a is proj_m [h_a, x], one stacked product per row."""
+    dh, dm = iso_action.shape[:2]
+    return -(x[:, None] @ iso_action.reshape(dh * dm, dm).T).reshape(
+        len(x), dh, dm).transpose(0, 2, 1)
+
+
 def _factorise(space: ReductiveSpace, x: np.ndarray):
     """Metric-free solve for a (k, dim m) stack of directions x = x1 + x2
-    on a two-module space: per row, R1 and R2 (shape (k, 2, dim m)), the
-    min-norm parts Z0 = M+(P1 R1 + P2 R2), Z12 = M+(P1 R2) and
-    Z21 = M+(P2 R1) (shape (k, dim h, 3)) and their images under M
-    (shape (k, dim m, 3)), with M and R_j as in ``_Factorisation``. A row
-    whose M, on the split's stabilizer frame, passes ``_qr_solve``'s
-    certificate is solved there, by one raw QR of the chunk and a
-    back-substitution, no general inverse; any other (such as a row
-    inside one module, or a zero row) takes M+ from one batched SVD of
-    those rows, cut at ``rank_threshold`` in one call. A row's path
-    depends on its M and its space alone, and every product is stacked
-    per row, so its results are the same to the last bit whatever rows
-    share its stack."""
+    on a two-module space: per row, R1 and R2 (shape (k, 2, dim m)),
+    solutions of M Z0 = P1 R1 + P2 R2, M Z12 = P1 R2 and M Z21 = P2 R1
+    (shape (k, dim h, 3)), their images under M (shape (k, dim m, 3))
+    and whether they are particular, with M and R_j as in
+    ``_Factorisation``. A row whose M, on the split's stabilizer frame
+    F = [S | T], passes ``_qr_solve``'s certificate is solved on M S, by
+    one raw QR of the chunk and a back-substitution: with no T its parts
+    are min-norm, else particular, in frame coordinates, until
+    ``_min_norm``. Any other row (such as one inside one module, or a
+    zero row) takes M+ from one batched SVD of those rows, cut at
+    ``rank_threshold`` in one call. A row's
+    path depends on its M and its space alone, and every product is
+    stacked per row, so its results are the same to the last bit
+    whatever rows share its stack."""
     dm, dh = space.m.dim, space.h.dim
     k, xs = len(x), x[:, None]
-    m = -(xs @ space.iso_action.reshape(dh * dm, dm).T).reshape(
-        k, dh, dm).transpose(0, 2, 1)
-    # [M F | parts] of each row in one buffer, which _qr_solve factorises
+    m = _m_of(space.iso_action, x)
+    # [M S | parts] of each row in one buffer, which _qr_solve factorises
     frame, rank = space.split.stabilizer_frame
-    m_parts = np.empty((k, dm, dh + 3))
-    m_parts[..., :dh] = m if rank == dh else m @ frame
-    parts = m_parts[..., dh:]
+    m_parts = np.empty((k, dm, rank + 3))
+    m_parts[..., :rank] = m if rank == dh else m @ frame[:, :rank]
+    parts = m_parts[..., rank:]
     proj = space.module_projectors
     # rows R1, R2 of each sample, from its module parts x1, x2; the
     # (k, dim m, dim m) brackets [x, .] are freed at once
@@ -492,38 +501,39 @@ def _factorise(space: ReductiveSpace, x: np.ndarray):
     pr = proj[:, None] @ r.transpose(0, 2, 1)  # [i, :, :, j] = P_i R_j
     parts[..., 0] = pr[0, ..., 0] + pr[1, ..., 1]
     parts[..., 1], parts[..., 2] = pr[0, ..., 1], pr[1, ..., 0]
-    z = np.empty((k, dh, 3))
-    rest = _qr_solve(m_parts, z, frame, rank)
+    z = np.zeros((k, dh, 3))
+    rest = _qr_solve(m_parts, np.sqrt(np.einsum("kij,kij->k", m, m)), z)
     if len(rest):
         u, s, vt = np.linalg.svd(m[rest], full_matrices=False)
         cut = rank_threshold(s, (dm, dh))
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
         z[rest] = vt.transpose(0, 2, 1) @ (
             inv[:, :, None] * (u.transpose(0, 2, 1) @ parts[rest]))
-    return r, z, m @ z
+    if rank == dh:
+        return r, z, m @ z, np.zeros(k, dtype=bool)
+    mz = m_parts[..., :rank] @ z[:, :rank]  # (M S) R11^-1 Q^T parts
+    mz[rest] = m[rest] @ z[rest]
+    return r, z, mz, np.bincount(rest, minlength=k) == 0
 
 
-def _qr_solve(m_parts: np.ndarray, z: np.ndarray, frame: np.ndarray,
-              rank: int) -> np.ndarray:
-    """Write the min-norm solution into z for each row of ``m_parts`` =
-    [M S | M T | parts] (``frame`` F = [S | T], S its first ``rank``
-    columns) whose M S = Q R11 passes the certificate, and return the
-    other rows. One batched QR, read raw, gives R11, R12 = Q^T M T and
-    Q^T parts on and above its diagonal (Householder vectors below).
-    Only an R11 with min |R_ii| > QR_PIVOT_FLOOR |M|_F is inverted, by
-    back-substitution, and a row is certified when
+def _qr_solve(m_parts: np.ndarray, norm: np.ndarray,
+              z: np.ndarray) -> np.ndarray:
+    """Write R11^-1 Q^T parts into z[:, :rank] for each row of
+    ``m_parts`` = [M S | parts] (S the first ``rank`` columns of the
+    stabilizer frame, ``rank`` the width of m_parts less z's) whose
+    M S = Q R11 passes the certificate, and return the other rows. One
+    batched QR, read raw, gives R11 and Q^T parts on and above its
+    diagonal (Householder vectors below). Only an R11 with
+    min |R_ii| > QR_PIVOT_FLOOR |M|_F (``norm``, the whole M's) is
+    inverted, by back-substitution, and a row is certified when
     |M|_F |R11^-1|_F <= QR_CONDITION_CAP and 1 / |R11^-1|_F > RANK_FLOOR
     (an overflowing inverse fails). As s_max <= |M|_F and the rank-th
     singular value is at least 1 / |R11^-1|_F, ``rank_threshold`` keeps
     ``rank`` singular values, the most any M of the split has, so
-    range(M) = range(M S) and z = S R11^-1 Q^T parts solves M z = parts
-    in least squares. K = T - S R11^-1 R12 spans ker M; z less its
-    projection on an orthonormal basis of K (one small batched QR) is
-    the min-norm solution. With no T it is R^-1 Q^T parts."""
-    dh = z.shape[1]
+    range(M) = range(M S) and S R11^-1 Q^T parts solves M z = parts in
+    least squares."""
+    rank = m_parts.shape[2] - z.shape[2]
     r = np.linalg.qr(m_parts, mode="raw")[0].swapaxes(1, 2)
-    m = m_parts[..., :dh]
-    norm = np.sqrt(np.einsum("kij,kij->k", m, m))
     pivots = np.abs(r.diagonal(0, 1, 2)[:, :rank]).min(1, initial=np.inf)
     at = np.flatnonzero(pivots > QR_PIVOT_FLOOR * norm)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -531,15 +541,26 @@ def _qr_solve(m_parts: np.ndarray, z: np.ndarray, frame: np.ndarray,
         size = np.sqrt(np.einsum("kij,kij->k", r_inv, r_inv))
     ok = (norm[at] * size <= QR_CONDITION_CAP) & (size < 1.0 / RANK_FLOOR)
     at = at[ok]
-    y = r_inv[ok] @ r[at, :rank, rank:]  # [R11^-1 R12 | R11^-1 Q^T parts]
-    if rank < dh:
-        # on the frame, [-R11^-1 R12; I] spans ker M and z is [z_S; 0]
-        y = np.concatenate([-y, np.zeros((len(at), dh - rank, y.shape[2]))], 1)
-        y[:, rank:, :dh - rank] = np.eye(dh - rank)
-        q, zf = np.linalg.qr(y[..., :dh - rank])[0], -y[..., dh - rank:]
-        y = frame @ (zf - q @ (q.transpose(0, 2, 1) @ zf))
-    z[at] = y
+    z[at, :rank] = r_inv[ok] @ r[at, :rank, rank:]
     return np.flatnonzero(np.bincount(at, minlength=len(m_parts)) == 0)
+
+
+def _min_norm(split: ReductiveSplit, x: np.ndarray,
+              z: np.ndarray) -> np.ndarray:
+    """Min-norm parts, in h coordinates, of the row x whose certified
+    ``_factorise`` parts z are particular, F^T z = [R11^-1 Q^T parts; 0]
+    on the stabilizer frame F = [S | T]. With R12 = Q^T M T off one raw
+    QR of M F, the columns [-R11^-1 R12; I] span ker M on the frame, and
+    z less its projection on an orthonormal basis of them (one small QR)
+    is the min-norm solution."""
+    frame, rank = split.stabilizer_frame
+    r = np.linalg.qr(_m_of(split.iso_action, x[None]) @ frame,
+                     mode="raw")[0].swapaxes(1, 2)
+    kernel = np.concatenate([-(_triu_inverse(r[:, :rank, :rank])
+                               @ r[:, :rank, rank:]),
+                             np.eye(len(frame) - rank)[None]], 1)
+    q = np.linalg.qr(kernel)[0]
+    return (frame @ (z - q @ (q.transpose(0, 2, 1) @ z)))[0]
 
 
 def _triu_inverse(r: np.ndarray) -> np.ndarray:
@@ -623,20 +644,25 @@ class _Factorisation(_Draws):
     its weight over s, so on a consistent system the min-norm witness is
     z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 with Z0 = M+(P1 R1 + P2 R2),
     Z12 = M+(P1 R2) and Z21 = M+(P2 R1), from a certified QR on the
-    split's stabilizer frame whose R11 is inverted by back-substitution,
-    or else the SVD (``_factorise``).
+    first columns S of the split's stabilizer frame whose R11 is
+    inverted by back-substitution, or else the SVD (``_factorise``).
     Besides the draws, per factorised sample this keeps the three parts
-    (``z``) and, as the rows of ``terms``, P1 M Z0, P1 M Z12, P1 M Z21,
-    their P2 images and -R1, -R2: D M z - rhs and -rhs are weighted sums
-    of these rows for any weights, so M is not kept. Every product is
-    stacked per sample, here, in ``_factorise`` and in a read-off, so no
-    chunk or earlier call moves a sample's bits. ``probe`` may draw
-    sample 0 ahead of its chunk.
+    (``z``), ``particular`` where they are the QR's particular solution
+    on a frame with a kernel part, made min-norm by ``z_at`` at the
+    first read, and, as the rows of ``terms``, P1 M Z0, P1 M Z12,
+    P1 M Z21, their P2 images and -R1, -R2: D M z - rhs and -rhs are
+    weighted sums of these rows for any weights, and the same for any
+    solution z, so M is not kept. Every product is stacked per sample,
+    here, in ``_factorise`` and in a read-off, so no chunk or earlier
+    call moves a sample's bits. ``probe`` may draw sample 0 ahead of its
+    chunk.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
         super().__init__(space, seed)
+        self.split = space.split  # which holds no reference to the space
         self.z = np.empty((0, self.dh, 3))
+        self.particular = np.empty(0, dtype=bool)
         self.terms = np.empty((0, 8, len(self.brackets)))
 
     @property
@@ -659,10 +685,11 @@ class _Factorisation(_Draws):
         super().fill(space, range(samples.start + len(self.rows) - done,
                                   samples.stop))
         x = np.array(self.rows[done:])
-        r, z, mz = _factorise(space, x)
+        r, z, mz, particular = _factorise(space, x)
         pmz = (space.module_projectors[:, None] @ mz).transpose(1, 0, 3, 2)
         terms = np.concatenate([pmz.reshape(len(x), 6, -1), -r], axis=1)
         self.z = np.concatenate([self.z, z])
+        self.particular = np.concatenate([self.particular, particular])
         self.terms = np.concatenate([self.terms, terms])
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
@@ -678,7 +705,11 @@ class _Factorisation(_Draws):
         return residual <= tol * np.maximum(1.0, rhs), scale * residual
 
     def z_at(self, a: MetricOperator, i: int) -> np.ndarray:
-        """z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 of accepted sample i."""
+        """z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 of accepted sample i, its
+        parts made min-norm (``_min_norm``) and kept at the first read."""
+        if self.particular[i]:
+            self.z[i] = _min_norm(self.split, self.rows[i], self.z[i])
+            self.particular[i] = False
         lam, mu = map(float, a.params)
         return self.z[i] @ np.array([1.0, mu / lam, lam / mu])
 
@@ -804,7 +835,8 @@ class GeodesicGraph:
 
 def _pair_factorisation(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
                         tol: float):
-    """Split, columns (Z_X, Z_Y) in h coordinates, their images under M,
+    """Split, min-norm columns (Z_X, Z_Y) in h coordinates (``_min_norm``
+    where the factorised parts are particular), their images under M,
     [X, Y]_m and sx sy, the bracket scale that stands for unit scale.
 
     X and Y are each divided by the power of two nearest its norm, sx and
@@ -824,11 +856,12 @@ def _pair_factorisation(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
               for n in (float(np.linalg.norm(x)), float(np.linalg.norm(y))))
     u = x / sx + y / sy
     split = normalizer_split(space, space.m.basis @ u)
-    r, z, mz = _factorise(space, u[None])
+    r, z, mz, particular = _factorise(space, u[None])
+    z = _min_norm(space.split, u, z[0]) if particular[0] else z[0]
     # columns Z_X = sx Z21 and Z_Y = -sy Z12
     scales = np.array([sx, -sy])
     return (replace(split, u=space.m.basis @ (x + y)),
-            z[0][:, [2, 1]] * scales,
+            z[:, [2, 1]] * scales,
             (sx * p1 + sy * p2) @ (mz[0][:, [2, 1]] * scales),
             sx * sy * r[0, 0], sx * sy)
 

@@ -121,7 +121,8 @@ class ReductiveSplit:
         generic rank of M(v): z -> proj_m [z, v] over h, F an orthogonal
         frame of h whose last dim h - r columns span ker M at a fixed v
         of rank r (the generic stabilizer), the identity when r = dim h.
-        Every M(v) has rank at most r; ``go._factorise`` solves on M F."""
+        Every M(v) has rank at most r; ``go._factorise`` solves on M S,
+        S the first r columns, and ``go._min_norm`` reads ker M off M F."""
         from .filters import principal_frame
         frame, rank = principal_frame(self.iso_action)
         return _read_only(frame), rank

@@ -611,6 +611,31 @@ def test_float_killing_form_matches_einsum_on_dense_constants(name):
     assert np.abs(gram + want).max() <= 1e-13 * scale
 
 
+def test_inner_ad_invariance_of_a_cap_algebra_stays_quadratic():
+    # one i-slice at a time: on a float copy of so(16) (dim 120) the
+    # traced peak stays below 4 n^2 doubles, where the dense (n, n, n)
+    # tensor and its transpose sum took 2 n^3, and the value is the dense
+    # one, 0 on the invariant Gram and not on a perturbed one
+    alg = zoo.algebra_by_name("so(16)")
+    n = alg.dim
+    floats = core.StructureConstants(n, alg.constants.index,
+                                     alg.constants.values)
+    floats.groups  # cached with the constants, as after any contraction
+    raw = np.random.default_rng(0).standard_normal((n, n))
+    for gram in (alg.inner_product, alg.inner_product + 1e-3 * (raw + raw.T)):
+        copy = core.LieAlgebra(floats, gram)
+        tracemalloc.start()
+        try:
+            got = copy.inner_ad_invariance()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        t = core.bracket_images(copy, gram)
+        assert got == float(np.abs(t + t.transpose(0, 2, 1)).max())
+        assert peak < 4 * n * n * 8
+    assert got > 1e-3
+
+
 def test_float_killing_form_of_dense_constants_stays_small():
     # the exact lane's join holds every joined pair, n^4 on dense float
     # constants (about 70 MB at dim 36); the float product holds an n x n^2

@@ -960,16 +960,25 @@ def _reference_solve(space, x):
 
 
 def _qr_refused(space, x):
-    """Rows of x whose reference M, on the split's stabilizer frame, the
-    QR certificate refuses."""
+    """Rows of x whose reference M, on the first columns S of the split's
+    stabilizer frame, the QR certificate refuses."""
     dm, dh = space.m.dim, space.h.dim
     frame, rank = space.split.stabilizer_frame
-    m = np.stack(_reference_solve(space, x)[0]) @ frame
-    return go._qr_solve(np.concatenate([m, np.zeros((len(x), dm, 3))], axis=2),
-                        np.empty((len(x), dh, 3)), frame, rank).tolist()
+    m = np.stack(_reference_solve(space, x)[0])
+    return go._qr_solve(
+        np.concatenate([m @ frame[:, :rank], np.zeros((len(x), dm, 3))],
+                       axis=2),
+        np.linalg.norm(m, axis=(1, 2)), np.empty((len(x), dh, 3))).tolist()
 
 
-def _assert_matches_reference(space, x, z, mz):
+def _min_norm_parts(space, x, z, particular):
+    """``_factorise``'s parts with each particular row made min-norm."""
+    return np.array([go._min_norm(space.split, row, zr) if p else zr
+                     for row, zr, p in zip(x, z, particular)])
+
+
+def _assert_matches_reference(space, x, z, mz, particular):
+    z = _min_norm_parts(space, x, z, particular)
     for m, want, got, got_mz in zip(*_reference_solve(space, x), z, mz):
         assert np.linalg.norm(got - want) <= \
             1e-12 * max(1.0, np.linalg.norm(want))
@@ -995,8 +1004,9 @@ def test_factorisation_matches_a_pseudo_inverse_reference(space_id):
     ranks = {linalg.svd_rank(m) for m in _reference_solve(space, x)[0]}
     assert ranks == {rank} and rank < space.m.dim
     assert _qr_refused(space, x) == []
-    _, z, mz = go._factorise(space, x)
-    _assert_matches_reference(space, x, z, mz)
+    _, z, mz, particular = go._factorise(space, x)
+    assert particular.tolist() == [rank < dh] * len(x)
+    _assert_matches_reference(space, x, z, mz, particular)
 
 
 @pytest.mark.parametrize("entry_id", sorted(STABILIZER) + ["go-2"])
@@ -1144,13 +1154,16 @@ def test_a_mixed_stack_factorises_each_row_on_its_own_path():
     assert not stacked[1][4].any()
 
 
-def test_factorisation_on_the_frame_refuses_a_row_inside_a_module():
+def test_factorisation_on_the_frame_refuses_a_row_inside_a_module(
+        monkeypatch):
     # on go-7-n2 (generic stabilizer 1), a row inside one module, where M
     # loses more rank than the frame allows, and a zero row fall back to
     # the SVD; every row is the same to the last bit as that row
-    # factorised alone, and all are the reference's
+    # factorised alone, and all are the reference's. Only the rows the
+    # QR solved are particular, and a held factorisation projects each
+    # of them once, at its first read, and never an SVD row
     space = catalog.catalog_instantiate("go-7-n2", seed=0)
-    generic, _ = _sampled_rows(space, 0, 6)
+    generic, kinds = _sampled_rows(space, 0, 6)
     block = space.module_coords_in_m(0)
     inside = block @ np.full(block.shape[1], 1 / np.sqrt(block.shape[1]))
     x = np.vstack([generic[:3], inside, np.zeros(space.m.dim), generic[3:]])
@@ -1162,6 +1175,22 @@ def test_factorisation_on_the_frame_refuses_a_row_inside_a_module():
             assert got[i].tobytes() == want[0].tobytes()
     _assert_matches_reference(space, x, *stacked[1:])
     assert not stacked[1][4].any()
+    assert stacked[3].tolist() == [True] * 3 + [False] * 2 + [True] * 3
+    want = _min_norm_parts(space, x, stacked[1], stacked[3])
+    all_kinds = kinds[:3] + ["generic"] * 2 + kinds[3:]
+    monkeypatch.setattr(go, "_directions", lambda blocks, label, samples: (
+        x[samples].copy(), all_kinds[samples.start:samples.stop]))
+    fac = go._Factorisation(space, 0)
+    fac.fill(space, range(len(x)))
+    projected, min_norm = [], go._min_norm
+    monkeypatch.setattr(go, "_min_norm", lambda split, row, z: (
+        projected.append(row.tobytes()), min_norm(split, row, z))[1])
+    a = go.MetricOperator.two_param(space, 1, 2)
+    for _ in range(2):
+        for i in range(len(x)):
+            assert fac.z_at(a, i).tobytes() == \
+                (want[i] @ np.array([1.0, 2.0, 0.5])).tobytes()
+    assert projected == [x[i].tobytes() for i in (0, 1, 2, 5, 6, 7)]
 
 
 @pytest.mark.parametrize("entry_id", ["go-1", "go-4-r2", "go-5", "go-6-m3n2",
@@ -1206,8 +1235,8 @@ def test_factorisation_qr_certificate_refuses_what_the_svd_would_cut():
     m = np.stack([well, kahan, 1e-13 * well, np.zeros((n, n))])
     parts = rng_for("test-qr", 1).standard_normal((4, n, 3))
     z = np.full((4, n, 3), np.nan)
-    assert go._qr_solve(np.concatenate([m, parts], axis=2), z, np.eye(n),
-                        n).tolist() == [1, 2, 3]
+    assert go._qr_solve(np.concatenate([m, parts], axis=2),
+                        np.linalg.norm(m, axis=(1, 2)), z).tolist() == [1, 2, 3]
     np.testing.assert_allclose(z[0], well.T @ parts[0], atol=1e-13)
     assert np.isnan(z[1:]).all()
 
@@ -1238,7 +1267,8 @@ def test_factorisation_triangular_inverse_matches_the_general_inverse():
 def test_factorisation_runs_no_general_inverse(entry_id, monkeypatch):
     # the certified solve reads R off LAPACK's raw QR and inverts R11 by
     # back-substitution: _factorise calls neither np.linalg.inv nor
-    # np.linalg.qr(mode="r"), and still solves every sample
+    # np.linalg.qr(mode="r"), nor, on a stabilizer frame, the kernel's
+    # reduced QR, and still solves every sample
     space = catalog.catalog_instantiate(entry_id, seed=0)
     inv, qr, factorise = np.linalg.inv, np.linalg.qr, go._factorise
     inside, calls = [], []
@@ -1264,8 +1294,7 @@ def test_factorisation_runs_no_general_inverse(entry_id, monkeypatch):
     monkeypatch.setattr(go, "_factorise", spied_factorise)
     verdict = go.go_check(space, (1, 2), n_samples=100, seed=0)
     assert verdict.status == "GO_CONSISTENT"
-    frame_qr = ["reduced"] if entry_id in STABILIZER else []
-    assert calls == ["raw"] + frame_qr
+    assert calls == ["raw"]
 
 
 def test_factorisation_qr_certificate_refuses_an_overflowing_inverse():
@@ -1277,8 +1306,8 @@ def test_factorisation_qr_certificate_refuses_an_overflowing_inverse():
     assert 1.0 > go.QR_PIVOT_FLOOR * np.linalg.norm(m)
     z = np.full((1, n, 3), np.nan)
     parts = np.ones((1, n, 3))
-    assert go._qr_solve(np.concatenate([m[None], parts], axis=2), z,
-                        np.eye(n), n).tolist() == [0]
+    assert go._qr_solve(np.concatenate([m[None], parts], axis=2),
+                        np.linalg.norm(m)[None], z).tolist() == [0]
     assert np.isnan(z).all()
 
 
@@ -1518,6 +1547,72 @@ def test_a_held_read_off_forms_no_z_until_a_witness_is_read(monkeypatch):
     z = verdict.witnesses[37].z
     assert formed == [37]
     assert z.tobytes() == (fac.z[37] @ np.array([1.0, 0.2, 5.0])).tobytes()
+
+
+@pytest.mark.parametrize("entry_id", sorted(STABILIZER))
+def test_factorisation_reads_a_min_norm_z_off_particular_parts(entry_id):
+    # the fill holds particular parts for every factorised sample of a
+    # space with a nonzero generic stabilizer; each read witness z is the
+    # pseudo-inverse reference's and orthogonal to ker M, to 1e-12
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    x, _ = _sampled_rows(space, 0, 30)
+    ms, parts = _reference_solve(space, x)
+    for pair in ((1, 2), (2.5, 0.5)):
+        verdict = go.go_check(space, pair, n_samples=30, seed=0)
+        fac = space.go_factorisations[go._Factorisation]
+        if pair == (1, 2):
+            assert fac.particular.all()
+        lam, mu = pair
+        for w, row, m, part in zip(verdict.witnesses, x, ms, parts):
+            np.testing.assert_array_equal(w.x, row)
+            want = part @ np.array([1.0, mu / lam, lam / mu])
+            scale = max(1.0, np.linalg.norm(want))
+            assert np.linalg.norm(w.z - want) <= 1e-12 * scale
+            kernel = np.linalg.svd(m)[2][linalg.svd_rank(m):]
+            assert len(kernel) == space.h.dim - space.split.stabilizer_frame[1]
+            assert np.linalg.norm(kernel @ w.z) <= 1e-12 * scale
+    assert not fac.particular.any()
+
+
+def test_factorisation_on_go_5_runs_one_narrow_qr_and_no_kernel_qr(
+        monkeypatch):
+    # go-5 (generic stabilizer 8): a 100-sample call runs one batched raw
+    # QR, of [M S | parts] (r + 3 columns), and a held read-off under
+    # another pair none; reading a witness runs its row's raw QR of M F
+    # and the kernel's reduced QR, once
+    space = catalog.catalog_instantiate("go-5", seed=0)
+    dm, dh = space.m.dim, space.h.dim
+    rank = space.split.stabilizer_frame[1]
+    assert dh - rank == 8
+    qr, calls = np.linalg.qr, []
+
+    def spied_qr(a, mode="reduced"):
+        calls.append((a.shape, mode))
+        return qr(a, mode=mode)
+    monkeypatch.setattr(np.linalg, "qr", spied_qr)
+    go.go_check(space, (1, 2), n_samples=100, seed=0)
+    assert calls == [((100, dm, rank + 3), "raw")]
+    verdict = go.go_check(space, (2.5, 0.5), n_samples=100, seed=0)
+    assert verdict.status == "GO_CONSISTENT" and len(calls) == 1
+    verdict.witnesses[37].z
+    assert calls[1:] == [((1, dm, dh), "raw"), ((1, dh, dh - rank), "reduced")]
+    go.go_check(space, (1, 2), n_samples=100, seed=0).witnesses[37].z
+    verdict.witnesses[37].z
+    assert len(calls) == 3
+
+
+def test_factorisation_of_a_warm_go_5_dumps_what_a_fresh_one_dumps():
+    # on go-5, the widest stabilizer (8), 40 samples after 3 whose
+    # witnesses were read dump, z included, what a fresh space dumps
+    def dump(verdict):
+        return json.dumps([verdict.as_dict()]
+                          + [w.as_dict() for w in verdict.witnesses])
+    warm, fresh = (catalog.catalog_instantiate("go-5", seed=0)
+                   for _ in range(2))
+    dump(go.go_check(warm, (1, 2), n_samples=3, seed=7))
+    got = dump(go.go_check(warm, (1, 2), n_samples=40, seed=7))
+    assert got == dump(go.go_check(fresh, (1, 2), n_samples=40, seed=7))
+    assert json.loads(got)[0]["n_samples"] == 40
 
 
 @pytest.mark.parametrize("entry_id", TWO_SUMMAND)
