@@ -115,7 +115,10 @@ def _space_from_file(path: str, tol: float):
     if not isinstance(spec, dict):
         raise click.UsageError(f"{path}: top level must be an object")
     if "catalog" in spec:
-        return catalog_mod.catalog_instantiate(spec["catalog"])
+        try:
+            return catalog_mod.catalog_instantiate(spec["catalog"])
+        except catalog_mod.CatalogError as err:
+            raise click.UsageError(f"{path}: {err}")
     if "algebra" not in spec:
         raise click.UsageError(
             f"{path}: needs either a 'catalog' id or an 'algebra' entry")
@@ -123,6 +126,8 @@ def _space_from_file(path: str, tol: float):
     emb_spec = spec.get("embedding")
     if emb_spec is None:
         emb = np.zeros((g.dim, 0))
+    elif not isinstance(emb_spec, dict):
+        raise click.UsageError(f"{path}: embedding must be an object")
     elif "key" in emb_spec:
         params = emb_spec.get("params", {})
         if not isinstance(params, dict):
@@ -135,7 +140,13 @@ def _space_from_file(path: str, tol: float):
                 f"{path}: embedding target {target.name} (dim {target.dim}) "
                 f"does not match algebra {g.name} (dim {g.dim})")
     elif "matrix" in emb_spec:
-        emb = np.asarray(emb_spec["matrix"], dtype=float)
+        try:
+            emb = np.asarray(emb_spec["matrix"])
+        except ValueError:  # a ragged nesting
+            emb = np.asarray(None)
+        if emb.ndim != 2 or emb.dtype.kind not in "iuf":
+            raise click.UsageError(f"{path}: embedding matrix must be a 2-D "
+                                   "array of numbers")
     else:
         raise click.UsageError(
             f"{path}: embedding needs a registry 'key' or a raw 'matrix'")

@@ -11,8 +11,8 @@ Every contraction, exact or float, runs on the triples;
 float Gram defaults to the negative Killing form on the derived algebra
 plus the dot product on the center, ad-invariant and positive definite
 on compact algebras; the exact GO lane reads its rationals back and
-proves them ad-invariant, while ``validate_algebra`` checks antisymmetry
-and Jacobi only.
+proves them ad-invariant, and ``validate_algebra`` checks antisymmetry,
+Jacobi and, for a LieAlgebra, the Gram's ad-invariance.
 """
 
 from __future__ import annotations

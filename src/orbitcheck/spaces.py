@@ -44,7 +44,7 @@ import numpy as np
 
 from . import exact
 from .core import (LieAlgebra, OrbitcheckError, Subspace, ValidationError,
-                   EffectivenessError, pair_bracket_tensor)
+                   EffectivenessError, check_finite, pair_bracket_tensor)
 from .linalg import (column_space, gram_orthonormalize, nullspace, rng_for,
                      svd_rank)
 from .zoo import Embedding, EmbeddingChain, as_embedding
@@ -367,6 +367,7 @@ def reductive_space(g: LieAlgebra | None,
         cols = np.asarray(h_embedding, dtype=np.float64)
         if cols.ndim != 2 or cols.shape[0] != g.dim:
             raise ValidationError(f"h basis shape {cols.shape} does not match g")
+        check_finite(cols, "h basis")
         split = _build_split(g, cols)
     split.check(tol)
     return ReductiveSpace(g=g, h=split.h, m=split.m, name=name,

@@ -760,24 +760,21 @@ _EMBEDDING_BUILDERS = {
 }
 
 
-def _signature_text(builder) -> str:
+_BUILDERS = {**_EMBEDDING_BUILDERS, **_CHAIN_BUILDERS}
+_SIGNATURES = {key: inspect.signature(b) for key, b in _BUILDERS.items()}
+
+
+def _signature_text(key: str) -> str:
     """Builder parameters as shown by ``zoo list``: name or name=default."""
     return ", ".join(
         p.name if p.default is p.empty else f"{p.name}={p.default}"
-        for p in inspect.signature(builder).parameters.values())
+        for p in _SIGNATURES[key].parameters.values())
 
-
-# For each key, whether each builder parameter is a string (annotated
-# ``str``); every other parameter is an integer.
-_PARAM_IS_STRING = {
-    key: {p.name: p.annotation in ("str", str)
-          for p in inspect.signature(b).parameters.values()}
-    for key, b in {**_EMBEDDING_BUILDERS, **_CHAIN_BUILDERS}.items()}
 
 EMBEDDING_KEYS = {
-    **{key: _signature_text(b) for key, b in _EMBEDDING_BUILDERS.items()},
-    **{key: f"{_signature_text(b)} (chain)".lstrip()
-       for key, b in _CHAIN_BUILDERS.items()},
+    **{key: _signature_text(key) for key in _EMBEDDING_BUILDERS},
+    **{key: f"{_signature_text(key)} (chain)".lstrip()
+       for key in _CHAIN_BUILDERS},
 }
 
 
@@ -788,15 +785,25 @@ def named_embedding(key: str, **params) -> Embedding | EmbeddingChain:
     kept), so repeated lookups return the same object: a chain's
     composite is composed once, and spaces built from it share one
     reductive split (``spaces.reductive_space``). Embeddings are frozen
-    and their arrays read-only. A parameter its builder annotates ``str``
-    must be a string and every other one an integer (not a bool), or
-    TypeError names it.
+    and their arrays read-only. An unknown key raises KeyError. A
+    parameter the builder does not take or lacks, a parameter it
+    annotates ``str`` that is not a string, and any other that is not an
+    integer (or is a bool) raise TypeError naming the key.
     """
-    known = _PARAM_IS_STRING.get(key, {})
+    if key not in _SIGNATURES:
+        raise KeyError(f"unknown embedding {key!r}; known keys: "
+                       f"{', '.join(sorted(EMBEDDING_KEYS))}")
+    known = _SIGNATURES[key].parameters
+    wrong = [f"got an unexpected keyword argument {name!r}"
+             for name in params if name not in known]
+    wrong += [f"missing a required argument: {name!r}"
+              for name, p in known.items()
+              if p.default is p.empty and name not in params]
+    if wrong:
+        raise TypeError(f"{key}: {wrong[0]}; takes "
+                        f"{_signature_text(key) or 'no parameters'}")
     for name, value in params.items():
-        if name not in known:
-            continue  # the builder's own TypeError names it
-        if known[name]:
+        if known[name].annotation in ("str", str):
             if not isinstance(value, str):
                 raise TypeError(f"{key}: parameter {name} must be a string, "
                                 f"got {value!r}")
@@ -808,12 +815,7 @@ def named_embedding(key: str, **params) -> Embedding | EmbeddingChain:
 
 @lru_cache(maxsize=64, typed=True)
 def _named_embedding(key: str, **params) -> Embedding | EmbeddingChain:
-    if key in _CHAIN_BUILDERS:
-        return _CHAIN_BUILDERS[key](**params)
-    if key in _EMBEDDING_BUILDERS:
-        return _EMBEDDING_BUILDERS[key](**params)
-    raise KeyError(f"unknown embedding {key!r}; known keys: "
-                   f"{', '.join(sorted(EMBEDDING_KEYS))}")
+    return _BUILDERS[key](**params)
 
 
 def as_embedding(obj: Embedding | EmbeddingChain) -> Embedding:

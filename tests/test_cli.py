@@ -79,12 +79,14 @@ def test_validate_refuses_a_non_compact_algebra(runner, tmp_path, spec,
 
 
 @pytest.mark.parametrize("where", ["structure", "inner_product", "indefinite",
-                                   "asymmetric"])
+                                   "asymmetric", "matrix"])
 def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
-    # a NaN constant or Gram entry, or an indefinite Gram, once ended in
-    # a LAPACK traceback; a Gram that is not symmetric once passed, as
-    # the Cholesky test reads one triangle only
+    # a NaN constant, Gram entry or embedding matrix entry, or an
+    # indefinite Gram, once ended in a LAPACK traceback; a Gram that is
+    # not symmetric once passed, as the Cholesky test reads one triangle
+    # only
     data = zoo.classical("su", 2).to_json_dict()
+    spec = {"algebra": data}
     data["structure"] = [e[:3] + [float(e[3])] for e in data["structure"]]
     data["inner_product"] = [[float(v) for v in row]
                              for row in data["inner_product"]]
@@ -96,11 +98,13 @@ def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
     elif where == "indefinite":
         data["inner_product"] = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
         message = "Error: inner product is not positive definite"
+    elif where == "matrix":
+        spec["embedding"] = {"matrix": [[float("nan")], [0.0], [0.0]]}
     else:
         data["inner_product"] = [[8, 1, 0], [0, 8, 0], [0, 0, 8]]
         message = "Error: inner product is not symmetric"
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"algebra": data}))
+    path.write_text(json.dumps(spec))
     for command in ("validate", "decompose", "check-go"):
         result = invoke(runner, [command, str(path)])
         assert result.exit_code == 1, command
@@ -133,12 +137,48 @@ go.geodesic_graph(space, 1, 2, p1 @ v, p2 @ v)
     subprocess.run([sys.executable, "-c", script], check=True)
 
 
+def _fresh(args):
+    """stdout of the command in a new interpreter, whose per-process
+    caches hold nothing yet."""
+    return subprocess.run([sys.executable, "-m", "orbitcheck.cli", *args],
+                          capture_output=True, check=True).stdout
+
+
+def test_catalog_run_after_another_seed_reports_what_a_fresh_process_does(
+        runner):
+    args = ["catalog", "run", "--seed", "1", "--json"]
+    fresh = _fresh(args)
+    assert invoke(runner, ["catalog", "run", "--seed", "0"]).exit_code == 0
+    assert invoke(runner, args).stdout_bytes == fresh
+
+
+@pytest.mark.parametrize("entry_id", ["go-3-k3", "go-1"])
+@pytest.mark.parametrize("command", ["decompose", "filter", "classify"])
+def test_a_seedless_command_reports_what_a_fresh_process_does(
+        runner, command, entry_id):
+    # on a multiplicity-free space and an isotypic one, a first and a
+    # second call in one process both read the fresh process's bytes
+    args = [command, entry_id, "--json"]
+    fresh = _fresh(args)
+    assert [invoke(runner, args).stdout_bytes for _ in range(2)] == \
+        [fresh, fresh]
+
+
 def test_zoo_algebra_at_the_cap_validates_exactly(runner):
-    result = invoke(runner, ["zoo", "algebra", "so(16)", "--json"])
-    assert result.exit_code == 0
-    data = json.loads(result.output)
-    assert (data["dim"], data["mode"], data["passed"]) == (120, "exact", True)
-    assert data["invariance"] == 0.0
+    # the cap algebras on both inner-product paths: -B at once for so, sp
+    # and su, the center's SVDs for u, whose Gram is not read back as
+    # rationals; no build runs the exact Jacobi join, so zoo algebra runs
+    # it on request
+    for name, dim in (("so(16)", 120), ("sp(7)", 105), ("su(8)", 63),
+                      ("u(8)", 64)):
+        result = invoke(runner, ["zoo", "algebra", name, "--json"])
+        assert result.exit_code == 0, name
+        data = json.loads(result.output)
+        assert (data["dim"], data["mode"], data["passed"]) == \
+            (dim, "exact", True), name
+        assert data["jacobi"] == 0.0, name
+        if name != "u(8)":
+            assert data["invariance"] == 0.0, name
 
 
 def test_decompose_json_output(runner):
@@ -191,6 +231,22 @@ def test_check_go_expectations(runner):
     assert normal.exit_code == 0
 
 
+@pytest.mark.parametrize("args, expect", [
+    # the largest exact entry at a decimal ratio, and 40 exact samples,
+    # which fill chunks past the first three
+    (["go-4-r2", "--exact", "--lambda", "2.5", "--mu", "0.5"], "go"),
+    (["go-5", "--exact", "--samples", "40"], "go"),
+    # extreme ratios on the float lane, whose unit scale is the exact
+    # spectral norm max(lambda, mu)
+    (["go-4-r2", "--lambda", "1000", "--mu", "0.001"], "go"),
+    (["t1-V.10", "--lambda", "0.001", "--mu", "1000"], "not-go"),
+])
+def test_check_go_verdicts_at_other_pairs(runner, args, expect):
+    result = invoke(runner, ["check-go", *args, "--expect", expect, "--json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["exact"] == ("--exact" in args)
+
+
 def test_check_go_not_go_with_certificate(runner):
     result = invoke(runner, ["check-go", "t1-V.10", "--samples", "50",
                              "--expect", "not-go", "--json"])
@@ -239,6 +295,11 @@ def test_check_go_exact_mode(runner):
     data = json.loads(result.output)
     assert data["exact"] is True
     assert data["max_residual"] == 0.0
+    # an embedding whose float matrix is not exactly rational has no
+    # exact lane: the refusal exits 1 and names the reason
+    refused = runner.invoke(main, ["check-go", "t1-V.10", "--exact"])
+    assert refused.exit_code == 1
+    assert "h embedding lacks exact coordinates" in refused.output
 
 
 def _reject_constant(name):
@@ -260,6 +321,10 @@ def test_exact_not_go_json_is_standard(runner):
 def test_filter_expectations(runner):
     ok = invoke(runner, ["filter", "go-3-k2", "--expect", "pass"])
     assert ok.exit_code == 0
+    # go-2 is in_m2; struct-3's zero bracket splits g into ideals
+    for entry_id in ("go-2", "struct-3"):
+        passed = invoke(runner, ["filter", entry_id, "--expect", "pass"])
+        assert passed.exit_code == 0, entry_id
     bad = invoke(runner, ["filter", "t1-V.10", "--expect", "pass"])
     assert bad.exit_code == 1
     fail_ok = invoke(runner, ["filter", "t1-V.10", "--expect", "fail"])
@@ -353,6 +418,7 @@ def test_catalog_run_go_filter_selects_before_running(runner, monkeypatch):
     monkeypatch.setattr(catalog, "catalog_instantiate", spy)
     result = invoke(runner, ["catalog", "run", "--filter", "go=false",
                              "--samples", "10", "--json"])
+    assert result.exit_code == 0
     want = sorted(e.id for e in catalog.catalog_list(constructible=True,
                                                      expected_go=False))
     assert len(want) == 3
@@ -401,6 +467,11 @@ def _usage_error_line(result):
     (["zoo", "embedding", "diagonal", "--param", "family=3", "--param",
       "n=3", "--param", "copies=2"],
      "diagonal: parameter family must be a string, got 3"),
+    # a chain's builder is a lambda, whose own TypeError named no key
+    (["zoo", "embedding", "u_in_so_odd", "--param", "j=2"],
+     "u_in_so_odd: got an unexpected keyword argument 'j'; takes k"),
+    (["zoo", "embedding", "u_in_so_odd"],
+     "u_in_so_odd: missing a required argument: 'k'; takes k"),
 ])
 def test_a_bad_zoo_name_is_a_usage_error(runner, args, message):
     assert message in _usage_error_line(invoke(runner, args))
@@ -426,6 +497,13 @@ def test_a_bad_zoo_name_is_a_usage_error(runner, args, message):
     ({"algebra": "so(5)",
       "embedding": {"key": "u_in_so_odd", "params": {"k": True}}},
      "u_in_so_odd: parameter k must be an integer, got True"),
+    # each of these once ended in a traceback, or in exit 1
+    ({"algebra": "so(5)", "embedding": 5}, "embedding must be an object"),
+    ({"algebra": "so(5)", "embedding": {"matrix": [["a"], ["b"], ["c"]]}},
+     "embedding matrix must be a 2-D array of numbers"),
+    ({"algebra": "so(5)", "embedding": {"matrix": [1, 2, 3]}},
+     "embedding matrix must be a 2-D array of numbers"),
+    ({"catalog": "nope"}, "unknown catalog id 'nope'"),
 ])
 def test_a_spec_file_with_a_bad_zoo_name_is_a_usage_error(runner, tmp_path,
                                                           spec, message):

@@ -733,7 +733,7 @@ def _held(space, fac):
             *(array for read in reads for array in read), *zs]
 
 
-@pytest.mark.parametrize("entry_id", ["go-3-k2", "go-4-r2", "t1-V.10"])
+@pytest.mark.parametrize("entry_id", ["go-3-k2", "go-4-r2", "t1-V.10", "go-2"])
 def test_a_chunked_fill_equals_a_one_shot_fill(entry_id, monkeypatch):
     # chunks of any size, and a chunk that starts mid-run, hold the rows
     # of per-sample draws and the same R, Z and read-offs as a one-shot
@@ -1603,16 +1603,25 @@ def test_factorisation_on_go_5_runs_one_narrow_qr_and_no_kernel_qr(
 
 def test_factorisation_of_a_warm_go_5_dumps_what_a_fresh_one_dumps():
     # on go-5, the widest stabilizer (8), 40 samples after 3 whose
-    # witnesses were read dump, z included, what a fresh space dumps
+    # witnesses were read dump, z included, what a fresh space dumps; so
+    # do go-4-r2 (wide) and go-7-n2 (rank-losing), whose float samples
+    # are solved on the split's stabilizer frame, go-2 (full rank: QR on
+    # M itself) and, on the exact lane, go-3-k3
     def dump(verdict):
         return json.dumps([verdict.as_dict()]
                           + [w.as_dict() for w in verdict.witnesses])
-    warm, fresh = (catalog.catalog_instantiate("go-5", seed=0)
-                   for _ in range(2))
-    dump(go.go_check(warm, (1, 2), n_samples=3, seed=7))
-    got = dump(go.go_check(warm, (1, 2), n_samples=40, seed=7))
-    assert got == dump(go.go_check(fresh, (1, 2), n_samples=40, seed=7))
-    assert json.loads(got)[0]["n_samples"] == 40
+    for entry_id, exact_mode in (("go-5", False), ("go-4-r2", False),
+                                 ("go-7-n2", False), ("go-2", False),
+                                 ("go-3-k3", True)):
+        warm, fresh = (catalog.catalog_instantiate(entry_id, seed=0)
+                       for _ in range(2))
+        dump(go.go_check(warm, (1, 2), n_samples=3, seed=7,
+                         exact_mode=exact_mode))
+        got = dump(go.go_check(warm, (1, 2), n_samples=40, seed=7,
+                               exact_mode=exact_mode))
+        assert got == dump(go.go_check(fresh, (1, 2), n_samples=40, seed=7,
+                                       exact_mode=exact_mode)), entry_id
+        assert json.loads(got)[0]["n_samples"] == 40
 
 
 @pytest.mark.parametrize("entry_id", TWO_SUMMAND)
