@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -456,13 +457,61 @@ class LieAlgebra:
         return f"LieAlgebra({self.name or 'unnamed'}, dim={self.dim})"
 
 
+def _is_number(value) -> bool:
+    """A real number, or a string that reads as a rational."""
+    if isinstance(value, str):
+        try:
+            Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return isinstance(value, numbers.Real)
+
+
+def _check_spec(data: dict) -> None:
+    """Refuse a spec, naming the field and its first bad entry, unless its
+    dim is a positive integer, its structure a list of [i, j, k, value]
+    entries with integer indices and a number or rational-string value,
+    and its inner product, if any, dim rows of dim such values."""
+    dim = data.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) \
+            or dim < 1:
+        raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+    entries = data.get("structure")
+    if not isinstance(entries, list):
+        raise ValidationError("structure must be a list of [i, j, k, value] "
+                              f"entries, got {entries!r}")
+    for t, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 4
+                and all(isinstance(i, numbers.Integral) for i in entry[:3])
+                and _is_number(entry[3])):
+            raise ValidationError(
+                f"structure entry {t} is {entry!r}, not [i, j, k, value] of "
+                "integer indices and a number or rational string")
+    rows = data.get("inner_product")
+    if rows is None:
+        return
+    if not isinstance(rows, list) or len(rows) != dim:
+        raise ValidationError("inner product shape does not match dim: "
+                              f"{rows!r} is not a list of {dim} rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValidationError("inner product shape does not match dim: "
+                                  f"row {i} is {row!r}, not {dim} entries")
+        for j, value in enumerate(row):
+            if not _is_number(value):
+                raise ValidationError(f"inner product entry ({i}, {j}) is "
+                                      f"{value!r}, not a number")
+
+
 def algebra_from_json_dict(data: dict) -> LieAlgebra:
     """Algebra from a JSON spec; rational constants (ints and strings) give
-    an exact algebra, any float a float one. An inner product must be
-    finite, symmetric and positive definite; the constants are not
-    validated, so a bad spec can still be built and reported."""
-    dim = int(data["dim"])
-    entries = data["structure"]
+    an exact algebra, any float a float one. The spec's shape is checked
+    first (``_check_spec``). An inner product must be finite, symmetric
+    and positive definite; the constants are not validated, so a bad
+    spec can still be built and reported."""
+    _check_spec(data)
+    dim, entries = int(data["dim"]), data["structure"]
     table = np.array(entries, dtype=object).reshape(len(entries), 4)
     rational = all(isinstance(v, (str, int)) for v in table[:, 3])
     values = None if rational else table[:, 3].astype(np.float64)

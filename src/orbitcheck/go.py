@@ -8,15 +8,18 @@ rank jump between the coefficient and augmented matrices certifies a
 counterexample, with the smallest discarded singular value as margin.
 Sampling many directions upgrades pointwise answers to a space verdict.
 
-The geodesic-graph solvers on two-module spaces read the parts
-Z_X = M+ P2 [X, Y]_m and Z_Y = M+ P1 [X, Y]_m of a mixed direction X + Y
-(X in module 1, Y in module 2, M: z -> proj_m [z, X + Y]) off the same
-metric-free factorisation as the sampled verdicts. Z_X commutes with X,
-Z_Y with Y, and each ratio's witness combines the two. They lie in the
-complement C~ of C = C_h(X + Y) in its normalizer, and are unique there:
-[h, m_k] lies in m_k, so each c in C fixes X and Y, and exp(t ad c) is
-an isometry of h keeping C, M and P_k [X, Y]_m, hence each min-norm z.
-So [c, z] = 0, z normalizes C, and z is orthogonal to C = ker M.
+On two modules, with X = X1 + X2 (X_k in module k), A = lam P1 + mu P2
+and b = [X1, X2]_m, the criterion reads lam [Z, X1] + mu [Z, X2] =
+(lam - mu) b, as [h, m_k] lies in m_k. So one metric-free system,
+M y = P_k b (k = 1, 2) with M: z -> proj_m [z, X], decides every metric
+of a direction, and the float samples (``_factorise``), the exact
+samples and the geodesic-graph solvers all solve it. At a mixed
+direction X + Y (X in module 1, Y in module 2), Z_X = M+ P2 b commutes
+with X, Z_Y = M+ P1 b with Y, and each ratio's witness combines the
+two. They lie in the complement C~ of C = C_h(X + Y) in its normalizer,
+and are unique there: each c in C fixes X and Y, and exp(t ad c) is an
+isometry of h keeping C, M and P_k b, hence each min-norm z. So
+[c, z] = 0, z normalizes C, and z is orthogonal to C = ker M.
 """
 
 from __future__ import annotations
@@ -471,37 +474,34 @@ def _m_of(iso_action: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _factorise(space: ReductiveSpace, x: np.ndarray):
     """Metric-free solve for a (k, dim m) stack of directions x = x1 + x2
-    on a two-module space: per row, R1 and R2 (shape (k, 2, dim m)),
-    solutions of M Z0 = P1 R1 + P2 R2, M Z12 = P1 R2 and M Z21 = P2 R1
-    (shape (k, dim h, 3)), their images under M (shape (k, dim m, 3))
-    and whether they are particular, with M and R_j as in
-    ``_Factorisation``. A row whose M, on the split's stabilizer frame
-    F = [S | T], passes ``_qr_solve``'s certificate is solved on M S, by
-    one raw QR of the chunk and a back-substitution: with no T its parts
-    are min-norm, else particular, in frame coordinates, until
-    ``_min_norm``. Any other row (such as one inside one module, or a
-    zero row) takes M+ from one batched SVD of those rows, cut at
-    ``rank_threshold`` in one call. A row's
-    path depends on its M and its space alone, and every product is
+    on a two-module space: per row, the mixed bracket b = [x1, x2]_m
+    (shape (k, dim m)), solutions Y_k of M Y_k = P_k b (shape
+    (k, dim h, 2)), their images under M (shape (k, dim m, 2)) and
+    whether they are particular, with M as in ``_Factorisation``. A row
+    whose M, on the split's stabilizer frame F = [S | T], passes
+    ``_qr_solve``'s certificate is solved on M S, by one raw QR of the
+    chunk and a back-substitution: with no T its parts are min-norm, else
+    particular, in frame coordinates, until ``_min_norm``. Any other row
+    (such as one inside one module, or a zero row) takes M+ from one
+    batched SVD of those rows, cut at ``rank_threshold`` in one call. A
+    row's path depends on its M and its space alone, and every product is
     stacked per row, so its results are the same to the last bit
     whatever rows share its stack."""
     dm, dh = space.m.dim, space.h.dim
     k, xs = len(x), x[:, None]
     m = _m_of(space.iso_action, x)
-    # [M S | parts] of each row in one buffer, which _qr_solve factorises
+    # [M S | P1 b, P2 b] of each row, the one buffer _qr_solve factorises
     frame, rank = space.split.stabilizer_frame
-    m_parts = np.empty((k, dm, rank + 3))
+    m_parts = np.empty((k, dm, rank + 2))
     m_parts[..., :rank] = m if rank == dh else m @ frame[:, :rank]
     parts = m_parts[..., rank:]
     proj = space.module_projectors
-    # rows R1, R2 of each sample, from its module parts x1, x2; the
+    # b = [x1, x]_m of each sample, from its module part x1; the
     # (k, dim m, dim m) brackets [x, .] are freed at once
-    r = -(xs[:, None] @ proj)[:, :, 0] @ (
-        xs @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(k, dm, dm)
-    pr = proj[:, None] @ r.transpose(0, 2, 1)  # [i, :, :, j] = P_i R_j
-    parts[..., 0] = pr[0, ..., 0] + pr[1, ..., 1]
-    parts[..., 1], parts[..., 2] = pr[0, ..., 1], pr[1, ..., 0]
-    z = np.zeros((k, dh, 3))
+    b = (-(xs @ proj[0]) @ (
+        xs @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(k, dm, dm))[:, 0]
+    parts[..., 0], parts[..., 1] = (proj[:, None] @ b[:, :, None])[..., 0]
+    z = np.zeros((k, dh, 2))
     rest = _qr_solve(m_parts, np.sqrt(np.einsum("kij,kij->k", m, m)), z)
     if len(rest):
         u, s, vt = np.linalg.svd(m[rest], full_matrices=False)
@@ -510,10 +510,10 @@ def _factorise(space: ReductiveSpace, x: np.ndarray):
         z[rest] = vt.transpose(0, 2, 1) @ (
             inv[:, :, None] * (u.transpose(0, 2, 1) @ parts[rest]))
     if rank == dh:
-        return r, z, m @ z, np.zeros(k, dtype=bool)
+        return b, z, m @ z, np.zeros(k, dtype=bool)
     mz = m_parts[..., :rank] @ z[:, :rank]  # (M S) R11^-1 Q^T parts
     mz[rest] = m[rest] @ z[rest]
-    return r, z, mz, np.bincount(rest, minlength=k) == 0
+    return b, z, mz, np.bincount(rest, minlength=k) == 0
 
 
 def _qr_solve(m_parts: np.ndarray, norm: np.ndarray,
@@ -635,35 +635,32 @@ class _Draws:
 class _Factorisation(_Draws):
     """Metric-free part of the float system for the samples of one seed.
 
-    For x = x1 + x2 with x_k in module k and A = lam P1 + mu P2, the
-    unit-scale system of ``go_witness_general`` is D M z = rhs with
-    M = -(iso_action @ x)^T, the matrix of z -> proj_m [z, x], free of
-    the metric; D = A / s, s the spectral norm of A; and
-    rhs = (lam R1 + mu R2) / s with R_j = -x_j @ (x @ m_bracket_m).
-    Since [h, m_k] lies in m_k, D only scales the rows of module k by
-    its weight over s, so on a consistent system the min-norm witness is
-    z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 with Z0 = M+(P1 R1 + P2 R2),
-    Z12 = M+(P1 R2) and Z21 = M+(P2 R1), from a certified QR on the
-    first columns S of the split's stabilizer frame whose R11 is
-    inverted by back-substitution, or else the SVD (``_factorise``).
-    Besides the draws, per factorised sample this keeps the three parts
+    At x = x1 + x2 the unit-scale system of ``go_witness_general`` is
+    D M z = rhs, with M = -(iso_action @ x)^T, D = A / s for s the
+    spectral norm of A, and rhs = (lam - mu) b / s. With t = mu/lam and
+    the module docstring's M Y_k = P_k b solved once per sample
+    (``_factorise``), the witness is z = (1 - t)(Y1 + Y2/t), and
+    D M z - rhs = (lam/s) (1 - t)/t (D0 + t D1 + t^2 D2), with
+    D0 = P1 M Y2, D1 = P1 M Y1 + P2 M Y2 - b and D2 = P2 M Y1, against
+    |rhs| = (lam/s) |1 - t| |b|. So every ratio t of a sample is read off
+    the quadratic D(t), and the ratios it solves are its positive roots.
+    Besides the draws, per factorised sample this keeps the two parts
     (``z``), ``particular`` where they are the QR's particular solution
     on a frame with a kernel part, made min-norm by ``z_at`` at the
-    first read, and, as the rows of ``terms``, P1 M Z0, P1 M Z12,
-    P1 M Z21, their P2 images and -R1, -R2: D M z - rhs and -rhs are
-    weighted sums of these rows for any weights, and the same for any
-    solution z, so M is not kept. Every product is stacked per sample,
-    here, in ``_factorise`` and in a read-off, so no chunk or earlier
-    call moves a sample's bits. ``probe`` may draw sample 0 ahead of its
-    chunk.
+    first read, the rows D0, D1, D2 (``d``) and |b| (``b_norm``): the
+    same for any solution Y, so M is not kept. Every product is stacked
+    per sample, here, in ``_factorise`` and in a read-off, so no chunk
+    or earlier call moves a sample's bits. ``probe`` may draw sample 0
+    ahead of its chunk.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
         super().__init__(space, seed)
         self.split = space.split  # which holds no reference to the space
-        self.z = np.empty((0, self.dh, 3))
+        self.z = np.empty((0, self.dh, 2))
         self.particular = np.empty(0, dtype=bool)
-        self.terms = np.empty((0, 8, len(self.brackets)))
+        self.d = np.empty((0, 3, len(self.brackets)))
+        self.b_norm = np.empty(0)
 
     @property
     def held(self) -> int:
@@ -685,33 +682,38 @@ class _Factorisation(_Draws):
         super().fill(space, range(samples.start + len(self.rows) - done,
                                   samples.stop))
         x = np.array(self.rows[done:])
-        r, z, mz, particular = _factorise(space, x)
-        pmz = (space.module_projectors[:, None] @ mz).transpose(1, 0, 3, 2)
-        terms = np.concatenate([pmz.reshape(len(x), 6, -1), -r], axis=1)
+        b, z, mz, particular = _factorise(space, x)
+        pmz = space.module_projectors[:, None] @ mz  # [j, ..., k] P_j M Y_k
+        d = np.stack([pmz[0, ..., 1], pmz[0, ..., 0] + pmz[1, ..., 1] - b,
+                      pmz[1, ..., 0]], axis=1)
         self.z = np.concatenate([self.z, z])
         self.particular = np.concatenate([self.particular, particular])
-        self.terms = np.concatenate([self.terms, terms])
+        self.d = np.concatenate([self.d, d])
+        self.b_norm = np.concatenate([self.b_norm,
+                                      np.linalg.norm(b, axis=1)])
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask and residuals of the samples in ``part`` under
         a two-parameter metric: go_witness_general's residual test,
-        ||D M z - rhs|| <= tol * max(1, ||rhs||) at unit scale, with
-        D M z - rhs and -rhs weighted sums of each sample's ``terms``."""
+        ||D M z - rhs|| <= tol * max(1, ||rhs||) at unit scale, with both
+        norms read off each sample's D(t) and |b|."""
         (lam, mu), scale = map(float, a.params), a.spectral_norm
-        c12, c21, w1, w2 = mu / lam, lam / mu, lam / scale, mu / scale
-        weights = np.array([[w1, w1 * c12, w1 * c21, w2, w2 * c12, w2 * c21,
-                             w1, w2], [0, 0, 0, 0, 0, 0, w1, w2]])
-        residual, rhs = np.linalg.norm(weights @ self.terms[part], axis=2).T
-        return residual <= tol * np.maximum(1.0, rhs), scale * residual
+        t = mu / lam
+        w = lam / scale * abs(1.0 - t)
+        residual = w / t * np.linalg.norm(
+            np.array([1.0, t, t * t]) @ self.d[part], axis=1)
+        return residual <= tol * np.maximum(1.0, w * self.b_norm[part]), \
+            scale * residual
 
     def z_at(self, a: MetricOperator, i: int) -> np.ndarray:
-        """z = Z0 + (mu/lam) Z12 + (lam/mu) Z21 of accepted sample i, its
+        """z = (1 - t)(Y1 + Y2/t), t = mu/lam, of accepted sample i, its
         parts made min-norm (``_min_norm``) and kept at the first read."""
         if self.particular[i]:
             self.z[i] = _min_norm(self.split, self.rows[i], self.z[i])
             self.particular[i] = False
         lam, mu = map(float, a.params)
-        return self.z[i] @ np.array([1.0, mu / lam, lam / mu])
+        t = mu / lam
+        return self.z[i] @ np.array([1.0 - t, (1.0 - t) / t])
 
 
 class _ExactFactorisation:
@@ -719,13 +721,14 @@ class _ExactFactorisation:
 
     Sample i is X = (x1 + x2) / denom, x_k in module k a combination of
     its basis columns with nonzero integer coefficients, and A scales X_k
-    by c_k, c1 : c2 = lam : mu. As rows_k sees only module k and [h, m_k]
-    lies in m_k, rows [Z + X, A X] = 0 is diag(c1, c2) M y = (c2 - c1) b
-    with Z = H y / denom, M = rows ad(x) H and b = rows [x1, x2]. One
-    ``exact.solve`` of M against [b1; 0] and [0; b2], at the sample's
-    first lam != mu read-off, serves every pair: its rref solution is
-    y = (c2 - c1) (c2 Y1 + c1 Y2) / (c1 c2 d), if c2 tail1 + c1 tail2 = 0;
-    a sample whose tail no c1, c2 > 0 can zero skips the back-substitution.
+    by c_k, c1 : c2 = lam : mu. In rows (rows_k sees module k alone),
+    rows [Z + X, A X] = 0 is diag(c1, c2) M y = (c2 - c1) b with
+    Z = H y / denom, M = rows ad(x) H and b = rows [x1, x2]. One
+    ``exact.solve`` of the module docstring's system, M against [b1; 0]
+    and [0; b2], at the first lam != mu read-off, serves every pair; its
+    rref solution is y = (c2 - c1) (c2 Y1 + c1 Y2) / (c1 c2 d), if
+    c2 tail1 + c1 tail2 = 0; a sample whose tail no c1, c2 > 0 can zero
+    skips the back-substitution.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
@@ -835,13 +838,14 @@ class GeodesicGraph:
 
 def _pair_factorisation(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
                         tol: float):
-    """Split, min-norm columns (Z_X, Z_Y) in h coordinates (``_min_norm``
-    where the factorised parts are particular), their images under M,
-    [X, Y]_m and sx sy, the bracket scale that stands for unit scale.
+    """Split, the module docstring's min-norm columns (Z_Y, Z_X) in h
+    coordinates (``_min_norm`` where ``_factorise``'s are particular),
+    their images under M, b = [X, Y]_m and sx sy, the bracket scale that
+    stands for unit scale.
 
     X and Y are each divided by the power of two nearest its norm, sx and
-    sy, which is exact; Z_X and Z_Y at X/sx + Y/sy scale back by sx and
-    sy, and M at X + Y is (sx P1 + sy P2) times M there.
+    sy, which is exact; b there scales back by sx sy, so Z_Y = sy Y1 and
+    Z_X = sx Y2, and M at X + Y is (sx P1 + sy P2) times M there.
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if len(space.modules) != 2:
@@ -856,14 +860,11 @@ def _pair_factorisation(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
               for n in (float(np.linalg.norm(x)), float(np.linalg.norm(y))))
     u = x / sx + y / sy
     split = normalizer_split(space, space.m.basis @ u)
-    r, z, mz, particular = _factorise(space, u[None])
+    b, z, mz, particular = _factorise(space, u[None])
     z = _min_norm(space.split, u, z[0]) if particular[0] else z[0]
-    # columns Z_X = sx Z21 and Z_Y = -sy Z12
-    scales = np.array([sx, -sy])
-    return (replace(split, u=space.m.basis @ (x + y)),
-            z[:, [2, 1]] * scales,
-            (sx * p1 + sy * p2) @ (mz[0][:, [2, 1]] * scales),
-            sx * sy * r[0, 0], sx * sy)
+    scales = np.array([sy, sx])
+    return (replace(split, u=space.m.basis @ (x + y)), z * scales,
+            (sx * p1 + sy * p2) @ (mz[0] * scales), sx * sy * b[0], sx * sy)
 
 
 def geodesic_graph(space: ReductiveSpace, lam, mu, x: np.ndarray,
@@ -880,7 +881,7 @@ def geodesic_graph(space: ReductiveSpace, lam, mu, x: np.ndarray,
         raise ValidationError("geodesic graph needs distinct metric weights")
     cx, cy = lam_f / (lam_f - mu_f), mu_f / (lam_f - mu_f)
     split, zs, mzs, b, unit = _pair_factorisation(space, x, y, tol)
-    weights = np.array([1.0 / cy, 1.0 / cx])
+    weights = np.array([1.0 / cx, 1.0 / cy])
     mw = mzs @ weights
     p1, p2 = space.module_projectors
     residual = float(np.linalg.norm(cx * p1 @ mw + cy * p2 @ mw - b))
@@ -910,19 +911,17 @@ class ZxZyDecomposition:
 def zxzy_decompose(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
                    tol: float = 1e-8) -> ZxZyDecomposition:
     """Write [X, Y] = [Z_Y, X] + [Z_X, Y] with Z_X centralizing X and
-    Z_Y centralizing Y: the min-norm, and in C~ unique, pair
-    Z_X = M+ P2 [X, Y]_m, Z_Y = M+ P1 [X, Y]_m (module docstring). It is
-    refused unless M Z_X - P2 [X, Y]_m and M Z_Y - P1 [X, Y]_m have joint
-    norm at most tol max(1, ||[X, Y]_m||) at unit scale, which asks
-    [Z_X, X] = 0 and [Z_Y, Y] = 0 too; the residual is reported for X and
-    Y as given. ``reconstruct`` rebuilds the geodesic graph witness.
+    Z_Y centralizing Y: the module docstring's min-norm, and in C~
+    unique, pair. It is refused unless M Z_X - P2 b and M Z_Y - P1 b,
+    b = [X, Y]_m, have joint norm at most tol max(1, ||b||) at unit
+    scale, which asks [Z_X, X] = 0 and [Z_Y, Y] = 0 too; the residual is
+    reported for X and Y as given. ``reconstruct`` rebuilds the geodesic
+    graph witness.
     """
     split, zs, mzs, b, unit = _pair_factorisation(space, x, y, tol)
-    p1, p2 = space.module_projectors
-    residual = float(np.linalg.norm(np.concatenate(
-        [mzs[:, 0] - p2 @ b, mzs[:, 1] - p1 @ b])))
+    residual = float(np.linalg.norm(mzs - (space.module_projectors @ b).T))
     if residual > tol * max(unit, float(np.linalg.norm(b))):
         raise GoError("bracket does not split against the centralizers "
                       f"(residual {residual:.2e})")
-    z_x, z_y = (space.h.basis @ zs).T
+    z_y, z_x = (space.h.basis @ zs).T
     return ZxZyDecomposition(z_x=z_x, z_y=z_y, split=split, residual=residual)

@@ -121,8 +121,9 @@ class ReductiveSplit:
         generic rank of M(v): z -> proj_m [z, v] over h, F an orthogonal
         frame of h whose last dim h - r columns span ker M at a fixed v
         of rank r (the generic stabilizer), the identity when r = dim h.
-        Every M(v) has rank at most r; ``go._factorise`` solves on M S,
-        S the first r columns, and ``go._min_norm`` reads ker M off M F."""
+        Every M(v) has rank at most r; ``go._factorise`` solves
+        M(v) y = P_k [v1, v2]_m, k = 1, 2, on M S, S the first r columns,
+        and ``go._min_norm`` reads ker M off M F."""
         from .filters import principal_frame
         frame, rank = principal_frame(self.iso_action)
         return _read_only(frame), rank
@@ -443,6 +444,7 @@ def commutant(action: np.ndarray) -> np.ndarray:
     """
     k, d = len(action), action.shape[1]
     if k == 0 or d == 0:
+        _check_size(d * d, d, 0)
         return np.eye(d * d).reshape(d * d, d, d)
     rng = rng_for("intertwiners", k)
     weights = rng.standard_normal(k)

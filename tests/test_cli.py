@@ -78,8 +78,27 @@ def test_validate_refuses_a_non_compact_algebra(runner, tmp_path, spec,
         "compact)" in result.output
 
 
+# each once ended in a traceback: su(2)'s float spec with these fields
+# replaced (None: removed), and the message that names the field
+MALFORMED_ALGEBRAS = {
+    "no dim": ({"dim": None}, "dim must be a positive integer, got None"),
+    "string dim": ({"dim": "x"}, "dim must be a positive integer, got 'x'"),
+    "negative dim": ({"dim": -1}, "dim must be a positive integer, got -1"),
+    "short entry": ({"structure": [[0, 1, 2, 1.0], [0, 2, 1]]},
+                    "structure entry 1 is [0, 2, 1], not [i, j, k, value]"),
+    "number structure": ({"structure": 5}, "structure must be a list of "
+                         "[i, j, k, value] entries, got 5"),
+    "string constant": ({"structure": [[0, 1, 2, "abc"]]},
+                        "structure entry 0 is [0, 1, 2, 'abc'], not"),
+    "ragged gram": ({"inner_product": [[1, 0, 0], [0, 1], [0, 0, 1]]},
+                    "inner product shape does not match dim: row 1 is "
+                    "[0, 1], not 3 entries"),
+}
+
+
 @pytest.mark.parametrize("where", ["structure", "inner_product", "indefinite",
-                                   "asymmetric", "matrix"])
+                                   "asymmetric", "matrix",
+                                   *MALFORMED_ALGEBRAS])
 def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
     # a NaN constant, Gram entry or embedding matrix entry, or an
     # indefinite Gram, once ended in a LAPACK traceback; a Gram that is
@@ -91,7 +110,11 @@ def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
     data["inner_product"] = [[float(v) for v in row]
                              for row in data["inner_product"]]
     message = "is nan, not finite"
-    if where == "structure":
+    if where in MALFORMED_ALGEBRAS:
+        fields, message = MALFORMED_ALGEBRAS[where]
+        data.update(fields)
+        spec["algebra"] = {k: v for k, v in data.items() if v is not None}
+    elif where == "structure":
         data["structure"][0][3] = float("nan")
     elif where == "inner_product":
         data["inner_product"][0][0] = float("nan")
@@ -110,6 +133,22 @@ def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
         assert result.exit_code == 1, command
         assert message in result.output, command
         assert "Traceback" not in result.output
+
+
+def test_a_bare_algebra_spec_is_refused_before_its_d4_identity(runner,
+                                                               tmp_path):
+    # h = 0 makes every map of m commute with h: so(16)'s (d^2, d, d)
+    # identity, 1.6 GiB, once took 1.7 GB; it is refused by the commutant
+    # bound before it allocates, and so(5)'s still validates
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"algebra": "so(16)"}))
+    for command in ("validate", "decompose"):
+        result = invoke(runner, [command, str(path)])
+        assert result.exit_code == 1
+        assert "Error: commutant system of 1582 MiB (14400 candidate maps) " \
+            "exceeds the 128 MiB bound" in result.output
+    path.write_text(json.dumps({"algebra": "so(5)"}))
+    assert invoke(runner, ["validate", str(path)]).exit_code == 0
 
 
 def test_commands_never_read_the_dense_structure_tensor():

@@ -507,6 +507,25 @@ def test_pair_solvers_read_the_go_witness_off_inside_c_tilde(entry_id):
                     assert np.abs(off).max() <= 1e-10
 
 
+@pytest.mark.parametrize("entry_id", TWO_SUMMAND)
+def test_swapping_the_modules_with_the_weights_keeps_the_verdict(entry_id):
+    # lam P1 + mu P2 is mu P1' + lam P2' on the space whose modules are
+    # m1' = m2 and m2' = m1: at (mu, lam) it gives the status it gives at
+    # (lam, mu), on its own draws, and a negative the same rank gap
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    swapped = _with_modules(space, [space.module_coords_in_m(1),
+                                    space.module_coords_in_m(0)])
+    assert swapped.module_dims == space.module_dims[::-1]
+    for seed in range(3):
+        for lam, mu in ((1, 2), (0.2, 5)):
+            want = go.go_check(space, (lam, mu), seed=seed)
+            got = go.go_check(swapped, (mu, lam), seed=seed)
+            assert got.status == want.status, (seed, lam, mu)
+            if want.status == "NOT_GO":
+                assert got.counterexample.rank_gap == \
+                    want.counterexample.rank_gap
+
+
 def _sample_coordinates(space, seed, i):
     """Sample i's coordinates, one word at a time in Python ints: the
     words [i dm, (i + 1) dm) of rng_for("go", name, seed), dm = dim m,
@@ -720,24 +739,24 @@ def _filled(space, seed, chunks, blocks=None):
 
 
 def _held(space, fac):
-    """A factorisation's rows, its held arrays (Z, and R among the read-off
-    terms), and its read-offs and witness z of every held sample under
-    three pairs."""
+    """A factorisation's rows, its held arrays (the parts Y, the rows of
+    D(t) and |b|), and its read-offs and witness z of every held sample
+    under three pairs."""
     metrics = [go.MetricOperator.two_param(space, *pair)
                for pair in ((1, 2), (2.5, 0.5), (0.2, 5))]
     reads = [fac.read_off(a, go.DEFAULT_TOL, slice(0, fac.held))
              for a in metrics]
     zs = [np.array([fac.z_at(a, i) for i in range(fac.held)])
           for a in metrics]
-    return [np.array(fac.rows), fac.z, fac.terms,
+    return [np.array(fac.rows), fac.z, fac.d, fac.b_norm,
             *(array for read in reads for array in read), *zs]
 
 
 @pytest.mark.parametrize("entry_id", ["go-3-k2", "go-4-r2", "t1-V.10", "go-2"])
 def test_a_chunked_fill_equals_a_one_shot_fill(entry_id, monkeypatch):
     # chunks of any size, and a chunk that starts mid-run, hold the rows
-    # of per-sample draws and the same R, Z and read-offs as a one-shot
-    # fill, bit for bit
+    # of per-sample draws and the same Y, D(t), |b| and read-offs as a
+    # one-shot fill, bit for bit
     space = catalog.catalog_instantiate(entry_id, seed=0)
     rows, kinds = _sampled_rows(space, 3, 60)
     want = None
@@ -773,7 +792,8 @@ def test_a_chunked_fill_equals_a_one_shot_fill(entry_id, monkeypatch):
     np.testing.assert_array_equal(np.array(mid.rows), rows[57:])
     one_shot = _filled(space, 3, [60])
     assert mid.z.tobytes() == one_shot.z[57:].tobytes()
-    assert mid.terms.tobytes() == one_shot.terms[57:].tobytes()
+    assert mid.d.tobytes() == one_shot.d[57:].tobytes()
+    assert mid.b_norm.tobytes() == one_shot.b_norm[57:].tobytes()
 
 
 def test_draw_coordinates_are_pinned_to_the_bit():
@@ -937,9 +957,9 @@ def _ladder_space(space_id):
 
 
 def _reference_solve(space, x):
-    """Per row, M (columns proj_m [h_a, x]) and the parts
-    [P1 R1 + P2 R2, P1 R2, P2 R1], R_j = proj_m [x_j, x], from brackets
-    in g, and the min-norm M+ parts of an SVD cut at rank_threshold."""
+    """Per row, M (columns proj_m [h_a, x]) and the parts [P1 b, P2 b],
+    b = proj_m [x1, x], from brackets in g, and the min-norm M+ parts of
+    an SVD cut at rank_threshold."""
     g, gram = space.g, space.g.inner_product
     hb, mb = space.h.basis, space.m.basis
     p1, p2 = space.module_projectors
@@ -948,9 +968,8 @@ def _reference_solve(space, x):
         xg = mb @ row
         m = np.array([mb.T @ gram @ g.bracket(h, xg) for h in hb.T]).reshape(
             hb.shape[1], len(row)).T
-        r1, r2 = (mb.T @ gram @ g.bracket(mb @ (p @ row), xg)
-                  for p in (p1, p2))
-        parts = np.stack([p1 @ r1 + p2 @ r2, p1 @ r2, p2 @ r1], axis=1)
+        b = mb.T @ gram @ g.bracket(mb @ (p1 @ row), xg)
+        parts = np.stack([p1 @ b, p2 @ b], axis=1)
         u, s, vt = np.linalg.svd(m, full_matrices=False)
         top = s[0] if len(s) else 0.0
         keep = s > max(max(m.shape) * np.finfo(float).eps * top, 1e-12)
@@ -966,9 +985,9 @@ def _qr_refused(space, x):
     frame, rank = space.split.stabilizer_frame
     m = np.stack(_reference_solve(space, x)[0])
     return go._qr_solve(
-        np.concatenate([m @ frame[:, :rank], np.zeros((len(x), dm, 3))],
+        np.concatenate([m @ frame[:, :rank], np.zeros((len(x), dm, 2))],
                        axis=2),
-        np.linalg.norm(m, axis=(1, 2)), np.empty((len(x), dh, 3))).tolist()
+        np.linalg.norm(m, axis=(1, 2)), np.empty((len(x), dh, 2))).tolist()
 
 
 def _min_norm_parts(space, x, z, particular):
@@ -1189,7 +1208,7 @@ def test_factorisation_on_the_frame_refuses_a_row_inside_a_module(
     for _ in range(2):
         for i in range(len(x)):
             assert fac.z_at(a, i).tobytes() == \
-                (want[i] @ np.array([1.0, 2.0, 0.5])).tobytes()
+                (want[i] @ np.array([-1.0, -0.5])).tobytes()
     assert projected == [x[i].tobytes() for i in (0, 1, 2, 5, 6, 7)]
 
 
@@ -1318,7 +1337,7 @@ def test_a_rejected_sample_is_solved_again_and_the_run_goes_on(monkeypatch):
     space = catalog.catalog_instantiate("go-3-k2", seed=0)
     pair = (1, 2)
     go.go_check(space, pair, n_samples=40, seed=0)
-    space.go_factorisations[go._Factorisation].terms[17, :6] += 1.0
+    space.go_factorisations[go._Factorisation].d[17] += 1.0
     solve = go.go_witness_general
     calls = []
 
@@ -1530,7 +1549,7 @@ def test_an_ambiguous_probe_leaves_sample_0_to_the_read_off(monkeypatch):
 def test_a_held_read_off_forms_no_z_until_a_witness_is_read(monkeypatch):
     # a 100-sample GO call on held samples runs no concatenation and
     # forms no witness z; reading a witness forms its z alone, as the
-    # parts held for it combine: Z0 + (mu/lam) Z12 + (lam/mu) Z21
+    # parts held for it combine: (1 - t)(Y1 + Y2/t), t = mu/lam
     space = catalog.catalog_instantiate("go-4-r2", seed=0)
     go.go_check(space, (1, 2), n_samples=100, seed=0)
     fac = space.go_factorisations[go._Factorisation]
@@ -1546,7 +1565,9 @@ def test_a_held_read_off_forms_no_z_until_a_witness_is_read(monkeypatch):
     assert formed == [] and joined == []
     z = verdict.witnesses[37].z
     assert formed == [37]
-    assert z.tobytes() == (fac.z[37] @ np.array([1.0, 0.2, 5.0])).tobytes()
+    t = 0.5 / 2.5
+    assert z.tobytes() == \
+        (fac.z[37] @ np.array([1.0 - t, (1.0 - t) / t])).tobytes()
 
 
 @pytest.mark.parametrize("entry_id", sorted(STABILIZER))
@@ -1565,7 +1586,8 @@ def test_factorisation_reads_a_min_norm_z_off_particular_parts(entry_id):
         lam, mu = pair
         for w, row, m, part in zip(verdict.witnesses, x, ms, parts):
             np.testing.assert_array_equal(w.x, row)
-            want = part @ np.array([1.0, mu / lam, lam / mu])
+            t = mu / lam
+            want = part @ np.array([1.0 - t, (1.0 - t) / t])
             scale = max(1.0, np.linalg.norm(want))
             assert np.linalg.norm(w.z - want) <= 1e-12 * scale
             kernel = np.linalg.svd(m)[2][linalg.svd_rank(m):]
@@ -1574,10 +1596,38 @@ def test_factorisation_reads_a_min_norm_z_off_particular_parts(entry_id):
     assert not fac.particular.any()
 
 
+@pytest.mark.parametrize("entry_id, go_ok", [("t1-V.1-m3n3", False),
+                                             ("go-2", True)])
+def test_factorisation_read_off_is_the_residual_of_its_witness(entry_id,
+                                                              go_ok):
+    # each held sample's residual, read off D0 + t D1 + t^2 D2 and |b|, is
+    # s |(A/s) M z - rhs| for the z it hands out and the M of its row, to
+    # 1e-12 of its rows: on a negative, where the D_k are of order one,
+    # under every ratio, and on a GO entry, where every sample is accepted
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    fac = go._Factorisation(space, 0)
+    fac.fill(space, range(40))
+    dm = space.m.dim
+    brackets = space.m_bracket_m.reshape(dm, dm * dm)
+    for pair in ((1, 2), (0.2, 5), (3, 1)):
+        a = go.MetricOperator.two_param(space, *pair)
+        s = a.spectral_norm
+        ok, residuals = fac.read_off(a, go.DEFAULT_TOL, slice(0, fac.held))
+        assert ok.tolist() == [go_ok] * fac.held
+        for i, x in enumerate(fac.rows):
+            m = go._m_of(space.iso_action, x[None])[0]
+            ax = a.matrix @ x / s
+            rhs = -ax @ (x @ brackets).reshape(dm, dm)
+            want = s * np.linalg.norm(a.matrix / s @ m @ fac.z_at(a, i)
+                                      - rhs)
+            assert abs(residuals[i] - want) <= \
+                1e-12 * max(1.0, np.linalg.norm(fac.d[i]))
+
+
 def test_factorisation_on_go_5_runs_one_narrow_qr_and_no_kernel_qr(
         monkeypatch):
     # go-5 (generic stabilizer 8): a 100-sample call runs one batched raw
-    # QR, of [M S | parts] (r + 3 columns), and a held read-off under
+    # QR, of [M S | P1 b, P2 b] (r + 2 columns), and a held read-off under
     # another pair none; reading a witness runs its row's raw QR of M F
     # and the kernel's reduced QR, once
     space = catalog.catalog_instantiate("go-5", seed=0)
@@ -1591,7 +1641,7 @@ def test_factorisation_on_go_5_runs_one_narrow_qr_and_no_kernel_qr(
         return qr(a, mode=mode)
     monkeypatch.setattr(np.linalg, "qr", spied_qr)
     go.go_check(space, (1, 2), n_samples=100, seed=0)
-    assert calls == [((100, dm, rank + 3), "raw")]
+    assert calls == [((100, dm, rank + 2), "raw")]
     verdict = go.go_check(space, (2.5, 0.5), n_samples=100, seed=0)
     assert verdict.status == "GO_CONSISTENT" and len(calls) == 1
     verdict.witnesses[37].z
