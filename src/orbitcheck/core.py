@@ -570,9 +570,11 @@ def default_inner_product(constants: StructureConstants) -> np.ndarray:
     the result is ad-invariant for every Lie algebra, as the Killing form
     is (Humphreys, Introduction to Lie Algebras, 5.1) and the center is
     ad-trivial and orthogonal to [g, g]. Raises for non-compact input
-    (negative Killing form not positive definite on [g, g]). Exact
-    constants give -B from the exact Killing sums, each entry rounded
-    once, so the exact lane reads the exact -B back off it.
+    (negative Killing form not positive definite on [g, g]) and for a
+    Killing form with an entry past the float range, where eigvalsh
+    would not converge. Exact constants give -B from the exact Killing
+    sums, each entry rounded once, so the exact lane reads the exact -B
+    back off it.
 
     A -B that passes the definiteness test on all of g is nondegenerate,
     so g is semisimple (Cartan), with center 0 and [g, g] = g: -B is the
@@ -583,8 +585,10 @@ def default_inner_product(constants: StructureConstants) -> np.ndarray:
     n = constants.dim
     if not len(constants.index):
         return np.eye(n)
-    b = (_floats((n, n), *constants.killing(), constants.denom ** 2)
-         if constants.exact else _float_killing(constants))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = (_floats((n, n), *constants.killing(), constants.denom ** 2)
+             if constants.exact else _float_killing(constants))
+    check_finite(b, "Killing form")
     if np.linalg.eigvalsh(-b).min() > 1e-8 * float(np.abs(b).max()):
         return -b
     # column (i, j) of the bracket matrix is [e_i, e_j]

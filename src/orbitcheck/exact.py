@@ -9,15 +9,18 @@ where it is provably ``limit_denominator``'s answer. Products run on
 such integers too: ``imatmul`` multiplies integer arrays in int64 wherever
 max|a| max|b| (inner length) < 2^63 bounds every partial sum, and on
 Python ints otherwise. One fraction-free forward elimination serves the
-two solvers, ``null_space`` and ``solve``. It clears each row to integers
-and divides it by the gcd of its entries, which keeps the rref and
-shortens every minor, then runs Bareiss steps in int64 for as long as a
-bound per pivot proves them exact, and on Python ints after. Each solver
-back-substitutes, in integers too, the columns it needs (the free ones,
-or the right-hand sides, all at once), and returns its answer as Python
-integers over one denominator, so no row operation ever touches a
-Fraction. ``reduced`` brings such a pair to its least denominator,
-``over`` back to Fractions.
+two solvers, ``null_space`` and ``solve``. It takes int64 input as it is
+and clears any other row to integers, divides each row by the gcd of its
+entries, which keeps the rref and shortens every minor, then runs
+Bareiss steps in int64 for as long as a bound per pivot proves them
+exact, and on Python ints after. Each solver back-substitutes, in
+integers too, the columns it needs (the free ones, or the right-hand
+sides, all at once), and returns its answer as Python integers over one
+denominator, so no row operation ever touches a Fraction. ``solve`` is
+its two halves, ``eliminated`` (the echelon rows and the tail that
+decides consistency) and ``back_substituted``, which a caller may run
+apart, only where it wants the solution. ``reduced`` brings such a pair
+to its least denominator, ``over`` back to Fractions.
 """
 
 from __future__ import annotations
@@ -58,10 +61,11 @@ def fzeros(shape) -> np.ndarray:
 
 def to_float(a: np.ndarray, d: int = 1) -> np.ndarray:
     """Float array of ``a / d``, each entry rounded once (``a`` of
-    Fractions or Python ints)."""
+    Fractions, Python ints or int64, each divided as a Python number)."""
     if d == 1:
         return np.array(a, dtype=np.float64)
-    return np.array([v / d for v in a.flat], dtype=np.float64).reshape(a.shape)
+    return np.array([v / d for v in a.ravel().tolist()],
+                    dtype=np.float64).reshape(a.shape)
 
 
 def cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -238,21 +242,34 @@ def null_space(a: np.ndarray) -> tuple[np.ndarray, int]:
     return reduced(basis, d)
 
 
-def solve(a: np.ndarray, b: np.ndarray, wanted=lambda tail: True):
+def eliminated(a: np.ndarray, b: np.ndarray
+               ) -> tuple[np.ndarray, list[int], int, np.ndarray]:
+    """The forward half of ``solve``: ``_eliminate``'s (rows, pivots, d)
+    of [a | b], pivoting on a's columns only, with its rows cut to the
+    rank, and ``tail``, b's reduced rows below the rank as Python ints.
+    ``back_substituted`` finishes the solve when Y is wanted."""
+    n_cols = a.shape[1]
+    m, pivots, d = _eliminate(np.column_stack([a, b]), n_cols)
+    return m[:len(pivots)], pivots, d, m[len(pivots):, n_cols:].astype(object)
+
+
+def back_substituted(rows: np.ndarray, pivots: list[int], d: int,
+                     n_cols: int) -> np.ndarray:
+    """Y of ``solve`` from ``eliminated``'s (rows, pivots, d) of a system
+    with ``n_cols`` unknowns: Python ints, 0 at every free unknown."""
+    y = np.zeros((n_cols, rows.shape[1] - n_cols), dtype=object)
+    y[pivots] = _back_substitute(rows, pivots, d, range(n_cols, rows.shape[1]))
+    return y
+
+
+def solve(a: np.ndarray, b: np.ndarray):
     """Rref solutions Y / d of ``a Y = b`` (free unknowns 0, d maybe
     negative) and ``tail``, b's reduced rows below the rank, each times
     d over the content (gcd) of the row it came from. Only a's columns
     pivot: a combination of b's columns is consistent exactly where that
-    of tail's vanishes, and its solution is that of Y's. Y is None, and
-    not back-substituted, where ``wanted(tail)`` is false."""
-    n_cols = a.shape[1]
-    m, pivots, d = _eliminate(np.column_stack([a, b]), n_cols)
-    tail = m[len(pivots):, n_cols:].astype(object)
-    if not wanted(tail):
-        return None, d, tail
-    y = np.zeros((n_cols, b.shape[1]), dtype=object)
-    y[pivots] = _back_substitute(m, pivots, d, range(n_cols, m.shape[1]))
-    return y, d, tail
+    of tail's vanishes, and its solution is that of Y's."""
+    rows, pivots, d, tail = eliminated(a, b)
+    return back_substituted(rows, pivots, d, a.shape[1]), d, tail
 
 
 def format_value(x: Fraction) -> str | int:

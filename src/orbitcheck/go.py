@@ -45,8 +45,8 @@ MARGIN_FACTOR = 1e3
 # most QR_CONDITION_CAP, far below the 1 / (dim m eps) of rank_threshold
 QR_PIVOT_FLOOR = 1e-8
 QR_CONDITION_CAP = 1e8
-# the exact lane's basis coefficients, as Python ints: none is zero
-COEFFICIENTS = np.array([-3, -2, -1, 1, 2, 3], dtype=object)
+# the exact lane's basis coefficients: none is zero
+COEFFICIENTS = np.array([-3, -2, -1, 1, 2, 3], dtype=np.int64)
 
 
 class ToleranceError(OrbitcheckError):
@@ -458,7 +458,7 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
                      else "NORMAL_TRIVIAL" if normal else "GO_CONSISTENT",
                      witnesses=_ReadOff(fac.rows[:n], fac.kinds[:n],
                                         residuals, solved,
-                                        lambda i: fac.z_at(a, i)),
+                                        lambda at: fac.z_at(a, at)),
                      counterexample=counterexample, max_residual=max_res,
                      n_samples=n, seed=seed, metric=a.as_dict(),
                      space_name=space.name, exact=bool(exact_mode))
@@ -547,20 +547,23 @@ def _qr_solve(m_parts: np.ndarray, norm: np.ndarray,
 
 def _min_norm(split: ReductiveSplit, x: np.ndarray,
               z: np.ndarray) -> np.ndarray:
-    """Min-norm parts, in h coordinates, of the row x whose certified
-    ``_factorise`` parts z are particular, F^T z = [R11^-1 Q^T parts; 0]
-    on the stabilizer frame F = [S | T]. With R12 = Q^T M T off one raw
-    QR of M F, the columns [-R11^-1 R12; I] span ker M on the frame, and
-    z less its projection on an orthonormal basis of them (one small QR)
-    is the min-norm solution."""
+    """Min-norm parts, in h coordinates, of each row of the (k, dim m)
+    stack x whose certified ``_factorise`` parts z (k, dim h, 2) are
+    particular, F^T z = [R11^-1 Q^T parts; 0] on the stabilizer frame
+    F = [S | T]. With R12 = Q^T M T off one raw QR of M F, the columns
+    [-R11^-1 R12; I] span ker M on the frame, and z less its projection
+    on an orthonormal basis of them (one small QR) is the min-norm
+    solution. Every product is stacked per row, so a row's result is the
+    same to the last bit whatever rows share its stack."""
     frame, rank = split.stabilizer_frame
-    r = np.linalg.qr(_m_of(split.iso_action, x[None]) @ frame,
+    r = np.linalg.qr(_m_of(split.iso_action, x) @ frame,
                      mode="raw")[0].swapaxes(1, 2)
+    free = np.eye(len(frame) - rank)
     kernel = np.concatenate([-(_triu_inverse(r[:, :rank, :rank])
                                @ r[:, :rank, rank:]),
-                             np.eye(len(frame) - rank)[None]], 1)
+                             np.broadcast_to(free, (len(x), *free.shape))], 1)
     q = np.linalg.qr(kernel)[0]
-    return (frame @ (z - q @ (q.transpose(0, 2, 1) @ z)))[0]
+    return frame @ (z - q @ (q.transpose(0, 2, 1) @ z))
 
 
 def _triu_inverse(r: np.ndarray) -> np.ndarray:
@@ -625,8 +628,9 @@ class _Draws:
             dm, dm)) for x in rows]
         return np.ones(n, dtype=bool), np.array(residuals)
 
-    def z_at(self, a: MetricOperator, i: int) -> np.ndarray:
-        return np.zeros(self.dh)  # only a scalar metric accepts a sample
+    def z_at(self, a: MetricOperator, at: list[int]) -> list[np.ndarray]:
+        # only a scalar metric accepts a sample
+        return [np.zeros(self.dh) for _ in at]
 
     def solve_again(self, space: ReductiveSpace, a: MetricOperator, tol, i):
         return go_witness_general(space, a, self.rows[i], tol, self.kinds[i])
@@ -705,15 +709,19 @@ class _Factorisation(_Draws):
         return residual <= tol * np.maximum(1.0, w * self.b_norm[part]), \
             scale * residual
 
-    def z_at(self, a: MetricOperator, i: int) -> np.ndarray:
-        """z = (1 - t)(Y1 + Y2/t), t = mu/lam, of accepted sample i, its
-        parts made min-norm (``_min_norm``) and kept at the first read."""
-        if self.particular[i]:
-            self.z[i] = _min_norm(self.split, self.rows[i], self.z[i])
-            self.particular[i] = False
+    def z_at(self, a: MetricOperator, at: list[int]) -> list[np.ndarray]:
+        """z = (1 - t)(Y1 + Y2/t), t = mu/lam, of each accepted sample in
+        ``at``, its parts made min-norm and kept at the first read: one
+        stacked ``_min_norm`` of every particular row in ``at``."""
+        new = [i for i in dict.fromkeys(at) if self.particular[i]]
+        if new:
+            self.z[new] = _min_norm(self.split, np.array(
+                [self.rows[i] for i in new]), self.z[new])
+            self.particular[new] = False
         lam, mu = map(float, a.params)
         t = mu / lam
-        return self.z[i] @ np.array([1.0 - t, (1.0 - t) / t])
+        w = np.array([1.0 - t, (1.0 - t) / t])
+        return [self.z[i] @ w for i in at]
 
 
 class _ExactFactorisation:
@@ -723,78 +731,111 @@ class _ExactFactorisation:
     its basis columns with nonzero integer coefficients, and A scales X_k
     by c_k, c1 : c2 = lam : mu. In rows (rows_k sees module k alone),
     rows [Z + X, A X] = 0 is diag(c1, c2) M y = (c2 - c1) b with
-    Z = H y / denom, M = rows ad(x) H and b = rows [x1, x2]. One
-    ``exact.solve`` of the module docstring's system, M against [b1; 0]
-    and [0; b2], at the first lam != mu read-off, serves every pair; its
-    rref solution is y = (c2 - c1) (c2 Y1 + c1 Y2) / (c1 c2 d), if
-    c2 tail1 + c1 tail2 = 0; a sample whose tail no c1, c2 > 0 can zero
-    skips the back-substitution.
+    Z = H y / denom, M = rows ad(x) H and b = rows [x1, x2]. One forward
+    elimination (``exact.eliminated``) of the module docstring's system,
+    M against [b1; 0] and [0; b2], at the first lam != mu read-off,
+    serves every pair: a pair is consistent exactly where
+    c2 tail1 + c1 tail2 = 0, and its rref solution is then
+    y = (c2 - c1) (c2 Y1 + c1 Y2) / (c1 c2 d). Each sample keeps its
+    echelon rows, pivots, d and tail; ``z_at`` back-substitutes Y at the
+    first read of the sample's witness and keeps it, as
+    ``_Factorisation.z_at`` forms a min-norm z. Each product of a sample
+    (the draws x_k, M, the bracket numerators and rows @ b) runs in int64
+    where its lane-constant bound (``LaneSamples``, with the
+    coefficients' largest size) is below 2^63, and on Python ints
+    otherwise; the elimination takes int64 input as it is.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
         self.seed, self.lane = seed, space.exact_lane
-        self.brackets = space.g.structure_exact.bracket_numerators
-        self.kinds, self.rows, self.parts, self.solved = [], [], [], {}
+        s = self.lane.samples
+        x1, x2 = (int(COEFFICIENTS.max()) * top for top in s.x_tops)
+        bracket = s.bracket_top * x1 * x2
+        def pick(a, top):
+            # each bound is at least the size of the operand it picks for,
+            # and an operand on Python ints takes its product there
+            return a if top < 2 ** 63 else a.astype(object)
+        self.bases = [pick(b, x1 + x2) for b in s.bases]
+        self.values = pick(s.values, s.m_top * (x1 + x2))
+        self.numer = pick(s.brackets[2], bracket)
+        self.rows_b = pick(s.rows[:, s.brackets[4]], s.rows_top * bracket)
+        self.kinds, self.rows, self.parts = [], [], []
+        # sample -> (tail, d); -> (echelon rows, pivots) until its first
+        # read; -> Y from then on
+        self.tails, self.echelons, self.y = {}, {}, {}
 
     def fill(self, space: ReductiveSpace, samples: range) -> None:
         """Draw the next chunk of samples off the seed's one addressed
         stream (``_words``): word w is the coefficient
         ``COEFFICIENTS[w % 6]`` of a basis column, module 1's columns
-        first, so neither module part is zero. Each sample's float row is
-        its own product, whatever chunk drew it."""
-        b1, b2 = self.lane.bases
+        first, so neither module part is zero. The chunk's coefficients
+        are one matrix, and x1 and x2 one product each; each sample's
+        float row is its own product, of its own correctly rounded
+        quotient, whatever chunk drew it."""
+        b1, b2 = self.bases
         words = _words(("go-exact", space.name, self.seed), samples,
                        b1.shape[1] + b2.shape[1])
-        for c in COEFFICIENTS[words % np.uint64(6)]:
-            x1, x2 = b1 @ c[:b1.shape[1]], b2 @ c[b1.shape[1]:]
-            x = self.lane.to_m @ exact.to_float(x1 + x2, self.lane.denom)
+        c = COEFFICIENTS[words % np.uint64(6)]
+        x1, x2 = c[:, :b1.shape[1]] @ b1.T, c[:, b1.shape[1]:] @ b2.T
+        for q, part1, part2 in zip(exact.to_float(x1 + x2, self.lane.denom),
+                                   x1, x2):
+            x = self.lane.to_m @ q
             x.flags.writeable = False
             self.kinds.append("exact")
             self.rows.append(x)
-            self.parts.append((x1, x2))
+            self.parts.append((part1, part2))
 
-    def _solve(self, x1: np.ndarray, x2: np.ndarray):
-        lane = self.lane
-        rows, (keys, cols, values) = lane.primitive
-        n = len(rows)
-        m = np.zeros(n * len(lane.to_h), dtype=object)
-        np.add.at(m, keys, values * (-x1 - x2)[cols])
-        keys, sums = self.brackets(x1, x2)
-        rhs = np.zeros((n, 2), dtype=object)
-        cut = lane.bases[0].shape[1]
-        rhs[:cut, 0], rhs[cut:, 1] = np.split(rows[:, keys] @ sums, [cut])
-
-        def ratio(tail):  # some c1, c2 > 0 zero c2 t1 + c1 t2 (any: tail 0)
-            t1, t2 = next(((u, v) for u, v in tail.tolist() if u or v), (-1, 1))
-            return t1 * t2 < 0 and all(t1 * v == t2 * u for u, v in tail.tolist())
-        y, d, tail = exact.solve(m.reshape(n, -1), rhs, ratio)
-        return None if y is None else y.tolist(), d * lane.denom, tail.tolist()
+    def _eliminate(self, i: int) -> None:
+        x1, x2 = self.parts[i]
+        s = self.lane.samples
+        n = len(s.rows)
+        m = np.zeros(n * len(self.lane.to_h), dtype=self.values.dtype)
+        np.add.at(m, s.keys, self.values * (-x1 - x2)[s.cols])
+        first, second, _, starts, _ = s.brackets
+        b = self.rows_b @ np.add.reduceat(
+            self.numer * x1[first] * x2[second], starts)
+        rhs = np.zeros((n, 2), dtype=b.dtype)
+        cut = self.lane.bases[0].shape[1]
+        rhs[:cut, 0], rhs[cut:, 1] = np.split(b, [cut])
+        rows, pivots, d, tail = exact.eliminated(m.reshape(n, -1), rhs)
+        self.tails[i] = tail.tolist(), d
+        self.echelons[i] = rows, pivots
 
     held = _Draws.held
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask and residuals (all 0) of the samples in
-        ``part``; at lam == mu no sample is solved."""
+        ``part``, from their tails alone; at lam == mu no sample is
+        eliminated."""
         lam, mu = a.exact_params()
         c1, c2 = lam.numerator * mu.denominator, mu.numerator * lam.denominator
         n = part.stop - part.start
         ok = np.ones(n, dtype=bool)
         for j, i in enumerate(range(part.start, part.stop) if c1 != c2 else ()):
-            if i not in self.solved:
-                self.solved[i] = self._solve(*self.parts[i])
-            ok[j] = all(c2 * t1 + c1 * t2 == 0 for t1, t2 in self.solved[i][2])
+            if i not in self.tails:
+                self._eliminate(i)
+            ok[j] = all(c2 * t1 + c1 * t2 == 0 for t1, t2 in self.tails[i][0])
         return ok, np.zeros(n)
 
-    def z_at(self, a: MetricOperator, i: int) -> np.ndarray:
-        """z of accepted sample i, 0 at lam == mu."""
+    def z_at(self, a: MetricOperator, at: list[int]) -> list[np.ndarray]:
+        """z of each accepted sample in ``at``, 0 at lam == mu; a sample's
+        Y is back-substituted at its first read and kept."""
         lam, mu = a.exact_params()
         c1, c2 = lam.numerator * mu.denominator, mu.numerator * lam.denominator
         if c1 == c2:
-            return np.zeros(len(self.lane.to_h))
-        y, d, _ = self.solved[i]
-        y = [(c2 - c1) * (c2 * u + c1 * v) for u, v in y]
-        return self.lane.to_h @ exact.to_float(
-            self.lane.h_cols @ np.array(y, dtype=object), c1 * c2 * d)
+            return [np.zeros(len(self.lane.to_h)) for _ in at]
+        zs = []
+        for i in at:
+            d = self.tails[i][1]
+            if i not in self.y:
+                rows, pivots = self.echelons.pop(i)
+                self.y[i] = exact.back_substituted(
+                    rows, pivots, d, len(self.lane.to_h)).tolist()
+            y = [(c2 - c1) * (c2 * u + c1 * v) for u, v in self.y[i]]
+            zs.append(self.lane.to_h @ exact.to_float(
+                self.lane.h_cols @ np.array(y, dtype=object),
+                c1 * c2 * d * self.lane.denom))
+        return zs
 
     def solve_again(self, space: ReductiveSpace, a: MetricOperator, tol, i):
         # an inconsistent system gains exactly one rank from b
@@ -804,7 +845,9 @@ class _ExactFactorisation:
 
 class _ReadOff(Sequence):
     """Read-only witnesses of a verdict: solved-again samples as their
-    lane's ``solve_again`` returned them, any other built on first read."""
+    lane's ``solve_again`` returned them, any other built on first read.
+    An index, a slice or an iteration reads the z of every witness it
+    builds with one ``z_at`` of the lane."""
 
     def __init__(self, rows, kinds, residuals, solved, z_at):
         self._rows, self._kinds, self._z_at = rows, kinds, z_at
@@ -815,14 +858,19 @@ class _ReadOff(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        j = range(len(self))[i]
-        if j not in self._built:
+            return self._read(range(len(self))[i])
+        return self._read([range(len(self))[i]])[0]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def _read(self, at) -> tuple:
+        new = [j for j in dict.fromkeys(at) if j not in self._built]
+        for j, z in zip(new, self._z_at(new)):
             self._built[j] = GoWitness(
-                x=self._rows[j], z=self._z_at(j),
-                residual=float(self._residuals[j]), rank_gap=0, margin=0.0,
-                kind=self._kinds[j])
-        return self._built[j]
+                x=self._rows[j], z=z, residual=float(self._residuals[j]),
+                rank_gap=0, margin=0.0, kind=self._kinds[j])
+        return tuple(self._built[j] for j in at)
 
 
 # --- geodesic graphs on two-module spaces -------------------------------
@@ -861,7 +909,7 @@ def _pair_factorisation(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
     u = x / sx + y / sy
     split = normalizer_split(space, space.m.basis @ u)
     b, z, mz, particular = _factorise(space, u[None])
-    z = _min_norm(space.split, u, z[0]) if particular[0] else z[0]
+    z = _min_norm(space.split, u[None], z)[0] if particular[0] else z[0]
     scales = np.array([sy, sx])
     return (replace(split, u=space.m.basis @ (x + y)), z * scales,
             (sx * p1 + sy * p2) @ (mz[0] * scales), sx * sy * b[0], sx * sy)

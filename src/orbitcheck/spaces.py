@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -888,30 +889,78 @@ class ExactLane:
     vanishes exactly when v lies in h and rows_k sees only v's part in
     module k. ``system`` is the integer tensor S[a] = rows @ ad(h_a), h_a
     column a of ``h_cols``, as its nonzero (keys, cols, values): key
-    p * dim h + a and column j hold S[a][p, j].
-    ``to_m`` and ``to_h`` take float g coordinates to orthonormal m and
-    h coordinates. ``primitive`` holds ``rows`` and ``system`` with row p
-    divided by the content (gcd) of rows[p], once per lane: each
-    sample's [M | b] row p is a multiple of rows[p], and the elimination
-    divides every row by its content first, so it gives the same y, d
-    and tail on shorter integers.
+    p * dim h + a and column j hold S[a][p, j]. ``brackets`` are g's
+    triples (i, j, k) and numerators c with e_i in the support of module
+    1's basis and e_j in module 2's, in increasing k: every term of
+    [x1, x2]. ``to_m`` and ``to_h`` take float g coordinates to
+    orthonormal m and h coordinates. ``samples`` holds what each sample
+    reads, once per lane (``LaneSamples``).
     """
 
     bases: tuple[np.ndarray, np.ndarray]
     denom: int
     rows: np.ndarray
     system: tuple[np.ndarray, np.ndarray, np.ndarray]
+    brackets: tuple[np.ndarray, ...]
     h_cols: np.ndarray
     to_m: np.ndarray
     to_h: np.ndarray
 
     @cached_property
-    def primitive(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def samples(self) -> LaneSamples:
         content = np.array([math.gcd(*row) or 1 for row in self.rows.tolist()],
                            dtype=object)
         keys, cols, values = self.system
-        return (self.rows // content[:, None],
-                (keys, cols, values // content[keys // self.h_cols.shape[1]]))
+        values = values // content[keys // self.h_cols.shape[1]]
+        rows = self.rows // content[:, None]
+        i, j, k, numer = self.brackets
+        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]][:len(k)])
+        return LaneSamples(
+            bases=tuple(map(exact.narrowed, self.bases)),
+            rows=exact.narrowed(rows), keys=keys, cols=cols,
+            values=exact.narrowed(values),
+            brackets=(i, j, exact.narrowed(numer), starts, k[starts]),
+            x_tops=tuple(map(_row_sum_top, self.bases)),
+            m_top=exact._top(values) * int(np.bincount(keys).max(initial=0)),
+            bracket_top=exact._top(numer)
+            * int(np.diff(np.r_[starts, len(k)]).max(initial=0)),
+            rows_top=_row_sum_top(rows))
+
+
+class LaneSamples(NamedTuple):
+    """The integer data an exact sample reads, with the lane-constant
+    bounds that pick its integers: each array is int64 where every entry
+    fits (``exact.narrowed``), Python ints otherwise.
+
+    ``rows`` and ``system``'s (keys, cols, values) have row p divided by
+    the content (gcd) of rows[p]: each sample's [M | b] row p is a
+    multiple of rows[p], and the elimination divides every row by its
+    content first, so it gives the same y, d and tail on shorter
+    integers. ``brackets`` is the lane's (i, j, numerators) with the
+    start of each k's run and that k. With a sample's coefficients at
+    most c in size, |x_k| is at most c ``x_tops[k]`` (the largest row sum
+    of |bases[k]|), each entry of M at most ``m_top`` max|x| (max|value|
+    times the most entries that share a key), each bracket numerator at
+    most ``bracket_top`` max|x1| max|x2| (max|c| times the longest run),
+    and each of rows @ s at most ``rows_top`` max|s|.
+    """
+
+    bases: tuple[np.ndarray, np.ndarray]
+    rows: np.ndarray
+    keys: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    brackets: tuple[np.ndarray, ...]
+    x_tops: tuple[int, int]
+    m_top: int
+    bracket_top: int
+    rows_top: int
+
+
+def _row_sum_top(a: np.ndarray) -> int:
+    """The largest sum of |entry| along a row of an integer array, on
+    Python ints."""
+    return max((sum(map(abs, row)) for row in a.tolist()), default=0)
 
 
 def exact_module_bases(space: ReductiveSpace) -> ExactLane:
@@ -944,8 +993,9 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     modules to 1e-8. Every product is ``exact.imatmul``: in int64 where
     max|a| max|b| (inner length) < 2^63 proves it exact, on Python ints
     otherwise, and the eliminations take int64 input as it is. The lane's
-    bases, rows, h columns and system values are Python ints all the
-    same, so each sample's arithmetic is unchanged.
+    bases, rows, h columns and system values are kept as Python ints;
+    ``ExactLane.samples`` reads what the samples use in int64 once per
+    lane, wherever it fits.
 
     Raises ExactUnavailableError when an exact ingredient is missing,
     when the modules form an isotypic pair (an equivalent pair has no
@@ -1016,9 +1066,14 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     # S[a] = rows @ ad(h_a) for every a at once, row (p, a) at p dim h + a
     tensor = exact.imatmul(rows, ad_h).transpose(1, 0, 2).reshape(-1, g.dim)
     keys, cols = np.nonzero(tensor)
-    return ExactLane(bases=tuple(np.split(nums, [space.modules[0].dim],
-                                          axis=1)), denom=denom,
-                     rows=rows,
+    bases = tuple(np.split(nums, [space.modules[0].dim], axis=1))
+    i, j, k = g.structure_exact.index.T
+    on = [np.any(b != 0, axis=1) for b in bases]
+    at = np.flatnonzero(on[0][i] & on[1][j])
+    at = at[np.argsort(k[at], kind="stable")]
+    return ExactLane(bases=bases, denom=denom, rows=rows,
                      system=(keys, cols, tensor[keys, cols].astype(object)),
+                     brackets=(i[at], j[at], k[at],
+                               g.structure_exact.numer[at]),
                      h_cols=h_cols, to_m=space.m.basis.T @ gram_f,
                      to_h=space.h.basis.T @ gram_f)

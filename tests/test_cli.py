@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -97,11 +98,12 @@ MALFORMED_ALGEBRAS = {
 
 
 @pytest.mark.parametrize("where", ["structure", "inner_product", "indefinite",
-                                   "asymmetric", "matrix",
+                                   "asymmetric", "matrix", "huge",
                                    *MALFORMED_ALGEBRAS])
 def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
-    # a NaN constant, Gram entry or embedding matrix entry, or an
-    # indefinite Gram, once ended in a LAPACK traceback; a Gram that is
+    # a NaN constant, Gram entry or embedding matrix entry, an indefinite
+    # Gram, or finite constants of +-1e308 with no Gram, whose Killing
+    # form overflows, once ended in a LAPACK traceback; a Gram that is
     # not symmetric once passed, as the Cholesky test reads one triangle
     # only
     data = zoo.classical("su", 2).to_json_dict()
@@ -121,6 +123,11 @@ def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
     elif where == "indefinite":
         data["inner_product"] = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
         message = "Error: inner product is not positive definite"
+    elif where == "huge":
+        data["structure"] = [e[:3] + [math.copysign(1e308, e[3])]
+                             for e in data["structure"]]
+        del data["inner_product"]
+        message = "Error: Killing form entry (0, 0) is -inf, not finite"
     elif where == "matrix":
         spec["embedding"] = {"matrix": [[float("nan")], [0.0], [0.0]]}
     else:

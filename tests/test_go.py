@@ -746,8 +746,7 @@ def _held(space, fac):
                for pair in ((1, 2), (2.5, 0.5), (0.2, 5))]
     reads = [fac.read_off(a, go.DEFAULT_TOL, slice(0, fac.held))
              for a in metrics]
-    zs = [np.array([fac.z_at(a, i) for i in range(fac.held)])
-          for a in metrics]
+    zs = [np.array(fac.z_at(a, list(range(fac.held)))) for a in metrics]
     return [np.array(fac.rows), fac.z, fac.d, fac.b_norm,
             *(array for read in reads for array in read), *zs]
 
@@ -992,8 +991,8 @@ def _qr_refused(space, x):
 
 def _min_norm_parts(space, x, z, particular):
     """``_factorise``'s parts with each particular row made min-norm."""
-    return np.array([go._min_norm(space.split, row, zr) if p else zr
-                     for row, zr, p in zip(x, z, particular)])
+    return np.array([go._min_norm(space.split, row[None], zr[None])[0]
+                     if p else zr for row, zr, p in zip(x, z, particular)])
 
 
 def _assert_matches_reference(space, x, z, mz, particular):
@@ -1207,7 +1206,7 @@ def test_factorisation_on_the_frame_refuses_a_row_inside_a_module(
     a = go.MetricOperator.two_param(space, 1, 2)
     for _ in range(2):
         for i in range(len(x)):
-            assert fac.z_at(a, i).tobytes() == \
+            assert fac.z_at(a, [i])[0].tobytes() == \
                 (want[i] @ np.array([-1.0, -0.5])).tobytes()
     assert projected == [x[i].tobytes() for i in (0, 1, 2, 5, 6, 7)]
 
@@ -1555,8 +1554,8 @@ def test_a_held_read_off_forms_no_z_until_a_witness_is_read(monkeypatch):
     fac = space.go_factorisations[go._Factorisation]
     formed, joined = [], []
     z_at, concatenate = go._Factorisation.z_at, np.concatenate
-    monkeypatch.setattr(go._Factorisation, "z_at", lambda self, a, i: (
-        formed.append(i), z_at(self, a, i))[1])
+    monkeypatch.setattr(go._Factorisation, "z_at", lambda self, a, at: (
+        formed.extend(at), z_at(self, a, at))[1])
     monkeypatch.setattr(np, "concatenate", lambda *args, **kwargs: (
         joined.append(1), concatenate(*args, **kwargs))[1])
     verdict = go.go_check(space, (2.5, 0.5), n_samples=100, seed=0)
@@ -1618,7 +1617,7 @@ def test_factorisation_read_off_is_the_residual_of_its_witness(entry_id,
             m = go._m_of(space.iso_action, x[None])[0]
             ax = a.matrix @ x / s
             rhs = -ax @ (x @ brackets).reshape(dm, dm)
-            want = s * np.linalg.norm(a.matrix / s @ m @ fac.z_at(a, i)
+            want = s * np.linalg.norm(a.matrix / s @ m @ fac.z_at(a, [i])[0]
                                       - rhs)
             assert abs(residuals[i] - want) <= \
                 1e-12 * max(1.0, np.linalg.norm(fac.d[i]))
@@ -1829,8 +1828,8 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
             for i, got in enumerate(verdict.witnesses):
                 xg, want = _fraction_sample(space, h, bases, rows, lam, mu,
                                             seed, i)
-                assert [Fraction(v, lane.denom) for v in sum(fac.parts[i])] \
-                    == list(xg)
+                assert [Fraction(v, lane.denom)
+                        for v in sum(fac.parts[i]).tolist()] == list(xg)
                 np.testing.assert_array_equal(got.x,
                                               to_m @ exact.to_float(xg))
                 assert got.rank_gap == (want is None)
@@ -1840,9 +1839,10 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
                 zg = h @ want
                 if lam != mu:
                     # the stacked read-off, Fraction by Fraction: z is
-                    # h_cols @ y in g coordinates
-                    y, d, _ = fac.solved[i]
-                    y = [(c2 - c1) * (c2 * u + c1 * v) for u, v in y]
+                    # h_cols @ y in g coordinates, with the Y that the
+                    # read back-substituted and kept
+                    d = fac.tails[i][1] * lane.denom
+                    y = [(c2 - c1) * (c2 * u + c1 * v) for u, v in fac.y[i]]
                     assert list(exact.over(lane.h_cols @ np.array(
                         y, dtype=object), c1 * c2 * d)) == list(zg)
                 np.testing.assert_array_equal(got.z,
@@ -1860,7 +1860,9 @@ def test_exact_draw_coefficients_are_pinned_to_the_word(monkeypatch):
     # go-3-k2's exact samples 0, 1 and 57 at seed 0, pinned as basis
     # coefficients (module 1's two first): they must not move with the
     # numpy version or the chunk a sample is drawn in, and no module part
-    # is zero. Each chunk reads one stream, advanced to its first sample
+    # is zero. Each chunk reads one stream, advanced to its first sample,
+    # and takes its parts in int64, the catalog lanes' bounds being far
+    # below 2^63
     space = catalog.catalog_instantiate("go-3-k2", seed=0)
     want = {0: [-2, -1, -3, -3, -3, -3], 1: [-3, 3, -1, 2, 2, -1],
             57: [-1, 2, -3, 1, 1, -1]}
@@ -1877,7 +1879,7 @@ def test_exact_draw_coefficients_are_pinned_to_the_word(monkeypatch):
             x1, x2 = fac.parts[i - chunk.start]
             assert x1.tolist() == (b1 @ c[:2]).tolist()
             assert x2.tolist() == (b2 @ c[2:]).tolist()
-            assert all(type(v) is int for v in (*x1, *x2))
+            assert x1.dtype == x2.dtype == np.int64
             assert any(x1) and any(x2)
     assert labels == [("go-exact", space.name, 0)] * len(chunks)
     for i, c in want.items():
@@ -1905,13 +1907,14 @@ def test_exact_status_is_the_float_status_at_every_seed(entry_id):
 def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
                                                              monkeypatch):
     # the system and right-hand sides that each sample hands to
-    # exact.solve, against the dense products rows @ ad(X) @ H and
+    # exact.eliminated, against the dense products rows @ ad(X) @ H and
     # rows_k @ [X1, X2] on the lane's primitive rows, each lane row over
-    # its content: the lane's rows are module by module, and one solve
-    # per sample serves every pair at its seed
+    # its content: the lane's rows are module by module, and one
+    # elimination per sample serves every pair at its seed. On the
+    # catalog every bound is far below 2^63, so both come in int64
     space = catalog.catalog_instantiate(entry_id, seed=0)
     lane = space.exact_lane
-    rows = lane.primitive[0]
+    rows = lane.samples.rows
     content = [math.gcd(*row) for row in lane.rows.tolist()]
     assert rows.tolist() == [[v // g for v in row] for row, g
                              in zip(lane.rows.tolist(), content)]
@@ -1919,9 +1922,9 @@ def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
     d1 = lane.bases[0].shape[1]
     assert not np.any(lane.rows[:d1] @ lane.bases[1])
     assert not np.any(lane.rows[d1:] @ lane.bases[0])
-    solve, seen = exact.solve, []
-    monkeypatch.setattr(exact, "solve",
-                        lambda a, b, *rest: seen.append((a, b)) or solve(a, b, *rest))
+    eliminated, seen = exact.eliminated, []
+    monkeypatch.setattr(exact, "eliminated", lambda a, b: seen.append(
+        (a, b)) or eliminated(a, b))
     read = max(go.go_check(space, pair, n_samples=2, seed=5,
                            exact_mode=True).n_samples
                for pair in ORACLE_PAIRS if pair[0] != pair[1])
@@ -1929,11 +1932,12 @@ def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
     ad = space.g.structure_exact.ad_numerators
     fac = space.go_factorisations[go._ExactFactorisation]
     for (system, rhs), (x1, x2) in zip(seen, fac.parts):
-        assert all(type(v) is int for v in system.flat)
-        assert all(type(v) is int for v in rhs.flat)
-        dense = rows @ ad((x1 + x2)[:, None])[0].astype(object) @ lane.h_cols
+        assert system.dtype == rhs.dtype == np.int64
+        x1, x2 = x1.astype(object), x2.astype(object)
+        dense = rows.astype(object) @ ad((x1 + x2)[:, None])[0].astype(
+            object) @ lane.h_cols
         assert system.tolist() == dense.tolist()
-        b = rows @ (ad(x1[:, None])[0].astype(object) @ x2)
+        b = rows.astype(object) @ (ad(x1[:, None])[0].astype(object) @ x2)
         assert not any(rhs[:d1, 1]) and not any(rhs[d1:, 0])
         assert rhs[:d1, 0].tolist() + rhs[d1:, 1].tolist() == b.tolist()
 
@@ -1971,8 +1975,8 @@ def test_exact_read_off_takes_each_pair_s_combination_of_the_tails():
     space = catalog.catalog_instantiate("go-3-k2", seed=0)
     want = go.go_check(space, (1, 3), n_samples=1, exact_mode=True)
     fac = space.go_factorisations[go._ExactFactorisation]
-    y, d, _ = fac.solved[0]
-    fac.solved[0] = y, d, [[1, -3]]
+    _, d = fac.tails[0]
+    fac.tails[0] = [[1, -3]], d
     for pair in [(1, 3), (2, 6), (3, 1), (1, 2)]:
         verdict = go.go_check(space, pair, n_samples=1, exact_mode=True)
         if pair[1] == 3 * pair[0]:
@@ -1984,17 +1988,26 @@ def test_exact_read_off_takes_each_pair_s_combination_of_the_tails():
             assert verdict.counterexample.margin == np.inf
 
 
+def _spy_back_substitution(monkeypatch) -> list:
+    """Every exact._back_substitute call from here on, by its arguments."""
+    substitute, calls = exact._back_substitute, []
+    monkeypatch.setattr(exact, "_back_substitute",
+                        lambda *args: calls.append(args) or substitute(*args))
+    return calls
+
+
 @pytest.mark.parametrize("tail, wanted", [
     ([1, 3], False), ([0, 2], False), ([0, 0], True), ([1, -3], True)])
 def test_back_substitution_runs_only_where_some_ratio_is_consistent(
         tail, wanted, monkeypatch):
     # the first sample of t1-V.1-m3n3 at seed 0 is inconsistent; its first
     # reduced row below the rank is set to ``tail`` and every other one to
-    # zero. Only c2 t1 + c1 t2 = 0 with c1, c2 > 0 needs y: (1, -3) at
-    # mu = 3 lam, (0, 0) at every pair
+    # zero. Only c2 t1 + c1 t2 = 0 with c1, c2 > 0 gives a witness z to
+    # read: (1, -3) at mu = 3 lam, (0, 0) at every pair. The verdict
+    # decides from the tail alone; the read back-substitutes
     space = catalog.catalog_instantiate("t1-V.1-m3n3", seed=0)
     space.exact_lane
-    eliminate, substitute, calls = exact._eliminate, exact._back_substitute, []
+    eliminate = exact._eliminate
 
     def planted(a, width):
         m, pivots, d = eliminate(a, width)
@@ -2003,34 +2016,182 @@ def test_back_substitution_runs_only_where_some_ratio_is_consistent(
         m[len(pivots), width:] = tail
         return m, pivots, d
     monkeypatch.setattr(exact, "_eliminate", planted)
-    monkeypatch.setattr(exact, "_back_substitute",
-                        lambda *args: calls.append(args) or substitute(*args))
-    go.go_check(space, (1, 3), n_samples=1, seed=0, exact_mode=True)
+    calls = _spy_back_substitution(monkeypatch)
+    verdict = go.go_check(space, (1, 3), n_samples=1, seed=0,
+                          exact_mode=True)
+    assert verdict.status == ("GO_CONSISTENT" if wanted else "NOT_GO")
+    assert not calls
+    assert verdict.witnesses[0].solvable == wanted
     assert len(calls) == wanted
-    y, _, _ = space.go_factorisations[go._ExactFactorisation].solved[0]
-    assert (y is not None) == wanted
+    fac = space.go_factorisations[go._ExactFactorisation]
+    assert (0 in fac.y) == wanted and (0 in fac.echelons) != wanted
 
 
 def test_an_inconsistent_sample_skips_back_substitution(monkeypatch):
     # unplanted: t1-V.1-m3n3's first sample admits no positive ratio, so
-    # the exact lane rejects it at every pair without back-substituting,
-    # while go-3-k2's consistent samples are all back-substituted
+    # the exact lane rejects it at every pair and never back-substitutes
+    # it, while each of go-3-k2's consistent samples is back-substituted
+    # once, at the first read of its witness, and not by the verdict
     inconsistent, consistent = (catalog.catalog_instantiate(entry, seed=0)
                                 for entry in ("t1-V.1-m3n3", "go-3-k2"))
     inconsistent.exact_lane, consistent.exact_lane
-    substitute, calls = exact._back_substitute, []
-    monkeypatch.setattr(exact, "_back_substitute",
-                        lambda *args: calls.append(args) or substitute(*args))
+    calls = _spy_back_substitution(monkeypatch)
     for pair in ORACLE_PAIRS:
         verdict = go.go_check(inconsistent, pair, n_samples=3, seed=0,
                               exact_mode=True)
         assert verdict.status == ("NORMAL_TRIVIAL" if pair[0] == pair[1]
                                   else "NOT_GO")
         assert verdict.n_samples == (3 if pair[0] == pair[1] else 1)
+        list(verdict.witnesses)
     assert not calls
     verdict = go.go_check(consistent, (1, 3), n_samples=3, seed=0,
                           exact_mode=True)
-    assert verdict.status == "GO_CONSISTENT" and len(calls) == 3
+    assert verdict.status == "GO_CONSISTENT" and not calls
+    list(verdict.witnesses)
+    assert len(calls) == 3
+
+
+def test_exact_witness_z_back_substitutes_once_at_its_first_read(
+        monkeypatch):
+    # go-4-r2, 100 consistent samples: no verdict back-substitutes; the
+    # first read of a witness runs one back-substitution for its sample,
+    # and any later read, at any pair, reuses the Y it kept, giving the
+    # z of a fresh space to the bit
+    space = catalog.catalog_instantiate("go-4-r2", seed=0)
+    calls = _spy_back_substitution(monkeypatch)
+    pairs = [(Fraction(1), Fraction(2)), (Fraction(5, 2), Fraction(1, 3))]
+    verdicts = [go.go_check(space, pair, n_samples=100, seed=0,
+                            exact_mode=True) for pair in pairs]
+    assert [v.status for v in verdicts] == ["GO_CONSISTENT"] * 2
+    assert not calls
+    fac = space.go_factorisations[go._ExactFactorisation]
+    assert len(fac.echelons) == 100 and not fac.y
+    verdicts[0].witnesses[37]
+    assert len(calls) == 1 and list(fac.y) == [37]
+    verdicts[0].witnesses[37]
+    assert len(calls) == 1
+    got = [_dumps(v) for v in verdicts]
+    assert len(calls) == 100 and not fac.echelons
+    for pair, dumps in zip(pairs, got):
+        fresh = catalog.catalog_instantiate("go-4-r2", seed=0)
+        assert _dumps(go.go_check(fresh, pair, n_samples=100, seed=0,
+                                  exact_mode=True)) == dumps
+    assert len(calls) == 300
+
+
+@pytest.mark.parametrize("entry_id", EXACT_CAPABLE)
+def test_lane_bounds_bound_every_sample_product(entry_id):
+    # each lane-constant bound that picks int64 is at least the largest
+    # sum its product can form: the row sums of |bases[k]| for x_k, a
+    # key's sum of |values| for M, a k's sum of |c| over the lane's
+    # bracket triples for [x1, x2] and the row sums of |rows| for rows @ b;
+    # and 20 drawn samples (at lam == mu, which draws them all) stay
+    # within them
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    lane, structure = space.exact_lane, space.g.structure_exact
+    s = lane.samples
+
+    def key_sums(keys, values):
+        out = {}
+        for key, v in zip(keys.tolist(), values.tolist()):
+            out[key] = out.get(key, 0) + abs(v)
+        return max(out.values(), default=0)
+
+    def row_sums(a):
+        return max(sum(map(abs, row)) for row in a.tolist())
+    assert list(s.x_tops) == [row_sums(b) for b in lane.bases]
+    assert s.m_top >= key_sums(s.keys, s.values)
+    assert s.rows_top >= row_sums(s.rows)
+    assert s.bracket_top >= key_sums(lane.brackets[2], lane.brackets[3])
+    go.go_check(space, (2, 2), n_samples=20, seed=0, exact_mode=True)
+    fac = space.go_factorisations[go._ExactFactorisation]
+    assert len(fac.parts) == 20
+    ad = structure.ad_numerators
+    rows = s.rows.astype(object)
+    for x1, x2 in fac.parts:
+        x1, x2 = x1.astype(object), x2.astype(object)
+        top1, top2, top = map(exact._top, (x1, x2, x1 + x2))
+        assert (top1, top2) <= (3 * s.x_tops[0], 3 * s.x_tops[1])
+        m = rows @ ad((x1 + x2)[:, None])[0].astype(object) @ lane.h_cols
+        assert exact._top(m) <= s.m_top * top
+        keys, sums = structure.bracket_numerators(x1, x2)
+        assert exact._top(sums) <= s.bracket_top * top1 * top2
+        assert exact._top(rows[:, keys] @ sums) \
+            <= s.rows_top * exact._top(sums)
+
+
+@pytest.mark.parametrize("entry_id", ["go-4-r2", "t1-V.1-m3n3"])
+@pytest.mark.parametrize("scale", [2 ** 30, 2 ** 62])
+def test_a_lane_past_its_int64_bounds_runs_on_python_ints(entry_id, scale,
+                                                          monkeypatch):
+    # the lane's bases times 2^30 (x1 x2 past 2^63: the bracket and
+    # rows @ b leave int64, M stays) or 2^62 (every product leaves int64),
+    # over a denominator as much larger: the same rational samples, so
+    # each sample's (y, d, tail) gives the Fraction oracle's z and
+    # consistency, and the verdicts and witnesses are the int64 lane's
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    lane = space.exact_lane
+    planted = replace(space)
+    vars(planted)["exact_lane"] = replace(
+        lane, bases=tuple(b * scale for b in lane.bases),
+        denom=lane.denom * scale)
+    bases = [exact.over(b, lane.denom) for b in lane.bases]
+    h = exact.fmatrix(space.embedding.matrix.tolist())
+    gram = exact.over(*exact.rounded(space.g.inner_product))
+    m_basis = exact.over(*exact.null_space(h.T @ gram))
+    rows, _ = exact.cleared(m_basis.T @ gram)
+    pairs = ORACLE_PAIRS[:2] + ORACLE_PAIRS[-2:]
+    wants = [_dumps(go.go_check(space, pair, n_samples=3, seed=1,
+                                exact_mode=True)) for pair in pairs]
+    eliminate, dtypes = exact._eliminate, []
+    monkeypatch.setattr(exact, "_eliminate", lambda a, width: dtypes.append(
+        a.dtype) or eliminate(a, width))
+    for (lam, mu), want in zip(pairs, wants):
+        got = go.go_check(planted, (lam, mu), n_samples=3, seed=1,
+                          exact_mode=True)
+        assert _dumps(got) == want
+        fac = planted.go_factorisations[go._ExactFactorisation]
+        c1 = lam.numerator * mu.denominator
+        c2 = mu.numerator * lam.denominator
+        for i in range(got.n_samples):
+            _, z = _fraction_sample(space, h, bases, rows, lam, mu, 1, i)
+            tail, d = fac.tails[i]
+            assert all(c2 * t1 + c1 * t2 == 0 for t1, t2 in tail) \
+                == (z is not None)
+            if z is not None:
+                y = [(c2 - c1) * (c2 * u + c1 * v) for u, v in fac.y[i]]
+                assert list(exact.over(lane.h_cols @ np.array(
+                    y, dtype=object), c1 * c2 * d * lane.denom * scale)) \
+                    == list(h @ z)
+    assert fac.numer.dtype == fac.rows_b.dtype == object
+    assert (fac.values.dtype == np.int64) == (scale == 2 ** 30)
+    assert all(x.dtype == object for part in fac.parts for x in part) \
+        == (scale == 2 ** 62)
+    assert dtypes and set(dtypes) == {np.dtype(object)}
+
+
+@pytest.mark.parametrize("entry_id", ["go-1", "go-4-r2", "go-5"])
+def test_a_witness_read_forms_its_min_norm_z_in_one_stacked_call(
+        entry_id, monkeypatch):
+    # at (1, 2) every float sample of these spaces holds particular parts;
+    # a slice, then an iteration, of the witnesses forms the min-norm z of
+    # the particular rows each read asks for in one _min_norm, and each z
+    # is that of a one-index read on a fresh space, to the bit
+    min_norm, stacks = go._min_norm, []
+    monkeypatch.setattr(go, "_min_norm", lambda split, x, z: stacks.append(
+        len(x)) or min_norm(split, x, z))
+    space = catalog.catalog_instantiate(entry_id, seed=0)
+    verdict = go.go_check(space, (1, 2), n_samples=100, seed=0)
+    assert verdict.status == "GO_CONSISTENT" and not stacks
+    part = verdict.witnesses[10:20]
+    assert stacks == [10]
+    read = list(verdict.witnesses)
+    assert stacks == [10, 90] and read[10:20] == list(part)
+    fresh = catalog.catalog_instantiate(entry_id, seed=0)
+    alone = go.go_check(fresh, (1, 2), n_samples=100, seed=0)
+    for i, w in enumerate(read):
+        assert alone.witnesses[i].z.tobytes() == w.z.tobytes()
+    assert stacks == [10, 90] + [1] * 100
 
 
 # --- two-parameter metrics on the checked module projectors -------------
