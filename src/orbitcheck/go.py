@@ -36,7 +36,8 @@ from .core import OrbitcheckError, ValidationError, check_finite
 from .filters import CentralizerSplit, normalizer_split
 from .linalg import (DEFAULT_TOL, RANK_FLOOR, consistency_gap,
                      min_norm_solve, rank_of, rank_threshold, rng_for)
-from .spaces import ExactUnavailableError, ReductiveSpace, ReductiveSplit
+from .spaces import (COEFFICIENTS, ExactUnavailableError, ReductiveSpace,
+                     ReductiveSplit)
 
 MARGIN_FACTOR = 1e3
 # the QR certificate of ``_qr_solve``: an R is inverted only when its
@@ -45,8 +46,6 @@ MARGIN_FACTOR = 1e3
 # most QR_CONDITION_CAP, far below the 1 / (dim m eps) of rank_threshold
 QR_PIVOT_FLOOR = 1e-8
 QR_CONDITION_CAP = 1e8
-# the exact lane's basis coefficients: none is zero
-COEFFICIENTS = np.array([-3, -2, -1, 1, 2, 3], dtype=np.int64)
 
 
 class ToleranceError(OrbitcheckError):
@@ -337,25 +336,33 @@ def go_witness_general(space: ReductiveSpace, metric, x: np.ndarray,
                      rank_gap=rank_aug - rank_a, margin=margin, kind=kind)
 
 
-def _words(label: tuple, samples: range, dm: int) -> np.ndarray:
-    """The 64-bit words (rows) of ``samples``: sample j takes the words
-    [j dm, (j + 1) dm) of the one stream ``rng_for(*label)``, reached by
-    one ``advance`` and one ``random_raw``, so a row depends on (label, j)
-    alone, on any machine and numpy version."""
-    bits = rng_for(*label).bit_generator
-    bits.advance(samples.start * dm)
-    return bits.random_raw(len(samples) * dm).reshape(len(samples), dm)
+class _Stream:
+    """The one stream ``rng_for(*label)``, seeded once: ``words`` gives
+    the 64-bit words (rows) of ``samples``, sample j taking the words
+    [j dm, (j + 1) dm), reached from the seeded state by one ``advance``
+    and one ``random_raw``, so a row depends on (label, j) alone, on any
+    machine and numpy version."""
+
+    def __init__(self, label: tuple):
+        self.bits = rng_for(*label).bit_generator
+        self.seeded = self.bits.state
+
+    def words(self, samples: range, dm: int) -> np.ndarray:
+        self.bits.state = self.seeded
+        self.bits.advance(samples.start * dm)
+        return self.bits.random_raw(len(samples) * dm).reshape(
+            len(samples), dm)
 
 
-def _coordinates(label: tuple, samples: range, dm: int) -> np.ndarray:
-    """Coordinates (rows) of ``samples``: their ``_words``, word w read as
+def _coordinates(stream: _Stream, samples: range, dm: int) -> np.ndarray:
+    """Coordinates (rows) of ``samples``: their words, word w read as
     2 (w >> 11) 2^-53 - 1 in [-1, 1). Each step is exact, so a row is the
     same to the last bit whatever chunk drew it."""
-    words = _words(label, samples, dm)
+    words = stream.words(samples, dm)
     return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -52 - 1.0
 
 
-def _directions(blocks: list[np.ndarray], label: tuple,
+def _directions(blocks: list[np.ndarray], stream: _Stream,
                 samples: range) -> tuple[np.ndarray, list[str]]:
     """Unit directions (rows) of ``samples`` and their kinds, from their
     ``_coordinates`` u. On two modules an odd j is structured,
@@ -364,7 +371,7 @@ def _directions(blocks: list[np.ndarray], label: tuple,
     X2 has norm below 1e-12: then it is generic, as every other j is,
     u / |u|. Module maps and norms are stacked matmuls, bit-identical to
     the per-sample b @ z and x @ x."""
-    v = _coordinates(label, samples, blocks[0].shape[0])
+    v = _coordinates(stream, samples, blocks[0].shape[0])
     mixed = (np.arange(samples.start, samples.stop) % 2 == 1) \
         & (len(blocks) == 2)
     x = np.empty_like(v)
@@ -392,7 +399,7 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
 
     Sample i takes its own run of dim m words of one stream per lane and
     seed, ``rng_for("go", name, seed)`` or ``rng_for("go-exact", name,
-    seed)`` (``_words``). The first certified counterexample ends the run
+    seed)`` (``_Stream``). The first certified counterexample ends the run
     as NOT_GO. The float lane alternates generic unit vectors and, on two
     modules, normalized mixtures (X1 + X2) / sqrt(2) (``_directions``);
     the exact lane takes combinations of the rational module bases with
@@ -594,7 +601,7 @@ class _Draws:
     def __init__(self, space: ReductiveSpace, seed: int):
         # no reference back to the space, which holds this object: a
         # cycle would keep both alive until the cyclic collector runs
-        self.seed = seed
+        self.seed, self.stream = seed, _Stream(("go", space.name, seed))
         self.blocks = [space.module_coords_in_m(i)
                        for i in range(len(space.modules))]
         self.dh = space.h.dim
@@ -608,8 +615,7 @@ class _Draws:
 
     def fill(self, space: ReductiveSpace, samples: range):
         """Draw the next chunk of samples and return their rows."""
-        x, kinds = _directions(self.blocks, ("go", space.name, self.seed),
-                               samples)
+        x, kinds = _directions(self.blocks, self.stream, samples)
         # witnesses hand out rows of x, so nothing may write to them
         x.flags.writeable = False
         self.kinds += kinds
@@ -739,26 +745,13 @@ class _ExactFactorisation:
     y = (c2 - c1) (c2 Y1 + c1 Y2) / (c1 c2 d). Each sample keeps its
     echelon rows, pivots, d and tail; ``z_at`` back-substitutes Y at the
     first read of the sample's witness and keeps it, as
-    ``_Factorisation.z_at`` forms a min-norm z. Each product of a sample
-    (the draws x_k, M, the bracket numerators and rows @ b) runs in int64
-    where its lane-constant bound (``LaneSamples``, with the
-    coefficients' largest size) is below 2^63, and on Python ints
-    otherwise; the elimination takes int64 input as it is.
+    ``_Factorisation.z_at`` forms a min-norm z. Every product of a
+    sample runs in the lane's one dtype (``ExactLane``).
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
         self.seed, self.lane = seed, space.exact_lane
-        s = self.lane.samples
-        x1, x2 = (int(COEFFICIENTS.max()) * top for top in s.x_tops)
-        bracket = s.bracket_top * x1 * x2
-        def pick(a, top):
-            # each bound is at least the size of the operand it picks for,
-            # and an operand on Python ints takes its product there
-            return a if top < 2 ** 63 else a.astype(object)
-        self.bases = [pick(b, x1 + x2) for b in s.bases]
-        self.values = pick(s.values, s.m_top * (x1 + x2))
-        self.numer = pick(s.brackets[2], bracket)
-        self.rows_b = pick(s.rows[:, s.brackets[4]], s.rows_top * bracket)
+        self.stream = _Stream(("go-exact", space.name, seed))
         self.kinds, self.rows, self.parts = [], [], []
         # sample -> (tail, d); -> (echelon rows, pivots) until its first
         # read; -> Y from then on
@@ -766,15 +759,14 @@ class _ExactFactorisation:
 
     def fill(self, space: ReductiveSpace, samples: range) -> None:
         """Draw the next chunk of samples off the seed's one addressed
-        stream (``_words``): word w is the coefficient
+        stream (``_Stream``): word w is the coefficient
         ``COEFFICIENTS[w % 6]`` of a basis column, module 1's columns
         first, so neither module part is zero. The chunk's coefficients
         are one matrix, and x1 and x2 one product each; each sample's
         float row is its own product, of its own correctly rounded
         quotient, whatever chunk drew it."""
-        b1, b2 = self.bases
-        words = _words(("go-exact", space.name, self.seed), samples,
-                       b1.shape[1] + b2.shape[1])
+        b1, b2 = self.lane.bases
+        words = self.stream.words(samples, b1.shape[1] + b2.shape[1])
         c = COEFFICIENTS[words % np.uint64(6)]
         x1, x2 = c[:, :b1.shape[1]] @ b1.T, c[:, b1.shape[1]:] @ b2.T
         for q, part1, part2 in zip(exact.to_float(x1 + x2, self.lane.denom),
@@ -787,15 +779,16 @@ class _ExactFactorisation:
 
     def _eliminate(self, i: int) -> None:
         x1, x2 = self.parts[i]
-        s = self.lane.samples
-        n = len(s.rows)
-        m = np.zeros(n * len(self.lane.to_h), dtype=self.values.dtype)
-        np.add.at(m, s.keys, self.values * (-x1 - x2)[s.cols])
-        first, second, _, starts, _ = s.brackets
-        b = self.rows_b @ np.add.reduceat(
-            self.numer * x1[first] * x2[second], starts)
+        lane = self.lane
+        keys, cols, values = lane.system
+        n = len(lane.rows)
+        m = np.zeros(n * len(lane.to_h), dtype=values.dtype)
+        np.add.at(m, keys, values * (-x1 - x2)[cols])
+        first, second, numer, starts, run_keys = lane.brackets
+        b = lane.rows[:, run_keys] @ np.add.reduceat(
+            numer * x1[first] * x2[second], starts)
         rhs = np.zeros((n, 2), dtype=b.dtype)
-        cut = self.lane.bases[0].shape[1]
+        cut = lane.bases[0].shape[1]
         rhs[:cut, 0], rhs[cut:, 1] = np.split(b, [cut])
         rows, pivots, d, tail = exact.eliminated(m.reshape(n, -1), rhs)
         self.tails[i] = tail.tolist(), d

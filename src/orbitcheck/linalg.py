@@ -12,7 +12,7 @@ structure constants); rescale before calling if that does not hold.
 Seeded streams: ``rng_for(*parts)`` is ``default_rng`` seeded from a
 SHA-256 of the parts. Each GO lane, float and exact, reads one such
 stream per seed as an addressed sequence of raw 64-bit words
-(``go._words``): PCG64's ``advance`` jumps to a sample's words in
+(``go._Stream``): PCG64's ``advance`` jumps to a sample's words in
 O(log n) steps, and no ``Generator`` method, whose output numpy may
 change between releases, is called.
 

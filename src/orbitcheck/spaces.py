@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -384,7 +383,10 @@ def _build_split(g: LieAlgebra, cols: np.ndarray,
     h = Subspace.from_columns(g, cols, name="h")
     if h.dim == g.dim:
         raise EffectivenessError("h equals g; the space is a point")
-    comp = nullspace(cols.T @ g.inner_product) if h.dim else np.eye(g.dim)
+    with np.errstate(over="ignore"):
+        pairing = cols.T @ g.inner_product
+    check_finite(pairing, "h basis pairing cols^T G")
+    comp = nullspace(pairing) if h.dim else np.eye(g.dim)
     m = Subspace(ambient=g, basis=gram_orthonormalize(comp, g.inner_product),
                  name="m")
     if h.dim + m.dim != g.dim:
@@ -876,25 +878,42 @@ def _classify(split: ReductiveSplit) -> StructureReport:
 
 # --- exact (rational) bases for certified verdicts ----------------------
 
+# the exact lane's basis coefficients: none is zero
+COEFFICIENTS = np.array([-3, -2, -1, 1, 2, 3], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class ExactLane:
-    """The exact GO lane's per-space data, on integers.
+    """The exact GO lane's per-space data, on integers, as
+    ``exact_module_bases`` builds and proves it.
 
     Module k's rational basis (g coords) is ``bases[k] / denom``, over
-    its least denominator, and the integer columns ``h_cols`` span h:
-    they are the embedding's float matrix read as rationals over one
-    denominator (``exact.rounded``), which gives the matrix back exactly.
-    ``rows`` are module-ordered, rows_k = bases[k]^T G with G the integer
-    Gram read off g's float one and proven ad-invariant, so ``rows @ v``
-    vanishes exactly when v lies in h and rows_k sees only v's part in
-    module k. ``system`` is the integer tensor S[a] = rows @ ad(h_a), h_a
-    column a of ``h_cols``, as its nonzero (keys, cols, values): key
-    p * dim h + a and column j hold S[a][p, j]. ``brackets`` are g's
-    triples (i, j, k) and numerators c with e_i in the support of module
-    1's basis and e_j in module 2's, in increasing k: every term of
-    [x1, x2]. ``to_m`` and ``to_h`` take float g coordinates to
-    orthonormal m and h coordinates. ``samples`` holds what each sample
-    reads, once per lane (``LaneSamples``).
+    its least denominator, and the integer columns ``h_cols`` span h.
+    Row p of ``rows`` is b_p^T G over its content (gcd), b_p column p of
+    the bases and G the integer Gram: ``rows @ v`` vanishes exactly when
+    v lies in h, and module k's rows see only v's part in module k. A
+    sample's [M | b] row p is a multiple of b_p^T G, and the elimination
+    divides each row by its content first, so these shorter rows give
+    the same y, d and tail. ``system`` is the integer tensor
+    S[a] = rows @ ad(h_a), h_a column a of ``h_cols``, as its nonzero
+    (keys, cols, values): key p * dim h + a and column j hold S[a][p, j].
+    ``brackets`` are g's triples (i, j, k) and numerators c with e_i in
+    the support of module 1's basis and e_j in module 2's, in increasing
+    k, as (i, j, c, starts, keys) with the start of each k's run and
+    that k: every term of [x1, x2]. ``to_m`` and ``to_h`` take float g
+    coordinates to orthonormal m and h coordinates.
+
+    ``tops`` are (x1, x2, m, bracket, rows), on Python ints: at
+    coefficients of size at most 1, |x_k| is at most x_k (the largest
+    row sum of |bases[k]|), an entry of M at most m max|x1 + x2|
+    (max|value| times the most entries that share a key), a bracket
+    numerator at most bracket max|x1| max|x2| (max|c| times the longest
+    run) and an entry of rows @ b at most rows max|b| (the largest row
+    sum of |rows|). The integers a sample reads (bases, rows, values and
+    numerators) are int64 when rows and every such bound, at coefficients
+    up to max|``COEFFICIENTS``|, are below 2^63, so each product of each
+    sample runs in int64, and Python ints otherwise. The lane decides on
+    construction, so a lane built from other integers decides again.
     """
 
     bases: tuple[np.ndarray, np.ndarray]
@@ -906,55 +925,30 @@ class ExactLane:
     to_m: np.ndarray
     to_h: np.ndarray
 
-    @cached_property
-    def samples(self) -> LaneSamples:
-        content = np.array([math.gcd(*row) or 1 for row in self.rows.tolist()],
-                           dtype=object)
+    def __post_init__(self):
+        c = int(np.abs(COEFFICIENTS).max())
+        x1, x2, m, bracket, rows = self.tops
+        x, b = c * (x1 + x2), bracket * c * x1 * c * x2
+        # rows alone bounds the lane's rows where no bracket term makes b > 0
+        bounds = x, m * x, b, rows * b, rows
+        dtype = np.int64 if max(bounds) < 2 ** 63 else object
         keys, cols, values = self.system
-        values = values // content[keys // self.h_cols.shape[1]]
-        rows = self.rows // content[:, None]
-        i, j, k, numer = self.brackets
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]][:len(k)])
-        return LaneSamples(
-            bases=tuple(map(exact.narrowed, self.bases)),
-            rows=exact.narrowed(rows), keys=keys, cols=cols,
-            values=exact.narrowed(values),
-            brackets=(i, j, exact.narrowed(numer), starts, k[starts]),
-            x_tops=tuple(map(_row_sum_top, self.bases)),
-            m_top=exact._top(values) * int(np.bincount(keys).max(initial=0)),
-            bracket_top=exact._top(numer)
-            * int(np.diff(np.r_[starts, len(k)]).max(initial=0)),
-            rows_top=_row_sum_top(rows))
+        i, j, numer, starts, run_keys = self.brackets
+        put = object.__setattr__
+        put(self, "bases", tuple(a.astype(dtype) for a in self.bases))
+        put(self, "rows", self.rows.astype(dtype))
+        put(self, "system", (keys, cols, values.astype(dtype)))
+        put(self, "brackets", (i, j, numer.astype(dtype), starts, run_keys))
 
-
-class LaneSamples(NamedTuple):
-    """The integer data an exact sample reads, with the lane-constant
-    bounds that pick its integers: each array is int64 where every entry
-    fits (``exact.narrowed``), Python ints otherwise.
-
-    ``rows`` and ``system``'s (keys, cols, values) have row p divided by
-    the content (gcd) of rows[p]: each sample's [M | b] row p is a
-    multiple of rows[p], and the elimination divides every row by its
-    content first, so it gives the same y, d and tail on shorter
-    integers. ``brackets`` is the lane's (i, j, numerators) with the
-    start of each k's run and that k. With a sample's coefficients at
-    most c in size, |x_k| is at most c ``x_tops[k]`` (the largest row sum
-    of |bases[k]|), each entry of M at most ``m_top`` max|x| (max|value|
-    times the most entries that share a key), each bracket numerator at
-    most ``bracket_top`` max|x1| max|x2| (max|c| times the longest run),
-    and each of rows @ s at most ``rows_top`` max|s|.
-    """
-
-    bases: tuple[np.ndarray, np.ndarray]
-    rows: np.ndarray
-    keys: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    brackets: tuple[np.ndarray, ...]
-    x_tops: tuple[int, int]
-    m_top: int
-    bracket_top: int
-    rows_top: int
+    @property
+    def tops(self) -> tuple[int, int, int, int, int]:
+        keys, _, values = self.system
+        i, _, numer, starts, _ = self.brackets
+        return (*map(_row_sum_top, self.bases),
+                exact._top(values) * int(np.bincount(keys).max(initial=0)),
+                exact._top(numer)
+                * int(np.diff(np.r_[starts, len(i)]).max(initial=0)),
+                _row_sum_top(self.rows))
 
 
 def _row_sum_top(a: np.ndarray) -> int:
@@ -992,10 +986,8 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     inner product is. Both exact modules must also match their float
     modules to 1e-8. Every product is ``exact.imatmul``: in int64 where
     max|a| max|b| (inner length) < 2^63 proves it exact, on Python ints
-    otherwise, and the eliminations take int64 input as it is. The lane's
-    bases, rows, h columns and system values are kept as Python ints;
-    ``ExactLane.samples`` reads what the samples use in int64 once per
-    lane, wherever it fits.
+    otherwise, and the eliminations take int64 input as it is.
+    ``ExactLane`` then picks one dtype for the integers its samples read.
 
     Raises ExactUnavailableError when an exact ingredient is missing,
     when the modules form an isotypic pair (an equivalent pair has no
@@ -1031,7 +1023,7 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     if np.any(exact.imatmul(m_rows, exact.imatmul(ad_h, h_cols)) != 0):
         raise ExactUnavailableError("rounded h is not a subalgebra")
     gm = exact.imatmul(m_rows, mx)
-    gm_f = exact.to_float(gm.astype(object), dx * dx * dip)
+    gm_f = exact.to_float(gm, dx * dx * dip)
     to_coords = np.linalg.solve(gm_f, exact.to_float(mx, dx).T @ gram_f)
     rounded = 1 - int(np.argmax(space.module_dims))
     mod = space.modules[rounded]
@@ -1053,16 +1045,17 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     common = math.lcm(*(dk for _, dk in coords))
     bases = []
     for mod, (kernel, dk) in zip(space.modules, coords):
-        basis = exact.imatmul(mx, kernel).astype(object)
-        basis_f = exact.to_float(basis, dx * dk)
+        basis = exact.imatmul(mx, kernel * (common // dk))
+        basis_f = exact.to_float(basis, dx * common)
         proj = mod.basis @ (mod.basis.T @ gram_f @ basis_f)
         if kernel.shape[1] != mod.dim or float(np.abs(basis_f - proj).max()) \
                 > 1e-8 * max(1.0, float(np.abs(basis_f).max())):
             raise ExactUnavailableError(
                 f"exact {mod.name} does not match the float module")
-        bases.append(basis * (common // dk))
+        bases.append(basis)
     nums, denom = exact.reduced(np.hstack(bases), dx * common)
-    rows = exact.imatmul(nums.T, ip).astype(object)
+    rows = exact.imatmul(nums.T, ip)
+    rows //= np.array([math.gcd(*row) or 1 for row in rows.tolist()])[:, None]
     # S[a] = rows @ ad(h_a) for every a at once, row (p, a) at p dim h + a
     tensor = exact.imatmul(rows, ad_h).transpose(1, 0, 2).reshape(-1, g.dim)
     keys, cols = np.nonzero(tensor)
@@ -1071,9 +1064,11 @@ def exact_module_bases(space: ReductiveSpace) -> ExactLane:
     on = [np.any(b != 0, axis=1) for b in bases]
     at = np.flatnonzero(on[0][i] & on[1][j])
     at = at[np.argsort(k[at], kind="stable")]
+    k = k[at]
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]][:len(k)])
     return ExactLane(bases=bases, denom=denom, rows=rows,
-                     system=(keys, cols, tensor[keys, cols].astype(object)),
-                     brackets=(i[at], j[at], k[at],
-                               g.structure_exact.numer[at]),
+                     system=(keys, cols, tensor[keys, cols]),
+                     brackets=(i[at], j[at], g.structure_exact.numer[at],
+                               starts, k[starts]),
                      h_cols=h_cols, to_m=space.m.basis.T @ gram_f,
                      to_h=space.h.basis.T @ gram_f)

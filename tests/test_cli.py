@@ -99,13 +99,15 @@ MALFORMED_ALGEBRAS = {
 
 @pytest.mark.parametrize("where", ["structure", "inner_product", "indefinite",
                                    "asymmetric", "matrix", "huge",
+                                   "huge column", "huge so(4) column",
                                    *MALFORMED_ALGEBRAS])
 def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
     # a NaN constant, Gram entry or embedding matrix entry, an indefinite
-    # Gram, or finite constants of +-1e308 with no Gram, whose Killing
-    # form overflows, once ended in a LAPACK traceback; a Gram that is
-    # not symmetric once passed, as the Cholesky test reads one triangle
-    # only
+    # Gram, finite constants of +-1e308 with no Gram, whose Killing form
+    # overflows, or an embedding column of 1e308, whose Gram pairing
+    # overflows, once ended in a LAPACK traceback (on su(2), a misleading
+    # "h and m do not span g"); a Gram that is not symmetric once passed,
+    # as the Cholesky test reads one triangle only
     data = zoo.classical("su", 2).to_json_dict()
     spec = {"algebra": data}
     data["structure"] = [e[:3] + [float(e[3])] for e in data["structure"]]
@@ -130,6 +132,13 @@ def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
         message = "Error: Killing form entry (0, 0) is -inf, not finite"
     elif where == "matrix":
         spec["embedding"] = {"matrix": [[float("nan")], [0.0], [0.0]]}
+    elif where == "huge column":
+        spec["embedding"] = {"matrix": [[1e308], [0.0], [0.0]]}
+        message = "Error: h basis pairing cols^T G entry (0, 0) is inf"
+    elif where == "huge so(4) column":
+        spec = {"algebra": "so(4)", "embedding": {
+            "matrix": [[1e308], [1e308], [0], [0], [0], [0]]}}
+        message = "Error: h basis pairing cols^T G entry (0, 0) is inf"
     else:
         data["inner_product"] = [[8, 1, 0], [0, 8, 0], [0, 0, 8]]
         message = "Error: inner product is not symmetric"
@@ -140,6 +149,18 @@ def test_validate_names_a_non_finite_spec_entry(runner, tmp_path, where):
         assert result.exit_code == 1, command
         assert message in result.output, command
         assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200])
+def test_a_large_finite_embedding_column_still_decomposes(runner, tmp_path,
+                                                          scale):
+    # a large but finite multiple of h's generator: its Gram pairing
+    # stays finite, so it spans h as the unit column does
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"algebra": "so(4)", "embedding": {
+        "matrix": [[scale], [scale], [0], [0], [0], [0]]}}))
+    for command in ("validate", "decompose"):
+        assert invoke(runner, [command, str(path)]).exit_code == 0, command
 
 
 def test_a_bare_algebra_spec_is_refused_before_its_d4_identity(runner,

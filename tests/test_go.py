@@ -769,9 +769,10 @@ def test_a_chunked_fill_equals_a_one_shot_fill(entry_id, monkeypatch):
         for got, one_shot in zip(held, want):
             assert got.shape == one_shot.shape
             assert got.tobytes() == one_shot.tobytes()
-    # each chunk reads its words off one rng_for stream, advanced to its
-    # first sample: no state is left over for a later chunk, which may
-    # come from a later call
+    # each chunk reads its words off the factorisation's one rng_for
+    # stream, seeded once and advanced from its seeded state to the
+    # chunk's first sample: no state is left over for a later chunk, which
+    # may come from a later call
     labels = []
 
     def spy(*label):
@@ -782,7 +783,7 @@ def test_a_chunked_fill_equals_a_one_shot_fill(entry_id, monkeypatch):
     chunks = ((0, 1), (1, 2), (2, 4), (4, 5), (5, 12), (12, 40))
     for start, stop in chunks:
         fac.fill(space, range(start, stop))
-    assert labels == [("go", space.name, 3)] * len(chunks)
+    assert labels == [("go", space.name, 3)]
     assert fac.kinds == kinds[:40]
     np.testing.assert_array_equal(np.array(fac.rows), rows[:40])
     mid = go._Factorisation(space, 3)
@@ -809,7 +810,7 @@ def test_draw_coordinates_are_pinned_to_the_bit():
              "0x1.64190f4f251cap-1", "-0x1.1d1df1bdadde0p-4"],
     }
     for chunk in (range(0, 60), range(0, 2), range(57, 58)):
-        u = go._coordinates(label, chunk, dm)
+        u = go._coordinates(go._Stream(label), chunk, dm)
         for j in set(want) & set(chunk):
             assert [c.hex() for c in u[j - chunk.start]] == want[j]
 
@@ -1908,20 +1909,23 @@ def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
                                                              monkeypatch):
     # the system and right-hand sides that each sample hands to
     # exact.eliminated, against the dense products rows @ ad(X) @ H and
-    # rows_k @ [X1, X2] on the lane's primitive rows, each lane row over
-    # its content: the lane's rows are module by module, and one
-    # elimination per sample serves every pair at its seed. On the
-    # catalog every bound is far below 2^63, so both come in int64
+    # rows_k @ [X1, X2] on the lane's primitive rows, each the pairing
+    # row b_p^T G of a basis column over its content: the lane's rows are
+    # module by module, and one elimination per sample serves every pair
+    # at its seed. On the catalog every bound is far below 2^63, so both
+    # come in int64
     space = catalog.catalog_instantiate(entry_id, seed=0)
     lane = space.exact_lane
-    rows = lane.samples.rows
-    content = [math.gcd(*row) for row in lane.rows.tolist()]
+    rows = lane.rows
+    pairing = np.hstack(lane.bases).T.astype(object) @ exact.rounded(
+        space.g.inner_product)[0]
+    content = [math.gcd(*row) for row in pairing.tolist()]
     assert rows.tolist() == [[v // g for v in row] for row, g
-                             in zip(lane.rows.tolist(), content)]
+                             in zip(pairing.tolist(), content)]
     assert [math.gcd(*row) for row in rows.tolist()] == [1] * len(rows)
     d1 = lane.bases[0].shape[1]
-    assert not np.any(lane.rows[:d1] @ lane.bases[1])
-    assert not np.any(lane.rows[d1:] @ lane.bases[0])
+    assert not np.any(rows[:d1] @ lane.bases[1])
+    assert not np.any(rows[d1:] @ lane.bases[0])
     eliminated, seen = exact.eliminated, []
     monkeypatch.setattr(exact, "eliminated", lambda a, b: seen.append(
         (a, b)) or eliminated(a, b))
@@ -2089,7 +2093,10 @@ def test_lane_bounds_bound_every_sample_product(entry_id):
     # within them
     space = catalog.catalog_instantiate(entry_id, seed=0)
     lane, structure = space.exact_lane, space.g.structure_exact
-    s = lane.samples
+    *x_tops, m_top, bracket_top, rows_top = lane.tops
+    keys, _, values = lane.system
+    i, _, numer, starts, run_keys = lane.brackets
+    k = np.repeat(run_keys, np.diff(np.r_[starts, len(i)]))
 
     def key_sums(keys, values):
         out = {}
@@ -2099,41 +2106,42 @@ def test_lane_bounds_bound_every_sample_product(entry_id):
 
     def row_sums(a):
         return max(sum(map(abs, row)) for row in a.tolist())
-    assert list(s.x_tops) == [row_sums(b) for b in lane.bases]
-    assert s.m_top >= key_sums(s.keys, s.values)
-    assert s.rows_top >= row_sums(s.rows)
-    assert s.bracket_top >= key_sums(lane.brackets[2], lane.brackets[3])
+    assert x_tops == [row_sums(b) for b in lane.bases]
+    assert m_top >= key_sums(keys, values)
+    assert rows_top >= row_sums(lane.rows)
+    assert bracket_top >= key_sums(k, numer)
     go.go_check(space, (2, 2), n_samples=20, seed=0, exact_mode=True)
     fac = space.go_factorisations[go._ExactFactorisation]
     assert len(fac.parts) == 20
     ad = structure.ad_numerators
-    rows = s.rows.astype(object)
+    rows = lane.rows.astype(object)
     for x1, x2 in fac.parts:
         x1, x2 = x1.astype(object), x2.astype(object)
         top1, top2, top = map(exact._top, (x1, x2, x1 + x2))
-        assert (top1, top2) <= (3 * s.x_tops[0], 3 * s.x_tops[1])
+        assert (top1, top2) <= (3 * x_tops[0], 3 * x_tops[1])
         m = rows @ ad((x1 + x2)[:, None])[0].astype(object) @ lane.h_cols
-        assert exact._top(m) <= s.m_top * top
+        assert exact._top(m) <= m_top * top
         keys, sums = structure.bracket_numerators(x1, x2)
-        assert exact._top(sums) <= s.bracket_top * top1 * top2
+        assert exact._top(sums) <= bracket_top * top1 * top2
         assert exact._top(rows[:, keys] @ sums) \
-            <= s.rows_top * exact._top(sums)
+            <= rows_top * exact._top(sums)
 
 
 @pytest.mark.parametrize("entry_id", ["go-4-r2", "t1-V.1-m3n3"])
 @pytest.mark.parametrize("scale", [2 ** 30, 2 ** 62])
 def test_a_lane_past_its_int64_bounds_runs_on_python_ints(entry_id, scale,
                                                           monkeypatch):
-    # the lane's bases times 2^30 (x1 x2 past 2^63: the bracket and
-    # rows @ b leave int64, M stays) or 2^62 (every product leaves int64),
-    # over a denominator as much larger: the same rational samples, so
-    # each sample's (y, d, tail) gives the Fraction oracle's z and
-    # consistency, and the verdicts and witnesses are the int64 lane's
+    # the lane's bases times 2^30 (x1 x2 past 2^63) or 2^62 (x_k past
+    # it too), scaled on Python ints, as int64 would wrap, over a
+    # denominator as much larger: the same rational samples, so each
+    # sample's (y, d, tail) gives the Fraction oracle's z and consistency,
+    # and the verdicts and witnesses are the int64 lane's. A bound past
+    # 2^63 puts the whole lane, and so every product, on Python ints
     space = catalog.catalog_instantiate(entry_id, seed=0)
     lane = space.exact_lane
     planted = replace(space)
     vars(planted)["exact_lane"] = replace(
-        lane, bases=tuple(b * scale for b in lane.bases),
+        lane, bases=tuple(b.astype(object) * scale for b in lane.bases),
         denom=lane.denom * scale)
     bases = [exact.over(b, lane.denom) for b in lane.bases]
     h = exact.fmatrix(space.embedding.matrix.tolist())
@@ -2163,11 +2171,43 @@ def test_a_lane_past_its_int64_bounds_runs_on_python_ints(entry_id, scale,
                 assert list(exact.over(lane.h_cols @ np.array(
                     y, dtype=object), c1 * c2 * d * lane.denom * scale)) \
                     == list(h @ z)
-    assert fac.numer.dtype == fac.rows_b.dtype == object
-    assert (fac.values.dtype == np.int64) == (scale == 2 ** 30)
-    assert all(x.dtype == object for part in fac.parts for x in part) \
-        == (scale == 2 ** 62)
+    assert _lane_dtypes(planted.exact_lane) == {np.dtype(object)}
+    assert all(x.dtype == object for part in fac.parts for x in part)
     assert dtypes and set(dtypes) == {np.dtype(object)}
+
+
+def _lane_dtypes(lane) -> set:
+    """The dtypes of the integers a lane's samples read."""
+    return {a.dtype for a in (*lane.bases, lane.rows, lane.system[2],
+                              lane.brackets[2])}
+
+
+@pytest.mark.parametrize("entry_id", EXACT_CAPABLE)
+def test_a_lane_picks_one_dtype_for_every_integer_its_samples_read(
+        entry_id):
+    # every catalog lane's bounds are far below 2^63, so all its
+    # integers are int64; the same lane with its bases times 2^30, built
+    # from Python ints, decides again: its bracket bound passes 2^63, so
+    # it is Python ints throughout, with the same values elsewhere. On
+    # struct-2, struct-3 and struct-6 no bracket term joins the modules,
+    # so their largest bound, M's, stays below 2^63, and they stay int64
+    lane = catalog.catalog_instantiate(entry_id, seed=0).exact_lane
+    assert _lane_dtypes(lane) == {np.dtype(np.int64)}
+    planted = replace(lane, bases=tuple(b.astype(object) * 2 ** 30
+                                        for b in lane.bases))
+    if not len(lane.brackets[0]):
+        assert _lane_dtypes(planted) == {np.dtype(np.int64)}
+        # no bracket bound covers rows there: rows past 2^63 decide alone
+        planted = replace(lane, rows=lane.rows.astype(object) * 2 ** 63)
+        assert _lane_dtypes(planted) == {np.dtype(object)}
+        return
+    assert _lane_dtypes(planted) == {np.dtype(object)}
+    for got, want in ((planted.rows, lane.rows),
+                      (planted.system[2], lane.system[2]),
+                      (planted.brackets[2], lane.brackets[2])):
+        assert got.tolist() == want.tolist()
+    assert all(type(v) is int for a in (*planted.bases, planted.rows)
+               for v in a.flat)
 
 
 @pytest.mark.parametrize("entry_id", ["go-1", "go-4-r2", "go-5"])

@@ -432,7 +432,8 @@ def _lane_part(a):
 
 def test_exact_lanes_match_the_checked_in_digests():
     # every array of each lane, in values, dtypes and entry types: the
-    # integer build must give the Python-int arrays each sample reads
+    # integer build must give the arrays each sample reads, in the one
+    # dtype its bounds pick
     want = json.loads(Path(__file__).with_name(
         "exact_digests.json").read_text())["lanes"]["sha256"]
     got = {}
