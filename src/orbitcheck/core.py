@@ -470,13 +470,15 @@ def _is_number(value) -> bool:
 
 def _check_spec(data: dict) -> None:
     """Refuse a spec, naming the field and its first bad entry, unless its
-    dim is a positive integer, its structure a list of [i, j, k, value]
-    entries with integer indices and a number or rational-string value,
-    and its inner product, if any, dim rows of dim such values."""
+    dim is a positive integer up to 240, its structure a list of [i, j, k,
+    value] entries with integer indices and a number or rational-string
+    value, and its inner product, if any, dim rows of dim such values."""
     dim = data.get("dim")
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) \
             or dim < 1:
         raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+    if dim > 240:  # so(16)+so(16), the largest sum of two cap algebras
+        raise ValidationError(f"dim {dim} exceeds the cap of 240")
     entries = data.get("structure")
     if not isinstance(entries, list):
         raise ValidationError("structure must be a list of [i, j, k, value] "

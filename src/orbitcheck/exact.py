@@ -6,21 +6,22 @@ array n over a common denominator d. ``rounded`` does the same for the
 entries of a float array rounded to fractions with denominators up to
 2^20, taking the nearest integer directly wherever it lies within 2^-21,
 where it is provably ``limit_denominator``'s answer. Products run on
-such integers too: ``imatmul`` multiplies integer arrays in int64 wherever
-max|a| max|b| (inner length) < 2^63 bounds every partial sum, and on
-Python ints otherwise. One fraction-free forward elimination serves the
-two solvers, ``null_space`` and ``solve``. It takes int64 input as it is
-and clears any other row to integers, divides each row by the gcd of its
-entries, which keeps the rref and shortens every minor, then runs
-Bareiss steps in int64 for as long as a bound per pivot proves them
-exact, and on Python ints after. Each solver back-substitutes, in
-integers too, the columns it needs (the free ones, or the right-hand
-sides, all at once), and returns its answer as Python integers over one
-denominator, so no row operation ever touches a Fraction. ``solve`` is
-its two halves, ``eliminated`` (the echelon rows and the tail that
-decides consistency) and ``back_substituted``, which a caller may run
-apart, only where it wants the solution. ``reduced`` brings such a pair
-to its least denominator, ``over`` back to Fractions.
+such integers too: ``imatmul`` multiplies integer arrays in int64
+wherever max|a| max|b| (inner length) < 2^63 bounds every partial sum,
+and on Python ints otherwise. One fraction-free forward elimination
+serves the two solvers, ``null_space`` and ``solve``. It takes int64
+input as it is and clears any other row to integers, divides each row by
+the gcd of its entries, which keeps the rref and shortens every minor,
+then runs Bareiss steps in place, in int64 for as long as a running
+bound per pivot, measured again only where it fails, proves them exact,
+and on Python ints after. Each solver back-substitutes, in integers too,
+the columns it needs (the free ones, or the right-hand sides, all at
+once), and returns its answer as Python integers over one denominator,
+so no row operation ever touches a Fraction. ``solve`` is its two
+halves, ``eliminated`` (the echelon rows and the tail that decides
+consistency) and ``back_substituted``, which a caller may run apart,
+only where it wants the solution. ``reduced`` brings such a pair to its
+least denominator, ``over`` back to Fractions.
 """
 
 from __future__ import annotations
@@ -163,11 +164,12 @@ def _eliminate(a: np.ndarray, width: int
     The steps run in int64 while 2 M^2 < 2^63, with M the largest
     |entry| of the block m[row:, col:] that the step reads: each product
     is at most M^2 in size, their difference at most 2 M^2, and the
-    quotient by d, a nonzero earlier pivot, no larger. From the first
-    step whose bound fails on, the steps run on Python ints; a matrix
-    with an entry outside int64 starts there. On return the rows are an
-    integer echelon form and d, a Python int, is the last pivot, which
-    may be negative.
+    quotient by d, a nonzero earlier pivot, no larger. A running bound
+    T >= M, which a step keeps at 2 T^2 // |d|, spares measuring M
+    (``_top``) where 2 T^2 < 2^63. From the first step whose M fails on,
+    the steps run on Python ints; a matrix with an entry outside int64
+    starts there. On return the rows are an integer echelon form and d,
+    a Python int, is the last pivot, which may be negative.
     """
     n_rows, n_cols = a.shape
     if a.dtype == np.int64:
@@ -184,23 +186,29 @@ def _eliminate(a: np.ndarray, width: int
         except OverflowError:
             m = np.array(rows, dtype=object).reshape(n_rows, n_cols)
     pivots: list[int] = []
-    d = 1
+    d, top = 1, 2 ** 63  # no int64 |entry| exceeds 2^63
     for col in range(width):
         row = len(pivots)
         if row == n_rows:
             break
-        below = m[row:, col].nonzero()[0]
-        if not below.size:
-            continue
-        if m.dtype != object:
+        if not m[row, col]:
+            below = m[row + 1:, col].nonzero()[0]
+            if not below.size:
+                continue
+            swap = row + 1 + below[0]
+            m[row], m[swap] = m[swap], m[row].copy()
+        if m.dtype != object and 2 * top * top >= 2 ** 63:
             top = _top(m[row:, col:])
             if 2 * top * top >= 2 ** 63:
                 m, d = m.astype(object), int(d)
-        if below[0]:
-            m[[row, row + below[0]]] = m[[row + below[0], row]]
-        p = m[row, col]
-        m[row + 1:, col:] = (p * m[row + 1:, col:] - np.multiply.outer(
-            m[row + 1:, col], m[row, col:])) // d
+        p, block = m[row, col], m[row + 1:, col:]
+        outer = np.multiply.outer(block[:, 0], m[row, col:])
+        block *= p
+        block -= outer
+        if d != 1:
+            block //= d
+        if m.dtype != object:
+            top = 2 * top * top // abs(int(d))
         d = p
         pivots.append(col)
     return m, pivots, int(d)
@@ -242,14 +250,13 @@ def null_space(a: np.ndarray) -> tuple[np.ndarray, int]:
     return reduced(basis, d)
 
 
-def eliminated(a: np.ndarray, b: np.ndarray
+def eliminated(ab: np.ndarray, n_cols: int
                ) -> tuple[np.ndarray, list[int], int, np.ndarray]:
     """The forward half of ``solve``: ``_eliminate``'s (rows, pivots, d)
-    of [a | b], pivoting on a's columns only, with its rows cut to the
-    rank, and ``tail``, b's reduced rows below the rank as Python ints.
-    ``back_substituted`` finishes the solve when Y is wanted."""
-    n_cols = a.shape[1]
-    m, pivots, d = _eliminate(np.column_stack([a, b]), n_cols)
+    of ab = [a | b], pivoting on a's ``n_cols`` columns only, with its
+    rows cut to the rank, and ``tail``, b's reduced rows below the rank
+    as Python ints. ``back_substituted`` finishes it when Y is wanted."""
+    m, pivots, d = _eliminate(ab, n_cols)
     return m[:len(pivots)], pivots, d, m[len(pivots):, n_cols:].astype(object)
 
 
@@ -268,7 +275,7 @@ def solve(a: np.ndarray, b: np.ndarray):
     d over the content (gcd) of the row it came from. Only a's columns
     pivot: a combination of b's columns is consistent exactly where that
     of tail's vanishes, and its solution is that of Y's."""
-    rows, pivots, d, tail = eliminated(a, b)
+    rows, pivots, d, tail = eliminated(np.column_stack([a, b]), a.shape[1])
     return back_substituted(rows, pivots, d, a.shape[1]), d, tail
 
 

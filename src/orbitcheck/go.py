@@ -752,6 +752,8 @@ class _ExactFactorisation:
     def __init__(self, space: ReductiveSpace, seed: int):
         self.seed, self.lane = seed, space.exact_lane
         self.stream = _Stream(("go-exact", space.name, seed))
+        keys, h = self.lane.system[0], len(self.lane.to_h)
+        self.keys = keys + 2 * (keys // h)  # M's flat keys in [M | b1 b2]
         self.kinds, self.rows, self.parts = [], [], []
         # sample -> (tail, d); -> (echelon rows, pivots) until its first
         # read; -> Y from then on
@@ -780,17 +782,16 @@ class _ExactFactorisation:
     def _eliminate(self, i: int) -> None:
         x1, x2 = self.parts[i]
         lane = self.lane
-        keys, cols, values = lane.system
-        n = len(lane.rows)
-        m = np.zeros(n * len(lane.to_h), dtype=values.dtype)
-        np.add.at(m, keys, values * (-x1 - x2)[cols])
+        _, cols, values = lane.system
+        h = len(lane.to_h)
+        system = np.zeros((len(lane.rows), h + 2), dtype=values.dtype)
+        np.add.at(system.reshape(-1), self.keys, values * (-x1 - x2)[cols])
         first, second, numer, starts, run_keys = lane.brackets
         b = lane.rows[:, run_keys] @ np.add.reduceat(
             numer * x1[first] * x2[second], starts)
-        rhs = np.zeros((n, 2), dtype=b.dtype)
         cut = lane.bases[0].shape[1]
-        rhs[:cut, 0], rhs[cut:, 1] = np.split(b, [cut])
-        rows, pivots, d, tail = exact.eliminated(m.reshape(n, -1), rhs)
+        system[:cut, h], system[cut:, h + 1] = b[:cut], b[cut:]
+        rows, pivots, d, tail = exact.eliminated(system, h)
         self.tails[i] = tail.tolist(), d
         self.echelons[i] = rows, pivots
 

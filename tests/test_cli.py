@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +9,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from orbitcheck import catalog, cli, zoo
+from orbitcheck import catalog, cli, core, zoo
 from orbitcheck.cli import main
 from orbitcheck.linalg import DEFAULT_TOL
 
@@ -94,7 +96,23 @@ MALFORMED_ALGEBRAS = {
     "ragged gram": ({"inner_product": [[1, 0, 0], [0, 1], [0, 0, 1]]},
                     "inner product shape does not match dim: row 1 is "
                     "[0, 1], not 3 entries"),
+    # an 11.9 GiB and a 589 TiB MemoryError; the dim cap refuses both
+    # before anything is allocated
+    "huge dim": ({"dim": 40000, "structure": [[0, 1, 2, 1]],
+                  "inner_product": None},
+                 "Error: dim 40000 exceeds the cap of 240"),
+    "huge dim, no constants": ({"dim": 3000, "structure": [],
+                                "inner_product": None},
+                               "Error: dim 3000 exceeds the cap of 240"),
 }
+
+
+def test_the_spec_dim_cap_is_the_largest_sum_of_two_cap_algebras():
+    largest = max(zoo._DIMENSION[f](n) for f, n in zoo.RANK_CAPS.items())
+    assert 2 * largest == 240
+    core._check_spec({"dim": 240, "structure": []})
+    with pytest.raises(core.ValidationError, match="dim 241 exceeds the cap"):
+        core._check_spec({"dim": 241, "structure": []})
 
 
 @pytest.mark.parametrize("where", ["structure", "inner_product", "indefinite",
@@ -177,6 +195,26 @@ def test_a_bare_algebra_spec_is_refused_before_its_d4_identity(runner,
             "exceeds the 128 MiB bound" in result.output
     path.write_text(json.dumps({"algebra": "so(5)"}))
     assert invoke(runner, ["validate", str(path)]).exit_code == 0
+
+
+def test_a_bare_cap_sum_is_refused_fast_in_a_small_address_space(tmp_path):
+    # so(16)+so(16)'s d^4 identity once ended in a 24.7 GiB MemoryError;
+    # under a 2 GiB address-space limit, set in the child alone, the
+    # commutant bound refuses it well within 10 s. One BLAS thread keeps
+    # the child's own buffers small on a machine with many cores.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"algebra": "so(16)+so(16)"}))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "orbitcheck.cli", "validate", str(path)],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=10)
+    assert result.returncode == 1
+    assert "Error: commutant system of 25312 MiB (57600 candidate maps) " \
+        "exceeds the 128 MiB bound" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_commands_never_read_the_dense_structure_tensor():

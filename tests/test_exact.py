@@ -501,6 +501,101 @@ def test_entries_outside_int64_start_on_python_ints(monkeypatch):
         assert set(_eliminate_with_spy(monkeypatch, a, b)) == {"object"}
 
 
+def _bareiss_oracle(rows, width):
+    """``_eliminate`` on Python ints, as its docstring states it: (rows,
+    pivots, d, fits), each row over its content first, and fits[k] true
+    where the block the k-th step reads, measured, has 2 M^2 < 2^63."""
+    m = [[v // g for v in row] if (g := math.gcd(*row)) > 1 else list(row)
+         for row in rows]
+    pivots, d, fits = [], 1, []
+    for col in range(width):
+        row = len(pivots)
+        if row == len(m):
+            break
+        nonzero = [r for r in range(row, len(m)) if m[r][col]]
+        if not nonzero:
+            continue
+        m[row], m[nonzero[0]] = m[nonzero[0]], m[row]
+        top = max(abs(v) for r in m[row:] for v in r[col:])
+        fits.append(2 * top * top < 2 ** 63)
+        p, pivot_row = m[row][col], m[row]
+        for r in m[row + 1:]:
+            f = r[col]
+            r[col:] = [(p * v - f * u) // d
+                       for v, u in zip(r[col:], pivot_row[col:])]
+        d = p
+        pivots.append(col)
+    return m, pivots, d, fits
+
+
+@st.composite
+def bareiss_inputs(draw):
+    """(rows, width): an integer matrix up to 7 x 9 with entries up to
+    2^bits in size, bits drawn up to 40, planted zero columns, rows whose
+    leading entries (up to 3) are zero, and maybe a last row that is a
+    multiple of the first; width, how many leading columns may pivot, is
+    all of them or up to 2 fewer."""
+    n_rows, n_cols = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    bits = draw(st.integers(0, 40))
+    entries = st.integers(-2 ** bits, 2 ** bits)
+    rows = [draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
+            for _ in range(n_rows)]
+    zero_cols = draw(st.sets(st.integers(0, n_cols - 1), max_size=3))
+    leads = draw(st.lists(st.integers(0, min(3, n_cols)), min_size=n_rows,
+                          max_size=n_rows))
+    for row, lead in zip(rows, leads):
+        row[:lead] = [0] * lead
+        for c in zero_cols:
+            row[c] = 0
+    if n_rows > 1 and draw(st.booleans()):
+        rows[-1] = [draw(st.integers(-3, 3)) * v for v in rows[0]]
+    return rows, max(0, n_cols - draw(st.integers(0, 2)))
+
+
+def _eliminate_steps(a, width):
+    """``_eliminate``'s (rows, pivots, d) of ``a``, the dtype of each of
+    its steps and the shape of each block whose max|entry| it measured."""
+    spy, measured, top = _StepSpy(), [], exact._top
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "np", spy)
+        patch.setattr(exact, "_top", lambda block: measured.append(
+            block.shape) or top(block))
+        rows, pivots, d = exact._eliminate(a, width)
+    return rows, pivots, d, [str(t) for t in spy.steps], measured
+
+
+@given(bareiss_inputs(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_the_running_bound_keeps_every_step_of_the_measured_one(system,
+                                                                as_int64):
+    # the steps are int64 exactly up to the first whose measured block max
+    # M has 2 M^2 >= 2^63, and the rows, pivots and d those of the oracle,
+    # from int64 and from Python-int input alike
+    rows, width = system
+    a = np.array(rows, dtype=np.int64 if as_int64 else object)
+    got, pivots, d, steps, _ = _eliminate_steps(a, width)
+    want, want_pivots, want_d, fits = _bareiss_oracle(rows, width)
+    assert got.tolist() == want
+    assert (pivots, d) == (want_pivots, want_d) and type(d) is int
+    assert steps == ["int64" if all(fits[:k + 1]) else "object"
+                     for k in range(len(fits))]
+
+
+def test_a_failed_running_bound_is_measured_and_stays_on_int64():
+    # T J + I at T = 2^20: after the first step the running bound is
+    # 2 (T + 1)^2, past 2^31, so the second step measures its block, which
+    # holds only T and 2 T + 1, and every step stays on int64; switching
+    # on the bound alone would leave int64 there
+    t = 2 ** 20
+    a = np.full((4, 4), t, dtype=np.int64) + np.eye(4, dtype=np.int64)
+    rows, pivots, d, steps, measured = _eliminate_steps(a, 4)
+    want, want_pivots, want_d, fits = _bareiss_oracle(a.tolist(), 4)
+    assert all(fits) and steps == ["int64"] * 4
+    assert measured == [(4, 4), (3, 3)]
+    assert rows.tolist() == want and (pivots, d) == (want_pivots, want_d)
+    assert d == 1 + 4 * t  # det(T J + I)
+
+
 def test_rows_with_a_common_factor_and_a_zero_row():
     # row scaling keeps the rref: every row but the zero one has a factor
     # of 6 to 180, which the elimination divides out
