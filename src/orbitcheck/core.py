@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from . import exact
-from .linalg import (DEFAULT_TOL, column_space, gram_orthonormalize, nullspace,
-                     project_onto, svd_rank)
+from .linalg import (DEFAULT_TOL, RANK_FLOOR, column_space,
+                     gram_orthonormalize, nullspace, project_onto, svd_rank)
 
 
 class OrbitcheckError(Exception):
@@ -96,8 +96,22 @@ def _floats(shape, keys: np.ndarray, sums: np.ndarray,
             denom: int) -> np.ndarray:
     """Float array of the given shape, sums / denom rounded at the keys."""
     out = np.zeros(shape)
-    out.flat[keys] = exact.to_float(sums, denom)
+    try:
+        out.flat[keys] = exact.to_float(sums, denom)
+    except OverflowError:  # a quotient past the float range reads as +-inf
+        out.flat[keys] = [_nearest_float(Fraction(int(v), denom)) for v in sums]
     return out
+
+
+def _nearest_float(value) -> float | None:
+    """Nearest float of a real or rational string, +-inf on overflow, or None."""
+    try:
+        number = Fraction(value) if isinstance(value, str) else value
+        return float(number) if isinstance(number, numbers.Real) else None
+    except (ValueError, ZeroDivisionError):
+        return None
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
 
 
 def check_finite(matrix: np.ndarray, what: str) -> None:
@@ -457,17 +471,6 @@ class LieAlgebra:
         return f"LieAlgebra({self.name or 'unnamed'}, dim={self.dim})"
 
 
-def _is_number(value) -> bool:
-    """A real number, or a string that reads as a rational."""
-    if isinstance(value, str):
-        try:
-            Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            return False
-        return True
-    return isinstance(value, numbers.Real)
-
-
 def _check_spec(data: dict) -> None:
     """Refuse a spec, naming the field and its first bad entry, unless its
     dim is a positive integer up to 240, its structure a list of [i, j, k,
@@ -486,7 +489,7 @@ def _check_spec(data: dict) -> None:
     for t, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 4
                 and all(isinstance(i, numbers.Integral) for i in entry[:3])
-                and _is_number(entry[3])):
+                and _nearest_float(entry[3]) is not None):
             raise ValidationError(
                 f"structure entry {t} is {entry!r}, not [i, j, k, value] of "
                 "integer indices and a number or rational string")
@@ -501,7 +504,7 @@ def _check_spec(data: dict) -> None:
             raise ValidationError("inner product shape does not match dim: "
                                   f"row {i} is {row!r}, not {dim} entries")
         for j, value in enumerate(row):
-            if not _is_number(value):
+            if _nearest_float(value) is None:
                 raise ValidationError(f"inner product entry ({i}, {j}) is "
                                       f"{value!r}, not a number")
 
@@ -509,32 +512,30 @@ def _check_spec(data: dict) -> None:
 def algebra_from_json_dict(data: dict) -> LieAlgebra:
     """Algebra from a JSON spec; rational constants (ints and strings) give
     an exact algebra, any float a float one. The spec's shape is checked
-    first (``_check_spec``). An inner product must be finite, symmetric
-    and positive definite; the constants are not validated, so a bad
-    spec can still be built and reported."""
+    first (``_check_spec``). Every constant and Gram entry must have a
+    finite nearest float (``_nearest_float``) of size up to 2^64, exact
+    constants too. An inner product must be symmetric and positive
+    definite; the constants are not validated, so a bad spec can still be
+    built and reported."""
     _check_spec(data)
     dim, entries = int(data["dim"]), data["structure"]
     table = np.array(entries, dtype=object).reshape(len(entries), 4)
     rational = all(isinstance(v, (str, int)) for v in table[:, 3])
-    values = None if rational else table[:, 3].astype(np.float64)
+    values = np.array([_nearest_float(v) for v in table[:, 3]], dtype=float)
     # int(t) lies in range(dim) exactly when -1 < t < dim
     at = table[:, :3].astype(np.float64)
     outside = ~((at > -1) & (at < dim)).all(axis=1)
-    bad = outside if rational else outside | ~np.isfinite(values)
+    bad = outside | ~np.isfinite(values)
     if bad.any():
         t = int(np.argmax(bad))
         i, j, k, value = entries[t]
         raise ValidationError(
             f"structure index ({i},{j},{k}) out of range" if outside[t]
             else f"structure constant ({i},{j},{k}) is {value}, not finite")
-    gram = None
-    if data.get("inner_product") is not None:
-        rows = data["inner_product"]
-        if all(isinstance(v, (str, int)) for row in rows for v in row):
-            gram = exact.to_float(exact.fmatrix(rows))
-        else:
-            gram = np.array(rows, dtype=np.float64)
-            check_finite(gram, "inner product")
+    gram, rows = None, data.get("inner_product")
+    if rows is not None:
+        gram = np.array([[_nearest_float(v) for v in row] for row in rows])
+        check_finite(gram, "inner product")
     if rational:
         constants = structure_constants(dim, entries)
     else:
@@ -547,6 +548,12 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
             np.linalg.cholesky(alg.inner_product)
         except np.linalg.LinAlgError:
             raise ValidationError("inner product is not positive definite") from None
+    # products of a few values over dim^2 terms stay inside the float range
+    top = max(np.abs(values).max(initial=0.0),
+              0.0 if gram is None else np.abs(gram).max())
+    if top > 2.0 ** 64:
+        raise ValidationError(f"a constant or Gram entry of size {top:.3g} "
+                              "exceeds the cap of 2^64 on a spec's scale")
     return alg
 
 
@@ -572,11 +579,12 @@ def default_inner_product(constants: StructureConstants) -> np.ndarray:
     the result is ad-invariant for every Lie algebra, as the Killing form
     is (Humphreys, Introduction to Lie Algebras, 5.1) and the center is
     ad-trivial and orthogonal to [g, g]. Raises for non-compact input
-    (negative Killing form not positive definite on [g, g]) and for a
-    Killing form with an entry past the float range, where eigvalsh
-    would not converge. Exact constants give -B from the exact Killing
-    sums, each entry rounded once, so the exact lane reads the exact -B
-    back off it.
+    (negative Killing form not positive definite on [g, g]), for a
+    Killing form with an entry past the float range (where eigvalsh would
+    not converge; an exact sum there reads as +-inf) and for constants
+    whose brackets all lie below the rank floor. Exact constants give -B
+    from the exact Killing sums, each entry rounded once, so the exact
+    lane reads the exact -B back off it.
 
     A -B that passes the definiteness test on all of g is nondegenerate,
     so g is semisimple (Cartan), with center 0 and [g, g] = g: -B is the
@@ -598,6 +606,11 @@ def default_inner_product(constants: StructureConstants) -> np.ndarray:
     brackets = np.zeros((n, n * n))
     brackets[k, i * n + j] = constants.values
     derived = column_space(brackets)
+    if not derived.shape[1]:
+        raise ValidationError(
+            "structure constants of size at most "
+            f"{float(np.abs(constants.values).max()):.3g} give no bracket "
+            f"above the rank floor {RANK_FLOOR:g}; rescale them")
     eigs = np.linalg.eigvalsh(derived.T @ -b @ derived)
     if eigs.min() <= 1e-8 * float(np.abs(b).max()):
         raise ValidationError("Killing form is not negative definite on [g, g]"

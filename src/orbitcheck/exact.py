@@ -47,13 +47,6 @@ def frac(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def fmatrix(rows) -> np.ndarray:
-    arr = np.array([[frac(v) for v in row] for row in rows], dtype=object)
-    if arr.ndim == 1:
-        arr = arr.reshape(0, 0)
-    return arr
-
-
 def fzeros(shape) -> np.ndarray:
     arr = np.empty(shape, dtype=object)
     arr[...] = Fraction(0)

@@ -12,8 +12,9 @@ On two modules, with X = X1 + X2 (X_k in module k), A = lam P1 + mu P2
 and b = [X1, X2]_m, the criterion reads lam [Z, X1] + mu [Z, X2] =
 (lam - mu) b, as [h, m_k] lies in m_k. So one metric-free system,
 M y = P_k b (k = 1, 2) with M: z -> proj_m [z, X], decides every metric
-of a direction, and the float samples (``_factorise``), the exact
-samples and the geodesic-graph solvers all solve it. At a mixed
+of a direction. The float samples (``_factorise``), the exact samples
+and the geodesic-graph solvers all solve it; the float readers take
+each ratio off one quadratic (``_quadratic``, ``_weights``). At a mixed
 direction X + Y (X in module 1, Y in module 2), Z_X = M+ P2 b commutes
 with X, Z_Y = M+ P1 b with Y, and each ratio's witness combines the
 two. They lie in the complement C~ of C = C_h(X + Y) in its normalizer,
@@ -304,11 +305,10 @@ def go_witness_general(space: ReductiveSpace, metric, x: np.ndarray,
     whose margin falls below 1000 * tol raises ToleranceError instead of
     returning an uncertain verdict.
 
-    Both sides are linear in A, so the system is solved for A divided by
-    its spectral norm: GO is invariant under homothety, and the
-    tolerances then meet data of unit scale whatever the metric's. Z is
-    the same for both; the residual is reported for A as given, the
-    margin for the normalised system it was compared in.
+    Both sides are linear in A, so it is solved for A over its spectral
+    norm (GO is invariant under homothety), and the tolerances meet data
+    of unit scale. Z is the same; the residual is reported for A as
+    given, the margin for the normalised system.
     """
     a = _as_metric(space, metric)
     x = np.asarray(x, dtype=np.float64)
@@ -399,27 +399,23 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
 
     Sample i takes its own run of dim m words of one stream per lane and
     seed, ``rng_for("go", name, seed)`` or ``rng_for("go-exact", name,
-    seed)`` (``_Stream``). The first certified counterexample ends the run
-    as NOT_GO. The float lane alternates generic unit vectors and, on two
-    modules, normalized mixtures (X1 + X2) / sqrt(2) (``_directions``);
-    the exact lane takes combinations of the rational module bases with
-    coefficients in {-3, -2, -1, 1, 2, 3}, one per word. A normal metric
-    (scalar, or lam == mu exactly) is trivially consistent. The float
-    lane refuses (ToleranceError) a weight ratio above max(MARGIN_FACTOR,
-    1 / (MARGIN_FACTOR tol)), where the lighter module's rank gaps fall
-    below the band at unit scale, and near RANK_FLOOR read as inconsistent.
-    Every metric runs on one driver over its lane's samples, which the
-    space holds for one seed. A two-parameter metric reads them off the
-    metric-free factorisation, a scalar one with z = 0; any other float
-    metric accepts none. A rejected sample is solved again, a float one
-    by go_witness_general. Sample 0, where every counterexample seen so
-    far ends a run, is decided first: a two-parameter call of several
-    samples at a new seed probes it (``_Factorisation.probe``) before it
-    factorises the whole call at once; any other call, or one whose
-    probe is ambiguous, fills it alone.
-    Addressed draws and per-sample products make each witness
-    independent of its chunk and of earlier calls; its z is formed on
-    first read.
+    seed)`` (``_Stream``), drawn by ``_directions`` or
+    ``_ExactFactorisation.fill``. The first certified counterexample ends
+    the run as NOT_GO. A normal metric (scalar, or lam == mu exactly) is
+    trivially consistent. The float lane refuses (ToleranceError) a weight
+    ratio above max(MARGIN_FACTOR, 1 / (MARGIN_FACTOR tol)), where the
+    lighter module's rank gaps fall below the band at unit scale, and
+    near RANK_FLOOR read as inconsistent.
+    Every metric runs on one driver over its lane's samples, held by the
+    space for one seed: a two-parameter metric reads them off the
+    factorisation, a scalar one with z = 0, any other float metric none,
+    and a rejected sample is solved again (a float one by
+    go_witness_general). Sample 0, where every counterexample seen so far
+    ends a run, is decided first: a two-parameter call of several samples
+    at a new seed probes it (``_Factorisation.probe``), then factorises
+    the whole call at once; any other call, or an ambiguous probe, fills
+    it alone. Each witness is independent of its chunk and of earlier
+    calls; its z is formed on first read.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
@@ -479,66 +475,74 @@ def _m_of(iso_action: np.ndarray, x: np.ndarray) -> np.ndarray:
         len(x), dh, dm).transpose(0, 2, 1)
 
 
-def _factorise(space: ReductiveSpace, x: np.ndarray):
-    """Metric-free solve for a (k, dim m) stack of directions x = x1 + x2
-    on a two-module space: per row, the mixed bracket b = [x1, x2]_m
-    (shape (k, dim m)), solutions Y_k of M Y_k = P_k b (shape
-    (k, dim h, 2)), their images under M (shape (k, dim m, 2)) and
-    whether they are particular, with M as in ``_Factorisation``. A row
-    whose M, on the split's stabilizer frame F = [S | T], passes
-    ``_qr_solve``'s certificate is solved on M S, by one raw QR of the
-    chunk and a back-substitution: with no T its parts are min-norm, else
-    particular, in frame coordinates, until ``_min_norm``. Any other row
-    (such as one inside one module, or a zero row) takes M+ from one
-    batched SVD of those rows, cut at ``rank_threshold`` in one call. A
-    row's path depends on its M and its space alone, and every product is
-    stacked per row, so its results are the same to the last bit
-    whatever rows share its stack."""
+def _system(space: ReductiveSpace, x: np.ndarray):
+    """Per row of a (k, dim m) stack x = x1 + x2: M (``_m_of``), the
+    mixed bracket b = [x1, x]_m and the one buffer [M S | P1 b, P2 b], S
+    the first r columns of the split's stabilizer frame."""
     dm, dh = space.m.dim, space.h.dim
+    frame, rank = space.split.stabilizer_frame
     k, xs = len(x), x[:, None]
     m = _m_of(space.iso_action, x)
-    # [M S | P1 b, P2 b] of each row, the one buffer _qr_solve factorises
-    frame, rank = space.split.stabilizer_frame
-    m_parts = np.empty((k, dm, rank + 2))
-    m_parts[..., :rank] = m if rank == dh else m @ frame[:, :rank]
-    parts = m_parts[..., rank:]
+    system = np.empty((k, dm, rank + 2))
+    system[..., :rank] = m if rank == dh else m @ frame[:, :rank]
     proj = space.module_projectors
-    # b = [x1, x]_m of each sample, from its module part x1; the
-    # (k, dim m, dim m) brackets [x, .] are freed at once
+    # b from each sample's module part x1; the (k, dim m, dim m)
+    # brackets [x, .] are freed at once
     b = (-(xs @ proj[0]) @ (
         xs @ space.m_bracket_m.reshape(dm, dm * dm)).reshape(k, dm, dm))[:, 0]
-    parts[..., 0], parts[..., 1] = (proj[:, None] @ b[:, :, None])[..., 0]
-    z = np.zeros((k, dh, 2))
-    rest = _qr_solve(m_parts, np.sqrt(np.einsum("kij,kij->k", m, m)), z)
-    if len(rest):
-        u, s, vt = np.linalg.svd(m[rest], full_matrices=False)
-        cut = rank_threshold(s, (dm, dh))
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
-        z[rest] = vt.transpose(0, 2, 1) @ (
-            inv[:, :, None] * (u.transpose(0, 2, 1) @ parts[rest]))
-    if rank == dh:
-        return b, z, m @ z, np.zeros(k, dtype=bool)
-    mz = m_parts[..., :rank] @ z[:, :rank]  # (M S) R11^-1 Q^T parts
-    mz[rest] = m[rest] @ z[rest]
-    return b, z, mz, np.bincount(rest, minlength=k) == 0
+    system[..., rank], system[..., rank + 1] = \
+        (proj[:, None] @ b[:, :, None])[..., 0]
+    return m, b, system
+
+
+def _quadratic(proj: np.ndarray, mz: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows D0 = P1 M Y2, D1 = P1 M Y1 + P2 M Y2 - b, D2 = P2 M Y1
+    (k, 3, dim m) of images M Y_k (k, dim m, 2) and brackets b (k, dim m):
+    a ratio t's residual is a multiple of D(t) = D0 + t D1 + t^2 D2."""
+    pmz = proj[:, None] @ mz  # [j, ..., k] P_j M Y_k
+    return np.stack([pmz[0, ..., 1], pmz[0, ..., 0] + pmz[1, ..., 1] - b,
+                     pmz[1, ..., 0]], axis=1)
+
+
+def _weights(lam, mu) -> np.ndarray:
+    """(1 - t, (1 - t)/t), t = mu/lam: z = (1 - t)(Y1 + Y2/t)."""
+    t = float(mu) / float(lam)
+    return np.array([1.0 - t, (1.0 - t) / t])
+
+
+def _factorise(space: ReductiveSpace, x: np.ndarray):
+    """Metric-free solve for a (k, dim m) stack x = x1 + x2: per row, |b|
+    (``_system``), parts Y_k of M Y_k = P_k b (k, dim h, 2), the rows of
+    ``_quadratic`` and whether the row is certified: whether its M, on the
+    split's stabilizer frame F = [S | T], passes ``_qr_solve``'s
+    certificate. A certified row is solved on M S, min-norm with no T,
+    else particular in frame coordinates until ``_min_norm``; any other
+    row (one inside a module, a zero row) is refused, with zero parts and
+    rows. Every product is stacked per row: no stack moves a row's bits."""
+    rank = space.split.stabilizer_frame[1]
+    m, b, system = _system(space, x)
+    z = np.zeros((len(x), space.h.dim, 2))
+    refused = _qr_solve(system, np.sqrt(np.einsum("kij,kij->k", m, m)), z)
+    d = _quadratic(space.module_projectors,
+                   system[..., :rank] @ z[:, :rank], b)  # (M S) R11^-1 Q^T
+    d[refused] = 0.0
+    return (np.linalg.norm(b, axis=1), z, d,
+            np.bincount(refused, minlength=len(x)) == 0)
 
 
 def _qr_solve(m_parts: np.ndarray, norm: np.ndarray,
               z: np.ndarray) -> np.ndarray:
     """Write R11^-1 Q^T parts into z[:, :rank] for each row of
-    ``m_parts`` = [M S | parts] (S the first ``rank`` columns of the
-    stabilizer frame, ``rank`` the width of m_parts less z's) whose
+    ``m_parts`` = [M S | parts] (``rank`` its width less z's) whose
     M S = Q R11 passes the certificate, and return the other rows. One
-    batched QR, read raw, gives R11 and Q^T parts on and above its
-    diagonal (Householder vectors below). Only an R11 with
-    min |R_ii| > QR_PIVOT_FLOOR |M|_F (``norm``, the whole M's) is
+    batched raw QR gives R11 and Q^T parts on and above its diagonal.
+    Only an R11 with min |R_ii| > QR_PIVOT_FLOOR |M|_F (``norm``) is
     inverted, by back-substitution, and a row is certified when
     |M|_F |R11^-1|_F <= QR_CONDITION_CAP and 1 / |R11^-1|_F > RANK_FLOOR
     (an overflowing inverse fails). As s_max <= |M|_F and the rank-th
     singular value is at least 1 / |R11^-1|_F, ``rank_threshold`` keeps
     ``rank`` singular values, the most any M of the split has, so
-    range(M) = range(M S) and S R11^-1 Q^T parts solves M z = parts in
-    least squares."""
+    S R11^-1 Q^T parts solves M z = parts in least squares."""
     rank = m_parts.shape[2] - z.shape[2]
     r = np.linalg.qr(m_parts, mode="raw")[0].swapaxes(1, 2)
     pivots = np.abs(r.diagonal(0, 1, 2)[:, :rank]).min(1, initial=np.inf)
@@ -590,12 +594,11 @@ def _triu_inverse(r: np.ndarray) -> np.ndarray:
 
 
 class _Draws:
-    """The float lane's samples of one seed, drawn from every module
-    block: their unit directions (``rows``) and kinds, each chunk read
-    off the seed's one addressed stream (``_directions``), so a row is
-    the same whatever chunk drew it. A scalar metric accepts each sample
-    with z = 0; any other float metric accepts none, so each is solved
-    again by ``go_witness_general``.
+    """The float lane's samples of one seed: their unit directions
+    (``rows``) and kinds, each chunk read off the seed's one addressed
+    stream (``_directions``), so a row is the same whatever chunk drew
+    it. A scalar metric accepts each sample with z = 0; any other float
+    metric none, and ``go_witness_general`` solves each again.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
@@ -614,13 +617,12 @@ class _Draws:
         return len(self.kinds)
 
     def fill(self, space: ReductiveSpace, samples: range):
-        """Draw the next chunk of samples and return their rows."""
+        """Draw the next chunk of samples."""
         x, kinds = _directions(self.blocks, self.stream, samples)
         # witnesses hand out rows of x, so nothing may write to them
         x.flags.writeable = False
         self.kinds += kinds
         self.rows += list(x)
-        return x
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask and residuals of the samples in ``part``:
@@ -648,29 +650,25 @@ class _Factorisation(_Draws):
     At x = x1 + x2 the unit-scale system of ``go_witness_general`` is
     D M z = rhs, with M = -(iso_action @ x)^T, D = A / s for s the
     spectral norm of A, and rhs = (lam - mu) b / s. With t = mu/lam and
-    the module docstring's M Y_k = P_k b solved once per sample
-    (``_factorise``), the witness is z = (1 - t)(Y1 + Y2/t), and
-    D M z - rhs = (lam/s) (1 - t)/t (D0 + t D1 + t^2 D2), with
-    D0 = P1 M Y2, D1 = P1 M Y1 + P2 M Y2 - b and D2 = P2 M Y1, against
-    |rhs| = (lam/s) |1 - t| |b|. So every ratio t of a sample is read off
-    the quadratic D(t), and the ratios it solves are its positive roots.
-    Besides the draws, per factorised sample this keeps the two parts
-    (``z``), ``particular`` where they are the QR's particular solution
-    on a frame with a kernel part, made min-norm by ``z_at`` at the
-    first read, the rows D0, D1, D2 (``d``) and |b| (``b_norm``): the
-    same for any solution Y, so M is not kept. Every product is stacked
-    per sample, here, in ``_factorise`` and in a read-off, so no chunk
-    or earlier call moves a sample's bits. ``probe`` may draw sample 0
-    ahead of its chunk.
+    the parts Y_k of ``_factorise``, the witness is z = (1 - t)(Y1 + Y2/t)
+    and D M z - rhs = (lam/s) (1 - t)/t D(t) (``_quadratic``), against
+    |rhs| = (lam/s) |1 - t| |b|; a sample solves the positive roots of
+    D(t). Besides the draws, per factorised sample this keeps the parts
+    (``z``), made min-norm at the first read (``projected``), the rows
+    (``d``), |b| (``b_norm``) and whether it is ``certified``; a refused
+    one is never accepted. Every product is stacked per sample, so no
+    chunk or earlier call moves a sample's bits. ``probe`` may draw
+    sample 0 ahead of its chunk.
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
         super().__init__(space, seed)
         self.split = space.split  # which holds no reference to the space
         self.z = np.empty((0, self.dh, 2))
-        self.particular = np.empty(0, dtype=bool)
         self.d = np.empty((0, 3, len(self.brackets)))
         self.b_norm = np.empty(0)
+        self.certified = np.empty(0, dtype=bool)
+        self.projected: set[int] = set()
 
     @property
     def held(self) -> int:
@@ -692,41 +690,34 @@ class _Factorisation(_Draws):
         super().fill(space, range(samples.start + len(self.rows) - done,
                                   samples.stop))
         x = np.array(self.rows[done:])
-        b, z, mz, particular = _factorise(space, x)
-        pmz = space.module_projectors[:, None] @ mz  # [j, ..., k] P_j M Y_k
-        d = np.stack([pmz[0, ..., 1], pmz[0, ..., 0] + pmz[1, ..., 1] - b,
-                      pmz[1, ..., 0]], axis=1)
-        self.z = np.concatenate([self.z, z])
-        self.particular = np.concatenate([self.particular, particular])
-        self.d = np.concatenate([self.d, d])
-        self.b_norm = np.concatenate([self.b_norm,
-                                      np.linalg.norm(b, axis=1)])
+        self.b_norm, self.z, self.d, self.certified = (
+            np.concatenate([held, new]) for held, new in zip(
+                (self.b_norm, self.z, self.d, self.certified),
+                _factorise(space, x)))
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask and residuals of the samples in ``part`` under
-        a two-parameter metric: go_witness_general's residual test,
-        ||D M z - rhs|| <= tol * max(1, ||rhs||) at unit scale, with both
-        norms read off each sample's D(t) and |b|."""
+        a two-parameter metric: go_witness_general's residual test at unit
+        scale, both norms read off D(t) and |b|, on certified samples."""
         (lam, mu), scale = map(float, a.params), a.spectral_norm
         t = mu / lam
         w = lam / scale * abs(1.0 - t)
         residual = w / t * np.linalg.norm(
             np.array([1.0, t, t * t]) @ self.d[part], axis=1)
-        return residual <= tol * np.maximum(1.0, w * self.b_norm[part]), \
-            scale * residual
+        return self.certified[part] & (residual <= tol * np.maximum(
+            1.0, w * self.b_norm[part])), scale * residual
 
     def z_at(self, a: MetricOperator, at: list[int]) -> list[np.ndarray]:
         """z = (1 - t)(Y1 + Y2/t), t = mu/lam, of each accepted sample in
-        ``at``, its parts made min-norm and kept at the first read: one
-        stacked ``_min_norm`` of every particular row in ``at``."""
-        new = [i for i in dict.fromkeys(at) if self.particular[i]]
-        if new:
-            self.z[new] = _min_norm(self.split, np.array(
-                [self.rows[i] for i in new]), self.z[new])
-            self.particular[new] = False
-        lam, mu = map(float, a.params)
-        t = mu / lam
-        w = np.array([1.0 - t, (1.0 - t) / t])
+        ``at``; on a frame with a kernel part, one stacked ``_min_norm``
+        makes the parts of the rows not projected yet min-norm, kept."""
+        if self.split.stabilizer_frame[1] < self.dh:
+            new = [i for i in dict.fromkeys(at) if i not in self.projected]
+            if new:
+                self.z[new] = _min_norm(self.split, np.array(
+                    [self.rows[i] for i in new]), self.z[new])
+                self.projected.update(new)
+        w = _weights(*a.params)
         return [self.z[i] @ w for i in at]
 
 
@@ -744,9 +735,8 @@ class _ExactFactorisation:
     c2 tail1 + c1 tail2 = 0, and its rref solution is then
     y = (c2 - c1) (c2 Y1 + c1 Y2) / (c1 c2 d). Each sample keeps its
     echelon rows, pivots, d and tail; ``z_at`` back-substitutes Y at the
-    first read of the sample's witness and keeps it, as
-    ``_Factorisation.z_at`` forms a min-norm z. Every product of a
-    sample runs in the lane's one dtype (``ExactLane``).
+    first read of its witness and keeps it. Every product of a sample
+    runs in the lane's one dtype (``ExactLane``).
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
@@ -762,11 +752,10 @@ class _ExactFactorisation:
     def fill(self, space: ReductiveSpace, samples: range) -> None:
         """Draw the next chunk of samples off the seed's one addressed
         stream (``_Stream``): word w is the coefficient
-        ``COEFFICIENTS[w % 6]`` of a basis column, module 1's columns
-        first, so neither module part is zero. The chunk's coefficients
-        are one matrix, and x1 and x2 one product each; each sample's
-        float row is its own product, of its own correctly rounded
-        quotient, whatever chunk drew it."""
+        ``COEFFICIENTS[w % 6]`` (in {-3, -2, -1, 1, 2, 3}) of a basis
+        column, module 1's first, so neither module part is zero. Each
+        sample's float row is its own product, of its own correctly
+        rounded quotient, whatever chunk drew it."""
         b1, b2 = self.lane.bases
         words = self.stream.words(samples, b1.shape[1] + b2.shape[1])
         c = COEFFICIENTS[words % np.uint64(6)]
@@ -799,8 +788,7 @@ class _ExactFactorisation:
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask and residuals (all 0) of the samples in
-        ``part``, from their tails alone; at lam == mu no sample is
-        eliminated."""
+        ``part``, from their tails alone (none eliminated at lam == mu)."""
         lam, mu = a.exact_params()
         c1, c2 = lam.numerator * mu.denominator, mu.numerator * lam.denominator
         n = part.stop - part.start
@@ -881,19 +869,19 @@ class GeodesicGraph:
 def _pair_factorisation(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
                         tol: float):
     """Split, the module docstring's min-norm columns (Z_Y, Z_X) in h
-    coordinates (``_min_norm`` where ``_factorise``'s are particular),
-    their images under M, b = [X, Y]_m and sx sy, the bracket scale that
-    stands for unit scale.
+    coordinates, the ``_quadratic`` rows at X + Y and the bound
+    tol max(1, ||[X, Y]_m||) at unit scale on a residual.
 
-    X and Y are each divided by the power of two nearest its norm, sx and
-    sy, which is exact; b there scales back by sx sy, so Z_Y = sy Y1 and
-    Z_X = sx Y2, and M at X + Y is (sx P1 + sy P2) times M there.
+    X and Y are divided by the powers of two nearest their norms, sx and
+    sy (exactly), and M y = P_k b solved there by the pseudo-inverse cut
+    at ``rank_threshold``, which refuses no direction. As b scales by
+    sx sy and M by sx P1 + sy P2, Z_Y = sy Y1, Z_X = sx Y2 and the rows
+    scale by sx^2, sx sy, sy^2.
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if len(space.modules) != 2:
         raise ValidationError("geodesic graphs need exactly two modules")
-    p1, p2 = space.module_projectors
-    for i, (v, p) in enumerate(((x, p1), (y, p2))):
+    for i, (v, p) in enumerate(zip((x, y), space.module_projectors)):
         if v.shape != (space.m.dim,):
             raise ValidationError("vectors are m coordinates")
         if float(np.linalg.norm(v - p @ v)) > tol * np.linalg.norm(v):
@@ -902,11 +890,15 @@ def _pair_factorisation(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
               for n in (float(np.linalg.norm(x)), float(np.linalg.norm(y))))
     u = x / sx + y / sy
     split = normalizer_split(space, space.m.basis @ u)
-    b, z, mz, particular = _factorise(space, u[None])
-    z = _min_norm(space.split, u[None], z)[0] if particular[0] else z[0]
-    scales = np.array([sy, sx])
-    return (replace(split, u=space.m.basis @ (x + y)), z * scales,
-            (sx * p1 + sy * p2) @ (mz[0] * scales), sx * sy * b[0], sx * sy)
+    m, b, system = _system(space, u[None])
+    left, s, right = np.linalg.svd(m[0], full_matrices=False)
+    inv = np.divide(1.0, s, out=np.zeros_like(s),
+                    where=s > rank_threshold(s, m[0].shape))
+    z = right.T @ (inv[:, None] * (left.T @ system[0, :, -2:]))
+    d = _quadratic(space.module_projectors, m @ z, b)[0]
+    return (replace(split, u=space.m.basis @ (x + y)), z * np.array([sy, sx]),
+            d * np.array([[sx * sx], [sx * sy], [sy * sy]]),
+            tol * sx * sy * max(1.0, float(np.linalg.norm(b))))
 
 
 def geodesic_graph(space: ReductiveSpace, lam, mu, x: np.ndarray,
@@ -914,24 +906,21 @@ def geodesic_graph(space: ReductiveSpace, lam, mu, x: np.ndarray,
     """Witness Z of X + Y with proj_m [Z, cx X + cy Y] = proj_m [X, Y],
     cx = lam/(lam - mu) and cy = mu/(lam - mu): the min-norm, and in C~
     unique, Z = Z_X/cy + Z_Y/cx (module docstring). X must lie in the
-    first module and Y in the second. Z is refused unless
-    ||cx P1 M Z + cy P2 M Z - [X, Y]_m|| <= tol max(1, ||[X, Y]_m||) at
-    unit scale; the residual is reported for X and Y as given.
+    first module and Y in the second. Z is refused unless ||D(t)|| / |t|,
+    t = mu/lam, is at most tol max(1, ||[X, Y]_m||) at unit scale; the
+    residual is reported for X and Y as given.
     """
     lam_f, mu_f = float(lam), float(mu)
     if abs(lam_f - mu_f) < 1e-12 * max(abs(lam_f), abs(mu_f)):
         raise ValidationError("geodesic graph needs distinct metric weights")
-    cx, cy = lam_f / (lam_f - mu_f), mu_f / (lam_f - mu_f)
-    split, zs, mzs, b, unit = _pair_factorisation(space, x, y, tol)
-    weights = np.array([1.0 / cx, 1.0 / cy])
-    mw = mzs @ weights
-    p1, p2 = space.module_projectors
-    residual = float(np.linalg.norm(cx * p1 @ mw + cy * p2 @ mw - b))
-    if residual > tol * max(unit, float(np.linalg.norm(b))):
+    split, zs, d, bound = _pair_factorisation(space, x, y, tol)
+    t = mu_f / lam_f
+    residual = float(np.linalg.norm(np.array([1.0, t, t * t]) @ d)) / abs(t)
+    if residual > bound:
         raise GoError("no geodesic graph witness within tolerance "
                       f"(residual {residual:.2e})")
-    return GeodesicGraph(z=space.h.basis @ (zs @ weights), split=split,
-                         residual=residual)
+    return GeodesicGraph(z=space.h.basis @ (zs @ _weights(lam_f, mu_f)),
+                         split=split, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -945,9 +934,7 @@ class ZxZyDecomposition:
 
     def reconstruct(self, lam, mu) -> np.ndarray:
         """Witness rebuilt from the split parts for the given weights."""
-        lam_f, mu_f = float(lam), float(mu)
-        return ((lam_f - mu_f) / mu_f) * self.z_x + \
-            ((lam_f - mu_f) / lam_f) * self.z_y
+        return np.stack([self.z_y, self.z_x], axis=1) @ _weights(lam, mu)
 
 
 def zxzy_decompose(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
@@ -956,13 +943,13 @@ def zxzy_decompose(space: ReductiveSpace, x: np.ndarray, y: np.ndarray,
     Z_Y centralizing Y: the module docstring's min-norm, and in C~
     unique, pair. It is refused unless M Z_X - P2 b and M Z_Y - P1 b,
     b = [X, Y]_m, have joint norm at most tol max(1, ||b||) at unit
-    scale, which asks [Z_X, X] = 0 and [Z_Y, Y] = 0 too; the residual is
-    reported for X and Y as given. ``reconstruct`` rebuilds the geodesic
-    graph witness.
+    scale, which asks [Z_X, X] = 0 and [Z_Y, Y] = 0 too: ||(D0, D1, D2)||,
+    as P_k D1 = P_k (M Y_k - b). The residual is reported for X and Y as
+    given. ``reconstruct`` rebuilds the geodesic graph witness.
     """
-    split, zs, mzs, b, unit = _pair_factorisation(space, x, y, tol)
-    residual = float(np.linalg.norm(mzs - (space.module_projectors @ b).T))
-    if residual > tol * max(unit, float(np.linalg.norm(b))):
+    split, zs, d, bound = _pair_factorisation(space, x, y, tol)
+    residual = float(np.linalg.norm(d))
+    if residual > bound:
         raise GoError("bracket does not split against the centralizers "
                       f"(residual {residual:.2e})")
     z_y, z_x = (space.h.basis @ zs).T

@@ -725,7 +725,11 @@ def _simple_ideals(g: LieAlgebra, s_basis: np.ndarray,
     cartan = column_space(np.hstack([kernel.real, kernel.imag]))
     ads = brackets(cartan, np.eye(d)).transpose(0, 2, 1)  # ad(H_r)
     roots = (1j * (e.conj() * (ads @ e)).sum(axis=1)).real
-    longest = float(np.linalg.norm(roots, axis=0).max())
+    lengths = np.linalg.norm(roots, axis=0)
+    if not (lengths.size and lengths.all()):  # as below the rank floor
+        raise DecompositionError(f"ad(X) on {label or 'g'} gives no root "
+                                 "or a zero one: it is not semisimple")
+    longest = float(lengths.max())
     check("ker ad(X) is not abelian: [t, t]",
           float(np.abs(ads @ cartan).max()) / longest)
     integers = 2 * (roots.T @ roots) / (roots * roots).sum(axis=0)

@@ -6,8 +6,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitcheck import catalog, cli, core, zoo
 from orbitcheck.cli import main
@@ -81,6 +84,10 @@ def test_validate_refuses_a_non_compact_algebra(runner, tmp_path, spec,
         "compact)" in result.output
 
 
+# so(3)'s integer constants: [e_i, e_j] = e_k for (i, j, k) cyclic
+SO3 = [[0, 1, 2, 1], [1, 0, 2, -1], [1, 2, 0, 1], [2, 1, 0, -1],
+       [2, 0, 1, 1], [0, 2, 1, -1]]
+
 # each once ended in a traceback: su(2)'s float spec with these fields
 # replaced (None: removed), and the message that names the field
 MALFORMED_ALGEBRAS = {
@@ -104,6 +111,34 @@ MALFORMED_ALGEBRAS = {
     "huge dim, no constants": ({"dim": 3000, "structure": [],
                                 "inner_product": None},
                                "Error: dim 3000 exceeds the cap of 240"),
+    # a rational string among float values, and a Gram past the float
+    # range, once ended in a ValueError or an OverflowError
+    "mixed constants": ({"structure": [[0, 1, 2, "1/2"], [1, 0, 2, -0.5]],
+                         "inner_product": None},
+                        "Error: Killing form is not negative definite"),
+    "mixed gram": ({"inner_product": [["1/2", "1/4", 0], [0, 0.5, 0],
+                                      [0, 0, 0.5]]},
+                   "Error: inner product is not symmetric"),
+    "huge rational gram": ({"inner_product": [["1e400", 0, 0], [0, 1, 0],
+                                              [0, 0, 1]]},
+                           "Error: inner product entry (0, 0) is inf, "
+                           "not finite"),
+    "huge rational constant": ({"structure": [[0, 1, 2, "1e400"],
+                                              [1, 0, 2, -1]],
+                                "inner_product": None},
+                               "Error: structure constant (0,1,2) is 1e400, "
+                               "not finite"),
+    # integer constants whose exact Killing sums pass the float range,
+    # and constants whose brackets all lie below the rank floor
+    "huge integer constants": ({"structure": [
+        e[:3] + [e[3] * 10 ** 200] for e in SO3], "inner_product": None},
+        "Error: Killing form entry (0, 0) is -inf, not finite"),
+    "sub-floor constants": ({"dim": 2, "structure": [[0, 1, 0, 1e-13],
+                                                     [1, 0, 0, -1e-13]],
+                             "inner_product": None},
+                            "Error: structure constants of size at most "
+                            "1e-13 give no bracket above the rank floor "
+                            "1e-12; rescale them"),
 }
 
 
@@ -215,6 +250,133 @@ def test_a_bare_cap_sum_is_refused_fast_in_a_small_address_space(tmp_path):
     assert "Error: commutant system of 25312 MiB (57600 candidate maps) " \
         "exceeds the 128 MiB bound" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+# --- spec files drawn from a small grammar ---------------------------------
+
+_BASES = ["su(2)", "so(3)", "so(4)", "u(2)"]
+_SCALES = [Fraction(1), Fraction(1, 2 ** 20), Fraction(1, 10 ** 13),
+           Fraction(10 ** 160), Fraction(10 ** 200)]
+_ODD_VALUES = ["abc", None, [1], True, "1/0", "1e400", "-1e400", "1e-400",
+               float("nan"), float("inf"), 1e308, -1e308, 10 ** 400]
+_KEYS = [("so_in_so", {"k": 2, "n": 3}), ("so_in_so", {"k": 2, "n": 4}),
+         ("so_in_so", {"k": 3, "n": 4}), ("su_in_u", {"n": 2}),
+         ("so_in_so", {"k": "2", "n": 3}), ("no_such_key", {})]
+
+
+def _written(value: Fraction, kind: str, at: int):
+    """``value`` as a spec writes it: an int (where it is one), a
+    rational string or a float; a mixed spec takes the three in turn."""
+    if kind == "mixed":
+        kind = ("int", "rational", "float")[at % 3]
+    if kind == "int" and value.denominator == 1:
+        return value.numerator
+    if kind == "float":
+        return float(value)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _oddly(draw, rows):
+    """Replace one entry of the non-empty list of lists ``rows``: by an
+    odd value, an index or a short row."""
+    t = draw(st.integers(0, len(rows) - 1))
+    what = draw(st.sampled_from(["value", "index", "short"]))
+    if what == "value":
+        rows[t][-1] = draw(st.sampled_from(_ODD_VALUES))
+    elif what == "index":
+        rows[t][0] = draw(st.sampled_from([len(rows) + 6, -1, 1.0, "0"]))
+    else:
+        rows[t] = rows[t][:-1]
+
+
+@st.composite
+def _spec_files(draw):
+    """Spec files of dim up to 6: a registry algebra's constants or drawn
+    ones, written as ints, rational strings, floats or a mix, scaled by
+    a tiny or a huge factor, with one odd entry at times; an optional
+    Gram, written and scaled alike; an optional registry key or raw
+    matrix embedding; or the algebra as a registry name."""
+    kind = draw(st.sampled_from(["int", "rational", "float", "mixed"]))
+    scale = draw(st.sampled_from(_SCALES))
+    base = draw(st.sampled_from([None] + _BASES))
+    if base is None:
+        dim = draw(st.integers(1, 6))
+        index = st.integers(0, dim - 1)
+        entries = [[i, j, k, Fraction(v)] for i, j, k, v in draw(st.lists(
+            st.tuples(index, index, index, st.integers(-3, 3)), max_size=8))]
+    else:
+        data = zoo.algebra_by_name(base).to_json_dict()
+        dim = data["dim"]
+        entries = [e[:3] + [Fraction(e[3])] for e in data["structure"]]
+    structure = [e[:3] + [_written(e[3] * scale, kind, t)]
+                 for t, e in enumerate(entries)]
+    if structure and draw(st.booleans()):
+        _oddly(draw, structure)
+    algebra = {"dim": dim, "structure": structure}
+    gram = draw(st.sampled_from([None, "identity", "own", "odd"]))
+    if gram is not None:
+        own = gram == "own" and base is not None
+        rows = data["inner_product"] if own else np.eye(dim).tolist()
+        scale = draw(st.sampled_from(_SCALES))
+        algebra["inner_product"] = [
+            [_written(Fraction(v) * scale, kind, i + j)
+             for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        if gram == "odd":
+            _oddly(draw, algebra["inner_product"])
+    spec = {"algebra": algebra}
+    if base is not None and draw(st.booleans()):
+        spec["algebra"] = base
+    embedding = draw(st.sampled_from([None, "key", "matrix", "odd"]))
+    if embedding == "key":
+        key, params = draw(st.sampled_from(_KEYS))
+        spec["embedding"] = {"key": key, "params": params}
+    elif embedding == "matrix":
+        cols = draw(st.integers(0, 2))
+        spec["embedding"] = {"matrix": [
+            [float(v) for v in row] for row in np.array(draw(st.lists(
+                st.sampled_from([0, 0, 1, -1, 0.5, 1e-13, 1e200]),
+                min_size=dim * cols, max_size=dim * cols))).reshape(dim, cols)
+        ]}
+    elif embedding == "odd":
+        spec["embedding"] = {"matrix": draw(st.sampled_from(
+            [[[1, 2], [3]], [["a"]], [[1e308]] * dim, [], 5]))}
+    return spec
+
+
+GRAMMAR_COMMANDS = (["validate"], ["decompose"], ["classify"], ["filter"],
+                    ["check-go", "--samples", "3"],
+                    ["check-go", "--exact", "--samples", "3"])
+
+
+@given(_spec_files())
+@example({"algebra": {"dim": 3, "structure": [[0, 1, 2, "1/2"],
+                                              [1, 0, 2, -0.5]]}})
+@example({"algebra": {"dim": 3, "structure": SO3, "inner_product": [
+    ["1/2", 0, 0], [0, 0.5, 0], [0, 0, 0.5]]}})
+@example({"algebra": {"dim": 3, "structure": SO3, "inner_product": [
+    ["1e400", 0, 0], [0, 1, 0], [0, 0, 1]]}})
+@example({"algebra": {"dim": 3, "structure": [
+    e[:3] + ["1e400" if t == 0 else e[3]] for t, e in enumerate(SO3)]}})
+@example({"algebra": {"dim": 3, "structure": [
+    e[:3] + [e[3] * 10 ** 200] for e in SO3]}})
+@example({"algebra": {"dim": 2, "structure": [[0, 1, 0, 1e-13],
+                                              [1, 0, 0, -1e-13]]}})
+@settings(max_examples=200, deadline=None)
+def test_every_command_ends_by_name_on_a_drawn_spec_file(spec):
+    # valid, near-valid and malformed spec files: each command exits 0,
+    # 1 or 2 and raises nothing but SystemExit, with no traceback; the
+    # examples are the six reproducers that once ended in one
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("spec.json", "w") as handle:
+            json.dump(spec, handle)
+        for command in GRAMMAR_COMMANDS:
+            result = runner.invoke(main, command + ["spec.json"])
+            assert result.exception is None \
+                or isinstance(result.exception, SystemExit), (
+                    command, spec, result.exception)
+            assert result.exit_code in (0, 1, 2), (command, spec)
+            assert "Traceback" not in result.output, (command, spec)
 
 
 def test_commands_never_read_the_dense_structure_tensor():

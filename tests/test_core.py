@@ -404,11 +404,12 @@ def test_structure_constants_share_one_denominator():
 def _per_entry_reader(data):
     """A spec's triples as the reader built them one entry at a time: a
     dict keyed by (i, j, k), so the last repeat wins, zeros dropped, then
-    sorted. Returns the index and the float values, or the Python-int
-    numerators and their denominator."""
+    sorted. Returns the index and the float values (each the nearest
+    float of its Fraction), or the Python-int numerators and their
+    denominator."""
     entries = data["structure"]
     rational = all(isinstance(e[3], (str, int)) for e in entries)
-    convert = core.exact.frac if rational else float
+    convert = core.exact.frac if rational else (lambda v: float(Fraction(v)))
     coeffs = {(int(i), int(j), int(k)): convert(v) for i, j, k, v in entries}
     keys = sorted(key for key, v in coeffs.items() if v != 0)
     index = np.array(keys, dtype=np.int64).reshape(-1, 3)
@@ -423,7 +424,8 @@ def _per_entry_reader(data):
        st.integers(0, 2 ** 31))
 @settings(max_examples=80, deadline=None)
 def test_spec_reader_matches_the_per_entry_reader(dim, m, rational, seed):
-    # few indices, so (i, j, k) repeat; a fifth of the values are zeros
+    # few indices, so (i, j, k) repeat; a fifth of the values are zeros,
+    # and a float spec holds rational strings too
     rng = np.random.default_rng(seed)
     index = rng.integers(0, dim, (m, 3)).tolist()
     picks = rng.integers(-2, 3, m).tolist()
@@ -431,7 +433,8 @@ def test_spec_reader_matches_the_per_entry_reader(dim, m, rational, seed):
         values = [p if p % 2 else f"{p}/{3 + p}" for p in picks]
     else:
         values = [[0.0, -0.0, 0][int(rng.integers(3))] if p == 0 else
-                  p if p == 1 else p * float(rng.standard_normal())
+                  p if p == 1 else f"{int(rng.integers(-9, 10))}/7"
+                  if p == -1 else p * float(rng.standard_normal())
                   for p in picks]
     data = {"dim": dim, "structure": [e + [v] for e, v in zip(index, values)]}
     rational = all(isinstance(v, (str, int)) for v in values)

@@ -20,8 +20,13 @@ def test_frac_accepts_exact_floats_and_rejects_irrational_ones():
         exact.frac(np.pi)
 
 
+def fmatrix(rows) -> np.ndarray:
+    """The Fraction matrix of a list of rows (``exact.frac`` of each)."""
+    return exact.over(*exact.cleared(np.array(rows, dtype=object)))
+
+
 def test_fmatrix_and_to_float_round_trip():
-    m = exact.fmatrix([[1, "1/2"], [0.25, 3]])
+    m = fmatrix([[1, "1/2"], [0.25, 3]])
     assert m.dtype == object
     back = exact.to_float(m)
     np.testing.assert_allclose(back, [[1.0, 0.5], [0.25, 3.0]])
@@ -41,7 +46,7 @@ def _solve(a, b):
 
 
 def test_rref_identifies_pivots():
-    a = exact.fmatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    a = fmatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     n, d = exact.null_space(a)
     # pivots 0 and 2: the free column 1 carries the rref entry -r[0][1]
     assert n.tolist() == [[-2], [1], [0]] and d == 1
@@ -49,7 +54,7 @@ def test_rref_identifies_pivots():
 
 
 def test_null_space_is_exact_kernel():
-    a = exact.fmatrix([[1, 2, 3], [2, 4, 6]])
+    a = fmatrix([[1, 2, 3], [2, 4, 6]])
     k, d = exact.null_space(a)
     assert k.shape[1] == 2 and d == 1
     prod = a @ k
@@ -57,7 +62,7 @@ def test_null_space_is_exact_kernel():
 
 
 def test_null_space_returns_integers_over_the_least_denominator():
-    a = exact.fmatrix([[2, 3, 0], [0, 6, 4]])
+    a = fmatrix([[2, 3, 0], [0, 6, 4]])
     n, d = exact.null_space(a)
     assert all(type(v) is int for v in n.flat)
     assert d == 3 and n.tolist() == [[3], [-2], [3]]
@@ -66,12 +71,12 @@ def test_null_space_returns_integers_over_the_least_denominator():
 
 def test_solve_and_solvable_agree():
     # solve returns None exactly when b raises the rank
-    a = exact.fmatrix([[2, 0], [0, 3], [2, 3]])
-    b_good = exact.fmatrix([[4], [9], [13]]).ravel()
+    a = fmatrix([[2, 0], [0, 3], [2, 3]])
+    b_good = fmatrix([[4], [9], [13]]).ravel()
     assert _rank(a) == _rank(np.column_stack([a, b_good])) == 2
     y, d = _solve(a, b_good)
     assert y.tolist() == [2, 3] and d == 1
-    b_bad = exact.fmatrix([[4], [9], [14]]).ravel()
+    b_bad = fmatrix([[4], [9], [14]]).ravel()
     assert _rank(np.column_stack([a, b_bad])) == _rank(a) + 1
     assert _solve(a, b_bad) is None
     y, d = _solve(a, b_good / 6)
@@ -83,7 +88,7 @@ def test_bareiss_rank_matches_float_rank():
     m = rng.integers(-4, 5, size=(6, 6))
     m[5] = m[0] + m[1]
     m[4] = 2 * m[2]
-    a = exact.fmatrix(m.tolist())
+    a = fmatrix(m.tolist())
     assert _rank(a) == np.linalg.matrix_rank(m.astype(float))
 
 
@@ -91,7 +96,7 @@ def test_bareiss_rank_matches_float_rank():
                          min_size=3, max_size=3), min_size=2, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_rank_matches_numpy_on_integer_matrices(rows):
-    a = exact.fmatrix(rows)
+    a = fmatrix(rows)
     expected = np.linalg.matrix_rank(np.array(rows, dtype=float))
     assert _rank(a) == expected
 
@@ -102,8 +107,8 @@ def test_rank_matches_numpy_on_integer_matrices(rows):
                 max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_solve_residual_is_exactly_zero(rows, coeffs):
-    a = exact.fmatrix(rows)
-    x_true = exact.fmatrix([coeffs]).ravel()
+    a = fmatrix(rows)
+    x_true = fmatrix([coeffs]).ravel()
     b = (a @ x_true.reshape(-1, 1)).ravel()
     solution = _solve(a, b)
     assert solution is not None
@@ -199,7 +204,7 @@ def test_bareiss_rank_survives_denominators_past_int64():
         dens = [int(rng.choice(BIG_PRIMES)) * int(rng.choice(BIG_PRIMES))
                 for _ in range(3)]
         row = [Fraction(int(rng.integers(1, 9)), d) for d in dens]
-        a = exact.fmatrix([row, [2 * v for v in row]])
+        a = fmatrix([row, [2 * v for v in row]])
         assert _rank(a) == 1
 
 
@@ -282,7 +287,7 @@ def _big_prime_system():
     rows = [r0, r1, [x + 3 * y for x, y in zip(r0, r1)]]
     b = [Fraction(1, p[0] * p[2]), Fraction(1, p[1] * p[3]),
          Fraction(1, p[4] * p[5])]
-    return exact.fmatrix(rows), exact.fmatrix([b]).ravel()
+    return fmatrix(rows), fmatrix([b]).ravel()
 
 
 def _past_int64_system():
@@ -293,7 +298,7 @@ def _past_int64_system():
             [5, Fraction(-7, p[2] * p[3]), 1],
             [2, 1, Fraction(4, p[4] * p[5])]]
     b = [1, Fraction(1, p[2] * p[3]), -1]
-    return exact.fmatrix(rows), exact.fmatrix([b]).ravel()
+    return fmatrix(rows), fmatrix([b]).ravel()
 
 
 def _assert_matches_the_oracle(a, b):
@@ -360,7 +365,7 @@ def test_one_elimination_on_zero_size_shapes():
         assert y.tolist() == [0] * shape[1] and d == 1
         _assert_matches_the_oracle(a, b)
     # a nonzero right-hand side with no unknowns is inconsistent
-    a, b = exact.fzeros((2, 0)), exact.fmatrix([[0, 1]]).ravel()
+    a, b = exact.fzeros((2, 0)), fmatrix([[0, 1]]).ravel()
     assert _solve(a, b) is None
     _assert_matches_the_oracle(a, b)
 
@@ -599,11 +604,11 @@ def test_a_failed_running_bound_is_measured_and_stays_on_int64():
 def test_rows_with_a_common_factor_and_a_zero_row():
     # row scaling keeps the rref: every row but the zero one has a factor
     # of 6 to 180, which the elimination divides out
-    a = exact.fmatrix([[6, 12, -18, 24], [0, 0, 0, 0], [180, -360, 540, 0],
+    a = fmatrix([[6, 12, -18, 24], [0, 0, 0, 0], [180, -360, 540, 0],
                        [Fraction(7, 2), 7, Fraction(21, 2), 0]])
     for b in ([12, 0, 180, 7], [12, 1, 180, 7], [0, 0, 0, 0]):
-        _assert_matches_the_oracle(a, exact.fmatrix([b]).ravel())
-    y, d, tail = exact.solve(a, exact.fmatrix([[12, 1, 180, 7]]).T)
+        _assert_matches_the_oracle(a, fmatrix([b]).ravel())
+    y, d, tail = exact.solve(a, fmatrix([[12, 1, 180, 7]]).T)
     # d is the pivot minor of the primitive rows, without their factors
     # 6, 180 and 7; the zero row, the one below the rank, keeps b's 1 as
     # d times it

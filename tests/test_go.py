@@ -939,7 +939,7 @@ def test_a_run_factorises_its_samples_in_one_chunk(monkeypatch):
     assert sizes == [100, 50]
 
 
-# --- the factorisation's QR and SVD paths --------------------------------
+# --- the factorisation's QR path, its refusals and the pair solvers ------
 
 # two-summand entries whose sampled M lose column rank, and the wide ones
 # (dim m < dim h): h has a nonzero generic stabilizer on m, and every
@@ -957,13 +957,13 @@ def _ladder_space(space_id):
 
 
 def _reference_solve(space, x):
-    """Per row, M (columns proj_m [h_a, x]) and the parts [P1 b, P2 b],
-    b = proj_m [x1, x], from brackets in g, and the min-norm M+ parts of
-    an SVD cut at rank_threshold."""
+    """Per row, M (columns proj_m [h_a, x]), the min-norm M+ parts of an
+    SVD cut at rank_threshold and b = proj_m [x1, x], from brackets in g;
+    the parts solve M y = [P1 b, P2 b]."""
     g, gram = space.g, space.g.inner_product
     hb, mb = space.h.basis, space.m.basis
     p1, p2 = space.module_projectors
-    ms, zs = [], []
+    ms, zs, bs = [], [], []
     for row in x:
         xg = mb @ row
         m = np.array([mb.T @ gram @ g.bracket(h, xg) for h in hb.T]).reshape(
@@ -975,7 +975,8 @@ def _reference_solve(space, x):
         keep = s > max(max(m.shape) * np.finfo(float).eps * top, 1e-12)
         zs.append(vt[keep].T @ ((u[:, keep].T @ parts) / s[keep, None]))
         ms.append(m)
-    return ms, zs
+        bs.append(b)
+    return ms, zs, bs
 
 
 def _qr_refused(space, x):
@@ -990,19 +991,37 @@ def _qr_refused(space, x):
         np.linalg.norm(m, axis=(1, 2)), np.empty((len(x), dh, 2))).tolist()
 
 
-def _min_norm_parts(space, x, z, particular):
-    """``_factorise``'s parts with each particular row made min-norm."""
+def _min_norm_parts(space, x, z):
+    """``_factorise``'s parts made min-norm, on a frame with a kernel
+    part; on any other they are min-norm already."""
+    if space.split.stabilizer_frame[1] == space.h.dim:
+        return z
     return np.array([go._min_norm(space.split, row[None], zr[None])[0]
-                     if p else zr for row, zr, p in zip(x, z, particular)])
+                     for row, zr in zip(x, z)])
 
 
-def _assert_matches_reference(space, x, z, mz, particular):
-    z = _min_norm_parts(space, x, z, particular)
-    for m, want, got, got_mz in zip(*_reference_solve(space, x), z, mz):
+def _reference_quadratic(space, m, y, b):
+    """D0 = P1 M Y2, D1 = P1 M Y1 + P2 M Y2 - b and D2 = P2 M Y1 of the
+    reference parts y = (Y1, Y2) of one row."""
+    p1, p2 = space.module_projectors
+    my = m @ y
+    return np.stack([p1 @ my[:, 1], p1 @ my[:, 0] + p2 @ my[:, 1] - b,
+                     p2 @ my[:, 0]])
+
+
+def _assert_matches_reference(space, x, b_norm, z, d):
+    """Each row's |b|, min-norm parts and D rows are the reference's,
+    within 1e-12 of its size."""
+    z = _min_norm_parts(space, x, z)
+    for row, m, want, want_b, got_b, got, got_d in zip(
+            x, *_reference_solve(space, x), b_norm, z, d):
+        assert abs(got_b - np.linalg.norm(want_b)) <= \
+            1e-12 * max(1.0, np.linalg.norm(want_b))
         assert np.linalg.norm(got - want) <= \
             1e-12 * max(1.0, np.linalg.norm(want))
-        assert np.linalg.norm(got_mz - m @ want) <= \
-            1e-12 * max(1.0, np.linalg.norm(m @ want))
+        want_d = _reference_quadratic(space, m, want, want_b)
+        assert np.linalg.norm(got_d - want_d) <= \
+            1e-12 * max(1.0, np.linalg.norm(want_d))
 
 
 @pytest.mark.parametrize("space_id", TWO_SUMMAND + LADDER)
@@ -1010,8 +1029,8 @@ def test_factorisation_matches_a_pseudo_inverse_reference(space_id):
     # the stabilizer frame is orthogonal, the identity exactly on the
     # full-rank entries, and its rank is the largest rank of any sampled
     # M, below dim m; every sample, full-rank, rank-losing or wide, is
-    # certified for QR on it, with the min-norm solution of the reference
-    # within 1e-12 relative
+    # certified for QR on it, with the min-norm solution and the D rows
+    # of the reference within 1e-12 relative
     space = (_ladder_space if space_id in LADDER else _space)(space_id)
     x, _ = _sampled_rows(space, 0, 30)
     frame, rank = space.split.stabilizer_frame
@@ -1023,14 +1042,14 @@ def test_factorisation_matches_a_pseudo_inverse_reference(space_id):
     ranks = {linalg.svd_rank(m) for m in _reference_solve(space, x)[0]}
     assert ranks == {rank} and rank < space.m.dim
     assert _qr_refused(space, x) == []
-    _, z, mz, particular = go._factorise(space, x)
-    assert particular.tolist() == [rank < dh] * len(x)
-    _assert_matches_reference(space, x, z, mz, particular)
+    b_norm, z, d, certified = go._factorise(space, x)
+    assert certified.all() and d.shape == (len(x), 3, space.m.dim)
+    _assert_matches_reference(space, x, b_norm, z, d)
 
 
 @pytest.mark.parametrize("entry_id", sorted(STABILIZER) + ["go-2"])
 def test_factorisation_tries_qr_first_on_every_space(entry_id, monkeypatch):
-    # no space goes straight to the SVD: a space with a nonzero generic
+    # no space skips the QR certificate: a space with a nonzero generic
     # stabilizer tries QR on its frame, a full-rank one on M itself, one
     # call per chunk
     space = catalog.catalog_instantiate(entry_id, seed=0)
@@ -1087,7 +1106,7 @@ def test_factorisation_on_the_stabilizer_frame_runs_no_svd(entry_id,
 def test_factorisation_in_catalog_runs_falls_back_to_no_svd(monkeypatch):
     # over catalog_run at seeds 0..3 every factorised row of every
     # two-summand entry, full-rank, rank-losing or wide, passes the QR
-    # certificate: none is left for the SVD. A NOT_GO entry whose probe
+    # certificate: none is refused. A NOT_GO entry whose probe
     # finds its counterexample at sample 0 factorises nothing
     rows, rest = [], []
     qr_solve = go._qr_solve
@@ -1108,8 +1127,9 @@ def test_factorisation_on_a_wrong_frame_rank_keeps_every_status(entry_id,
                                                                 monkeypatch):
     # a frame one rank too small misses part of range(M): its samples fail
     # the read-off and go_witness_general solves them again. One rank too
-    # large puts a kernel column of M into R11, and every row falls back
-    # to the SVD. Either way every status, sample count and NOT_GO rank
+    # large puts a kernel column of M into R11, and every row is refused
+    # and solved again by go_witness_general. Either way every status,
+    # sample count and NOT_GO rank
     # gap is the one the right frame gives
     def verdicts(space):
         return [go.go_check(space, pair, n_samples=20, seed=seed)
@@ -1155,48 +1175,75 @@ def test_factorisation_on_a_wrong_frame_rank_keeps_every_status(entry_id,
     assert split.stabilizer_frame == (frame, rank)
 
 
-def test_a_mixed_stack_factorises_each_row_on_its_own_path():
-    # generic rows, a row inside one module (M loses rank) and a zero row:
-    # nothing raises, each row is the same to the last bit as that row
-    # factorised alone, and the rank-losing rows are the reference's
-    space = catalog.catalog_instantiate("go-3-k2", seed=0)
-    generic, _ = _sampled_rows(space, 0, 6)
-    inside = space.module_coords_in_m(0) @ np.array([0.6, 0.8])
-    x = np.vstack([generic[:3], inside, np.zeros(space.m.dim), generic[3:]])
-    assert _qr_refused(space, x) == [3, 4]
+def _assert_refused_rows_are_solved_again(space, x, kinds, monkeypatch):
+    """``_factorise`` refuses rows 3 and 4 of x and certifies the others,
+    each the same to the last bit as that row factorised alone, and the
+    certified ones are the reference's. Refused rows keep zero parts and
+    D rows. A go_check whose draws are x at (1, 2) decides each refused
+    row by go_witness_general, with the status of the reference's
+    solve; every certified row but the probed sample 0 is read off."""
     stacked = go._factorise(space, x)
+    assert stacked[3].tolist() == [True] * 3 + [False] * 2 + [True] * 3
     for i in range(len(x)):
         alone = go._factorise(space, x[i:i + 1])
         for got, want in zip(stacked, alone):
             assert got[i].tobytes() == want[0].tobytes()
-    _assert_matches_reference(space, x, *stacked[1:])
-    assert not stacked[1][4].any()
+    assert not stacked[1][3:5].any() and not stacked[2][3:5].any()
+    ok = [0, 1, 2, 5, 6, 7]
+    _assert_matches_reference(space, x[ok], *(p[ok] for p in stacked[:3]))
+    monkeypatch.setattr(go, "_directions", lambda blocks, label, samples: (
+        x[samples].copy(), kinds[samples.start:samples.stop]))
+    solve, solved = go.go_witness_general, []
+    monkeypatch.setattr(go, "go_witness_general", lambda *args: (
+        solved.append(args[2].tobytes()), solve(*args))[1])
+    assert not space.go_factorisations
+    verdict = go.go_check(space, (1, 2), n_samples=len(x), seed=0)
+    monkeypatch.undo()
+    assert solved == [x[i].tobytes() for i in (0, 3, 4)]
+    ms, ys, bs = _reference_solve(space, x)
+    p = space.module_projectors
+    for i in (3, 4):
+        parts = (p @ bs[i]).T
+        consistent = np.linalg.norm(ms[i] @ ys[i] - parts) <= \
+            go.DEFAULT_TOL * max(1.0, np.linalg.norm(parts))
+        assert verdict.witnesses[i].solvable == consistent
+    assert verdict.n_samples == len(x)
+    return stacked
+
+
+def test_a_mixed_stack_factorises_each_row_on_its_own_path(monkeypatch):
+    # generic rows, a row inside one module (M loses rank) and a zero row:
+    # nothing raises, the two rank-losing rows are refused, every row is
+    # the same to the last bit as that row factorised alone, and a run
+    # over these draws solves the refused rows again
+    space = catalog.catalog_instantiate("go-3-k2", seed=0)
+    generic, kinds = _sampled_rows(space, 0, 6)
+    inside = space.module_coords_in_m(0) @ np.array([0.6, 0.8])
+    x = np.vstack([generic[:3], inside, np.zeros(space.m.dim), generic[3:]])
+    assert _qr_refused(space, x) == [3, 4]
+    _assert_refused_rows_are_solved_again(
+        space, x, kinds[:3] + ["generic"] * 2 + kinds[3:], monkeypatch)
 
 
 def test_factorisation_on_the_frame_refuses_a_row_inside_a_module(
         monkeypatch):
     # on go-7-n2 (generic stabilizer 1), a row inside one module, where M
-    # loses more rank than the frame allows, and a zero row fall back to
-    # the SVD; every row is the same to the last bit as that row
-    # factorised alone, and all are the reference's. Only the rows the
-    # QR solved are particular, and a held factorisation projects each
-    # of them once, at its first read, and never an SVD row
+    # loses more rank than the frame allows, and a zero row are refused;
+    # every row is the same to the last bit as that row factorised alone,
+    # a run over these draws solves the refused rows again, and a held
+    # factorisation projects each certified row once, at its first read
     space = catalog.catalog_instantiate("go-7-n2", seed=0)
     generic, kinds = _sampled_rows(space, 0, 6)
     block = space.module_coords_in_m(0)
     inside = block @ np.full(block.shape[1], 1 / np.sqrt(block.shape[1]))
     x = np.vstack([generic[:3], inside, np.zeros(space.m.dim), generic[3:]])
     assert _qr_refused(space, x) == [3, 4]
-    stacked = go._factorise(space, x)
-    for i in range(len(x)):
-        alone = go._factorise(space, x[i:i + 1])
-        for got, want in zip(stacked, alone):
-            assert got[i].tobytes() == want[0].tobytes()
-    _assert_matches_reference(space, x, *stacked[1:])
-    assert not stacked[1][4].any()
-    assert stacked[3].tolist() == [True] * 3 + [False] * 2 + [True] * 3
-    want = _min_norm_parts(space, x, stacked[1], stacked[3])
     all_kinds = kinds[:3] + ["generic"] * 2 + kinds[3:]
+    stacked = _assert_refused_rows_are_solved_again(space, x, all_kinds,
+                                                    monkeypatch)
+    certified = [0, 1, 2, 5, 6, 7]
+    want = dict(zip(certified, _min_norm_parts(space, x[certified],
+                                               stacked[1][certified])))
     monkeypatch.setattr(go, "_directions", lambda blocks, label, samples: (
         x[samples].copy(), all_kinds[samples.start:samples.stop]))
     fac = go._Factorisation(space, 0)
@@ -1206,35 +1253,40 @@ def test_factorisation_on_the_frame_refuses_a_row_inside_a_module(
         projected.append(row.tobytes()), min_norm(split, row, z))[1])
     a = go.MetricOperator.two_param(space, 1, 2)
     for _ in range(2):
-        for i in range(len(x)):
+        for i in certified:
             assert fac.z_at(a, [i])[0].tobytes() == \
                 (want[i] @ np.array([-1.0, -0.5])).tobytes()
-    assert projected == [x[i].tobytes() for i in (0, 1, 2, 5, 6, 7)]
+    assert projected == [x[i].tobytes() for i in certified]
+    assert fac.projected == set(certified)
 
 
 @pytest.mark.parametrize("entry_id", ["go-1", "go-4-r2", "go-5", "go-6-m3n2",
                                       "go-7-n2"])
-def test_pair_solvers_factorised_on_the_frame_match_the_svd(entry_id,
-                                                            monkeypatch):
-    # geodesic_graph and zxzy_decompose read the frame's QR solve; with
-    # every row sent to the SVD instead they agree within 1e-10
+def test_pair_factorisation_matches_a_pseudo_inverse_reference(entry_id):
+    # at X = P1 x, Y = P2 x the systems are consistent, so Z_Y and Z_X
+    # are the reference's min-norm parts at x, and the graph witness
+    # their combination, within 1e-12 of its size. At X = 0 or Y = 0,
+    # b is rounding noise, and every z stays below 1e-14, as the
+    # reference's does: the rank_threshold cut does not amplify it
     space = catalog.catalog_instantiate(entry_id, seed=0)
     p1, p2 = space.module_projectors
+    hb = space.h.basis
     x, _ = _sampled_rows(space, 1, 6)
-
-    def solve():
-        out = []
-        for v in x:
-            dec = go.zxzy_decompose(space, p1 @ v, p2 @ v)
-            out += [go.geodesic_graph(space, 1, 2, p1 @ v, p2 @ v).z,
-                    go.geodesic_graph(space, 2.5, 0.5, p1 @ v, p2 @ v).z,
-                    dec.z_x, dec.z_y]
-        return out
-    got = solve()
-    monkeypatch.setattr(go, "_qr_solve",
-                        lambda m_parts, *args: np.arange(len(m_parts)))
-    for g, want in zip(got, solve()):
-        assert np.abs(g - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+    pairs = ((1, 2), (2.5, 0.5))
+    for v, y in zip(x, _reference_solve(space, x)[1]):
+        dec = go.zxzy_decompose(space, p1 @ v, p2 @ v)
+        got = [dec.z_y, dec.z_x] + [
+            go.geodesic_graph(space, *pair, p1 @ v, p2 @ v).z for pair in pairs]
+        want = [y[:, 0], y[:, 1]] + [y @ go._weights(*pair) for pair in pairs]
+        for g, w in zip(got, want):
+            w = hb @ w
+            assert np.linalg.norm(g - w) <= 1e-12 * max(1.0, np.linalg.norm(w))
+        for pair in ((p1 @ v, 0 * v), (0 * v, p2 @ v)):
+            ref = _reference_solve(space, [sum(pair)])[1][0]
+            dec = go.zxzy_decompose(space, *pair)
+            for z in (dec.z_x, dec.z_y, hb @ ref[:, 0], hb @ ref[:, 1],
+                      go.geodesic_graph(space, 1, 2, *pair).z):
+                assert np.linalg.norm(z) <= 1e-14
 
 
 def test_factorisation_qr_certificate_refuses_what_the_svd_would_cut():
@@ -1572,17 +1624,18 @@ def test_a_held_read_off_forms_no_z_until_a_witness_is_read(monkeypatch):
 
 @pytest.mark.parametrize("entry_id", sorted(STABILIZER))
 def test_factorisation_reads_a_min_norm_z_off_particular_parts(entry_id):
-    # the fill holds particular parts for every factorised sample of a
-    # space with a nonzero generic stabilizer; each read witness z is the
-    # pseudo-inverse reference's and orthogonal to ker M, to 1e-12
+    # the fill certifies every factorised sample of a space with a
+    # nonzero generic stabilizer and holds its particular parts, projected
+    # at the first read; each read witness z is the pseudo-inverse
+    # reference's and orthogonal to ker M, to 1e-12
     space = catalog.catalog_instantiate(entry_id, seed=0)
     x, _ = _sampled_rows(space, 0, 30)
-    ms, parts = _reference_solve(space, x)
+    ms, parts, _ = _reference_solve(space, x)
     for pair in ((1, 2), (2.5, 0.5)):
         verdict = go.go_check(space, pair, n_samples=30, seed=0)
         fac = space.go_factorisations[go._Factorisation]
         if pair == (1, 2):
-            assert fac.particular.all()
+            assert fac.certified.all() and not fac.projected
         lam, mu = pair
         for w, row, m, part in zip(verdict.witnesses, x, ms, parts):
             np.testing.assert_array_equal(w.x, row)
@@ -1593,7 +1646,7 @@ def test_factorisation_reads_a_min_norm_z_off_particular_parts(entry_id):
             kernel = np.linalg.svd(m)[2][linalg.svd_rank(m):]
             assert len(kernel) == space.h.dim - space.split.stabilizer_frame[1]
             assert np.linalg.norm(kernel @ w.z) <= 1e-12 * scale
-    assert not fac.particular.any()
+    assert fac.projected == set(range(30))
 
 
 @pytest.mark.parametrize("entry_id, go_ok", [("t1-V.1-m3n3", False),
@@ -1809,7 +1862,8 @@ def test_integer_exact_lane_matches_the_fraction_path(entry_id):
     lane = space.exact_lane
     bases = [exact.over(b, lane.denom) for b in lane.bases]
     # h's columns read off the float embedding, one exact.frac per entry
-    h = exact.fmatrix(space.embedding.matrix.tolist())
+    h = exact.over(*exact.cleared(
+        space.embedding.matrix.astype(object)))
     # m's rational basis is the kernel of h's Gram pairing
     gram = exact.over(*exact.rounded(space.g.inner_product))
     m_basis = exact.over(*exact.null_space(h.T @ gram))
@@ -2144,7 +2198,8 @@ def test_a_lane_past_its_int64_bounds_runs_on_python_ints(entry_id, scale,
         lane, bases=tuple(b.astype(object) * scale for b in lane.bases),
         denom=lane.denom * scale)
     bases = [exact.over(b, lane.denom) for b in lane.bases]
-    h = exact.fmatrix(space.embedding.matrix.tolist())
+    h = exact.over(*exact.cleared(
+        space.embedding.matrix.astype(object)))
     gram = exact.over(*exact.rounded(space.g.inner_product))
     m_basis = exact.over(*exact.null_space(h.T @ gram))
     rows, _ = exact.cleared(m_basis.T @ gram)

@@ -256,7 +256,7 @@ def test_killing_form_negative_definite_on_semisimple_algebras(family, n):
 def _fractions(emb):
     """The embedding's float matrix as Fractions, one ``exact.frac`` per
     entry (ValueError on an entry that is not exactly rational)."""
-    return exact.fmatrix(emb.matrix.tolist())
+    return exact.over(*exact.cleared(emb.matrix.astype(object)))
 
 
 CHAINS = [("u_in_so_odd", {"k": 3}), ("su_in_so_even", {"k": 3}),
