@@ -18,7 +18,7 @@ regression suite and the CLI a single source of truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -55,17 +55,7 @@ class CatalogEntry:
     notes: str
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "source": self.source,
-            "name": self.name,
-            "chain_label": self.chain_label,
-            "chain": self.chain,
-            "constructible": self.constructible,
-            "expected": self.expected,
-            "metadata": self.metadata,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _struct_2() -> tuple[LieAlgebra, object]:

@@ -177,15 +177,26 @@ _seed_option = click.option("--seed", type=int, default=0, show_default=True,
                             help="Master seed for the GO samples; the "
                                  "modules, the filter and the structure label "
                                  "read no seed.")
+
+
+def _positive_tol(ctx, param, value: float) -> float:
+    if not 0 < value < np.inf:
+        raise click.BadParameter(f"{value!r} is not finite and positive")
+    return value
+
+
 _tol_option = click.option("--tol", type=float, default=DEFAULT_TOL,
                            show_default=True, envvar="ORBITCHECK_TOL",
-                           show_envvar=True,
-                           help="Numerical tolerance; --tol wins over the "
-                                "environment variable. A NOT_GO needs a "
-                                f"rank-gap margin of {MARGIN_FACTOR:g}*tol, "
-                                "so above about 1e-5 the catalog's negatives "
-                                "fail with ToleranceError (t1-V.6-n2 at "
-                                "3e-5).")
+                           show_envvar=True, callback=_positive_tol,
+                           help="Numerical tolerance, finite and positive; "
+                                "--tol wins over the environment variable. "
+                                "A NOT_GO needs a rank-gap margin of "
+                                f"{MARGIN_FACTOR:g}*tol. On the catalog's "
+                                "negatives, t1-V.6-n2 fails with "
+                                "ToleranceError from 3e-5, all three from "
+                                "1e-4 to 3e-2, and from 0.1 up all three "
+                                "read GO_CONSISTENT.")
+
 _json_option = click.option("--json", "as_json", is_flag=True,
                             help="Machine-readable deterministic output.")
 

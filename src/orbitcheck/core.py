@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -52,13 +52,7 @@ class ValidationReport:
     invariance: float | None = None  # None: no inner product was given
 
     def as_dict(self) -> dict:
-        return {
-            "antisymmetry": self.antisymmetry,
-            "jacobi": self.jacobi,
-            "passed": self.passed,
-            "mode": self.mode,
-            "invariance": self.invariance,
-        }
+        return asdict(self)
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -419,6 +419,8 @@ def go_check(space: ReductiveSpace, metric, n_samples: int = 100,
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
+    if not 0 < tol < np.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     a = _as_metric(space, metric)
     if not space.modules:
         raise ValidationError("decompose the isotropy modules first")

@@ -325,12 +325,8 @@ def ledger_obata_metric_operator(space, metric: LedgerObataMetric):
     q[:d, d:] = bv * f_gram
     q[d:, :d] = bv * f_gram
     q[d:, d:] = cv * f_gram
-    dm = space.m.dim
-    pi = np.zeros((2 * d, dm))
-    for j in range(dm):
-        v = space.m.basis[:, j]
-        z = v[2 * d:]
-        pi[:, j] = (v[:2 * d].reshape(2, d) - z).reshape(-1)
+    basis = space.m.basis
+    pi = (basis[:2 * d].reshape(2, d, -1) - basis[2 * d:]).reshape(2 * d, -1)
     mat = pi.T @ q @ pi
     return MetricOperator(space=space, matrix=mat, kind="pullback",
                           params=(av, bv, cv))

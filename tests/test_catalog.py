@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitcheck import catalog, spaces, zoo
+from orbitcheck import catalog, go, spaces, zoo
 
 
 def test_catalog_loads_all_sources():
@@ -141,6 +141,20 @@ def test_catalog_run_records_a_tolerance_error_and_goes_on():
     assert bad.entry_id == "t1-V.10" and not bad.passed
     assert "robust band" in bad.error and bad.checks == ()
     assert good.passed and good.error is None
+
+
+def test_the_negatives_turn_ambiguous_inside_the_tolerance_band():
+    # a NOT_GO needs a rank-gap margin of 1e3 tol, so a looser tol turns
+    # the catalog's negatives into ToleranceError, t1-V.6-n2 first
+    negatives = {entry_id: catalog.catalog_instantiate(entry_id, seed=0)
+                 for entry_id in ("t1-V.6-n2", "t1-V.1-m3n3", "t1-V.10")}
+    for space in negatives.values():
+        assert go.go_check(space, (1, 2), tol=1e-5).status == "NOT_GO"
+        for tol in (1e-4, 3e-2):
+            with pytest.raises(go.ToleranceError):
+                go.go_check(space, (1, 2), tol=tol)
+    with pytest.raises(go.ToleranceError):
+        go.go_check(negatives["t1-V.6-n2"], (1, 2), tol=3e-5)
 
 
 def test_negative_entry_produces_not_go(so9_tensor):

@@ -844,6 +844,34 @@ def test_tolerance_env_override(runner, monkeypatch):
     assert ok.exit_code == 0
 
 
+SO4_WITH_A_NON_SUBALGEBRA = {
+    "algebra": "so(4)",
+    "embedding": {"matrix": [[1, 0], [0, 0], [0, 1], [0, 0], [0, 0], [0, 0]]}}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_a_tolerance_that_is_not_finite_and_positive_is_a_usage_error(
+        runner, monkeypatch, tmp_path, tol, via_env):
+    # each used to run: decompose on a non-subalgebra, check-go to
+    # GO_CONSISTENT on a certified negative
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SO4_WITH_A_NON_SUBALGEBRA))
+    for args in (["decompose", str(spec)],
+                 ["check-go", "t1-V.10", "--expect", "go"]):
+        if via_env:
+            monkeypatch.setenv("ORBITCHECK_TOL", tol)
+        else:
+            args = args + ["--tol", tol]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{float(tol)!r} is not finite and positive" in result.output
+    monkeypatch.delenv("ORBITCHECK_TOL", raising=False)
+    refused = runner.invoke(main, ["decompose", str(spec)])
+    assert refused.exit_code == 1
+    assert "h is not a subalgebra" in refused.output
+
+
 def test_tol_flag_wins_over_the_environment_variable(runner, monkeypatch):
     seen = []
     check = cli.go_check

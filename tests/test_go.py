@@ -210,6 +210,15 @@ def test_go_check_refuses_fewer_than_one_sample(so5_u2, n_samples,
                     exact_mode=exact_mode)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("exact_mode", [False, True])
+def test_go_check_refuses_a_tolerance_that_is_not_finite_and_positive(
+        so5_u2, tol, exact_mode):
+    # an infinite tol used to accept every sample as GO_CONSISTENT
+    with pytest.raises(core.ValidationError, match="tol must be finite"):
+        go.go_check(so5_u2, (1, 2), tol=tol, exact_mode=exact_mode)
+
+
 def test_geodesic_graph_witness_and_uniqueness(so5_u2):
     rng = rng_for("test-graph", so5_u2.name, 0, 0)
     x = module_vector(so5_u2, 0, rng)
