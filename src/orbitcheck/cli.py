@@ -110,7 +110,7 @@ def _algebra_from_spec(spec) -> LieAlgebra:
     raise click.UsageError(f"cannot interpret algebra spec {spec!r}")
 
 
-def _space_from_file(path: str, tol: float):
+def _space_from_file(path: str):
     spec = _load_spec_file(path)
     if not isinstance(spec, dict):
         raise click.UsageError(f"{path}: top level must be an object")
@@ -150,13 +150,13 @@ def _space_from_file(path: str, tol: float):
     else:
         raise click.UsageError(
             f"{path}: embedding needs a registry 'key' or a raw 'matrix'")
-    space = reductive_space(g, emb, name=spec.get("name", ""), tol=max(tol, 1e-8))
-    return decompose_isotropy(space, tol=max(tol, 1e-8))
+    space = reductive_space(g, emb, name=spec.get("name", ""))
+    return decompose_isotropy(space)
 
 
-def _load_space(target: str, tol: float):
+def _load_space(target: str):
     if target.endswith(".json") or os.path.sep in target:
-        return _space_from_file(target, tol)
+        return _space_from_file(target)
     try:
         return catalog_mod.catalog_instantiate(target)
     except catalog_mod.CatalogError as err:
@@ -216,7 +216,7 @@ def validate(target, tol, as_json):
     TARGET is a catalog id or a JSON spec file. Exit 1 if construction
     fails any invariant.
     """
-    space = _wrap(lambda: _load_space(target, tol))
+    space = _wrap(lambda: _load_space(target))
     report = space.g.validate(tol=max(tol, 1e-12))
     _emit({
         "space": space.name,
@@ -233,23 +233,21 @@ def validate(target, tol, as_json):
 
 @main.command()
 @click.argument("target")
-@_tol_option
 @_json_option
-def decompose(target, tol, as_json):
+def decompose(target, as_json):
     """Decompose the isotropy representation of TARGET."""
-    space = _wrap(lambda: _load_space(target, tol))
+    space = _wrap(lambda: _load_space(target))
     _emit(space.as_dict(), as_json)
 
 
 @main.command()
 @click.argument("target")
-@_tol_option
 @_json_option
-def classify(target, tol, as_json):
+def classify(target, as_json):
     """Classify the pair structure of TARGET into one of seven cases."""
 
     def run():
-        space = _load_space(target, tol)
+        space = _load_space(target)
         return space, classify_structure(space)
 
     space, report = _wrap(run)
@@ -276,7 +274,7 @@ def check_go(target, lam, mu, samples, exact, expect, seed, tol, as_json):
     """Check the geodesic-orbit property of a two-parameter metric."""
 
     def run():
-        space = _load_space(target, tol)
+        space = _load_space(target)
         metric = MetricOperator.two_param(space, lam, mu)
         return go_check(space, metric, n_samples=samples, seed=seed, tol=tol,
                         exact_mode=exact)
@@ -295,14 +293,12 @@ def check_go(target, lam, mu, samples, exact, expect, seed, tol, as_json):
 @click.argument("target")
 @click.option("--expect", type=click.Choice(["pass", "fail"]), default=None,
               help="Exit 1 unless the filter outcome matches.")
-@_tol_option
 @_json_option
-def filter_cmd(target, expect, tol, as_json):
+def filter_cmd(target, expect, as_json):
     """Run the necessary structural filters on TARGET."""
 
     def run():
-        space = _load_space(target, tol)
-        return necessary_filter(space, tol=max(tol, 1e-8))
+        return necessary_filter(_load_space(target))
 
     report = _wrap(run)
     _emit(report.as_dict(), as_json)

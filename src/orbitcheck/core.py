@@ -409,10 +409,7 @@ class LieAlgebra:
 
     @cached_property
     def killing_form(self) -> np.ndarray:
-        c = self.constants
-        if not c.exact:
-            return _float_killing(c)
-        return _floats((self.dim,) * 2, *c.killing(), c.denom ** 2)
+        return _killing_floats(self.constants)
 
     @cached_property
     def killing_form_exact(self) -> np.ndarray:
@@ -590,8 +587,7 @@ def default_inner_product(constants: StructureConstants) -> np.ndarray:
     if not len(constants.index):
         return np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        b = (_floats((n, n), *constants.killing(), constants.denom ** 2)
-             if constants.exact else _float_killing(constants))
+        b = _killing_floats(constants)
     check_finite(b, "Killing form")
     if np.linalg.eigvalsh(-b).min() > 1e-8 * float(np.abs(b).max()):
         return -b
@@ -713,12 +709,15 @@ def _first_slot(c: StructureConstants) -> tuple[np.ndarray, np.ndarray]:
     return jk, mat
 
 
-def _float_killing(c: StructureConstants) -> np.ndarray:
-    """B_ij = sum_{m,n} c_imn c_jnm in floats, as one BLAS product of the
+def _killing_floats(c: StructureConstants) -> np.ndarray:
+    """B_ij = sum_{m,n} c_imn c_jnm in floats. Exact constants round each
+    exact sum once. Float ones take one BLAS product of the
     ``_first_slot`` matrix with its columns at the swapped (n, m): memory
     in n times the distinct (m, n), where the exact join's is in the
     joined pairs, n^4 on dense constants."""
     n = c.dim
+    if c.exact:
+        return _floats((n, n), *c.killing(), c.denom ** 2)
     jk, mat = _first_slot(c)
     # column col[t] at (m, n) meets column pair[t] at (n, m)
     _, pair, col = np.intersect1d(jk, jk % n * n + jk // n,

@@ -98,24 +98,16 @@ def _balanced(space: ReductiveSpace, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def bracket_location(space: ReductiveSpace, tol: float = 1e-8) -> str:
+def bracket_location(space: ReductiveSpace) -> str:
     """Where [m1, m2] lands: 'in_m1', 'in_m2', 'mixed', or 'zero'.
 
     Exact basis sweep over all pairs of module basis vectors; the m
-    component of each bracket is resolved against the two modules. The
-    sweep's largest coordinates along each module are kept on the space's
-    decomposition and compared with each call's ``tol``.
+    component of each bracket is resolved against the two modules, at
+    ``spaces.STRUCTURE_TOL``, once per decomposition.
     """
     if len(space.modules) != 2:
         raise FilterError("bracket location needs exactly two modules")
-    in1, in2 = space.decomposition.bracket_sizes
-    if in1 > tol and in2 > tol:
-        return "mixed"
-    if in2 > tol:
-        return "in_m2"
-    if in1 > tol:
-        return "in_m1"
-    return "zero"
+    return space.decomposition.bracket_location
 
 
 def _principal_ranks(action: np.ndarray):
@@ -201,8 +193,7 @@ class FilterReport:
         }
 
 
-def necessary_filter(space: ReductiveSpace, seed: int = 0,
-                     tol: float = 1e-8) -> FilterReport:
+def necessary_filter(space: ReductiveSpace, seed: int = 0) -> FilterReport:
     """Necessary conditions for the GO property on a two-module space.
 
     With a mixed bracket both modules must have positive-dimensional
@@ -213,18 +204,16 @@ def necessary_filter(space: ReductiveSpace, seed: int = 0,
 
     The principal dimensions take ``principal_isotropy_dim``'s fixed
     draw, as ``ReductiveSplit.stabilizer_frame`` does, and ``seed`` is not
-    read; it stays for callers that pass it. ``tol`` places the bracket
-    (see ``bracket_location``), and the report for each location is
-    built once per decomposition, so every space carrying the same
-    modules gets the same report object.
+    read; it stays for callers that pass it. The report is built once
+    per decomposition, so every space carrying the same modules gets the
+    same report object.
     """
     if len(space.modules) != 2:
         raise FilterError("necessary filter needs exactly two modules")
-    location = bracket_location(space, tol)
-    reports = space.decomposition.filter_reports
-    if location not in reports:
-        reports[location] = _filter_report(space, location)
-    return reports[location]
+    d = space.decomposition
+    if d.filter_report is None:
+        d.filter_report = _filter_report(space, bracket_location(space))
+    return d.filter_report
 
 
 def _filter_report(space: ReductiveSpace, location: str) -> FilterReport:

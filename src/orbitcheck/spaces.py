@@ -66,6 +66,10 @@ EIGENVALUE_MATCH = 1e-6
 # Largest miss _simple_ideals accepts: of a Cartan integer from an integer,
 # of a bracket that must vanish from zero, relative to the longest root.
 ROOT_MARGIN = 1e-6
+# The one bound on every structural residual: h's closure, the [h, m]
+# leak, the modules' invariance, and where [m1, m2] lands. Each is checked
+# once, when its object is built; no caller's tolerance moves it.
+STRUCTURE_TOL = 1e-8
 
 
 class ClassificationError(OrbitcheckError):
@@ -81,34 +85,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _within(residual: float, tol: float, what: str,
+def _within(residual: float, what: str,
             error: type[OrbitcheckError] = ValidationError) -> None:
-    if residual > tol:
-        raise error(f"{what} (residual {residual:.2e}, over tol {tol:.2e})")
+    if residual > STRUCTURE_TOL:
+        raise error(f"{what} (residual {residual:.2e}, "
+                    f"over tol {STRUCTURE_TOL:.2e})")
 
 
 class ReductiveSplit:
     """The part of g = h + m that no name or seed touches: h, m, the
-    embedding it was built from (None from a raw matrix), the closure and
-    [h, m] residuals ``_build_split`` measured (None on a split it did not
-    build), and, each computed when first read, the isotropy action, its
-    stabilizer frame, the m-bracket tensors, the isotropy commutant, the
-    seed-free isotropy decomposition (one draw, no retry), the minimal
-    ideals of g and the structure report of (g, h). Every array is
-    read-only, as splits are shared between spaces."""
+    embedding it was built from (None from a raw matrix), and, each
+    computed when first read, the isotropy action, its stabilizer frame,
+    the m-bracket tensors, the isotropy commutant, the seed-free isotropy
+    decomposition (one draw, no retry), the minimal ideals of g and the
+    structure report of (g, h). Every array is read-only, as splits are
+    shared between spaces."""
 
     def __init__(self, g: LieAlgebra, h: Subspace, m: Subspace,
-                 closure: float | None = None, leak: float | None = None,
                  embedding: Embedding | None = None):
         self.g, self.h, self.m = g, h, m
-        self.closure, self.leak = closure, leak
         self.embedding = embedding
-
-    def check(self, tol: float) -> None:
-        """Raise unless h is a subalgebra and [h, m] lies in m, to ``tol``."""
-        if self.h.dim:
-            _within(self.closure, tol, "h is not a subalgebra")
-        _within(self.leak, tol, "[h, m] leaves m")
 
     @cached_property
     def iso_action(self) -> np.ndarray:
@@ -143,8 +139,8 @@ class ReductiveSplit:
     @cached_property
     def decomposition(self) -> IsotropyModules:
         """The isotropy decomposition, the only one: ``_split_modules`` on
-        one draw, no name or seed, with the worst invariance residual,
-        which each call compares with its own ``tol``."""
+        one draw, no name or seed; one whose worst invariance residual is
+        over ``STRUCTURE_TOL`` raises on every read."""
         return _split_modules(self)
 
     @cached_property
@@ -163,23 +159,19 @@ class IsotropyModules:
     groups and the dimension of the invariant metrics, with what is read
     off the modules alone, each computed once and shared by every space
     that carries this decomposition: the modules' m coordinates, their
-    checked projectors, the largest coordinates of [m1, m2] along each
-    module, the ``filters.necessary_filter`` reports (``filter_reports``,
-    by bracket location) and the exact lane (``exact_lane``, filled by
-    ``ReductiveSpace.exact_lane``). ``residual`` is the worst invariance
-    residual of the draw that found the modules (None for modules given
-    rather than drawn). Every array is read-only."""
+    checked projectors, where [m1, m2] lands, the
+    ``filters.necessary_filter`` report (``filter_report``) and the exact
+    lane (``exact_lane``, filled by ``ReductiveSpace.exact_lane``). Every
+    array is read-only."""
 
     def __init__(self, split: ReductiveSplit,
                  modules: tuple[Subspace, ...] = (),
                  isotypic_groups: tuple[tuple[int, ...], ...] = (),
-                 metric_space_dim: int | None = None,
-                 residual: float | None = None):
+                 metric_space_dim: int | None = None):
         self.split, self.modules = split, modules
         self.isotypic_groups = isotypic_groups
         self.metric_space_dim = metric_space_dim
-        self.residual = residual
-        self.filter_reports: dict = {}
+        self.filter_report = None
         self.exact_lane: ExactLane | None = None
 
     @cached_property
@@ -206,14 +198,17 @@ class IsotropyModules:
         return _read_only(proj)
 
     @cached_property
-    def bracket_sizes(self) -> tuple[float, float]:
-        """Largest coordinates of [m1, m2] along m1 and along m2, over every
-        pair of basis vectors of two modules."""
+    def bracket_location(self) -> str:
+        """``filters.bracket_location`` of two modules: 'in_m1', 'in_m2',
+        'mixed' or 'zero', as the largest coordinate of [m1, m2] along
+        each module, over every pair of their basis vectors, is over
+        ``STRUCTURE_TOL`` or not."""
         g = self.split.g
         b1, b2 = (mod.basis for mod in self.modules)
         raw = pair_bracket_tensor(g, b1, b2)
-        return (float(np.abs(bracket_coords(g, raw, b1)).max()),
-                float(np.abs(bracket_coords(g, raw, b2)).max()))
+        in1, in2 = (float(np.abs(bracket_coords(g, raw, b)).max())
+                    > STRUCTURE_TOL for b in (b1, b2))
+        return ("zero", "in_m1", "in_m2", "mixed")[in1 + 2 * in2]
 
 
 @dataclass(frozen=True)
@@ -252,10 +247,6 @@ class ReductiveSpace:
                 or d.isotypic_groups != self.isotypic_groups:
             object.__setattr__(self, "decomposition", IsotropyModules(
                 s, self.modules, self.isotypic_groups, self.metric_space_dim))
-
-    @property
-    def dim_m(self) -> int:
-        return self.m.dim
 
     @property
     def module_dims(self) -> tuple[int, ...]:
@@ -333,26 +324,24 @@ def bracket_coords(g: LieAlgebra, raw: np.ndarray,
 
 def reductive_space(g: LieAlgebra | None,
                     h_embedding: Embedding | EmbeddingChain | np.ndarray,
-                    name: str = "", tol: float = 1e-8) -> ReductiveSpace:
+                    name: str = "") -> ReductiveSpace:
     """Build the orthogonal reductive decomposition for h inside g.
 
     ``h_embedding`` is an Embedding (or chain) whose target matches g,
-    or a raw coordinate matrix whose columns span h. Verifies that h is
-    a subalgebra, that [h, m] stays in m, and that h contains no
-    nonzero ideal of g (almost-effective action).
+    or a raw coordinate matrix whose columns span h. Verifies that h
+    contains no nonzero ideal of g (almost-effective action), then that
+    h is a subalgebra and that [h, m] stays in m, both to
+    ``STRUCTURE_TOL``.
 
     From an Embedding or chain, the split is computed once per process
     for each (g, composite embedding) pair, by object identity, and
     shared by every space built from it, whatever its name or seed:
-    h, m, the residuals, and, once first read, the isotropy action, the
+    h, m, and, once first read, the isotropy action, the
     m-bracket tensors, the isotropy commutant, the seed-free isotropy
     decomposition, the minimal ideals of g and the structure report, all
     read-only. ``SPLITS``, an ``lru_cache`` of ``SPLIT_CACHE_SIZE``
     entries, keeps the recent splits; a build that raises is not kept. A
-    raw matrix builds a split of its own on every call. Either way the
-    split's residuals are then compared with this call's ``tol``, so a
-    split one call refuses is kept and served to a call with a looser
-    ``tol``.
+    raw matrix builds a split of its own on every call.
     """
     if isinstance(h_embedding, (Embedding, EmbeddingChain)):
         emb = as_embedding(h_embedding)
@@ -370,7 +359,6 @@ def reductive_space(g: LieAlgebra | None,
             raise ValidationError(f"h basis shape {cols.shape} does not match g")
         check_finite(cols, "h basis")
         split = _build_split(g, cols)
-    split.check(tol)
     return ReductiveSpace(g=g, h=split.h, m=split.m, name=name,
                           embedding=emb, split=split)
 
@@ -378,8 +366,8 @@ def reductive_space(g: LieAlgebra | None,
 def _build_split(g: LieAlgebra, cols: np.ndarray,
                  embedding: Embedding | None = None) -> ReductiveSplit:
     """The split of g along the span of ``cols`` (the columns of
-    ``embedding``, when given) with its closure and [h, m] residuals,
-    raising on the checks that no ``tol`` decides."""
+    ``embedding``, when given), raising on each check of
+    ``reductive_space`` in its order."""
     h = Subspace.from_columns(g, cols, name="h")
     if h.dim == g.dim:
         raise EffectivenessError("h equals g; the space is a point")
@@ -392,15 +380,16 @@ def _build_split(g: LieAlgebra, cols: np.ndarray,
     if h.dim + m.dim != g.dim:
         raise ValidationError("h and m do not span g")
     raw = pair_bracket_tensor(g, h.basis, m.basis)
-    leak = m.max_distance(raw.reshape(h.dim * m.dim, g.dim).T)
     if h.dim:
         kernel = nullspace(raw.reshape(h.dim, -1).T)
         if kernel.shape[1]:
             raise EffectivenessError(
                 f"h contains a {kernel.shape[1]}-dimensional ideal of g "
                 "acting trivially on m")
-    return ReductiveSplit(g, h, m, h.closure_residual() if h.dim else 0.0,
-                          leak, embedding)
+        _within(h.closure_residual(), "h is not a subalgebra")
+    _within(m.max_distance(raw.reshape(h.dim * m.dim, g.dim).T),
+            "[h, m] leaves m")
+    return ReductiveSplit(g, h, m, embedding)
 
 
 SPLIT_CACHE_SIZE = 32
@@ -538,11 +527,8 @@ def _commutant_count(sums: np.ndarray, rows, cols) -> int:
     return round(value)
 
 
-_NOT_INVARIANT = "the isotropy modules are not ad(h)-invariant"
-
-
-def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
-                       tol: float = 1e-8) -> ReductiveSpace:
+def decompose_isotropy(space: ReductiveSpace,
+                       seed: int = 0) -> ReductiveSpace:
     """Split m into irreducible ad(h)-modules; returns an updated space.
 
     One commutant, ``commutant(action)``, gives an orthonormal
@@ -558,20 +544,19 @@ def decompose_isotropy(space: ReductiveSpace, seed: int = 0,
     |sym T~_k[i, i]|^2; over all of m the latter is the dimension of the
     invariant metrics. Summands joined by a map are isotypic. With no
     retry, ``DecompositionError`` names a cluster that does not carry one
-    symmetric map, or a worst invariance residual over ``tol``. Modules
-    are ordered by dimension, then by the norm of proj_m [m_i, m_i] (the
-    module with h + m_i a subalgebra first), then by the rounded entries
-    of their projectors B B^T: keys of the subspaces, not of the draw.
+    symmetric map, or a worst invariance residual over ``STRUCTURE_TOL``.
+    Modules are ordered by dimension, then by the norm of proj_m
+    [m_i, m_i] (the module with h + m_i a subalgebra first), then by the
+    rounded entries of their projectors B B^T: keys of the subspaces, not
+    of the draw.
 
     The split is drawn once per split (``ReductiveSplit.decomposition``),
     with no name or seed, and every space of that split carries it, the
-    same ``IsotropyModules`` object, its residual compared with each
-    call's ``tol``. An isotypic group, whose split the maths leaves open,
-    is split by that one draw too. ``seed`` is not read; it stays for
-    callers that pass it.
+    same ``IsotropyModules`` object. An isotypic group, whose split the
+    maths leaves open, is split by that one draw too. ``seed`` is not
+    read; it stays for callers that pass it.
     """
     found = space.split.decomposition
-    _within(found.residual, tol, _NOT_INVARIANT, DecompositionError)
     return replace(space, modules=found.modules,
                    isotypic_groups=found.isotypic_groups,
                    metric_space_dim=found.metric_space_dim,
@@ -582,8 +567,8 @@ def _split_modules(split: ReductiveSplit) -> IsotropyModules:
     """The decomposition from one draw, ``rng_for("decompose", 0)``: m
     split along the eigenvalue clusters of the projection onto the
     commutant of a random symmetric matrix, whose eigenspaces are
-    invariant and generically irreducible, with the worst invariance
-    residual of its clusters."""
+    invariant and generically irreducible, refused when the worst
+    invariance residual of its clusters is over ``STRUCTURE_TOL``."""
     maps = split.commutant
     d = maps.shape[1]
     # the trailing 0 keeps this draw, and so every module basis,
@@ -602,8 +587,9 @@ def _split_modules(split: ReductiveSplit) -> IsotropyModules:
             raise DecompositionError(
                 f"a {len(cl)}-dimensional eigenvalue cluster carries {count} "
                 "symmetric invariant maps, not 1")
-    residual = max((_invariance_residual(split.iso_action, eigvecs[:, cl])
-                    for cl in clusters), default=0.0)
+    _within(max((_invariance_residual(split.iso_action, eigvecs[:, cl])
+                 for cl in clusters), default=0.0),
+            "the isotropy modules are not ad(h)-invariant", DecompositionError)
     blocks = [eigvecs[:, cl] for cl in clusters]
     clusters = [clusters[i] for i in _subspace_order(
         [b @ b.T for b in blocks],
@@ -616,7 +602,7 @@ def _split_modules(split: ReductiveSplit) -> IsotropyModules:
                  name=f"m{i + 1}")
         for i, cl in enumerate(clusters))
     return IsotropyModules(split, modules, tuple(map(tuple, groups)),
-                           metric_dim, residual)
+                           metric_dim)
 
 
 def _subspace_order(projectors: list[np.ndarray], keys: list) -> list[int]:

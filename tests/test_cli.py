@@ -45,6 +45,25 @@ def test_validate_exits_1_when_validation_fails(runner, tmp_path,
                                   "invariance": 1.0}
 
 
+@pytest.mark.parametrize("scale, tol, code", [
+    (1e-13, "1e-15", 0), (3e-12, "1e-15", 1), (3e-12, str(DEFAULT_TOL), 0)])
+def test_validate_floors_its_tolerance_at_1e_12(runner, tmp_path, scale, tol,
+                                                code):
+    # so(3) with its Gram kept and one bracket pair scaled by 1 + scale:
+    # invariance near scale, judged against max(tol, 1e-12)
+    data = zoo.classical("so", 3).to_json_dict()
+    data["structure"] = [[i, j, k, v * (1 + scale) if {i, j} == {0, 1}
+                          else float(v)] for i, j, k, v in data["structure"]]
+    path = tmp_path / "so3.json"
+    path.write_text(json.dumps({"algebra": data}))
+    result = runner.invoke(main, ["validate", str(path), "--tol", tol,
+                                  "--json"])
+    assert result.exit_code == code, result.output
+    report = json.loads(result.output)["validation"]
+    assert report["mode"] == "float"
+    assert report["invariance"] == pytest.approx(scale, rel=1e-3)
+
+
 def test_validate_passes_every_catalog_entry(runner):
     for entry in catalog.catalog_list(constructible=True):
         result = invoke(runner, ["validate", entry.id, "--json"])
@@ -555,7 +574,7 @@ def test_samples_below_one_is_a_usage_error(runner, samples):
     assert ran.exit_code == 2
 
 
-def test_check_go_exact_mode(runner):
+def test_check_go_exact_mode(runner, tmp_path):
     result = invoke(runner, ["check-go", "go-3-k2", "--samples", "5",
                              "--exact", "--json"])
     assert result.exit_code == 0
@@ -567,6 +586,22 @@ def test_check_go_exact_mode(runner):
     refused = runner.invoke(main, ["check-go", "t1-V.10", "--exact"])
     assert refused.exit_code == 1
     assert "h embedding lacks exact coordinates" in refused.output
+    # so(5)/u(2) with float constants, or with its Gram times pi, has no
+    # exact algebra data, while the float lane still reads it
+    base = zoo.classical("so", 5).to_json_dict()
+    floats = dict(base, structure=[[i, j, k, float(v)]
+                                   for i, j, k, v in base["structure"]])
+    irrational = dict(base, inner_product=[[math.pi * v for v in row]
+                                           for row in base["inner_product"]])
+    for algebra in (floats, irrational):
+        path = tmp_path / "so5_u2.json"
+        path.write_text(json.dumps({"algebra": algebra, "embedding": {
+            "key": "u_in_so_odd", "params": {"k": 2}}}))
+        refused = runner.invoke(main, ["check-go", str(path), "--exact"])
+        assert refused.exit_code == 1
+        assert "so(5) lacks exact data" in refused.output
+        floated = invoke(runner, ["check-go", str(path), "--json"])
+        assert json.loads(floated.output)["status"] == "GO_CONSISTENT"
 
 
 def _reject_constant(name):
@@ -853,11 +888,11 @@ SO4_WITH_A_NON_SUBALGEBRA = {
 @pytest.mark.parametrize("via_env", [False, True])
 def test_a_tolerance_that_is_not_finite_and_positive_is_a_usage_error(
         runner, monkeypatch, tmp_path, tol, via_env):
-    # each used to run: decompose on a non-subalgebra, check-go to
+    # each used to run: validate on a non-subalgebra, check-go to
     # GO_CONSISTENT on a certified negative
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SO4_WITH_A_NON_SUBALGEBRA))
-    for args in (["decompose", str(spec)],
+    for args in (["validate", str(spec)],
                  ["check-go", "t1-V.10", "--expect", "go"]):
         if via_env:
             monkeypatch.setenv("ORBITCHECK_TOL", tol)
@@ -867,9 +902,29 @@ def test_a_tolerance_that_is_not_finite_and_positive_is_a_usage_error(
         assert result.exit_code == 2, result.output
         assert f"{float(tol)!r} is not finite and positive" in result.output
     monkeypatch.delenv("ORBITCHECK_TOL", raising=False)
-    refused = runner.invoke(main, ["decompose", str(spec)])
+    refused = runner.invoke(main, ["validate", str(spec)])
     assert refused.exit_code == 1
     assert "h is not a subalgebra" in refused.output
+
+
+@pytest.mark.parametrize("args", [["check-go", "--tol", "0.25"],
+                                  ["validate", "--tol", "0.3"]])
+def test_no_tol_moves_the_structural_bound(runner, tmp_path, args):
+    # h's closure residual 0.25 is over the fixed bound, whatever --tol says
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SO4_WITH_A_NON_SUBALGEBRA))
+    result = runner.invoke(main, [args[0], str(spec), *args[1:]])
+    assert result.exit_code == 1
+    assert "h is not a subalgebra (residual 2.50e-01, over tol 1.00e-08)" \
+        in result.output
+
+
+@pytest.mark.parametrize("command", ["decompose", "classify", "filter"])
+def test_commands_that_read_no_tolerance_take_no_tol(runner, command):
+    # the split, the modules and the bracket are checked at one fixed bound
+    result = runner.invoke(main, [command, "go-1", "--tol", "0.05"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--tol" in result.output
 
 
 def test_tol_flag_wins_over_the_environment_variable(runner, monkeypatch):

@@ -538,6 +538,20 @@ def test_exact_direct_sum_round_trips_through_json():
     assert back.validate().mode == "exact"
 
 
+def test_a_rational_spec_round_trips_through_json():
+    # so(3) with every constant halved is written with "p/q" strings and
+    # read back as the same exact algebra
+    data = zoo.classical("so", 3).to_json_dict()
+    data["structure"] = [[i, j, k, str(Fraction(v, 2))]
+                         for i, j, k, v in data["structure"]]
+    g = core.algebra_from_json_dict(data)
+    assert g.constants.exact and g.constants.denom == 2
+    assert g.to_json_dict() == data
+    assert [0, 1, 2, "-1/2"] in data["structure"]
+    back = core.algebra_from_json(g.to_json())
+    assert back.constants.exact and back.to_json() == g.to_json()
+
+
 def _svd_path_inner_product(alg):
     """default_inner_product by the route every input took before the
     definiteness exit: the exact Killing form as Fractions, its float

@@ -77,6 +77,32 @@ def test_kron_guard_finds_every_form(source, uses):
     assert _kron_uses(source) == uses
 
 
+def _tol_parameters(source: str) -> list[str]:
+    """Functions of ``source`` with a parameter named ``tol``."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(arg.arg == "tol" for arg in (
+                *node.args.posonlyargs, *node.args.args,
+                *node.args.kwonlyargs))]
+
+
+@pytest.mark.parametrize("source, named", [
+    ("def f(x, tol=1e-8):\n    pass", ["f"]),
+    ("class C:\n    def check(self, *, tol):\n        pass", ["check"]),
+    ("def f(x, atol=0.0):\n    pass", []),
+])
+def test_tol_guard_finds_every_form(source, named):
+    assert _tol_parameters(source) == named
+
+
+def test_no_structural_check_takes_a_tolerance():
+    # the split, the modules and the filter are checked once, at
+    # spaces.STRUCTURE_TOL; a per-call tol would need a per-call check
+    offenders = [f"{name}:{fn}" for name in ("spaces.py", "filters.py")
+                 for fn in _tol_parameters((SRC / name).read_text())]
+    assert not offenders, offenders
+
+
 def test_no_kronecker_system_in_the_package():
     # spaces.commutant pairs eigenvalues of one generic element; a dense
     # Kronecker system grows like (dim m)^4 and lives only in the tests'

@@ -331,7 +331,7 @@ def test_the_classifier_runs_once_per_split_whatever_the_seed(monkeypatch,
             space = catalog.catalog_instantiate(f"struct-{k}", seed=seed)
             reports.append(spaces.classify_structure(space))
             # the zero-bracket rule counts g's ideals off the same split
-            if filters.bracket_location(space, 1e-8) == "zero":
+            if filters.bracket_location(space) == "zero":
                 filters.necessary_filter(space, seed=seed)
         assert all(r == reports[0] for r in reports)
         assert sorted(calls) == sorted([space.g.name, "h"]), k
@@ -1073,21 +1073,44 @@ def _tilted_so3_in_so5():
                              matrix=tilted)
 
 
-def test_a_warm_split_honours_each_calls_tol():
-    # each call's tol decides, warm as cold
+def test_a_split_over_the_structural_bound_is_refused_warm_and_cold(
+        cold_splits):
+    # one message on every call, from the embedding as from its raw
+    # matrix, and a refused split is never kept
     emb = _tilted_so3_in_so5()
-    split = spaces.reductive_space(None, emb, tol=1.0).split
-    assert split.closure > 1e-7 and split.leak > 1e-7
+    outcomes = {_outcome(lambda: spaces.reductive_space(None, emb))
+                for _ in range(2)}
+    outcomes.add(_outcome(lambda: spaces.reductive_space(emb.target,
+                                                         emb.matrix)))
+    assert outcomes == {"h is not a subalgebra (residual 1.67e-07, "
+                        "over tol 1.00e-08)"}
+    assert spaces.STRUCTURE_TOL == 1e-8
+    info = spaces.SPLITS.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+
+
+def test_modules_are_checked_at_the_structural_bound_warm_and_cold(
+        monkeypatch, cold_splits):
+    emb = zoo.as_embedding(zoo.named_embedding("u_in_so_odd", k=2))
+    builds = (lambda: spaces.reductive_space(None, emb),
+              lambda: spaces.reductive_space(emb.target, emb.matrix))
+    # within the bound: one set of module bases, to the bit
+    bases = {b"".join(mod.basis.tobytes()
+                      for mod in spaces.decompose_isotropy(build()).modules)
+             for build in builds for _ in range(2)}
+    assert len(bases) == 1
+    # a commutant known to 1e-7 draws modules invariant to about 1e-7 only
+    monkeypatch.setattr(spaces, "commutant", _noisy(spaces.commutant, 1e-7))
+    spaces.SPLITS.cache_clear()
     outcomes = set()
-    for tol in (0.0, 1e-8, split.closure / 2, split.leak / 2, split.closure,
-                split.leak, 1e-6, 1.0):
-        warm = _outcome(lambda: spaces.reductive_space(None, emb, tol=tol))
-        cold = _outcome(lambda: spaces.reductive_space(emb.target,
-                                                       emb.matrix, tol=tol))
-        assert warm == cold, tol
-        outcomes.add(warm.split(" (")[0])
-    assert outcomes == {"built", "h is not a subalgebra"}
-    assert spaces.reductive_space(None, emb, tol=1e-6).split is split
+    for build in builds:
+        for _ in range(2):
+            with pytest.raises(spaces.DecompositionError) as err:
+                spaces.decompose_isotropy(build())
+            outcomes.add(str(err.value))
+    assert len(outcomes) == 1
+    assert outcomes.pop().startswith(
+        "the isotropy modules are not ad(h)-invariant (residual ")
 
 
 ISOTYPIC_ENTRIES = ("go-1", "struct-1", "struct-5")
@@ -1125,74 +1148,6 @@ def test_no_seed_moves_the_metric_of_an_isotypic_split(entry_id):
         space = catalog.catalog_instantiate(entry_id, seed=seed)
         assert go.MetricOperator.two_param(space, 1, 2).matrix.tobytes() \
             == want, seed
-
-
-def _decomposed(build, tol):
-    """The module bases' bytes, or the error, of decomposing at ``tol``."""
-    try:
-        space = spaces.decompose_isotropy(build(), tol=tol)
-    except spaces.DecompositionError as err:
-        return str(err)
-    return b"".join(mod.basis.tobytes() for mod in space.modules)
-
-
-def test_a_warm_decomposition_honours_each_calls_tol():
-    # each call's tol decides, warm as cold, with tols rising and falling
-    emb = zoo.as_embedding(zoo.named_embedding("u_in_so_odd", k=2))
-    split = spaces.reductive_space(None, emb).split
-    residual = split.decomposition.residual
-    assert 0 < residual < 1e-8
-    tols = sorted({0.0, 1e-8, residual, 0.999 * residual})
-    outcomes = set()
-    for order in (tols, tols[::-1]):
-        for tol in order:
-            warm = _decomposed(lambda: spaces.reductive_space(None, emb), tol)
-            # a raw matrix builds a split, and draws, of its own
-            cold = _decomposed(lambda: spaces.reductive_space(
-                emb.target, emb.matrix), tol)
-            assert warm == cold, tol
-            # built exactly when the one draw's residual is within tol
-            assert isinstance(warm, bytes) == (tol >= residual), tol
-            outcomes.add(warm)
-    # one set of module bases, and the error under the residual
-    errors = [out for out in outcomes if not isinstance(out, bytes)]
-    assert len(outcomes) - len(errors) == 1 and errors
-    assert all(err.startswith("the isotropy modules are not ad(h)-invariant")
-               for err in errors)
-    assert spaces.reductive_space(None, emb).split is split
-
-
-@pytest.mark.parametrize("entry_id", ["go-3-k2", "t1-V.1-m3n3"])
-def test_a_warm_filter_honours_each_calls_tol(entry_id):
-    space = catalog.catalog_instantiate(entry_id, seed=0)
-    sizes = space.decomposition.bracket_sizes
-    tols = sorted({0.0, 1.0, *sizes, *(0.999 * v for v in sizes)})
-    locations = set()
-    for order in (tols, tols[::-1]):
-        for tol in order:
-            warm = filters.necessary_filter(space, tol=tol)
-            # a decomposition of its own reads the modules afresh
-            cold = filters.necessary_filter(
-                replace(space, decomposition=None), tol=tol)
-            assert warm.as_dict() == cold.as_dict(), tol
-            assert filters.bracket_location(space, tol) \
-                == warm.bracket_location
-            locations.add(warm.bracket_location)
-    # mixed under the smaller size, zero above both
-    assert len(locations) == 3
-
-
-def test_a_split_refused_by_tol_is_kept(cold_splits):
-    # the residuals are the split's own; only the comparison is per call
-    emb = _tilted_so3_in_so5()
-    for _ in range(2):
-        with pytest.raises(core.ValidationError, match="not a subalgebra"):
-            spaces.reductive_space(None, emb, tol=1e-8)
-    info = spaces.SPLITS.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    split = spaces.reductive_space(None, emb, tol=1e-6).split
-    assert split.closure > 1e-8
-    assert spaces.SPLITS.cache_info()[:2] == (2, 1)
 
 
 def test_a_warm_split_does_not_serve_another_g_of_its_dimension():
