@@ -21,7 +21,10 @@ so no row operation ever touches a Fraction. ``solve`` is its two
 halves, ``eliminated`` (the echelon rows and the tail that decides
 consistency) and ``back_substituted``, which a caller may run apart,
 only where it wants the solution. ``reduced`` brings such a pair to its
-least denominator, ``over`` back to Fractions.
+least denominator, ``over`` back to Fractions. ``certified`` verifies
+instead: it proves b in a's column space by one integer identity, from a
+float proposal, and leaves any system it cannot prove to the
+elimination.
 """
 
 from __future__ import annotations
@@ -55,9 +58,14 @@ def fzeros(shape) -> np.ndarray:
 
 def to_float(a: np.ndarray, d: int = 1) -> np.ndarray:
     """Float array of ``a / d``, each entry rounded once (``a`` of
-    Fractions, Python ints or int64, each divided as a Python number)."""
+    Fractions, Python ints or int64). An int64 ``a`` with every
+    |entry| <= 2^53 over 0 < |d| <= 2^53 is one float division of exact
+    operands, correctly rounded as Python's int division is; any other
+    entry is divided as a Python number."""
     if d == 1:
         return np.array(a, dtype=np.float64)
+    if a.dtype == np.int64 and 0 < abs(d) <= 2 ** 53 and _top(a) <= 2 ** 53:
+        return a.astype(np.float64) / d
     return np.array([v / d for v in a.ravel().tolist()],
                     dtype=np.float64).reshape(a.shape)
 
@@ -115,9 +123,11 @@ def imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every partial sum is at most max|a| max|b| times the inner length in
     size. Where both operands fit int64 and that bound, computed on
     Python ints, is below 2^63, the product runs in int64 and comes back
-    int64; otherwise it runs on Python ints and comes back object.
+    int64; otherwise it runs on Python ints and comes back object. An
+    int64 operand is taken as it is: an entry -2^63 fails the bound
+    unless the other operand is 0.
     """
-    a, b = narrowed(a), narrowed(b)
+    a, b = (x if x.dtype == np.int64 else narrowed(x) for x in (a, b))
     if a.dtype == b.dtype == np.int64 \
             and _top(a) * _top(b) * a.shape[-1] < 2 ** 63:
         return a @ b
@@ -141,7 +151,14 @@ def reduced(n: np.ndarray, d: int) -> tuple[np.ndarray, int]:
 
 def _eliminate(a: np.ndarray, width: int
                ) -> tuple[np.ndarray, list[int], int]:
-    """Fraction-free forward elimination: (rows, pivots, d).
+    """``_bareiss`` without the row order: (rows, pivots, d)."""
+    return _bareiss(a, width)[:3]
+
+
+def _bareiss(a: np.ndarray, width: int
+             ) -> tuple[np.ndarray, list[int], int, list[int]]:
+    """Fraction-free forward elimination: (rows, pivots, d, order), with
+    order[k] the index in ``a`` of the row that the k-th pivot took.
 
     An int64 matrix (every |entry| < 2^63, as ``narrowed`` and
     ``imatmul`` give) or one of Python ints is taken as it is; any other
@@ -179,6 +196,7 @@ def _eliminate(a: np.ndarray, width: int
         except OverflowError:
             m = np.array(rows, dtype=object).reshape(n_rows, n_cols)
     pivots: list[int] = []
+    order = list(range(n_rows))
     d, top = 1, 2 ** 63  # no int64 |entry| exceeds 2^63
     for col in range(width):
         row = len(pivots)
@@ -190,6 +208,7 @@ def _eliminate(a: np.ndarray, width: int
                 continue
             swap = row + 1 + below[0]
             m[row], m[swap] = m[swap], m[row].copy()
+            order[row], order[swap] = order[swap], order[row]
         if m.dtype != object and 2 * top * top >= 2 ** 63:
             top = _top(m[row:, col:])
             if 2 * top * top >= 2 ** 63:
@@ -204,7 +223,7 @@ def _eliminate(a: np.ndarray, width: int
             top = 2 * top * top // abs(int(d))
         d = p
         pivots.append(col)
-    return m, pivots, int(d)
+    return m, pivots, int(d), order
 
 
 def _back_substitute(rows: np.ndarray, pivots: list[int], d: int, cols):
@@ -223,6 +242,41 @@ def _back_substitute(rows: np.ndarray, pivots: list[int], d: int, cols):
         y[k] = [(d * row[c] - sum(u * yi[j] for u, yi in later))
                 // row[pivots[k]] for j, c in enumerate(cols)]
     return np.array(y, dtype=object).reshape(len(pivots), len(cols))
+
+
+def certified(ab: np.ndarray, width: int, cols: list[int],
+              rows: list[int]) -> np.ndarray:
+    """One bool per stacked int64 system ab[i] = [a | b], a its first
+    ``width`` columns: True where b provably lies in a's column space.
+
+    Each row is divided by its content, as in ``_eliminate``;
+    ``proposed`` then reads [S | b[rows]], S = a[rows, cols], and the
+    check is exact: [a[:, cols] | b] [Y; -D I] = 0, one ``imatmul``, with
+    D != 0, so b = a[:, cols] Y / D. False proves nothing.
+    """
+    ab = ab // np.maximum(np.gcd.reduce(ab, axis=-1), 1)[..., None]
+    sides = ab[:, :, list(cols) + list(range(width, ab.shape[-1]))]
+    y, det = proposed(sides[:, rows], len(cols))
+    w = np.concatenate([y, np.multiply.outer(
+        -det, np.identity(ab.shape[-1] - width, dtype=np.int64))], axis=1)
+    return (det != 0) & ~imatmul(sides, w).any(axis=(1, 2))
+
+
+def proposed(sb: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Untrusted int64 Y and D for stacked [S | B], S r x r: D = rint(det S)
+    and Y = rint(D S^-1 B), numpy's batched det and solve. Both are 0
+    where D is 0 or D or Y reaches 2^52 in size; such an S is swapped
+    for the identity first, so no singular S reaches the solve."""
+    sb = sb.astype(np.float64)
+    s = sb[..., :r]
+    with np.errstate(all="ignore"):  # a det past float range is bad
+        det = np.rint(np.linalg.det(s))
+    bad = ~(np.abs(det) < 2.0 ** 52) | (det == 0)
+    det[bad], s[bad] = 0, np.identity(r)
+    y = np.rint(det[:, None, None] * np.linalg.solve(s, sb[..., r:]))
+    bad = ~(np.abs(y) < 2.0 ** 52).all(axis=(1, 2))
+    y[bad], det[bad] = 0, 0
+    return y.astype(np.int64), det.astype(np.int64)
 
 
 def null_space(a: np.ndarray) -> tuple[np.ndarray, int]:

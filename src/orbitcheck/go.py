@@ -730,26 +730,29 @@ class _ExactFactorisation:
     its basis columns with nonzero integer coefficients, and A scales X_k
     by c_k, c1 : c2 = lam : mu. In rows (rows_k sees module k alone),
     rows [Z + X, A X] = 0 is diag(c1, c2) M y = (c2 - c1) b with
-    Z = H y / denom, M = rows ad(x) H and b = rows [x1, x2]. One forward
-    elimination (``exact.eliminated``) of the module docstring's system,
-    M against [b1; 0] and [0; b2], at the first lam != mu read-off,
-    serves every pair: a pair is consistent exactly where
-    c2 tail1 + c1 tail2 = 0, and its rref solution is then
-    y = (c2 - c1) (c2 Y1 + c1 Y2) / (c1 c2 d). Each sample keeps its
-    echelon rows, pivots, d and tail; ``z_at`` back-substitutes Y at the
-    first read of its witness and keeps it. Every product of a sample
-    runs in the lane's one dtype (``ExactLane``).
+    Z = H y / denom, M = rows ad(x) H and b = rows [x1, x2]. At the first
+    lam != mu read-off, ``exact.certified`` proves each new sample of the
+    chunk consistent at every pair where it can, on the module
+    docstring's system, M against [b1; 0] and [0; b2], stacked
+    (``ExactLane.systems``). The others are eliminated
+    (``exact.eliminated``) in index order, up to the first inconsistent
+    at the pair, and one elimination serves every pair: a pair is
+    consistent exactly where c2 tail1 + c1 tail2 = 0, and its rref
+    solution is then y = (c2 - c1) (c2 Y1 + c1 Y2) / (c1 c2 d). An
+    eliminated sample keeps its echelon rows, pivots, d and tail;
+    ``z_at`` back-substitutes Y at the first read of its witness
+    (eliminating a certified sample there) and keeps it. Every product
+    of a sample runs in the lane's one dtype (``ExactLane``).
     """
 
     def __init__(self, space: ReductiveSpace, seed: int):
         self.seed, self.lane = seed, space.exact_lane
         self.stream = _Stream(("go-exact", space.name, seed))
-        keys, h = self.lane.system[0], len(self.lane.to_h)
-        self.keys = keys + 2 * (keys // h)  # M's flat keys in [M | b1 b2]
         self.kinds, self.rows, self.parts = [], [], []
         # sample -> (tail, d); -> (echelon rows, pivots) until its first
         # read; -> Y from then on
         self.tails, self.echelons, self.y = {}, {}, {}
+        self.certified: set[int] = set()
 
     def fill(self, space: ReductiveSpace, samples: range) -> None:
         """Draw the next chunk of samples off the seed's one addressed
@@ -770,19 +773,8 @@ class _ExactFactorisation:
             self.rows.append(x)
             self.parts.append((part1, part2))
 
-    def _eliminate(self, i: int) -> None:
-        x1, x2 = self.parts[i]
-        lane = self.lane
-        _, cols, values = lane.system
-        h = len(lane.to_h)
-        system = np.zeros((len(lane.rows), h + 2), dtype=values.dtype)
-        np.add.at(system.reshape(-1), self.keys, values * (-x1 - x2)[cols])
-        first, second, numer, starts, run_keys = lane.brackets
-        b = lane.rows[:, run_keys] @ np.add.reduceat(
-            numer * x1[first] * x2[second], starts)
-        cut = lane.bases[0].shape[1]
-        system[:cut, h], system[cut:, h + 1] = b[:cut], b[cut:]
-        rows, pivots, d, tail = exact.eliminated(system, h)
+    def _eliminate(self, i: int, system: np.ndarray) -> None:
+        rows, pivots, d, tail = exact.eliminated(system, len(self.lane.to_h))
         self.tails[i] = tail.tolist(), d
         self.echelons[i] = rows, pivots
 
@@ -790,26 +782,41 @@ class _ExactFactorisation:
 
     def read_off(self, a: MetricOperator, tol: float, part: slice):
         """Acceptance mask and residuals (all 0) of the samples in
-        ``part``, from their tails alone (none eliminated at lam == mu)."""
+        ``part``, none decided at lam == mu, the mask False past the
+        first inconsistent sample wherever it is not certified."""
         lam, mu = a.exact_params()
         c1, c2 = lam.numerator * mu.denominator, mu.numerator * lam.denominator
-        n = part.stop - part.start
-        ok = np.ones(n, dtype=bool)
-        for j, i in enumerate(range(part.start, part.stop) if c1 != c2 else ()):
+        samples = range(part.start, part.stop)
+        if c1 == c2:
+            return np.ones(len(samples), dtype=bool), np.zeros(len(samples))
+        new = [i for i in samples
+               if i not in self.tails and i not in self.certified]
+        systems = self.lane.systems([self.parts[i] for i in new]) \
+            if new else None
+        if new and self.lane.plan:
+            self.certified.update(np.array(new)[exact.certified(
+                systems, len(self.lane.to_h), *self.lane.plan)].tolist())
+        ok = np.array([i in self.certified for i in samples])
+        for j, i in enumerate(samples):
+            if ok[j]:
+                continue
             if i not in self.tails:
-                self._eliminate(i)
+                self._eliminate(i, systems[new.index(i)])
             ok[j] = all(c2 * t1 + c1 * t2 == 0 for t1, t2 in self.tails[i][0])
-        return ok, np.zeros(n)
+            if not ok[j]:
+                break
+        return ok, np.zeros(len(samples))
 
     def z_at(self, a: MetricOperator, at: list[int]) -> list[np.ndarray]:
-        """z of each accepted sample in ``at``, 0 at lam == mu; a sample's
-        Y is back-substituted at its first read and kept."""
+        """z of each accepted sample in ``at``, 0 at lam == mu."""
         lam, mu = a.exact_params()
         c1, c2 = lam.numerator * mu.denominator, mu.numerator * lam.denominator
         if c1 == c2:
             return [np.zeros(len(self.lane.to_h)) for _ in at]
         zs = []
         for i in at:
+            if i not in self.tails:
+                self._eliminate(i, self.lane.systems([self.parts[i]])[0])
             d = self.tails[i][1]
             if i not in self.y:
                 rows, pivots = self.echelons.pop(i)

@@ -904,6 +904,9 @@ class ExactLane:
     up to max|``COEFFICIENTS``|, are below 2^63, so each product of each
     sample runs in int64, and Python ints otherwise. The lane decides on
     construction, so a lane built from other integers decides again.
+
+    ``scatter`` and ``plan`` are seed-free, built once per lane on first
+    use.
     """
 
     bases: tuple[np.ndarray, np.ndarray]
@@ -929,6 +932,52 @@ class ExactLane:
         put(self, "rows", self.rows.astype(dtype))
         put(self, "system", (keys, cols, values.astype(dtype)))
         put(self, "brackets", (i, j, numer.astype(dtype), starts, run_keys))
+
+    @cached_property
+    def scatter(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each distinct key of ``system`` (keys ascend) as its index in a
+        flat dim m x (dim h + 2) [M | b1 b2], and the start of its run."""
+        keys, h = self.system[0], self.h_cols.shape[1]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][:len(keys)])
+        return _read_only(keys[starts] + 2 * (keys[starts] // h)), \
+            _read_only(starts)
+
+    def systems(self, parts: list) -> np.ndarray:
+        """The [M | b1 b2] of the samples x1 + x2, (x1, x2) in ``parts``
+        (module parts in g numerators), stacked: M = rows ad(x1 + x2) H,
+        and b1 and b2 are rows [x1, x2] on module 1's and module 2's rows,
+        0 elsewhere."""
+        x1, x2 = (np.array(x) for x in zip(*parts))
+        _, cols, values = self.system
+        at, runs = self.scatter
+        h, dm = self.h_cols.shape[1], len(self.rows)
+        out = np.zeros((len(x1), dm * (h + 2)), dtype=values.dtype)
+        out[:, at] = np.add.reduceat(values * (-x1 - x2)[:, cols], runs,
+                                     axis=1)
+        first, second, numer, starts, run_keys = self.brackets
+        b = np.add.reduceat(numer * x1[:, first] * x2[:, second], starts,
+                            axis=1) @ self.rows[:, run_keys].T
+        out = out.reshape(len(x1), dm, h + 2)
+        cut = self.bases[0].shape[1]
+        out[:, :cut, h], out[:, cut:, h + 1] = b[:, :cut], b[:, cut:]
+        return out
+
+    @cached_property
+    def plan(self) -> tuple[list[int], list[int]] | None:
+        """M's pivot columns and pivot rows for ``exact.certified``, from
+        ``exact._bareiss`` of the system of one seed-free draw (words of
+        ``rng_for("go-exact-plan")``, read as ``fill`` reads them); None
+        on a lane of Python ints, or where M has no pivot."""
+        if self.rows.dtype == object:
+            return None
+        b1, b2 = self.bases
+        cut = b1.shape[1]
+        words = rng_for("go-exact-plan").bit_generator.random_raw(
+            cut + b2.shape[1])
+        c = COEFFICIENTS[words % np.uint64(6)]
+        system = self.systems([(b1 @ c[:cut], b2 @ c[cut:])])[0]
+        _, cols, _, order = exact._bareiss(system, self.h_cols.shape[1])
+        return (cols, order[:len(cols)]) if cols else None
 
     @property
     def tops(self) -> tuple[int, int, int, int, int]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orbitcheck import catalog, exact, go
 
@@ -30,6 +30,31 @@ def test_fmatrix_and_to_float_round_trip():
     assert m.dtype == object
     back = exact.to_float(m)
     np.testing.assert_allclose(back, [[1.0, 0.5], [0.25, 3.0]])
+
+
+def test_to_float_is_one_division_where_both_operands_are_exact():
+    # int64 entries up to 2^53 in size over a d up to 2^53 in size are
+    # exact floats, and one float division rounds their quotient as
+    # Python's int division does: the per-entry oracle, at the edges and
+    # on random pairs. Past 2^53 an entry would round before dividing, so
+    # it and any object array take the Python path
+    edge = 2 ** 53
+    rng = np.random.default_rng(3)
+    cases = [(np.array([edge, -edge, edge - 1, 1, 0, -3]), d)
+             for d in (edge - 1, edge, -edge, 3, -7)]
+    cases += [(rng.integers(-edge, edge + 1, size=500),
+               int(rng.integers(1, edge + 1)) * sign)
+              for sign in (1, -1) for _ in range(20)]
+    cases += [(np.array([edge + 1, 5]), 3),
+              (np.array([edge + 1, 5], dtype=object), 3),
+              (np.array([2 ** 70 + 1, -1], dtype=object), 3),
+              (np.array([[7, 1]]), edge + 1)]
+    for a, d in cases:
+        want = [v / d for v in a.ravel().tolist()]
+        got = exact.to_float(a, d)
+        assert got.dtype == np.float64 and got.shape == a.shape
+        assert got.ravel().tolist() == want
+    assert float(edge + 1) / 3 != (edge + 1) / 3
 
 
 def _rank(a):
@@ -156,6 +181,92 @@ def test_imatmul_takes_int64_only_below_its_bound():
         got = exact.imatmul(a, _object_array([0, 3], (2, 1)))
         assert got.dtype == object and got.tolist() == [[3]]
         assert exact.narrowed(a).dtype == object
+
+
+@st.composite
+def certificate_systems(draw):
+    """(ab, width): 1 to 3 stacked int64 systems [a | b1 b2] of one
+    shape, a up to 6 x 5 with entries up to 3 in size and maybe a last
+    row that repeats the first, and b = a y + e, y up to 3 in size and e
+    zero or entries up to 1 in size."""
+    n_rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    systems = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = n_rows * width
+        a = np.array(draw(st.lists(st.integers(-3, 3), min_size=size,
+                                   max_size=size))).reshape(n_rows, width)
+        if n_rows > 1 and draw(st.booleans()):
+            a[-1] = a[0]
+        y = np.array(draw(st.lists(st.integers(-3, 3), min_size=2 * width,
+                                   max_size=2 * width))).reshape(width, 2)
+        e = draw(st.lists(st.integers(-1, 1) if draw(st.booleans())
+                          else st.just(0), min_size=2 * n_rows,
+                          max_size=2 * n_rows))
+        systems.append(np.hstack([a, a @ y + np.reshape(e, (n_rows, 2))]))
+    return np.array(systems, dtype=np.int64), width
+
+
+@given(certificate_systems())
+@settings(max_examples=300, deadline=None)
+def test_exact_certificate_is_sound_and_takes_what_its_plan_solves(system):
+    # the plan is the first system's pivot columns and pivot rows. A
+    # certified system is consistent by the Fraction-free oracle; a
+    # consistent one whose planned subsystem S is nonsingular, with a of
+    # rank |S|, is certified (entries this small keep the float finder
+    # exact)
+    ab, width = system
+    _, cols, _, order = exact._bareiss(ab[0], width)
+    assume(cols)
+    rows = order[:len(cols)]
+    assert _rank(ab[0][rows][:, cols]) == len(cols)
+    took = exact.certified(ab, width, cols, rows)
+    assert took.dtype == bool and took.shape == (len(ab),)
+    for one, certified in zip(ab, took):
+        tail = exact.solve(one[:, :width], one[:, width:])[2]
+        consistent = not any(tail.flat)
+        assert consistent or not certified
+        if consistent and _rank(one[:, :width]) == len(cols) \
+                and _rank(one[rows][:, cols]) == len(cols):
+            assert certified
+
+
+def test_exact_certificate_checks_past_int64_on_python_ints():
+    # the plan's rows 0 and 1 give D = 1 and Y = (9, 3) for b1; row 2
+    # then needs 9 q + 3 = b. At q = 2^61, b = 2^61 + 3 is inconsistent,
+    # yet 9 q + 3 - b = 2^64 wraps to 0 in int64: the product bound sends
+    # the check to Python ints, which refuse it. At q = 2^58 the
+    # consistent b = 9 q + 3 fits int64 and is certified the same way
+    def system(q, b):
+        return np.array([[[1, 0, 9, 0], [0, 1, 3, 0], [q, 1, b, 0]]],
+                        dtype=np.int64)
+    for q, b, want in ((2 ** 61, 2 ** 61 + 3, False),
+                       (2 ** 58, 9 * 2 ** 58 + 3, True)):
+        ab = system(q, b)
+        assert exact.certified(ab, 2, [0, 1], [0, 1]).tolist() == [want]
+        assert (exact.solve(ab[0][:, :2], ab[0][:, 2:])[2].any()) != want
+    wrapped = system(2 ** 61, 2 ** 61 + 3)[0]
+    assert not (wrapped[:, :3] @ np.array([9, 3, -1])).any()
+
+
+def test_exact_certificate_refuses_a_singular_or_overflowing_s_quietly():
+    # rows 0 and 1 of a are dependent, so the planned S is singular: the
+    # finder proposes D = 0 and Y = 0, swapping S for the identity before
+    # the solve, and the check refuses D = 0; rows 0 and 2 certify it
+    ab = np.array([[[1, 2, 5, 3], [2, 4, 10, 6], [0, 1, 2, 1]]],
+                  dtype=np.int64)
+    assert exact.certified(ab, 2, [0, 1], [0, 1]).tolist() == [False]
+    y, det = exact.proposed(ab[:, [0, 1]], 2)
+    assert det.tolist() == [0] and not y.any()
+    assert exact.certified(ab, 2, [0, 1], [0, 2]).tolist() == [True]
+    # (2^60 + 1) I plus ones above the diagonal, 20 x 20: primitive rows,
+    # a det past float range, refused without a warning (an error here)
+    a = (2 ** 60 + 1) * np.identity(20, dtype=np.int64) \
+        + np.eye(20, k=1, dtype=np.int64)
+    big = np.concatenate([a, a @ np.ones((20, 2), dtype=np.int64)], axis=1)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.linalg.det(a.astype(float)))
+    assert exact.certified(big[None], 20, list(range(20)),
+                           list(range(20))).tolist() == [False]
 
 
 @st.composite

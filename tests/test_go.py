@@ -1967,16 +1967,25 @@ def test_exact_status_is_the_float_status_at_every_seed(entry_id):
                     assert verdict.counterexample.rank_gap == 1
 
 
+def _spy(monkeypatch, name: str) -> list:
+    """Every ``exact.<name>`` call from here on, by its arguments."""
+    original, calls = getattr(exact, name), []
+    monkeypatch.setattr(exact, name,
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 @pytest.mark.parametrize("entry_id", EXACT_CAPABLE)
 def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
                                                              monkeypatch):
-    # the system and right-hand sides that each sample hands to
-    # exact.eliminated, against the dense products rows @ ad(X) @ H and
+    # the stacked systems that exact.certified reads, one per new sample
+    # of a chunk, against the dense products rows @ ad(X) @ H and
     # rows_k @ [X1, X2] on the lane's primitive rows, each the pairing
     # row b_p^T G of a basis column over its content: the lane's rows are
-    # module by module, and one elimination per sample serves every pair
-    # at its seed. On the catalog every bound is far below 2^63, so both
-    # come in int64
+    # module by module, and one attempt per sample serves every pair at
+    # its seed. A sample it does not certify is eliminated from the same
+    # system. On the catalog every bound is far below 2^63, so all come
+    # in int64, and every lane has a plan
     space = catalog.catalog_instantiate(entry_id, seed=0)
     lane = space.exact_lane
     rows = lane.rows
@@ -1989,16 +1998,19 @@ def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
     d1 = lane.bases[0].shape[1]
     assert not np.any(rows[:d1] @ lane.bases[1])
     assert not np.any(rows[d1:] @ lane.bases[0])
-    eliminated, seen = exact.eliminated, []
-    monkeypatch.setattr(exact, "eliminated", lambda ab, width: seen.append(
-        (ab[:, :width], ab[:, width:])) or eliminated(ab, width))
+    assert lane.plan is not None
+    tried, eliminated = (_spy(monkeypatch, name)
+                         for name in ("certified", "eliminated"))
     read = max(go.go_check(space, pair, n_samples=2, seed=5,
                            exact_mode=True).n_samples
                for pair in ORACLE_PAIRS if pair[0] != pair[1])
+    seen = [system for args in tried for system in args[0]]
     assert len(seen) == read
+    h = len(lane.to_h)
     ad = space.g.structure_exact.ad_numerators
     fac = space.go_factorisations[go._ExactFactorisation]
-    for (system, rhs), (x1, x2) in zip(seen, fac.parts):
+    for ab, (x1, x2) in zip(seen, fac.parts):
+        system, rhs = ab[:, :h], ab[:, h:]
         assert system.dtype == rhs.dtype == np.int64
         x1, x2 = x1.astype(object), x2.astype(object)
         dense = rows.astype(object) @ ad((x1 + x2)[:, None])[0].astype(
@@ -2007,41 +2019,58 @@ def test_sample_system_is_the_lane_tensor_contracted_with_ax(entry_id,
         b = rows.astype(object) @ (ad(x1[:, None])[0].astype(object) @ x2)
         assert not any(rhs[:d1, 1]) and not any(rhs[d1:, 0])
         assert rhs[:d1, 0].tolist() + rhs[d1:, 1].tolist() == b.tolist()
+    assert len(eliminated) == len(fac.tails) <= read - len(fac.certified)
+    for ab, width in eliminated:
+        assert width == h and any(np.array_equal(ab, s) for s in seen)
 
 
 def test_exact_lane_solves_no_sample_twice_and_none_at_equal_weights(
         monkeypatch):
-    # lam == mu runs no elimination at all; four pairs at one seed solve
-    # each sample once; and a float call and an exact call on one space
-    # keep each other's factorisation
+    # lam == mu tries no certificate and runs no elimination; four pairs
+    # at one seed try each sample once, and reading every witness at two
+    # pairs eliminates each sample once in all; and a float call and an
+    # exact call on one space keep each other's factorisation
     space = catalog.catalog_instantiate("go-4-r2", seed=0)
     space.exact_lane
-    eliminate, calls = exact._eliminate, []
-    monkeypatch.setattr(exact, "_eliminate",
-                        lambda *args: calls.append(args) or eliminate(*args))
+    tried, calls = (_spy(monkeypatch, name)
+                    for name in ("certified", "_eliminate"))
     verdict = go.go_check(space, (2, 2), n_samples=100, exact_mode=True)
     assert verdict.status == "NORMAL_TRIVIAL" and verdict.n_samples == 100
-    assert not calls
+    list(verdict.witnesses)
+    assert not tried and not calls
     held = space.go_factorisations[go._ExactFactorisation]
     go.go_check(space, (1, 2), n_samples=3)
     floats = space.go_factorisations[go._Factorisation]
+    verdicts = []
     for pair in ORACLE_PAIRS:
-        go.go_check(space, pair, n_samples=3, exact_mode=True)
+        verdicts.append(go.go_check(space, pair, n_samples=3,
+                                    exact_mode=True))
         go.go_check(space, (1, 2), n_samples=3)
-    assert len(calls) == 3
+    assert sum(len(args[0]) for args in tried) == 3
+    assert len(calls) == len(held.tails)
+    for verdict in verdicts[:2]:
+        list(verdict.witnesses)
+    assert len(calls) == 3 and sum(len(args[0]) for args in tried) == 3
     assert space.go_factorisations[go._ExactFactorisation] is held
     assert space.go_factorisations[go._Factorisation] is floats
     assert list(space.go_factorisations) == [go._ExactFactorisation,
                                              go._Factorisation]
 
 
-def test_exact_read_off_takes_each_pair_s_combination_of_the_tails():
-    # a sample whose reduced right-hand sides are (1, -3) below the rank
-    # is consistent exactly where c2 tail1 + c1 tail2 = 0, at mu = 3 lam,
-    # and its z there depends only on the ratio
+def test_exact_read_off_takes_each_pair_s_combination_of_the_tails(
+        monkeypatch):
+    # a sample that the certificate does not take is eliminated; with
+    # its reduced right-hand sides set to (1, -3) below the rank it is
+    # consistent exactly where c2 tail1 + c1 tail2 = 0, at mu = 3 lam,
+    # and its z there depends only on the ratio, as a certified sample's
+    want = go.go_check(catalog.catalog_instantiate("go-3-k2", seed=0),
+                       (1, 3), n_samples=1, exact_mode=True)
     space = catalog.catalog_instantiate("go-3-k2", seed=0)
-    want = go.go_check(space, (1, 3), n_samples=1, exact_mode=True)
+    monkeypatch.setattr(exact, "certified",
+                        lambda ab, *plan: np.zeros(len(ab), dtype=bool))
+    go.go_check(space, (1, 3), n_samples=1, exact_mode=True)
     fac = space.go_factorisations[go._ExactFactorisation]
+    assert not fac.certified
     _, d = fac.tails[0]
     fac.tails[0] = [[1, -3]], d
     for pair in [(1, 3), (2, 6), (3, 1), (1, 2)]:
@@ -2055,12 +2084,81 @@ def test_exact_read_off_takes_each_pair_s_combination_of_the_tails():
             assert verdict.counterexample.margin == np.inf
 
 
+def test_exact_certificate_takes_no_inconsistent_sample(monkeypatch):
+    # t1-V.1-m3n3's first sample at seeds 0..3 has a float proposal
+    # (D != 0, D and Y below 2^52) on the lane's plan, yet b lies outside
+    # M's column space: the integer identity refuses it, and the verdict
+    # is NOT_GO at every pair, as the Fraction oracle says; accepting the
+    # proposal without the identity would read GO. With three samples
+    # held, a read-off eliminates sample 0 alone: elimination stops at
+    # the first sample inconsistent at the pair
+    space = catalog.catalog_instantiate("t1-V.1-m3n3", seed=0)
+    lane, h = space.exact_lane, len(space.exact_lane.to_h)
+    eliminations = _spy(monkeypatch, "_eliminate")
+    for seed in range(4):
+        go.go_check(space, (2, 2), n_samples=3, seed=seed, exact_mode=True)
+        fac = space.go_factorisations[go._ExactFactorisation]
+        systems = lane.systems(fac.parts[:1])
+        primitive = systems // np.maximum(
+            np.gcd.reduce(systems, axis=-1), 1)[..., None]
+        cols, rows = lane.plan
+        square = primitive[:, rows][:, :, cols + [h, h + 1]]
+        assert exact.proposed(square, len(cols))[1].tolist() != [0]
+        assert not exact.certified(systems, h, *lane.plan).any()
+        for pair in ORACLE_PAIRS[:2] + ORACLE_PAIRS[3:]:
+            verdict = go.go_check(space, pair, n_samples=3, seed=seed,
+                                  exact_mode=True)
+            assert verdict.status == "NOT_GO" and verdict.n_samples == 1
+            assert fac.held == 3 and list(fac.tails) == [0]
+            assert any(t for row in fac.tails[0][0] for t in row)
+        assert len(eliminations) == seed + 1
+
+
+def test_exact_certificate_refuses_a_y_off_by_one_and_falls_back(
+        monkeypatch):
+    # a finder whose Y is off by one in one entry: the check refuses
+    # every sample it proposes for, each is eliminated instead, and the
+    # verdicts and witnesses are those of the true finder
+    pairs = ORACLE_PAIRS[:2]
+    want = [_dumps(go.go_check(catalog.catalog_instantiate("go-4-r2", seed=0),
+                               pair, n_samples=6, seed=2, exact_mode=True))
+            for pair in pairs]
+    proposed = exact.proposed
+
+    def off_by_one(*args):
+        y, det = proposed(*args)
+        assert det.all()
+        y[:, -1, 0] += 1
+        return y, det
+    monkeypatch.setattr(exact, "proposed", off_by_one)
+    eliminations = _spy(monkeypatch, "_eliminate")
+    space = catalog.catalog_instantiate("go-4-r2", seed=0)
+    got = [go.go_check(space, pair, n_samples=6, seed=2, exact_mode=True)
+           for pair in pairs]
+    fac = space.go_factorisations[go._ExactFactorisation]
+    assert not fac.certified and len(eliminations) == 6
+    assert [_dumps(v) for v in got] == want
+
+
+def test_exact_certificate_takes_nearly_every_go_4_r2_sample(monkeypatch):
+    # each sample's rows over their content keep go-4-r2's |D| near 2^42,
+    # below the finder's 2^52, so at most 3 of its 150 GO samples at seeds
+    # 0..9 are eliminated (1 at this writing, a singular planned
+    # subsystem); without the content division every |D| passes 2^52 and
+    # all 150 are
+    space = catalog.catalog_instantiate("go-4-r2", seed=0)
+    space.exact_lane.plan
+    eliminations = _spy(monkeypatch, "_eliminate")
+    for seed in range(10):
+        verdict = go.go_check(space, (1, 2), n_samples=15, seed=seed,
+                              exact_mode=True)
+        assert verdict.status == "GO_CONSISTENT"
+    assert len(eliminations) <= 3
+
+
 def _spy_back_substitution(monkeypatch) -> list:
     """Every exact._back_substitute call from here on, by its arguments."""
-    substitute, calls = exact._back_substitute, []
-    monkeypatch.setattr(exact, "_back_substitute",
-                        lambda *args: calls.append(args) or substitute(*args))
-    return calls
+    return _spy(monkeypatch, "_back_substitute")
 
 
 @pytest.mark.parametrize("tail, wanted", [
@@ -2120,30 +2218,34 @@ def test_an_inconsistent_sample_skips_back_substitution(monkeypatch):
 
 def test_exact_witness_z_back_substitutes_once_at_its_first_read(
         monkeypatch):
-    # go-4-r2, 100 consistent samples: no verdict back-substitutes; the
-    # first read of a witness runs one back-substitution for its sample,
-    # and any later read, at any pair, reuses the Y it kept, giving the
-    # z of a fresh space to the bit
+    # go-4-r2, 100 samples the certificate takes at seed 0: no verdict
+    # eliminates or back-substitutes; the first read of a witness runs
+    # one elimination and one back-substitution for its sample, and any
+    # later read, at any pair, reuses the Y it kept, giving the z of a
+    # fresh space to the bit
     space = catalog.catalog_instantiate("go-4-r2", seed=0)
+    space.exact_lane.plan
+    eliminations = _spy(monkeypatch, "_eliminate")
     calls = _spy_back_substitution(monkeypatch)
     pairs = [(Fraction(1), Fraction(2)), (Fraction(5, 2), Fraction(1, 3))]
     verdicts = [go.go_check(space, pair, n_samples=100, seed=0,
                             exact_mode=True) for pair in pairs]
     assert [v.status for v in verdicts] == ["GO_CONSISTENT"] * 2
-    assert not calls
+    assert not calls and not eliminations
     fac = space.go_factorisations[go._ExactFactorisation]
-    assert len(fac.echelons) == 100 and not fac.y
+    assert fac.certified == set(range(100))
+    assert not fac.tails and not fac.echelons and not fac.y
     verdicts[0].witnesses[37]
-    assert len(calls) == 1 and list(fac.y) == [37]
+    assert len(eliminations) == len(calls) == 1 and list(fac.y) == [37]
     verdicts[0].witnesses[37]
-    assert len(calls) == 1
+    assert len(eliminations) == len(calls) == 1
     got = [_dumps(v) for v in verdicts]
-    assert len(calls) == 100 and not fac.echelons
+    assert len(eliminations) == len(calls) == 100 and not fac.echelons
     for pair, dumps in zip(pairs, got):
         fresh = catalog.catalog_instantiate("go-4-r2", seed=0)
         assert _dumps(go.go_check(fresh, pair, n_samples=100, seed=0,
                                   exact_mode=True)) == dumps
-    assert len(calls) == 300
+    assert len(eliminations) == len(calls) == 300
 
 
 @pytest.mark.parametrize("entry_id", EXACT_CAPABLE)
